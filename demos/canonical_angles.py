@@ -1,10 +1,11 @@
 """Canonical angle profiles between subspaces of R^n.
 
 Shows the certified angle machinery: profiles carry sine values, rigorous
-lower/upper brackets, and a resolved flag.  Adaptive evaluation doubles
-the working precision until the requested relative error is met, or
-reports an unresolved bracket down at the precision floor when the true
-angle is zero.
+lower/upper brackets, and a resolved flag.  Rational pairs with at most
+two angles are evaluated exactly, so any nonzero sine is resolved and an
+exactly-zero one is reported as an unresolved bracket down at the
+precision floor.  Other pairs are evaluated at doubled working precision
+until the requested relative error is met.
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ def line(*entries):
 
 
 def main():
-    # a tiny but nonzero angle: adaptive evaluation resolves it
+    # a tiny but nonzero angle: exact evaluation resolves it
     xi = Fraction(2, 5) + Fraction(3, 5**3) + Fraction(2, 5**9)
     profile = ang.angles_adaptive(line(1, xi), line(125, 53))
     print("tiny angle, resolved:", profile.resolved[0])

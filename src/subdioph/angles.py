@@ -1,17 +1,34 @@
-"""Canonical proximity angles between subspaces at adaptive precision.
+"""Canonical proximity angles between subspaces.
 
 The proximity profile of two subspaces is the ascending tuple
-psi_j = sin(theta_j) of sines of their principal angles, computed from the
-singular values of the cross-Gram matrix of orthonormal bases.  sin is the
-right scale for approximation questions (it is comparable to normalized
-distances), but it loses half the working digits when an angle is tiny, so
-every public entry point either runs exact rational arithmetic (one
-dimensional case) or re-computes at doubled precision until two consecutive
-runs agree to the requested relative error.
+psi_j = sin(theta_j) of sines of their t = min(d, e) principal angles.  sin
+is the right scale for approximation questions (it is comparable to
+normalized distances).
+
+Pairs of exact rational bases with t <= 2 are evaluated exactly.  The
+squared sines are the eigenvalues of the rational matrix
+I - G_A^-1 C G_B^-1 C^T (G the Gram matrices, C = A^T B; Bjorck & Golub
+1973), which for t <= 2 is a rational or a quadratic surd built from
+integer Gram and bordered Gram determinants.  It is computed on the sine
+side, never as 1 - cos^2, so tiny angles keep full relative accuracy, and
+every square root is bracketed by integer square roots: lo <= psi <= hi is
+a proof.  Every other pair (float or evaluator bases, or t >= 3) goes
+through an mpmath Gram-Schmidt and SVD repeated at doubled precision until
+two consecutive runs agree to the requested relative error.
+
+resolved=False marks a sine that is not separated from zero and carries
+the bracket [0, 2^-(bits_used/4)].  On the exact path that happens only
+for an exactly-zero sine (a shared direction); every nonzero sine is
+resolved, however small.  On the mpmath path it happens for any value at or
+below that floor.  PrecisionContext and SUBDIOPH_MAX_BITS govern the
+working precision of the mpmath path; on the exact path they only set the
+reported bits_used (twice the starting bits, as after one doubling, and
+subject to the same cap) and the relative width of the brackets.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,6 +101,15 @@ class RealBasis:
         self._evaluate = evaluate
         self.source = source
         self.exact_matrix = exact_matrix
+        self._integer_columns = None
+
+    def integer_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Columns of the exact basis, each cleared of denominators."""
+        if self._integer_columns is None:
+            self._integer_columns = tuple(
+                exact.clear_denominators(col) for col in zip(*self.exact_matrix)
+            )
+        return self._integer_columns
 
     @classmethod
     def from_exact(cls, rows: Iterable[Sequence[exact.Scalar]]) -> "RealBasis":
@@ -159,11 +185,20 @@ class AngleProfile:
     bits_used: int
 
     def widened(self, tau) -> "AngleProfile":
-        """Absolute widening of every bracket by tau (perturbation budget)."""
-        t = mp.mpf(tau) if not isinstance(tau, Fraction) else _mpf_of_fraction(tau, self.bits_used)
+        """Absolute widening of every bracket by tau >= 0 (perturbation budget).
+
+        tau may be a Fraction, an int, a float or an mpf.  Every step rounds
+        outward at the profile's precision, so the widened brackets contain
+        the original ones grown by tau.
+        """
+        prec = self.bits_used
+        if isinstance(tau, Fraction):
+            t = mp.fdiv(tau.numerator, tau.denominator, prec=prec, rounding="c")
+        else:
+            t = mp.convert(tau)  # lossless for int, float and mpf
         zero = mp.mpf(0)
-        lo = tuple(max(zero, x - t) for x in self.lo)
-        hi = tuple(x + t for x in self.hi)
+        lo = tuple(max(zero, mp.fsub(x, t, prec=prec, rounding="f")) for x in self.lo)
+        hi = tuple(mp.fadd(x, t, prec=prec, rounding="c") for x in self.hi)
         return AngleProfile(
             t=self.t,
             psi=self.psi,
@@ -229,42 +264,178 @@ def _cross_gram_sines(qa: "mp.matrix", qb: "mp.matrix") -> list:
     return out
 
 
+def _profile(t: int, brackets: list, rel, bits_used: int) -> AngleProfile:
+    """Pack ascending (lo, psi, hi) brackets into a profile.
+
+    None marks a sine not separated from zero; it is reported unresolved
+    with the bracket [0, 2^-(bits_used/4)] and that floor as its value.
+    """
+    floor = mp.ldexp(1, -(bits_used // 4))
+    entries, cap = [], floor
+    for b in reversed(brackets):
+        if b is None:
+            # an exact zero below a resolved sine under the floor stays in order
+            b = (mp.mpf(0), cap, cap)
+        cap = min(cap, b[1])
+        entries.append(b)
+    lo, psi, hi = zip(*reversed(entries))
+    return AngleProfile(
+        t=t,
+        psi=psi,
+        lo=lo,
+        hi=hi,
+        resolved=tuple(b is not None for b in brackets),
+        rel_err_bound=rel,
+        bits_used=bits_used,
+    )
+
+
+def _relative_brackets(sines: list, floor, rel) -> list:
+    """Brackets s * (1 -/+ rel) of mpmath sines; values at or below floor are None."""
+    return [None if s <= floor else (s * (1 - rel), s, s * (1 + rel)) for s in sines]
+
+
+def _pair_dimension(a: RealBasis, b: RealBasis) -> int:
+    if a.n != b.n:
+        raise ShapeError("ambient dimensions differ")
+    return min(a.d, b.d)
+
+
+def _is_exact_pair(a: RealBasis, b: RealBasis) -> bool:
+    return (
+        a.exact_matrix is not None
+        and b.exact_matrix is not None
+        and min(a.d, b.d) <= 2
+    )
+
+
+def _exact_profile(
+    a: RealBasis, b: RealBasis, bits_used: int, target_rel_err: Fraction | None = None
+) -> AngleProfile:
+    """Profile of an exact pair with t <= 2; rel_err_bound is 2^-bits, where
+    bits is bits_used or more when target_rel_err asks for it."""
+    bits = bits_used
+    if target_rel_err is not None and target_rel_err > 0:
+        inverse = target_rel_err.denominator // target_rel_err.numerator
+        bits = max(bits, inverse.bit_length())
+    # brackets computed at bits + 4 have relative width below 2^-bits
+    brackets = _exact_brackets(a, b, bits + 4)
+    return _profile(_pair_dimension(a, b), brackets, mp.ldexp(1, -bits), bits_used)
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _scaled_isqrt(num: int, den: int, k: int, up: bool) -> int:
+    """floor (or, with up, ceil) of sqrt(num / den) * 2^k, num >= 0, den > 0."""
+    if k >= 0:
+        q, r = divmod(num << (2 * k), den)
+    else:
+        q, r = divmod(num, den << (-2 * k))
+    root = math.isqrt(q)
+    if up and (r or root * root != q):
+        root += 1
+    return root
+
+
+def _sqrt_scale(num: int, den: int, prec: int) -> int:
+    """Scale k that puts sqrt(num / den) * 2^k in [2^(prec-2), 2^prec)."""
+    return prec - (num.bit_length() - den.bit_length() + 2) // 2
+
+
+def _sqrt_bracket(interval: tuple[int, int, int, int], k: int) -> tuple:
+    """Exact mpf (lo, mid, hi) around sqrt(x), for num_lo/den_lo <= x <= num_hi/den_hi."""
+    num_lo, den_lo, num_hi, den_hi = interval
+    lo = _scaled_isqrt(num_lo, den_lo, k, up=False)
+    hi = _scaled_isqrt(num_hi, den_hi, k, up=True)
+    return mp.ldexp(lo, -k), mp.ldexp(lo + hi, -k - 1), mp.ldexp(hi, -k)
+
+
+def _point(num: int, den: int) -> tuple[int, int, int, int]:
+    return (num, den, num, den)
+
+
+def _squared_sine_intervals(a: RealBasis, b: RealBasis, prec: int) -> list:
+    """Ascending squared sines of an exact pair with t <= 2.
+
+    Each is None when exactly zero, else a rational interval
+    (num_lo, den_lo, num_hi, den_hi) of relative width below 2^-(prec+6).
+    """
+    if a.d > b.d:
+        a, b = b, a
+    cols_a, cols_b = a.integer_columns(), b.integer_columns()
+    gram_b = [[_dot(u, v) for v in cols_b] for u in cols_b]
+    g = exact.determinant(gram_b)
+    cross = [[_dot(u, v) for v in cols_b] for u in cols_a]
+
+    def residual_product(i: int, j: int) -> int:
+        # g times the inner product of the parts of a_i and a_j orthogonal
+        # to span(B): the Schur complement of G_B in the bordered Gram matrix
+        bordered = [row + [cross[j][r]] for r, row in enumerate(gram_b)]
+        bordered.append(cross[i] + [_dot(cols_a[i], cols_a[j])])
+        return exact.determinant(bordered)
+
+    if a.d == 1:
+        num = residual_product(0, 0)
+        return [None if num == 0 else _point(num, g * _dot(cols_a[0], cols_a[0]))]
+
+    # t = 2: the eigenvalues of G_A^-1 R / g, with R = g * (residual Gram),
+    # are (tr +- sqrt(tr^2 - 4 det)) / (2 dd) in integer form
+    r00, r01, r11 = residual_product(0, 0), residual_product(0, 1), residual_product(1, 1)
+    (p, q), (_, s) = [[_dot(u, v) for v in cols_a] for u in cols_a]
+    delta = p * s - q * q
+    dd = delta * g
+    tr = s * r00 + p * r11 - 2 * q * r01
+    det = delta * (r00 * r11 - r01 * r01)
+    if det == 0:
+        return [None, None if tr == 0 else _point(tr, dd)]
+    disc = tr * tr - 4 * det
+    root = math.isqrt(disc)
+    if root * root == disc:
+        return [_point(2 * det, dd * (tr + root)), _point(tr + root, 2 * dd)]
+    # sqrt(disc) in [root_lo, root_hi] / 2^j with 2^-j <= tr * 2^-(prec+7)
+    j = prec + 8 - tr.bit_length()
+    root_lo = _scaled_isqrt(disc, 1, j, up=False)
+    root_hi = _scaled_isqrt(disc, 1, j, up=True)
+    scale = 1 << max(j, 0)
+    if j < 0:
+        root_lo, root_hi = root_lo << -j, root_hi << -j
+    sum_lo, sum_hi = tr * scale + root_lo, tr * scale + root_hi
+    # the small root as 2 det / (tr + sqrt(disc)) avoids cancellation
+    small = (2 * det * scale, dd * sum_hi, 2 * det * scale, dd * sum_lo)
+    big = (sum_lo, 2 * dd * scale, sum_hi, 2 * dd * scale)
+    return [small, big]
+
+
+def _exact_brackets(a: RealBasis, b: RealBasis, prec: int) -> list:
+    """Ascending exact sine brackets of relative width below 2^(4-prec)."""
+    intervals = _squared_sine_intervals(a, b, prec)
+    scales = [None if x is None else _sqrt_scale(x[0], x[1], prec) for x in intervals]
+    if len(intervals) == 2 and None not in scales and abs(scales[0] - scales[1]) <= 2:
+        # close values share the finer scale, which keeps their midpoints in
+        # order; values further apart have disjoint brackets
+        scales = [max(scales)] * 2
+    return [
+        None if x is None else _sqrt_bracket(x, k) for x, k in zip(intervals, scales)
+    ]
+
+
 def principal_angles(a: RealBasis, b: RealBasis, bits: int = DEFAULT_BITS) -> AngleProfile:
     """Single-shot proximity profile at a fixed working precision.
 
-    The reported rel_err_bound is the conservative single-shot claim
-    2^(-bits/2); use angles_adaptive for a measured bound.
+    Exact pairs with t <= 2 report rel_err_bound 2^-bits.  Other pairs
+    report the conservative single-shot claim 2^(-bits/2); use
+    angles_adaptive for a measured bound.
     """
-    if a.n != b.n:
-        raise ShapeError("ambient dimensions differ")
-    t = min(a.d, b.d)
+    if _is_exact_pair(a, b):
+        return _exact_profile(a, b, bits)
+    t = _pair_dimension(a, b)
     with mp.workprec(bits + 32):
-        qa = orthonormal_basis(a, bits)
-        qb = orthonormal_basis(b, bits)
-        sines = _cross_gram_sines(qa, qb)
-        floor = mp.mpf(2) ** (-(bits // 4))
+        sines = _sines_at(a, b, bits)
         rel = mp.mpf(2) ** (-(bits // 2))
-        psi, lo, hi, resolved = [], [], [], []
-        for s in sines:
-            if s <= floor:
-                psi.append(floor)
-                lo.append(mp.mpf(0))
-                hi.append(floor)
-                resolved.append(False)
-            else:
-                psi.append(s)
-                lo.append(s * (1 - rel))
-                hi.append(s * (1 + rel))
-                resolved.append(True)
-    return AngleProfile(
-        t=t,
-        psi=tuple(psi),
-        lo=tuple(lo),
-        hi=tuple(hi),
-        resolved=tuple(resolved),
-        rel_err_bound=rel,
-        bits_used=bits,
-    )
+        brackets = _relative_brackets(sines, mp.ldexp(1, -(bits // 4)), rel)
+    return _profile(t, brackets, rel, bits)
 
 
 def vector_angle(
@@ -310,20 +481,27 @@ def _all_rational(v: Sequence) -> bool:
 def angles_adaptive(
     a: RealBasis, b: RealBasis, ctx: PrecisionContext | None = None
 ) -> AngleProfile:
-    """Proximity profile certified by agreement under precision doubling.
+    """Proximity profile of a pair, certified.
 
-    Recomputes at doubled precision until consecutive profiles agree to
-    ctx.target_rel_err on every entry above the near-zero floor; entries at
-    or below the floor stay bracketed as [0, floor].  Raises
+    Exact pairs with t <= 2 are evaluated in closed form with proved
+    brackets of relative width at most min(2^-bits_used, target_rel_err),
+    reported at bits_used = 2 * ctx.bits.  Other pairs are recomputed at
+    doubled precision until consecutive profiles agree to
+    ctx.target_rel_err on every entry above the near-zero floor.  Entries
+    not separated from zero stay bracketed as [0, floor].  Raises
     PrecisionExhaustedError at the bit cap (callers may raise the cap via
     the context or the SUBDIOPH_MAX_BITS environment variable).
     """
     ctx = ctx or PrecisionContext()
-    if a.n != b.n:
-        raise ShapeError("ambient dimensions differ")
-    t = min(a.d, b.d)
-    target = _mpf_of_fraction(ctx.target_rel_err, 64)
     bits = ctx.bits
+    if _is_exact_pair(a, b):
+        if 2 * bits > ctx.max_bits:
+            raise PrecisionExhaustedError(
+                f"no agreement at {bits} bits (cap {ctx.max_bits})"
+            )
+        return _exact_profile(a, b, 2 * bits, ctx.target_rel_err)
+    t = _pair_dimension(a, b)
+    target = _mpf_of_fraction(ctx.target_rel_err, 64)
     prev = _sines_at(a, b, bits)
     while True:
         next_bits = bits * 2
@@ -346,27 +524,7 @@ def angles_adaptive(
             if comparable:
                 measured = max(worst, mp.mpf(2) ** (8 - next_bits))
                 bound = 4 * measured
-                psi, lo, hi, resolved = [], [], [], []
-                for c in cur:
-                    if c <= floor:
-                        psi.append(floor)
-                        lo.append(mp.mpf(0))
-                        hi.append(floor)
-                        resolved.append(False)
-                    else:
-                        psi.append(c)
-                        lo.append(c * (1 - bound))
-                        hi.append(c * (1 + bound))
-                        resolved.append(True)
-                return AngleProfile(
-                    t=t,
-                    psi=tuple(psi),
-                    lo=tuple(lo),
-                    hi=tuple(hi),
-                    resolved=tuple(resolved),
-                    rel_err_bound=bound,
-                    bits_used=next_bits,
-                )
+                return _profile(t, _relative_brackets(cur, floor, bound), bound, next_bits)
         prev = cur
         bits = next_bits
 

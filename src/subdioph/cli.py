@@ -26,6 +26,7 @@ from . import estimation as est
 from . import exact
 from . import morphisms as mor
 from . import reports
+from .reports import exact_str
 from .angles import (
     DEFAULT_BITS,
     PrecisionContext,
@@ -143,19 +144,30 @@ def _load_basis(path: str) -> exact.Matrix:
     except TypeError:
         raise _UsageError(f"{path}: basis must be a rectangular array") from None
     n, e = exact.shape(matrix)
-    if "n" in data and int(data["n"]) != n:
+    if "n" in data and _header_int(data, "n", path) != n:
         raise _UsageError(f"{path}: basis has {n} rows, header says {data['n']}")
-    if "e" in data and int(data["e"]) != e:
+    if "e" in data and _header_int(data, "e", path) != e:
         raise _UsageError(f"{path}: basis has {e} columns, header says {data['e']}")
     return matrix
+
+
+def _header_int(data: dict, key: str, path: str) -> int:
+    try:
+        return int(data[key])
+    except (TypeError, ValueError):
+        raise _UsageError(f"{path}: {key} must be an integer, got {data[key]!r}") from None
 
 
 def _load_pluecker(path: str) -> exact.PlueckerVector:
     data = _load_json(path)
     if not isinstance(data, dict) or not {"n", "e", "coords"} <= set(data):
         raise _UsageError(f"{path}: expected an object with n, e and coords")
+    if not isinstance(data["coords"], list):
+        raise _UsageError(f"{path}: coords must be a list")
     coords = tuple(int(_parse_scalar(x)) for x in data["coords"])
-    return exact.PlueckerVector(int(data["n"]), int(data["e"]), coords)
+    return exact.PlueckerVector(
+        _header_int(data, "n", path), _header_int(data, "e", path), coords
+    )
 
 
 def _parse_beta(text: str):
@@ -206,7 +218,7 @@ def _basis_record(sub: exact.RationalSubspace) -> dict:
     return {
         "n": sub.n,
         "e": sub.e,
-        "basis": [[str(x) for x in row] for row in sub.basis],
+        "basis": [[exact_str(x) for x in row] for row in sub.basis],
     }
 
 
@@ -214,19 +226,19 @@ def _pluecker_record(pv: exact.PlueckerVector) -> dict:
     return {
         "n": pv.n,
         "e": pv.e,
-        "coords": [str(c) for c in pv.coords],
-        "heightSquared": str(pv.height_squared),
+        "coords": [exact_str(c) for c in pv.coords],
+        "heightSquared": exact_str(pv.height_squared),
     }
 
 
 def _scan_row(rec: est.ApproximationRecord) -> dict:
     return {
-        "heightSquared": str(rec.height_squared),
+        "heightSquared": exact_str(rec.height_squared),
         "psiLo": rec.psi_lo,
         "psiHi": rec.psi_hi,
         "jIndex": rec.j_index,
         "source": rec.source,
-        "coords": [str(c) for c in rec.subspace.pluecker.coords],
+        "coords": [exact_str(c) for c in rec.subspace.pluecker.coords],
     }
 
 
@@ -276,7 +288,7 @@ def _run_scan(args) -> list[est.ApproximationRecord]:
             n=params.n, e=params.ell, height_squared_max=hmax, strategy=strategy
         )
         return est.scan_records(
-            generators.real_basis, spec, j_index=args.j or params.ell, ctx=ctx
+            generators.real_basis(), spec, j_index=args.j or params.ell, ctx=ctx
         )
     if args.basis:
         matrix = _load_basis(args.basis)
@@ -296,7 +308,7 @@ def _run_scan(args) -> list[est.ApproximationRecord]:
 
 def _cmd_height(args):
     sub = exact.RationalSubspace.from_basis(_load_basis(args.basis))
-    return [{"heightSquared": str(sub.height_squared)}], 0
+    return [{"heightSquared": exact_str(sub.height_squared)}], 0
 
 
 def _cmd_pluecker(args):
@@ -346,8 +358,8 @@ def _cmd_enumerate(args):
     )
     rows = [
         {
-            "coords": [str(c) for c in sub.pluecker.coords],
-            "heightSquared": str(sub.height_squared),
+            "coords": [exact_str(c) for c in sub.pluecker.coords],
+            "heightSquared": exact_str(sub.height_squared),
         }
         for sub in enumerate_subspaces(spec)
     ]
@@ -368,8 +380,8 @@ def _cmd_construct(args):
             {
                 "nIndex": n_index,
                 "exponent": conv.exponent,
-                "heightSquared": str(conv.height_squared),
-                "coords": [str(c) for c in conv.subspace.pluecker.coords],
+                "heightSquared": exact_str(conv.height_squared),
+                "coords": [exact_str(c) for c in conv.subspace.pluecker.coords],
             }
         )
     return rows, 0

@@ -29,6 +29,7 @@ from mpmath import mp
 from . import exact
 from .angles import AngleProfile, PrecisionContext, RealBasis, angles_adaptive
 from .errors import CertificationFailure, ParameterError
+from .reports import exact_str
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -577,8 +578,9 @@ class InstanceCertification:
                 "check": "quantities",
                 "ok": True,
                 "exponent": rec.exponent,
-                "height_squared": str(rec.height_squared),
-                "ratio_squared": f"{rec.ratio_squared.numerator}/{rec.ratio_squared.denominator}",
+                "height_squared": exact_str(rec.height_squared),
+                "ratio_squared": f"{exact_str(rec.ratio_squared.numerator)}/"
+                f"{exact_str(rec.ratio_squared.denominator)}",
                 "ratio_deviation": f"{rec.ratio_deviation:.6e}",
                 "psi_lo": f"{rec.psi_lo:.18e}",
                 "psi_hi": f"{rec.psi_hi:.18e}",
@@ -590,10 +592,31 @@ class InstanceCertification:
             yield {"n": None, "check": name, "ok": ok}
 
 
-def starting_bits(params: ConstructionParams, depth: int) -> int:
-    """Working precision that over-resolves every angle up to the slack scale."""
+# Working precision of the float-grade summaries (normalizations, exponents,
+# ratio deviations), which are reported with six or seven digits.
+SUMMARY_BITS = 96
+
+
+def _mpmath_context(params: ConstructionParams, depth: int) -> PrecisionContext:
+    """Starting precision that over-resolves every angle up to the slack scale.
+
+    Only pairs with more than two angles (ell >= 3) reach the mpmath engine;
+    smaller blocks are evaluated exactly at any magnitude.
+    """
     m_next = term_exponents(params, depth + 1)[depth + 1]
-    return int(4 * m_next * math.log2(params.theta)) + 64
+    return PrecisionContext(bits=int(4 * m_next * math.log2(params.theta)) + 64)
+
+
+def _ratio_deviation(ratio_squared: Fraction, limit_squared: Fraction):
+    """|ratio / limit - 1| as |q - 1| / (sqrt(q) + 1), q = ratio^2 / limit^2.
+
+    q - 1 is formed exactly, so the value keeps full relative accuracy at
+    any closeness of the ratio to its limit.
+    """
+    q_num = ratio_squared.numerator * limit_squared.denominator
+    q_den = ratio_squared.denominator * limit_squared.numerator
+    q = mp.mpf(q_num) / q_den
+    return mp.mpf(abs(q_num - q_den)) / q_den / (mp.sqrt(q) + 1)
 
 
 def _require(ok: bool, check: str, n_index: int, detail: str = "") -> None:
@@ -630,9 +653,8 @@ def certify_instance(
     target = generators.real_basis()
     slack = generators.angle_slack
 
-    if ctx is None:
-        bits = starting_bits(params, depth)
-        ctx = PrecisionContext(bits=max(64, bits))
+    if ctx is None and ell > 2:
+        ctx = _mpmath_context(params, depth)
     exps = term_exponents(params, nmax + 1)
 
     records = []
@@ -640,12 +662,7 @@ def certify_instance(
     prev_deviation = None
     height_monotone = True
     deviation_monotone = True
-    bits_used = ctx.bits
-    with mp.workprec(ctx.bits):
-        limit = mp.sqrt(
-            mp.mpf(gram_limit_squared.numerator) / mp.mpf(gram_limit_squared.denominator)
-        )
-        log_theta = mp.log(theta)
+    bits_used = 0
 
     for n_index in range(1, nmax + 1):
         convergent = build_convergent(params, n_index, stream=stream)
@@ -682,9 +699,8 @@ def certify_instance(
         checks.append(("f-entry-bound", f_ok))
         _require(f_ok, "f-entry-bound", n_index)
 
-        prim_ok = exact.is_primitive_basis(convergent.full)
-        checks.append(("primitive-basis", prim_ok))
-        _require(prim_ok, "primitive-basis", n_index)
+        # build_convergent has already raised unless the basis is primitive
+        checks.append(("primitive-basis", True))
 
         # exact: product bound on the height via column norms
         if params.variant == FINITE:
@@ -737,19 +753,16 @@ def certify_instance(
             "largest sine not separated from zero at this precision",
         )
 
-        with mp.workprec(profile.bits_used):
-            psi_lo = widened.lo[-1]
-            psi_hi = widened.hi[-1]
-            ratio_squared = Fraction(h_sq, theta ** (2 * ell * m_n))
-            ratio = mp.sqrt(
-                mp.mpf(ratio_squared.numerator) / mp.mpf(ratio_squared.denominator)
-            )
-            deviation = abs(ratio / limit - 1)
+        psi_lo = widened.lo[-1]
+        psi_hi = widened.hi[-1]
+        ratio_squared = Fraction(h_sq, theta ** (2 * ell * m_n))
+        with mp.workprec(SUMMARY_BITS):
             if params.variant == FINITE:
                 upper_exponent = mp.mpf(params.alpha.numerator) / params.alpha.denominator * m_n
             else:
-                upper_exponent = mp.mpf(exps[n_index + 1])
-            upper_normalized = float(psi_hi * mp.e ** (upper_exponent * log_theta))
+                upper_exponent = exps[n_index + 1]
+            deviation = _ratio_deviation(ratio_squared, gram_limit_squared)
+            upper_normalized = float(psi_hi * mp.mpf(theta) ** upper_exponent)
             lower_normalized = float(psi_lo * mp.mpf(theta) ** exps[n_index + 1])
             local_exponent = float(-2 * mp.log(psi_hi) / mp.log(h_sq))
 

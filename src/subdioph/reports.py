@@ -11,6 +11,7 @@ timestamp; data lines never depend on the clock.
 from __future__ import annotations
 
 import csv
+import decimal
 import json
 import math
 from datetime import datetime, timezone
@@ -24,6 +25,24 @@ CSV = "csv"
 FORMATS = (JSONL, CSV)
 
 _FLOAT_SAFE_INT = 2**53
+# str() of an int is limited to sys.get_int_max_str_digits() digits (4300 by
+# default, at least 640); below 2^2000 (603 digits) it is always allowed.
+_STR_SAFE_BITS = 2000
+
+
+def exact_str(value: int | Fraction) -> str:
+    """Decimal text of an int, or 'p/q' of a Fraction, of any size.
+
+    Large integers go through the decimal module, which is not subject to
+    the interpreter's int -> str digit limit; that limit stays in place,
+    since it guards the parsing of untrusted input.
+    """
+    if isinstance(value, Fraction):
+        num = exact_str(value.numerator)
+        return num if value.denominator == 1 else f"{num}/{exact_str(value.denominator)}"
+    if value.bit_length() < _STR_SAFE_BITS:
+        return str(value)
+    return str(decimal.Decimal(value))
 
 
 def _convert_scalar(value):
@@ -31,9 +50,9 @@ def _convert_scalar(value):
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, int):
-        return value if abs(value) < _FLOAT_SAFE_INT else str(value)
+        return value if abs(value) < _FLOAT_SAFE_INT else exact_str(value)
     if isinstance(value, Fraction):
-        return str(value)
+        return exact_str(value)
     if isinstance(value, float):
         if not math.isfinite(value):
             raise SerializationError("non-finite float in report")

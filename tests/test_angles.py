@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 from mpmath import mp
 
+from subdioph import construction as con
 from subdioph.angles import (
     AngleProfile,
     PrecisionContext,
@@ -288,6 +289,88 @@ def test_widened_profile():
     assert w.lo[0] < p.lo[0]
     assert w.hi[0] > p.hi[0]
     assert w.lo[0] >= 0
+
+
+def exact_value(x):
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def test_widened_rounds_outward():
+    p = angles_adaptive(exact_basis((1, 0)), exact_basis((1, 1)))
+    tau = Fraction(1, 10**30)
+    w = p.widened(tau)
+    # sqrt(2)/2 lies in [lo + tau, hi - tau], decided in rationals
+    assert (exact_value(w.lo[0]) + tau) ** 2 <= Fraction(1, 2)
+    assert (exact_value(w.hi[0]) - tau) ** 2 >= Fraction(1, 2)
+
+
+def mpmath_twin(basis):
+    """The same matrix, evaluated only through the mpmath engine."""
+    return RealBasis.from_evaluator(
+        basis.n, basis.d, lambda bits: basis.at(bits).tolist(), source="oracle"
+    )
+
+
+def assert_exact_brackets_contain_mpmath(a, b):
+    p = angles_adaptive(a, b)
+    ref = angles_adaptive(mpmath_twin(a), mpmath_twin(b), PrecisionContext(bits=4096))
+    assert p.bits_used == 512 and ref.bits_used >= 8192
+    for lo, x, hi, ok, r, r_ok in zip(p.lo, p.psi, p.hi, p.resolved, ref.psi, ref.resolved):
+        assert ok == r_ok
+        if ok:
+            assert lo <= r <= hi
+            assert lo <= x <= hi
+            assert hi - lo <= hi * mp.mpf(2) ** -500
+        else:
+            assert lo == 0
+
+
+def test_exact_brackets_contain_high_precision_mpmath_random():
+    # the criterion-03 population, restricted to pairs with t <= 2
+    rng = random.Random(11)
+    done = 0
+    while done < 40:
+        n = rng.randint(2, 5)
+        da = rng.randint(1, min(3, n))
+        db = rng.randint(1, min(3, n))
+        if min(da, db) > 2:
+            continue
+        assert_exact_brackets_contain_mpmath(
+            random_exact_basis(rng, n, da), random_exact_basis(rng, n, db)
+        )
+        done += 1
+
+
+@pytest.mark.parametrize(
+    "ell, beta, nmax", [(1, Fraction(3), 4), (2, Fraction(5, 2), 2)]
+)
+def test_exact_brackets_contain_high_precision_mpmath_convergents(ell, beta, nmax):
+    params = con.ConstructionParams.create(ell, beta, seed=0)
+    target = con.build_generators(params, nmax + 2).real_basis()
+    for n_index in range(1, nmax + 1):
+        conv = con.build_convergent(params, n_index)
+        assert_exact_brackets_contain_mpmath(target, RealBasis.from_subspace(conv.subspace))
+
+
+def test_exact_pair_with_shared_direction():
+    # the planes share the x axis: one exact zero, one sine of 1/sqrt(2)
+    a = exact_basis((1, 0, 0), (0, 1, 0))
+    b = exact_basis((1, 0, 0), (0, 1, 1))
+    for p in (angles_adaptive(a, b), principal_angles(a, b, bits=128)):
+        assert p.resolved == (False, True)
+        assert p.lo[0] == 0 and p.psi[0] == p.hi[0] == mp.ldexp(1, -(p.bits_used // 4))
+        assert (exact_value(p.lo[1]) ** 2 <= Fraction(1, 2) <= exact_value(p.hi[1]) ** 2)
+
+
+def test_exact_tiny_sine_below_the_floor_is_resolved():
+    eps = Fraction(1, 2**400)
+    p = angles_adaptive(exact_basis((1, 0)), exact_basis((1, eps)))
+    assert p.resolved == (True,)
+    assert p.lo[0] > 0 and p.psi[0] < mp.ldexp(1, -(p.bits_used // 4))
+    # sin^2 = eps^2 / (1 + eps^2)
+    sin_squared = eps**2 / (1 + eps**2)
+    assert exact_value(p.lo[0]) ** 2 <= sin_squared <= exact_value(p.hi[0]) ** 2
 
 
 def test_brute_force_minimum_matches_first_entry():

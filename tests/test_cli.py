@@ -4,12 +4,17 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from subdioph import construction as con
 from subdioph import reports
 from subdioph.cli import run_command
 from subdioph.errors import SerializationError
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(argv):
@@ -39,6 +44,17 @@ class TestEmitReport:
         record = json.loads(stream.getvalue())
         assert record["small"] == 7
         assert record["big"] == str(2**80)
+
+    def test_exact_str_small_values_match_str(self):
+        for value in (0, 7, -7, 2**53, -(2**80), 10**602, Fraction(-3, 4), Fraction(5)):
+            assert reports.exact_str(value) == str(value)
+
+    def test_exact_str_beyond_the_int_str_digit_limit(self):
+        value = -(7**20000)  # 16,902 digits
+        text = reports.exact_str(value)
+        assert len(text) == 16903 and text.startswith("-")
+        assert int(text[-30:]) == -value % 10**30
+        assert reports.exact_str(Fraction(value, 3)) == f"{text}/3"
 
     def test_header_only_for_empty_list(self):
         stream = io.StringIO()
@@ -185,6 +201,31 @@ class TestConstructCommand:
         heights = [row["height_squared"] for row in rows if row["check"] == "quantities"]
         assert heights[0] == "18434"
 
+    @pytest.mark.parametrize(
+        "argv, pinned",
+        [
+            (["--ell", "1", "--beta", "3", "--nmax", "4"], "construct_certify_l1_b3_n4.jsonl"),
+            (["--ell", "2", "--beta", "5/2", "--nmax", "1"], "construct_certify_l2_b5_2_n1.jsonl"),
+        ],
+    )
+    def test_certify_rows_match_pinned_output(self, argv, pinned):
+        # rows recorded from the mpmath precision-doubling engine
+        code, out, _ = run(["construct", *argv, "--certify", "--no-header"])
+        assert code == 0
+        assert out == (DATA / pinned).read_text(encoding="utf-8")
+
+    def test_heights_beyond_the_int_str_digit_limit(self):
+        code, out, err = run(
+            ["construct", "--ell", "2", "--beta", "5/2", "--nmax", "4", "--no-header"]
+        )
+        assert code == 0, err
+        rows = [json.loads(line) for line in out.splitlines()]
+        params = con.ConstructionParams.create(2, Fraction(5, 2))
+        expected = con.build_convergent(params, 4).height_squared
+        assert len(rows[-1]["heightSquared"]) > 4300
+        assert rows[-1]["heightSquared"] == reports.exact_str(expected)
+        assert rows[-1]["heightSquared"][-12:] == str(expected % 10**12).zfill(12)
+
     def test_convergent_listing(self):
         code, out, _ = run(
             ["construct", "--ell", "1", "--beta", "3", "--nmax", "1", "--no-header"]
@@ -232,6 +273,16 @@ class TestScanCommands:
             ["records", "--instance", path, "--hmax-squared", "50000", "--no-header"]
         )
         assert direct == via_file
+
+    def test_records_for_a_plane_instance(self):
+        code, out, err = run(
+            ["records", "--ell", "2", "--beta", "3", "--hmax-squared", "2",
+             "--no-header"]
+        )
+        assert code == 0, err
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert rows and all(row["jIndex"] == 2 for row in rows)
+        assert all(0 < row["psiLo"] <= row["psiHi"] for row in rows)
 
     def test_estimate_summary_line(self):
         code, out, _ = run(
@@ -309,6 +360,23 @@ class TestRunPlumbing:
             code, out, err = run(argv)
             assert code == 2
             assert out == ""
+
+    @pytest.mark.parametrize(
+        "command, flag, payload",
+        [
+            ("decode", "--pluecker", {"n": "x", "e": 2, "coords": [1, 0, 0, 0, 0, 1]}),
+            ("decode", "--pluecker", {"n": 4, "e": None, "coords": [1, 0, 0, 0, 0, 1]}),
+            ("decode", "--pluecker", {"n": 4, "e": 2, "coords": 5}),
+            ("height", "--basis", {"n": "x", "e": 1, "basis": [["3"], ["4"]]}),
+            ("height", "--basis", {"n": 2, "e": [1], "basis": [["3"], ["4"]]}),
+        ],
+    )
+    def test_malformed_headers_are_usage_errors(self, tmp_path, command, flag, payload):
+        path = write_json(tmp_path / "bad.json", payload)
+        code, out, err = run([command, flag, path])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_byte_identical_reruns(self):
         argv = ["records", "--ell", "1", "--beta", "3", "--hmax-squared", "50000",
