@@ -36,12 +36,10 @@ from .angles import (
     random_orthogonal,
 )
 from .enumeration import (
-    BASIS_BOX,
-    EXACT_LINES,
-    EXACT_PLUECKER,
     STRATEGIES,
     EnumSpec,
     enumerate_subspaces,
+    exact_strategy,
 )
 from .errors import (
     CertificationFailure,
@@ -49,6 +47,7 @@ from .errors import (
     IrrationalityViolationError,
     PrecisionExhaustedError,
     ScanIncompleteError,
+    StrategyMismatchError,
     SubdiophError,
 )
 
@@ -164,7 +163,9 @@ def _load_pluecker(path: str) -> exact.PlueckerVector:
         raise _UsageError(f"{path}: expected an object with n, e and coords")
     if not isinstance(data["coords"], list):
         raise _UsageError(f"{path}: coords must be a list")
-    coords = tuple(int(_parse_scalar(x)) for x in data["coords"])
+    coords = tuple(_parse_scalar(x) for x in data["coords"])
+    if not all(isinstance(c, int) for c in coords):
+        raise _UsageError(f"{path}: coords must be integers")
     return exact.PlueckerVector(
         _header_int(data, "n", path), _header_int(data, "e", path), coords
     )
@@ -243,14 +244,12 @@ def _scan_row(rec: est.ApproximationRecord) -> dict:
 
 
 def _exact_strategy(n: int, e: int) -> str:
-    if e == 1 or e == n - 1:
-        return EXACT_LINES
-    if (n, e) == (4, 2):
-        return EXACT_PLUECKER
-    raise _UsageError(
-        f"no exact enumeration strategy covers shape ({n}, {e});"
-        " pass --strategy basis-box for a heuristic stream"
-    )
+    try:
+        return exact_strategy(n, e)
+    except StrategyMismatchError as err:
+        raise _UsageError(
+            f"{err}; pass --strategy basis-box for a heuristic stream"
+        ) from None
 
 
 def _auto_depth(params: con.ConstructionParams, hmax: int) -> int:
@@ -334,8 +333,8 @@ def _cmd_angles(args):
             {
                 "jIndex": j + 1,
                 "sin": float(profile.psi[j]),
-                "sinLo": float(profile.lo[j]),
-                "sinHi": float(profile.hi[j]),
+                "sinLo": est._float_down(profile.lo[j]),
+                "sinHi": est._float_up(profile.hi[j]),
                 "resolved": bool(profile.resolved[j]),
                 "bitsUsed": profile.bits_used,
             }

@@ -27,6 +27,18 @@ EXACT_PLUECKER = "exact-pluecker"
 BASIS_BOX = "basis-box"
 STRATEGIES = (EXACT_LINES, EXACT_PLUECKER, BASIS_BOX)
 
+
+def exact_strategy(n: int, e: int) -> str:
+    """The complete strategy for e-dimensional subspaces of n-space."""
+    if e == 1 or e == n - 1:
+        return EXACT_LINES
+    if (n, e) == (4, 2):
+        return EXACT_PLUECKER
+    raise StrategyMismatchError(
+        f"no exact enumeration strategy covers shape ({n}, {e})"
+    )
+
+
 SUBSPACE = "subspace"
 CHECKPOINT = "checkpoint"
 
@@ -35,6 +47,7 @@ __all__ = [
     "EXACT_PLUECKER",
     "BASIS_BOX",
     "STRATEGIES",
+    "exact_strategy",
     "SUBSPACE",
     "CHECKPOINT",
     "EnumSpec",

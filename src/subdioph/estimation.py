@@ -8,8 +8,10 @@ angle intervals into an empirical approximation exponent.
 Two scan engines feed the estimator:
 
 * an exact scanner for lines in the plane (and their images under coordinate
-  embeddings) that evaluates cross terms in rational or quadratic-integer
-  arithmetic and certifies that no unexamined vector can beat any record;
+  embeddings) that clears the target's denominators once, evaluates every
+  cross term, comparison and certificate on plain integers (exact signs of
+  m + n sqrt(d) for quadratic slopes), builds fractions only for the few
+  records, and certifies that no unexamined vector can beat any record;
 * a generic scanner that walks an enumeration stream and brackets every angle
   with adaptive-precision intervals.
 
@@ -82,6 +84,16 @@ def constructed_source(n_index: int) -> str:
 # exact quadratic values a + b sqrt(d)
 
 
+def _surd_sign(m: int, n: int, d: int) -> int:
+    """Sign of m + n sqrt(d) for integers m, n and d >= 0."""
+    if n == 0:
+        return (m > 0) - (m < 0)
+    if m == 0 or (m > 0) == (n > 0):
+        return 1 if n > 0 else -1
+    diff = m * m - n * n * d
+    return (diff > 0) - (diff < 0) if m > 0 else (diff < 0) - (diff > 0)
+
+
 @dataclass(frozen=True)
 class QuadraticValue:
     """Exact number a + b * sqrt(d) with rational a, b and nonsquare d >= 2."""
@@ -90,15 +102,6 @@ class QuadraticValue:
     b: Fraction
     d: int
 
-    def __sub__(self, other: "QuadraticValue") -> "QuadraticValue":
-        return QuadraticValue(self.a - other.a, self.b - other.b, self.d)
-
-    def __add__(self, other: "QuadraticValue") -> "QuadraticValue":
-        return QuadraticValue(self.a + other.a, self.b + other.b, self.d)
-
-    def scaled(self, r: Fraction | int) -> "QuadraticValue":
-        return QuadraticValue(self.a * r, self.b * r, self.d)
-
     def squared(self) -> "QuadraticValue":
         return QuadraticValue(
             self.a * self.a + self.b * self.b * self.d, 2 * self.a * self.b, self.d
@@ -106,17 +109,9 @@ class QuadraticValue:
 
     def sign(self) -> int:
         a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        lhs = a * a
-        rhs = b * b * self.d
-        if a > 0:
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
+        return _surd_sign(
+            a.numerator * b.denominator, b.numerator * a.denominator, self.d
+        )
 
     def bracket(self, root_lo: Fraction, root_hi: Fraction) -> tuple[Fraction, Fraction]:
         """Enclosing rational interval given a bracket of sqrt(d)."""
@@ -274,94 +269,102 @@ def _float_up(x) -> float:
 # ---------------------------------------------------------------------------
 # exact line scanner
 
-# One pooled candidate is (h2, vector, key, lo2, hi2):
-#   key    exact comparison object for the squared ambient cross term,
-#          a Fraction (rational slopes) or a QuadraticValue;
-#   lo2/hi2  rational bracket of the same quantity.
+# Each engine clears the target's denominators once.  The slope lies in
+# [p_lo, p_hi] / q, and every bracket below is an integer over one
+# per-engine scale.  One pooled candidate is (h2, vector, key, lo2, hi2):
+#   key      exact comparison object for the squared ambient cross term,
+#            an int (rational slopes) or an (m, n) pair for m + n sqrt(d);
+#   lo2/hi2  integer bracket of the same quantity, over the scale.
+
+
+def _square_bracket(lo: int, hi: int) -> tuple[int, int]:
+    """Bracket of x^2 over lo <= x <= hi."""
+    if lo >= 0:
+        return lo * lo, hi * hi
+    if hi <= 0:
+        return hi * hi, lo * lo
+    return 0, max(lo * lo, hi * hi)
 
 
 class _RationalCross:
-    """Cross-term evaluator for a slope known through a rational bracket."""
+    """Cross terms against a slope bracket, over the scale q^2."""
 
     def __init__(self, target: RationalLineTarget):
-        self.s_lo, self.s_hi = target.slope_bracket()
+        s_lo, s_hi = target.slope_bracket()
+        q = math.lcm(s_lo.denominator, s_hi.denominator)
+        self.p_lo = s_lo.numerator * (q // s_lo.denominator)
+        self.p_hi = s_hi.numerator * (q // s_hi.denominator)
+        self.q = q
+        self.scale = q * q
         self.exact_slope = target.tail_upper == 0
-        self.u2_lo, self.u2_hi = _one_plus_square_bracket(self.s_lo, self.s_hi)
-        self.u2_key = self.u2_hi
+        sq_lo, sq_hi = _square_bracket(self.p_lo, self.p_hi)
+        self.u2_lo, self.u2_hi = self.scale + sq_lo, self.scale + sq_hi
 
-    def cross2(self, x1: int, x2: int) -> tuple[Fraction, Fraction, Fraction]:
-        e_lo = x1 * self.s_lo - x2
-        e_hi = x1 * self.s_hi - x2
-        if e_lo >= 0:
-            lo2, hi2 = e_lo * e_lo, e_hi * e_hi
-        elif e_hi <= 0:
-            lo2, hi2 = e_hi * e_hi, e_lo * e_lo
-        else:
-            lo2, hi2 = Fraction(0), max(e_lo * e_lo, e_hi * e_hi)
-        key = lo2 if self.exact_slope else hi2
-        return key, lo2, hi2
+    def cross2(self, x1: int, x2: int) -> tuple[int, int, int]:
+        lo2, hi2 = _square_bracket(x1 * self.p_lo - x2 * self.q, x1 * self.p_hi - x2 * self.q)
+        return (lo2 if self.exact_slope else hi2), lo2, hi2
 
     @staticmethod
-    def is_zero(key) -> bool:
+    def is_zero(key: int) -> bool:
         return key == 0
 
     @staticmethod
-    def less(key_a, h2_a: int, key_b, h2_b: int) -> bool:
+    def less(key_a: int, h2_a: int, key_b: int, h2_b: int) -> bool:
         return key_a * h2_b < key_b * h2_a
 
     def ambient(self, key, lo2, hi2, z2: int):
-        if z2 == 0:
-            return key, lo2, hi2
-        return (
-            key + z2 * self.u2_key,
-            lo2 + z2 * self.u2_lo,
-            hi2 + z2 * self.u2_hi,
-        )
+        return key + z2 * self.u2_hi, lo2 + z2 * self.u2_lo, hi2 + z2 * self.u2_hi
 
 
 class _QuadraticCross:
-    """Cross-term evaluator for an exact quadratic irrational slope."""
+    """Cross terms against the slope (a + b sqrt(d)) / den.
+
+    Keys are exact (m, n) pairs for (m + n sqrt(d)) / den^2; brackets use
+    sqrt(d) in [r, r + 1] / 2^_ROOT_BITS and sit over den^2 2^_ROOT_BITS.
+    """
 
     def __init__(self, target: QuadraticLineTarget):
         self.d = target.d
-        self.root = root_bracket(self.d)
-        self.slope = target.slope()
-        self.s_lo, self.s_hi = self.slope.bracket(*self.root)
-        one = QuadraticValue(Fraction(1), Fraction(0), self.d)
-        self.u2_exact = one + self.slope.squared()
-        self.u2_lo, self.u2_hi = self.u2_exact.bracket(*self.root)
+        den = math.lcm(target.a.denominator, target.b.denominator)
+        self.a = target.a.numerator * (den // target.a.denominator)
+        self.b = target.b.numerator * (den // target.b.denominator)
+        self.den = den
+        self.root = isqrt(self.d << (2 * _ROOT_BITS))
+        self.scale = (den * den) << _ROOT_BITS
+        self.p_lo, self.p_hi = self._bracket(self.a, self.b)
+        self.q = den << _ROOT_BITS
+        self.u2 = (den * den + self.a * self.a + self.b * self.b * self.d, 2 * self.a * self.b)
+        self.u2_lo, self.u2_hi = self._bracket(*self.u2)
+
+    def _bracket(self, m: int, n: int) -> tuple[int, int]:
+        base = (m << _ROOT_BITS) + n * self.root
+        return (base, base + n) if n >= 0 else (base + n, base)
 
     def cross2(self, x1: int, x2: int):
-        p = x1 * self.slope.a - x2
-        q = x1 * self.slope.b
-        key = QuadraticValue(p * p + q * q * self.d, 2 * p * q, self.d)
-        lo2, hi2 = key.bracket(*self.root)
-        return key, max(Fraction(0), lo2), hi2
+        # den * (x1 * slope - x2) = e_rat + e_irr sqrt(d)
+        e_rat = x1 * self.a - x2 * self.den
+        e_irr = x1 * self.b
+        m, n = e_rat * e_rat + e_irr * e_irr * self.d, 2 * e_rat * e_irr
+        lo2, hi2 = self._bracket(m, n)
+        return (m, n), max(0, lo2), hi2
 
     @staticmethod
-    def is_zero(key: QuadraticValue) -> bool:
-        return key.a == 0 and key.b == 0
+    def is_zero(key: tuple[int, int]) -> bool:
+        # m = e_rat^2 + e_irr^2 d vanishes only when the whole square does
+        return key[0] == 0
 
-    @staticmethod
-    def less(key_a: QuadraticValue, h2_a: int, key_b: QuadraticValue, h2_b: int) -> bool:
-        return (key_a.scaled(h2_b) - key_b.scaled(h2_a)).sign() < 0
+    def less(self, key_a, h2_a: int, key_b, h2_b: int) -> bool:
+        return _surd_sign(
+            key_a[0] * h2_b - key_b[0] * h2_a, key_a[1] * h2_b - key_b[1] * h2_a, self.d
+        ) < 0
 
     def ambient(self, key, lo2, hi2, z2: int):
-        if z2 == 0:
-            return key, lo2, hi2
+        m_u, n_u = self.u2
         return (
-            key + self.u2_exact.scaled(z2),
+            (key[0] + z2 * m_u, key[1] + z2 * n_u),
             lo2 + z2 * self.u2_lo,
             hi2 + z2 * self.u2_hi,
         )
-
-
-def _one_plus_square_bracket(s_lo: Fraction, s_hi: Fraction) -> tuple[Fraction, Fraction]:
-    if s_lo >= 0:
-        return 1 + s_lo * s_lo, 1 + s_hi * s_hi
-    if s_hi <= 0:
-        return 1 + s_hi * s_hi, 1 + s_lo * s_lo
-    return Fraction(1), 1 + max(s_lo * s_lo, s_hi * s_hi)
 
 
 def _cross_engine(target) -> "_RationalCross | _QuadraticCross":
@@ -373,20 +376,25 @@ def _cross_engine(target) -> "_RationalCross | _QuadraticCross":
 
 
 def _check_bracket_width(engine, hmax2: int) -> None:
-    width = engine.s_hi - engine.s_lo
-    if width * (isqrt(hmax2) + 1) > _BRACKET_ALLOWANCE:
+    allowance = _BRACKET_ALLOWANCE
+    width = (engine.p_hi - engine.p_lo) * (isqrt(hmax2) + 1)
+    if width * allowance.denominator > allowance.numerator * engine.q:
         raise ParameterError(
             "slope bracket too wide for the candidate margin; deepen the truncation"
         )
 
 
 def _rounding_candidates(engine, hmax2: int, skip_below: int) -> Iterator[tuple[int, int, int]]:
-    """(h2, x1, x2) for x2 within the rounding window of x1 * slope."""
-    mid = (engine.s_lo + engine.s_hi) / 2
+    """(h2, x1, x2) for x2 within the rounding window of x1 * slope.
+
+    x1 * slope is rounded half to even, as round() does on a Fraction.
+    """
+    step, den = engine.p_lo + engine.p_hi, 2 * engine.q
     for x1 in range(1, isqrt(hmax2) + 1):
-        xhat = round(x1 * mid)
-        for dx in range(-_CANDIDATE_HALF_WIDTH, _CANDIDATE_HALF_WIDTH + 1):
-            x2 = xhat + dx
+        xhat, rem = divmod(x1 * step, den)
+        if 2 * rem > den or (2 * rem == den and xhat & 1):
+            xhat += 1
+        for x2 in range(xhat - _CANDIDATE_HALF_WIDTH, xhat + _CANDIDATE_HALF_WIDTH + 1):
             h2 = x1 * x1 + x2 * x2
             if h2 > hmax2 or h2 <= skip_below:
                 continue
@@ -395,7 +403,7 @@ def _rounding_candidates(engine, hmax2: int, skip_below: int) -> Iterator[tuple[
             yield h2, x1, x2
 
 
-def _sweep_pool(pool: list, engine) -> list[tuple[int, tuple, object, Fraction, Fraction]]:
+def _sweep_pool(pool: list, engine) -> list[tuple]:
     """Running minima of key/h2 over a (h2, vec, key, lo2, hi2) pool.
 
     The pool must be sorted; within one height the candidate with the
@@ -425,8 +433,9 @@ def _records_from_raw(
 ) -> list[ApproximationRecord]:
     records = []
     for h2, vec, _key, lo2, hi2 in raw:
+        # the engine scale cancels in both ratios
         psi_lo, psi_hi = _sqrt_interval(
-            lo2 / (h2 * engine.u2_hi), hi2 / (h2 * engine.u2_lo)
+            Fraction(lo2, h2 * engine.u2_hi), Fraction(hi2, h2 * engine.u2_lo)
         )
         sub = exact.RationalSubspace.from_basis([[c] for c in vec])
         records.append(
@@ -450,67 +459,24 @@ def _raise_meeting(vec: tuple[int, ...]) -> None:
     raise err
 
 
-def _scan_plane_lines(
-    target, hmax2: int, zone: int
-) -> tuple[list[ApproximationRecord], int]:
-    """Certified record scan over every primitive line in the plane.
-
-    Lines inside the exhaustive zone are enumerated outright; beyond it only
-    rounding candidates are examined, and a per-record certificate shows no
-    skipped vector can undercut the running minimum.
-    """
-    if hmax2 < 1:
-        raise ParameterError("height bound must be positive")
-    engine = _cross_engine(target)
-    _check_bracket_width(engine, hmax2)
-    zone = max(2, min(zone, hmax2))
-
-    pool = []
-    for vec, h2 in primitive_vectors(2, zone):
-        key, lo2, hi2 = engine.cross2(vec[0], vec[1])
-        if engine.is_zero(key):
-            _raise_meeting(vec)
-        pool.append((h2, vec, key, lo2, hi2))
-    for h2, x1, x2 in _rounding_candidates(engine, hmax2, skip_below=zone):
-        key, lo2, hi2 = engine.cross2(x1, x2)
-        if engine.is_zero(key):
-            _raise_meeting((x1, x2))
-        pool.append((h2, (x1, x2), key, lo2, hi2))
-    pool.sort(key=lambda row: (row[0], row[1]))
-
-    raw = _sweep_pool(pool, engine)
-    margin2 = _MARGIN * _MARGIN
-    for idx, (h2, _vec, _key, _lo2, hi2) in enumerate(raw):
-        window = raw[idx + 1][0] if idx + 1 < len(raw) else hmax2
-        if window <= zone:
-            continue
-        # non-candidates at squared height up to the window satisfy
-        # psi >= margin / (sqrt(window) * |u|); the record must beat that
-        if hi2 * window * engine.u2_hi > margin2 * h2 * engine.u2_lo:
-            raise ScanIncompleteError(
-                f"record at squared height {h2} is not certified up to {window};"
-                " raise the exhaustive zone"
-            )
-    return _records_from_raw(raw, engine, j_index=1), len(pool)
-
-
-def _scan_embedded_lines(
+def _scan_lines(
     target,
-    n: int,
     hmax2: int,
-    axes: tuple[int, int],
     zone: int,
-    ambient_zone: int,
+    n: int = 2,
+    axes: tuple[int, int] = (0, 1),
+    ambient_zone: int = DEFAULT_AMBIENT_ZONE,
 ) -> tuple[list[ApproximationRecord], int]:
-    """Certified record scan over all primitive lines in n-space against the
-    image of a plane line target under a coordinate embedding.
+    """Certified record scan over every primitive line in n-space against
+    the image of a plane line target under the coordinate embedding axes.
 
-    In-plane vectors reuse the plane candidates; any vector with a component
-    off the embedded plane keeps sine at least 1 / height, so beyond a small
-    exhaustive ambient zone the in-plane records dominate provably.
+    Plane lines inside the exhaustive zone are enumerated outright; beyond
+    it only rounding candidates are examined, and a per-record certificate
+    shows no skipped vector can undercut the running minimum.  For n > 2,
+    any vector with a component off the embedded plane keeps sine at least
+    1 / height, so beyond a small exhaustive ambient zone the in-plane
+    records dominate provably.  Returns the records and the pool size.
     """
-    if n < 3:
-        raise ParameterError("embedded scans need an ambient dimension above 2")
     i0, i1 = axes
     if not (0 <= i0 < i1 < n):
         raise ParameterError("embedding axes must be increasing and in range")
@@ -519,23 +485,23 @@ def _scan_embedded_lines(
     engine = _cross_engine(target)
     _check_bracket_width(engine, hmax2)
     zone = max(2, min(zone, hmax2))
-    ambient_zone = max(2, min(ambient_zone, hmax2))
-    if zone < ambient_zone:
-        raise ParameterError("plane zone must contain the ambient zone")
+    if n > 2:
+        ambient_zone = max(2, min(ambient_zone, hmax2))
+        if zone < ambient_zone:
+            raise ParameterError("plane zone must contain the ambient zone")
 
     def embed(x1: int, x2: int) -> tuple[int, ...]:
+        if n == 2:
+            return (x1, x2)
         vec = [0] * n
         vec[i0] = x1
         vec[i1] = x2
         return tuple(vec)
 
+    plane = [(h2, vec[0], vec[1]) for vec, h2 in primitive_vectors(2, zone)]
+    plane.extend(_rounding_candidates(engine, hmax2, skip_below=zone))
     pool = []
-    for vec, h2 in primitive_vectors(2, zone):
-        key, lo2, hi2 = engine.cross2(vec[0], vec[1])
-        if engine.is_zero(key):
-            _raise_meeting(embed(*vec))
-        pool.append((h2, embed(*vec), key, lo2, hi2))
-    for h2, x1, x2 in _rounding_candidates(engine, hmax2, skip_below=zone):
+    for h2, x1, x2 in plane:
         key, lo2, hi2 = engine.cross2(x1, x2)
         if engine.is_zero(key):
             _raise_meeting(embed(x1, x2))
@@ -546,26 +512,26 @@ def _scan_embedded_lines(
             if z2 == 0:
                 continue
             key, lo2, hi2 = engine.cross2(vec[i0], vec[i1])
-            key, lo2, hi2 = engine.ambient(key, lo2, hi2, z2)
-            pool.append((h2, vec, key, lo2, hi2))
-    pool.sort(key=lambda row: (row[0], row[1]))
+            pool.append((h2, vec, *engine.ambient(key, lo2, hi2, z2)))
+    # (h2, vector) is unique per row, so the sort never compares keys
+    pool.sort()
 
     raw = _sweep_pool(pool, engine)
     margin2 = _MARGIN * _MARGIN
     for idx, (h2, _vec, _key, _lo2, hi2) in enumerate(raw):
         window = raw[idx + 1][0] if idx + 1 < len(raw) else hmax2
-        if window <= ambient_zone:
-            continue
         # off-plane vectors keep psi >= 1 / sqrt(height^2)
-        psi2_hi_scaled = hi2 * window  # compare against h2 * u2_lo
-        if psi2_hi_scaled > h2 * engine.u2_lo:
+        if n > 2 and window > ambient_zone and hi2 * window > h2 * engine.u2_lo:
             raise ScanIncompleteError(
                 f"record at squared height {h2} not certified against off-plane"
                 f" vectors up to {window}; raise the ambient zone"
             )
-        if window <= zone:
-            continue
-        if hi2 * window * engine.u2_hi > margin2 * h2 * engine.u2_lo:
+        # non-candidates at squared height up to the window satisfy
+        # psi >= margin / (sqrt(window) * |u|); the record must beat that
+        if window > zone and (
+            hi2 * window * engine.u2_hi * margin2.denominator
+            > margin2.numerator * h2 * engine.u2_lo * engine.scale
+        ):
             raise ScanIncompleteError(
                 f"record at squared height {h2} is not certified up to {window};"
                 " raise the exhaustive zone"
@@ -577,7 +543,7 @@ def scan_line_records(
     target, height_squared_max: int, zone: int = DEFAULT_ZONE
 ) -> list[ApproximationRecord]:
     """Records of every primitive plane line against a line target."""
-    records, _ = _scan_plane_lines(target, height_squared_max, zone)
+    records, _ = _scan_lines(target, height_squared_max, zone)
     return records
 
 
@@ -590,11 +556,7 @@ def scan_embedded_line_records(
     ambient_zone: int = DEFAULT_AMBIENT_ZONE,
 ) -> list[ApproximationRecord]:
     """Records of every primitive line in n-space against an embedded target."""
-    if n == 2 and axes == (0, 1):
-        return scan_line_records(target, height_squared_max, zone=zone)
-    records, _ = _scan_embedded_lines(
-        target, n, height_squared_max, axes, zone, ambient_zone
-    )
+    records, _ = _scan_lines(target, height_squared_max, zone, n, axes, ambient_zone)
     return records
 
 
@@ -1033,9 +995,7 @@ def irrationality_scan(
         if (spec.n, spec.e) != (2, 1):
             raise StrategyMismatchError("line targets scan lines in the plane")
         try:
-            records, scanned = _scan_plane_lines(
-                target, spec.height_squared_max, zone=min(zone, spec.height_squared_max)
-            )
+            records, scanned = _scan_lines(target, spec.height_squared_max, zone)
         except IrrationalityViolationError as err:
             offender = exact.RationalSubspace.from_basis([[c] for c in err.vector])
             return IrrationalityReport(

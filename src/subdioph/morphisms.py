@@ -20,12 +20,11 @@ from typing import Mapping, Sequence
 
 from . import exact
 from .angles import PrecisionContext
-from .enumeration import EXACT_LINES, EXACT_PLUECKER, EnumSpec
+from .enumeration import EnumSpec, exact_strategy
 from .errors import (
     DimensionCollapseError,
     ParameterError,
     ShapeError,
-    StrategyMismatchError,
 )
 from .estimation import (
     DEFAULT_AMBIENT_ZONE,
@@ -208,16 +207,6 @@ def _coordinate_axes(section: RationalMap) -> tuple[int, int] | None:
     return i0, i1
 
 
-def _exact_strategy(n: int, e: int) -> str:
-    if e == 1 or e == n - 1:
-        return EXACT_LINES
-    if (n, e) == (4, 2):
-        return EXACT_PLUECKER
-    raise StrategyMismatchError(
-        f"no exact enumeration strategy covers shape ({n}, {e})"
-    )
-
-
 @dataclass(frozen=True)
 class HarnessReport:
     """Paired exponent measurement across an embedding.
@@ -315,8 +304,8 @@ def embedding_harness(
             raise ParameterError(
                 "target dimension plus scan dimension must fit in the codomain"
             )
-        intrinsic_strategy = _exact_strategy(k, e)
-        ambient_strategy = _exact_strategy(n, e)
+        intrinsic_strategy = exact_strategy(k, e)
+        ambient_strategy = exact_strategy(n, e)
         ambient_matrix = exact.mat_mul(section.matrix, tilde_matrix)
         intrinsic_records = scan_records(
             tilde_matrix,

@@ -147,6 +147,16 @@ class TestBasicCommands:
         assert record["sinLo"] == 0.0
         assert not record["resolved"]
 
+    @pytest.mark.parametrize("extra", [[], ["--precision-bits", "128"]])
+    def test_angles_bracket_rounds_outward(self, tmp_path, extra):
+        # sin = sqrt(2)/2; the nearest double lies above it
+        a = write_json(tmp_path / "a.json", {"n": 2, "e": 1, "basis": [[1], [0]]})
+        b = write_json(tmp_path / "b.json", {"n": 2, "e": 1, "basis": [[1], [1]]})
+        code, out, _ = run(["angles", "--basis", a, "--basis-b", b, "--no-header", *extra])
+        assert code == 0
+        record = json.loads(out)
+        assert Fraction(record["sinLo"]) ** 2 < Fraction(1, 2) < Fraction(record["sinHi"]) ** 2
+
     def test_angles_fixed_precision(self, tmp_path):
         a = write_json(tmp_path / "a.json", {"n": 2, "e": 1, "basis": [[1], [0]]})
         b = write_json(tmp_path / "b.json", {"n": 2, "e": 1, "basis": [[1], [1]]})
@@ -369,6 +379,7 @@ class TestRunPlumbing:
             ("decode", "--pluecker", {"n": 4, "e": 2, "coords": 5}),
             ("height", "--basis", {"n": "x", "e": 1, "basis": [["3"], ["4"]]}),
             ("height", "--basis", {"n": 2, "e": [1], "basis": [["3"], ["4"]]}),
+            ("decode", "--pluecker", {"n": 2, "e": 1, "coords": ["7/2", "1"]}),
         ],
     )
     def test_malformed_headers_are_usage_errors(self, tmp_path, command, flag, payload):
@@ -377,6 +388,13 @@ class TestRunPlumbing:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_shape_without_exact_strategy_names_basis_box(self):
+        code, out, err = run(["enumerate", "--n", "5", "--e", "2", "--hmax-squared", "3"])
+        assert code == 2
+        assert out == ""
+        assert "no exact enumeration strategy covers shape (5, 2);" in err
+        assert "pass --strategy basis-box" in err
 
     def test_byte_identical_reruns(self):
         argv = ["records", "--ell", "1", "--beta", "3", "--hmax-squared", "50000",

@@ -1,0 +1,125 @@
+"""Exact line-record scans compared bit-for-bit with pinned rows.
+
+The rows in data/line_scan_rows.jsonl were recorded with the Fraction-based
+scanner that preceded the integer kernel.  Every record (coordinates, h^2,
+psi_lo, psi_hi), every candidate count and every exact-meeting vector must
+come out unchanged.  Regenerate the file with
+
+    PYTHONPATH=src python tests/test_line_scan_pinned.py > tests/data/line_scan_rows.jsonl
+
+only when a change to the scan outputs is intended.
+"""
+
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from subdioph import construction as con
+from subdioph import estimation as est
+from subdioph.enumeration import EXACT_LINES, EnumSpec
+from subdioph.errors import IrrationalityViolationError
+
+DATA = Path(__file__).parent / "data" / "line_scan_rows.jsonl"
+
+ZONE = 2_000
+EMBEDDED_ZONES = {"zone": 1_000, "ambient_zone": 100}
+
+# non-unit denominators in both parts; the second slope has b < 0
+QUADRATIC_A = est.QuadraticLineTarget(Fraction(5, 7), Fraction(2, 9), 13)
+QUADRATIC_NEG_B = est.QuadraticLineTarget(Fraction(17, 6), Fraction(-3, 4), 11)
+# exact negative slope (key = lo2); it meets no line below h^2 ~ 1.4e14
+RATIONAL_EXACT = est.RationalLineTarget(Fraction(-8890123, 7654321))
+# bracket midpoint exactly 1/2: every odd x1 rounds a half to even
+RATIONAL_HALF = est.RationalLineTarget(
+    Fraction(1, 2) - Fraction(1, 10**12), Fraction(2, 10**12)
+)
+
+
+def instance_target(h2):
+    params = con.ConstructionParams.create(1, 3, seed=12345)
+    return est.line_target_for_instance(params, height_squared_max=h2)
+
+
+def _record_rows(records):
+    return [
+        [list(r.subspace.pluecker.coords), r.height_squared, repr(r.psi_lo), repr(r.psi_hi)]
+        for r in records
+    ]
+
+
+def _plane_case(name, target, h2, zone):
+    report = est.irrationality_scan(target, EnumSpec(2, 1, h2, EXACT_LINES), zone=zone)
+    return {
+        "case": name,
+        "records": _record_rows(est.scan_line_records(target, h2, zone=zone)),
+        "scanned": report.scanned,
+        "min_psi_lower": repr(report.min_psi_lower),
+        "witness": list(report.witness.pluecker.coords),
+    }
+
+
+def _embedded_case(name, target, n, h2, axes):
+    records = est.scan_embedded_line_records(target, n, h2, axes=axes, **EMBEDDED_ZONES)
+    return {"case": name, "records": _record_rows(records)}
+
+
+def _meeting_case(name, scan):
+    try:
+        scan()
+    except IrrationalityViolationError as err:
+        return {"case": name, "vector": list(err.vector)}
+    raise AssertionError(f"{name}: no exact meeting was reported")
+
+
+def line_scan_rows():
+    """One row per pinned case, in file order."""
+    meeting = est.RationalLineTarget(Fraction(3, 5))
+    offender = est.irrationality_scan(meeting, EnumSpec(2, 1, 100, EXACT_LINES))
+    return [
+        _plane_case("quadratic-a", QUADRATIC_A, 10**6, ZONE),
+        _plane_case("quadratic-neg-b", QUADRATIC_NEG_B, 10**6, ZONE),
+        _plane_case("instance-l1-b3", instance_target(10**7), 10**7, ZONE),
+        _plane_case("rational-exact", RATIONAL_EXACT, 10**6, ZONE),
+        _plane_case("rational-half", RATIONAL_HALF, 10**5, 50),
+        _embedded_case("embedded-r3-01", QUADRATIC_A, 3, 10**5, (0, 1)),
+        _embedded_case("embedded-r4-13", QUADRATIC_NEG_B, 4, 10**5, (1, 3)),
+        _embedded_case("embedded-r3-02-instance", instance_target(10**6), 3, 10**6, (0, 2)),
+        _meeting_case("meeting-plane",
+                      lambda: est.scan_line_records(meeting, 100)),
+        _meeting_case("meeting-r4-13",
+                      lambda: est.scan_embedded_line_records(meeting, 4, 100, axes=(1, 3))),
+        {"case": "meeting-offender", "vector": list(offender.offender.pluecker.coords),
+         "scanned": offender.scanned, "ok": offender.ok},
+    ]
+
+
+@pytest.fixture(scope="module")
+def rows():
+    return line_scan_rows()
+
+
+PINNED = [json.loads(line) for line in DATA.read_text(encoding="utf-8").splitlines()]
+
+
+def test_case_list_matches(rows):
+    assert [r["case"] for r in rows] == [p["case"] for p in PINNED]
+
+
+@pytest.mark.parametrize("index", range(len(PINNED)), ids=[p["case"] for p in PINNED])
+def test_rows_bit_identical(rows, index):
+    assert rows[index] == PINNED[index]
+
+
+def test_meeting_vectors(rows):
+    by_case = {r["case"]: r for r in rows}
+    assert by_case["meeting-plane"]["vector"] == [5, 3]
+    assert by_case["meeting-r4-13"]["vector"] == [0, 5, 0, 3]
+    assert by_case["meeting-offender"]["vector"] == [5, 3]
+
+
+if __name__ == "__main__":
+    for row in line_scan_rows():
+        sys.stdout.write(json.dumps(row, separators=(",", ":")) + "\n")
