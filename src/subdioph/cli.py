@@ -16,7 +16,6 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import IO, Sequence
 
 from mpmath import mp
@@ -252,14 +251,6 @@ def _exact_strategy(n: int, e: int) -> str:
         ) from None
 
 
-def _auto_depth(params: con.ConstructionParams, hmax: int) -> int:
-    bound = Fraction(1, (isqrt(hmax) + 1) << 64)
-    depth = 1
-    while con.tail_bound(params, depth) > bound:
-        depth += 1
-    return depth
-
-
 def _run_scan(args) -> list[est.ApproximationRecord]:
     """Shared target resolution for the records and estimate commands."""
     hmax = args.hmax_squared
@@ -280,8 +271,8 @@ def _run_scan(args) -> list[est.ApproximationRecord]:
             if n < 2:
                 raise _UsageError("ambient dimension must be at least 2")
             return est.scan_embedded_line_records(target, n, hmax)
-        depth = _auto_depth(params, hmax)
-        generators = con.build_generators(params, depth)
+        # the generators get depth at least 1, even where the series starts at 0
+        generators = con.build_generators(params, est.series_depth(params, hmax, 1))
         strategy = args.strategy or _exact_strategy(params.n, params.ell)
         spec = EnumSpec(
             n=params.n, e=params.ell, height_squared_max=hmax, strategy=strategy

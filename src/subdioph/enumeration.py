@@ -10,6 +10,9 @@ R^4 via integer coordinate 6-tuples on the decomposability quadric) are
 complete by construction.  BASIS_BOX walks integer bases in a coordinate
 box and dedupes by normalized coordinates; it is a heuristic explorer, not
 a complete census, and callers are expected to surface its disclaimer.
+
+Lines and planes in R^4 are emitted from their labels; a plane's basis is
+decoded only on first access to .basis.
 """
 
 from __future__ import annotations
@@ -166,8 +169,10 @@ def primitive_vectors(n: int, max_norm_sq: int) -> Iterator[tuple[tuple[int, ...
 
 
 def _lines_at(spec: EnumSpec, lead: int) -> Iterator[exact.RationalSubspace]:
+    # a primitive sign-canonical vector is its own normalized label
     for vec, _ in _primitive_with_leading(spec.n, spec.height_squared_max, lead):
-        yield exact.RationalSubspace.from_basis([(x,) for x in vec])
+        label = exact.PlueckerVector(spec.n, 1, vec)
+        yield exact.RationalSubspace(label, tuple((x,) for x in vec))
 
 
 def _hyperplanes_at(spec: EnumSpec, lead: int) -> Iterator[exact.RationalSubspace]:
@@ -215,8 +220,16 @@ def _planes4_at(spec: EnumSpec, lead: int) -> Iterator[exact.RationalSubspace]:
             coords = (lead, x13, x14, x23, x24, x34)
             if gcd(*coords) != 1:
                 continue
-            pv = exact.PlueckerVector(n=4, e=2, coords=coords)
-            yield exact.RationalSubspace.from_pluecker(pv)
+            yield exact.RationalSubspace(_plane_label(coords))
+
+
+def _plane_label(coords: tuple[int, ...]) -> exact.PlueckerVector:
+    """Label of a plane in R^4, checked against x12*x34 - x13*x24 + x14*x23 = 0:
+    for (n, e) = (4, 2) that relation is the whole decomposability test."""
+    x12, x13, x14, x23, x24, x34 = coords
+    if x12 * x34 - x13 * x24 + x14 * x23 != 0:
+        raise SubdiophError(f"plane label {coords} fails the Pluecker relation")
+    return exact.PlueckerVector(4, 2, coords)
 
 
 def _basis_box_at(

@@ -181,6 +181,17 @@ def golden_line_target() -> QuadraticLineTarget:
     return QuadraticLineTarget(Fraction(1, 2), Fraction(1, 2), 5)
 
 
+def series_depth(params: ConstructionParams, height_squared_max: int, start: int) -> int:
+    """Least series depth from start on whose tail bound stays below
+    2^-64 / (isqrt(H^2) + 1), far below the candidate margin of a scan up
+    to squared height H^2."""
+    bound = Fraction(1, (isqrt(height_squared_max) + 1) << 64)
+    depth = start
+    while tail_bound(params, depth) > bound:
+        depth += 1
+    return depth
+
+
 def line_target_for_instance(
     params: ConstructionParams,
     height_squared_max: int | None = None,
@@ -198,10 +209,7 @@ def line_target_for_instance(
     if depth is None:
         if height_squared_max is None:
             raise ParameterError("need either a depth or a height bound")
-        bound = Fraction(1, (isqrt(height_squared_max) + 1) << 64)
-        depth = series_start(params)
-        while tail_bound(params, depth) > bound:
-            depth += 1
+        depth = series_depth(params, height_squared_max, series_start(params))
     trunc = xi_truncation(stream, 1, 1, depth, params)
     return RationalLineTarget(value=trunc.value, tail_upper=trunc.tail_upper)
 
@@ -451,11 +459,12 @@ def _records_from_raw(
     return records
 
 
-def _raise_meeting(vec: tuple[int, ...]) -> None:
+def _raise_meeting(vec: tuple[int, ...], scanned: int) -> None:
     err = IrrationalityViolationError(
         f"enumerated line {vec} meets the target exactly"
     )
     err.vector = vec
+    err.scanned = scanned
     raise err
 
 
@@ -504,7 +513,7 @@ def _scan_lines(
     for h2, x1, x2 in plane:
         key, lo2, hi2 = engine.cross2(x1, x2)
         if engine.is_zero(key):
-            _raise_meeting(embed(x1, x2))
+            _raise_meeting(embed(x1, x2), len(pool) + 1)
         pool.append((h2, embed(x1, x2), key, lo2, hi2))
     if n > 2:
         for vec, h2 in primitive_vectors(n, ambient_zone):
@@ -1000,7 +1009,7 @@ def irrationality_scan(
             offender = exact.RationalSubspace.from_basis([[c] for c in err.vector])
             return IrrationalityReport(
                 j_index=1,
-                scanned=0,
+                scanned=err.scanned,
                 certified_exhaustive=True,
                 min_psi_lower=0.0,
                 witness=None,

@@ -310,24 +310,33 @@ def is_primitive_basis(basis: Iterable[Sequence[Scalar]]) -> bool:
     return math.gcd(*(abs(v) for v in minors)) == 1
 
 
-@dataclass(frozen=True)
 class RationalSubspace:
-    """A rational e-subspace of R^n with an integer basis and its label.
+    """A rational e-subspace of R^n, held by its normalized label.
 
-    Equality and hashing go through the normalized coordinate vector, so two
-    instances built from different bases of the same span compare equal.
+    A subspace made from a basis keeps that basis; one made from its label
+    alone computes its basis with pluecker_decode on first access to .basis.
+    Equality and hashing go through the label, so two instances built from
+    different bases of the same span compare equal.  Instances are not
+    changed after construction, apart from that cached basis.
     """
 
-    n: int
-    e: int
-    basis: Matrix
-    pluecker: PlueckerVector
+    __slots__ = ("n", "e", "pluecker", "_basis")
+
+    def __init__(self, pluecker: PlueckerVector, basis: Matrix | None = None) -> None:
+        self.n, self.e = pluecker.n, pluecker.e
+        self.pluecker = pluecker
+        self._basis = basis
+
+    @property
+    def basis(self) -> Matrix:
+        if self._basis is None:
+            self._basis = pluecker_decode(self.pluecker).basis
+        return self._basis
 
     @classmethod
     def from_basis(cls, basis: Iterable[Sequence[Scalar]]) -> "RationalSubspace":
         m = _integer_basis(basis)
-        pv = pluecker_coordinates(m)
-        return cls(n=pv.n, e=pv.e, basis=m, pluecker=pv)
+        return cls(pluecker_coordinates(m), m)
 
     @classmethod
     def from_pluecker(cls, pv: PlueckerVector) -> "RationalSubspace":
@@ -345,6 +354,9 @@ class RationalSubspace:
     def __hash__(self) -> int:
         return hash(self.pluecker)
 
+    def __repr__(self) -> str:
+        return f"RationalSubspace({self.pluecker!r})"
+
 
 def pluecker_decode(pv: PlueckerVector) -> RationalSubspace:
     """Recover the subspace from a normalized coordinate vector.
@@ -357,7 +369,7 @@ def pluecker_decode(pv: PlueckerVector) -> RationalSubspace:
     """
     n, e = pv.n, pv.e
     if e == n:
-        return RationalSubspace(n=n, e=e, basis=identity(n), pluecker=pv)
+        return RationalSubspace(pv, identity(n))
     index = {rows: k for k, rows in enumerate(combinations(range(n), e))}
     wedge_rows = []
     for bigger in combinations(range(n), e + 1):
@@ -377,7 +389,7 @@ def pluecker_decode(pv: PlueckerVector) -> RationalSubspace:
     recovered = pluecker_coordinates(m)
     if recovered.coords != pv.coords:
         raise NotDecomposableError("kernel span does not reproduce the input vector")
-    return RationalSubspace(n=n, e=e, basis=m, pluecker=recovered)
+    return RationalSubspace(recovered, m)
 
 
 # ---------------------------------------------------------------------------

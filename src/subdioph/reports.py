@@ -14,9 +14,10 @@ import csv
 import decimal
 import json
 import math
+from collections.abc import Mapping, Sequence
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import IO, Mapping, Sequence
+from typing import IO
 
 from .errors import SerializationError
 
@@ -61,7 +62,10 @@ def _convert_scalar(value):
 
 
 def _convert(value):
-    if isinstance(value, Mapping):
+    kind = type(value)
+    if kind is str or kind is int:
+        return _convert_scalar(value)
+    if kind is not list and isinstance(value, Mapping):
         return {str(k): _convert(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         kinds = {type(x) for x in value if x is not None}

@@ -1,11 +1,15 @@
 """Enumeration tests: completeness against independent references, sharding."""
 
+import io
 import itertools
-from math import isqrt
+from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
+from subdioph import estimation as est
 from subdioph import exact
+from subdioph.cli import run_command
 from subdioph.enumeration import (
     BASIS_BOX,
     CHECKPOINT,
@@ -17,10 +21,17 @@ from subdioph.enumeration import (
     enumerate_events,
     enumerate_lines,
     enumerate_subspaces,
+    exact_strategy,
     leading_range,
+    _plane_label,
     shard_partition,
 )
-from subdioph.errors import ParameterError, StrategyMismatchError
+from subdioph.errors import (
+    NotDecomposableError,
+    ParameterError,
+    StrategyMismatchError,
+    SubdiophError,
+)
 
 
 def keys(subspaces):
@@ -190,6 +201,99 @@ def test_planes4_match_reference_census():
         a, b, c, d, e_, f = sub.pluecker.coords
         assert a * f - b * e_ + c * d == 0
         assert exact.pluecker_coordinates(sub.basis) == sub.pluecker
+
+
+# ---------------------------------------------------------------------------
+# labels first, bases on demand
+
+
+def test_plane_bases_on_demand_match_decode():
+    spec = EnumSpec(n=4, e=2, height_squared_max=60, strategy=EXACT_PLUECKER)
+    count = 0
+    for sub in enumerate_subspaces(spec):
+        label = sub.pluecker
+        assert sub.basis == exact.pluecker_decode(label).basis
+        assert exact.pluecker_coordinates(sub.basis) == label
+        # perturb the partner of a nonzero coordinate in the relation
+        # x12*x34 - x13*x24 + x14*x23 = 0, so its value moves off zero
+        i = next(k for k, c in enumerate(label.coords) if c != 0)
+        perturbed = list(label.coords)
+        perturbed[5 - i] += 1
+        with pytest.raises(SubdiophError, match="Pluecker relation"):
+            _plane_label(tuple(perturbed))
+        count += 1
+    assert count == 21626
+
+
+def test_plane_relation_agrees_with_decode():
+    """On every normalized 6-tuple of small norm, the relation check accepts
+    exactly the labels that pluecker_decode accepts."""
+    accepted = 0
+    for coords in itertools.product(range(-2, 3), repeat=6):
+        if not 0 < sum(c * c for c in coords) <= 6 or gcd(*coords) != 1:
+            continue
+        if next(c for c in coords if c != 0) < 0:
+            continue
+        label = exact.PlueckerVector(4, 2, coords)
+        try:
+            exact.pluecker_decode(label)
+            decodes = True
+        except NotDecomposableError:
+            decodes = False
+        try:
+            assert _plane_label(coords) == label
+            passes = True
+        except SubdiophError:
+            passes = False
+        assert passes == decodes, coords
+        accepted += passes
+    assert accepted == len(reference_subspaces(4, 2, 6))
+
+
+def test_line_bases_are_their_labels():
+    spec = EnumSpec(n=3, e=1, height_squared_max=200)
+    for sub in enumerate_subspaces(spec):
+        assert sub.basis == tuple((c,) for c in sub.pluecker.coords)
+        assert exact.pluecker_coordinates(sub.basis) == sub.pluecker
+
+
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """Counts of pluecker_decode and raw_minors calls while a test runs."""
+    calls = {"decode": 0, "minors": 0}
+    decode, minors = exact.pluecker_decode, exact.raw_minors
+
+    def counted_decode(pv):
+        calls["decode"] += 1
+        return decode(pv)
+
+    def counted_minors(basis):
+        calls["minors"] += 1
+        return minors(basis)
+
+    monkeypatch.setattr(exact, "pluecker_decode", counted_decode)
+    monkeypatch.setattr(exact, "raw_minors", counted_minors)
+    return calls
+
+
+@pytest.mark.parametrize("n, e, hmax2", [(3, 1, 200), (4, 2, 14)], ids=["lines-r3", "planes-r4"])
+def test_cli_enumerate_neither_decodes_nor_takes_minors(decode_calls, n, e, hmax2):
+    out = io.StringIO()
+    argv = ["enumerate", "--n", str(n), "--e", str(e), "--hmax-squared", str(hmax2),
+            "--no-header"]
+    assert run_command(argv, stdout=out) == 0
+    rows = len(list(enumerate_subspaces(EnumSpec(n, e, hmax2, exact_strategy(n, e)))))
+    assert len(out.getvalue().splitlines()) == rows > 1000
+    assert decode_calls == {"decode": 0, "minors": 0}
+
+
+def test_plane_scan_decodes_each_candidate_once(decode_calls):
+    spec = EnumSpec(n=4, e=2, height_squared_max=4, strategy=EXACT_PLUECKER)
+    candidates = len(list(enumerate_subspaces(spec)))
+    target = [[1, 0], [0, 1], [Fraction(-37, 91), Fraction(52, 77)],
+              [Fraction(15, 29), Fraction(-64, 83)]]
+    est.scan_records(target, spec, j_index=2)
+    assert decode_calls["decode"] == candidates
 
 
 # ---------------------------------------------------------------------------

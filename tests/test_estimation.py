@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from mpmath import mp
@@ -107,6 +108,17 @@ class TestTargets:
         assert target.tail_upper == Fraction(6, 5**81)
         # the bracket must stay far below the candidate margin over the range
         assert target.tail_upper * 10**4 < Fraction(1, 10**6)
+
+    @pytest.mark.parametrize("ell, beta", [(1, Fraction(3)), (2, Fraction(5, 2)), (2, None)])
+    @pytest.mark.parametrize("start", [0, 1, 3])
+    def test_series_depth_is_least_from_start(self, ell, beta, start):
+        variant = con.FINITE if beta is not None else con.INFINITE
+        params = con.ConstructionParams.create(ell, beta, seed=0, variant=variant)
+        for h2 in (2, 10**4, 10**12):
+            bound = Fraction(1, (isqrt(h2) + 1) << 64)
+            depth = est.series_depth(params, h2, start)
+            assert depth >= start and con.tail_bound(params, depth) <= bound
+            assert depth == start or con.tail_bound(params, depth - 1) > bound
 
     def test_instance_target_requires_line(self):
         p2 = con.ConstructionParams.create(ell=2, beta=Fraction(5, 2), seed=0)

@@ -3,7 +3,10 @@
 The rows in data/line_scan_rows.jsonl were recorded with the Fraction-based
 scanner that preceded the integer kernel.  Every record (coordinates, h^2,
 psi_lo, psi_hi), every candidate count and every exact-meeting vector must
-come out unchanged.  Regenerate the file with
+come out unchanged.  One value was changed on purpose since: the
+meeting-offender row's `scanned` went from 0 to 62 when the fast path began
+counting the lines examined up to and including a meeting line, as the
+generic path does.  Regenerate the file with
 
     PYTHONPATH=src python tests/test_line_scan_pinned.py > tests/data/line_scan_rows.jsonl
 
@@ -118,6 +121,16 @@ def test_meeting_vectors(rows):
     assert by_case["meeting-plane"]["vector"] == [5, 3]
     assert by_case["meeting-r4-13"]["vector"] == [0, 5, 0, 3]
     assert by_case["meeting-offender"]["vector"] == [5, 3]
+
+
+def test_meeting_offender_scanned_count_matches_generic_path():
+    """Both paths count the lines examined up to and including the offender."""
+    spec = EnumSpec(2, 1, 100, EXACT_LINES)
+    fast = est.irrationality_scan(est.RationalLineTarget(Fraction(3, 5)), spec)
+    generic = est.irrationality_scan([[5], [3]], spec)
+    for report in (fast, generic):
+        assert report.offender.pluecker.coords == (5, 3)
+        assert report.scanned == 62
 
 
 if __name__ == "__main__":
