@@ -117,7 +117,19 @@ class RealBasis:
         n, d = exact.shape(m)
         if exact.rank(m) != d:
             raise NumericalRankLossError("exact basis has dependent columns")
+        return cls._of_exact(m, n, d)
 
+    @classmethod
+    def from_subspace(cls, sub: exact.RationalSubspace) -> "RealBasis":
+        """The subspace's integer basis as it is: its label already proves
+        the columns independent, and they need no denominators cleared."""
+        m = sub.basis
+        basis = cls._of_exact(m, sub.n, sub.e)
+        basis._integer_columns = tuple(zip(*m))
+        return basis
+
+    @classmethod
+    def _of_exact(cls, m: exact.Matrix, n: int, d: int) -> "RealBasis":
         def evaluate(bits: int) -> "mp.matrix":
             with mp.workprec(bits):
                 out = mp.matrix(n, d)
@@ -131,10 +143,6 @@ class RealBasis:
                 return out
 
         return cls(n, d, evaluate, source="exact-rational", exact_matrix=m)
-
-    @classmethod
-    def from_subspace(cls, sub: exact.RationalSubspace) -> "RealBasis":
-        return cls.from_exact(sub.basis)
 
     @classmethod
     def from_float(cls, rows: Iterable[Sequence[float]]) -> "RealBasis":

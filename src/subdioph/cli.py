@@ -35,6 +35,7 @@ from .angles import (
     random_orthogonal,
 )
 from .enumeration import (
+    BASIS_BOX,
     STRATEGIES,
     EnumSpec,
     enumerate_subspaces,
@@ -247,8 +248,24 @@ def _exact_strategy(n: int, e: int) -> str:
         return exact_strategy(n, e)
     except StrategyMismatchError as err:
         raise _UsageError(
-            f"{err}; pass --strategy basis-box for a heuristic stream"
+            f"{err}; pass --strategy basis-box --basis-box-bound K for a"
+            " heuristic stream"
         ) from None
+
+
+def _enum_spec(args, n: int, e: int, hmax: int, **shards) -> EnumSpec:
+    """Enumeration window from --strategy (default: the exact one for the
+    shape) and --basis-box-bound, which goes with basis-box only."""
+    strategy = args.strategy or _exact_strategy(n, e)
+    bound = args.basis_box_bound
+    if strategy == BASIS_BOX and bound is None:
+        raise _UsageError("--strategy basis-box needs --basis-box-bound K")
+    if strategy != BASIS_BOX and bound is not None:
+        raise _UsageError("--basis-box-bound only applies to --strategy basis-box")
+    return EnumSpec(
+        n=n, e=e, height_squared_max=hmax, strategy=strategy,
+        basis_box_bound=bound, **shards,
+    )
 
 
 def _run_scan(args) -> list[est.ApproximationRecord]:
@@ -262,6 +279,7 @@ def _run_scan(args) -> list[est.ApproximationRecord]:
         line_ready = (
             params.ell == 1
             and args.strategy is None
+            and args.basis_box_bound is None
             and args.e in (None, 1)
             and args.j in (None, 1)
         )
@@ -273,21 +291,14 @@ def _run_scan(args) -> list[est.ApproximationRecord]:
             return est.scan_embedded_line_records(target, n, hmax)
         # the generators get depth at least 1, even where the series starts at 0
         generators = con.build_generators(params, est.series_depth(params, hmax, 1))
-        strategy = args.strategy or _exact_strategy(params.n, params.ell)
-        spec = EnumSpec(
-            n=params.n, e=params.ell, height_squared_max=hmax, strategy=strategy
-        )
+        spec = _enum_spec(args, params.n, params.ell, hmax)
         return est.scan_records(
             generators.real_basis(), spec, j_index=args.j or params.ell, ctx=ctx
         )
     if args.basis:
         matrix = _load_basis(args.basis)
         n = exact.shape(matrix)[0]
-        e_scan = args.e or 1
-        strategy = args.strategy or _exact_strategy(n, e_scan)
-        spec = EnumSpec(
-            n=n, e=e_scan, height_squared_max=hmax, strategy=strategy
-        )
+        spec = _enum_spec(args, n, args.e or 1, hmax)
         return est.scan_records(matrix, spec, j_index=args.j or 1, ctx=ctx)
     raise _UsageError("need a target: --instance, --ell/--beta, or --basis")
 
@@ -336,15 +347,9 @@ def _cmd_angles(args):
 def _cmd_enumerate(args):
     if args.n is None or args.hmax_squared is None:
         raise _UsageError("--n and --hmax-squared are required")
-    e_scan = args.e or 1
-    strategy = args.strategy or _exact_strategy(args.n, e_scan)
-    spec = EnumSpec(
-        n=args.n,
-        e=e_scan,
-        height_squared_max=args.hmax_squared,
-        strategy=strategy,
-        shard_count=args.shards,
-        shard_index=args.shard_index,
+    spec = _enum_spec(
+        args, args.n, args.e or 1, args.hmax_squared,
+        shard_count=args.shards, shard_index=args.shard_index,
     )
     rows = [
         {
@@ -647,6 +652,11 @@ def build_parser() -> _Parser:
         p.add_argument("--precision-bits", type=int, default=None)
         p.add_argument("--target-rel-err", default=None)
 
+    def strategy_flags(p):
+        p.add_argument("--strategy", choices=STRATEGIES, default=None)
+        p.add_argument("--basis-box-bound", type=int, default=None, metavar="K",
+                       help="entry bound of the basis-box walk")
+
     def instance_flags(p):
         p.add_argument("--instance", default=None, help="instance descriptor JSON")
         p.add_argument("--ell", type=int, default=None)
@@ -674,7 +684,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--e", type=int, default=None)
     p.add_argument("--hmax-squared", type=int, default=None)
-    p.add_argument("--strategy", choices=STRATEGIES, default=None)
+    strategy_flags(p)
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--shard-index", type=int, default=0)
     common(p)
@@ -697,7 +707,7 @@ def build_parser() -> _Parser:
         p.add_argument("--e", type=int, default=None)
         p.add_argument("--j", type=int, default=None)
         p.add_argument("--hmax-squared", type=int, default=None)
-        p.add_argument("--strategy", choices=STRATEGIES, default=None)
+        strategy_flags(p)
         common(p)
 
     p = sub.add_parser("exclusivity", help="records beyond burn-in vs convergents")

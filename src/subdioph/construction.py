@@ -488,9 +488,11 @@ def build_convergent(
         rows.append([params.theta**m_n if c == i else 0 for c in range(ell)])
     rows.extend(f_rows)
     full = exact.as_matrix(rows)
-    if not exact.is_primitive_basis(full):
+    # one set of minors proves primitivity and gives the label
+    minors = exact.raw_minors(full)
+    if math.gcd(*minors) != 1:
         raise CertificationFailure("primitive-basis", n_index)
-    subspace = exact.RationalSubspace.from_basis(full)
+    subspace = exact.RationalSubspace(exact.label_from_minors(2 * ell, ell, minors), full)
     return ConvergentMatrix(
         n_index=n_index,
         exponent=m_n,

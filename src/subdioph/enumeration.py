@@ -179,9 +179,9 @@ def _hyperplanes_at(spec: EnumSpec, lead: int) -> Iterator[exact.RationalSubspac
     for normal, norm_sq in _primitive_with_leading(
         spec.n, spec.height_squared_max, lead
     ):
-        kernel = exact.rational_kernel([list(normal)])
-        basis = [[v[i] for v in kernel] for i in range(spec.n)]
-        sub = exact.RationalSubspace.from_basis(basis)
+        sub = exact.RationalSubspace.from_basis(
+            exact.transpose(exact.rational_kernel([normal]))
+        )
         if sub.pluecker.height_squared != norm_sq:
             raise SubdiophError(
                 "height of a normal-vector subspace disagrees with its "

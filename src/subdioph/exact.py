@@ -7,10 +7,17 @@ with positive leading entry, which makes it a canonical label: two bases span
 the same subspace exactly when their normalized coordinate vectors agree.  The
 height of the subspace is the Euclidean norm of that label; this module keeps
 heights squared so everything stays in exact integer arithmetic.
+
+Reading a basis back from a label (pluecker_decode, and the hyperplane
+bases of the enumeration) goes through rational_kernel, a fraction-free
+elimination on integer rows, so a decoded basis never touches Fraction.
+Fraction arithmetic remains for user-supplied rational matrices (rank,
+determinants with rational entries, clearing column denominators).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,11 +51,21 @@ def as_matrix(rows: Iterable[Sequence[Scalar]]) -> Matrix:
 
 
 def _as_scalar(x: Scalar) -> Scalar:
+    if type(x) is int:
+        return x
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise ShapeError(f"entries must be int or Fraction, got {type(x).__name__}")
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     return x
+
+
+def _has_fraction(rows: Sequence[Sequence[Scalar]]) -> bool:
+    # plain ints are screened by type first: isinstance(x, Fraction) goes
+    # through the numbers ABCs and costs more than the arithmetic it guards
+    return not all(type(x) is int for row in rows for x in row) and any(
+        isinstance(x, Fraction) for row in rows for x in row
+    )
 
 
 def shape(m: Matrix) -> tuple[int, int]:
@@ -94,7 +111,7 @@ def determinant(m: Matrix) -> Scalar:
         return a * (e * i - f * h) - b * (d * i - f * g) + cc * (d * h - e * g)
     # fraction-free Gaussian elimination (Bareiss) on a working copy
     work = [list(row) for row in m]
-    if any(isinstance(x, Fraction) for row in work for x in row):
+    if _has_fraction(work):
         return _determinant_fraction(work)
     sign = 1
     prev = 1
@@ -155,13 +172,17 @@ def rank(m: Matrix) -> int:
     return r
 
 
-def rational_kernel(m: Matrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel over Q, via reduced row echelon form.
+def rational_kernel(m: Iterable[Sequence[Scalar]]) -> list[tuple[int, ...]]:
+    """Basis of the right kernel over Q, by fraction-free Gauss-Jordan.
 
-    Returns one vector per free column; the empty matrix convention is not
-    needed here because callers always pass at least one row.
+    Rows are scaled to integers and every updated row is divided by its
+    content, so no Fraction is built and entries stay small.  Returns
+    one vector per free column: the primitive integer vector that is
+    positive at that column and zero at the other free columns, which is
+    the reduced-row-echelon kernel vector cleared of denominators.  Callers
+    always pass at least one row.
     """
-    work = [[Fraction(x) for x in row] for row in m]
+    work = [_primitive_row(row) for row in m]
     rows, cols = len(work), len(work[0])
     pivots: list[int] = []
     r = 0
@@ -170,25 +191,39 @@ def rational_kernel(m: Matrix) -> list[tuple[Fraction, ...]]:
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        pivot = work[r][j]
-        work[r] = [x / pivot for x in work[r]]
+        top = work[r]
+        pivot = top[j]
         for i in range(rows):
-            if i != r and work[i][j] != 0:
-                factor = work[i][j]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
+            factor = work[i][j]
+            if i != r and factor != 0:
+                work[i] = _primitive_row(
+                    [pivot * x - factor * y for x, y in zip(work[i], top)]
+                )
         pivots.append(j)
         r += 1
         if r == rows:
             break
-    free = [j for j in range(cols) if j not in pivots]
+    scale = math.lcm(*(work[i][pj] for i, pj in enumerate(pivots))) if pivots else 1
     basis = []
-    for j in free:
-        v = [Fraction(0)] * cols
-        v[j] = Fraction(1)
+    for j in range(cols):
+        if j in pivots:
+            continue
+        v = [0] * cols
+        v[j] = scale
         for i, pj in enumerate(pivots):
-            v[pj] = -work[i][j]
-        basis.append(tuple(v))
+            v[pj] = -work[i][j] * scale // work[i][pj]
+        g = math.gcd(*v)
+        basis.append(tuple(x // g for x in v))
     return basis
+
+
+def _primitive_row(row: Sequence[Scalar]) -> list[int]:
+    """A row scaled to coprime integers (a zero row stays zero)."""
+    if _has_fraction((row,)):
+        scale = math.lcm(*(Fraction(x).denominator for x in row))
+        row = [int(x * scale) for x in row]
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else list(row)
 
 
 def clear_denominators(v: Sequence[Scalar]) -> tuple[int, ...]:
@@ -241,7 +276,7 @@ def raw_minors(basis: Matrix) -> tuple[int, ...]:
     n, e = shape(basis)
     if e > n:
         raise ShapeError(f"basis is {n}x{e}; need at least as many rows as columns")
-    if any(isinstance(x, Fraction) for row in basis for x in row):
+    if _has_fraction(basis):
         raise ShapeError("raw minors are defined for integer bases")
     return tuple(
         determinant(tuple(basis[i] for i in rows)) for rows in combinations(range(n), e)
@@ -258,7 +293,14 @@ def pluecker_coordinates(basis: Iterable[Sequence[Scalar]]) -> PlueckerVector:
     """
     m = _integer_basis(basis)
     n, e = shape(m)
-    minors = raw_minors(m)
+    return label_from_minors(n, e, raw_minors(m))
+
+
+def label_from_minors(n: int, e: int, minors: Sequence[int]) -> PlueckerVector:
+    """Normalized label from the raw maximal minors of an integer n x e basis.
+
+    Raises DegenerateBasisError when every minor is zero.
+    """
     if all(v == 0 for v in minors):
         raise DegenerateBasisError("columns are linearly dependent")
     g = math.gcd(*(abs(v) for v in minors))
@@ -271,7 +313,7 @@ def pluecker_coordinates(basis: Iterable[Sequence[Scalar]]) -> PlueckerVector:
 
 def _integer_basis(basis: Iterable[Sequence[Scalar]]) -> Matrix:
     m = as_matrix(basis)
-    if any(isinstance(x, Fraction) for row in m for x in row):
+    if _has_fraction(m):
         cols = [clear_denominators(col) for col in transpose(m)]
         m = transpose(as_matrix(cols))
     return m
@@ -358,34 +400,47 @@ class RationalSubspace:
         return f"RationalSubspace({self.pluecker!r})"
 
 
+@functools.cache
+def _wedge_terms(n: int, e: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Per (e+1)-row set, the (column, sign, label index) entries of the
+    matrix of v -> v /\\ Xi for labels of shape (n, e)."""
+    index = {rows: k for k, rows in enumerate(combinations(range(n), e))}
+    return tuple(
+        tuple(
+            (i, (-1) ** pos, index[bigger[:pos] + bigger[pos + 1 :]])
+            for pos, i in enumerate(bigger)
+        )
+        for bigger in combinations(range(n), e + 1)
+    )
+
+
 def pluecker_decode(pv: PlueckerVector) -> RationalSubspace:
     """Recover the subspace from a normalized coordinate vector.
 
-    The subspace is the kernel of v -> v /\\ Xi, computed exactly over Q.  A
-    vector that does not satisfy the quadratic compatibility relations has a
-    kernel of the wrong dimension and is rejected.
+    The subspace is the kernel of v -> v /\\ Xi, computed exactly in
+    integers; its basis columns are the primitive kernel vectors of
+    rational_kernel.  A vector that does not satisfy the quadratic
+    compatibility relations has a kernel of the wrong dimension and is
+    rejected.
 
     Raises NotDecomposableError when no e-subspace has these coordinates.
     """
     n, e = pv.n, pv.e
     if e == n:
         return RationalSubspace(pv, identity(n))
-    index = {rows: k for k, rows in enumerate(combinations(range(n), e))}
     wedge_rows = []
-    for bigger in combinations(range(n), e + 1):
+    for terms in _wedge_terms(n, e):
         row = [0] * n
-        for pos, i in enumerate(bigger):
-            rest = tuple(x for x in bigger if x != i)
-            row[i] = (-1) ** pos * pv.coords[index[rest]]
-        wedge_rows.append(tuple(row))
-    kernel = rational_kernel(as_matrix(wedge_rows))
+        for i, sign, k in terms:
+            row[i] = sign * pv.coords[k]
+        wedge_rows.append(row)
+    kernel = rational_kernel(wedge_rows)
     if len(kernel) != e:
         raise NotDecomposableError(
             f"kernel dimension {len(kernel)} != {e}; vector fails the"
             " compatibility relations"
         )
-    basis_cols = [clear_denominators(v) for v in kernel]
-    m = transpose(as_matrix(basis_cols))
+    m = transpose(kernel)
     recovered = pluecker_coordinates(m)
     if recovered.coords != pv.coords:
         raise NotDecomposableError("kernel span does not reproduce the input vector")

@@ -396,6 +396,41 @@ class TestRunPlumbing:
         assert "no exact enumeration strategy covers shape (5, 2);" in err
         assert "pass --strategy basis-box" in err
 
+    def test_basis_box_runs_from_the_cli(self):
+        argv = ["enumerate", "--n", "3", "--e", "2", "--hmax-squared", "2", "--no-header"]
+        code, exact_out, _ = run(argv)
+        assert code == 0
+        code, box_out, err = run([*argv, "--strategy", "basis-box", "--basis-box-bound", "1"])
+        assert (code, err) == (0, "")
+        exact_rows = [json.loads(line)["coords"] for line in exact_out.splitlines()]
+        box_rows = [json.loads(line)["coords"] for line in box_out.splitlines()]
+        assert len(box_rows) == len(exact_rows) == 9
+        assert sorted(box_rows) == sorted(exact_rows)
+
+    def test_basis_box_scan_from_the_cli(self, tmp_path):
+        target = {"n": 3, "e": 1, "basis": [[1], ["-47/53"], ["29/71"]]}
+        path = write_json(tmp_path / "t.json", target)
+        argv = ["records", "--basis", path, "--e", "2", "--hmax-squared", "9", "--no-header"]
+        code, exact_out, _ = run(argv)
+        assert code == 0
+        code, box_out, _ = run([*argv, "--strategy", "basis-box", "--basis-box-bound", "2"])
+        assert code == 0 and box_out == exact_out
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--basis-box-bound", "1"], "--basis-box-bound only applies to --strategy basis-box"),
+            (["--strategy", "exact-lines", "--basis-box-bound", "1"],
+             "--basis-box-bound only applies to --strategy basis-box"),
+            (["--strategy", "basis-box"], "--strategy basis-box needs --basis-box-bound K"),
+            (["--strategy", "basis-box", "--basis-box-bound", "0"], "positive entry bound"),
+        ],
+    )
+    def test_basis_box_bound_usage_errors(self, extra, message):
+        code, out, err = run(["enumerate", "--n", "3", "--e", "2", "--hmax-squared", "2", *extra])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and message in err
+
     def test_byte_identical_reruns(self):
         argv = ["records", "--ell", "1", "--beta", "3", "--hmax-squared", "50000",
                 "--no-header", "--format", "csv"]

@@ -312,6 +312,28 @@ def test_convergent_primitive_and_growing():
     assert heights == sorted(heights) and len(set(heights)) == 4
 
 
+def test_convergent_takes_its_minors_once(monkeypatch):
+    calls = []
+    minors = exact.raw_minors
+    monkeypatch.setattr(exact, "raw_minors", lambda m: calls.append(m) or minors(m))
+    outcomes = set()
+    for seed in range(8):
+        params = ConstructionParams.create(2, None, variant=INFINITE, seed=seed)
+        calls.clear()
+        try:
+            c = build_convergent(params, 1)
+        except CertificationFailure as err:
+            assert len(calls) == 1
+            assert err.check == "primitive-basis"
+            assert math.gcd(*minors(calls[0])) > 1
+            outcomes.add("rejected")
+        else:
+            assert len(calls) == 1
+            assert c.subspace.pluecker == exact.pluecker_coordinates(c.full)
+            outcomes.add("built")
+    assert outcomes == {"built", "rejected"}
+
+
 def test_convergent_height_product_bound():
     for params in (finite_params(seed=2), ConstructionParams.create(2, Fraction(5, 2), seed=2)):
         ell = params.ell

@@ -296,6 +296,31 @@ def test_plane_scan_decodes_each_candidate_once(decode_calls):
     assert decode_calls["decode"] == candidates
 
 
+def test_plane_scan_candidates_skip_fraction_helpers(monkeypatch):
+    """Only the target pays for exact.rank and clear_denominators; the
+    candidates go from label to angles in integers."""
+    calls = {"rank": 0, "clear": 0}
+    rank, clear = exact.rank, exact.clear_denominators
+
+    def counted_rank(m):
+        calls["rank"] += 1
+        return rank(m)
+
+    def counted_clear(v):
+        calls["clear"] += 1
+        return clear(v)
+
+    monkeypatch.setattr(exact, "rank", counted_rank)
+    monkeypatch.setattr(exact, "clear_denominators", counted_clear)
+    spec = EnumSpec(n=4, e=2, height_squared_max=4, strategy=EXACT_PLUECKER)
+    target = [[1, 0], [0, 1], [Fraction(-37, 91), Fraction(52, 77)],
+              [Fraction(15, 29), Fraction(-64, 83)]]
+    records = est.scan_records(target, spec, j_index=2)
+    assert records and len(list(enumerate_subspaces(spec))) == 74
+    assert calls["rank"] <= 1
+    assert calls["clear"] <= 2
+
+
 # ---------------------------------------------------------------------------
 # basis box
 
