@@ -14,7 +14,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Sequence
 
@@ -27,7 +26,6 @@ from . import morphisms as mor
 from . import reports
 from .reports import exact_str
 from .angles import (
-    DEFAULT_BITS,
     PrecisionContext,
     RealBasis,
     angles_adaptive,
@@ -81,26 +79,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep usage failures on our exit-code path
         raise _UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run's data output.
-
-    Two runs with equal RunConfig values write byte-identical data (the
-    optional header line carries the only timestamp and can be suppressed).
-    """
-
-    command: str
-    input_paths: tuple[str, ...]
-    output_path: str | None
-    seed: int
-    precision_bits: int | None
-    target_rel_err: str | None
-    shard_count: int
-    shard_index: int
-    fmt: str
-    no_header: bool
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-import sympy
 from mpmath import mp
 
 from . import exact
-from .angles import AngleProfile, PrecisionContext, RealBasis, angles_adaptive
+from .angles import PrecisionContext, RealBasis, angles_adaptive
 from .errors import CertificationFailure, ParameterError
 from .reports import exact_str
 
@@ -109,14 +108,53 @@ def theta_lower_bound(ell: int) -> int:
     return math.factorial(ell) * (2 * ell + 1) ** ell
 
 
+# Miller-Rabin with the first 13 prime bases is a proof of primality below
+# psi_13 (Sorenson and Webster, Math. Comp. 86, 2017), which exceeds
+# theta_lower_bound(ell) for every ell <= 11.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_PROOF_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Proved primality of n; ParameterError at or above _PRIME_PROOF_LIMIT."""
+    if not isinstance(n, int):
+        raise ParameterError(f"{n!r} is not an integer")
+    if n >= _PRIME_PROOF_LIMIT:
+        raise ParameterError(
+            f"primality is proved only below {_PRIME_PROOF_LIMIT}; {n} is too large"
+        )
+    if n < 2:
+        return False
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def theta_for(ell: int) -> int:
     """Smallest prime strictly above theta_lower_bound(ell)."""
-    return int(sympy.nextprime(theta_lower_bound(ell)))
+    theta = theta_lower_bound(ell) + 1
+    while not _is_prime(theta):
+        theta += 1
+    return theta
 
 
 def theta_is_admissible(theta: int, ell: int) -> bool:
     """True when theta is prime and exceeds the required lower bound."""
-    return theta > theta_lower_bound(ell) and bool(sympy.isprime(theta))
+    return theta > theta_lower_bound(ell) and _is_prime(theta)
 
 
 def _check_ell(ell: int) -> None:

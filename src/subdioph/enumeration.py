@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from math import gcd, isqrt
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from . import exact
 from .errors import ParameterError, StrategyMismatchError, SubdiophError

@@ -5,15 +5,20 @@ target is strictly smaller than that of every enumerated subspace of equal or
 lower height.  Reading the record sequence on a log-log scale turns certified
 angle intervals into an empirical approximation exponent.
 
-Two scan engines feed the estimator:
+One line engine and one profile stream feed a single record sweep:
 
-* an exact scanner for lines in the plane (and their images under coordinate
-  embeddings) that clears the target's denominators once, evaluates every
-  cross term, comparison and certificate on plain integers (exact signs of
-  m + n sqrt(d) for quadratic slopes), builds fractions only for the few
-  records, and certifies that no unexamined vector can beat any record;
-* a generic scanner that walks an enumeration stream and brackets every angle
-  with adaptive-precision intervals.
+* the exact line engine, for lines in the plane (and their images under
+  coordinate embeddings), clears the target's denominators once, evaluates
+  every cross term, comparison and certificate on plain integers (exact
+  signs of m + n sqrt(d) for quadratic slopes), builds fractions only for
+  the few records, and certifies that no unexamined vector can beat any
+  record;
+* the profile stream walks an enumeration and brackets the j-th sine of
+  every subspace with adaptive-precision intervals.
+
+The sweep's running minima over height levels are the records of either
+source.  An irrationality scan is the second reduction of the same
+sources: the least certified lower endpoint (for lines, the last record's).
 
 Records are conservative by construction: exponents use upper endpoints of
 the sine intervals, irrationality witnesses use lower endpoints.
@@ -24,7 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, isqrt
+from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 from mpmath import mp
@@ -81,7 +88,7 @@ def constructed_source(n_index: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# exact quadratic values a + b sqrt(d)
+# exact signs of quadratic values m + n sqrt(d)
 
 
 def _surd_sign(m: int, n: int, d: int) -> int:
@@ -92,40 +99,6 @@ def _surd_sign(m: int, n: int, d: int) -> int:
         return 1 if n > 0 else -1
     diff = m * m - n * n * d
     return (diff > 0) - (diff < 0) if m > 0 else (diff < 0) - (diff > 0)
-
-
-@dataclass(frozen=True)
-class QuadraticValue:
-    """Exact number a + b * sqrt(d) with rational a, b and nonsquare d >= 2."""
-
-    a: Fraction
-    b: Fraction
-    d: int
-
-    def squared(self) -> "QuadraticValue":
-        return QuadraticValue(
-            self.a * self.a + self.b * self.b * self.d, 2 * self.a * self.b, self.d
-        )
-
-    def sign(self) -> int:
-        a, b = self.a, self.b
-        return _surd_sign(
-            a.numerator * b.denominator, b.numerator * a.denominator, self.d
-        )
-
-    def bracket(self, root_lo: Fraction, root_hi: Fraction) -> tuple[Fraction, Fraction]:
-        """Enclosing rational interval given a bracket of sqrt(d)."""
-        if self.b >= 0:
-            return self.a + self.b * root_lo, self.a + self.b * root_hi
-        return self.a + self.b * root_hi, self.a + self.b * root_lo
-
-
-def root_bracket(d: int, bits: int = _ROOT_BITS) -> tuple[Fraction, Fraction]:
-    """Rational bracket of sqrt(d) of width 2^-bits."""
-    if d < 2:
-        raise ParameterError("radicand must be at least 2")
-    s = isqrt(d << (2 * bits))
-    return Fraction(s, 1 << bits), Fraction(s + 1, 1 << bits)
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +141,6 @@ class QuadraticLineTarget:
             raise ParameterError("quadratic slope needs a nonzero irrational part")
         if self.d < 2 or isqrt(self.d) ** 2 == self.d:
             raise ParameterError("radicand must be a nonsquare integer >= 2")
-
-    def slope(self) -> QuadraticValue:
-        return QuadraticValue(self.a, self.b, self.d)
-
-    def slope_bracket(self) -> tuple[Fraction, Fraction]:
-        return self.slope().bracket(*root_bracket(self.d))
 
 
 def golden_line_target() -> QuadraticLineTarget:
@@ -283,6 +250,7 @@ def _float_up(x) -> float:
 #   key      exact comparison object for the squared ambient cross term,
 #            an int (rational slopes) or an (m, n) pair for m + n sqrt(d);
 #   lo2/hi2  integer bracket of the same quantity, over the scale.
+# engine.less(row_a, row_b) compares key / h2 of two pooled rows exactly.
 
 
 def _square_bracket(lo: int, hi: int) -> tuple[int, int]:
@@ -317,8 +285,8 @@ class _RationalCross:
         return key == 0
 
     @staticmethod
-    def less(key_a: int, h2_a: int, key_b: int, h2_b: int) -> bool:
-        return key_a * h2_b < key_b * h2_a
+    def less(row_a, row_b) -> bool:
+        return row_a[2] * row_b[0] < row_b[2] * row_a[0]
 
     def ambient(self, key, lo2, hi2, z2: int):
         return key + z2 * self.u2_hi, lo2 + z2 * self.u2_lo, hi2 + z2 * self.u2_hi
@@ -361,10 +329,10 @@ class _QuadraticCross:
         # m = e_rat^2 + e_irr^2 d vanishes only when the whole square does
         return key[0] == 0
 
-    def less(self, key_a, h2_a: int, key_b, h2_b: int) -> bool:
-        return _surd_sign(
-            key_a[0] * h2_b - key_b[0] * h2_a, key_a[1] * h2_b - key_b[1] * h2_a, self.d
-        ) < 0
+    def less(self, row_a, row_b) -> bool:
+        (m_a, n_a), h2_a = row_a[2], row_a[0]
+        (m_b, n_b), h2_b = row_b[2], row_b[0]
+        return _surd_sign(m_a * h2_b - m_b * h2_a, n_a * h2_b - n_b * h2_a, self.d) < 0
 
     def ambient(self, key, lo2, hi2, z2: int):
         m_u, n_u = self.u2
@@ -411,52 +379,27 @@ def _rounding_candidates(engine, hmax2: int, skip_below: int) -> Iterator[tuple[
             yield h2, x1, x2
 
 
-def _sweep_pool(pool: list, engine) -> list[tuple]:
-    """Running minima of key/h2 over a (h2, vec, key, lo2, hi2) pool.
+def _sweep_pool(pool: list, less) -> list[tuple]:
+    """Running minima over a pool of (h2, coords, ...) rows sorted by
+    (h2, coords).
 
-    The pool must be sorted; within one height the candidate with the
-    smallest exact key wins, ties broken by the sort order.
+    Within one height the first row that no later row beats under
+    less(a, b) wins, so ties go to the smallest coords; it becomes a record
+    when it beats the previous record.
     """
     raw = []
-    best_key = None
-    best_h2 = None
-    i = 0
-    while i < len(pool):
-        h2 = pool[i][0]
-        g = pool[i]
-        j = i + 1
-        while j < len(pool) and pool[j][0] == h2:
-            if engine.less(pool[j][2], h2, g[2], h2):
-                g = pool[j]
-            j += 1
-        if best_key is None or engine.less(g[2], h2, best_key, best_h2):
-            raw.append(g)
-            best_key, best_h2 = g[2], h2
-        i = j
+    for _h2, level in groupby(pool, key=itemgetter(0)):
+        best = next(level)
+        for row in level:
+            if less(row, best):
+                best = row
+        if not raw or less(best, raw[-1]):
+            raw.append(best)
     return raw
 
 
-def _records_from_raw(
-    raw: list, engine, j_index: int
-) -> list[ApproximationRecord]:
-    records = []
-    for h2, vec, _key, lo2, hi2 in raw:
-        # the engine scale cancels in both ratios
-        psi_lo, psi_hi = _sqrt_interval(
-            Fraction(lo2, h2 * engine.u2_hi), Fraction(hi2, h2 * engine.u2_lo)
-        )
-        sub = exact.RationalSubspace.from_basis([[c] for c in vec])
-        records.append(
-            ApproximationRecord(
-                subspace=sub,
-                height_squared=h2,
-                psi_lo=psi_lo,
-                psi_hi=psi_hi,
-                j_index=j_index,
-                source=SOURCE_ENUMERATED,
-            )
-        )
-    return records
+def _line(vec: tuple[int, ...]) -> exact.RationalSubspace:
+    return exact.RationalSubspace.from_basis([[c] for c in vec])
 
 
 def _raise_meeting(vec: tuple[int, ...], scanned: int) -> None:
@@ -464,6 +407,7 @@ def _raise_meeting(vec: tuple[int, ...], scanned: int) -> None:
         f"enumerated line {vec} meets the target exactly"
     )
     err.vector = vec
+    err.subspace = _line(vec)
     err.scanned = scanned
     raise err
 
@@ -524,8 +468,7 @@ def _scan_lines(
             pool.append((h2, vec, *engine.ambient(key, lo2, hi2, z2)))
     # (h2, vector) is unique per row, so the sort never compares keys
     pool.sort()
-
-    raw = _sweep_pool(pool, engine)
+    raw = _sweep_pool(pool, engine.less)
     margin2 = _MARGIN * _MARGIN
     for idx, (h2, _vec, _key, _lo2, hi2) in enumerate(raw):
         window = raw[idx + 1][0] if idx + 1 < len(raw) else hmax2
@@ -545,15 +488,43 @@ def _scan_lines(
                 f"record at squared height {h2} is not certified up to {window};"
                 " raise the exhaustive zone"
             )
-    return _records_from_raw(raw, engine, j_index=1), len(pool)
+    # the engine scale cancels in both ratios
+    records = [
+        ApproximationRecord(
+            _line(vec),
+            h2,
+            *_sqrt_interval(
+                Fraction(lo2, h2 * engine.u2_hi), Fraction(hi2, h2 * engine.u2_lo)
+            ),
+            j_index=1,
+        )
+        for h2, vec, _key, lo2, hi2 in raw
+    ]
+    return records, len(pool)
+
+
+_LINE_TARGETS = (RationalLineTarget, QuadraticLineTarget)
+
+
+def _line_scan(
+    target, spec, j_index: int, zone: int
+) -> tuple[list[ApproximationRecord], int]:
+    """The line-target gate of both scans: plane lines in an EnumSpec window,
+    first sine only.  Returns the records and the pool size."""
+    if not isinstance(spec, EnumSpec):
+        raise ParameterError("fast line scans need an EnumSpec window")
+    if (spec.n, spec.e) != (2, 1):
+        raise StrategyMismatchError("line targets scan lines in the plane")
+    if j_index != 1:
+        raise ParameterError("a line has a single proximity sine")
+    return _scan_lines(target, spec.height_squared_max, zone)
 
 
 def scan_line_records(
     target, height_squared_max: int, zone: int = DEFAULT_ZONE
 ) -> list[ApproximationRecord]:
     """Records of every primitive plane line against a line target."""
-    records, _ = _scan_lines(target, height_squared_max, zone)
-    return records
+    return _scan_lines(target, height_squared_max, zone)[0]
 
 
 def scan_embedded_line_records(
@@ -565,12 +536,11 @@ def scan_embedded_line_records(
     ambient_zone: int = DEFAULT_AMBIENT_ZONE,
 ) -> list[ApproximationRecord]:
     """Records of every primitive line in n-space against an embedded target."""
-    records, _ = _scan_lines(target, height_squared_max, zone, n, axes, ambient_zone)
-    return records
+    return _scan_lines(target, height_squared_max, zone, n, axes, ambient_zone)[0]
 
 
 # ---------------------------------------------------------------------------
-# generic scanner
+# generic profile stream
 
 
 def _coerce_target(target) -> RealBasis:
@@ -584,10 +554,34 @@ def _coerce_target(target) -> RealBasis:
     return RealBasis.from_exact(rows)
 
 
-def _iter_enumeration(spec) -> Iterator[exact.RationalSubspace]:
-    if isinstance(spec, EnumSpec):
-        return enumerate_subspaces(spec)
-    return iter(spec)
+def _profiles(
+    target, spec, j_index: int, ctx: PrecisionContext | None
+) -> Iterator[tuple[exact.RationalSubspace, object, object]]:
+    """(subspace, lo, hi) bracketing the j-th sine of every enumerated
+    subspace against the target, in enumeration order.
+
+    An interval stuck at zero raises IrrationalityViolationError carrying
+    the subspace and the count scanned up to and including it.
+    """
+    basis = _coerce_target(target)
+    subs = enumerate_subspaces(spec) if isinstance(spec, EnumSpec) else spec
+    k = j_index - 1
+    for scanned, sub in enumerate(subs, start=1):
+        limit = min(basis.d, sub.e)
+        if not 1 <= j_index <= limit:
+            raise ParameterError(
+                f"sine index {j_index} is out of range for {limit} angles"
+            )
+        prof = angles_adaptive(basis, RealBasis.from_subspace(sub), ctx)
+        if not prof.resolved[k]:
+            err = IrrationalityViolationError(
+                f"subspace {sub.pluecker.coords} is indistinguishable from the"
+                " target at the precision cap"
+            )
+            err.subspace = sub
+            err.scanned = scanned
+            raise err
+        yield sub, prof.lo[k], prof.hi[k]
 
 
 def scan_records(
@@ -599,7 +593,7 @@ def scan_records(
 ) -> list[ApproximationRecord]:
     """Record scan of an enumeration stream against a target span.
 
-    Line targets paired with a plane window take the certified fast path,
+    Line targets paired with a plane window take the certified line scan,
     which always covers every primitive line up to the bound.  Otherwise
     every enumerated subspace gets an adaptive angle interval and the
     running minimum is taken over the upper endpoints; an interval stuck at
@@ -607,64 +601,26 @@ def scan_records(
     iterable of rational subspaces (shard outputs can be chained; the sweep
     sorts by height, so merging scans is an order-independent min-reduction).
     """
-    if isinstance(target, (RationalLineTarget, QuadraticLineTarget)):
-        if not isinstance(spec, EnumSpec):
-            raise ParameterError("fast line scans need an EnumSpec window")
-        if (spec.n, spec.e) != (2, 1):
-            raise StrategyMismatchError("line targets scan lines in the plane")
-        if j_index != 1:
-            raise ParameterError("a line has a single proximity sine")
-        return scan_line_records(target, spec.height_squared_max, zone=zone)
-
-    basis = _coerce_target(target)
-    pool = []
-    for sub in _iter_enumeration(spec):
-        limit = min(basis.d, sub.e)
-        if not 1 <= j_index <= limit:
-            raise ParameterError(
-                f"sine index {j_index} is out of range for {limit} angles"
-            )
-        prof = angles_adaptive(basis, RealBasis.from_subspace(sub), ctx)
-        if not prof.resolved[j_index - 1]:
-            err = IrrationalityViolationError(
-                f"subspace {sub.pluecker.coords} is indistinguishable from the"
-                " target at the precision cap"
-            )
-            err.subspace = sub
-            raise err
-        pool.append(
-            (
-                sub.pluecker.height_squared,
-                prof.hi[j_index - 1],
-                prof.lo[j_index - 1],
-                sub.pluecker.coords,
-                sub,
-            )
+    if isinstance(target, _LINE_TARGETS):
+        return _line_scan(target, spec, j_index, zone)[0]
+    pool = [
+        (sub.pluecker.height_squared, sub.pluecker.coords, hi, lo, sub)
+        for sub, lo, hi in _profiles(target, spec, j_index, ctx)
+    ]
+    # by (h2, coords) alone: subspaces have no order, and a subspace that
+    # chained shards repeat keeps its stream order
+    pool.sort(key=itemgetter(0, 1))
+    return [
+        ApproximationRecord(
+            subspace=sub,
+            height_squared=h2,
+            psi_lo=_float_down(lo),
+            psi_hi=_float_up(hi),
+            j_index=j_index,
+            source=SOURCE_ENUMERATED,
         )
-    pool.sort(key=lambda row: (row[0], row[1], row[3]))
-
-    records = []
-    best_hi = None
-    i = 0
-    while i < len(pool):
-        h2, hi, lo, _coords, sub = pool[i]
-        if best_hi is None or hi < best_hi:
-            records.append(
-                ApproximationRecord(
-                    subspace=sub,
-                    height_squared=h2,
-                    psi_lo=_float_down(lo),
-                    psi_hi=_float_up(hi),
-                    j_index=j_index,
-                    source=SOURCE_ENUMERATED,
-                )
-            )
-            best_hi = hi
-        j = i + 1
-        while j < len(pool) and pool[j][0] == h2:
-            j += 1
-        i = j
-    return records
+        for h2, _coords, hi, lo, sub in _sweep_pool(pool, lambda a, b: a[2] < b[2])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +802,6 @@ def exclusivity_check(
     zone: int = DEFAULT_ZONE,
     band_factor: float = 10.0,
     deviation_tol: float = 0.1,
-    prefer_fast: bool = True,
 ) -> ExclusivityReport:
     """Check that beyond burn-in only convergents set competitive records."""
     if nmax < 1:
@@ -865,11 +820,11 @@ def exclusivity_check(
             burn_in_h2 = devs[n_index - 1][0].height_squared
             break
 
-    if prefer_fast and params.ell == 1 and spec.strategy == EXACT_LINES:
+    if params.ell == 1 and spec.strategy == EXACT_LINES:
         target = line_target_for_instance(
             params, height_squared_max=spec.height_squared_max, stream=stream
         )
-        records = scan_line_records(target, spec.height_squared_max, zone=zone)
+        records = scan_records(target, spec, zone=zone)
     else:
         depth = nmax + 2
         gens = build_generators(params, depth, stream)
@@ -997,71 +952,46 @@ def irrationality_scan(
     ctx: PrecisionContext | None = None,
     zone: int = DEFAULT_ZONE,
 ) -> IrrationalityReport:
-    """Scan a window for the least certified angle against the target."""
-    if isinstance(target, (RationalLineTarget, QuadraticLineTarget)):
-        if not isinstance(spec, EnumSpec):
-            raise ParameterError("fast line scans need an EnumSpec window")
-        if (spec.n, spec.e) != (2, 1):
-            raise StrategyMismatchError("line targets scan lines in the plane")
-        try:
-            records, scanned = _scan_lines(target, spec.height_squared_max, zone)
-        except IrrationalityViolationError as err:
-            offender = exact.RationalSubspace.from_basis([[c] for c in err.vector])
-            return IrrationalityReport(
-                j_index=1,
-                scanned=err.scanned,
-                certified_exhaustive=True,
-                min_psi_lower=0.0,
-                witness=None,
-                offender=offender,
-                ok=False,
-            )
-        last = records[-1]
-        return IrrationalityReport(
-            j_index=1,
-            scanned=scanned,
-            certified_exhaustive=True,
-            min_psi_lower=last.psi_lo,
-            witness=last.subspace,
-            offender=None,
-            ok=last.psi_lo > 0.0,
-        )
+    """Scan a window for the least certified angle against the target.
 
-    basis = _coerce_target(target)
-    exhaustive = not (isinstance(spec, EnumSpec) and spec.strategy == BASIS_BOX)
-    min_lo = None
-    witness = None
-    scanned = 0
-    for sub in _iter_enumeration(spec):
-        limit = min(basis.d, sub.e)
-        if not 1 <= j_index <= limit:
-            raise ParameterError(
-                f"sine index {j_index} is out of range for {limit} angles"
-            )
-        scanned += 1
-        prof = angles_adaptive(basis, RealBasis.from_subspace(sub), ctx)
-        if not prof.resolved[j_index - 1]:
-            return IrrationalityReport(
-                j_index=j_index,
-                scanned=scanned,
-                certified_exhaustive=exhaustive,
-                min_psi_lower=0.0,
-                witness=None,
-                offender=sub,
-                ok=False,
-            )
-        lo = prof.lo[j_index - 1]
-        if min_lo is None or lo < min_lo:
-            min_lo = lo
-            witness = sub
-    if min_lo is None:
-        raise InsufficientRecordsError("the enumeration window is empty")
+    Line targets read it off the last record of the line scan; other
+    targets take the first strict minimum of the lower endpoints in
+    enumeration order.
+    """
+    line = isinstance(target, _LINE_TARGETS)
+    exhaustive = line or not (isinstance(spec, EnumSpec) and spec.strategy == BASIS_BOX)
+    try:
+        if line:
+            records, scanned = _line_scan(target, spec, j_index, zone)
+            witness = records[-1].subspace
+            min_psi = records[-1].psi_lo
+            ok = min_psi > 0.0
+        else:
+            min_lo = None
+            for scanned, (sub, lo, _hi) in enumerate(
+                _profiles(target, spec, j_index, ctx), start=1
+            ):
+                if min_lo is None or lo < min_lo:
+                    min_lo, witness = lo, sub
+            if min_lo is None:
+                raise InsufficientRecordsError("the enumeration window is empty")
+            min_psi, ok = _float_down(min_lo), min_lo > 0
+    except IrrationalityViolationError as err:
+        return IrrationalityReport(
+            j_index=j_index,
+            scanned=err.scanned,
+            certified_exhaustive=exhaustive,
+            min_psi_lower=0.0,
+            witness=None,
+            offender=err.subspace,
+            ok=False,
+        )
     return IrrationalityReport(
         j_index=j_index,
         scanned=scanned,
         certified_exhaustive=exhaustive,
-        min_psi_lower=_float_down(min_lo),
+        min_psi_lower=min_psi,
         witness=witness,
         offender=None,
-        ok=min_lo > 0,
+        ok=ok,
     )

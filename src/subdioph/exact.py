@@ -11,8 +11,9 @@ heights squared so everything stays in exact integer arithmetic.
 Reading a basis back from a label (pluecker_decode, and the hyperplane
 bases of the enumeration) goes through rational_kernel, a fraction-free
 elimination on integer rows, so a decoded basis never touches Fraction.
-Fraction arithmetic remains for user-supplied rational matrices (rank,
-determinants with rational entries, clearing column denominators).
+Rank, inverse and determinants above 3 x 3 run on the same integer rows
+(rational rows are scaled to integers first); Fraction arithmetic remains
+for small closed-form determinants and for clearing column denominators.
 """
 
 from __future__ import annotations
@@ -109,10 +110,14 @@ def determinant(m: Matrix) -> Scalar:
     if r == 3:
         (a, b, cc), (d, e, f), (g, h, i) = m
         return a * (e * i - f * h) - b * (d * i - f * g) + cc * (d * h - e * g)
-    # fraction-free Gaussian elimination (Bareiss) on a working copy
+    # fraction-free Gaussian elimination (Bareiss) on integer rows; rational
+    # rows are scaled to integers and the scales divided out at the end
     work = [list(row) for row in m]
+    scale = None
     if _has_fraction(work):
-        return _determinant_fraction(work)
+        scaled = [_integer_row(row) for row in work]
+        work = [row for row, _s in scaled]
+        scale = math.prod(s for _row, s in scaled)
     sign = 1
     prev = 1
     for k in range(r - 1):
@@ -123,53 +128,40 @@ def determinant(m: Matrix) -> Scalar:
                     sign = -sign
                     break
             else:
-                return 0
+                sign = 0  # singular
+                break
         for i in range(k + 1, r):
             for j in range(k + 1, r):
                 work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
             work[i][k] = 0
         prev = work[k][k]
-    return sign * work[-1][-1]
-
-
-def _determinant_fraction(work: list[list[Scalar]]) -> Fraction:
-    n = len(work)
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if work[i][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            det = -det
-        pivot = Fraction(work[k][k])
-        det *= pivot
-        for i in range(k + 1, n):
-            factor = Fraction(work[i][k]) / pivot
-            if factor:
-                work[i] = [x - factor * y for x, y in zip(work[i], work[k])]
-    return det
+    det = sign * work[-1][-1]
+    return det if scale is None else Fraction(det, scale)
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank via fraction elimination."""
-    work = [[Fraction(x) for x in row] for row in m]
-    rows, cols = len(work), len(work[0])
-    r = 0
-    for j in range(cols):
-        pivot_row = next((i for i in range(r, rows) if work[i][j] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pivot = work[r][j]
-        for i in range(rows):
-            if i != r and work[i][j] != 0:
-                factor = work[i][j] / pivot
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    """Exact rank: the column count less the kernel dimension."""
+    return len(m[0]) - len(rational_kernel(m))
+
+
+def inverse(m: Matrix) -> Matrix:
+    """Exact inverse of a square rational matrix.
+
+    The kernel of [M | -I] holds the pairs (x, Mx); its vector at identity
+    column j is a multiple of (column j of the inverse, e_j).
+    """
+    n, c = shape(m)
+    if n != c:
+        raise ShapeError("only square matrices invert")
+    kernel = rational_kernel(
+        [list(row) + [-int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    )
+    for j, v in enumerate(kernel):
+        if v[n + j] == 0 or any(v[n + k] for k in range(n) if k != j):
+            raise DegenerateBasisError("matrix is singular")
+    return as_matrix(
+        [[Fraction(v[i], v[n + j]) for j, v in enumerate(kernel)] for i in range(n)]
+    )
 
 
 def rational_kernel(m: Iterable[Sequence[Scalar]]) -> list[tuple[int, ...]]:
@@ -217,11 +209,16 @@ def rational_kernel(m: Iterable[Sequence[Scalar]]) -> list[tuple[int, ...]]:
     return basis
 
 
+def _integer_row(row: Sequence[Scalar]) -> tuple[list[int], int]:
+    """A rational row times the lcm of its denominators, and that lcm."""
+    scale = math.lcm(*(Fraction(x).denominator for x in row))
+    return [int(x * scale) for x in row], scale
+
+
 def _primitive_row(row: Sequence[Scalar]) -> list[int]:
     """A row scaled to coprime integers (a zero row stays zero)."""
     if _has_fraction((row,)):
-        scale = math.lcm(*(Fraction(x).denominator for x in row))
-        row = [int(x * scale) for x in row]
+        row = _integer_row(row)[0]
     g = math.gcd(*row)
     return [x // g for x in row] if g > 1 else list(row)
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import exact
 from .angles import PrecisionContext
@@ -146,29 +146,6 @@ def height_distortion_constant(phi: RationalMap, e: int) -> Fraction:
     return k_e * ceil_sqrt(frob2)
 
 
-def _rational_inverse(m: exact.Matrix) -> exact.Matrix:
-    """Exact inverse of a square rational matrix by elimination."""
-    rows, cols = exact.shape(m)
-    if rows != cols:
-        raise ShapeError("only square matrices invert")
-    work = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(rows)]
-        for i, row in enumerate(m)
-    ]
-    for col in range(rows):
-        pivot = next((i for i in range(col, rows) if work[i][col] != 0), None)
-        if pivot is None:
-            raise DimensionCollapseError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for i in range(rows):
-            if i != col and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[col])]
-    return exact.as_matrix([row[rows:] for row in work])
-
-
 def section_of(phi: RationalMap, f_subspace: exact.RationalSubspace) -> RationalMap:
     """The right inverse of phi landing in a subspace it maps bijectively.
 
@@ -184,7 +161,7 @@ def section_of(phi: RationalMap, f_subspace: exact.RationalSubspace) -> Rational
     restricted = exact.mat_mul(phi.matrix, f_subspace.basis)
     if exact.rank(restricted) < f_subspace.e:
         raise DimensionCollapseError("map does not restrict invertibly")
-    section = exact.mat_mul(f_subspace.basis, _rational_inverse(restricted))
+    section = exact.mat_mul(f_subspace.basis, exact.inverse(restricted))
     return RationalMap.from_rows(section)
 
 

@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -31,7 +33,7 @@ from subdioph.construction import (
     xi_truncation,
 )
 from subdioph.errors import CertificationFailure, ParameterError
-from subdioph import exact
+from subdioph import construction, exact
 
 
 PINNED = FixedDigitStream((2, 3, 2))
@@ -82,6 +84,40 @@ def test_theta_for_known_values():
         # nothing prime strictly between the bound and theta
         for q in range(theta_lower_bound(ell) + 1, theta):
             assert not sympy.isprime(q)
+
+
+def test_is_prime_matches_sympy():
+    for n in range(10**5):
+        assert construction._is_prime(n) == sympy.isprime(n), n
+    rng = random.Random(80)
+    for _ in range(2000):
+        n = rng.getrandbits(80) | (1 << 79)
+        assert construction._is_prime(n) == sympy.isprime(n), n
+    # psi_12: composite, yet a strong probable prime to every base up to 37
+    assert not construction._is_prime(318665857834031151167461)
+
+
+def test_theta_for_unchanged_up_to_proof_limit():
+    for ell in range(1, 12):
+        assert theta_for(ell) == sympy.nextprime(theta_lower_bound(ell))
+
+
+def test_theta_without_primality_proof_rejected():
+    with pytest.raises(ParameterError, match="proved only below"):
+        theta_for(12)
+    with pytest.raises(ParameterError, match="not an integer"):
+        ConstructionParams.create(ell=1, beta=Fraction(3), theta=53.0)
+    big_prime = sympy.nextprime(10**25)
+    with pytest.raises(ParameterError, match="proved only below"):
+        ConstructionParams.create(ell=1, beta=Fraction(3), theta=big_prime)
+
+
+def test_import_leaves_sympy_out():
+    code = "import sys, subdioph, subdioph.cli; print('sympy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_theta_admissibility():

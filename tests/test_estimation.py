@@ -1,5 +1,6 @@
 """Tests for record scans, exponent estimation, and exclusivity reports."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -43,37 +44,21 @@ def finite_params():
 
 class TestQuadraticValue:
     def test_sign_cases(self):
-        QV = est.QuadraticValue
-        assert QV(Fraction(1), Fraction(1), 5).sign() == 1
-        assert QV(Fraction(-1), Fraction(-1), 5).sign() == -1
-        assert QV(Fraction(0), Fraction(0), 5).sign() == 0
-        # 9/4 - sqrt(5) > 0 because 81/16 > 5
-        assert QV(Fraction(9, 4), Fraction(-1), 5).sign() == 1
+        # exact sign of m + n sqrt(d), as the quadratic line engine compares
+        sign = est._surd_sign
+        assert sign(1, 1, 5) == 1
+        assert sign(-1, -1, 5) == -1
+        assert sign(0, 0, 5) == 0
+        assert sign(7, 0, 5) == 1
+        assert sign(0, -3, 5) == -1
+        # 9 - 4 sqrt(5) > 0 because 81 > 80
+        assert sign(9, -4, 5) == 1
         # 2 - sqrt(5) < 0 because 4 < 5
-        assert QV(Fraction(2), Fraction(-1), 5).sign() == -1
+        assert sign(2, -1, 5) == -1
         # -2 + sqrt(5) > 0
-        assert QV(Fraction(-2), Fraction(1), 5).sign() == 1
-        # -9/4 + sqrt(5) < 0
-        assert QV(Fraction(-9, 4), Fraction(1), 5).sign() == -1
-
-    def test_root_bracket_encloses(self):
-        for d in (2, 3, 5, 7, 13):
-            lo, hi = est.root_bracket(d, bits=64)
-            assert lo * lo <= d <= hi * hi
-            assert hi - lo == Fraction(1, 2**64)
-
-    def test_bracket_direction(self):
-        lo, hi = est.root_bracket(5, bits=64)
-        v = est.QuadraticValue(Fraction(1), Fraction(-2), 5)
-        a, b = v.bracket(lo, hi)
-        assert a <= b
-        assert a == 1 - 2 * hi and b == 1 - 2 * lo
-
-    def test_squared(self):
-        v = est.QuadraticValue(Fraction(1, 2), Fraction(1, 2), 5)
-        sq = v.squared()
-        # ((1 + sqrt 5)/2)^2 = (3 + sqrt 5)/2
-        assert sq == est.QuadraticValue(Fraction(3, 2), Fraction(1, 2), 5)
+        assert sign(-2, 1, 5) == 1
+        # -9 + 4 sqrt(5) < 0
+        assert sign(-9, 4, 5) == -1
 
 
 class TestTargets:
@@ -90,12 +75,6 @@ class TestTargets:
             est.QuadraticLineTarget(Fraction(1), Fraction(1), 9)
         with pytest.raises(ParameterError):
             est.QuadraticLineTarget(Fraction(1), Fraction(1), 1)
-
-    def test_golden_slope_bracket(self):
-        lo, hi = est.golden_line_target().slope_bracket()
-        assert lo < hi
-        assert abs(float(lo) - 1.618033988749895) < 1e-12
-        assert hi - lo < Fraction(1, 2**190)
 
     def test_instance_target(self, finite_params):
         target = est.line_target_for_instance(finite_params, height_squared_max=10**8)
@@ -276,6 +255,20 @@ class TestGenericScan:
         assert [r.subspace for r in a] == [r.subspace for r in b]
         assert [r.psi_hi for r in a] == [r.psi_hi for r in b]
 
+    def test_repeated_subspace_in_chained_shards(self):
+        # shards may overlap; a repeated subspace must not change the records
+        spec = EnumSpec(n=3, e=2, height_squared_max=14, strategy=EXACT_LINES)
+        target = [[1, 0], [0, 1], [Fraction(1, 3), Fraction(1, 7)]]
+        subs = list(enumerate_subspaces(spec))
+        expected = est.scan_records(target, spec, j_index=2)
+        repeat = expected[-1].subspace
+        chained = itertools.chain(subs[:5], [repeat], subs[5:])
+        records = est.scan_records(target, chained, j_index=2)
+        assert [r.subspace for r in records] == [r.subspace for r in expected]
+        assert [(r.psi_lo, r.psi_hi) for r in records] == [
+            (r.psi_lo, r.psi_hi) for r in expected
+        ]
+
     def test_rational_plane_meeting_raises(self):
         spec = EnumSpec(n=3, e=2, height_squared_max=3, strategy=EXACT_LINES)
         target = [[1, 0], [0, 1], [0, 0]]
@@ -421,11 +414,10 @@ class TestExclusivity:
     def test_generic_path_matches_fast(self, finite_params):
         spec = EnumSpec(n=2, e=1, height_squared_max=500, strategy=EXACT_LINES)
         fast = est.exclusivity_check(finite_params, nmax=2, spec=spec)
-        slow = est.exclusivity_check(
-            finite_params, nmax=2, spec=spec, prefer_fast=False
+        slow = est.scan_records(
+            con.build_generators(finite_params, 4).real_basis(), spec
         )
-        assert [r.subspace for r in fast.records] == [r.subspace for r in slow.records]
-        assert fast.burn_in_index == slow.burn_in_index
+        assert [r.subspace for r in fast.records] == [r.subspace for r in slow]
 
     def test_inflated_band_flags_interlopers(self, finite_params):
         # with an absurdly wide band, ordinary continued-fraction records
@@ -464,6 +456,13 @@ class TestIrrationality:
         assert not rep.ok
         assert rep.offender.pluecker.coords == (1, 0)
         assert rep.min_psi_lower == 0.0
+
+    def test_line_target_rejects_j_index(self):
+        spec = EnumSpec(n=2, e=1, height_squared_max=400, strategy=EXACT_LINES)
+        with pytest.raises(ParameterError):
+            est.irrationality_scan(est.golden_line_target(), spec, j_index=3)
+        with pytest.raises(ParameterError):
+            est.scan_records(est.golden_line_target(), spec, j_index=3)
 
     def test_generic_offender(self):
         spec = EnumSpec(n=2, e=1, height_squared_max=9, strategy=EXACT_LINES)

@@ -21,6 +21,7 @@ from subdioph.exact import (
     determinant,
     generalized_determinant_squared,
     height_squared,
+    inverse,
     is_primitive_basis,
     mat_mul,
     padic_valuation,
@@ -246,3 +247,106 @@ def test_determinant_bareiss_matches_cofactor():
             sub = [row[:j] + row[j + 1 :] for row in m[1:]]
             ref += (-1) ** j * m[0][j] * determinant(as_matrix(sub))
         assert determinant(as_matrix(m)) == ref
+
+
+# ---------------------------------------------------------------------------
+# rank, determinant and inverse against Fraction references
+
+
+def reference_rank(m):
+    work = [[Fraction(x) for x in row] for row in m]
+    rows, cols = len(work), len(work[0])
+    r = 0
+    for j in range(cols):
+        p = next((i for i in range(r, rows) if work[i][j] != 0), None)
+        if p is None:
+            continue
+        work[r], work[p] = work[p], work[r]
+        for i in range(rows):
+            if i != r and work[i][j] != 0:
+                f = work[i][j] / work[r][j]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def reference_determinant(m):
+    """Fraction Gaussian elimination; a Fraction for any rational input."""
+    work = [[Fraction(x) for x in row] for row in m]
+    n = len(work)
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if work[i][k] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            work[k], work[p] = work[p], work[k]
+            det = -det
+        det *= work[k][k]
+        for i in range(k + 1, n):
+            f = work[i][k] / work[k][k]
+            work[i] = [x - f * y for x, y in zip(work[i], work[k])]
+    return det
+
+
+def reference_inverse(m):
+    """Gauss-Jordan on [M | I]; None when M is singular."""
+    n = len(m)
+    work = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(m)
+    ]
+    for col in range(n):
+        p = next((i for i in range(col, n) if work[i][col] != 0), None)
+        if p is None:
+            return None
+        work[col], work[p] = work[p], work[col]
+        inv = 1 / work[col][col]
+        work[col] = [x * inv for x in work[col]]
+        for i in range(n):
+            if i != col and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[col])]
+    return as_matrix([row[n:] for row in work])
+
+
+def random_rational_matrix(rng, rows, cols):
+    span = rng.choice((1, 3, 40))
+    rational = rng.random() < 0.5
+
+    def entry():
+        num = rng.randint(-span, span)
+        return Fraction(num, rng.randint(1, 9)) if rational else num
+
+    m = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and rng.random() < 0.3:
+        # a dependent row
+        k = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        m[rng.randrange(1, rows)] = [k * x for x in m[0]]
+    return m
+
+
+def test_elimination_matches_fraction_references():
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        square = random_rational_matrix(rng, n, n)
+        wide = random_rational_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
+        assert rank(wide) == reference_rank(wide), wide
+        assert rank(square) == reference_rank(square), square
+        frozen = as_matrix(square)
+        if n >= 4:
+            # the closed forms below 4 x 4 are not elimination
+            got = determinant(frozen)
+            want = reference_determinant(square)
+            if not any(isinstance(x, Fraction) for row in frozen for x in row):
+                want = int(want)
+            assert repr(got) == repr(want), square
+        want_inv = reference_inverse(square)
+        if want_inv is None:
+            with pytest.raises(DegenerateBasisError):
+                inverse(frozen)
+        else:
+            assert repr(inverse(frozen)) == repr(want_inv), square
