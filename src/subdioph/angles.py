@@ -16,6 +16,14 @@ a proof.  Every other pair (float or evaluator bases, or t >= 3) goes
 through an mpmath Gram-Schmidt and SVD repeated at doubled precision until
 two consecutive runs agree to the requested relative error.
 
+A pair with t = 1 and d + e <= n has the squared sine
+|X_A /\\ X_B|^2 / (|X_A|^2 |X_B|^2) in its labels X (Cauchy-Binet), the same
+rational that the Gram and bordered determinants give.  sine_from_squared
+brackets it as the exact path does, so record scans take single-angle
+sines from labels without building a basis.  Every bracket's scale
+depends on the value of the squared sine, not on the integers that write
+it, so two bases of one subspace get identical brackets.
+
 resolved=False marks a sine that is not separated from zero and carries
 the bracket [0, 2^-(bits_used/4)].  On the exact path that happens only
 for an exactly-zero sine (a shared direction); every nonzero sine is
@@ -317,18 +325,45 @@ def _is_exact_pair(a: RealBasis, b: RealBasis) -> bool:
     )
 
 
-def _exact_profile(
-    a: RealBasis, b: RealBasis, bits_used: int, target_rel_err: Fraction | None = None
-) -> AngleProfile:
-    """Profile of an exact pair with t <= 2; rel_err_bound is 2^-bits, where
-    bits is bits_used or more when target_rel_err asks for it."""
-    bits = bits_used
-    if target_rel_err is not None and target_rel_err > 0:
-        inverse = target_rel_err.denominator // target_rel_err.numerator
-        bits = max(bits, inverse.bit_length())
+def _exact_profile(a: RealBasis, b: RealBasis, bits_used: int, bits: int) -> AngleProfile:
+    """Profile of an exact pair with t <= 2, with rel_err_bound 2^-bits."""
     # brackets computed at bits + 4 have relative width below 2^-bits
     brackets = _exact_brackets(a, b, bits + 4)
     return _profile(_pair_dimension(a, b), brackets, mp.ldexp(1, -bits), bits_used)
+
+
+def exact_relative_bits(ctx: PrecisionContext | None = None) -> int:
+    """b such that angles_adaptive brackets every sine psi of an exact pair
+    with t <= 2 inside (psi (1 - 2^-b), psi (1 + 2^-b)): twice ctx.bits, or
+    more when ctx.target_rel_err asks for it.
+
+    Raises PrecisionExhaustedError where angles_adaptive would.
+    """
+    ctx = ctx or PrecisionContext()
+    bits = 2 * ctx.bits
+    if bits > ctx.max_bits:
+        raise PrecisionExhaustedError(
+            f"no agreement at {ctx.bits} bits (cap {ctx.max_bits})"
+        )
+    rel = ctx.target_rel_err
+    if rel is not None and rel > 0:
+        bits = max(bits, (rel.denominator // rel.numerator).bit_length())
+    return bits
+
+
+def sine_from_squared(num: int, den: int, bits: int) -> tuple | None:
+    """(lo, hi) around sqrt(num / den) for integers num >= 0 and den > 0, or
+    None when num is 0.
+
+    With bits from exact_relative_bits(ctx), this is the bracket that
+    angles_adaptive(a, b, ctx) reports for an exact pair with t = 1 whose
+    squared sine is num / den: it depends on the value alone, however the
+    fraction is written.
+    """
+    if num == 0:
+        return None
+    lo, _mid, hi = _sqrt_bracket(_point(num, den), _sqrt_scale(num, den, bits + 4))
+    return lo, hi
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -347,9 +382,32 @@ def _scaled_isqrt(num: int, den: int, k: int, up: bool) -> int:
     return root
 
 
+def _leading(x: int, length: int, width: int) -> int:
+    """The leading width bits of a positive integer of bit length length."""
+    return x >> (length - width) if length > width else x << (width - length)
+
+
+def _log2_floor(num: int, den: int) -> int:
+    """floor(log2(num / den)) for positive integers num and den."""
+    len_num, len_den = num.bit_length(), den.bit_length()
+    e = len_num - len_den
+    # num / den lies in (2^(e-1), 2^(e+1)); it is at least 2^e exactly when
+    # num >= den * 2^e, which their leading bits decide unless they tie
+    top_num, top_den = _leading(num, len_num, 64), _leading(den, len_den, 64)
+    if top_num == top_den:
+        at_least = num >= den << e if e >= 0 else num << -e >= den
+    else:
+        at_least = top_num > top_den
+    return e if at_least else e - 1
+
+
 def _sqrt_scale(num: int, den: int, prec: int) -> int:
-    """Scale k that puts sqrt(num / den) * 2^k in [2^(prec-2), 2^prec)."""
-    return prec - (num.bit_length() - den.bit_length() + 2) // 2
+    """Scale k that puts sqrt(num / den) * 2^k in [2^(prec-2), 2^prec).
+
+    k depends on the value of num / den alone, not on how the fraction is
+    written, so every representation of one sine gets the same bracket.
+    """
+    return prec - (_log2_floor(num, den) + 3) // 2
 
 
 def _sqrt_bracket(interval: tuple[int, int, int, int], k: int) -> tuple:
@@ -437,7 +495,7 @@ def principal_angles(a: RealBasis, b: RealBasis, bits: int = DEFAULT_BITS) -> An
     angles_adaptive for a measured bound.
     """
     if _is_exact_pair(a, b):
-        return _exact_profile(a, b, bits)
+        return _exact_profile(a, b, bits, bits)
     t = _pair_dimension(a, b)
     with mp.workprec(bits + 32):
         sines = _sines_at(a, b, bits)
@@ -503,11 +561,7 @@ def angles_adaptive(
     ctx = ctx or PrecisionContext()
     bits = ctx.bits
     if _is_exact_pair(a, b):
-        if 2 * bits > ctx.max_bits:
-            raise PrecisionExhaustedError(
-                f"no agreement at {bits} bits (cap {ctx.max_bits})"
-            )
-        return _exact_profile(a, b, 2 * bits, ctx.target_rel_err)
+        return _exact_profile(a, b, 2 * bits, exact_relative_bits(ctx))
     t = _pair_dimension(a, b)
     target = _mpf_of_fraction(ctx.target_rel_err, 64)
     prev = _sines_at(a, b, bits)

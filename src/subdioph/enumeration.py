@@ -11,8 +11,10 @@ complete by construction.  BASIS_BOX walks integer bases in a coordinate
 box and dedupes by normalized coordinates; it is a heuristic explorer, not
 a complete census, and callers are expected to surface its disclaimer.
 
-Lines and planes in R^4 are emitted from their labels; a plane's basis is
-decoded only on first access to .basis.
+Every exact strategy emits subspaces from their labels.  A line is its own
+label; a hyperplane's label is its primitive normal reversed with
+alternating signs; a plane in R^4 is a point of the Pluecker quadric.
+Hyperplane and plane bases are decoded only on first access to .basis.
 """
 
 from __future__ import annotations
@@ -176,18 +178,23 @@ def _lines_at(spec: EnumSpec, lead: int) -> Iterator[exact.RationalSubspace]:
 
 
 def _hyperplanes_at(spec: EnumSpec, lead: int) -> Iterator[exact.RationalSubspace]:
-    for normal, norm_sq in _primitive_with_leading(
-        spec.n, spec.height_squared_max, lead
-    ):
-        sub = exact.RationalSubspace.from_basis(
-            exact.transpose(exact.rational_kernel([normal]))
-        )
-        if sub.pluecker.height_squared != norm_sq:
-            raise SubdiophError(
-                "height of a normal-vector subspace disagrees with its "
-                "coordinate norm; enumeration completeness is broken"
-            )
-        yield sub
+    n = spec.n
+    for normal, _ in _primitive_with_leading(n, spec.height_squared_max, lead):
+        yield exact.RationalSubspace(_hyperplane_label(n, normal))
+
+
+def _hyperplane_label(n: int, normal: tuple[int, ...]) -> exact.PlueckerVector:
+    """Label of the hyperplane orthogonal to a primitive normal.
+
+    The minor that omits row i of a basis is +-(-1)^i normal[i], and the
+    lexicographic row sets omit the rows in reverse order: the label is the
+    normal reversed, with alternating signs, so its squared norm is the
+    normal's.
+    """
+    coords = [-x if i & 1 else x for i, x in enumerate(reversed(normal))]
+    if next(c for c in coords if c != 0) < 0:
+        coords = [-c for c in coords]
+    return exact.PlueckerVector(n, n - 1, tuple(coords))
 
 
 def _planes4_at(spec: EnumSpec, lead: int) -> Iterator[exact.RationalSubspace]:

@@ -5,7 +5,8 @@ target is strictly smaller than that of every enumerated subspace of equal or
 lower height.  Reading the record sequence on a log-log scale turns certified
 angle intervals into an empirical approximation exponent.
 
-One line engine and one profile stream feed a single record sweep:
+One line engine and one label-screened generic scan feed a single record
+sweep:
 
 * the exact line engine, for lines in the plane (and their images under
   coordinate embeddings), clears the target's denominators once, evaluates
@@ -13,12 +14,19 @@ One line engine and one profile stream feed a single record sweep:
   signs of m + n sqrt(d) for quadratic slopes), builds fractions only for
   the few records, and certifies that no unexamined vector can beat any
   record;
-* the profile stream walks an enumeration and brackets the j-th sine of
-  every subspace with adaptive-precision intervals.
+* the generic scan walks an enumeration and pairs an exact target's
+  label with every candidate's label in integers.  For d + e <= n that
+  pairing gives the product P of all the sines (Schmidt's identity), so a
+  pair with a single angle gets its sine bracket from the labels alone,
+  and psi_j >= P^(1/j) lets the sweep skip any candidate that cannot beat
+  the running record.  Only the survivors decode a basis and go through
+  the adaptive angle engine; float and evaluator targets screen nothing.
 
 The sweep's running minima over height levels are the records of either
 source.  An irrationality scan is the second reduction of the same
-sources: the least certified lower endpoint (for lines, the last record's).
+sources: the least certified lower endpoint (for lines, the last record's),
+where a candidate is skipped only when its label proves its lower endpoint
+no smaller than the running minimum.
 
 Records are conservative by construction: exponents use upper endpoints of
 the sine intervals, irrationality witnesses use lower endpoints.
@@ -27,6 +35,7 @@ the sine intervals, irrationality witnesses use lower endpoints.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import groupby
@@ -37,7 +46,13 @@ from typing import Iterator, Mapping, Sequence
 from mpmath import mp
 
 from . import exact
-from .angles import PrecisionContext, RealBasis, angles_adaptive
+from .angles import (
+    PrecisionContext,
+    RealBasis,
+    angles_adaptive,
+    exact_relative_bits,
+    sine_from_squared,
+)
 from .construction import (
     INFINITE,
     INFINITE_BASE,
@@ -64,6 +79,7 @@ from .errors import (
     IrrationalityViolationError,
     ParameterError,
     ScanIncompleteError,
+    ShapeError,
     StrategyMismatchError,
     SubdiophError,
 )
@@ -379,17 +395,23 @@ def _rounding_candidates(engine, hmax2: int, skip_below: int) -> Iterator[tuple[
             yield h2, x1, x2
 
 
-def _sweep_pool(pool: list, less) -> list[tuple]:
+def _sweep_pool(pool: list, less, settle=None) -> list[tuple]:
     """Running minima over a pool of (h2, coords, ...) rows sorted by
     (h2, coords).
 
     Within one height the first row that no later row beats under
     less(a, b) wins, so ties go to the smallest coords; it becomes a record
-    when it beats the previous record.
+    when it beats the previous record.  settle(level, record), when given,
+    maps each height level to the rows that take part, given the running
+    record (None before the first).
     """
     raw = []
     for _h2, level in groupby(pool, key=itemgetter(0)):
-        best = next(level)
+        if settle is not None:
+            level = settle(level, raw[-1] if raw else None)
+        best = next(level, None)
+        if best is None:
+            continue
         for row in level:
             if less(row, best):
                 best = row
@@ -540,7 +562,7 @@ def scan_embedded_line_records(
 
 
 # ---------------------------------------------------------------------------
-# generic profile stream
+# generic scans: label screening, profiles on demand
 
 
 def _coerce_target(target) -> RealBasis:
@@ -554,34 +576,126 @@ def _coerce_target(target) -> RealBasis:
     return RealBasis.from_exact(rows)
 
 
-def _profiles(
-    target, spec, j_index: int, ctx: PrecisionContext | None
-) -> Iterator[tuple[exact.RationalSubspace, object, object]]:
-    """(subspace, lo, hi) bracketing the j-th sine of every enumerated
-    subspace against the target, in enumeration order.
+def _unresolved(sub: exact.RationalSubspace, scanned: int) -> IrrationalityViolationError:
+    err = IrrationalityViolationError(
+        f"subspace {sub.pluecker.coords} is indistinguishable from the"
+        " target at the precision cap"
+    )
+    err.subspace = sub
+    err.scanned = scanned
+    return err
 
-    An interval stuck at zero raises IrrationalityViolationError carrying
-    the subspace and the count scanned up to and including it.
+
+class _GenericScan:
+    """The candidates of one generic scan, screened by their labels.
+
+    For d + e <= n the sines of the target A and a candidate B multiply to
+    P = |X_A /\\ X_B| / (|X_A| |X_B|) (Schmidt 1967), and psi_j >= P^(1/j)
+    because no sine exceeds 1.  An exact target pairs its raw label with
+    each candidate's label once, in integers (wedge2 = |X_A /\\ X_B|^2):
+
+    * a pair with t = 1 reads its sine off wedge2, with the bracket that
+      angles_adaptive would report, and decodes no basis;
+    * another exact pair with t <= 2 and wedge2 > 0 waits unprofiled, so
+      a scan can skip it once P^(1/j) rules it out;
+    * every other candidate (float or evaluator targets, t >= 3, wedge2 = 0)
+      is profiled at once, so an unresolved sine raises at its place in
+      the enumeration.  A waiting pair has no zero sine, and the exact
+      engine resolves every nonzero sine.
+
+    rows() yields (h2, coords, hi, lo, sub, scanned, wedge2) in enumeration
+    order, with hi and lo None on a waiting row.
     """
-    basis = _coerce_target(target)
-    subs = enumerate_subspaces(spec) if isinstance(spec, EnumSpec) else spec
-    k = j_index - 1
-    for scanned, sub in enumerate(subs, start=1):
-        limit = min(basis.d, sub.e)
-        if not 1 <= j_index <= limit:
-            raise ParameterError(
-                f"sine index {j_index} is out of range for {limit} angles"
-            )
-        prof = angles_adaptive(basis, RealBasis.from_subspace(sub), ctx)
+
+    def __init__(self, target, j_index: int, ctx: PrecisionContext | None):
+        self.basis = _coerce_target(target)
+        self.j_index = j_index
+        self.ctx = ctx or PrecisionContext()
+        self.bits = None
+        self.label = None
+        if self.basis.exact_matrix is not None:
+            # the raw minors will do: every ratio below is scale-free
+            self.label = exact.raw_minors(exact.transpose(self.basis.integer_columns()))
+            self.label2 = sum(x * x for x in self.label)
+        self.counts = dict.fromkeys(("candidates", "label_only", "profiled", "skipped"), 0)
+        self._memo = (None, None)
+
+    def rows(self, spec) -> Iterator[tuple]:
+        n, d, j_index = self.basis.n, self.basis.d, self.j_index
+        counts = self.counts
+        subs = enumerate_subspaces(spec) if isinstance(spec, EnumSpec) else spec
+        for scanned, sub in enumerate(subs, start=1):
+            counts["candidates"] = scanned
+            limit = min(d, sub.e)
+            if not 1 <= j_index <= limit:
+                raise ParameterError(
+                    f"sine index {j_index} is out of range for {limit} angles"
+                )
+            if sub.n != n:
+                raise ShapeError("ambient dimensions differ")
+            pv = sub.pluecker
+            h2 = pv.height_squared
+            wedge2 = None
+            if self.label is not None:
+                wedge2 = exact.wedge_norm_squared(self.label, d, pv.coords, sub.e, n)
+                if limit == 1 and d + sub.e <= n:
+                    bracket = sine_from_squared(wedge2, self.label2 * h2, self._bits())
+                    if bracket is None:
+                        raise _unresolved(sub, scanned)
+                    counts["label_only"] += 1
+                    yield (h2, pv.coords, bracket[1], bracket[0], sub, scanned, wedge2)
+                    continue
+            if not wedge2 or limit > 2:
+                lo, hi = self.profile(sub, scanned)
+                yield (h2, pv.coords, hi, lo, sub, scanned, wedge2)
+            else:
+                yield (h2, pv.coords, None, None, sub, scanned, wedge2)
+
+    def _bits(self) -> int:
+        # asked for at the first exact pair, which is where angles_adaptive
+        # would raise PrecisionExhaustedError
+        if self.bits is None:
+            self.bits = exact_relative_bits(self.ctx)
+        return self.bits
+
+    def profile(self, sub: exact.RationalSubspace, scanned: int) -> tuple:
+        """(lo, hi) of the j-th sine from the angle engine."""
+        self.counts["profiled"] += 1
+        k = self.j_index - 1
+        prof = angles_adaptive(self.basis, RealBasis.from_subspace(sub), self.ctx)
         if not prof.resolved[k]:
-            err = IrrationalityViolationError(
-                f"subspace {sub.pluecker.coords} is indistinguishable from the"
-                " target at the precision cap"
+            raise _unresolved(sub, scanned)
+        return prof.lo[k], prof.hi[k]
+
+    def rules_out(self, row: tuple, x, slack: bool = False) -> bool:
+        """Whether a waiting row's label proves hi >= x, from
+        P^(1/j) >= x, or with slack lo >= x, from P^(1/j) (1 - 2^-b) >= x:
+        exact brackets have relative width below 2^-b.  A proof counts the
+        row as skipped."""
+        if self._memo[0] is not x:
+            man, exp = x.man_exp
+            num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+            if slack:
+                bits = self._bits()
+                num, den = num << bits, den * ((1 << bits) - 1)
+            # P^(1/j) >= num / den  <=>  wedge2 den^2j >= num^2j label2 h2
+            power = 2 * self.j_index
+            self._memo = (x, (num**power * self.label2, den**power))
+        big, small = self._memo[1]
+        if row[6] * small >= big * row[0]:
+            self.counts["skipped"] += 1
+            return True
+        return False
+
+    def log(self, name: str) -> None:
+        # a process that never imported logging has no handler or level
+        # that keeps a DEBUG record, so it does not pay for the import
+        logging = sys.modules.get("logging")
+        if logging is not None:
+            logging.getLogger("subdioph").debug(
+                "%s: candidates=%d label_only=%d profiled=%d skipped=%d",
+                name, *self.counts.values(),
             )
-            err.subspace = sub
-            err.scanned = scanned
-            raise err
-        yield sub, prof.lo[k], prof.hi[k]
 
 
 def scan_records(
@@ -595,31 +709,47 @@ def scan_records(
 
     Line targets paired with a plane window take the certified line scan,
     which always covers every primitive line up to the bound.  Otherwise
-    every enumerated subspace gets an adaptive angle interval and the
-    running minimum is taken over the upper endpoints; an interval stuck at
-    zero raises IrrationalityViolationError.  spec may be an EnumSpec or any
-    iterable of rational subspaces (shard outputs can be chained; the sweep
-    sorts by height, so merging scans is an order-independent min-reduction).
+    the candidates are labelled and screened (_GenericScan), sorted by
+    (h2, coords) and swept by height level: a waiting candidate is
+    profiled only when its label bound cannot meet the running record's
+    upper endpoint, so it could be neither a level minimum that beats the
+    record nor a record.  The running minimum is taken over upper
+    endpoints; an interval stuck at zero raises
+    IrrationalityViolationError.  spec may be an EnumSpec or any iterable
+    of rational subspaces (shard outputs can be chained; the sweep sorts by
+    height, so merging scans is an order-independent min-reduction).
     """
     if isinstance(target, _LINE_TARGETS):
         return _line_scan(target, spec, j_index, zone)[0]
-    pool = [
-        (sub.pluecker.height_squared, sub.pluecker.coords, hi, lo, sub)
-        for sub, lo, hi in _profiles(target, spec, j_index, ctx)
-    ]
-    # by (h2, coords) alone: subspaces have no order, and a subspace that
-    # chained shards repeat keeps its stream order
-    pool.sort(key=itemgetter(0, 1))
+    scan = _GenericScan(target, j_index, ctx)
+
+    def settle(level, record):
+        for row in level:
+            if row[2] is None:
+                if record is not None and scan.rules_out(row, record[2]):
+                    continue
+                lo, hi = scan.profile(row[4], row[5])
+                row = (row[0], row[1], hi, lo, row[4])
+            yield row
+
+    try:
+        pool = list(scan.rows(spec))
+        # by (h2, coords) alone: subspaces have no order, and a subspace that
+        # chained shards repeat keeps its stream order
+        pool.sort(key=itemgetter(0, 1))
+        raw = _sweep_pool(pool, lambda a, b: a[2] < b[2], settle)
+    finally:
+        scan.log("scan_records")
     return [
         ApproximationRecord(
-            subspace=sub,
-            height_squared=h2,
-            psi_lo=_float_down(lo),
-            psi_hi=_float_up(hi),
+            subspace=row[4],
+            height_squared=row[0],
+            psi_lo=_float_down(row[3]),
+            psi_hi=_float_up(row[2]),
             j_index=j_index,
             source=SOURCE_ENUMERATED,
         )
-        for h2, _coords, hi, lo, sub in _sweep_pool(pool, lambda a, b: a[2] < b[2])
+        for row in raw
     ]
 
 
@@ -956,7 +1086,8 @@ def irrationality_scan(
 
     Line targets read it off the last record of the line scan; other
     targets take the first strict minimum of the lower endpoints in
-    enumeration order.
+    enumeration order, skipping a waiting candidate only when its label
+    bound proves its lower endpoint at least the running minimum.
     """
     line = isinstance(target, _LINE_TARGETS)
     exhaustive = line or not (isinstance(spec, EnumSpec) and spec.strategy == BASIS_BOX)
@@ -967,14 +1098,22 @@ def irrationality_scan(
             min_psi = records[-1].psi_lo
             ok = min_psi > 0.0
         else:
+            scan = _GenericScan(target, j_index, ctx)
             min_lo = None
-            for scanned, (sub, lo, _hi) in enumerate(
-                _profiles(target, spec, j_index, ctx), start=1
-            ):
-                if min_lo is None or lo < min_lo:
-                    min_lo, witness = lo, sub
+            try:
+                for row in scan.rows(spec):
+                    lo = row[3]
+                    if lo is None:
+                        if min_lo is not None and scan.rules_out(row, min_lo, slack=True):
+                            continue
+                        lo = scan.profile(row[4], row[5])[0]
+                    if min_lo is None or lo < min_lo:
+                        min_lo, witness = lo, row[4]
+            finally:
+                scan.log("irrationality_scan")
             if min_lo is None:
                 raise InsufficientRecordsError("the enumeration window is empty")
+            scanned = scan.counts["candidates"]
             min_psi, ok = _float_down(min_lo), min_lo > 0
     except IrrationalityViolationError as err:
         return IrrationalityReport(

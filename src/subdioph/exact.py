@@ -8,8 +8,10 @@ the same subspace exactly when their normalized coordinate vectors agree.  The
 height of the subspace is the Euclidean norm of that label; this module keeps
 heights squared so everything stays in exact integer arithmetic.
 
-Reading a basis back from a label (pluecker_decode, and the hyperplane
-bases of the enumeration) goes through rational_kernel, a fraction-free
+Two labels pair in integers: wedge_norm_squared gives |X_A /\\ X_B|^2,
+from which record scans bound proximity sines without any basis.  Reading
+a basis back from a label (pluecker_decode, which also serves enumerated
+planes and hyperplanes) goes through rational_kernel, a fraction-free
 elimination on integer rows, so a decoded basis never touches Fraction.
 Rank, inverse and determinants above 3 x 3 run on the same integer rows
 (rational rows are scaled to integers first); Fraction arithmetic remains
@@ -409,6 +411,42 @@ def _wedge_terms(n: int, e: int) -> tuple[tuple[tuple[int, int, int], ...], ...]
         )
         for bigger in combinations(range(n), e + 1)
     )
+
+
+@functools.cache
+def _pairing_terms(n: int, d: int, e: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Per (d+e)-row set S, the (sign, d-set index, e-set index) of every split
+    of S into row sets I and J, with e_I /\\ e_J = sign * e_S."""
+    index_d = {rows: k for k, rows in enumerate(combinations(range(n), d))}
+    index_e = {rows: k for k, rows in enumerate(combinations(range(n), e))}
+    terms = []
+    for big in combinations(range(n), d + e):
+        split = []
+        for pos in combinations(range(d + e), d):
+            rows_i = tuple(big[p] for p in pos)
+            rows_j = tuple(r for r in big if r not in rows_i)
+            # moving I to the front passes sum(pos) - d(d-1)/2 rows of J
+            sign = -1 if (sum(pos) - d * (d - 1) // 2) & 1 else 1
+            split.append((sign, index_d[rows_i], index_e[rows_j]))
+        terms.append(tuple(split))
+    return tuple(terms)
+
+
+def wedge_norm_squared(
+    xa: Sequence[int], d: int, xb: Sequence[int], e: int, n: int
+) -> int:
+    """|X_A /\\ X_B|^2 for labels X_A of shape (n, d) and X_B of shape (n, e).
+
+    The labels may be raw minors or normalized; the value scales with both.
+    It is 0 when the subspaces meet, and always when d + e > n.  For
+    d + e <= n, |X_A /\\ X_B| / (|X_A| |X_B|) is the product of the sines of
+    all principal angles (Cauchy-Binet on the Gram matrix of [A | B]).
+    """
+    total = 0
+    for split in _pairing_terms(n, d, e):
+        s = sum(sign * xa[i] * xb[j] for sign, i, j in split)
+        total += s * s
+    return total
 
 
 def pluecker_decode(pv: PlueckerVector) -> RationalSubspace:

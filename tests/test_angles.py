@@ -15,9 +15,11 @@ from subdioph.angles import (
     PrecisionContext,
     RealBasis,
     angles_adaptive,
+    exact_relative_bits,
     orthonormal_basis,
     principal_angles,
     random_orthogonal,
+    sine_from_squared,
     vector_angle,
 )
 from subdioph.errors import NumericalRankLossError, PrecisionExhaustedError, ShapeError
@@ -390,3 +392,47 @@ def test_brute_force_minimum_matches_first_entry():
             resid = x - qb @ (qb.T @ x)
             best = min(best, float(np.linalg.norm(resid)))
         assert abs(best - float(p.psi[0])) < 5e-6
+
+
+def test_sine_bracket_depends_on_the_subspace_not_its_basis():
+    # two bases of the plane x3 = x1 + x2: a primitive one and one whose
+    # columns span a sublattice of index 3, so the Gram and bordered
+    # determinants of the second carry a factor 9 that the sine does not
+    primitive = exact_basis((1, 0, 1), (0, 1, 1))
+    index_three = exact_basis((1, 0, 1), (1, 3, 4))
+    rng = random.Random(3)
+    for _ in range(200):
+        line = exact_basis(
+            (1, Fraction(rng.randrange(-999, 999), rng.randrange(100, 999)),
+             Fraction(rng.randrange(-999, 999), rng.randrange(100, 999)))
+        )
+        a = angles_adaptive(line, primitive)
+        b = angles_adaptive(line, index_three)
+        assert (a.lo, a.psi, a.hi) == (b.lo, b.psi, b.hi)
+
+
+def test_sine_from_squared_matches_the_engine():
+    # lines against lines: the squared sine is |x /\ y|^2 / (|x|^2 |y|^2)
+    rng = random.Random(5)
+    for ctx in (None, PrecisionContext(bits=64), PrecisionContext(target_rel_err=Fraction(1, 2**900))):
+        bits = exact_relative_bits(ctx)
+        for _ in range(100):
+            x = [rng.randint(-50, 50) for _ in range(3)]
+            y = [rng.randint(-50, 50) for _ in range(3)]
+            if not any(x) or not any(y):
+                continue
+            xx, yy = sum(v * v for v in x), sum(v * v for v in y)
+            xy = sum(u * v for u, v in zip(x, y))
+            scale = rng.randint(1, 7)
+            bracket = sine_from_squared(scale * (xx * yy - xy * xy), scale * xx * yy, bits)
+            p = angles_adaptive(exact_basis(x), exact_basis(y), ctx)
+            if p.resolved[0]:
+                assert bracket == (p.lo[0], p.hi[0])
+            else:
+                assert bracket is None
+
+
+def test_exact_relative_bits_honours_the_cap():
+    assert exact_relative_bits(PrecisionContext(bits=64)) == 128
+    with pytest.raises(PrecisionExhaustedError):
+        exact_relative_bits(PrecisionContext(bits=256, max_bits=300))

@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import logging
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -23,6 +24,7 @@ from subdioph.enumeration import (
     enumerate_subspaces,
     exact_strategy,
     leading_range,
+    primitive_vectors,
     _plane_label,
     shard_partition,
 )
@@ -287,13 +289,88 @@ def test_cli_enumerate_neither_decodes_nor_takes_minors(decode_calls, n, e, hmax
     assert decode_calls == {"decode": 0, "minors": 0}
 
 
-def test_plane_scan_decodes_each_candidate_once(decode_calls):
-    spec = EnumSpec(n=4, e=2, height_squared_max=4, strategy=EXACT_PLUECKER)
-    candidates = len(list(enumerate_subspaces(spec)))
-    target = [[1, 0], [0, 1], [Fraction(-37, 91), Fraction(52, 77)],
-              [Fraction(15, 29), Fraction(-64, 83)]]
-    est.scan_records(target, spec, j_index=2)
-    assert decode_calls["decode"] == candidates
+TARGET_PLANE = [[1, 0], [0, 1], [Fraction(-37, 91), Fraction(52, 77)],
+                [Fraction(15, 29), Fraction(-64, 83)]]
+TARGET_LINE = [[1], [Fraction(-47, 53)], [Fraction(29, 71)]]
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Count of angle-engine calls made by the record scans."""
+    calls = {"angles": 0}
+    engine = est.angles_adaptive
+
+    def counted(a, b, ctx=None):
+        calls["angles"] += 1
+        return engine(a, b, ctx)
+
+    monkeypatch.setattr(est, "angles_adaptive", counted)
+    return calls
+
+
+def scan_counts(caplog):
+    """The counts of the last generic scan's DEBUG line."""
+    message = [r.getMessage() for r in caplog.records if r.name == "subdioph"][-1]
+    return {k: int(v) for k, v in (f.split("=") for f in message.split(": ")[1].split())}
+
+
+def test_plane_scan_decodes_only_what_it_profiles(decode_calls, engine_calls, caplog):
+    caplog.set_level(logging.DEBUG, logger="subdioph")
+    spec = EnumSpec(n=4, e=2, height_squared_max=8, strategy=EXACT_PLUECKER)
+    est.scan_records(TARGET_PLANE, spec, j_index=2)
+    counts = scan_counts(caplog)
+    assert counts["candidates"] == len(list(enumerate_subspaces(spec)))
+    assert decode_calls["decode"] == engine_calls["angles"] == counts["profiled"]
+    assert counts["profiled"] <= counts["candidates"] - counts["skipped"]
+    assert counts["skipped"] > counts["profiled"]
+
+
+@pytest.mark.parametrize("j_index, most", [(2, 1000), (1, 100)])
+def test_plane_scan_profiles_few_planes(decode_calls, engine_calls, j_index, most):
+    spec = EnumSpec(n=4, e=2, height_squared_max=60, strategy=EXACT_PLUECKER)
+    records = est.scan_records(TARGET_PLANE, spec, j_index=j_index)
+    assert records
+    assert decode_calls["decode"] == engine_calls["angles"] < most
+
+
+@pytest.mark.parametrize(
+    "e, scan",
+    [(1, est.scan_records), (1, est.irrationality_scan), (2, est.scan_records),
+     (2, est.irrationality_scan)],
+    ids=["lines-records", "lines-irrationality", "hyperplanes-records",
+         "hyperplanes-irrationality"],
+)
+def test_single_sine_scans_skip_decode_and_engine(decode_calls, engine_calls, e, scan):
+    scan(TARGET_LINE, EnumSpec(n=3, e=e, height_squared_max=40, strategy=EXACT_LINES))
+    assert decode_calls["decode"] == engine_calls["angles"] == 0
+
+
+def test_scan_logs_its_counts(caplog):
+    caplog.set_level(logging.DEBUG, logger="subdioph")
+    spec = EnumSpec(n=4, e=2, height_squared_max=8, strategy=EXACT_PLUECKER)
+    est.scan_records(TARGET_PLANE, spec, j_index=2)
+    assert scan_counts(caplog) == {
+        "candidates": 314, "label_only": 0, "profiled": 98, "skipped": 216,
+    }
+    est.irrationality_scan(TARGET_LINE, EnumSpec(3, 1, 40, EXACT_LINES))
+    assert scan_counts(caplog) == {
+        "candidates": 433, "label_only": 433, "profiled": 0, "skipped": 0,
+    }
+
+
+@pytest.mark.parametrize("n, hmax2", [(3, 200), (4, 30), (5, 12)])
+def test_hyperplane_labels_match_kernel_bases(n, hmax2):
+    """The label read off the normal is the label of the normal's kernel."""
+    spec = EnumSpec(n=n, e=n - 1, height_squared_max=hmax2)
+    subs = list(enumerate_subspaces(spec))
+    normals = [vec for vec, _ in primitive_vectors(n, hmax2)]
+    assert len(subs) == len(normals)
+    for sub, normal in zip(subs, normals):
+        kernel = exact.RationalSubspace.from_basis(
+            exact.transpose(exact.rational_kernel([normal]))
+        )
+        assert sub.pluecker.coords == kernel.pluecker.coords
+        assert sub.height_squared == sum(x * x for x in normal)
 
 
 def test_plane_scan_candidates_skip_fraction_helpers(monkeypatch):

@@ -1,0 +1,219 @@
+"""Label-screened generic scans against an unscreened reference.
+
+The reference below is the scan as it was before label screening: every
+candidate gets an angle profile from angles_adaptive, in enumeration order;
+records come from a sort by (h2, coords) and a sweep of running minima, and
+the irrationality witness is the first strict minimum of lower endpoints.
+The screened scans must report the same records and the same
+IrrationalityReport, psi bounds compared as float hex.
+"""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from subdioph import estimation as est
+from subdioph import exact
+from subdioph.angles import RealBasis, angles_adaptive
+from subdioph.enumeration import EXACT_LINES, EXACT_PLUECKER, EnumSpec, enumerate_subspaces
+from subdioph.errors import IrrationalityViolationError
+
+SETTINGS = settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=12,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+# ---------------------------------------------------------------------------
+# unscreened reference
+
+
+def reference_profiles(target, subs, j_index):
+    """(sub, lo, hi) of every candidate in enumeration order."""
+    basis = RealBasis.from_exact(target)
+    for scanned, sub in enumerate(subs, start=1):
+        prof = angles_adaptive(basis, RealBasis.from_subspace(sub))
+        if not prof.resolved[j_index - 1]:
+            err = IrrationalityViolationError("unresolved")
+            err.subspace, err.scanned = sub, scanned
+            raise err
+        yield sub, prof.lo[j_index - 1], prof.hi[j_index - 1]
+
+
+def reference_records(target, subs, j_index):
+    pool = [
+        (sub.height_squared, sub.pluecker.coords, hi, lo)
+        for sub, lo, hi in reference_profiles(target, subs, j_index)
+    ]
+    pool.sort(key=itemgetter(0, 1))
+    raw = []
+    for _h2, level in groupby(pool, key=itemgetter(0)):
+        best = next(level)
+        for row in level:
+            if row[2] < best[2]:
+                best = row
+        if not raw or best[2] < raw[-1][2]:
+            raw.append(best)
+    return [
+        (coords, h2, max(0.0, math.nextafter(float(lo), 0.0)).hex(),
+         math.nextafter(float(hi), math.inf).hex())
+        for h2, coords, hi, lo in raw
+    ]
+
+
+def reference_report(target, subs, j_index):
+    try:
+        min_lo = None
+        scanned = 0
+        for scanned, (sub, lo, _hi) in enumerate(
+            reference_profiles(target, subs, j_index), start=1
+        ):
+            if min_lo is None or lo < min_lo:
+                min_lo, witness = lo, sub
+    except IrrationalityViolationError as err:
+        return (err.scanned, 0.0.hex(), None, err.subspace.pluecker.coords, False)
+    min_psi = max(0.0, math.nextafter(float(min_lo), 0.0))
+    return (scanned, min_psi.hex(), witness.pluecker.coords, None, min_lo > 0)
+
+
+# ---------------------------------------------------------------------------
+# the screened scans in the same terms
+
+
+def screened_records(target, subs, j_index):
+    return [
+        (r.subspace.pluecker.coords, r.height_squared, r.psi_lo.hex(), r.psi_hi.hex())
+        for r in est.scan_records(target, subs, j_index=j_index)
+    ]
+
+
+def screened_report(target, subs, j_index):
+    rep = est.irrationality_scan(target, subs, j_index=j_index)
+    return (
+        rep.scanned,
+        rep.min_psi_lower.hex(),
+        None if rep.witness is None else rep.witness.pluecker.coords,
+        None if rep.offender is None else rep.offender.pluecker.coords,
+        rep.ok,
+    )
+
+
+def outcome(scan, *args):
+    """The scan's result, or the subspace and count of the error it raises."""
+    try:
+        return scan(*args)
+    except IrrationalityViolationError as err:
+        return ("raised", err.subspace.pluecker.coords, err.scanned)
+
+
+def assert_same_scans(target, spec, j_index):
+    subs = list(enumerate_subspaces(spec))
+    assert outcome(screened_records, target, spec, j_index) == outcome(
+        reference_records, target, subs, j_index
+    )
+    assert screened_report(target, spec, j_index) == reference_report(target, subs, j_index)
+
+
+# ---------------------------------------------------------------------------
+# targets
+
+def random_entry(rng):
+    return Fraction(rng.randint(-999, 999), rng.randint(1, 999))
+
+
+def random_target(n, d, seed):
+    """A full-rank n x d rational basis of large height: no small subspace
+    contains it or, for d + e <= n, meets it."""
+    rng = random.Random(seed)
+    while True:
+        rows = [[random_entry(rng) for _ in range(d)] for _ in range(n)]
+        if exact.rank(rows) == d:
+            return rows
+
+
+def exact_targets(n, d):
+    return st.integers(0, 2**32).map(lambda seed: random_target(n, d, seed))
+
+
+@SETTINGS
+@given(target=exact_targets(4, 2), j_index=st.sampled_from([1, 2]))
+def test_planes_vs_planes_r4(target, j_index):
+    assert_same_scans(target, EnumSpec(4, 2, 6, EXACT_PLUECKER), j_index)
+
+
+@SETTINGS
+@given(
+    n=st.sampled_from([3, 4]),
+    target_lines=st.booleans(),
+    candidate_lines=st.booleans(),
+    data=st.data(),
+)
+def test_lines_and_hyperplanes(n, target_lines, candidate_lines, data):
+    d = 1 if target_lines else n - 1
+    e = 1 if candidate_lines else n - 1
+    # hyperplanes of R^4 against each other have t = 3: the mpmath path
+    assume(min(d, e) <= 2)
+    target = data.draw(exact_targets(n, d))
+    j_index = data.draw(st.integers(1, min(d, e)))
+    spec = EnumSpec(n, e, 14 if n == 3 else 6, EXACT_LINES)
+    assert_same_scans(target, spec, j_index)
+
+
+@SETTINGS
+@given(target=exact_targets(4, 2))
+def test_plane_target_vs_lines_r4(target):
+    assert_same_scans(target, EnumSpec(4, 1, 9, EXACT_LINES), 1)
+
+
+@SETTINGS
+@given(target=exact_targets(4, 2), j_index=st.sampled_from([1, 2]))
+def test_plane_target_vs_hyperplanes_r4(target, j_index):
+    # d + e > n: the subspaces always meet, every pairing is 0
+    assert_same_scans(target, EnumSpec(4, 3, 4, EXACT_LINES), j_index)
+
+
+@SETTINGS
+@given(
+    shape=st.sampled_from([(4, 2, 2, EXACT_PLUECKER), (3, 1, 1, EXACT_LINES),
+                           (3, 2, 1, EXACT_LINES), (4, 1, 2, EXACT_LINES)]),
+    j_index=st.sampled_from([1, 2]),
+    data=st.data(),
+)
+def test_target_meeting_a_candidate(shape, j_index, data):
+    n, e, d, strategy = shape
+    assume(j_index <= min(d, e))
+    # the first column is a small integer vector, so the target contains
+    # an enumerated line and meets some enumerated subspaces
+    small = data.draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    assume(any(small))
+    rest = random_target(n, d, data.draw(st.integers(0, 2**32)))
+    target = [[x, *row[1:]] for x, row in zip(small, rest)]
+    assume(exact.rank(target) == d)
+    assert_same_scans(target, EnumSpec(n, e, 6, strategy), j_index)
+
+
+@SETTINGS
+@given(target=exact_targets(4, 2), j_index=st.sampled_from([1, 2]), data=st.data())
+def test_chained_shards_with_a_repeat(target, j_index, data):
+    spec = EnumSpec(4, 2, 6, EXACT_PLUECKER)
+    shards = [list(enumerate_subspaces(s)) for s in
+              (EnumSpec(4, 2, 6, EXACT_PLUECKER, shard_count=2, shard_index=i)
+               for i in (1, 0))]
+    subs = list(itertools.chain(*shards))
+    repeat = subs[data.draw(st.integers(0, len(subs) - 1))]
+    at = data.draw(st.integers(0, len(subs)))
+    chained = subs[:at] + [repeat] + subs[at:]
+    expected = reference_records(target, chained, j_index)
+    assert screened_records(target, iter(chained), j_index) == expected
+    assert screened_report(target, iter(chained), j_index) == reference_report(
+        target, chained, j_index
+    )
+    assert screened_records(target, spec, j_index) == expected
