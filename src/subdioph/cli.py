@@ -36,6 +36,7 @@ from .enumeration import (
     BASIS_BOX,
     STRATEGIES,
     EnumSpec,
+    completeness_note,
     enumerate_subspaces,
     exact_strategy,
 )
@@ -233,17 +234,22 @@ def _exact_strategy(n: int, e: int) -> str:
 
 def _enum_spec(args, n: int, e: int, hmax: int, **shards) -> EnumSpec:
     """Enumeration window from --strategy (default: the exact one for the
-    shape) and --basis-box-bound, which goes with basis-box only."""
+    shape) and --basis-box-bound, which goes with basis-box only.
+
+    Sets args.completeness to the window's completeness note, which the
+    header of the data stream carries."""
     strategy = args.strategy or _exact_strategy(n, e)
     bound = args.basis_box_bound
     if strategy == BASIS_BOX and bound is None:
         raise _UsageError("--strategy basis-box needs --basis-box-bound K")
     if strategy != BASIS_BOX and bound is not None:
         raise _UsageError("--basis-box-bound only applies to --strategy basis-box")
-    return EnumSpec(
+    spec = EnumSpec(
         n=n, e=e, height_squared_max=hmax, strategy=strategy,
         basis_box_bound=bound, **shards,
     )
+    args.completeness = completeness_note(spec)
+    return spec
 
 
 def _run_scan(args) -> list[est.ApproximationRecord]:
@@ -740,6 +746,7 @@ def run_command(
                 data_stream,
                 command=args.command,
                 no_header=args.no_header,
+                note=getattr(args, "completeness", None),
             )
             return 1
         reports.emit_report(
@@ -748,6 +755,7 @@ def run_command(
             data_stream,
             command=args.command,
             no_header=args.no_header,
+            note=getattr(args, "completeness", None),
         )
         return code
     except (_UsageError, SubdiophError) as err:

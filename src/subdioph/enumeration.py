@@ -15,12 +15,18 @@ Every exact strategy emits subspaces from their labels.  A line is its own
 label; a hyperplane's label is its primitive normal reversed with
 alternating signs; a plane in R^4 is a point of the Pluecker quadric.
 Hyperplane and plane bases are decoded only on first access to .basis.
+These labels are primitive with a positive lead by construction, so they
+are built with PlueckerVector._normalized, without PlueckerVector's
+checks; a plane label is still checked against the Pluecker relation.
+BASIS_BOX takes the raw minors of each box matrix once and builds a
+subspace only for a new span within the height bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import product
 from math import gcd, isqrt
 from typing import Iterator
 
@@ -172,9 +178,10 @@ def primitive_vectors(n: int, max_norm_sq: int) -> Iterator[tuple[tuple[int, ...
 
 def _lines_at(spec: EnumSpec, lead: int) -> Iterator[exact.RationalSubspace]:
     # a primitive sign-canonical vector is its own normalized label
-    for vec, _ in _primitive_with_leading(spec.n, spec.height_squared_max, lead):
-        label = exact.PlueckerVector(spec.n, 1, vec)
-        yield exact.RationalSubspace(label, tuple((x,) for x in vec))
+    n = spec.n
+    normalized = exact.PlueckerVector._normalized
+    for vec, _ in _primitive_with_leading(n, spec.height_squared_max, lead):
+        yield exact.RationalSubspace(normalized(n, 1, vec), tuple(zip(vec)))
 
 
 def _hyperplanes_at(spec: EnumSpec, lead: int) -> Iterator[exact.RationalSubspace]:
@@ -194,7 +201,7 @@ def _hyperplane_label(n: int, normal: tuple[int, ...]) -> exact.PlueckerVector:
     coords = [-x if i & 1 else x for i, x in enumerate(reversed(normal))]
     if next(c for c in coords if c != 0) < 0:
         coords = [-c for c in coords]
-    return exact.PlueckerVector(n, n - 1, tuple(coords))
+    return exact.PlueckerVector._normalized(n, n - 1, tuple(coords))
 
 
 def _planes4_at(spec: EnumSpec, lead: int) -> Iterator[exact.RationalSubspace]:
@@ -236,34 +243,29 @@ def _plane_label(coords: tuple[int, ...]) -> exact.PlueckerVector:
     x12, x13, x14, x23, x24, x34 = coords
     if x12 * x34 - x13 * x24 + x14 * x23 != 0:
         raise SubdiophError(f"plane label {coords} fails the Pluecker relation")
-    return exact.PlueckerVector(4, 2, coords)
+    return exact.PlueckerVector._normalized(4, 2, coords)
 
 
 def _basis_box_at(
     spec: EnumSpec, lead: int, seen: set
 ) -> Iterator[exact.RationalSubspace]:
+    """Integer n x e bases with first entry lead and every other entry in
+    [-K, K], in lexicographic order of their entries.  Each matrix costs
+    one set of minors; dependent, over-height and already-seen spans are
+    dropped before a subspace is built."""
+    n, e, hmax = spec.n, spec.e, spec.height_squared_max
     m = spec.basis_box_bound
-    cells = spec.n * spec.e
-
-    def fill(values: list[int]) -> Iterator[exact.RationalSubspace]:
-        if len(values) == cells:
-            rows = [
-                values[i * spec.e : (i + 1) * spec.e] for i in range(spec.n)
-            ]
-            try:
-                sub = exact.RationalSubspace.from_basis(rows)
-            except SubdiophError:
-                return
-            key = (sub.pluecker.n, sub.pluecker.e, sub.pluecker.coords)
-            if key in seen or sub.pluecker.height_squared > spec.height_squared_max:
-                return
-            seen.add(key)
-            yield sub
-            return
-        for v in range(-m, m + 1):
-            yield from fill(values + [v])
-
-    yield from fill([lead])
+    for tail in product(range(-m, m + 1), repeat=n * e - 1):
+        values = (lead,) + tail
+        rows = tuple(values[i * e : (i + 1) * e] for i in range(n))
+        minors = exact.raw_minors(rows)
+        if not any(minors):
+            continue
+        label = exact.label_from_minors(n, e, minors)
+        if label.coords in seen or label.height_squared > hmax:
+            continue
+        seen.add(label.coords)
+        yield exact.RationalSubspace(label, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,12 @@ the same subspace exactly when their normalized coordinate vectors agree.  The
 height of the subspace is the Euclidean norm of that label; this module keeps
 heights squared so everything stays in exact integer arithmetic.
 
+PlueckerVector(n, e, coords) checks its coordinates (count, nonzero,
+primitive, positive lead) and is the constructor for outside input.
+Labels normalized by construction skip those checks through the private
+PlueckerVector._normalized: label_from_minors, which normalizes the minors
+it is given, and the enumerators (see enumeration).
+
 Two labels pair in integers: wedge_norm_squared gives |X_A /\\ X_B|^2,
 from which record scans bound proximity sines without any basis.  Reading
 a basis back from a label (pluecker_decode, which also serves enumerated
@@ -265,6 +271,19 @@ class PlueckerVector:
         if first < 0:
             raise ShapeError("leading nonzero coordinate must be positive")
 
+    @classmethod
+    def _normalized(cls, n: int, e: int, coords: tuple[int, ...]) -> "PlueckerVector":
+        """A label whose coords are normalized by construction.
+
+        Skips every check of __post_init__.  Only code that builds the
+        normalized form itself may call it: label_from_minors and the
+        enumerators.  Outside input goes through PlueckerVector(n, e, coords).
+        """
+        label = object.__new__(cls)
+        fields = label.__dict__
+        fields["n"], fields["e"], fields["coords"] = n, e, coords
+        return label
+
     @property
     def height_squared(self) -> int:
         return sum(c * c for c in self.coords)
@@ -277,6 +296,8 @@ def raw_minors(basis: Matrix) -> tuple[int, ...]:
         raise ShapeError(f"basis is {n}x{e}; need at least as many rows as columns")
     if _has_fraction(basis):
         raise ShapeError("raw minors are defined for integer bases")
+    if e == 2:  # planes: each minor inline, without a determinant call
+        return tuple(a[0] * b[1] - a[1] * b[0] for a, b in combinations(basis, 2))
     return tuple(
         determinant(tuple(basis[i] for i in rows)) for rows in combinations(range(n), e)
     )
@@ -298,16 +319,18 @@ def pluecker_coordinates(basis: Iterable[Sequence[Scalar]]) -> PlueckerVector:
 def label_from_minors(n: int, e: int, minors: Sequence[int]) -> PlueckerVector:
     """Normalized label from the raw maximal minors of an integer n x e basis.
 
+    The minors must be all C(n, e) of them, as raw_minors returns; the
+    result is normalized here and built without PlueckerVector's checks.
+
     Raises DegenerateBasisError when every minor is zero.
     """
-    if all(v == 0 for v in minors):
+    g = math.gcd(*minors)
+    if g == 0:
         raise DegenerateBasisError("columns are linearly dependent")
-    g = math.gcd(*(abs(v) for v in minors))
-    coords = tuple(v // g for v in minors)
-    first = next(c for c in coords if c != 0)
-    if first < 0:
+    coords = tuple(v // g for v in minors) if g != 1 else tuple(minors)
+    if next(c for c in coords if c != 0) < 0:
         coords = tuple(-c for c in coords)
-    return PlueckerVector(n=n, e=e, coords=coords)
+    return PlueckerVector._normalized(n, e, coords)
 
 
 def _integer_basis(basis: Iterable[Sequence[Scalar]]) -> Matrix:

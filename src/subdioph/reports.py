@@ -6,6 +6,11 @@ silently rounds them.  CSV flattens nested mappings with dotted column names
 and keeps the column order of first appearance, so identical inputs always
 produce identical bytes.  The optional header line carries the only
 timestamp; data lines never depend on the clock.
+
+Records convert one at a time, each straight into its JSON line or its
+flat CSV row, through one shared compact encoder.  Nothing is written
+before every record has converted, so a record that cannot be serialized
+leaves the stream untouched.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ _FLOAT_SAFE_INT = 2**53
 # default, at least 640); below 2^2000 (603 digits) it is always allowed.
 _STR_SAFE_BITS = 2000
 
+# one compact encoder for rows, the header and CSV list cells
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def exact_str(value: int | Fraction) -> str:
     """Decimal text of an int, or 'p/q' of a Fraction, of any size.
@@ -38,7 +46,9 @@ def exact_str(value: int | Fraction) -> str:
     the interpreter's int -> str digit limit; that limit stays in place,
     since it guards the parsing of untrusted input.
     """
-    if isinstance(value, Fraction):
+    # exact types first: isinstance(value, Fraction) goes through the
+    # numbers ABCs and costs more than the conversion
+    if type(value) is not int and isinstance(value, Fraction):
         num = exact_str(value.numerator)
         return num if value.denominator == 1 else f"{num}/{exact_str(value.denominator)}"
     if value.bit_length() < _STR_SAFE_BITS:
@@ -62,51 +72,68 @@ def _convert_scalar(value):
 
 
 def _convert(value):
+    """JSON-safe image of a report value.  Exact types are tested first:
+    isinstance against the Mapping ABC costs more than most conversions."""
     kind = type(value)
-    if kind is str or kind is int:
-        return _convert_scalar(value)
-    if kind is not list and isinstance(value, Mapping):
+    if kind is str:
+        return value
+    if kind is int:
+        return value if abs(value) < _FLOAT_SAFE_INT else exact_str(value)
+    if kind is dict or (kind is not list and isinstance(value, Mapping)):
         return {str(k): _convert(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         kinds = {type(x) for x in value if x is not None}
         if len(kinds) > 1:
             names = sorted(k.__name__ for k in kinds)
             raise SerializationError(f"mixed-type list in report: {names}")
+        if kinds <= {str}:  # strings and None are their own images
+            return list(value)
         return [_convert(x) for x in value]
     return _convert_scalar(value)
 
 
 def _csv_cell(value) -> str:
+    kind = type(value)
+    if kind is str:
+        return value
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if kind is bool:
         return "true" if value else "false"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, float)):
-        return json.dumps(value)
-    if isinstance(value, list):
-        return json.dumps(value, separators=(",", ":"))
+    if isinstance(value, (int, float, list)):
+        return _encode(value)
     raise SerializationError(f"cannot place {type(value).__name__} in a CSV cell")
 
 
-def _flatten(record: Mapping, prefix: str = "") -> dict:
+def _flatten(record: dict, prefix: str = "") -> dict:
+    """CSV cells of a converted record, nested keys joined with dots."""
     out = {}
     for key, value in record.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, Mapping):
+        name = prefix + key if prefix else key
+        if type(value) is dict:
             out.update(_flatten(value, prefix=f"{name}."))
         else:
             out[name] = _csv_cell(value)
     return out
 
 
-def header_line(command: str) -> dict:
-    return {
+def header_line(command: str, note: str | None = None) -> dict:
+    header = {
         "type": "header",
         "command": command,
         "generated": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
+    if note is not None:
+        header["completeness"] = note
+    return header
+
+
+def _converted(records: Sequence[Mapping]):
+    """Each record checked and converted, in order."""
+    for record in records:
+        if type(record) is not dict and not isinstance(record, Mapping):
+            raise SerializationError("report records must be mappings")
+        yield _convert(record)
 
 
 def emit_report(
@@ -115,41 +142,37 @@ def emit_report(
     stream: IO[str],
     command: str = "",
     no_header: bool = False,
+    note: str | None = None,
 ) -> None:
     """Write records to the stream in the requested format.
 
     Records must all be mappings.  An empty list still produces the header
-    (unless suppressed); failures raise SerializationError before anything
-    is written.
+    (unless suppressed).  note, when given, is a completeness disclaimer
+    carried by the header: a "completeness" key in JSONL, a second comment
+    line in CSV.  Every record is converted before anything is written, so
+    a failure raises SerializationError and leaves the stream untouched.
     """
     if fmt not in FORMATS:
         raise SerializationError(f"unknown format {fmt!r}")
-    for record in records:
-        if not isinstance(record, Mapping):
-            raise SerializationError("report records must be mappings")
-    converted = [_convert(record) for record in records]
 
     if fmt == JSONL:
-        lines = []
+        lines = [_encode(record) + "\n" for record in _converted(records)]
         if not no_header:
-            lines.append(json.dumps(header_line(command), separators=(",", ":")))
-        lines.extend(
-            json.dumps(record, separators=(",", ":")) for record in converted
-        )
-        for line in lines:
-            stream.write(line + "\n")
+            stream.write(_encode(header_line(command, note)) + "\n")
+        stream.writelines(lines)
         return
 
-    flat = [_flatten(record) for record in converted]
-    columns: list[str] = []
-    for row in flat:
+    rows = [_flatten(record) for record in _converted(records)]
+    columns: dict[str, None] = {}
+    for row in rows:
         for name in row:
             if name not in columns:
-                columns.append(name)
+                columns[name] = None
     if not no_header:
         stream.write(f"# {command} {header_line(command)['generated']}\n")
+        if note is not None:
+            stream.write(f"# {note}\n")
     if columns:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(columns)
-        for row in flat:
-            writer.writerow([row.get(name, "") for name in columns])
+        writer.writerows([row.get(name, "") for name in columns] for row in rows)

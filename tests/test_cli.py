@@ -407,6 +407,44 @@ class TestRunPlumbing:
         assert len(box_rows) == len(exact_rows) == 9
         assert sorted(box_rows) == sorted(exact_rows)
 
+    def basis_box_streams(self, tmp_path, fmt):
+        """(basis-box argv, exact-strategy argv) of enumerate, records and
+        estimate on one window."""
+        target = write_json(tmp_path / "t.json",
+                            {"n": 3, "e": 1, "basis": [[1], ["-47/53"], ["29/71"]]})
+        box = ["--strategy", "basis-box", "--basis-box-bound", "2"]
+        window = ["--e", "2", "--hmax-squared", "9", "--format", fmt]
+        for argv in (["enumerate", "--n", "3", *window],
+                     ["records", "--basis", target, *window],
+                     ["estimate", "--basis", target, *window]):
+            yield [*argv, *box], argv
+
+    NOTE = ("basis-box walks integer bases with entries in [-2, 2] and may miss"
+            " subspaces below the height bound; results are a sample, not a census")
+
+    def test_basis_box_jsonl_header_carries_the_completeness_note(self, tmp_path):
+        for box_argv, exact_argv in self.basis_box_streams(tmp_path, "jsonl"):
+            code, out, err = run(box_argv)
+            assert (code, err) == (0, "")
+            header, *body = out.splitlines()
+            fields = json.loads(header)
+            assert list(fields) == ["type", "command", "generated", "completeness"]
+            assert fields["completeness"] == self.NOTE
+            assert run([*box_argv, "--no-header"])[1].splitlines() == body
+            exact_header = json.loads(run(exact_argv)[1].splitlines()[0])
+            assert list(exact_header) == ["type", "command", "generated"]
+
+    def test_basis_box_csv_header_carries_the_completeness_note(self, tmp_path):
+        for box_argv, exact_argv in self.basis_box_streams(tmp_path, "csv"):
+            code, out, err = run(box_argv)
+            assert (code, err) == (0, "")
+            stamp, note, *body = out.splitlines()
+            assert stamp.startswith(f"# {box_argv[0]} ")
+            assert note == f"# {self.NOTE}"
+            assert run([*box_argv, "--no-header"])[1].splitlines() == body
+            exact_lines = run(exact_argv)[1].splitlines()
+            assert exact_lines[0].startswith("# ") and not exact_lines[1].startswith("#")
+
     def test_basis_box_scan_from_the_cli(self, tmp_path):
         target = {"n": 3, "e": 1, "basis": [[1], ["-47/53"], ["29/71"]]}
         path = write_json(tmp_path / "t.json", target)

@@ -252,6 +252,29 @@ def test_plane_relation_agrees_with_decode():
     assert accepted == len(reference_subspaces(4, 2, 6))
 
 
+TRUSTED_LABEL_SPECS = [
+    *(EnumSpec(n, 1, hmax2) for n, hmax2 in ((2, 400), (3, 120), (4, 40), (5, 14))),
+    *(EnumSpec(n, n - 1, hmax2) for n, hmax2 in ((3, 120), (4, 40), (5, 14))),
+    EnumSpec(4, 2, 60, strategy=EXACT_PLUECKER),
+]
+
+
+@pytest.mark.parametrize(
+    "spec", TRUSTED_LABEL_SPECS, ids=lambda s: f"{s.n}-{s.e}-h{s.height_squared_max}"
+)
+def test_enumerated_labels_pass_the_validating_constructor(spec):
+    """The enumerators build labels without PlueckerVector's checks; each
+    must equal the label the checked constructor makes of its coordinates."""
+    count = 0
+    for sub in enumerate_subspaces(spec):
+        label = sub.pluecker
+        assert (label.n, label.e) == (spec.n, spec.e)
+        assert type(label.coords) is tuple
+        assert label == exact.PlueckerVector(spec.n, spec.e, label.coords)
+        count += 1
+    assert count > 10
+
+
 def test_line_bases_are_their_labels():
     spec = EnumSpec(n=3, e=1, height_squared_max=200)
     for sub in enumerate_subspaces(spec):
@@ -400,6 +423,33 @@ def test_plane_scan_candidates_skip_fraction_helpers(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # basis box
+
+
+def reference_basis_box(spec):
+    """The basis-box walk through RationalSubspace.from_basis on every box
+    matrix (validation and all minors each time), deduped by label."""
+    n, e, m = spec.n, spec.e, spec.basis_box_bound
+    seen, out = set(), []
+    for values in itertools.product(range(-m, m + 1), repeat=n * e):
+        rows = [values[i * e : (i + 1) * e] for i in range(n)]
+        try:
+            sub = exact.RationalSubspace.from_basis(rows)
+        except SubdiophError:
+            continue
+        if sub.pluecker.coords in seen or sub.height_squared > spec.height_squared_max:
+            continue
+        seen.add(sub.pluecker.coords)
+        out.append(sub)
+    return out
+
+
+@pytest.mark.parametrize("n, e, hmax2", [(5, 2, 4), (4, 2, 6), (3, 2, 9)])
+def test_basis_box_matches_the_from_basis_walk(n, e, hmax2):
+    spec = EnumSpec(n=n, e=e, height_squared_max=hmax2, strategy=BASIS_BOX,
+                    basis_box_bound=1)
+    got = [(s.pluecker, s.basis) for s in enumerate_subspaces(spec)]
+    ref = [(s.pluecker, s.basis) for s in reference_basis_box(spec)]
+    assert got == ref and len(got) > 5
 
 
 def test_basis_box_emits_valid_deduped_sample():

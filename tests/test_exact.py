@@ -1,6 +1,7 @@
 """Exact-core oracles: hand-computed labels, heights, and identities."""
 
 from fractions import Fraction
+from itertools import combinations
 import math
 import random
 
@@ -23,12 +24,14 @@ from subdioph.exact import (
     height_squared,
     inverse,
     is_primitive_basis,
+    label_from_minors,
     mat_mul,
     padic_valuation,
     pluecker_coordinates,
     pluecker_decode,
     rank,
     rational_kernel,
+    raw_minors,
     transpose,
 )
 
@@ -63,6 +66,48 @@ def test_rational_entries_are_cleared_per_column():
     pv = pluecker_coordinates(columns((1, Fraction(1, 2))))
     assert pv.coords == (2, 1)
     assert pv.height_squared == 5
+
+
+def test_label_from_minors_matches_the_validating_constructor():
+    """label_from_minors builds its label without PlueckerVector's checks;
+    on random integer bases it must equal the checked construction."""
+    rng = random.Random(20260815)
+    degenerate = 0
+    for _ in range(2000):
+        n = rng.randint(2, 5)
+        e = rng.randint(1, n)
+        k = rng.choice((1, 2, 9))
+        basis = [[rng.randint(-k, k) for _ in range(e)] for _ in range(n)]
+        minors = raw_minors(as_matrix(basis))
+        assert minors == tuple(
+            determinant([basis[i] for i in rows]) for rows in combinations(range(n), e)
+        )
+        if not any(minors):
+            degenerate += 1
+            with pytest.raises(DegenerateBasisError):
+                label_from_minors(n, e, minors)
+            continue
+        label = label_from_minors(n, e, minors)
+        assert label == PlueckerVector(n, e, label.coords)
+        g = math.gcd(*minors)
+        sign = 1 if next(m for m in minors if m) > 0 else -1
+        assert label.coords == tuple(sign * m // g for m in minors)
+        assert type(label.coords) is tuple and all(type(c) is int for c in label.coords)
+    assert 0 < degenerate < 2000
+
+
+@pytest.mark.parametrize(
+    "n, e, coords, error, message",
+    [
+        (4, 2, (1, 0, 0, 0, 0), ShapeError, "expected 6 coordinates"),
+        (3, 1, (0, 0, 0), DegenerateBasisError, "zero coordinate vector"),
+        (3, 1, (2, 4, -6), ShapeError, "gcd-normalized"),
+        (3, 1, (0, -1, 2), ShapeError, "leading nonzero coordinate"),
+    ],
+)
+def test_public_label_constructor_still_validates(n, e, coords, error, message):
+    with pytest.raises(error, match=message):
+        PlueckerVector(n, e, coords)
 
 
 def test_degenerate_basis_rejected():

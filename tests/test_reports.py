@@ -1,0 +1,167 @@
+"""Report bytes against a reference encoder, and all-or-nothing writes.
+
+The reference below is the serializer as first written: isinstance-based
+conversion, one json.dumps call per row and per CSV list cell.  emit_report
+must write the same bytes on every value kind a report can hold.
+"""
+
+import csv
+import io
+import json
+import math
+import types
+from collections import OrderedDict
+from collections.abc import Mapping
+from fractions import Fraction
+
+import pytest
+
+from subdioph import reports
+from subdioph.errors import SerializationError
+
+
+def ref_convert(value):
+    if isinstance(value, Mapping):
+        return {str(k): ref_convert(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        kinds = {type(x) for x in value if x is not None}
+        if len(kinds) > 1:
+            raise SerializationError("mixed-type list")
+        return [ref_convert(x) for x in value]
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, int):
+        return value if abs(value) < 2**53 else reports.exact_str(value)
+    if isinstance(value, Fraction):
+        return reports.exact_str(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise SerializationError("non-finite float")
+        return value
+    raise SerializationError(type(value).__name__)
+
+
+def ref_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, float)):
+        return json.dumps(value)
+    return json.dumps(value, separators=(",", ":"))
+
+
+def ref_flatten(record, prefix=""):
+    out = {}
+    for key, value in record.items():
+        if isinstance(value, Mapping):
+            out.update(ref_flatten(value, f"{prefix}{key}."))
+        else:
+            out[f"{prefix}{key}"] = ref_cell(value)
+    return out
+
+
+def reference_bytes(records, fmt):
+    """The data stream of emit_report(..., no_header=True), by the reference."""
+    converted = [ref_convert(r) for r in records]
+    if fmt == reports.JSONL:
+        return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in converted)
+    flat = [ref_flatten(r) for r in converted]
+    columns = []
+    for row in flat:
+        columns.extend(name for name in row if name not in columns)
+    out = io.StringIO()
+    if columns:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        for row in flat:
+            writer.writerow([row.get(name, "") for name in columns])
+    return out.getvalue()
+
+
+def emitted(records, fmt, **kwargs):
+    stream = io.StringIO()
+    reports.emit_report(records, fmt, stream, command="test", **kwargs)
+    return stream.getvalue()
+
+
+CORPUS = [
+    {"coords": ["1", "-2", "3"], "heightSquared": "14"},
+    {"small": 2**53 - 1, "edge": 2**53, "neg": -(2**53), "big": 3**40},
+    {"huge": 2**2000 + 1, "neg_huge": -(7**800), "digits": 10**700},
+    {"fractions": [Fraction(1, 3), Fraction(-(2**70), 3), Fraction(6, 3)],
+     "wide": Fraction(2**2001 + 1, 7)},
+    {"floats": [0.1, -0.0, 1e308, 5e-324], "third": 1 / 3, "flag": True,
+     "off": False, "missing": None},
+    {"text": "psi ≥ θ — 日本語 é  ", "quote": 'a,"b"\nc', "emoji": "\U0001F600"},
+    {"nested": {"level": {"deep": [1, 2, 3], "label": "x"}, "h": 2**60},
+     "lists": [[1, 2], [3]], "maybe": ["x", None, "y"], "pair": (4, 5)},
+    OrderedDict([("z", 1), ("a", [True, False])]),
+    types.MappingProxyType({"proxy": Fraction(5, 2), 7: "int key"}),
+    {"rows": [{"k": 1}, {"k": 2**64}], "empty": [], "blank": ""},
+    {"coords": ["9"], "extra": {"only": "here"}},
+]
+
+
+@pytest.mark.parametrize("fmt", reports.FORMATS)
+def test_bytes_match_the_reference_encoder(fmt):
+    assert emitted(CORPUS, fmt, no_header=True) == reference_bytes(CORPUS, fmt)
+    for record in CORPUS:
+        assert emitted([record], fmt, no_header=True) == reference_bytes([record], fmt)
+
+
+@pytest.mark.parametrize("fmt", reports.FORMATS)
+def test_header_precedes_the_same_body(fmt):
+    lines = emitted(CORPUS, fmt).splitlines(keepends=True)
+    assert "".join(lines[1:]) == reference_bytes(CORPUS, fmt)
+    if fmt == reports.JSONL:
+        header = json.loads(lines[0])
+        assert list(header) == ["type", "command", "generated"]
+        assert lines[0] == json.dumps(header, separators=(",", ":")) + "\n"
+    else:
+        assert lines[0].startswith("# test ")
+
+
+@pytest.mark.parametrize("fmt", reports.FORMATS)
+def test_note_rides_on_the_header_only(fmt):
+    note = "a sample, not a census"
+    with_note = emitted(CORPUS[:2], fmt, note=note).splitlines()
+    plain = emitted(CORPUS[:2], fmt).splitlines()
+    if fmt == reports.JSONL:
+        header = json.loads(with_note[0])
+        assert header.pop("completeness") == note
+        assert header == json.loads(plain[0])
+        assert with_note[1:] == plain[1:]
+    else:
+        assert with_note[1] == f"# {note}"
+        assert with_note[2:] == plain[1:]
+    assert emitted(CORPUS[:2], fmt, note=note, no_header=True) == emitted(
+        CORPUS[:2], fmt, no_header=True
+    )
+
+
+BAD_LAST = [
+    {"x": float("nan")},
+    {"x": float("inf")},
+    {"nested": {"x": -float("inf")}},
+    {"values": [1, "two"]},
+    {"obj": object()},
+    ["not", "a", "mapping"],
+]
+
+
+@pytest.mark.parametrize("fmt", reports.FORMATS)
+@pytest.mark.parametrize("no_header", [False, True])
+@pytest.mark.parametrize(
+    "bad", BAD_LAST, ids=["nan", "inf", "nested-inf", "mixed-list", "object", "non-mapping"]
+)
+def test_a_bad_last_record_leaves_the_stream_empty(fmt, no_header, bad):
+    stream = io.StringIO()
+    with pytest.raises(SerializationError):
+        reports.emit_report(
+            [*CORPUS, bad], fmt, stream, command="test", no_header=no_header,
+            note="note",
+        )
+    assert stream.getvalue() == ""
