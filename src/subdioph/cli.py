@@ -10,8 +10,10 @@ stream), 2 usage error (diagnostics go to stderr, never to the data stream).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -740,23 +742,19 @@ def run_command(
             for field in ("check", "n_index"):
                 if hasattr(err, field):
                     failure[field] = getattr(err, field)
+            rows, code = [failure], 1
+        try:
             reports.emit_report(
-                [failure],
+                rows,
                 args.format,
                 data_stream,
                 command=args.command,
                 no_header=args.no_header,
                 note=getattr(args, "completeness", None),
             )
-            return 1
-        reports.emit_report(
-            rows,
-            args.format,
-            data_stream,
-            command=args.command,
-            no_header=args.no_header,
-            note=getattr(args, "completeness", None),
-        )
+        except BrokenPipeError:
+            # the reader stopped early (`| head`); the run's outcome stands
+            pass
         return code
     except (_UsageError, SubdiophError) as err:
         print(f"error: {err}", file=err_stream)
@@ -766,11 +764,19 @@ def run_command(
         return 2
     finally:
         if handle is not None:
-            handle.close()
+            with contextlib.suppress(BrokenPipeError):
+                handle.close()
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    code = run_command(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # send what is still buffered to devnull, so that the flush at
+        # interpreter exit does not report the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

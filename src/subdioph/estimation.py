@@ -16,11 +16,12 @@ sweep:
   record;
 * the generic scan walks an enumeration and pairs an exact target's
   label with every candidate's label in integers.  For d + e <= n that
-  pairing gives the product P of all the sines (Schmidt's identity), so a
-  pair with a single angle gets its sine bracket from the labels alone,
-  and psi_j >= P^(1/j) lets the sweep skip any candidate that cannot beat
-  the running record.  Only the survivors decode a basis and go through
-  the adaptive angle engine; float and evaluator targets screen nothing.
+  pairing gives the product P of all the sines (Schmidt's identity), and
+  psi_j >= P^(1/j) lets the sweep skip any candidate that cannot beat the
+  running record; for a pair with a single angle P is that sine, exactly.
+  Only the survivors get a sine bracket: a single-angle pair from its
+  labels alone, any other after decoding a basis, through the adaptive
+  angle engine.  Float and evaluator targets screen nothing.
 
 The sweep's running minima over height levels are the records of either
 source.  An irrationality scan is the second reduction of the same
@@ -262,11 +263,12 @@ def _float_up(x) -> float:
 
 # Each engine clears the target's denominators once.  The slope lies in
 # [p_lo, p_hi] / q, and every bracket below is an integer over one
-# per-engine scale.  One pooled candidate is (h2, vector, key, lo2, hi2):
-#   key      exact comparison object for the squared ambient cross term,
-#            an int (rational slopes) or an (m, n) pair for m + n sqrt(d);
-#   lo2/hi2  integer bracket of the same quantity, over the scale.
-# engine.less(row_a, row_b) compares key / h2 of two pooled rows exactly.
+# per-engine scale.  One pooled candidate is (h2, vector, key), where key is
+# the exact comparison object for the squared ambient cross term: an int
+# (rational slopes) or an (m, n) pair for m + n sqrt(d).  engine.less(row_a,
+# row_b) compares key / h2 of two pooled rows exactly.  Only the rows the
+# sweep returns get engine.bracket, an integer (lo2, hi2) of the same
+# quantity over the scale.
 
 
 def _square_bracket(lo: int, hi: int) -> tuple[int, int]:
@@ -292,9 +294,22 @@ class _RationalCross:
         sq_lo, sq_hi = _square_bracket(self.p_lo, self.p_hi)
         self.u2_lo, self.u2_hi = self.scale + sq_lo, self.scale + sq_hi
 
-    def cross2(self, x1: int, x2: int) -> tuple[int, int, int]:
-        lo2, hi2 = _square_bracket(x1 * self.p_lo - x2 * self.q, x1 * self.p_hi - x2 * self.q)
-        return (lo2 if self.exact_slope else hi2), lo2, hi2
+    def key(self, x1: int, x2: int) -> int:
+        # the exact square, or the upper end of its bracket
+        lo = x1 * self.p_lo - x2 * self.q
+        if self.exact_slope:
+            return lo * lo
+        hi = x1 * self.p_hi - x2 * self.q
+        return max(lo * lo, hi * hi)
+
+    def ambient(self, key: int, z2: int) -> int:
+        return key + z2 * self.u2_hi
+
+    def bracket(self, x1: int, x2: int, z2: int) -> tuple[int, int]:
+        # off-plane vectors may have x1 < 0, which swaps the two ends
+        ends = sorted((x1 * self.p_lo - x2 * self.q, x1 * self.p_hi - x2 * self.q))
+        lo2, hi2 = _square_bracket(*ends)
+        return lo2 + z2 * self.u2_lo, hi2 + z2 * self.u2_hi
 
     @staticmethod
     def is_zero(key: int) -> bool:
@@ -303,9 +318,6 @@ class _RationalCross:
     @staticmethod
     def less(row_a, row_b) -> bool:
         return row_a[2] * row_b[0] < row_b[2] * row_a[0]
-
-    def ambient(self, key, lo2, hi2, z2: int):
-        return key + z2 * self.u2_hi, lo2 + z2 * self.u2_lo, hi2 + z2 * self.u2_hi
 
 
 class _QuadraticCross:
@@ -332,13 +344,19 @@ class _QuadraticCross:
         base = (m << _ROOT_BITS) + n * self.root
         return (base, base + n) if n >= 0 else (base + n, base)
 
-    def cross2(self, x1: int, x2: int):
+    def key(self, x1: int, x2: int) -> tuple[int, int]:
         # den * (x1 * slope - x2) = e_rat + e_irr sqrt(d)
         e_rat = x1 * self.a - x2 * self.den
         e_irr = x1 * self.b
-        m, n = e_rat * e_rat + e_irr * e_irr * self.d, 2 * e_rat * e_irr
-        lo2, hi2 = self._bracket(m, n)
-        return (m, n), max(0, lo2), hi2
+        return e_rat * e_rat + e_irr * e_irr * self.d, 2 * e_rat * e_irr
+
+    def ambient(self, key: tuple[int, int], z2: int) -> tuple[int, int]:
+        m_u, n_u = self.u2
+        return key[0] + z2 * m_u, key[1] + z2 * n_u
+
+    def bracket(self, x1: int, x2: int, z2: int) -> tuple[int, int]:
+        lo2, hi2 = self._bracket(*self.key(x1, x2))
+        return max(0, lo2) + z2 * self.u2_lo, hi2 + z2 * self.u2_hi
 
     @staticmethod
     def is_zero(key: tuple[int, int]) -> bool:
@@ -349,14 +367,6 @@ class _QuadraticCross:
         (m_a, n_a), h2_a = row_a[2], row_a[0]
         (m_b, n_b), h2_b = row_b[2], row_b[0]
         return _surd_sign(m_a * h2_b - m_b * h2_a, n_a * h2_b - n_b * h2_a, self.d) < 0
-
-    def ambient(self, key, lo2, hi2, z2: int):
-        m_u, n_u = self.u2
-        return (
-            (key[0] + z2 * m_u, key[1] + z2 * n_u),
-            lo2 + z2 * self.u2_lo,
-            hi2 + z2 * self.u2_hi,
-        )
 
 
 def _cross_engine(target) -> "_RationalCross | _QuadraticCross":
@@ -477,22 +487,24 @@ def _scan_lines(
     plane.extend(_rounding_candidates(engine, hmax2, skip_below=zone))
     pool = []
     for h2, x1, x2 in plane:
-        key, lo2, hi2 = engine.cross2(x1, x2)
+        key = engine.key(x1, x2)
         if engine.is_zero(key):
             _raise_meeting(embed(x1, x2), len(pool) + 1)
-        pool.append((h2, embed(x1, x2), key, lo2, hi2))
+        pool.append((h2, embed(x1, x2), key))
     if n > 2:
         for vec, h2 in primitive_vectors(n, ambient_zone):
             z2 = h2 - vec[i0] * vec[i0] - vec[i1] * vec[i1]
             if z2 == 0:
                 continue
-            key, lo2, hi2 = engine.cross2(vec[i0], vec[i1])
-            pool.append((h2, vec, *engine.ambient(key, lo2, hi2, z2)))
+            pool.append((h2, vec, engine.ambient(engine.key(vec[i0], vec[i1]), z2)))
     # (h2, vector) is unique per row, so the sort never compares keys
     pool.sort()
-    raw = _sweep_pool(pool, engine.less)
+    raw = []
+    for h2, vec, _key in _sweep_pool(pool, engine.less):
+        x1, x2 = vec[i0], vec[i1]
+        raw.append((h2, vec, *engine.bracket(x1, x2, h2 - x1 * x1 - x2 * x2)))
     margin2 = _MARGIN * _MARGIN
-    for idx, (h2, _vec, _key, _lo2, hi2) in enumerate(raw):
+    for idx, (h2, _vec, _lo2, hi2) in enumerate(raw):
         window = raw[idx + 1][0] if idx + 1 < len(raw) else hmax2
         # off-plane vectors keep psi >= 1 / sqrt(height^2)
         if n > 2 and window > ambient_zone and hi2 * window > h2 * engine.u2_lo:
@@ -520,7 +532,7 @@ def _scan_lines(
             ),
             j_index=1,
         )
-        for h2, vec, _key, lo2, hi2 in raw
+        for h2, vec, lo2, hi2 in raw
     ]
     return records, len(pool)
 
@@ -594,17 +606,20 @@ class _GenericScan:
     because no sine exceeds 1.  An exact target pairs its raw label with
     each candidate's label once, in integers (wedge2 = |X_A /\\ X_B|^2):
 
-    * a pair with t = 1 reads its sine off wedge2, with the bracket that
-      angles_adaptive would report, and decodes no basis;
-    * another exact pair with t <= 2 and wedge2 > 0 waits unprofiled, so
-      a scan can skip it once P^(1/j) rules it out;
+    * an exact pair with t <= 2 and wedge2 > 0 waits unbracketed, so a
+      scan can skip it once P^(1/j) rules it out; for t = 1, P is the sine
+      itself;
     * every other candidate (float or evaluator targets, t >= 3, wedge2 = 0)
       is profiled at once, so an unresolved sine raises at its place in
-      the enumeration.  A waiting pair has no zero sine, and the exact
-      engine resolves every nonzero sine.
+      the enumeration (a t = 1 pair with wedge2 = 0 raises without a
+      profile).  A waiting pair has no zero sine, and the exact engine
+      resolves every nonzero sine.
 
-    rows() yields (h2, coords, hi, lo, sub, scanned, wedge2) in enumeration
-    order, with hi and lo None on a waiting row.
+    A waiting row that survives its scan's test is bracketed by bracket():
+    a t = 1 pair reads its sine off wedge2, with the bracket that
+    angles_adaptive would report, and decodes no basis; a t = 2 pair is
+    profiled.  rows() yields (h2, coords, hi, lo, sub, scanned, wedge2) in
+    enumeration order, with hi and lo None on a waiting row.
     """
 
     def __init__(self, target, j_index: int, ctx: PrecisionContext | None):
@@ -639,12 +654,10 @@ class _GenericScan:
             if self.label is not None:
                 wedge2 = exact.wedge_norm_squared(self.label, d, pv.coords, sub.e, n)
                 if limit == 1 and d + sub.e <= n:
-                    bracket = sine_from_squared(wedge2, self.label2 * h2, self._bits())
-                    if bracket is None:
+                    # where angles_adaptive would raise PrecisionExhaustedError
+                    self._bits()
+                    if not wedge2:
                         raise _unresolved(sub, scanned)
-                    counts["label_only"] += 1
-                    yield (h2, pv.coords, bracket[1], bracket[0], sub, scanned, wedge2)
-                    continue
             if not wedge2 or limit > 2:
                 lo, hi = self.profile(sub, scanned)
                 yield (h2, pv.coords, hi, lo, sub, scanned, wedge2)
@@ -657,6 +670,15 @@ class _GenericScan:
         if self.bits is None:
             self.bits = exact_relative_bits(self.ctx)
         return self.bits
+
+    def bracket(self, row: tuple) -> tuple:
+        """(lo, hi) of a waiting row's j-th sine: from its label when t = 1,
+        with the bracket that angles_adaptive would report, else from the
+        angle engine."""
+        if row[4].e == 1 or self.basis.d == 1:
+            self.counts["label_only"] += 1
+            return sine_from_squared(row[6], self.label2 * row[0], self._bits())
+        return self.profile(row[4], row[5])
 
     def profile(self, sub: exact.RationalSubspace, scanned: int) -> tuple:
         """(lo, hi) of the j-th sine from the angle engine."""
@@ -711,9 +733,9 @@ def scan_records(
     which always covers every primitive line up to the bound.  Otherwise
     the candidates are labelled and screened (_GenericScan), sorted by
     (h2, coords) and swept by height level: a waiting candidate is
-    profiled only when its label bound cannot meet the running record's
-    upper endpoint, so it could be neither a level minimum that beats the
-    record nor a record.  The running minimum is taken over upper
+    bracketed only when its label bound cannot meet the running record's
+    upper endpoint; a candidate whose bound does could be neither a level
+    minimum that beats the record nor a record.  The running minimum is taken over upper
     endpoints; an interval stuck at zero raises
     IrrationalityViolationError.  spec may be an EnumSpec or any iterable
     of rational subspaces (shard outputs can be chained; the sweep sorts by
@@ -728,7 +750,7 @@ def scan_records(
             if row[2] is None:
                 if record is not None and scan.rules_out(row, record[2]):
                     continue
-                lo, hi = scan.profile(row[4], row[5])
+                lo, hi = scan.bracket(row)
                 row = (row[0], row[1], hi, lo, row[4])
             yield row
 
@@ -1106,7 +1128,7 @@ def irrationality_scan(
                     if lo is None:
                         if min_lo is not None and scan.rules_out(row, min_lo, slack=True):
                             continue
-                        lo = scan.profile(row[4], row[5])[0]
+                        lo = scan.bracket(row)[0]
                     if min_lo is None or lo < min_lo:
                         min_lo, witness = lo, row[4]
             finally:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -501,6 +502,47 @@ class TestRunPlumbing:
         assert code == 1
         for line in out.splitlines():
             json.loads(line)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_closed_output_stream_keeps_the_exit_code(self, line_basis, fmt):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        for argv, code in (
+            (["enumerate", "--n", "3", "--e", "1", "--hmax-squared", "20"], 0),
+            (["records", "--basis", line_basis, "--hmax-squared", "100"], 1),
+        ):
+            err = io.StringIO()
+            assert run_command(argv + ["--format", fmt], stdout=ClosedPipe(), stderr=err) == code
+            assert err.getvalue() == ""
+
+    def test_closed_pipe_as_out_file(self, line_basis):
+        # the row fits the file buffer, so the pipe breaks when it closes
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            argv = ["height", "--basis", line_basis, "--out", f"/dev/fd/{write_end}"]
+            assert run(argv) == (0, "", "")
+        finally:
+            os.close(write_end)
+
+    def test_reader_that_stops_after_one_line(self):
+        # about 0.6 MB of rows, far beyond a pipe buffer
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "subdioph.cli", "enumerate", "--n", "3", "--e", "1",
+             "--hmax-squared", "500"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert json.loads(first)["type"] == "header"
+        assert err == ""
 
     def test_module_entry_point(self, line_basis):
         proc = subprocess.run(

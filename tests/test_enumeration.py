@@ -368,17 +368,52 @@ def test_single_sine_scans_skip_decode_and_engine(decode_calls, engine_calls, e,
     assert decode_calls["decode"] == engine_calls["angles"] == 0
 
 
+@pytest.fixture
+def bracket_calls(monkeypatch):
+    """Count of label brackets (sine_from_squared) built by the generic scans."""
+    calls = {"brackets": 0}
+    bracket = est.sine_from_squared
+
+    def counted(num, den, bits):
+        calls["brackets"] += 1
+        return bracket(num, den, bits)
+
+    monkeypatch.setattr(est, "sine_from_squared", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "e, scan",
+    [(1, est.irrationality_scan), (2, est.scan_records)],
+    ids=["lines-irrationality", "hyperplanes-records"],
+)
+def test_single_sine_scans_bracket_only_survivors(
+    decode_calls, engine_calls, bracket_calls, e, scan
+):
+    spec = EnumSpec(n=3, e=e, height_squared_max=40, strategy=EXACT_LINES)
+    candidates = len(list(enumerate_subspaces(spec)))
+    scan(TARGET_LINE, spec)
+    assert 0 < bracket_calls["brackets"] <= candidates // 10
+    assert decode_calls["decode"] == engine_calls["angles"] == 0
+
+
 def test_scan_logs_its_counts(caplog):
+    """label_only counts the single-angle pairs that got a bracket, skipped
+    every pair the labels ruled out; each candidate is counted once."""
     caplog.set_level(logging.DEBUG, logger="subdioph")
     spec = EnumSpec(n=4, e=2, height_squared_max=8, strategy=EXACT_PLUECKER)
     est.scan_records(TARGET_PLANE, spec, j_index=2)
-    assert scan_counts(caplog) == {
+    counts = scan_counts(caplog)
+    assert counts == {
         "candidates": 314, "label_only": 0, "profiled": 98, "skipped": 216,
     }
+    assert counts["candidates"] == counts["label_only"] + counts["profiled"] + counts["skipped"]
     est.irrationality_scan(TARGET_LINE, EnumSpec(3, 1, 40, EXACT_LINES))
-    assert scan_counts(caplog) == {
-        "candidates": 433, "label_only": 433, "profiled": 0, "skipped": 0,
+    counts = scan_counts(caplog)
+    assert counts == {
+        "candidates": 433, "label_only": 20, "profiled": 0, "skipped": 413,
     }
+    assert counts["candidates"] == counts["label_only"] + counts["profiled"] + counts["skipped"]
 
 
 @pytest.mark.parametrize("n, hmax2", [(3, 200), (4, 30), (5, 12)])

@@ -1,0 +1,247 @@
+"""The exact line engine against brute force over every primitive vector.
+
+The oracle walks a box of integer vectors, keeps the primitive
+sign-canonical ones up to the height bound, and ranks them by the exact
+value (v . u)^2 / |v|^2 for the target direction u = e_i0 + s e_i1: a larger
+value is a smaller sine.  Records are the exact running strict minima of
+the sine over height levels, ties within a level going to the smallest
+coords.  Exact rational slopes compute in Fraction, quadratic slopes
+(a + b sqrt(d)) in integer pairs (m, n) for m + n sqrt(d), compared by
+exact surd signs.
+
+The engine runs with zones below the height bound, so rounding candidates
+and certificates take part.  It must return exactly the oracle's records
+(each bracket holding the exact sine), raise ScanIncompleteError, or raise
+IrrationalityViolationError at the one vector that meets an exact rational
+target.  After ScanIncompleteError the fully exhaustive scan is compared
+instead, so every example checks a record list.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+from math import gcd, isqrt
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from subdioph import estimation as est
+from subdioph.errors import IrrationalityViolationError, ScanIncompleteError
+
+SETTINGS = settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=20,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def brute_vectors(n, hmax2):
+    """(h2, vec) of every primitive vector whose first nonzero entry is
+    positive, from a plain walk over the box [-r, r]^n."""
+    r = isqrt(hmax2)
+    out = []
+    for vec in itertools.product(range(-r, r + 1), repeat=n):
+        h2 = sum(x * x for x in vec)
+        if not 0 < h2 <= hmax2:
+            continue
+        lead = next(x for x in vec if x)
+        if lead > 0 and gcd(*vec) == 1:
+            out.append((h2, vec))
+    return out
+
+
+class RationalOracle:
+    """Closeness (v . u)^2 / h2 and squared sines for an exact slope s."""
+
+    def __init__(self, target):
+        self.s = target.value
+        self.u2 = 1 + self.s * self.s
+
+    def closeness(self, x1, x2, h2):
+        return (x1 + self.s * x2) ** 2 / h2
+
+    def closer(self, a, b):
+        return a > b
+
+    def meets(self, c):
+        return c == self.u2
+
+    def bracket_holds(self, c, lo, hi):
+        sin2 = 1 - c / self.u2
+        return Fraction(lo) ** 2 <= sin2 <= Fraction(hi) ** 2
+
+
+class QuadraticOracle:
+    """The same for s = (a + b sqrt(d)) / den, in integer pairs (m, n) that
+    stand for (m + n sqrt(d)) / den^2."""
+
+    def __init__(self, target):
+        den = target.a.denominator * target.b.denominator
+        self.a = int(target.a * den)
+        self.b = int(target.b * den)
+        self.d, self.den = target.d, den
+        # den^2 |u|^2 = den^2 + (a + b sqrt(d))^2
+        self.u2 = (den * den + self.a * self.a + self.b * self.b * self.d, 2 * self.a * self.b)
+
+    def closeness(self, x1, x2, h2):
+        p, q = self.den * x1 + self.a * x2, self.b * x2
+        return (p * p + q * q * self.d, 2 * p * q), h2
+
+    def closer(self, a, b):
+        (m_a, n_a), h_a = a
+        (m_b, n_b), h_b = b
+        return est._surd_sign(m_a * h_b - m_b * h_a, n_a * h_b - n_b * h_a, self.d) > 0
+
+    def meets(self, c):
+        return False
+
+    def bracket_holds(self, c, lo, hi):
+        # sin^2 = (h2 |u|^2 - (v . u)^2) / (h2 |u|^2), and |u|^2 > 0
+        (m, n), h2 = c
+        u_m, u_n = self.u2
+        gap = (h2 * u_m - m, h2 * u_n - n)
+
+        def sign(bound):
+            p, q = (Fraction(bound) ** 2).as_integer_ratio()
+            return est._surd_sign(p * h2 * u_m - q * gap[0], p * h2 * u_n - q * gap[1], self.d)
+
+        return sign(lo) <= 0 <= sign(hi)
+
+
+def oracle_for(target):
+    if isinstance(target, est.QuadraticLineTarget):
+        return QuadraticOracle(target)
+    return RationalOracle(target)
+
+
+def oracle_records(oracle, vectors, axes):
+    """[(vec, h2, closeness)] of the running strict minima, or ("meets", vec)."""
+    i0, i1 = axes
+    ranked = sorted(vectors)
+    records = []
+    level_h2, best = None, None
+    for h2, vec in ranked + [(None, None)]:
+        if h2 != level_h2:
+            if best is not None and (not records or oracle.closer(best[2], records[-1][2])):
+                records.append(best)
+            level_h2, best = h2, None
+        if h2 is None:
+            break
+        c = oracle.closeness(vec[i0], vec[i1], h2)
+        if oracle.meets(c):
+            return ("meets", vec)
+        if best is None or oracle.closer(c, best[2]):
+            best = (vec, h2, c)
+    return records
+
+
+def scan_outcome(target, n, axes, hmax2, zone, ambient_zone):
+    try:
+        return est.scan_embedded_line_records(
+            target, n, hmax2, axes=axes, zone=zone, ambient_zone=ambient_zone
+        )
+    except ScanIncompleteError:
+        return None
+    except IrrationalityViolationError as err:
+        return ("meets", err.vector)
+
+
+def check_engine(target, n, axes, hmax2, zone, ambient_zone):
+    oracle = oracle_for(target)
+    expected = oracle_records(oracle, brute_vectors(n, hmax2), axes)
+    got = scan_outcome(target, n, axes, hmax2, zone, ambient_zone)
+    if got is None:
+        got = scan_outcome(target, n, axes, hmax2, hmax2, hmax2)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert isinstance(got, list)
+    assert [(r.subspace.pluecker.coords, r.height_squared) for r in got] == [
+        (vec, h2) for vec, h2, _c in expected
+    ]
+    for rec, (_vec, _h2, c) in zip(got, expected):
+        assert oracle.bracket_holds(c, rec.psi_lo, rec.psi_hi)
+
+
+def random_fraction(seed):
+    rng = random.Random(seed)
+    q = rng.randint(1, 10**8)
+    return Fraction(rng.randint(-3 * q, 3 * q), q)
+
+
+NONSQUARES = [d for d in range(2, 40) if isqrt(d) ** 2 != d]
+
+
+# a small fraction meets a line of the window; a large one rarely does
+TARGETS = {
+    "small-rational": st.builds(Fraction, st.integers(-60, 60), st.integers(1, 30)).map(
+        est.RationalLineTarget
+    ),
+    "rational": st.integers(0, 2**32).map(random_fraction).map(est.RationalLineTarget),
+    "quadratic": st.builds(
+        est.QuadraticLineTarget,
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+        st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 9)),
+        st.sampled_from(NONSQUARES),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(TARGETS))
+@pytest.mark.parametrize("n, most", [(2, 2000), (3, 300), (4, 60)])
+@SETTINGS
+@given(data=st.data())
+def test_engine_matches_brute_force(kind, n, most, data):
+    target = data.draw(TARGETS[kind], label="target")
+    hmax2 = data.draw(st.integers(10, most), label="hmax2")
+    zone = data.draw(st.integers(max(2, hmax2 // 10), hmax2 - 1), label="zone")
+    ambient_zone = data.draw(st.integers(2, zone), label="ambient_zone")
+    axes = data.draw(st.sampled_from(list(itertools.combinations(range(n), 2))), label="axes")
+    check_engine(target, n, axes, hmax2, zone, ambient_zone)
+
+
+# ---------------------------------------------------------------------------
+# brackets only for the records
+
+
+@pytest.fixture
+def bracket_calls(monkeypatch):
+    """Integer brackets taken by either cross engine while a test runs."""
+    calls = {"brackets": 0}
+    square, surd = est._square_bracket, est._QuadraticCross._bracket
+
+    def counted_square(lo, hi):
+        calls["brackets"] += 1
+        return square(lo, hi)
+
+    def counted_surd(self, m, n):
+        calls["brackets"] += 1
+        return surd(self, m, n)
+
+    monkeypatch.setattr(est, "_square_bracket", counted_square)
+    monkeypatch.setattr(est._QuadraticCross, "_bracket", counted_surd)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        est.golden_line_target(),
+        est.RationalLineTarget(Fraction(-314159265359, 100000000000)),
+        est.RationalLineTarget(Fraction(141421356237, 100000000000), Fraction(1, 10**30)),
+    ],
+    ids=["quadratic", "rational", "tail-bracketed"],
+)
+@pytest.mark.parametrize("n, axes", [(2, (0, 1)), (3, (1, 2))])
+def test_line_engine_brackets_only_its_records(bracket_calls, target, n, axes):
+    est._cross_engine(target)
+    setup = bracket_calls["brackets"]
+    bracket_calls["brackets"] = 0
+    records = est.scan_embedded_line_records(
+        target, n, 20_000, axes=axes, zone=2_000, ambient_zone=200
+    )
+    assert len(records) >= 5
+    # the engine's own set-up brackets, then one per record
+    assert bracket_calls["brackets"] - setup <= len(records)
