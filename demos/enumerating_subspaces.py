@@ -1,8 +1,9 @@
 """Enumerating rational subspaces by height, with sharding.
 
 Lists all rational lines of R^3 below a height cutoff, shows the
-strategy catalog, and splits the same enumeration across three shards
-that partition the output exactly.
+strategy catalog (including the echelon census of planes in R^5), and
+splits the same enumeration across three shards that partition the
+output exactly.
 """
 
 from subdioph import enumeration as enu
@@ -20,6 +21,11 @@ def main():
     quadric_spec = enu.EnumSpec(4, 2, 20, enu.EXACT_PLUECKER)
     planes = list(enu.enumerate_subspaces(quadric_spec))
     print(f"planes in R^4 with height^2 <= 20: {len(planes)}")
+
+    # every other shape walks scaled reduced echelon bases
+    echelon_spec = enu.EnumSpec(5, 2, 8, enu.exact_strategy(5, 2))
+    census = list(enu.enumerate_subspaces(echelon_spec))
+    print(f"planes in R^5 with height^2 <= 8 ({echelon_spec.strategy}): {len(census)}")
 
     # shards partition the exact enumerations without overlap
     whole = {s.pluecker.coords for s in lines}

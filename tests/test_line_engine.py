@@ -245,3 +245,41 @@ def test_line_engine_brackets_only_its_records(bracket_calls, target, n, axes):
     assert len(records) >= 5
     # the engine's own set-up brackets, then one per record
     assert bracket_calls["brackets"] - setup <= len(records)
+
+
+def test_off_plane_certificate_refuses_a_wide_bracket(monkeypatch):
+    """A record whose upper sine bound exceeds 1 / sqrt(window) could lose
+    to an off-plane vector beyond the ambient zone, whose sine is at least
+    1 / height; the scan must then refuse to certify.
+
+    Within the bracket allowance this never happens (an in-plane record's
+    sine stays below about 1 / (2 sqrt(window)), as for best
+    approximations), so the width gate is lifted to widen the slope
+    bracket to [1/4, 1/2].  The record (1, 0, 0) then has an upper sine
+    bound of about 0.49 up to the next record at squared height 5.
+    """
+    monkeypatch.setattr(est, "_check_bracket_width", lambda engine, hmax2: None)
+    target = est.RationalLineTarget(Fraction(1, 4), Fraction(1, 4))
+    plane = est.scan_embedded_line_records(target, 2, 20, zone=20)
+    assert [(r.height_squared, r.subspace.pluecker.coords) for r in plane] == [
+        (1, (1, 0)), (5, (2, 1)), (10, (3, 1)),
+    ]
+    with pytest.raises(ScanIncompleteError, match="off-plane vectors up to 5"):
+        est.scan_embedded_line_records(target, 3, 20, zone=20, ambient_zone=2)
+    # with the ambient zone out to the window, the same records are certified
+    ambient = est.scan_embedded_line_records(target, 3, 20, zone=20, ambient_zone=5)
+    assert [r.height_squared for r in ambient] == [1, 5, 10]
+
+
+def test_exact_tie_goes_to_the_first_coords():
+    """(1, 2) and (2, -1) mirror each other across the line of slope 1/3:
+    one height, one exact cross term.  The sweep keeps the first coords.
+
+    A complete scan of a rational slope meets no such tie at a record (none
+    for any slope p/q with p, q < 45 below its meeting height), so the
+    rule is checked on the engine's sweep directly.
+    """
+    engine = est._cross_engine(est.RationalLineTarget(Fraction(1, 3)))
+    tied = [(5, vec, engine.key(*vec)) for vec in ((1, 2), (2, -1))]
+    assert tied[0][2] == tied[1][2] == 25
+    assert est._sweep_pool(tied, engine.less) == [tied[0]]

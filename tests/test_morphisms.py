@@ -15,7 +15,6 @@ from subdioph.errors import (
     DimensionCollapseError,
     ParameterError,
     ShapeError,
-    StrategyMismatchError,
 )
 
 
@@ -369,7 +368,9 @@ class TestHarness:
         with pytest.raises(ParameterError):
             mor.embedding_harness([[1, 0], [0, 1]], f, phi, 50)
 
-    def test_refuses_shapes_without_exact_strategy(self):
+    def test_plane_target_transfers_to_five_space(self):
+        """Planes against a plane in R^4 and in R^5 (the echelon census):
+        the transfer theorem pairs every record with its image."""
         proj = mor.RationalMap.from_rows(
             [
                 [1, 0, 0, 0, 0],
@@ -387,9 +388,18 @@ class TestHarness:
                 [0, 0, 0, 0],
             ]
         )
-        tilde = [[1, 0], [0, 1], [1, 1], [2, 3]]
-        with pytest.raises(StrategyMismatchError):
-            mor.embedding_harness(tilde, f, proj, 5, e=2)
+        tilde = [
+            [1, 0],
+            [0, 1],
+            [Fraction(-47, 53), Fraction(29, 71)],
+            [Fraction(13, 31), Fraction(-7, 19)],
+        ]
+        report = mor.embedding_harness(tilde, f, proj, 10, e=2)
+        assert len(report.intrinsic_records) == len(report.ambient_records) == 5
+        assert report.record_pairs == tuple((i, i) for i in range(5))
+        assert report.mu_intrinsic == report.mu_ambient
+        assert report.mu_intrinsic == pytest.approx(5.0821, abs=1e-4)
+        assert report.delta == 0.0
 
 
 class TestProjectionAngleFloor:

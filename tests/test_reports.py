@@ -124,24 +124,6 @@ def test_header_precedes_the_same_body(fmt):
         assert lines[0].startswith("# test ")
 
 
-@pytest.mark.parametrize("fmt", reports.FORMATS)
-def test_note_rides_on_the_header_only(fmt):
-    note = "a sample, not a census"
-    with_note = emitted(CORPUS[:2], fmt, note=note).splitlines()
-    plain = emitted(CORPUS[:2], fmt).splitlines()
-    if fmt == reports.JSONL:
-        header = json.loads(with_note[0])
-        assert header.pop("completeness") == note
-        assert header == json.loads(plain[0])
-        assert with_note[1:] == plain[1:]
-    else:
-        assert with_note[1] == f"# {note}"
-        assert with_note[2:] == plain[1:]
-    assert emitted(CORPUS[:2], fmt, note=note, no_header=True) == emitted(
-        CORPUS[:2], fmt, no_header=True
-    )
-
-
 BAD_LAST = [
     {"x": float("nan")},
     {"x": float("inf")},
@@ -161,7 +143,6 @@ def test_a_bad_last_record_leaves_the_stream_empty(fmt, no_header, bad):
     stream = io.StringIO()
     with pytest.raises(SerializationError):
         reports.emit_report(
-            [*CORPUS, bad], fmt, stream, command="test", no_header=no_header,
-            note="note",
+            [*CORPUS, bad], fmt, stream, command="test", no_header=no_header
         )
     assert stream.getvalue() == ""
