@@ -409,14 +409,26 @@ class TestRunPlumbing:
         assert len(rows) == len({tuple(json.loads(row)["coords"]) for row in rows}) == 1890
 
     @pytest.mark.parametrize(
-        "extra",
-        [["--strategy", "basis-box"], ["--basis-box-bound", "1"]],
-        ids=["strategy", "bound"],
+        "extra, retired_message",
+        [
+            (["--basis-box-bound", "1"], "--basis-box-bound only applies to --strategy basis-box"),
+            (["--strategy", "exact-lines", "--basis-box-bound", "1"],
+             "--basis-box-bound only applies to --strategy basis-box"),
+            (["--strategy", "basis-box"], "--strategy basis-box needs --basis-box-bound K"),
+            (["--strategy", "basis-box", "--basis-box-bound", "0"], "positive entry bound"),
+        ],
     )
-    def test_removed_basis_box_options_are_usage_errors(self, extra):
+    def test_basis_box_bound_usage_errors(self, extra, retired_message):
+        # the basis-box strategy and its entry bound are gone: argparse
+        # rejects them before any strategy check could run
         code, out, err = run(["enumerate", "--n", "3", "--e", "2", "--hmax-squared", "2", *extra])
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "Traceback" not in err
+        assert retired_message not in err
+        if "basis-box" in extra:
+            assert "argument --strategy: invalid choice: 'basis-box'" in err
+        else:
+            assert "unrecognized arguments: --basis-box-bound 1" in err
 
     def test_byte_identical_reruns(self):
         argv = ["records", "--ell", "1", "--beta", "3", "--hmax-squared", "50000",
