@@ -124,16 +124,27 @@ def _boxed(k: int, budget: int, zero_so_far: bool) -> Iterator[tuple[tuple[int, 
 def _primitive_with_leading(
     n: int, budget: int, lead: int
 ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Primitive sign-canonical n-vectors with first coordinate lead."""
+    """Primitive sign-canonical n-vectors with first coordinate lead.
+
+    The middle coordinates come from _boxed; the last one is a range loop
+    per prefix, with primitivity tested against the prefix's gcd.
+    """
     rem = budget - lead * lead
     if rem < 0:
         return
-    for tail, tail_sq, all_zero in _boxed(n - 1, rem, lead == 0):
-        if all_zero and lead == 0:
-            continue
-        vec = (lead,) + tail
-        if gcd(*vec) == 1:
-            yield vec, lead * lead + tail_sq
+    if n == 1:
+        if lead == 1:
+            yield (1,), 1
+        return
+    for head, head_sq, zero in _boxed(n - 2, rem, lead == 0):
+        prefix = (lead,) + head
+        g = gcd(*prefix)
+        top = isqrt(rem - head_sq)
+        sq = lead * lead + head_sq
+        # an all-zero prefix leaves v = 1 as the only primitive choice
+        for v in range(1 if zero else -top, top + 1):
+            if gcd(g, v) == 1:
+                yield prefix + (v,), sq + v * v
 
 
 def primitive_vectors(n: int, max_norm_sq: int) -> Iterator[tuple[tuple[int, ...], int]]:

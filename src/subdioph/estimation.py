@@ -9,7 +9,10 @@ One line engine and one label-screened generic scan feed a single record
 sweep:
 
 * the exact line engine, for lines in the plane (and their images under
-  coordinate embeddings), clears the target's denominators once, evaluates
+  coordinate embeddings), clears the target's denominators once and builds
+  its candidate pool in batch passes: the plane vectors of an exhaustive
+  zone, the rounding candidates above it in one list, their integer keys in
+  one call and one search for a key that meets the target.  It evaluates
   every cross term, comparison and certificate on plain integers (exact
   signs of m + n sqrt(d) for quadratic slopes), builds fractions only for
   the few records, and certifies that no unexamined vector can beat any
@@ -264,10 +267,12 @@ def _float_up(x) -> float:
 # [p_lo, p_hi] / q, and every bracket below is an integer over one
 # per-engine scale.  One pooled candidate is (h2, vector, key), where key is
 # the exact comparison object for the squared ambient cross term: an int
-# (rational slopes) or an (m, n) pair for m + n sqrt(d).  engine.less(row_a,
-# row_b) compares key / h2 of two pooled rows exactly.  Only the rows the
-# sweep returns get engine.bracket, an integer (lo2, hi2) of the same
-# quantity over the scale.
+# (rational slopes) or an (m, n) pair for m + n sqrt(d).  engine.keys(rows)
+# keys a whole list of plane rows in one pass, with the values of
+# engine.key(x1, x2), and engine.zero is the key of a vector on the target.
+# engine.less(row_a, row_b) compares key / h2 of two pooled rows exactly.
+# Only the rows the sweep returns get engine.bracket, an integer (lo2, hi2)
+# of the same quantity over the scale.
 
 
 def _square_bracket(lo: int, hi: int) -> tuple[int, int]:
@@ -281,6 +286,8 @@ def _square_bracket(lo: int, hi: int) -> tuple[int, int]:
 
 class _RationalCross:
     """Cross terms against a slope bracket, over the scale q^2."""
+
+    zero = 0
 
     def __init__(self, target: RationalLineTarget):
         s_lo, s_hi = target.slope_bracket()
@@ -301,6 +308,22 @@ class _RationalCross:
         hi = x1 * self.p_hi - x2 * self.q
         return max(lo * lo, hi * hi)
 
+    def keys(self, vecs) -> list[int]:
+        """key(x1, x2) of every plane vector (x1, x2) with x1 >= 0, in one pass."""
+        p_lo, q = self.p_lo, self.q
+        if self.exact_slope:
+            return [(lo := x1 * p_lo - x2 * q) * lo for x1, x2 in vecs]
+        # hi - lo = x1 (p_hi - p_lo) >= 0, so hi^2 >= lo^2 exactly when
+        # lo + hi >= 0: one square per row
+        width = self.p_hi - p_lo
+        out = []
+        append = out.append
+        for x1, x2 in vecs:
+            lo = x1 * p_lo - x2 * q
+            hi = lo + x1 * width
+            append(hi * hi if lo + hi >= 0 else lo * lo)
+        return out
+
     def ambient(self, key: int, z2: int) -> int:
         return key + z2 * self.u2_hi
 
@@ -309,10 +332,6 @@ class _RationalCross:
         ends = sorted((x1 * self.p_lo - x2 * self.q, x1 * self.p_hi - x2 * self.q))
         lo2, hi2 = _square_bracket(*ends)
         return lo2 + z2 * self.u2_lo, hi2 + z2 * self.u2_hi
-
-    @staticmethod
-    def is_zero(key: int) -> bool:
-        return key == 0
 
     @staticmethod
     def less(row_a, row_b) -> bool:
@@ -325,6 +344,9 @@ class _QuadraticCross:
     Keys are exact (m, n) pairs for (m + n sqrt(d)) / den^2; brackets use
     sqrt(d) in [r, r + 1] / 2^_ROOT_BITS and sit over den^2 2^_ROOT_BITS.
     """
+
+    # m = e_rat^2 + e_irr^2 d is zero only when e_rat = e_irr = 0, so n is too
+    zero = (0, 0)
 
     def __init__(self, target: QuadraticLineTarget):
         self.d = target.d
@@ -349,6 +371,16 @@ class _QuadraticCross:
         e_irr = x1 * self.b
         return e_rat * e_rat + e_irr * e_irr * self.d, 2 * e_rat * e_irr
 
+    def keys(self, vecs) -> list[tuple[int, int]]:
+        """key(x1, x2) of every plane vector (x1, x2), in one pass."""
+        a, den = self.a, self.den
+        # e_irr^2 d = x1^2 b^2 d and 2 e_rat e_irr = x1 e_rat 2b
+        b2d, b2 = self.b * self.b * self.d, 2 * self.b
+        return [
+            ((e := x1 * a - x2 * den) * e + x1 * x1 * b2d, x1 * e * b2)
+            for x1, x2 in vecs
+        ]
+
     def ambient(self, key: tuple[int, int], z2: int) -> tuple[int, int]:
         m_u, n_u = self.u2
         return key[0] + z2 * m_u, key[1] + z2 * n_u
@@ -356,11 +388,6 @@ class _QuadraticCross:
     def bracket(self, x1: int, x2: int, z2: int) -> tuple[int, int]:
         lo2, hi2 = self._bracket(*self.key(x1, x2))
         return max(0, lo2) + z2 * self.u2_lo, hi2 + z2 * self.u2_hi
-
-    @staticmethod
-    def is_zero(key: tuple[int, int]) -> bool:
-        # m = e_rat^2 + e_irr^2 d vanishes only when the whole square does
-        return key[0] == 0
 
     def less(self, row_a, row_b) -> bool:
         (m_a, n_a), h2_a = row_a[2], row_a[0]
@@ -385,23 +412,32 @@ def _check_bracket_width(engine, hmax2: int) -> None:
         )
 
 
-def _rounding_candidates(engine, hmax2: int, skip_below: int) -> Iterator[tuple[int, int, int]]:
-    """(h2, x1, x2) for x2 within the rounding window of x1 * slope.
+def _rounding_candidates(engine, hmax2: int, skip_below: int) -> list[tuple[int, int]]:
+    """Every primitive (x1, x2) with x1 >= 1, x2 within the rounding window
+    of x1 * slope and skip_below < x1^2 + x2^2 <= hmax2, as one list.
 
-    x1 * slope is rounded half to even, as round() does on a Fraction.
+    x1 * slope (the bracket's midpoint) is rounded half to even, as round()
+    does on a Fraction.  The walk stops at the first x1 whose whole window
+    lies above hmax2: the rounded value is monotone in x1 and keeps its
+    sign, so no later window comes back below the bound.
     """
     step, den = engine.p_lo + engine.p_hi, 2 * engine.q
+    half = _CANDIDATE_HALF_WIDTH
+    centres = []
     for x1 in range(1, isqrt(hmax2) + 1):
         xhat, rem = divmod(x1 * step, den)
         if 2 * rem > den or (2 * rem == den and xhat & 1):
             xhat += 1
-        for x2 in range(xhat - _CANDIDATE_HALF_WIDTH, xhat + _CANDIDATE_HALF_WIDTH + 1):
-            h2 = x1 * x1 + x2 * x2
-            if h2 > hmax2 or h2 <= skip_below:
-                continue
-            if gcd(x1, x2) != 1:
-                continue
-            yield h2, x1, x2
+        nearest = max(abs(xhat) - half, 0)
+        if x1 * x1 + nearest * nearest > hmax2:
+            break
+        centres.append(xhat)
+    return [
+        (x1, x2)
+        for x1, xhat in enumerate(centres, start=1)
+        for x2 in range(xhat - half, xhat + half + 1)
+        if skip_below < x1 * x1 + x2 * x2 <= hmax2 and gcd(x1, x2) == 1
+    ]
 
 
 def _sweep_pool(pool: list, less, settle=None) -> list[tuple]:
@@ -433,6 +469,14 @@ def _line(vec: tuple[int, ...]) -> exact.RationalSubspace:
     return exact.RationalSubspace.from_basis([[c] for c in vec])
 
 
+def _debug(msg: str, *args) -> None:
+    # a process that never imported logging has no handler or level that
+    # keeps a DEBUG record, so it does not pay for the import
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("subdioph").debug(msg, *args)
+
+
 def _raise_meeting(vec: tuple[int, ...], scanned: int) -> None:
     err = IrrationalityViolationError(
         f"enumerated line {vec} meets the target exactly"
@@ -441,6 +485,56 @@ def _raise_meeting(vec: tuple[int, ...], scanned: int) -> None:
     err.subspace = _line(vec)
     err.scanned = scanned
     raise err
+
+
+def _line_pool(
+    engine, hmax2: int, zone: int, n: int, axes: tuple[int, int], ambient_zone: int
+) -> tuple[list[tuple], dict[str, int]]:
+    """The unsorted candidate pool of _scan_lines and its counts.
+
+    Rows are (h2, vector, key): first every primitive plane vector up to
+    the zone, in the order of primitive_vectors, then the rounding
+    candidates above it, each embedded on the axes; for n > 2 then every
+    vector up to the ambient zone with a component off the embedded plane.
+    The plane vectors take their keys in one batch, and one pass over the
+    keys finds a vector that meets the target: IrrationalityViolationError
+    counts the plane vectors up to and including it.  The rows are zipped
+    from flat lists, so a row holds no tuple but its vector: fewer tracked
+    tuples for the cyclic garbage collector to walk.
+    """
+    i0, i1 = axes
+    plane = [vec for vec, _h2 in primitive_vectors(2, zone)]
+    zone_rows = len(plane)
+    plane += _rounding_candidates(engine, hmax2, skip_below=zone)
+    keys = engine.keys(plane)
+
+    def embed(vec: tuple[int, int]) -> tuple[int, ...]:
+        out = [0] * n
+        out[i0], out[i1] = vec
+        return tuple(out)
+
+    try:
+        meeting = keys.index(engine.zero)
+    except ValueError:
+        pass
+    else:
+        _raise_meeting(embed(plane[meeting]), meeting + 1)
+    h2s = [x1 * x1 + x2 * x2 for x1, x2 in plane]
+    if n == 2:
+        pool = list(zip(h2s, plane, keys))
+    else:
+        pool = list(zip(h2s, map(embed, plane), keys))
+        for vec, h2 in primitive_vectors(n, ambient_zone):
+            z2 = h2 - vec[i0] * vec[i0] - vec[i1] * vec[i1]
+            if z2:
+                pool.append((h2, vec, engine.ambient(engine.key(vec[i0], vec[i1]), z2)))
+    counts = {
+        "zone_rows": zone_rows,
+        "candidates": len(plane) - zone_rows,
+        "ambient_rows": len(pool) - len(plane),
+        "pool": len(pool),
+    }
+    return pool, counts
 
 
 def _scan_lines(
@@ -459,7 +553,11 @@ def _scan_lines(
     shows no skipped vector can undercut the running minimum.  For n > 2,
     any vector with a component off the embedded plane keeps sine at least
     1 / height, so beyond a small exhaustive ambient zone the in-plane
-    records dominate provably.  Returns the records and the pool size.
+    records dominate provably.  Both zones are clipped to the height bound,
+    so no pool row lies above it.  The pool is built in batch passes
+    (_line_pool) and swept once by _sweep_pool; only its records are
+    bracketed.  Returns the records and the pool size, and logs the pool's
+    counts at DEBUG on the "subdioph" logger.
     """
     i0, i1 = axes
     if not (0 <= i0 < i1 < n):
@@ -468,44 +566,30 @@ def _scan_lines(
         raise ParameterError("height bound must be positive")
     engine = _cross_engine(target)
     _check_bracket_width(engine, hmax2)
-    zone = max(2, min(zone, hmax2))
+    zone = max(1, min(zone, hmax2))
     if n > 2:
-        ambient_zone = max(2, min(ambient_zone, hmax2))
+        ambient_zone = max(1, min(ambient_zone, hmax2))
         if zone < ambient_zone:
             raise ParameterError("plane zone must contain the ambient zone")
-
-    def embed(x1: int, x2: int) -> tuple[int, ...]:
-        if n == 2:
-            return (x1, x2)
-        vec = [0] * n
-        vec[i0] = x1
-        vec[i1] = x2
-        return tuple(vec)
-
-    plane = [(h2, vec[0], vec[1]) for vec, h2 in primitive_vectors(2, zone)]
-    plane.extend(_rounding_candidates(engine, hmax2, skip_below=zone))
-    pool = []
-    for h2, x1, x2 in plane:
-        key = engine.key(x1, x2)
-        if engine.is_zero(key):
-            _raise_meeting(embed(x1, x2), len(pool) + 1)
-        pool.append((h2, embed(x1, x2), key))
-    if n > 2:
-        for vec, h2 in primitive_vectors(n, ambient_zone):
-            z2 = h2 - vec[i0] * vec[i0] - vec[i1] * vec[i1]
-            if z2 == 0:
-                continue
-            pool.append((h2, vec, engine.ambient(engine.key(vec[i0], vec[i1]), z2)))
+    pool, counts = _line_pool(engine, hmax2, zone, n, axes, ambient_zone)
     # (h2, vector) is unique per row, so the sort never compares keys
     pool.sort()
     raw = []
     for h2, vec, _key in _sweep_pool(pool, engine.less):
         x1, x2 = vec[i0], vec[i1]
         raw.append((h2, vec, *engine.bracket(x1, x2, h2 - x1 * x1 - x2 * x2)))
+    _debug(
+        "scan_lines: zone_rows=%d candidates=%d ambient_rows=%d pool=%d records=%d",
+        *counts.values(), len(raw),
+    )
     margin2 = _MARGIN * _MARGIN
     for idx, (h2, _vec, _lo2, hi2) in enumerate(raw):
         window = raw[idx + 1][0] if idx + 1 < len(raw) else hmax2
-        # off-plane vectors keep psi >= 1 / sqrt(height^2)
+        # off-plane vectors keep psi >= 1 / sqrt(height^2).  This is a
+        # safety net that cannot fire on a target passing
+        # _check_bracket_width: an in-plane record's sine stays below about
+        # 1 / (2 sqrt(window)), as for best approximations, and the allowed
+        # bracket adds at most 1 / (10 sqrt(hmax2))
         if n > 2 and window > ambient_zone and hi2 * window > h2 * engine.u2_lo:
             raise ScanIncompleteError(
                 f"record at squared height {h2} not certified against off-plane"
@@ -533,7 +617,7 @@ def _scan_lines(
         )
         for h2, vec, lo2, hi2 in raw
     ]
-    return records, len(pool)
+    return records, counts["pool"]
 
 
 _LINE_TARGETS = (RationalLineTarget, QuadraticLineTarget)
@@ -709,14 +793,10 @@ class _GenericScan:
         return False
 
     def log(self, name: str) -> None:
-        # a process that never imported logging has no handler or level
-        # that keeps a DEBUG record, so it does not pay for the import
-        logging = sys.modules.get("logging")
-        if logging is not None:
-            logging.getLogger("subdioph").debug(
-                "%s: candidates=%d label_only=%d profiled=%d skipped=%d",
-                name, *self.counts.values(),
-            )
+        _debug(
+            "%s: candidates=%d label_only=%d profiled=%d skipped=%d",
+            name, *self.counts.values(),
+        )
 
 
 def scan_records(

@@ -271,6 +271,14 @@ class TestScanCommands:
         assert rows[-1]["coords"] == ["125", "53"]
         assert all(row["psiLo"] <= row["psiHi"] for row in rows)
 
+    def test_records_stay_within_a_unit_height_bound(self):
+        code, out, err = run(
+            ["records", "--ell", "1", "--beta", "3", "--hmax-squared", "1", "--no-header"]
+        )
+        assert (code, err) == (0, "")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [(row["heightSquared"], row["coords"]) for row in rows] == [("1", ["1", "0"])]
+
     def test_records_from_instance_file(self, tmp_path):
         path = write_json(
             tmp_path / "inst.json",

@@ -15,9 +15,15 @@ and certificates take part.  It must return exactly the oracle's records
 IrrationalityViolationError at the one vector that meets an exact rational
 target.  After ScanIncompleteError the fully exhaustive scan is compared
 instead, so every example checks a record list.
+
+The engine builds its candidate pool in batch passes.  The per-row builder
+it replaced (a recursive vector walk, a candidate generator and one
+engine.key call per row) stays below as the oracle for that pool: same
+rows, same order, same keys, same meeting vector and count.
 """
 
 import itertools
+import logging
 import random
 from fractions import Fraction
 from math import gcd, isqrt
@@ -27,6 +33,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from subdioph import estimation as est
+from subdioph.enumeration import EnumSpec, primitive_vectors
 from subdioph.errors import IrrationalityViolationError, ScanIncompleteError
 
 SETTINGS = settings(
@@ -283,3 +290,155 @@ def test_exact_tie_goes_to_the_first_coords():
     tied = [(5, vec, engine.key(*vec)) for vec in ((1, 2), (2, -1))]
     assert tied[0][2] == tied[1][2] == 25
     assert est._sweep_pool(tied, engine.less) == [tied[0]]
+
+
+# ---------------------------------------------------------------------------
+# the batch pool against the per-row builder it replaced
+
+
+def reference_primitive_vectors(n, max_norm_sq):
+    """The recursive walk of enumeration.primitive_vectors before its last
+    coordinate became a range loop: one generator frame per coordinate."""
+
+    def boxed(k, budget, zero_so_far):
+        if k == 0:
+            yield (), 0, zero_so_far
+            return
+        top = isqrt(budget)
+        for v in range(0 if zero_so_far else -top, top + 1):
+            for tail, tail_sq, tail_zero in boxed(k - 1, budget - v * v, zero_so_far and v == 0):
+                yield (v,) + tail, v * v + tail_sq, tail_zero
+
+    for lead in range(isqrt(max_norm_sq) + 1):
+        rem = max_norm_sq - lead * lead
+        for tail, tail_sq, all_zero in boxed(n - 1, rem, lead == 0):
+            vec = (lead,) + tail
+            if not (all_zero and lead == 0) and gcd(*vec) == 1:
+                yield vec, lead * lead + tail_sq
+
+
+def reference_candidates(engine, hmax2, skip_below):
+    """(h2, x1, x2) rounding candidates from a generator, one row at a time."""
+    step, den = engine.p_lo + engine.p_hi, 2 * engine.q
+    for x1 in range(1, isqrt(hmax2) + 1):
+        xhat, rem = divmod(x1 * step, den)
+        if 2 * rem > den or (2 * rem == den and xhat & 1):
+            xhat += 1
+        for x2 in range(xhat - 2, xhat + 3):
+            h2 = x1 * x1 + x2 * x2
+            if skip_below < h2 <= hmax2 and gcd(x1, x2) == 1:
+                yield h2, x1, x2
+
+
+def reference_pool(engine, hmax2, zone, n, axes, ambient_zone):
+    """The unsorted pool, built with a per-row engine.key, a per-row zero
+    test and a per-row embedding, or ("meets", vector, scanned)."""
+    i0, i1 = axes
+
+    def embed(x1, x2):
+        vec = [0] * n
+        vec[i0], vec[i1] = x1, x2
+        return tuple(vec)
+
+    plane = [(h2, vec[0], vec[1]) for vec, h2 in reference_primitive_vectors(2, zone)]
+    plane.extend(reference_candidates(engine, hmax2, zone))
+    pool = []
+    for h2, x1, x2 in plane:
+        key = engine.key(x1, x2)
+        if (key if isinstance(key, int) else key[0]) == 0:
+            return ("meets", embed(x1, x2), len(pool) + 1)
+        pool.append((h2, embed(x1, x2), key))
+    if n > 2:
+        for vec, h2 in reference_primitive_vectors(n, ambient_zone):
+            z2 = h2 - vec[i0] * vec[i0] - vec[i1] * vec[i1]
+            if z2:
+                pool.append((h2, vec, engine.ambient(engine.key(vec[i0], vec[i1]), z2)))
+    return pool
+
+
+POOL_TARGETS = {
+    "exact-rational": TARGETS["small-rational"] | TARGETS["rational"],
+    "tail-bracketed": st.builds(
+        est.RationalLineTarget,
+        st.integers(0, 2**32).map(random_fraction),
+        st.integers(1, 10**6).map(lambda k: Fraction(k, 10**12)),
+    ),
+    "quadratic": TARGETS["quadratic"],
+}
+
+
+@pytest.mark.parametrize("kind", list(POOL_TARGETS))
+@pytest.mark.parametrize("n, most", [(2, 3000), (3, 200), (4, 40)])
+@SETTINGS
+@given(data=st.data())
+def test_batch_pool_matches_the_per_row_builder(kind, n, most, data):
+    """Same rows, same order, same keys, and the same meeting vector and
+    count, with zones below the height bound."""
+    target = data.draw(POOL_TARGETS[kind], label="target")
+    hmax2 = data.draw(st.integers(2, most), label="hmax2")
+    zone = data.draw(st.integers(1, hmax2 - 1), label="zone")
+    ambient_zone = data.draw(st.integers(1, zone), label="ambient_zone")
+    axes = data.draw(st.sampled_from(list(itertools.combinations(range(n), 2))), label="axes")
+    engine = est._cross_engine(target)
+    expected = reference_pool(engine, hmax2, zone, n, axes, ambient_zone)
+    try:
+        pool, counts = est._line_pool(engine, hmax2, zone, n, axes, ambient_zone)
+    except IrrationalityViolationError as err:
+        assert expected == ("meets", err.vector, err.scanned)
+        return
+    assert pool == expected
+    assert counts["pool"] == len(pool)
+    assert all(h2 <= hmax2 for h2, _vec, _key in pool)
+
+
+@pytest.mark.parametrize("n, hmax2", [(1, 9), (2, 1), (2, 2), (2, 500), (3, 60), (4, 20), (5, 9)])
+def test_primitive_vectors_keep_the_recursive_order(n, hmax2):
+    assert list(primitive_vectors(n, hmax2)) == list(reference_primitive_vectors(n, hmax2))
+
+
+# ---------------------------------------------------------------------------
+# the pool stays within the height bound
+
+
+@pytest.mark.parametrize(
+    "target", [est.golden_line_target(), est.RationalLineTarget(Fraction(1, 3))],
+    ids=["quadratic", "rational"],
+)
+@pytest.mark.parametrize("n", [2, 3])
+def test_no_pool_row_above_a_unit_height_bound(target, n):
+    """With H^2 <= 1 only the coordinate axes qualify: both zones are
+    clipped to the bound, not floored above it."""
+    records = est.scan_embedded_line_records(target, n, 1, zone=100, ambient_zone=50)
+    assert records and all(r.height_squared == 1 for r in records)
+    report = est.irrationality_scan(target, EnumSpec(2, 1, 1))
+    generic = est.irrationality_scan([[1], [5]], EnumSpec(2, 1, 1))
+    assert report.scanned == generic.scanned == 2
+    assert report.witness.pluecker.coords in ((0, 1), (1, 0))
+
+
+# ---------------------------------------------------------------------------
+# pool counts in the log
+
+
+def line_scan_counts(caplog):
+    """The counts of the last line scan's DEBUG line."""
+    message = [
+        r.getMessage() for r in caplog.records
+        if r.name == "subdioph" and r.getMessage().startswith("scan_lines:")
+    ][-1]
+    return {k: int(v) for k, v in (f.split("=") for f in message.split(": ")[1].split())}
+
+
+def test_line_scan_logs_its_pool(caplog):
+    caplog.set_level(logging.DEBUG, logger="subdioph")
+    target = est.golden_line_target()
+    report = est.irrationality_scan(target, EnumSpec(2, 1, 10**5), zone=500)
+    counts = line_scan_counts(caplog)
+    assert counts["zone_rows"] + counts["candidates"] + counts["ambient_rows"] == counts["pool"]
+    assert counts["pool"] == report.scanned
+    assert counts["ambient_rows"] == 0 and counts["zone_rows"] > 0 and counts["candidates"] > 0
+    records = est.scan_embedded_line_records(target, 3, 10**5, zone=500, ambient_zone=50)
+    counts = line_scan_counts(caplog)
+    assert counts["zone_rows"] + counts["candidates"] + counts["ambient_rows"] == counts["pool"]
+    assert counts["ambient_rows"] > 0
+    assert counts["records"] == len(records)
