@@ -554,17 +554,6 @@ def build_infinite_convergent(
 # certification
 
 
-_CHECKS = (
-    "truncation-tail",
-    "f-entry-bound",
-    "primitive-basis",
-    "height-upper",
-    "digit-dominance",
-    "exponent-step",
-    "psi-resolution",
-)
-
-
 @dataclass(frozen=True)
 class ConvergentCertificate:
     """All finitely checkable facts about one convergent, with values.

@@ -8,15 +8,21 @@ angle intervals into an empirical approximation exponent.
 One line engine and one label-screened generic scan feed a single record
 sweep:
 
-* the exact line engine, for lines in the plane (and their images under
-  coordinate embeddings), clears the target's denominators once and builds
-  its candidate pool in batch passes: the plane vectors of an exhaustive
-  zone, the rounding candidates above it in one list, their integer keys in
-  one call and one search for a key that meets the target.  It evaluates
-  every cross term, comparison and certificate on plain integers (exact
-  signs of m + n sqrt(d) for quadratic slopes), builds fractions only for
-  the few records, and certifies that no unexamined vector can beat any
-  record;
+* the exact line engine, for lines in the plane, clears the target's
+  denominators once and builds its candidate pool in batch passes: the
+  plane vectors of an exhaustive zone, the rounding candidates above it in
+  one list, their integer keys in one call and one search for a key that
+  meets the target.  It evaluates every cross term, comparison and
+  certificate on plain integers (exact signs of m + n sqrt(d) for
+  quadratic slopes), builds fractions only for the few records, and
+  certifies that no unexamined vector can beat any record.  A line target
+  embedded on two coordinate axes of R^n has the plane records, embedded
+  (the projection lemma): split an off-plane vector as v = (x, z) with x
+  in the plane and z != 0.  For x != 0 at distance d <= |x| from the
+  target line,
+      psi(v)^2 = (d^2 + |z|^2) / (|x|^2 + |z|^2) >= d^2 / |x|^2 = psi(x)^2,
+  and the primitive vector of x is strictly lower; for x = 0, psi(v) = 1,
+  which (1, 0) beats at height 1.  So no off-plane line sets a record;
 * the generic scan walks an enumeration and pairs an exact target's
   label with every candidate's label in integers.  For d + e <= n that
   pairing gives the product P of all the sines (Schmidt's identity), and
@@ -59,7 +65,7 @@ from .angles import (
 )
 from .construction import (
     INFINITE,
-    INFINITE_BASE,
+    SUMMARY_BITS,
     ConstructionParams,
     ConvergentMatrix,
     InstanceCertification,
@@ -68,8 +74,8 @@ from .construction import (
     series_start,
     stream_for,
     tail_bound,
-    term_exponents,
     xi_truncation,
+    _ratio_deviation,
 )
 from .enumeration import (
     EXACT_LINES,
@@ -90,7 +96,6 @@ from .errors import (
 SOURCE_ENUMERATED = "enumerated"
 
 DEFAULT_ZONE = 10_000
-DEFAULT_AMBIENT_ZONE = 400
 
 # Rounding candidates cover every x2 within 2.5 of x1 * slope (rounding error
 # at most 1/2); after a slope-bracket allowance of 1/10 every non-candidate
@@ -239,8 +244,9 @@ def widen_records(
     """Widen every sine interval by an additive slack (target substitution)."""
     if tau < 0:
         raise ParameterError("slack must be nonnegative")
+    # float sums round to nearest: step each end outward past the rounding
     return [
-        replace(r, psi_lo=max(0.0, r.psi_lo - tau), psi_hi=r.psi_hi + tau)
+        replace(r, psi_lo=_float_down(r.psi_lo - tau), psi_hi=_float_up(r.psi_hi + tau))
         for r in records
     ]
 
@@ -266,7 +272,7 @@ def _float_up(x) -> float:
 # Each engine clears the target's denominators once.  The slope lies in
 # [p_lo, p_hi] / q, and every bracket below is an integer over one
 # per-engine scale.  One pooled candidate is (h2, vector, key), where key is
-# the exact comparison object for the squared ambient cross term: an int
+# the exact comparison object for the squared cross term: an int
 # (rational slopes) or an (m, n) pair for m + n sqrt(d).  engine.keys(rows)
 # keys a whole list of plane rows in one pass, with the values of
 # engine.key(x1, x2), and engine.zero is the key of a vector on the target.
@@ -324,14 +330,9 @@ class _RationalCross:
             append(hi * hi if lo + hi >= 0 else lo * lo)
         return out
 
-    def ambient(self, key: int, z2: int) -> int:
-        return key + z2 * self.u2_hi
-
-    def bracket(self, x1: int, x2: int, z2: int) -> tuple[int, int]:
-        # off-plane vectors may have x1 < 0, which swaps the two ends
-        ends = sorted((x1 * self.p_lo - x2 * self.q, x1 * self.p_hi - x2 * self.q))
-        lo2, hi2 = _square_bracket(*ends)
-        return lo2 + z2 * self.u2_lo, hi2 + z2 * self.u2_hi
+    def bracket(self, x1: int, x2: int) -> tuple[int, int]:
+        # x1 >= 0 on every plane row, so the first end is the lower one
+        return _square_bracket(x1 * self.p_lo - x2 * self.q, x1 * self.p_hi - x2 * self.q)
 
     @staticmethod
     def less(row_a, row_b) -> bool:
@@ -358,8 +359,9 @@ class _QuadraticCross:
         self.scale = (den * den) << _ROOT_BITS
         self.p_lo, self.p_hi = self._bracket(self.a, self.b)
         self.q = den << _ROOT_BITS
-        self.u2 = (den * den + self.a * self.a + self.b * self.b * self.d, 2 * self.a * self.b)
-        self.u2_lo, self.u2_hi = self._bracket(*self.u2)
+        self.u2_lo, self.u2_hi = self._bracket(
+            den * den + self.a * self.a + self.b * self.b * self.d, 2 * self.a * self.b
+        )
 
     def _bracket(self, m: int, n: int) -> tuple[int, int]:
         base = (m << _ROOT_BITS) + n * self.root
@@ -381,13 +383,9 @@ class _QuadraticCross:
             for x1, x2 in vecs
         ]
 
-    def ambient(self, key: tuple[int, int], z2: int) -> tuple[int, int]:
-        m_u, n_u = self.u2
-        return key[0] + z2 * m_u, key[1] + z2 * n_u
-
-    def bracket(self, x1: int, x2: int, z2: int) -> tuple[int, int]:
+    def bracket(self, x1: int, x2: int) -> tuple[int, int]:
         lo2, hi2 = self._bracket(*self.key(x1, x2))
-        return max(0, lo2) + z2 * self.u2_lo, hi2 + z2 * self.u2_hi
+        return max(0, lo2), hi2
 
     def less(self, row_a, row_b) -> bool:
         (m_a, n_a), h2_a = row_a[2], row_a[0]
@@ -477,124 +475,74 @@ def _debug(msg: str, *args) -> None:
         logging.getLogger("subdioph").debug(msg, *args)
 
 
-def _raise_meeting(vec: tuple[int, ...], scanned: int) -> None:
+def _meeting(vec: tuple[int, ...], scanned: int) -> IrrationalityViolationError:
     err = IrrationalityViolationError(
         f"enumerated line {vec} meets the target exactly"
     )
     err.vector = vec
     err.subspace = _line(vec)
     err.scanned = scanned
-    raise err
+    return err
 
 
-def _line_pool(
-    engine, hmax2: int, zone: int, n: int, axes: tuple[int, int], ambient_zone: int
-) -> tuple[list[tuple], dict[str, int]]:
+def _line_pool(engine, hmax2: int, zone: int) -> tuple[list[tuple], dict[str, int]]:
     """The unsorted candidate pool of _scan_lines and its counts.
 
     Rows are (h2, vector, key): first every primitive plane vector up to
     the zone, in the order of primitive_vectors, then the rounding
-    candidates above it, each embedded on the axes; for n > 2 then every
-    vector up to the ambient zone with a component off the embedded plane.
-    The plane vectors take their keys in one batch, and one pass over the
-    keys finds a vector that meets the target: IrrationalityViolationError
-    counts the plane vectors up to and including it.  The rows are zipped
-    from flat lists, so a row holds no tuple but its vector: fewer tracked
-    tuples for the cyclic garbage collector to walk.
+    candidates above it.  The vectors take their keys in one batch, and one
+    pass over the keys finds a vector that meets the target:
+    IrrationalityViolationError counts the rows up to and including it.
+    The rows are zipped from flat lists, so a row holds no tuple but its
+    vector: fewer tracked tuples for the cyclic garbage collector to walk.
     """
-    i0, i1 = axes
     plane = [vec for vec, _h2 in primitive_vectors(2, zone)]
     zone_rows = len(plane)
     plane += _rounding_candidates(engine, hmax2, skip_below=zone)
     keys = engine.keys(plane)
-
-    def embed(vec: tuple[int, int]) -> tuple[int, ...]:
-        out = [0] * n
-        out[i0], out[i1] = vec
-        return tuple(out)
-
     try:
         meeting = keys.index(engine.zero)
     except ValueError:
         pass
     else:
-        _raise_meeting(embed(plane[meeting]), meeting + 1)
-    h2s = [x1 * x1 + x2 * x2 for x1, x2 in plane]
-    if n == 2:
-        pool = list(zip(h2s, plane, keys))
-    else:
-        pool = list(zip(h2s, map(embed, plane), keys))
-        for vec, h2 in primitive_vectors(n, ambient_zone):
-            z2 = h2 - vec[i0] * vec[i0] - vec[i1] * vec[i1]
-            if z2:
-                pool.append((h2, vec, engine.ambient(engine.key(vec[i0], vec[i1]), z2)))
-    counts = {
-        "zone_rows": zone_rows,
-        "candidates": len(plane) - zone_rows,
-        "ambient_rows": len(pool) - len(plane),
-        "pool": len(pool),
-    }
+        raise _meeting(plane[meeting], meeting + 1)
+    pool = list(zip([x1 * x1 + x2 * x2 for x1, x2 in plane], plane, keys))
+    counts = {"zone_rows": zone_rows, "candidates": len(pool) - zone_rows, "pool": len(pool)}
     return pool, counts
 
 
-def _scan_lines(
-    target,
-    hmax2: int,
-    zone: int,
-    n: int = 2,
-    axes: tuple[int, int] = (0, 1),
-    ambient_zone: int = DEFAULT_AMBIENT_ZONE,
-) -> tuple[list[ApproximationRecord], int]:
-    """Certified record scan over every primitive line in n-space against
-    the image of a plane line target under the coordinate embedding axes.
+def _scan_lines(target, hmax2: int, zone: int) -> tuple[list[ApproximationRecord], int]:
+    """Certified record scan over every primitive plane line against a
+    plane line target.
 
     Plane lines inside the exhaustive zone are enumerated outright; beyond
     it only rounding candidates are examined, and a per-record certificate
-    shows no skipped vector can undercut the running minimum.  For n > 2,
-    any vector with a component off the embedded plane keeps sine at least
-    1 / height, so beyond a small exhaustive ambient zone the in-plane
-    records dominate provably.  Both zones are clipped to the height bound,
-    so no pool row lies above it.  The pool is built in batch passes
-    (_line_pool) and swept once by _sweep_pool; only its records are
-    bracketed.  Returns the records and the pool size, and logs the pool's
-    counts at DEBUG on the "subdioph" logger.
+    shows no skipped vector can undercut the running minimum.  The zone is
+    clipped to the height bound, so no pool row lies above it.  The pool is
+    built in batch passes (_line_pool) and swept once by _sweep_pool; only
+    its records are bracketed.  Returns the records and the pool size, and
+    logs the pool's counts at DEBUG on the "subdioph" logger.
+
+    The same records serve the target embedded on two coordinate axes of
+    R^n: no line off the embedded plane sets a record (see the module
+    docstring), so scan_embedded_line_records embeds these.
     """
-    i0, i1 = axes
-    if not (0 <= i0 < i1 < n):
-        raise ParameterError("embedding axes must be increasing and in range")
     if hmax2 < 1:
         raise ParameterError("height bound must be positive")
     engine = _cross_engine(target)
     _check_bracket_width(engine, hmax2)
     zone = max(1, min(zone, hmax2))
-    if n > 2:
-        ambient_zone = max(1, min(ambient_zone, hmax2))
-        if zone < ambient_zone:
-            raise ParameterError("plane zone must contain the ambient zone")
-    pool, counts = _line_pool(engine, hmax2, zone, n, axes, ambient_zone)
+    pool, counts = _line_pool(engine, hmax2, zone)
     # (h2, vector) is unique per row, so the sort never compares keys
     pool.sort()
-    raw = []
-    for h2, vec, _key in _sweep_pool(pool, engine.less):
-        x1, x2 = vec[i0], vec[i1]
-        raw.append((h2, vec, *engine.bracket(x1, x2, h2 - x1 * x1 - x2 * x2)))
+    raw = [(h2, vec, *engine.bracket(*vec)) for h2, vec, _key in _sweep_pool(pool, engine.less)]
     _debug(
-        "scan_lines: zone_rows=%d candidates=%d ambient_rows=%d pool=%d records=%d",
+        "scan_lines: zone_rows=%d candidates=%d pool=%d records=%d",
         *counts.values(), len(raw),
     )
     margin2 = _MARGIN * _MARGIN
     for idx, (h2, _vec, _lo2, hi2) in enumerate(raw):
         window = raw[idx + 1][0] if idx + 1 < len(raw) else hmax2
-        # off-plane vectors keep psi >= 1 / sqrt(height^2).  This is a
-        # safety net that cannot fire on a target passing
-        # _check_bracket_width: an in-plane record's sine stays below about
-        # 1 / (2 sqrt(window)), as for best approximations, and the allowed
-        # bracket adds at most 1 / (10 sqrt(hmax2))
-        if n > 2 and window > ambient_zone and hi2 * window > h2 * engine.u2_lo:
-            raise ScanIncompleteError(
-                f"record at squared height {h2} not certified against off-plane"
-                f" vectors up to {window}; raise the ambient zone"
-            )
         # non-candidates at squared height up to the window satisfy
         # psi >= margin / (sqrt(window) * |u|); the record must beat that
         if window > zone and (
@@ -650,10 +598,32 @@ def scan_embedded_line_records(
     height_squared_max: int,
     axes: tuple[int, int] = (0, 1),
     zone: int = DEFAULT_ZONE,
-    ambient_zone: int = DEFAULT_AMBIENT_ZONE,
+    ambient_zone: int | None = None,
 ) -> list[ApproximationRecord]:
-    """Records of every primitive line in n-space against an embedded target."""
-    return _scan_lines(target, height_squared_max, zone, n, axes, ambient_zone)[0]
+    """Records of every primitive line in n-space against a plane line
+    target embedded on the coordinate axes.
+
+    No line off the embedded plane sets a record: its sine is at least that
+    of its projection to the plane, whose primitive vector is strictly lower
+    (module docstring).  So these are the plane records, embedded on the
+    axes, and a plane line that meets the target is reported embedded, with
+    the plane scan's count.  ambient_zone is accepted for compatibility;
+    nothing reads it.
+    """
+    i0, i1 = axes
+    if not (0 <= i0 < i1 < n):
+        raise ParameterError("embedding axes must be increasing and in range")
+
+    def embed(vec: tuple[int, int]) -> tuple[int, ...]:
+        out = [0] * n
+        out[i0], out[i1] = vec
+        return tuple(out)
+
+    try:
+        records = _scan_lines(target, height_squared_max, zone)[0]
+    except IrrationalityViolationError as err:
+        raise _meeting(embed(err.vector), err.scanned) from None
+    return [replace(r, subspace=_line(embed(r.subspace.pluecker.coords))) for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -961,26 +931,23 @@ def height_ratio_deviations(
     stream=None,
     depth: int | None = None,
 ) -> tuple[tuple[ConvergentMatrix, float], ...]:
-    """Per-index deviation of H(B_N) / base^(l m_N) from its limit value.
+    """Per-index deviation of H(B_N) / theta^(l m_N) from its limit value.
 
     The limit is the square root of the exact squared l-volume of the
-    depth-truncated generators; deviations are returned as floats.
+    depth-truncated generators.  Each deviation is certify_instance's
+    ratio_deviation: formed from the exact squared ratio, so it keeps full
+    relative accuracy however close the ratio is to its limit, and returned
+    as a float.
     """
     stream = stream if stream is not None else stream_for(params)
     depth = depth if depth is not None else nmax + 2
-    gens = build_generators(params, depth, stream)
-    limit2 = gens.gram_squared()
-    base = INFINITE_BASE if params.variant == INFINITE else params.theta
-    exps = term_exponents(params, nmax)
+    limit2 = build_generators(params, depth, stream).gram_squared()
     out = []
-    with mp.workprec(256):
-        limit = mp.sqrt(mp.mpf(limit2.numerator) / mp.mpf(limit2.denominator))
+    with mp.workprec(SUMMARY_BITS):
         for n_index in range(1, nmax + 1):
             conv = build_convergent(params, n_index, stream)
-            ratio2 = Fraction(conv.height_squared, base ** (2 * params.ell * exps[n_index]))
-            ratio = mp.sqrt(mp.mpf(ratio2.numerator) / mp.mpf(ratio2.denominator))
-            dev = abs(ratio / limit - 1)
-            out.append((conv, float(dev)))
+            ratio2 = Fraction(conv.height_squared, params.theta ** (2 * params.ell * conv.exponent))
+            out.append((conv, float(_ratio_deviation(ratio2, limit2))))
     return tuple(out)
 
 

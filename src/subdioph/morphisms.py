@@ -27,7 +27,6 @@ from .errors import (
     ShapeError,
 )
 from .estimation import (
-    DEFAULT_AMBIENT_ZONE,
     DEFAULT_ZONE,
     ApproximationRecord,
     ExponentEstimate,
@@ -238,7 +237,7 @@ def embedding_harness(
     e: int = 1,
     ctx: PrecisionContext | None = None,
     zone: int = DEFAULT_ZONE,
-    ambient_zone: int = DEFAULT_AMBIENT_ZONE,
+    ambient_zone: int | None = None,
 ) -> HarnessReport:
     """Measure one exponent in two ambients and match the record lists.
 
@@ -248,6 +247,13 @@ def embedding_harness(
     intrinsic records with their ambient images.  Line targets need the
     section to be a coordinate embedding of a plane (exact fast scans);
     matrix targets run the generic exact-strategy scans on both sides.
+
+    For a line target the two record lists agree record by record: a line
+    off the embedded plane has a sine at least that of its projection,
+    whose primitive vector is strictly lower, so it sets no record, and the
+    ambient records are the intrinsic ones embedded on the axes
+    (scan_embedded_line_records).  ambient_zone is accepted for
+    compatibility; nothing reads it.
     """
     section = section_of(phi, f_subspace)
     k = phi.codomain_dim
@@ -267,12 +273,7 @@ def embedding_harness(
             tilde_target, height_squared_max, zone=zone
         )
         ambient_records = scan_embedded_line_records(
-            tilde_target,
-            n,
-            height_squared_max,
-            axes=axes,
-            zone=zone,
-            ambient_zone=ambient_zone,
+            tilde_target, n, height_squared_max, axes=axes, zone=zone
         )
     else:
         tilde_matrix = exact.as_matrix(tilde_target)

@@ -132,6 +132,14 @@ class TestRecordHelpers:
         with pytest.raises(ParameterError):
             est.widen_records([rec], -0.1)
 
+    def test_widen_rounds_outward(self):
+        """In floats 0.1 + 0.7 falls below the exact sum and 0.8 - 0.1 above
+        the exact difference; the widened ends must still hold them."""
+        up = est.widen_records([self._rec(2, 0.05, 0.1)], 0.7)[0]
+        assert Fraction(up.psi_hi) >= Fraction(0.1) + Fraction(0.7)
+        down = est.widen_records([self._rec(2, 0.8, 0.9)], 0.1)[0]
+        assert Fraction(down.psi_lo) <= Fraction(0.8) - Fraction(0.1)
+
 
 class TestGoldenScan:
     def test_records_are_fibonacci(self, golden_records):
@@ -232,10 +240,6 @@ class TestEmbeddedScan:
             est.scan_embedded_line_records(golden, 3, 10**4, axes=(1, 0))
         with pytest.raises(ParameterError):
             est.scan_embedded_line_records(golden, 3, 10**4, axes=(0, 3))
-        with pytest.raises(ParameterError):
-            est.scan_embedded_line_records(
-                golden, 3, 10**4, zone=100, ambient_zone=400
-            )
 
     def test_plane_passthrough(self):
         golden = est.golden_line_target()
@@ -375,6 +379,19 @@ class TestDeviations:
         assert values[0] < 1e-6
         assert values[1] < values[0]
         assert devs[0][0].subspace.pluecker.coords == (125, 53)
+
+    @pytest.mark.parametrize(
+        "ell, beta, nmax", [(1, 3, 4), (2, Fraction(5, 2), 2)], ids=["l1-b3", "l2-b5_2"]
+    )
+    def test_deviations_match_the_certificate(self, ell, beta, nmax):
+        """Both come from the exact squared ratio, so deviations far below
+        the working precision keep their digits (about 1.5e-170 at l=1,
+        N=4 and 1.9e-216 at l=2, N=2) instead of cancelling to noise or 0."""
+        params = con.ConstructionParams.create(ell=ell, beta=beta, seed=0)
+        cert = con.certify_instance(params, nmax)
+        devs = est.height_ratio_deviations(params, nmax)
+        assert [dev for _conv, dev in devs] == [rec.ratio_deviation for rec in cert.records]
+        assert all(dev > 0 for _conv, dev in devs)
 
     def test_infinite_first_deviation(self):
         ipar = con.ConstructionParams.create(

@@ -9,6 +9,10 @@ coords.  Exact rational slopes compute in Fraction, quadratic slopes
 (a + b sqrt(d)) in integer pairs (m, n) for m + n sqrt(d), compared by
 exact surd signs.
 
+The oracle walks every primitive vector of R^n, off the embedded plane
+too, so it also checks the projection lemma the embedded scan rests on: no
+off-plane line sets a record.
+
 The engine runs with zones below the height bound, so rounding candidates
 and certificates take part.  It must return exactly the oracle's records
 (each bracket holding the exact sine), raise ScanIncompleteError, or raise
@@ -19,7 +23,8 @@ instead, so every example checks a record list.
 The engine builds its candidate pool in batch passes.  The per-row builder
 it replaced (a recursive vector walk, a candidate generator and one
 engine.key call per row) stays below as the oracle for that pool: same
-rows, same order, same keys, same meeting vector and count.
+rows, same order, same keys, same meeting vector and count, in the plane
+and embedded.
 """
 
 import itertools
@@ -144,23 +149,21 @@ def oracle_records(oracle, vectors, axes):
     return records
 
 
-def scan_outcome(target, n, axes, hmax2, zone, ambient_zone):
+def scan_outcome(target, n, axes, hmax2, zone):
     try:
-        return est.scan_embedded_line_records(
-            target, n, hmax2, axes=axes, zone=zone, ambient_zone=ambient_zone
-        )
+        return est.scan_embedded_line_records(target, n, hmax2, axes=axes, zone=zone)
     except ScanIncompleteError:
         return None
     except IrrationalityViolationError as err:
         return ("meets", err.vector)
 
 
-def check_engine(target, n, axes, hmax2, zone, ambient_zone):
+def check_engine(target, n, axes, hmax2, zone):
     oracle = oracle_for(target)
     expected = oracle_records(oracle, brute_vectors(n, hmax2), axes)
-    got = scan_outcome(target, n, axes, hmax2, zone, ambient_zone)
+    got = scan_outcome(target, n, axes, hmax2, zone)
     if got is None:
-        got = scan_outcome(target, n, axes, hmax2, hmax2, hmax2)
+        got = scan_outcome(target, n, axes, hmax2, hmax2)
     if isinstance(expected, tuple):
         assert got == expected
         return
@@ -197,16 +200,15 @@ TARGETS = {
 
 
 @pytest.mark.parametrize("kind", list(TARGETS))
-@pytest.mark.parametrize("n, most", [(2, 2000), (3, 300), (4, 60)])
+@pytest.mark.parametrize("n, most", [(2, 2000), (3, 300), (4, 60), (5, 12)])
 @SETTINGS
 @given(data=st.data())
 def test_engine_matches_brute_force(kind, n, most, data):
     target = data.draw(TARGETS[kind], label="target")
     hmax2 = data.draw(st.integers(10, most), label="hmax2")
     zone = data.draw(st.integers(max(2, hmax2 // 10), hmax2 - 1), label="zone")
-    ambient_zone = data.draw(st.integers(2, zone), label="ambient_zone")
     axes = data.draw(st.sampled_from(list(itertools.combinations(range(n), 2))), label="axes")
-    check_engine(target, n, axes, hmax2, zone, ambient_zone)
+    check_engine(target, n, axes, hmax2, zone)
 
 
 # ---------------------------------------------------------------------------
@@ -246,36 +248,31 @@ def test_line_engine_brackets_only_its_records(bracket_calls, target, n, axes):
     est._cross_engine(target)
     setup = bracket_calls["brackets"]
     bracket_calls["brackets"] = 0
-    records = est.scan_embedded_line_records(
-        target, n, 20_000, axes=axes, zone=2_000, ambient_zone=200
-    )
+    records = est.scan_embedded_line_records(target, n, 20_000, axes=axes, zone=2_000)
     assert len(records) >= 5
     # the engine's own set-up brackets, then one per record
     assert bracket_calls["brackets"] - setup <= len(records)
 
 
-def test_off_plane_certificate_refuses_a_wide_bracket(monkeypatch):
-    """A record whose upper sine bound exceeds 1 / sqrt(window) could lose
-    to an off-plane vector beyond the ambient zone, whose sine is at least
-    1 / height; the scan must then refuse to certify.
-
-    Within the bracket allowance this never happens (an in-plane record's
-    sine stays below about 1 / (2 sqrt(window)), as for best
-    approximations), so the width gate is lifted to widen the slope
-    bracket to [1/4, 1/2].  The record (1, 0, 0) then has an upper sine
-    bound of about 0.49 up to the next record at squared height 5.
-    """
+def test_wide_bracket_in_three_space_keeps_the_plane_records(monkeypatch):
+    """Even a slope bracket far wider than the width gate allows, [1/4, 1/2],
+    leaves no room for an off-plane record: the R^3 scan returns the plane
+    records, embedded.  The record (1, 0, 0) has an upper sine bound of
+    about 0.49 up to the next record at squared height 5.  Height alone
+    bounds the sine of an off-plane vector there only by 1 / sqrt(5), which
+    is smaller; the projection bounds it by the sine of a lower plane
+    vector."""
     monkeypatch.setattr(est, "_check_bracket_width", lambda engine, hmax2: None)
     target = est.RationalLineTarget(Fraction(1, 4), Fraction(1, 4))
-    plane = est.scan_embedded_line_records(target, 2, 20, zone=20)
+    plane = est.scan_line_records(target, 20, zone=20)
     assert [(r.height_squared, r.subspace.pluecker.coords) for r in plane] == [
         (1, (1, 0)), (5, (2, 1)), (10, (3, 1)),
     ]
-    with pytest.raises(ScanIncompleteError, match="off-plane vectors up to 5"):
-        est.scan_embedded_line_records(target, 3, 20, zone=20, ambient_zone=2)
-    # with the ambient zone out to the window, the same records are certified
-    ambient = est.scan_embedded_line_records(target, 3, 20, zone=20, ambient_zone=5)
-    assert [r.height_squared for r in ambient] == [1, 5, 10]
+    embedded = est.scan_embedded_line_records(target, 3, 20, zone=20)
+    assert [(r.height_squared, r.subspace.pluecker.coords) for r in embedded] == [
+        (1, (1, 0, 0)), (5, (2, 1, 0)), (10, (3, 1, 0)),
+    ]
+    assert [(r.psi_lo, r.psi_hi) for r in embedded] == [(r.psi_lo, r.psi_hi) for r in plane]
 
 
 def test_exact_tie_goes_to_the_first_coords():
@@ -330,7 +327,7 @@ def reference_candidates(engine, hmax2, skip_below):
                 yield h2, x1, x2
 
 
-def reference_pool(engine, hmax2, zone, n, axes, ambient_zone):
+def reference_pool(engine, hmax2, zone, n, axes):
     """The unsorted pool, built with a per-row engine.key, a per-row zero
     test and a per-row embedding, or ("meets", vector, scanned)."""
     i0, i1 = axes
@@ -348,11 +345,6 @@ def reference_pool(engine, hmax2, zone, n, axes, ambient_zone):
         if (key if isinstance(key, int) else key[0]) == 0:
             return ("meets", embed(x1, x2), len(pool) + 1)
         pool.append((h2, embed(x1, x2), key))
-    if n > 2:
-        for vec, h2 in reference_primitive_vectors(n, ambient_zone):
-            z2 = h2 - vec[i0] * vec[i0] - vec[i1] * vec[i1]
-            if z2:
-                pool.append((h2, vec, engine.ambient(engine.key(vec[i0], vec[i1]), z2)))
     return pool
 
 
@@ -373,20 +365,30 @@ POOL_TARGETS = {
 @given(data=st.data())
 def test_batch_pool_matches_the_per_row_builder(kind, n, most, data):
     """Same rows, same order, same keys, and the same meeting vector and
-    count, with zones below the height bound."""
+    count, with the zone below the height bound.  The plane pool, embedded
+    on the axes, is the per-row builder's embedded pool, and the embedded
+    scan reports the embedded meeting vector with the same count."""
     target = data.draw(POOL_TARGETS[kind], label="target")
     hmax2 = data.draw(st.integers(2, most), label="hmax2")
     zone = data.draw(st.integers(1, hmax2 - 1), label="zone")
-    ambient_zone = data.draw(st.integers(1, zone), label="ambient_zone")
     axes = data.draw(st.sampled_from(list(itertools.combinations(range(n), 2))), label="axes")
     engine = est._cross_engine(target)
-    expected = reference_pool(engine, hmax2, zone, n, axes, ambient_zone)
+    expected = reference_pool(engine, hmax2, zone, n, axes)
     try:
-        pool, counts = est._line_pool(engine, hmax2, zone, n, axes, ambient_zone)
+        pool, counts = est._line_pool(engine, hmax2, zone)
     except IrrationalityViolationError as err:
-        assert expected == ("meets", err.vector, err.scanned)
+        assert reference_pool(engine, hmax2, zone, 2, (0, 1)) == (
+            "meets", err.vector, err.scanned
+        )
+        with pytest.raises(IrrationalityViolationError) as embedded:
+            est.scan_embedded_line_records(target, n, hmax2, axes=axes, zone=zone)
+        assert expected == ("meets", embedded.value.vector, embedded.value.scanned)
+        assert embedded.value.subspace.pluecker.coords == embedded.value.vector
         return
-    assert pool == expected
+    i0, i1 = axes
+    assert [(h2, vec[i0], vec[i1], key) for h2, vec, key in expected] == [
+        (h2, x1, x2, key) for h2, (x1, x2), key in pool
+    ]
     assert counts["pool"] == len(pool)
     assert all(h2 <= hmax2 for h2, _vec, _key in pool)
 
@@ -406,9 +408,9 @@ def test_primitive_vectors_keep_the_recursive_order(n, hmax2):
 )
 @pytest.mark.parametrize("n", [2, 3])
 def test_no_pool_row_above_a_unit_height_bound(target, n):
-    """With H^2 <= 1 only the coordinate axes qualify: both zones are
-    clipped to the bound, not floored above it."""
-    records = est.scan_embedded_line_records(target, n, 1, zone=100, ambient_zone=50)
+    """With H^2 <= 1 only the coordinate axes qualify: the zone is clipped
+    to the bound, not floored above it."""
+    records = est.scan_embedded_line_records(target, n, 1, zone=100)
     assert records and all(r.height_squared == 1 for r in records)
     report = est.irrationality_scan(target, EnumSpec(2, 1, 1))
     generic = est.irrationality_scan([[1], [5]], EnumSpec(2, 1, 1))
@@ -434,11 +436,7 @@ def test_line_scan_logs_its_pool(caplog):
     target = est.golden_line_target()
     report = est.irrationality_scan(target, EnumSpec(2, 1, 10**5), zone=500)
     counts = line_scan_counts(caplog)
-    assert counts["zone_rows"] + counts["candidates"] + counts["ambient_rows"] == counts["pool"]
-    assert counts["pool"] == report.scanned
-    assert counts["ambient_rows"] == 0 and counts["zone_rows"] > 0 and counts["candidates"] > 0
-    records = est.scan_embedded_line_records(target, 3, 10**5, zone=500, ambient_zone=50)
-    counts = line_scan_counts(caplog)
-    assert counts["zone_rows"] + counts["candidates"] + counts["ambient_rows"] == counts["pool"]
-    assert counts["ambient_rows"] > 0
-    assert counts["records"] == len(records)
+    assert counts["zone_rows"] + counts["candidates"] == counts["pool"] == report.scanned
+    assert counts["zone_rows"] > 0 and counts["candidates"] > 0
+    records = est.scan_embedded_line_records(target, 3, 10**5, zone=500)
+    assert line_scan_counts(caplog) == counts | {"records": len(records)}
