@@ -16,8 +16,10 @@ from subdioph import estimation as est
 
 def main():
     target = est.golden_line_target()
-    records = est.scan_line_records(target, 10**6)
-    print("golden-line records up to height^2 = 10^6:")
+    # the census covers H^2 <= 10^4; dyadic shells above it hold a few
+    # lattice points each, so the window can be this large
+    records = est.scan_line_records(target, 10**12)
+    print("golden-line records up to height^2 = 10^12:")
     for rec in records[:8]:
         print(
             "  label", tuple(int(c) for c in rec.subspace.pluecker.coords),

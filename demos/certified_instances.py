@@ -9,6 +9,7 @@ instance-wide monotonicity checks.
 from fractions import Fraction
 
 from subdioph import construction as con
+from subdioph.reports import sci_str
 
 
 def main():
@@ -32,7 +33,7 @@ def main():
         print(f"  N={rec.n_index}: {flags}")
         print(
             f"    local exponent {rec.local_exponent:.4f},",
-            f"height ratio deviation {rec.ratio_deviation:.3e}",
+            "height ratio deviation", sci_str(rec.ratio_deviation),
         )
     for name, ok in cert.instance_checks:
         print(f"  instance: {name}={'ok' if ok else 'FAIL'}")

@@ -40,7 +40,6 @@ from .errors import (
     InsufficientRecordsError,
     IrrationalityViolationError,
     PrecisionExhaustedError,
-    ScanIncompleteError,
     SubdiophError,
 )
 
@@ -61,7 +60,6 @@ COMMANDS = (
 _CHECK_FAILURES = (
     CertificationFailure,
     IrrationalityViolationError,
-    ScanIncompleteError,
     InsufficientRecordsError,
     PrecisionExhaustedError,
 )

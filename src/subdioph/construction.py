@@ -28,7 +28,7 @@ from mpmath import mp
 from . import exact
 from .angles import PrecisionContext, RealBasis, angles_adaptive
 from .errors import CertificationFailure, ParameterError
-from .reports import exact_str
+from .reports import exact_str, sci_str
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -564,14 +564,16 @@ class ConvergentCertificate:
     and lower_normalized rescales psi_lo by base^m_(N+1): the construction
     keeps both inside fixed bands, which is the finite-index shadow of the
     instance's approximation exponent.  local_exponent is the record-style
-    exponent -2 log(psi_hi) / log(H^2).
+    exponent -2 log(psi_hi) / log(H^2).  ratio_deviation is
+    |H(B_N) / theta^(l m_N) / limit - 1| as an mpf, which keeps deviations
+    far below the double range.
     """
 
     n_index: int
     exponent: int
     height_squared: int
     ratio_squared: Fraction
-    ratio_deviation: float
+    ratio_deviation: mp.mpf
     psi_lo: float
     psi_hi: float
     upper_normalized: float
@@ -610,7 +612,7 @@ class InstanceCertification:
                 "height_squared": exact_str(rec.height_squared),
                 "ratio_squared": f"{exact_str(rec.ratio_squared.numerator)}/"
                 f"{exact_str(rec.ratio_squared.denominator)}",
-                "ratio_deviation": f"{rec.ratio_deviation:.6e}",
+                "ratio_deviation": sci_str(rec.ratio_deviation),
                 "psi_lo": f"{rec.psi_lo:.18e}",
                 "psi_hi": f"{rec.psi_hi:.18e}",
                 "upper_normalized": f"{rec.upper_normalized:.6e}",
@@ -808,7 +810,7 @@ def certify_instance(
                 exponent=m_n,
                 height_squared=h_sq,
                 ratio_squared=ratio_squared,
-                ratio_deviation=float(deviation),
+                ratio_deviation=deviation,
                 # round the bracket outward so the floats stay conservative
                 psi_lo=max(0.0, math.nextafter(float(psi_lo), 0.0)),
                 psi_hi=math.nextafter(float(psi_hi), math.inf),

@@ -55,10 +55,6 @@ class StrategyMismatchError(SubdiophError):
     """The enumeration strategy does not support the requested dimensions."""
 
 
-class ScanIncompleteError(SubdiophError):
-    """A fast record scan could not certify completeness of its candidate set."""
-
-
 class InsufficientRecordsError(SubdiophError):
     """Too few usable record points remain to fit an approximation exponent."""
 

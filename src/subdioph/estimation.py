@@ -9,13 +9,15 @@ One line engine and one label-screened generic scan feed a single record
 sweep:
 
 * the exact line engine, for lines in the plane, clears the target's
-  denominators once and builds its candidate pool in batch passes: the
-  plane vectors of an exhaustive zone, the rounding candidates above it in
-  one list, their integer keys in one call and one search for a key that
-  meets the target.  It evaluates every cross term, comparison and
-  certificate on plain integers (exact signs of m + n sqrt(d) for
-  quadratic slopes), builds fractions only for the few records, and
-  certifies that no unexamined vector can beat any record.  A line target
+  denominators once and keys plane vectors by their exact squared cross
+  terms, as plain integers (exact signs of m + n sqrt(d) for quadratic
+  slopes).  A census keys every plane vector up to a bound, the zone.
+  Above it the engine walks dyadic height shells: the running record
+  bounds |x1 p - x2 q| <= D for every vector of the shell that could beat
+  it, and Fincke-Pohst enumeration lists that slab on a Lagrange-Gauss
+  reduced lattice basis in O(1 + points) nodes.  The search is complete by
+  construction and takes O(log H) shells; only the records get a bracket
+  and become fractions.  A line target
   embedded on two coordinate axes of R^n has the plane records, embedded
   (the projection lemma): split an off-plane vector as v = (x, z) with x
   in the plane and z != 0.  For x != 0 at distance d <= |x| from the
@@ -87,22 +89,19 @@ from .errors import (
     InsufficientRecordsError,
     IrrationalityViolationError,
     ParameterError,
-    ScanIncompleteError,
     ShapeError,
     StrategyMismatchError,
     SubdiophError,
 )
+from .reports import sci_str
 
 SOURCE_ENUMERATED = "enumerated"
 
 DEFAULT_ZONE = 10_000
 
-# Rounding candidates cover every x2 within 2.5 of x1 * slope (rounding error
-# at most 1/2); after a slope-bracket allowance of 1/10 every non-candidate
-# keeps a cross term of at least 12/5.
-_CANDIDATE_HALF_WIDTH = 2
-_MARGIN = Fraction(12, 5)
+# a slope bracket may move x1 * slope by at most 1/10 over the scan range
 _BRACKET_ALLOWANCE = Fraction(1, 10)
+# least bits of the sqrt(d) enclosure of a quadratic slope
 _ROOT_BITS = 192
 
 
@@ -174,7 +173,7 @@ def golden_line_target() -> QuadraticLineTarget:
 
 def series_depth(params: ConstructionParams, height_squared_max: int, start: int) -> int:
     """Least series depth from start on whose tail bound stays below
-    2^-64 / (isqrt(H^2) + 1), far below the candidate margin of a scan up
+    2^-64 / (isqrt(H^2) + 1), far below the bracket allowance of a scan up
     to squared height H^2."""
     bound = Fraction(1, (isqrt(height_squared_max) + 1) << 64)
     depth = start
@@ -192,7 +191,7 @@ def line_target_for_instance(
     """Truncated-series line target for a one-dimensional instance.
 
     When depth is omitted it is chosen so that the slope bracket, widened
-    across the whole scan range, stays far below the candidate margin.
+    across the whole scan range, stays far below the bracket allowance.
     """
     if params.ell != 1:
         raise ParameterError("series instances define a line target only when ell = 1")
@@ -271,14 +270,16 @@ def _float_up(x) -> float:
 
 # Each engine clears the target's denominators once.  The slope lies in
 # [p_lo, p_hi] / q, and every bracket below is an integer over one
-# per-engine scale.  One pooled candidate is (h2, vector, key), where key is
-# the exact comparison object for the squared cross term: an int
-# (rational slopes) or an (m, n) pair for m + n sqrt(d).  engine.keys(rows)
-# keys a whole list of plane rows in one pass, with the values of
-# engine.key(x1, x2), and engine.zero is the key of a vector on the target.
-# engine.less(row_a, row_b) compares key / h2 of two pooled rows exactly.
-# Only the rows the sweep returns get engine.bracket, an integer (lo2, hi2)
-# of the same quantity over the scale.
+# per-engine scale.  A row is (h2, vector, key), where key is the exact
+# comparison object for the squared cross term: an int (rational slopes) or
+# an (m, n) pair for m + n sqrt(d).  engine.keys(vecs) keys a whole list of
+# plane vectors in one pass, with the values of engine.key(x1, x2), and
+# engine.zero is the key of a vector on the target.  engine.less(row_a,
+# row_b) compares key / h2 of two rows exactly.  engine.radius(record, top)
+# is an integer D with |x1 p_lo - x2 q| <= D for every x with |x|^2 <= top
+# whose row beats the record row under less: the slab the shell search
+# walks.  Only the rows the sweep returns get engine.bracket, an integer
+# (lo2, hi2) of the same quantity over the scale.
 
 
 def _square_bracket(lo: int, hi: int) -> tuple[int, int]:
@@ -338,33 +339,39 @@ class _RationalCross:
     def less(row_a, row_b) -> bool:
         return row_a[2] * row_b[0] < row_b[2] * row_a[0]
 
+    @staticmethod
+    def radius(record, top: int) -> int:
+        # (x1 p_lo - x2 q)^2 <= key(x) < key_r |x|^2 / h2_r <= key_r top / h2_r
+        return isqrt(record[2] * top // record[0])
+
 
 class _QuadraticCross:
     """Cross terms against the slope (a + b sqrt(d)) / den.
 
     Keys are exact (m, n) pairs for (m + n sqrt(d)) / den^2; brackets use
-    sqrt(d) in [r, r + 1] / 2^_ROOT_BITS and sit over den^2 2^_ROOT_BITS.
+    sqrt(d) in [r, r + 1] / 2^bits and sit over den^2 2^bits.
     """
 
     # m = e_rat^2 + e_irr^2 d is zero only when e_rat = e_irr = 0, so n is too
     zero = (0, 0)
 
-    def __init__(self, target: QuadraticLineTarget):
+    def __init__(self, target: QuadraticLineTarget, bits: int):
         self.d = target.d
         den = math.lcm(target.a.denominator, target.b.denominator)
         self.a = target.a.numerator * (den // target.a.denominator)
         self.b = target.b.numerator * (den // target.b.denominator)
         self.den = den
-        self.root = isqrt(self.d << (2 * _ROOT_BITS))
-        self.scale = (den * den) << _ROOT_BITS
+        self.bits = bits
+        self.root = isqrt(self.d << (2 * bits))
+        self.scale = (den * den) << bits
         self.p_lo, self.p_hi = self._bracket(self.a, self.b)
-        self.q = den << _ROOT_BITS
+        self.q = den << bits
         self.u2_lo, self.u2_hi = self._bracket(
             den * den + self.a * self.a + self.b * self.b * self.d, 2 * self.a * self.b
         )
 
     def _bracket(self, m: int, n: int) -> tuple[int, int]:
-        base = (m << _ROOT_BITS) + n * self.root
+        base = (m << self.bits) + n * self.root
         return (base, base + n) if n >= 0 else (base + n, base)
 
     def key(self, x1: int, x2: int) -> tuple[int, int]:
@@ -392,12 +399,24 @@ class _QuadraticCross:
         (m_b, n_b), h2_b = row_b[2], row_b[0]
         return _surd_sign(m_a * h2_b - m_b * h2_a, n_a * h2_b - n_b * h2_a, self.d) < 0
 
+    def radius(self, record, top: int) -> int:
+        # hi_r / 2^bits, the upper end of _bracket(m, n), bounds the
+        # record's key from above.  2^bits den (x1 slope - x2) squares to
+        # key(x) 2^(2 bits) < 2^bits hi_r top / h2_r, and x1 p_lo - x2 q
+        # differs from it by x1 b (root - 2^bits sqrt(d)) or
+        # x1 b (root + 1 - 2^bits sqrt(d)), less than isqrt(top) |b| in size
+        h2, _vec, (m, n) = record
+        hi = (m << self.bits) + n * self.root + max(n, 0)
+        return isqrt((hi * top << self.bits) // h2) + 1 + isqrt(top) * abs(self.b)
 
-def _cross_engine(target) -> "_RationalCross | _QuadraticCross":
+
+def _cross_engine(target, hmax2: int = 1) -> "_RationalCross | _QuadraticCross":
     if isinstance(target, RationalLineTarget):
         return _RationalCross(target)
     if isinstance(target, QuadraticLineTarget):
-        return _QuadraticCross(target)
+        # 2^bits >= 2^64 H^4 keeps the enclosure error in radius() far below
+        # the record slab at every height, and the record brackets tight
+        return _QuadraticCross(target, max(_ROOT_BITS, 64 + 2 * hmax2.bit_length()))
     raise ParameterError("fast scans need a rational or quadratic line target")
 
 
@@ -406,13 +425,16 @@ def _check_bracket_width(engine, hmax2: int) -> None:
     width = (engine.p_hi - engine.p_lo) * (isqrt(hmax2) + 1)
     if width * allowance.denominator > allowance.numerator * engine.q:
         raise ParameterError(
-            "slope bracket too wide for the candidate margin; deepen the truncation"
+            "slope bracket too wide for the scan range; deepen the truncation"
         )
 
 
-def _rounding_candidates(engine, hmax2: int, skip_below: int) -> list[tuple[int, int]]:
-    """Every primitive (x1, x2) with x1 >= 1, x2 within the rounding window
-    of x1 * slope and skip_below < x1^2 + x2^2 <= hmax2, as one list.
+def _window_count(engine, hmax2: int, zone: int, stop=None) -> int:
+    """How many primitive (x1, x2) with x1 >= 1, x2 within 2 of x1 * slope
+    and zone < x1^2 + x2^2 <= hmax2 there are: the rounding window above
+    the census that the line scan's pool held before the shell search.
+    With stop, only those up to and including the vector stop, in (x1, x2)
+    order.
 
     x1 * slope (the bracket's midpoint) is rounded half to even, as round()
     does on a Fraction.  The walk stops at the first x1 whose whole window
@@ -420,22 +442,86 @@ def _rounding_candidates(engine, hmax2: int, skip_below: int) -> list[tuple[int,
     sign, so no later window comes back below the bound.
     """
     step, den = engine.p_lo + engine.p_hi, 2 * engine.q
-    half = _CANDIDATE_HALF_WIDTH
-    centres = []
+    count = 0
     for x1 in range(1, isqrt(hmax2) + 1):
         xhat, rem = divmod(x1 * step, den)
         if 2 * rem > den or (2 * rem == den and xhat & 1):
             xhat += 1
-        nearest = max(abs(xhat) - half, 0)
-        if x1 * x1 + nearest * nearest > hmax2:
+        x1_sq = x1 * x1
+        if x1_sq + max(abs(xhat) - 2, 0) ** 2 > hmax2:
             break
-        centres.append(xhat)
-    return [
-        (x1, x2)
-        for x1, xhat in enumerate(centres, start=1)
-        for x2 in range(xhat - half, xhat + half + 1)
-        if skip_below < x1 * x1 + x2 * x2 <= hmax2 and gcd(x1, x2) == 1
-    ]
+        for x2 in range(xhat - 2, xhat + 3):
+            if zone < x1_sq + x2 * x2 <= hmax2 and gcd(x1, x2) == 1:
+                count += 1
+                if (x1, x2) == stop:
+                    return count
+    return count
+
+
+def _gauss_reduced(u: tuple, v: tuple, dd: int, xx: int) -> tuple:
+    """Lagrange-Gauss reduction of the lattice basis (u, v) under the form
+    F(w) = dd w[0]^2 + xx w[2]^2 on (x1, x2, y) vectors.
+
+    Returns (u, v, F(u), B(u, v), F(v)) with F(u) <= F(v) and
+    |2 B(u, v)| <= F(u), B being the form's inner product.
+    """
+
+    def inner(a, b):
+        return dd * a[0] * b[0] + xx * a[2] * b[2]
+
+    g11, g22 = inner(u, u), inner(v, v)
+    while True:
+        if g22 < g11:
+            u, v, g11, g22 = v, u, g22, g11
+        g12 = inner(u, v)
+        mu = (2 * g12 + g11) // (2 * g11)
+        if not mu:
+            return u, v, g11, g12, g22
+        v = (v[0] - mu * u[0], v[1] - mu * u[1], v[2] - mu * u[2])
+        g22 = inner(v, v)
+
+
+def _shell_vectors(engine, record, lo: int, top: int, basis: tuple) -> tuple[list, tuple, int]:
+    """Primitive plane vectors (x1, x2), x1 >= 1 and lo < x1^2 + x2^2 <= top,
+    among them every one whose row beats the record row (Fincke-Pohst).
+
+    Such a vector has x1 <= X = isqrt(top) and |y| <= D for
+    y = x1 p_lo - x2 q and D = engine.radius(record, top), so its point
+    (x1, x2, y) of the lattice Z (1, 0, p_lo) + Z (0, 1, -q) lies in the
+    ellipse D^2 x1^2 + X^2 y^2 <= 2 D^2 X^2.  The walk lists that ellipse on
+    a basis reduced under this form, which keeps it at O(1 + points) nodes
+    (a node is one c2 level or one point), and covers each pair +-w once.
+    basis is a basis of that lattice, and the reduced one is returned for
+    the next shell, whose form differs little.  Returns the vectors, the
+    basis and the node count.
+    """
+    radius, width = engine.radius(record, top), isqrt(top)
+    u, v, g11, g12, g22 = _gauss_reduced(*basis, radius * radius, width * width)
+    (u1, u2, uy), (v1, v2, vy) = u, v
+    det = g11 * g22 - g12 * g12
+    # g11 F(c1 u + c2 v) = (g11 c1 + g12 c2)^2 + det c2^2 <= g11 2 D^2 X^2
+    bound = 2 * radius * radius * width * width * g11
+    vecs = []
+    nodes = 0
+    for c2 in range(isqrt(bound // det) + 1):
+        reach = isqrt(bound - det * c2 * c2)
+        centre = -g12 * c2
+        # at c2 = 0, c1 = 0 is the origin and c1 < 0 the negatives
+        first = -((reach - centre) // g11) if c2 else 1
+        last = (centre + reach) // g11
+        nodes += 1 + max(0, last - first + 1)
+        for c1 in range(first, last + 1):
+            x1, x2 = c1 * u1 + c2 * v1, c1 * u2 + c2 * v2
+            if x1 < 0:
+                x1, x2 = -x1, -x2
+            if (
+                x1
+                and abs(c1 * uy + c2 * vy) <= radius
+                and lo < x1 * x1 + x2 * x2 <= top
+                and gcd(x1, x2) == 1
+            ):
+                vecs.append((x1, x2))
+    return vecs, (u, v), nodes
 
 
 def _sweep_pool(pool: list, less, settle=None) -> list[tuple]:
@@ -485,43 +571,42 @@ def _meeting(vec: tuple[int, ...], scanned: int) -> IrrationalityViolationError:
     return err
 
 
-def _line_pool(engine, hmax2: int, zone: int) -> tuple[list[tuple], dict[str, int]]:
-    """The unsorted candidate pool of _scan_lines and its counts.
+def _keyed(engine, vecs: list, scanned) -> list[tuple]:
+    """(h2, vector, key) rows of plane vectors, keyed in one batch.
 
-    Rows are (h2, vector, key): first every primitive plane vector up to
-    the zone, in the order of primitive_vectors, then the rounding
-    candidates above it.  The vectors take their keys in one batch, and one
-    pass over the keys finds a vector that meets the target:
-    IrrationalityViolationError counts the rows up to and including it.
-    The rows are zipped from flat lists, so a row holds no tuple but its
-    vector: fewer tracked tuples for the cyclic garbage collector to walk.
+    A vector that meets the target raises IrrationalityViolationError with
+    scanned(its index) as the count.  The rows are zipped from flat lists,
+    so a row holds no tuple but its vector: fewer tracked tuples for the
+    cyclic garbage collector to walk.
     """
-    plane = [vec for vec, _h2 in primitive_vectors(2, zone)]
-    zone_rows = len(plane)
-    plane += _rounding_candidates(engine, hmax2, skip_below=zone)
-    keys = engine.keys(plane)
+    keys = engine.keys(vecs)
     try:
-        meeting = keys.index(engine.zero)
+        index = keys.index(engine.zero)
     except ValueError:
-        pass
-    else:
-        raise _meeting(plane[meeting], meeting + 1)
-    pool = list(zip([x1 * x1 + x2 * x2 for x1, x2 in plane], plane, keys))
-    counts = {"zone_rows": zone_rows, "candidates": len(pool) - zone_rows, "pool": len(pool)}
-    return pool, counts
+        return list(zip([x1 * x1 + x2 * x2 for x1, x2 in vecs], vecs, keys))
+    raise _meeting(vecs[index], scanned(index))
 
 
-def _scan_lines(target, hmax2: int, zone: int) -> tuple[list[ApproximationRecord], int]:
+def _scan_lines(
+    target, hmax2: int, zone: int, count_pool: bool = False
+) -> tuple[list[ApproximationRecord], int | None]:
     """Certified record scan over every primitive plane line against a
     plane line target.
 
-    Plane lines inside the exhaustive zone are enumerated outright; beyond
-    it only rounding candidates are examined, and a per-record certificate
-    shows no skipped vector can undercut the running minimum.  The zone is
-    clipped to the height bound, so no pool row lies above it.  The pool is
-    built in batch passes (_line_pool) and swept once by _sweep_pool; only
-    its records are bracketed.  Returns the records and the pool size, and
-    logs the pool's counts at DEBUG on the "subdioph" logger.
+    The census keys every primitive plane vector up to zone, clipped to the
+    height bound, and sweeps them.  Above it the scan walks dyadic shells
+    (h, min(2h, hmax2)] one at a time: _shell_vectors lists every vector of
+    the shell that can beat the running record, and those rows are keyed,
+    sorted and swept on from the record.  The search is complete by
+    construction, and it stays at O(1) nodes per shell while the records
+    come at a steady rate, so the walk above the census takes O(log H^2)
+    shells.  Only the records are bracketed.
+
+    Returns the records and, with count_pool, the size of the pool that
+    the scan swept before the shell search: the census rows plus the
+    rounding window above the zone (_window_count), else None.  An exact
+    meeting is reported with the same count, up to and including its
+    line.  Logs its counts at DEBUG on the "subdioph" logger.
 
     The same records serve the target embedded on two coordinate axes of
     R^n: no line off the embedded plane sets a record (see the module
@@ -529,30 +614,37 @@ def _scan_lines(target, hmax2: int, zone: int) -> tuple[list[ApproximationRecord
     """
     if hmax2 < 1:
         raise ParameterError("height bound must be positive")
-    engine = _cross_engine(target)
+    engine = _cross_engine(target, hmax2)
     _check_bracket_width(engine, hmax2)
     zone = max(1, min(zone, hmax2))
-    pool, counts = _line_pool(engine, hmax2, zone)
+    census = [vec for vec, _h2 in primitive_vectors(2, zone)]
+    rows = _keyed(engine, census, lambda index: index + 1)
     # (h2, vector) is unique per row, so the sort never compares keys
-    pool.sort()
-    raw = [(h2, vec, *engine.bracket(*vec)) for h2, vec, _key in _sweep_pool(pool, engine.less)]
+    rows.sort()
+    raw = _sweep_pool(rows, engine.less)
+    counts = dict.fromkeys(("shells", "nodes", "shell_rows"), 0)
+    basis = ((1, 0, engine.p_lo), (0, 1, -engine.q))
+    lo = zone
+    while lo < hmax2:
+        top = min(2 * lo, hmax2)
+        vecs, basis, nodes = _shell_vectors(engine, raw[-1], lo, top, basis)
+        rows = _keyed(
+            engine,
+            vecs,
+            lambda index: len(census) + _window_count(engine, hmax2, zone, vecs[index]),
+        )
+        rows.sort()
+        # the running record leads the shell: the sweep goes on from it
+        raw += _sweep_pool([raw[-1], *rows], engine.less)[1:]
+        counts["shells"] += 1
+        counts["nodes"] += nodes
+        counts["shell_rows"] += len(vecs)
+        lo = top
     _debug(
-        "scan_lines: zone_rows=%d candidates=%d pool=%d records=%d",
-        *counts.values(), len(raw),
+        "scan_lines: zone_rows=%d shells=%d nodes=%d shell_rows=%d records=%d",
+        len(census), *counts.values(), len(raw),
     )
-    margin2 = _MARGIN * _MARGIN
-    for idx, (h2, _vec, _lo2, hi2) in enumerate(raw):
-        window = raw[idx + 1][0] if idx + 1 < len(raw) else hmax2
-        # non-candidates at squared height up to the window satisfy
-        # psi >= margin / (sqrt(window) * |u|); the record must beat that
-        if window > zone and (
-            hi2 * window * engine.u2_hi * margin2.denominator
-            > margin2.numerator * h2 * engine.u2_lo * engine.scale
-        ):
-            raise ScanIncompleteError(
-                f"record at squared height {h2} is not certified up to {window};"
-                " raise the exhaustive zone"
-            )
+    raw = [(h2, vec, *engine.bracket(*vec)) for h2, vec, _key in raw]
     # the engine scale cancels in both ratios
     records = [
         ApproximationRecord(
@@ -565,30 +657,36 @@ def _scan_lines(target, hmax2: int, zone: int) -> tuple[list[ApproximationRecord
         )
         for h2, vec, lo2, hi2 in raw
     ]
-    return records, counts["pool"]
+    scanned = len(census) + _window_count(engine, hmax2, zone) if count_pool else None
+    return records, scanned
 
 
 _LINE_TARGETS = (RationalLineTarget, QuadraticLineTarget)
 
 
 def _line_scan(
-    target, spec, j_index: int, zone: int
-) -> tuple[list[ApproximationRecord], int]:
+    target, spec, j_index: int, zone: int, count_pool: bool = False
+) -> tuple[list[ApproximationRecord], int | None]:
     """The line-target gate of both scans: plane lines in an EnumSpec window,
-    first sine only.  Returns the records and the pool size."""
+    first sine only.  Returns _scan_lines' records and pool size."""
     if not isinstance(spec, EnumSpec):
         raise ParameterError("fast line scans need an EnumSpec window")
     if (spec.n, spec.e) != (2, 1):
         raise StrategyMismatchError("line targets scan lines in the plane")
     if j_index != 1:
         raise ParameterError("a line has a single proximity sine")
-    return _scan_lines(target, spec.height_squared_max, zone)
+    return _scan_lines(target, spec.height_squared_max, zone, count_pool)
 
 
 def scan_line_records(
     target, height_squared_max: int, zone: int = DEFAULT_ZONE
 ) -> list[ApproximationRecord]:
-    """Records of every primitive plane line against a line target."""
+    """Records of every primitive plane line against a line target.
+
+    zone is the census bound: every plane line up to it is keyed, and the
+    shell search covers the rest of the window (_scan_lines).  It changes
+    the work, not the records.
+    """
     return _scan_lines(target, height_squared_max, zone)[0]
 
 
@@ -779,7 +877,8 @@ def scan_records(
     """Record scan of an enumeration stream against a target span.
 
     Line targets paired with a plane window take the certified line scan,
-    which always covers every primitive line up to the bound.  Otherwise
+    which always covers every primitive line up to the bound; zone is its
+    census bound (scan_line_records).  Otherwise
     the candidates are labelled and screened (_GenericScan), sorted by
     (h2, coords) and swept by height level: a waiting candidate is
     bracketed only when its label bound cannot meet the running record's
@@ -930,14 +1029,14 @@ def height_ratio_deviations(
     nmax: int,
     stream=None,
     depth: int | None = None,
-) -> tuple[tuple[ConvergentMatrix, float], ...]:
+) -> tuple[tuple[ConvergentMatrix, mp.mpf], ...]:
     """Per-index deviation of H(B_N) / theta^(l m_N) from its limit value.
 
     The limit is the square root of the exact squared l-volume of the
     depth-truncated generators.  Each deviation is certify_instance's
     ratio_deviation: formed from the exact squared ratio, so it keeps full
     relative accuracy however close the ratio is to its limit, and returned
-    as a float.
+    as that mpf, which does not underflow where a double would.
     """
     stream = stream if stream is not None else stream_for(params)
     depth = depth if depth is not None else nmax + 2
@@ -947,7 +1046,7 @@ def height_ratio_deviations(
         for n_index in range(1, nmax + 1):
             conv = build_convergent(params, n_index, stream)
             ratio2 = Fraction(conv.height_squared, params.theta ** (2 * params.ell * conv.exponent))
-            out.append((conv, float(_ratio_deviation(ratio2, limit2))))
+            out.append((conv, _ratio_deviation(ratio2, limit2)))
     return tuple(out)
 
 
@@ -967,7 +1066,7 @@ class ExclusivityReport:
     params: ConstructionParams
     nmax: int
     window: tuple[int, int]
-    deviations: tuple[float, ...]
+    deviations: tuple[mp.mpf, ...]
     burn_in_index: int | None
     burn_in_height_squared: int | None
     records: tuple[ApproximationRecord, ...]
@@ -983,7 +1082,7 @@ class ExclusivityReport:
             "window": list(self.window),
             "burnIn": self.burn_in_index,
             "burnInHeightSquared": self.burn_in_height_squared,
-            "deviations": [f"{d:.6e}" for d in self.deviations],
+            "deviations": [sci_str(d) for d in self.deviations],
             "recordCount": len(self.records),
             "matched": [list(pair) for pair in self.matched],
             "band": self.band,
@@ -1119,7 +1218,15 @@ class IrrationalityReport:
     every subspace in the window; a positive value shows the target stays a
     positive angle away from all of them.  offender is set when some subspace
     is indistinguishable from the target.  certified_exhaustive is always
-    True: every enumeration strategy is a complete census.
+    True: every enumeration strategy is a complete census, and so is the
+    line scan's shell search.
+
+    scanned counts the candidates examined, up to and including the
+    offender when there is one.  For a generic scan that is the enumeration
+    count.  For a line target it is the pool the line scan swept before
+    its shell search, which keeps the count stable: the census rows up to
+    zone plus the primitive lines above it with x2 within 2 of x1 * slope
+    (rounded half to even).
     """
 
     j_index: int
@@ -1153,7 +1260,8 @@ def irrationality_scan(
 ) -> IrrationalityReport:
     """Scan a window for the least certified angle against the target.
 
-    Line targets read it off the last record of the line scan; other
+    Line targets read it off the last record of the line scan, whose
+    census bound is zone (scan_line_records); other
     targets take the first strict minimum of the lower endpoints in
     enumeration order, skipping a waiting candidate only when its label
     bound proves its lower endpoint at least the running minimum.
@@ -1161,7 +1269,7 @@ def irrationality_scan(
     line = isinstance(target, _LINE_TARGETS)
     try:
         if line:
-            records, scanned = _line_scan(target, spec, j_index, zone)
+            records, scanned = _line_scan(target, spec, j_index, zone, count_pool=True)
             witness = records[-1].subspace
             min_psi = records[-1].psi_lo
             ok = min_psi > 0.0

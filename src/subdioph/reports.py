@@ -19,6 +19,7 @@ import csv
 import decimal
 import json
 import math
+import sys
 from collections.abc import Mapping, Sequence
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -54,6 +55,26 @@ def exact_str(value: int | Fraction) -> str:
     if value.bit_length() < _STR_SAFE_BITS:
         return str(value)
     return str(decimal.Decimal(value))
+
+
+# exact decimal scaling: the digits of man * 5^k never exceed this
+_EXACT = decimal.Context(prec=decimal.MAX_PREC)
+
+
+def sci_str(value) -> str:
+    """value as f"{float(value):.6e}" prints it when float(value) is a
+    normal double or zero, else in the same d.dddddde+-NNN shape from the
+    exact value of an mpf (mantissa, exponent) pair, rounded half to even:
+    a deviation far below the double range prints as itself, not as 0.
+    """
+    f = float(value)
+    if f == 0 == value or (math.isfinite(f) and abs(f) >= sys.float_info.min):
+        return f"{f:.6e}"
+    man, exp = value.man_exp
+    man = -man if value < 0 else man
+    if exp >= 0:
+        return f"{decimal.Decimal(man << exp):.6e}"
+    return f"{decimal.Decimal(man * 5**-exp).scaleb(exp, _EXACT):.6e}"
 
 
 def _convert_scalar(value):

@@ -271,6 +271,20 @@ class TestScanCommands:
         assert rows[-1]["coords"] == ["125", "53"]
         assert all(row["psiLo"] <= row["psiHi"] for row in rows)
 
+    def test_records_over_a_large_window(self):
+        """H^2 <= 10^12 at the default census bound: the shell search walks
+        O(log H) dyadic shells above the census and finds the 43 records
+        that the rounding-window pool gave, row for row."""
+        code, out, err = run(
+            ["records", "--ell", "1", "--beta", "3", "--hmax-squared", "1000000000000",
+             "--no-header"]
+        )
+        assert (code, err) == (0, "")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == 43
+        heights = [int(row["heightSquared"]) for row in rows]
+        assert heights == sorted(set(heights)) and heights[-1] <= 10**12
+
     def test_records_stay_within_a_unit_height_bound(self):
         code, out, err = run(
             ["records", "--ell", "1", "--beta", "3", "--hmax-squared", "1", "--no-header"]

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -392,6 +393,22 @@ class TestDeviations:
         devs = est.height_ratio_deviations(params, nmax)
         assert [dev for _conv, dev in devs] == [rec.ratio_deviation for rec in cert.records]
         assert all(dev > 0 for _conv, dev in devs)
+
+    def test_deviations_below_the_double_range_print_as_themselves(self):
+        """At l=2 beta=3 seed 0 the deviations of N=2 and N=3 (about 2.4e-373
+        and 1.5e-2235) lie below the double range.  The certificate rows and
+        the exclusivity report print them in the shape of a double's .6e
+        text, not as 0; N=1 prints exactly as its double does."""
+        params = con.ConstructionParams.create(ell=2, beta=Fraction(3), seed=0)
+        cert = con.certify_instance(params, 3)
+        rows = [r["ratio_deviation"] for r in cert.as_records() if r["check"] == "quantities"]
+        report = est.exclusivity_check(params, 3, EnumSpec(4, 2, 1, EXACT_PLUECKER))
+        assert report.as_dict()["deviations"] == rows
+        assert rows[0] == f"{float(cert.records[0].ratio_deviation):.6e}"
+        for text, rec in zip(rows[1:], cert.records[1:]):
+            assert re.fullmatch(r"\d\.\d{6}e-\d{3,}", text)
+            assert float(rec.ratio_deviation) == 0.0 < rec.ratio_deviation
+            assert abs(mp.mpf(text) / rec.ratio_deviation - 1) < 1e-6
 
     def test_infinite_first_deviation(self):
         ipar = con.ConstructionParams.create(

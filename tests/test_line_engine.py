@@ -13,18 +13,15 @@ The oracle walks every primitive vector of R^n, off the embedded plane
 too, so it also checks the projection lemma the embedded scan rests on: no
 off-plane line sets a record.
 
-The engine runs with zones below the height bound, so rounding candidates
-and certificates take part.  It must return exactly the oracle's records
-(each bracket holding the exact sine), raise ScanIncompleteError, or raise
-IrrationalityViolationError at the one vector that meets an exact rational
-target.  After ScanIncompleteError the fully exhaustive scan is compared
-instead, so every example checks a record list.
+The engine runs with census bounds below the height bound, so the shell
+search takes part.  It must return exactly the oracle's records (each
+bracket holding the exact sine), or raise IrrationalityViolationError at
+the one vector that meets an exact rational target.
 
-The engine builds its candidate pool in batch passes.  The per-row builder
-it replaced (a recursive vector walk, a candidate generator and one
-engine.key call per row) stays below as the oracle for that pool: same
-rows, same order, same keys, same meeting vector and count, in the plane
-and embedded.
+The pool the engine swept before the shell search (the census plus the
+rounding window above it, built by a per-row builder) stays below as an
+oracle: swept by the engine's own sweep, it gives the same records, and
+its size is the `scanned` count of an irrationality scan.
 """
 
 import itertools
@@ -34,12 +31,12 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from subdioph import estimation as est
 from subdioph.enumeration import EnumSpec, primitive_vectors
-from subdioph.errors import IrrationalityViolationError, ScanIncompleteError
+from subdioph.errors import IrrationalityViolationError
 
 SETTINGS = settings(
     derandomize=True,
@@ -152,8 +149,6 @@ def oracle_records(oracle, vectors, axes):
 def scan_outcome(target, n, axes, hmax2, zone):
     try:
         return est.scan_embedded_line_records(target, n, hmax2, axes=axes, zone=zone)
-    except ScanIncompleteError:
-        return None
     except IrrationalityViolationError as err:
         return ("meets", err.vector)
 
@@ -162,8 +157,6 @@ def check_engine(target, n, axes, hmax2, zone):
     oracle = oracle_for(target)
     expected = oracle_records(oracle, brute_vectors(n, hmax2), axes)
     got = scan_outcome(target, n, axes, hmax2, zone)
-    if got is None:
-        got = scan_outcome(target, n, axes, hmax2, hmax2)
     if isinstance(expected, tuple):
         assert got == expected
         return
@@ -290,7 +283,7 @@ def test_exact_tie_goes_to_the_first_coords():
 
 
 # ---------------------------------------------------------------------------
-# the batch pool against the per-row builder it replaced
+# the pool swept before the shell search, as an oracle
 
 
 def reference_primitive_vectors(n, max_norm_sq):
@@ -364,33 +357,98 @@ POOL_TARGETS = {
 @SETTINGS
 @given(data=st.data())
 def test_batch_pool_matches_the_per_row_builder(kind, n, most, data):
-    """Same rows, same order, same keys, and the same meeting vector and
-    count, with the zone below the height bound.  The plane pool, embedded
-    on the axes, is the per-row builder's embedded pool, and the embedded
-    scan reports the embedded meeting vector with the same count."""
+    """An irrationality scan counts the per-row builder's pool as scanned,
+    with the zone below the height bound, and reports the same meeting
+    vector and count.  The embedded scan reports the embedded meeting
+    vector with the same count."""
     target = data.draw(POOL_TARGETS[kind], label="target")
     hmax2 = data.draw(st.integers(2, most), label="hmax2")
     zone = data.draw(st.integers(1, hmax2 - 1), label="zone")
     axes = data.draw(st.sampled_from(list(itertools.combinations(range(n), 2))), label="axes")
-    engine = est._cross_engine(target)
+    engine = est._cross_engine(target, hmax2)
     expected = reference_pool(engine, hmax2, zone, n, axes)
-    try:
-        pool, counts = est._line_pool(engine, hmax2, zone)
-    except IrrationalityViolationError as err:
+    report = est.irrationality_scan(target, EnumSpec(2, 1, hmax2), zone=zone)
+    if isinstance(expected, tuple):
         assert reference_pool(engine, hmax2, zone, 2, (0, 1)) == (
-            "meets", err.vector, err.scanned
+            "meets", report.offender.pluecker.coords, report.scanned
+        )
+        with pytest.raises(IrrationalityViolationError) as plane:
+            est.scan_line_records(target, hmax2, zone=zone)
+        assert (plane.value.vector, plane.value.scanned) == (
+            report.offender.pluecker.coords, report.scanned
         )
         with pytest.raises(IrrationalityViolationError) as embedded:
             est.scan_embedded_line_records(target, n, hmax2, axes=axes, zone=zone)
         assert expected == ("meets", embedded.value.vector, embedded.value.scanned)
         assert embedded.value.subspace.pluecker.coords == embedded.value.vector
         return
-    i0, i1 = axes
-    assert [(h2, vec[i0], vec[i1], key) for h2, vec, key in expected] == [
-        (h2, x1, x2, key) for h2, (x1, x2), key in pool
-    ]
-    assert counts["pool"] == len(pool)
-    assert all(h2 <= hmax2 for h2, _vec, _key in pool)
+    assert report.offender is None
+    assert report.scanned == len(expected)
+
+
+MARGIN2 = Fraction(12, 5) ** 2
+
+
+def reference_certified(engine, raw, hmax2, zone):
+    """The per-record certificate that guarded the old pool: a vector
+    outside it, up to the next record's height (the window), has a sine
+    of at least 12/5 / (sqrt(window) |u|), which the record must beat.
+    Where it failed, the old engine refused the scan."""
+    for idx, (h2, vec, _key) in enumerate(raw):
+        window = raw[idx + 1][0] if idx + 1 < len(raw) else hmax2
+        hi2 = engine.bracket(*vec)[1]
+        if window > zone and (
+            hi2 * window * engine.u2_hi * MARGIN2.denominator
+            > MARGIN2.numerator * h2 * engine.u2_lo * engine.scale
+        ):
+            return False
+    return True
+
+
+def reference_records(target, hmax2, zone):
+    """The old engine: the per-row builder's pool, swept by the engine's
+    sweep and bracketed by its brackets, as (coords, h2, psi_lo hex,
+    psi_hi hex) rows; ("meets", vector, scanned) at a meeting; None where
+    its certificate refused the scan."""
+    engine = est._cross_engine(target, hmax2)
+    pool = reference_pool(engine, hmax2, zone, 2, (0, 1))
+    if isinstance(pool, tuple):
+        return pool
+    # (h2, vector) is unique per row, so the sort never compares keys
+    raw = est._sweep_pool(sorted(pool), engine.less)
+    if not reference_certified(engine, raw, hmax2, zone):
+        return None
+    out = []
+    for h2, vec, _key in raw:
+        lo2, hi2 = engine.bracket(*vec)
+        lo, hi = est._sqrt_interval(
+            Fraction(lo2, h2 * engine.u2_hi), Fraction(hi2, h2 * engine.u2_lo)
+        )
+        out.append((vec, h2, lo.hex(), hi.hex()))
+    return out
+
+
+@pytest.mark.parametrize("kind", list(POOL_TARGETS))
+@SETTINGS
+@given(data=st.data())
+def test_shell_search_matches_the_old_pool(kind, data):
+    """Wherever the old engine certified its pool, the shell search returns
+    its records: same coords, heights and sine brackets to the last bit,
+    and the same meeting vector and count."""
+    target = data.draw(POOL_TARGETS[kind], label="target")
+    hmax2 = data.draw(st.integers(10, 10**6), label="hmax2")
+    zone = data.draw(st.integers(1, min(hmax2 - 1, 5_000)), label="zone")
+    expected = reference_records(target, hmax2, zone)
+    assume(expected is not None)
+    try:
+        records = est.scan_line_records(target, hmax2, zone=zone)
+    except IrrationalityViolationError as err:
+        assert expected == ("meets", err.vector, err.scanned)
+        return
+    assert [
+        (r.subspace.pluecker.coords, r.height_squared, r.psi_lo.hex(), r.psi_hi.hex())
+        for r in records
+    ] == expected
 
 
 @pytest.mark.parametrize("n, hmax2", [(1, 9), (2, 1), (2, 2), (2, 500), (3, 60), (4, 20), (5, 9)])
@@ -399,7 +457,7 @@ def test_primitive_vectors_keep_the_recursive_order(n, hmax2):
 
 
 # ---------------------------------------------------------------------------
-# the pool stays within the height bound
+# no row above the height bound
 
 
 @pytest.mark.parametrize(
@@ -419,7 +477,7 @@ def test_no_pool_row_above_a_unit_height_bound(target, n):
 
 
 # ---------------------------------------------------------------------------
-# pool counts in the log
+# scan counts in the log
 
 
 def line_scan_counts(caplog):
@@ -436,7 +494,34 @@ def test_line_scan_logs_its_pool(caplog):
     target = est.golden_line_target()
     report = est.irrationality_scan(target, EnumSpec(2, 1, 10**5), zone=500)
     counts = line_scan_counts(caplog)
-    assert counts["zone_rows"] + counts["candidates"] == counts["pool"] == report.scanned
-    assert counts["zone_rows"] > 0 and counts["candidates"] > 0
+    assert list(counts) == ["zone_rows", "shells", "nodes", "shell_rows", "records"]
+    # dyadic shells from 500 up to 10^5
+    assert counts["shells"] == 8
+    assert 0 < counts["shell_rows"] <= counts["nodes"]
+    assert 0 < counts["zone_rows"] < report.scanned
     records = est.scan_embedded_line_records(target, 3, 10**5, zone=500)
     assert line_scan_counts(caplog) == counts | {"records": len(records)}
+
+
+def fibonacci_pairs(hmax2):
+    a, b, out = 0, 1, []
+    while a * a + b * b <= hmax2:
+        out.append((a, b))
+        a, b = b, a + b
+    return out
+
+
+@pytest.mark.parametrize(
+    "hmax2, most_nodes", [(10**12, 2_000), (10**40, 4_000)], ids=["1e12", "1e40"]
+)
+def test_golden_line_walk_stays_logarithmic(caplog, hmax2, most_nodes):
+    """The golden line's records are consecutive Fibonacci pairs (its
+    convergents), and the shell search finds them in a bounded number of
+    nodes per dyadic shell: counts, not wall time."""
+    caplog.set_level(logging.DEBUG, logger="subdioph")
+    records = est.scan_line_records(est.golden_line_target(), hmax2)
+    assert [r.subspace.pluecker.coords for r in records] == fibonacci_pairs(hmax2)
+    assert len(records) == {10**12: 30, 10**40: 97}[hmax2]
+    assert all(r.psi_lo > 0 for r in records)
+    assert all(a.psi_hi > b.psi_hi for a, b in zip(records, records[1:]))
+    assert line_scan_counts(caplog)["nodes"] < most_nodes
