@@ -855,18 +855,19 @@ def params_to_descriptor(params: ConstructionParams) -> dict:
 
 
 def params_from_descriptor(data: Mapping) -> ConstructionParams:
-    """Inverse of params_to_descriptor; theta may be omitted for the default."""
+    """Inverse of params_to_descriptor; theta may be omitted for the default.
+
+    A malformed descriptor raises ParameterError."""
     try:
         ell = int(data["ell"])
         beta = data["beta"]
         seed = int(data.get("seed", 0))
-    except (KeyError, TypeError, ValueError) as err:
+        theta = data.get("theta")
+        theta = int(theta) if theta is not None else None
+        variant = data.get("variant")
+        if variant is None:
+            variant = INFINITE if str(beta).strip().lower() in ("inf", "infinity") else FINITE
+        beta = Fraction(str(beta)) if variant == FINITE else None
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
         raise ParameterError(f"bad instance descriptor: {err}") from None
-    variant = data.get("variant")
-    if variant is None:
-        variant = INFINITE if str(beta).strip().lower() in ("inf", "infinity") else FINITE
-    theta = data.get("theta")
-    theta = int(theta) if theta is not None else None
-    if variant == INFINITE:
-        return ConstructionParams.create(ell, None, theta=theta, seed=seed, variant=INFINITE)
-    return ConstructionParams.create(ell, Fraction(str(beta)), theta=theta, seed=seed)
+    return ConstructionParams.create(ell, beta, theta=theta, seed=seed, variant=variant)

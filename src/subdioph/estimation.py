@@ -11,13 +11,14 @@ sweep:
 * the exact line engine, for lines in the plane, clears the target's
   denominators once and keys plane vectors by their exact squared cross
   terms, as plain integers (exact signs of m + n sqrt(d) for quadratic
-  slopes).  A census keys every plane vector up to a bound, the zone.
-  Above it the engine walks dyadic height shells: the running record
-  bounds |x1 p - x2 q| <= D for every vector of the shell that could beat
-  it, and Fincke-Pohst enumeration lists that slab on a Lagrange-Gauss
-  reduced lattice basis in O(1 + points) nodes.  The search is complete by
-  construction and takes O(log H) shells; only the records get a bracket
-  and become fractions.  A line target
+  slopes).  From the height-1 level it walks dyadic height shells: the
+  running record bounds |x1 p - x2 q| <= D for every vector of the shell
+  that could beat it, and Fincke-Pohst enumeration lists that slab on a
+  Lagrange-Gauss reduced lattice basis in O(1 + points) nodes.  The search
+  is complete by construction and takes O(log H) shells; only the records
+  get a bracket and become fractions.  A bound called the zone changes no
+  record; it only defines the scanned count of an irrationality scan.  A
+  line target
   embedded on two coordinate axes of R^n has the plane records, embedded
   (the projection lemma): split an off-plane vector as v = (x, z) with x
   in the plane and z != 0.  For x != 0 at distance d <= |x| from the
@@ -175,6 +176,8 @@ def series_depth(params: ConstructionParams, height_squared_max: int, start: int
     """Least series depth from start on whose tail bound stays below
     2^-64 / (isqrt(H^2) + 1), far below the bracket allowance of a scan up
     to squared height H^2."""
+    if height_squared_max < 1:
+        raise ParameterError("height bound must be positive")
     bound = Fraction(1, (isqrt(height_squared_max) + 1) << 64)
     depth = start
     while tail_bound(params, depth) > bound:
@@ -270,16 +273,15 @@ def _float_up(x) -> float:
 
 # Each engine clears the target's denominators once.  The slope lies in
 # [p_lo, p_hi] / q, and every bracket below is an integer over one
-# per-engine scale.  A row is (h2, vector, key), where key is the exact
-# comparison object for the squared cross term: an int (rational slopes) or
-# an (m, n) pair for m + n sqrt(d).  engine.keys(vecs) keys a whole list of
-# plane vectors in one pass, with the values of engine.key(x1, x2), and
-# engine.zero is the key of a vector on the target.  engine.less(row_a,
-# row_b) compares key / h2 of two rows exactly.  engine.radius(record, top)
-# is an integer D with |x1 p_lo - x2 q| <= D for every x with |x|^2 <= top
-# whose row beats the record row under less: the slab the shell search
-# walks.  Only the rows the sweep returns get engine.bracket, an integer
-# (lo2, hi2) of the same quantity over the scale.
+# per-engine scale.  A row is (h2, vector, key), where key = engine.key(x1,
+# x2) is the exact comparison object for the squared cross term: an int
+# (rational slopes) or an (m, n) pair for m + n sqrt(d).  engine.zero is
+# the key of a vector on the target.  engine.less(row_a, row_b) compares
+# key / h2 of two rows exactly.  engine.radius(record, top) is an integer D
+# with |x1 p_lo - x2 q| <= D for every x with |x|^2 <= top whose row beats
+# the record row under less: the slab the shell search walks.  Only the
+# rows the sweep returns get engine.bracket, an integer (lo2, hi2) of the
+# same quantity over the scale.
 
 
 def _square_bracket(lo: int, hi: int) -> tuple[int, int]:
@@ -314,22 +316,6 @@ class _RationalCross:
             return lo * lo
         hi = x1 * self.p_hi - x2 * self.q
         return max(lo * lo, hi * hi)
-
-    def keys(self, vecs) -> list[int]:
-        """key(x1, x2) of every plane vector (x1, x2) with x1 >= 0, in one pass."""
-        p_lo, q = self.p_lo, self.q
-        if self.exact_slope:
-            return [(lo := x1 * p_lo - x2 * q) * lo for x1, x2 in vecs]
-        # hi - lo = x1 (p_hi - p_lo) >= 0, so hi^2 >= lo^2 exactly when
-        # lo + hi >= 0: one square per row
-        width = self.p_hi - p_lo
-        out = []
-        append = out.append
-        for x1, x2 in vecs:
-            lo = x1 * p_lo - x2 * q
-            hi = lo + x1 * width
-            append(hi * hi if lo + hi >= 0 else lo * lo)
-        return out
 
     def bracket(self, x1: int, x2: int) -> tuple[int, int]:
         # x1 >= 0 on every plane row, so the first end is the lower one
@@ -380,16 +366,6 @@ class _QuadraticCross:
         e_irr = x1 * self.b
         return e_rat * e_rat + e_irr * e_irr * self.d, 2 * e_rat * e_irr
 
-    def keys(self, vecs) -> list[tuple[int, int]]:
-        """key(x1, x2) of every plane vector (x1, x2), in one pass."""
-        a, den = self.a, self.den
-        # e_irr^2 d = x1^2 b^2 d and 2 e_rat e_irr = x1 e_rat 2b
-        b2d, b2 = self.b * self.b * self.d, 2 * self.b
-        return [
-            ((e := x1 * a - x2 * den) * e + x1 * x1 * b2d, x1 * e * b2)
-            for x1, x2 in vecs
-        ]
-
     def bracket(self, x1: int, x2: int) -> tuple[int, int]:
         lo2, hi2 = self._bracket(*self.key(x1, x2))
         return max(0, lo2), hi2
@@ -429,20 +405,27 @@ def _check_bracket_width(engine, hmax2: int) -> None:
         )
 
 
-def _window_count(engine, hmax2: int, zone: int, stop=None) -> int:
-    """How many primitive (x1, x2) with x1 >= 1, x2 within 2 of x1 * slope
-    and zone < x1^2 + x2^2 <= hmax2 there are: the rounding window above
-    the census that the line scan's pool held before the shell search.
-    With stop, only those up to and including the vector stop, in (x1, x2)
-    order.
+def _pool_count(target, hmax2: int, zone: int, stop=None) -> int:
+    """Size of the pool the line scan swept before its shell search, which
+    the scanned counts report: the census of primitive plane vectors up to
+    zone (clipped to hmax2), in primitive_vectors order, then the primitive
+    (x1, x2) with x1 >= 1, x2 within 2 of x1 * slope and
+    zone < x1^2 + x2^2 <= hmax2, in (x1, x2) order.  With stop, the position
+    of the vector stop in that pool.
 
     x1 * slope (the bracket's midpoint) is rounded half to even, as round()
     does on a Fraction.  The walk stops at the first x1 whose whole window
     lies above hmax2: the rounded value is monotone in x1 and keeps its
     sign, so no later window comes back below the bound.
     """
-    step, den = engine.p_lo + engine.p_hi, 2 * engine.q
+    zone = max(1, min(zone, hmax2))
     count = 0
+    for vec, _h2 in primitive_vectors(2, zone):
+        count += 1
+        if vec == stop:
+            return count
+    engine = _cross_engine(target, hmax2)
+    step, den = engine.p_lo + engine.p_hi, 2 * engine.q
     for x1 in range(1, isqrt(hmax2) + 1):
         xhat, rem = divmod(x1 * step, den)
         if 2 * rem > den or (2 * rem == den and xhat & 1):
@@ -571,42 +554,36 @@ def _meeting(vec: tuple[int, ...], scanned: int) -> IrrationalityViolationError:
     return err
 
 
-def _keyed(engine, vecs: list, scanned) -> list[tuple]:
-    """(h2, vector, key) rows of plane vectors, keyed in one batch.
-
-    A vector that meets the target raises IrrationalityViolationError with
-    scanned(its index) as the count.  The rows are zipped from flat lists,
-    so a row holds no tuple but its vector: fewer tracked tuples for the
-    cyclic garbage collector to walk.
-    """
-    keys = engine.keys(vecs)
-    try:
-        index = keys.index(engine.zero)
-    except ValueError:
-        return list(zip([x1 * x1 + x2 * x2 for x1, x2 in vecs], vecs, keys))
-    raise _meeting(vecs[index], scanned(index))
+def _keyed(engine, vecs: list, meeting) -> list[tuple]:
+    """(h2, vector, key) rows of plane vectors.  A vector that meets the
+    target raises meeting(vector)."""
+    rows = []
+    for x1, x2 in vecs:
+        key = engine.key(x1, x2)
+        if key == engine.zero:
+            raise meeting((x1, x2))
+        rows.append((x1 * x1 + x2 * x2, (x1, x2), key))
+    # (h2, vector) is unique per row, so the sort never compares keys
+    rows.sort()
+    return rows
 
 
-def _scan_lines(
-    target, hmax2: int, zone: int, count_pool: bool = False
-) -> tuple[list[ApproximationRecord], int | None]:
+def _scan_lines(target, hmax2: int, zone: int) -> list[ApproximationRecord]:
     """Certified record scan over every primitive plane line against a
     plane line target.
 
-    The census keys every primitive plane vector up to zone, clipped to the
-    height bound, and sweeps them.  Above it the scan walks dyadic shells
-    (h, min(2h, hmax2)] one at a time: _shell_vectors lists every vector of
-    the shell that can beat the running record, and those rows are keyed,
-    sorted and swept on from the record.  The search is complete by
-    construction, and it stays at O(1) nodes per shell while the records
-    come at a steady rate, so the walk above the census takes O(log H^2)
+    The sweep starts from the height-1 level, (0, 1) and (1, 0), and walks
+    dyadic shells (h, min(2h, hmax2)] from h = 1: _shell_vectors lists
+    every vector of the shell that can beat the running record, and those
+    rows are keyed, sorted and swept on from the record.  The search is
+    complete by construction, and it stays at O(1) nodes per shell while
+    the records come at a steady rate, so the walk takes O(log H^2)
     shells.  Only the records are bracketed.
 
-    Returns the records and, with count_pool, the size of the pool that
-    the scan swept before the shell search: the census rows plus the
-    rounding window above the zone (_window_count), else None.  An exact
-    meeting is reported with the same count, up to and including its
-    line.  Logs its counts at DEBUG on the "subdioph" logger.
+    zone changes no record: it only defines the count of an exact meeting,
+    which is raised as IrrationalityViolationError with the meeting line's
+    position in _pool_count's pool.  Logs its counts at DEBUG on the
+    "subdioph" logger.
 
     The same records serve the target embedded on two coordinate axes of
     R^n: no line off the embedded plane sets a record (see the module
@@ -616,37 +593,30 @@ def _scan_lines(
         raise ParameterError("height bound must be positive")
     engine = _cross_engine(target, hmax2)
     _check_bracket_width(engine, hmax2)
-    zone = max(1, min(zone, hmax2))
-    census = [vec for vec, _h2 in primitive_vectors(2, zone)]
-    rows = _keyed(engine, census, lambda index: index + 1)
-    # (h2, vector) is unique per row, so the sort never compares keys
-    rows.sort()
-    raw = _sweep_pool(rows, engine.less)
+
+    def meeting(vec):
+        return _meeting(vec, _pool_count(target, hmax2, zone, vec))
+
+    raw = _sweep_pool(_keyed(engine, [(0, 1), (1, 0)], meeting), engine.less)
     counts = dict.fromkeys(("shells", "nodes", "shell_rows"), 0)
     basis = ((1, 0, engine.p_lo), (0, 1, -engine.q))
-    lo = zone
+    lo = 1
     while lo < hmax2:
         top = min(2 * lo, hmax2)
         vecs, basis, nodes = _shell_vectors(engine, raw[-1], lo, top, basis)
-        rows = _keyed(
-            engine,
-            vecs,
-            lambda index: len(census) + _window_count(engine, hmax2, zone, vecs[index]),
-        )
-        rows.sort()
         # the running record leads the shell: the sweep goes on from it
-        raw += _sweep_pool([raw[-1], *rows], engine.less)[1:]
+        raw += _sweep_pool([raw[-1], *_keyed(engine, vecs, meeting)], engine.less)[1:]
         counts["shells"] += 1
         counts["nodes"] += nodes
         counts["shell_rows"] += len(vecs)
         lo = top
     _debug(
-        "scan_lines: zone_rows=%d shells=%d nodes=%d shell_rows=%d records=%d",
-        len(census), *counts.values(), len(raw),
+        "scan_lines: shells=%d nodes=%d shell_rows=%d records=%d",
+        *counts.values(), len(raw),
     )
     raw = [(h2, vec, *engine.bracket(*vec)) for h2, vec, _key in raw]
     # the engine scale cancels in both ratios
-    records = [
+    return [
         ApproximationRecord(
             _line(vec),
             h2,
@@ -657,25 +627,21 @@ def _scan_lines(
         )
         for h2, vec, lo2, hi2 in raw
     ]
-    scanned = len(census) + _window_count(engine, hmax2, zone) if count_pool else None
-    return records, scanned
 
 
 _LINE_TARGETS = (RationalLineTarget, QuadraticLineTarget)
 
 
-def _line_scan(
-    target, spec, j_index: int, zone: int, count_pool: bool = False
-) -> tuple[list[ApproximationRecord], int | None]:
+def _line_scan(target, spec, j_index: int, zone: int) -> list[ApproximationRecord]:
     """The line-target gate of both scans: plane lines in an EnumSpec window,
-    first sine only.  Returns _scan_lines' records and pool size."""
+    first sine only.  Returns _scan_lines' records."""
     if not isinstance(spec, EnumSpec):
         raise ParameterError("fast line scans need an EnumSpec window")
     if (spec.n, spec.e) != (2, 1):
         raise StrategyMismatchError("line targets scan lines in the plane")
     if j_index != 1:
         raise ParameterError("a line has a single proximity sine")
-    return _scan_lines(target, spec.height_squared_max, zone, count_pool)
+    return _scan_lines(target, spec.height_squared_max, zone)
 
 
 def scan_line_records(
@@ -683,11 +649,11 @@ def scan_line_records(
 ) -> list[ApproximationRecord]:
     """Records of every primitive plane line against a line target.
 
-    zone is the census bound: every plane line up to it is keyed, and the
-    shell search covers the rest of the window (_scan_lines).  It changes
-    the work, not the records.
+    One shell walk from height 1 covers the whole window (_scan_lines).
+    zone does not change the records: it only defines the scanned count
+    that an exact meeting reports.
     """
-    return _scan_lines(target, height_squared_max, zone)[0]
+    return _scan_lines(target, height_squared_max, zone)
 
 
 def scan_embedded_line_records(
@@ -718,7 +684,7 @@ def scan_embedded_line_records(
         return tuple(out)
 
     try:
-        records = _scan_lines(target, height_squared_max, zone)[0]
+        records = _scan_lines(target, height_squared_max, zone)
     except IrrationalityViolationError as err:
         raise _meeting(embed(err.vector), err.scanned) from None
     return [replace(r, subspace=_line(embed(r.subspace.pluecker.coords))) for r in records]
@@ -877,8 +843,8 @@ def scan_records(
     """Record scan of an enumeration stream against a target span.
 
     Line targets paired with a plane window take the certified line scan,
-    which always covers every primitive line up to the bound; zone is its
-    census bound (scan_line_records).  Otherwise
+    which always covers every primitive line up to the bound; zone changes
+    no record (scan_line_records).  Otherwise
     the candidates are labelled and screened (_GenericScan), sorted by
     (h2, coords) and swept by height level: a waiting candidate is
     bracketed only when its label bound cannot meet the running record's
@@ -890,7 +856,7 @@ def scan_records(
     height, so merging scans is an order-independent min-reduction).
     """
     if isinstance(target, _LINE_TARGETS):
-        return _line_scan(target, spec, j_index, zone)[0]
+        return _line_scan(target, spec, j_index, zone)
     scan = _GenericScan(target, j_index, ctx)
 
     def settle(level, record):
@@ -1100,7 +1066,10 @@ def exclusivity_check(
     band_factor: float = 10.0,
     deviation_tol: float = 0.1,
 ) -> ExclusivityReport:
-    """Check that beyond burn-in only convergents set competitive records."""
+    """Check that beyond burn-in only convergents set competitive records.
+
+    zone is passed to scan_records, and changes no record of a line scan.
+    """
     if nmax < 1:
         raise ParameterError("need at least one convergent index")
     if (spec.n, spec.e) != (params.n, params.ell):
@@ -1223,10 +1192,11 @@ class IrrationalityReport:
 
     scanned counts the candidates examined, up to and including the
     offender when there is one.  For a generic scan that is the enumeration
-    count.  For a line target it is the pool the line scan swept before
-    its shell search, which keeps the count stable: the census rows up to
-    zone plus the primitive lines above it with x2 within 2 of x1 * slope
-    (rounded half to even).
+    count.  For a line target, whose shell walk examines only a few rows,
+    it is the pool the line scan swept before its shell search, which keeps
+    the count stable (_pool_count): every primitive line up to zone plus
+    the primitive lines above it with x2 within 2 of x1 * slope (rounded
+    half to even).  zone changes this count and nothing else.
     """
 
     j_index: int
@@ -1260,8 +1230,8 @@ def irrationality_scan(
 ) -> IrrationalityReport:
     """Scan a window for the least certified angle against the target.
 
-    Line targets read it off the last record of the line scan, whose
-    census bound is zone (scan_line_records); other
+    Line targets read it off the last record of the line scan; zone only
+    defines their scanned count (IrrationalityReport).  Other
     targets take the first strict minimum of the lower endpoints in
     enumeration order, skipping a waiting candidate only when its label
     bound proves its lower endpoint at least the running minimum.
@@ -1269,7 +1239,8 @@ def irrationality_scan(
     line = isinstance(target, _LINE_TARGETS)
     try:
         if line:
-            records, scanned = _line_scan(target, spec, j_index, zone, count_pool=True)
+            records = _line_scan(target, spec, j_index, zone)
+            scanned = _pool_count(target, spec.height_squared_max, zone)
             witness = records[-1].subspace
             min_psi = records[-1].psi_lo
             ok = min_psi > 0.0

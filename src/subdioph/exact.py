@@ -256,6 +256,8 @@ class PlueckerVector:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if self.n < 0 or self.e < 0:
+            raise ShapeError(f"negative shape ({self.n},{self.e})")
         expected = math.comb(self.n, self.e)
         if len(self.coords) != expected:
             raise ShapeError(

@@ -252,7 +252,7 @@ def embedding_harness(
     off the embedded plane has a sine at least that of its projection,
     whose primitive vector is strictly lower, so it sets no record, and the
     ambient records are the intrinsic ones embedded on the axes
-    (scan_embedded_line_records).  zone is the line scans' census bound
+    (scan_embedded_line_records).  zone changes no record
     (scan_line_records); ambient_zone is accepted for compatibility, and
     nothing reads it.
     """

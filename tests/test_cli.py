@@ -199,6 +199,25 @@ class TestConstructCommand:
         assert out == ""
         assert "beta below admissible threshold" in err
 
+    @pytest.mark.parametrize(
+        "descriptor, message",
+        [
+            ({"ell": 1, "beta": "3", "theta": "x"}, "bad instance descriptor"),
+            ({"ell": 1, "beta": "3", "theta": [2]}, "bad instance descriptor"),
+            ({"ell": 1, "beta": None, "variant": "finite"}, "bad instance descriptor"),
+            ({"ell": 1, "beta": [1], "variant": "finite"}, "bad instance descriptor"),
+            ({"ell": 1, "beta": "1/0"}, "bad instance descriptor"),
+            ({"ell": 1, "beta": "3", "variant": "weird"}, "unknown variant 'weird'"),
+        ],
+        ids=["theta-text", "theta-list", "beta-null", "beta-list", "beta-zero-denominator",
+             "unknown-variant"],
+    )
+    def test_malformed_instance_is_usage_error(self, tmp_path, descriptor, message):
+        path = write_json(tmp_path / "instance.json", descriptor)
+        code, out, err = run(["construct", "--instance", path, "--nmax", "1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+
     def test_certify_emits_jsonl_checks(self):
         code, out, _ = run(
             ["construct", "--ell", "1", "--beta", "3/1", "--nmax", "2",
@@ -272,9 +291,9 @@ class TestScanCommands:
         assert all(row["psiLo"] <= row["psiHi"] for row in rows)
 
     def test_records_over_a_large_window(self):
-        """H^2 <= 10^12 at the default census bound: the shell search walks
-        O(log H) dyadic shells above the census and finds the 43 records
-        that the rounding-window pool gave, row for row."""
+        """H^2 <= 10^12: the shell search walks O(log H) dyadic shells from
+        height 1 and finds the 43 records that the rounding-window pool
+        gave, row for row."""
         code, out, err = run(
             ["records", "--ell", "1", "--beta", "3", "--hmax-squared", "1000000000000",
              "--no-header"]
@@ -292,6 +311,12 @@ class TestScanCommands:
         assert (code, err) == (0, "")
         rows = [json.loads(line) for line in out.splitlines()]
         assert [(row["heightSquared"], row["coords"]) for row in rows] == [("1", ["1", "0"])]
+
+    @pytest.mark.parametrize("ell, beta", [("1", "3"), ("2", "5/2")])
+    @pytest.mark.parametrize("hmax", ["0", "-1"])
+    def test_nonpositive_height_bound_is_usage_error(self, ell, beta, hmax):
+        code, out, err = run(["records", "--ell", ell, "--beta", beta, "--hmax-squared", hmax])
+        assert (code, out, err) == (2, "", "error: height bound must be positive\n")
 
     def test_records_from_instance_file(self, tmp_path):
         path = write_json(
@@ -422,6 +447,12 @@ class TestRunPlumbing:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_negative_label_shape_is_usage_error(self, tmp_path):
+        path = write_json(tmp_path / "label.json", {"n": -1, "e": 1, "coords": []})
+        code, out, err = run(["decode", "--pluecker", path])
+        assert (code, out) == (2, "")
+        assert err == "error: negative shape (-1,1)\n"
 
     def test_planes_in_five_space_are_a_census(self):
         code, out, err = run(["enumerate", "--n", "5", "--e", "2", "--hmax-squared", "8"])

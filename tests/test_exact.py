@@ -103,6 +103,8 @@ def test_label_from_minors_matches_the_validating_constructor():
         (3, 1, (0, 0, 0), DegenerateBasisError, "zero coordinate vector"),
         (3, 1, (2, 4, -6), ShapeError, "gcd-normalized"),
         (3, 1, (0, -1, 2), ShapeError, "leading nonzero coordinate"),
+        (-1, 1, (), ShapeError, "negative shape"),
+        (3, -1, (), ShapeError, "negative shape"),
     ],
 )
 def test_public_label_constructor_still_validates(n, e, coords, error, message):

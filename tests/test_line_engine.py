@@ -13,8 +13,8 @@ The oracle walks every primitive vector of R^n, off the embedded plane
 too, so it also checks the projection lemma the embedded scan rests on: no
 off-plane line sets a record.
 
-The engine runs with census bounds below the height bound, so the shell
-search takes part.  It must return exactly the oracle's records (each
+The engine runs with zones below the height bound, which change no
+record.  It must return exactly the oracle's records (each
 bracket holding the exact sine), or raise IrrationalityViolationError at
 the one vector that meets an exact rational target.
 
@@ -494,12 +494,12 @@ def test_line_scan_logs_its_pool(caplog):
     target = est.golden_line_target()
     report = est.irrationality_scan(target, EnumSpec(2, 1, 10**5), zone=500)
     counts = line_scan_counts(caplog)
-    assert list(counts) == ["zone_rows", "shells", "nodes", "shell_rows", "records"]
-    # dyadic shells from 500 up to 10^5
-    assert counts["shells"] == 8
+    assert list(counts) == ["shells", "nodes", "shell_rows", "records"]
+    # dyadic shells from 1 up to 10^5, whatever the zone
+    assert counts["shells"] == 17
     assert 0 < counts["shell_rows"] <= counts["nodes"]
-    assert 0 < counts["zone_rows"] < report.scanned
-    records = est.scan_embedded_line_records(target, 3, 10**5, zone=500)
+    assert counts["shell_rows"] < report.scanned
+    records = est.scan_embedded_line_records(target, 3, 10**5, zone=50_000)
     assert line_scan_counts(caplog) == counts | {"records": len(records)}
 
 
@@ -525,3 +525,19 @@ def test_golden_line_walk_stays_logarithmic(caplog, hmax2, most_nodes):
     assert all(r.psi_lo > 0 for r in records)
     assert all(a.psi_hi > b.psi_hi for a, b in zip(records, records[1:]))
     assert line_scan_counts(caplog)["nodes"] < most_nodes
+
+
+def test_golden_line_keys_few_rows(monkeypatch):
+    """The shell walk keys only rows that could set a record: at the
+    default zone, a census of the plane vectors up to it would key 9,544."""
+    keyed = []
+    real = est._keyed
+
+    def counted(engine, vecs, *rest):
+        keyed.append(len(vecs))
+        return real(engine, vecs, *rest)
+
+    monkeypatch.setattr(est, "_keyed", counted)
+    records = est.scan_line_records(est.golden_line_target(), 10**6)
+    assert [r.subspace.pluecker.coords for r in records] == fibonacci_pairs(10**6)
+    assert 0 < sum(keyed) < 500
