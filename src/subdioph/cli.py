@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -34,7 +35,7 @@ from .angles import (
     principal_angles,
     random_orthogonal,
 )
-from .enumeration import STRATEGIES, EnumSpec, enumerate_subspaces, exact_strategy
+from .enumeration import STRATEGIES, EnumSpec, enumerate_labels, exact_strategy
 from .errors import (
     CertificationFailure,
     InsufficientRecordsError,
@@ -304,11 +305,8 @@ def _cmd_enumerate(args):
         shard_count=args.shards, shard_index=args.shard_index,
     )
     rows = [
-        {
-            "coords": [exact_str(c) for c in sub.pluecker.coords],
-            "heightSquared": exact_str(sub.height_squared),
-        }
-        for sub in enumerate_subspaces(spec)
+        {"coords": [exact_str(c) for c in coords], "heightSquared": exact_str(h2)}
+        for coords, h2 in enumerate_labels(spec)
     ]
     return rows, 0
 
@@ -592,7 +590,11 @@ _HANDLERS = {
 # argument grammar
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument grammar, built once per process and shared by every
+    call, so callers must not change it.  Reuse is safe: no argument has a
+    mutable default, and every parse fills a new namespace."""
     parser = _Parser(prog="subdioph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

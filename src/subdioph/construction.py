@@ -855,19 +855,39 @@ def params_to_descriptor(params: ConstructionParams) -> dict:
 
 
 def params_from_descriptor(data: Mapping) -> ConstructionParams:
-    """Inverse of params_to_descriptor; theta may be omitted for the default.
+    """Inverse of params_to_descriptor; theta and seed may be omitted for
+    their defaults.
 
-    A malformed descriptor raises ParameterError."""
+    ell, theta and seed must be integers: floats, strings and booleans are
+    rejected, not rounded.  beta is "p/q" text or an integer for the finite
+    variant, and "inf" or "infinity" for the infinite one, which is also the
+    variant a descriptor without one gets from such a beta.  A malformed
+    descriptor raises ParameterError."""
     try:
-        ell = int(data["ell"])
-        beta = data["beta"]
-        seed = int(data.get("seed", 0))
-        theta = data.get("theta")
-        theta = int(theta) if theta is not None else None
-        variant = data.get("variant")
-        if variant is None:
-            variant = INFINITE if str(beta).strip().lower() in ("inf", "infinity") else FINITE
-        beta = Fraction(str(beta)) if variant == FINITE else None
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+        ell, beta = data["ell"], data["beta"]
+        seed, theta, variant = data.get("seed", 0), data.get("theta"), data.get("variant")
+    except (KeyError, TypeError) as err:
         raise ParameterError(f"bad instance descriptor: {err}") from None
+    for key, value in (("ell", ell), ("seed", seed), ("theta", theta)):
+        # JSON true and false load as bool, a subclass of int
+        if type(value) is not int and (key != "theta" or value is not None):
+            raise ParameterError(
+                f"bad instance descriptor: {key} must be an integer, got {value!r}"
+            )
+    infinite = isinstance(beta, str) and beta.strip().lower() in ("inf", "infinity")
+    if variant is None:
+        variant = INFINITE if infinite else FINITE
+    if variant == INFINITE and not infinite:
+        raise ParameterError(
+            f'bad instance descriptor: the infinite variant takes beta "inf", got {beta!r}'
+        )
+    if variant == FINITE:
+        if type(beta) is not int and not isinstance(beta, str):
+            raise ParameterError(
+                f'bad instance descriptor: beta must be "p/q" text or an integer, got {beta!r}'
+            )
+        try:
+            beta = Fraction(beta)
+        except (ValueError, ZeroDivisionError) as err:
+            raise ParameterError(f"bad instance descriptor: {err}") from None
     return ConstructionParams.create(ell, beta, theta=theta, seed=seed, variant=variant)

@@ -11,14 +11,17 @@ primitive normal vectors) and EXACT_PLUECKER (planes in R^4 via integer
 coordinate 6-tuples on the decomposability quadric) are faster paths for
 their shapes, and exact_strategy picks them there.
 
-Every strategy emits subspaces from their labels.  A line is its own
-label; a hyperplane's label is its primitive normal reversed with
-alternating signs; a plane in R^4 is a point of the Pluecker quadric; an
-echelon label is read off the minors of its scaled echelon basis.  Bases
-other than a line's are decoded only on first access to .basis.  These
-labels are primitive with a positive lead by construction, so they are
-built with PlueckerVector._normalized, without PlueckerVector's checks; a
-plane label is still checked against the Pluecker relation.
+Every strategy yields labels: (coords, squared height) pairs, both of
+which it computes anyway.  A line is its own label; a hyperplane's label
+is its primitive normal reversed with alternating signs; a plane in R^4 is
+a point of the Pluecker quadric, checked against the Pluecker relation; an
+echelon label is read off the minors of its scaled echelon basis.
+enumerate_labels streams these pairs as they are, which is all a census
+written to a file needs.  enumerate_events and enumerate_subspaces map the
+same streams to subspaces: the labels are primitive with a positive lead
+by construction, so they are built with PlueckerVector._normalized,
+without PlueckerVector's checks.  Bases other than a line's are decoded
+only on first access to .basis.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ __all__ = [
     "SUBSPACE",
     "CHECKPOINT",
     "EnumSpec",
+    "enumerate_labels",
     "enumerate_events",
     "enumerate_subspaces",
     "enumerate_lines",
@@ -160,25 +164,21 @@ def primitive_vectors(n: int, max_norm_sq: int) -> Iterator[tuple[tuple[int, ...
 
 
 # ---------------------------------------------------------------------------
-# strategies, one generator per leading-coordinate value
+# strategies: (label coords, squared height) of each subspace with one lead
 
 
-def _lines_at(spec: EnumSpec, lead: int) -> Iterator[exact.RationalSubspace]:
+def _lines_at(spec: EnumSpec, lead: int) -> Iterator[tuple[tuple[int, ...], int]]:
     # a primitive sign-canonical vector is its own normalized label
-    n = spec.n
-    normalized = exact.PlueckerVector._normalized
-    for vec, _ in _primitive_with_leading(n, spec.height_squared_max, lead):
-        yield exact.RationalSubspace(normalized(n, 1, vec), tuple(zip(vec)))
+    return _primitive_with_leading(spec.n, spec.height_squared_max, lead)
 
 
-def _hyperplanes_at(spec: EnumSpec, lead: int) -> Iterator[exact.RationalSubspace]:
-    n = spec.n
-    for normal, _ in _primitive_with_leading(n, spec.height_squared_max, lead):
-        yield exact.RationalSubspace(_hyperplane_label(n, normal))
+def _hyperplanes_at(spec: EnumSpec, lead: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    for normal, h2 in _primitive_with_leading(spec.n, spec.height_squared_max, lead):
+        yield _hyperplane_label(normal), h2
 
 
-def _hyperplane_label(n: int, normal: tuple[int, ...]) -> exact.PlueckerVector:
-    """Label of the hyperplane orthogonal to a primitive normal.
+def _hyperplane_label(normal: tuple[int, ...]) -> tuple[int, ...]:
+    """Label coords of the hyperplane orthogonal to a primitive normal.
 
     The minor that omits row i of a basis is +-(-1)^i normal[i], and the
     lexicographic row sets omit the rows in reverse order: the label is the
@@ -188,10 +188,10 @@ def _hyperplane_label(n: int, normal: tuple[int, ...]) -> exact.PlueckerVector:
     coords = [-x if i & 1 else x for i, x in enumerate(reversed(normal))]
     if next(c for c in coords if c != 0) < 0:
         coords = [-c for c in coords]
-    return exact.PlueckerVector._normalized(n, n - 1, tuple(coords))
+    return tuple(coords)
 
 
-def _planes4_at(spec: EnumSpec, lead: int) -> Iterator[exact.RationalSubspace]:
+def _planes4_at(spec: EnumSpec, lead: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Planes in R^4 with coordinates (x12, x13, x14, x23, x24, x34).
 
     Decomposable exactly when x12*x34 - x13*x24 + x14*x23 = 0; the last
@@ -221,19 +221,19 @@ def _planes4_at(spec: EnumSpec, lead: int) -> Iterator[exact.RationalSubspace]:
             coords = (lead, x13, x14, x23, x24, x34)
             if gcd(*coords) != 1:
                 continue
-            yield exact.RationalSubspace(_plane_label(coords))
+            yield _plane_label(coords), lead * lead + used + x34 * x34
 
 
-def _plane_label(coords: tuple[int, ...]) -> exact.PlueckerVector:
-    """Label of a plane in R^4, checked against x12*x34 - x13*x24 + x14*x23 = 0:
-    for (n, e) = (4, 2) that relation is the whole decomposability test."""
+def _plane_label(coords: tuple[int, ...]) -> tuple[int, ...]:
+    """coords, checked against x12*x34 - x13*x24 + x14*x23 = 0: for
+    (n, e) = (4, 2) that relation is the whole decomposability test."""
     x12, x13, x14, x23, x24, x34 = coords
     if x12 * x34 - x13 * x24 + x14 * x23 != 0:
         raise SubdiophError(f"plane label {coords} fails the Pluecker relation")
-    return exact.PlueckerVector._normalized(4, 2, coords)
+    return coords
 
 
-def _echelon_at(spec: EnumSpec, lead: int) -> Iterator[exact.RationalSubspace]:
+def _echelon_at(spec: EnumSpec, lead: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Every e-subspace whose label has first nonzero coordinate d = lead.
 
     A subspace has one reduced echelon basis R: its rows J (the pivots
@@ -250,7 +250,6 @@ def _echelon_at(spec: EnumSpec, lead: int) -> Iterator[exact.RationalSubspace]:
     n, e = spec.n, spec.e
     budget = spec.height_squared_max - lead * lead
     scale = lead ** (e - 1)
-    normalized = exact.PlueckerVector._normalized
     for pivots in combinations(range(n), e):
         rows = [[0] * e for _ in range(n)]
         for i, j in enumerate(pivots):
@@ -264,9 +263,9 @@ def _echelon_at(spec: EnumSpec, lead: int) -> Iterator[exact.RationalSubspace]:
             if any(m % scale for m in minors):
                 continue
             coords = tuple(m // scale for m in minors)
-            if gcd(*coords) != 1 or sum(c * c for c in coords) > spec.height_squared_max:
-                continue
-            yield exact.RationalSubspace(normalized(n, e, coords))
+            h2 = sum(c * c for c in coords)
+            if h2 <= spec.height_squared_max and gcd(*coords) == 1:
+                yield coords, h2
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +302,42 @@ def shard_partition(spec: EnumSpec, shard_count: int) -> list[EnumSpec]:
     ]
 
 
+def _label_streams(
+    spec: EnumSpec, cursor: int | None
+) -> Iterator[tuple[int, Iterator[tuple[tuple[int, ...], int]]]]:
+    """(lead, label stream) for each leading value of the run after cursor."""
+    if spec.strategy == EXACT_LINES:
+        labels_at = _lines_at if spec.e == 1 else _hyperplanes_at
+    else:
+        labels_at = _planes4_at if spec.strategy == EXACT_PLUECKER else _echelon_at
+    lo, hi = _shard_range(spec)
+    if cursor is not None:
+        lo = max(lo, cursor + 1)
+    for lead in range(lo, hi + 1):
+        yield lead, labels_at(spec, lead)
+
+
+def _subspaces(
+    spec: EnumSpec, labels: Iterator[tuple[tuple[int, ...], int]]
+) -> Iterator[exact.RationalSubspace]:
+    n, e = spec.n, spec.e
+    normalized, subspace = exact.PlueckerVector._normalized, exact.RationalSubspace
+    if spec.strategy == EXACT_LINES and e == 1:
+        # a line keeps its label, read as a column, as its basis
+        return (subspace(normalized(n, 1, c), tuple(zip(c))) for c, _ in labels)
+    return (subspace(normalized(n, e, c)) for c, _ in labels)
+
+
+def enumerate_labels(
+    spec: EnumSpec, cursor: int | None = None
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(coords, height_squared) of every subspace of the run: its normalized
+    label and the label's squared norm, in enumerate_events order, with no
+    subspace object built.  cursor resumes after a checkpoint value."""
+    for _lead, labels in _label_streams(spec, cursor):
+        yield from labels
+
+
 def enumerate_events(
     spec: EnumSpec, cursor: int | None = None
 ) -> Iterator[tuple[str, object]]:
@@ -313,29 +348,18 @@ def enumerate_events(
     after it.  Within a run the emitted coordinate labels are pairwise
     distinct and the order is a pure function of (spec, cursor).
     """
-    lo, hi = _shard_range(spec)
-    if cursor is not None:
-        lo = max(lo, cursor + 1)
-    for lead in range(lo, hi + 1):
-        if spec.strategy == EXACT_LINES and spec.e == 1:
-            stream = _lines_at(spec, lead)
-        elif spec.strategy == EXACT_LINES:
-            stream = _hyperplanes_at(spec, lead)
-        elif spec.strategy == EXACT_PLUECKER:
-            stream = _planes4_at(spec, lead)
-        else:
-            stream = _echelon_at(spec, lead)
-        yield from ((SUBSPACE, sub) for sub in stream)
-        yield (CHECKPOINT, lead)
+    for lead, labels in _label_streams(spec, cursor):
+        for sub in _subspaces(spec, labels):
+            yield SUBSPACE, sub
+        yield CHECKPOINT, lead
 
 
 def enumerate_subspaces(
     spec: EnumSpec, cursor: int | None = None
 ) -> Iterator[exact.RationalSubspace]:
-    """Subspace-only view of enumerate_events."""
-    for kind, payload in enumerate_events(spec, cursor=cursor):
-        if kind == SUBSPACE:
-            yield payload
+    """The subspaces of enumerate_events, without its checkpoints."""
+    for _lead, labels in _label_streams(spec, cursor):
+        yield from _subspaces(spec, labels)
 
 
 def enumerate_lines(n: int, height_squared_max: int) -> Iterator[exact.RationalSubspace]:

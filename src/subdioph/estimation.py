@@ -489,9 +489,12 @@ def _shell_vectors(engine, record, lo: int, top: int, basis: tuple) -> tuple[lis
     for c2 in range(isqrt(bound // det) + 1):
         reach = isqrt(bound - det * c2 * c2)
         centre = -g12 * c2
-        # at c2 = 0, c1 = 0 is the origin and c1 < 0 the negatives
         first = -((reach - centre) // g11) if c2 else 1
         last = (centre + reach) // g11
+        if not c2:
+            # c1 u is primitive only for c1 = 1: c1 = 0 is the origin,
+            # c1 < 0 the negatives and c1 >= 2 the multiples of u
+            last = min(last, 1)
         nodes += 1 + max(0, last - first + 1)
         for c1 in range(first, last + 1):
             x1, x2 = c1 * u1 + c2 * v1, c1 * u2 + c2 * v2

@@ -8,7 +8,10 @@ produce identical bytes.  The optional header line carries the only
 timestamp; data lines never depend on the clock.
 
 Records convert one at a time, each straight into its JSON line or its
-flat CSV row, through one shared compact encoder.  Nothing is written
+flat CSV row.  Every JSON text, rows, the header and CSV list cells alike,
+comes from one compact encoder built once per process, not one per call,
+with the bytes of json.dumps(value, separators=(",", ":")).  A list of
+strings is its own JSON-safe image and is not copied.  Nothing is written
 before every record has converted, so a record that cannot be serialized
 leaves the stream untouched.
 """
@@ -36,8 +39,23 @@ _FLOAT_SAFE_INT = 2**53
 # default, at least 640); below 2^2000 (603 digits) it is always allowed.
 _STR_SAFE_BITS = 2000
 
-# one compact encoder for rows, the header and CSV list cells
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+def _compact_encoder():
+    """The text of json.dumps(value, separators=(",", ":")), from one C
+    encoder built here: JSONEncoder.encode builds a new one on every call."""
+    base = json.JSONEncoder(separators=(",", ":"))
+    make = json.encoder.c_make_encoder
+    if make is None:  # an interpreter without the _json accelerator
+        return base.encode
+    encoder = make(
+        None, base.default, json.encoder.encode_basestring_ascii, None,
+        base.key_separator, base.item_separator, False, False, True,
+    )
+    return lambda value: "".join(encoder(value, 0))
+
+
+# the one compact encoder for rows, the header and CSV list cells
+_encode = _compact_encoder()
 
 
 def exact_str(value: int | Fraction) -> str:
@@ -108,7 +126,7 @@ def _convert(value):
             names = sorted(k.__name__ for k in kinds)
             raise SerializationError(f"mixed-type list in report: {names}")
         if kinds <= {str}:  # strings and None are their own images
-            return list(value)
+            return value if kind is list else list(value)
         return [_convert(x) for x in value]
     return _convert_scalar(value)
 

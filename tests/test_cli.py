@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from subdioph import cli
 from subdioph import construction as con
 from subdioph import reports
 from subdioph.cli import run_command
@@ -208,9 +209,11 @@ class TestConstructCommand:
             ({"ell": 1, "beta": [1], "variant": "finite"}, "bad instance descriptor"),
             ({"ell": 1, "beta": "1/0"}, "bad instance descriptor"),
             ({"ell": 1, "beta": "3", "variant": "weird"}, "unknown variant 'weird'"),
+            ({"ell": 1.7, "beta": "3", "theta": 5.9, "seed": True}, "bad instance descriptor"),
+            ({"ell": 1, "beta": "3", "variant": "infinite"}, "bad instance descriptor"),
         ],
         ids=["theta-text", "theta-list", "beta-null", "beta-list", "beta-zero-denominator",
-             "unknown-variant"],
+             "unknown-variant", "coerced-numbers", "infinite-finite-beta"],
     )
     def test_malformed_instance_is_usage_error(self, tmp_path, descriptor, message):
         path = write_json(tmp_path / "instance.json", descriptor)
@@ -487,6 +490,25 @@ class TestRunPlumbing:
         argv = ["records", "--ell", "1", "--beta", "3", "--hmax-squared", "50000",
                 "--no-header", "--format", "csv"]
         assert run(argv) == run(argv)
+
+    def test_parser_reuse_leaks_nothing_between_calls(self):
+        """run_command parses with one parser per process: a call with
+        --format csv and --no-header leaves nothing behind for the next."""
+        records = ["records", "--ell", "1", "--beta", "3", "--hmax-squared", "5000"]
+
+        def without_timestamp(result):
+            code, out, err = result
+            head, *body = out.splitlines()
+            return code, {k: v for k, v in json.loads(head).items() if k != "generated"}, body, err
+
+        cli.build_parser.cache_clear()
+        lone = without_timestamp(run(records))
+        enumerate_csv = ["enumerate", "--n", "3", "--hmax-squared", "20", "--format", "csv",
+                         "--no-header"]
+        assert run(enumerate_csv)[1].startswith("coords,heightSquared\n")
+        assert without_timestamp(run(records)) == lone
+        assert lone[1] == {"type": "header", "command": "records"}
+        assert cli.build_parser() is cli.build_parser()
 
     def test_header_carries_the_only_timestamp(self):
         argv = ["estimate", "--ell", "1", "--beta", "3", "--hmax-squared", "50000"]

@@ -482,5 +482,38 @@ def test_descriptor_defaults_and_errors():
     assert p.theta == 5 and p.seed == 0
     inf = params_from_descriptor({"ell": 1, "beta": "inf"})
     assert inf.variant == INFINITE
+    # an integer beta and a spelled-out infinity are exact, not coerced
+    assert params_from_descriptor({"ell": 1, "beta": 3}) == p
+    assert params_from_descriptor({"ell": 1, "beta": " Infinity", "variant": INFINITE}) == inf
     with pytest.raises(ParameterError):
         params_from_descriptor({"beta": "3"})
+
+
+@pytest.mark.parametrize(
+    "descriptor, message",
+    [
+        ({"ell": 1.7, "beta": "3", "theta": 5.9, "seed": True}, "ell must be an integer"),
+        ({"ell": 1.0, "beta": "3"}, "ell must be an integer"),
+        ({"ell": "1", "beta": "3"}, "ell must be an integer"),
+        ({"ell": True, "beta": "3"}, "ell must be an integer"),
+        ({"ell": 1, "beta": "3", "theta": 5.9}, "theta must be an integer"),
+        ({"ell": 1, "beta": "3", "theta": "5"}, "theta must be an integer"),
+        ({"ell": 1, "beta": "3", "theta": True}, "theta must be an integer"),
+        ({"ell": 1, "beta": "3", "seed": True}, "seed must be an integer"),
+        ({"ell": 1, "beta": "3", "seed": 1.0}, "seed must be an integer"),
+        ({"ell": 1, "beta": "3", "seed": "1"}, "seed must be an integer"),
+        ({"ell": 1, "beta": "3", "variant": "infinite"}, "the infinite variant takes beta"),
+        ({"ell": 1, "beta": None, "variant": "infinite"}, "the infinite variant takes beta"),
+        ({"ell": 1, "beta": 2.5}, 'beta must be "p/q" text or an integer'),
+    ],
+    ids=["all-coerced", "ell-float", "ell-text", "ell-bool", "theta-float", "theta-text",
+         "theta-bool", "seed-bool", "seed-float", "seed-text", "infinite-finite-beta",
+         "infinite-null-beta", "beta-float"],
+)
+def test_descriptor_values_are_not_coerced(descriptor, message):
+    """A descriptor holds JSON integers where params_to_descriptor writes
+    them, and an infinite instance says beta "inf": nothing is rounded,
+    parsed from text or dropped."""
+    with pytest.raises(ParameterError, match="bad instance descriptor") as err:
+        params_from_descriptor(descriptor)
+    assert message in str(err.value)

@@ -12,7 +12,7 @@ import pytest
 from mpmath import zeta
 
 from subdioph import estimation as est
-from subdioph import exact
+from subdioph import exact, reports
 from subdioph.cli import run_command
 from subdioph.enumeration import (
     CHECKPOINT,
@@ -23,6 +23,7 @@ from subdioph.enumeration import (
     SUBSPACE,
     EnumSpec,
     enumerate_events,
+    enumerate_labels,
     enumerate_lines,
     enumerate_subspaces,
     exact_strategy,
@@ -243,7 +244,7 @@ def test_plane_relation_agrees_with_decode():
         except NotDecomposableError:
             decodes = False
         try:
-            assert _plane_label(coords) == label
+            assert _plane_label(coords) == label.coords
             passes = True
         except SubdiophError:
             passes = False
@@ -311,6 +312,51 @@ def test_cli_enumerate_neither_decodes_nor_takes_minors(decode_calls, n, e, hmax
     rows = len(list(enumerate_subspaces(EnumSpec(n, e, hmax2, exact_strategy(n, e)))))
     assert len(out.getvalue().splitlines()) == rows > 1000
     assert decode_calls == {"decode": 0, "minors": 0}
+
+
+LABEL_PATH_SPECS = {
+    "lines-r3": EnumSpec(3, 1, 60),
+    "hyperplanes-r3": EnumSpec(3, 2, 60),
+    "hyperplanes-r4": EnumSpec(4, 3, 20),
+    "planes-r4": EnumSpec(4, 2, 20, EXACT_PLUECKER),
+    "planes-r4-shard-1-of-3": EnumSpec(4, 2, 30, EXACT_PLUECKER, shard_count=3, shard_index=1),
+    "echelon-planes-r5": EnumSpec(5, 2, 8, EXACT_ECHELON),
+    "echelon-3-spaces-r5": EnumSpec(5, 3, 8, EXACT_ECHELON),
+}
+
+
+@pytest.mark.parametrize("fmt", reports.FORMATS)
+@pytest.mark.parametrize("name", list(LABEL_PATH_SPECS))
+def test_cli_enumerate_label_rows_match_subspace_rows(name, fmt):
+    """enumerate writes its rows from enumerate_labels; they must be the
+    rows built from enumerate_subspaces, label and height read off each
+    subspace, serialized by emit_report."""
+    spec = LABEL_PATH_SPECS[name]
+    argv = ["enumerate", "--n", str(spec.n), "--e", str(spec.e),
+            "--hmax-squared", str(spec.height_squared_max), "--strategy", spec.strategy,
+            "--shards", str(spec.shard_count), "--shard-index", str(spec.shard_index),
+            "--format", fmt, "--no-header"]
+    out = io.StringIO()
+    assert run_command(argv, stdout=out) == 0
+    subspaces = list(enumerate_subspaces(spec))
+    rows = [
+        {"coords": [reports.exact_str(c) for c in sub.pluecker.coords],
+         "heightSquared": reports.exact_str(sub.height_squared)}
+        for sub in subspaces
+    ]
+    expected = io.StringIO()
+    reports.emit_report(rows, fmt, expected, no_header=True)
+    assert out.getvalue() == expected.getvalue()
+    assert len(rows) > 10
+
+    labels = list(enumerate_labels(spec))
+    assert labels == [(sub.pluecker.coords, sub.height_squared) for sub in subspaces]
+    assert all(h2 == sum(c * c for c in coords) for coords, h2 in labels)
+    cursor = sum(leading_range(spec)) // 2
+    assert list(enumerate_labels(spec, cursor=cursor)) == [
+        (sub.pluecker.coords, sub.height_squared)
+        for sub in enumerate_subspaces(spec, cursor=cursor)
+    ]
 
 
 TARGET_PLANE = [[1, 0], [0, 1], [Fraction(-37, 91), Fraction(52, 77)],

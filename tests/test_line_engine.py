@@ -24,6 +24,7 @@ oracle: swept by the engine's own sweep, it gives the same records, and
 its size is the `scanned` count of an irrationality scan.
 """
 
+import hashlib
 import itertools
 import logging
 import random
@@ -34,6 +35,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from subdioph import construction as con
 from subdioph import estimation as est
 from subdioph.enumeration import EnumSpec, primitive_vectors
 from subdioph.errors import IrrationalityViolationError
@@ -525,6 +527,41 @@ def test_golden_line_walk_stays_logarithmic(caplog, hmax2, most_nodes):
     assert all(r.psi_lo > 0 for r in records)
     assert all(a.psi_hi > b.psi_hi for a, b in zip(records, records[1:]))
     assert line_scan_counts(caplog)["nodes"] < most_nodes
+
+
+def record_digest(records):
+    """sha256 of the records as lines "coords h2 psi_lo psi_hi", the sines
+    as float hex."""
+    text = "".join(
+        f"{r.subspace.pluecker.coords} {r.height_squared} {r.psi_lo.hex()} {r.psi_hi.hex()}\n"
+        for r in records
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# digests of the records as the walk gave them when it still listed the
+# whole c2 = 0 row of each shell
+ROW_CLIP_RECORDS = {
+    "instance-1e24": (45, "a0afafad62dadea99f2b747acd8b52b96c79e41e5e59d2f29534b2b2eceb9801"),
+    "golden-1e12": (30, "fadd5989b19fe32538819507dc4800dba90570e49bf0e5806b362a5b468dae4a"),
+}
+
+
+@pytest.mark.parametrize("case", list(ROW_CLIP_RECORDS))
+def test_shell_walk_lists_only_primitive_rows(caplog, case):
+    """On the c2 = 0 row of a shell only c1 = 1 gives a primitive vector.
+    The l=1 beta=3 seed-0 instance line has a huge partial quotient, so
+    that row holds the multiples of its last convergent: listing them took
+    1,914,875 nodes at H^2 <= 10^24.  The records stay the same."""
+    caplog.set_level(logging.DEBUG, logger="subdioph")
+    if case == "instance-1e24":
+        params = con.ConstructionParams.create(1, Fraction(3), seed=0)
+        target = est.line_target_for_instance(params, height_squared_max=10**24)
+        records = est.scan_line_records(target, 10**24)
+        assert line_scan_counts(caplog)["nodes"] < 200_000
+    else:
+        records = est.scan_line_records(est.golden_line_target(), 10**12)
+    assert (len(records), record_digest(records)) == ROW_CLIP_RECORDS[case]
 
 
 def test_golden_line_keys_few_rows(monkeypatch):
