@@ -215,6 +215,12 @@ def _scan_row(rec: est.ApproximationRecord) -> dict:
     }
 
 
+def _given(value, default):
+    """A flag's value, or the default when the flag is absent: an explicit 0
+    is a value, and goes on to the validators."""
+    return default if value is None else value
+
+
 def _enum_spec(args, n: int, e: int, hmax: int, **shards) -> EnumSpec:
     """Enumeration window from --strategy (default: the fastest one for
     the shape)."""
@@ -238,7 +244,7 @@ def _run_scan(args) -> list[est.ApproximationRecord]:
         )
         if line_ready:
             target = est.line_target_for_instance(params, height_squared_max=hmax)
-            n = args.n or 2
+            n = _given(args.n, 2)
             if n < 2:
                 raise _UsageError("ambient dimension must be at least 2")
             return est.scan_embedded_line_records(target, n, hmax)
@@ -246,18 +252,19 @@ def _run_scan(args) -> list[est.ApproximationRecord]:
         generators = con.build_generators(params, est.series_depth(params, hmax, 1))
         spec = _enum_spec(args, params.n, params.ell, hmax)
         return est.scan_records(
-            generators.real_basis(), spec, j_index=args.j or params.ell, ctx=ctx
+            generators.real_basis(), spec, j_index=_given(args.j, params.ell), ctx=ctx
         )
     if args.basis:
         matrix = _load_basis(args.basis)
         n = exact.shape(matrix)[0]
-        spec = _enum_spec(args, n, args.e or 1, hmax)
-        return est.scan_records(matrix, spec, j_index=args.j or 1, ctx=ctx)
+        spec = _enum_spec(args, n, _given(args.e, 1), hmax)
+        return est.scan_records(matrix, spec, j_index=_given(args.j, 1), ctx=ctx)
     raise _UsageError("need a target: --instance, --ell/--beta, or --basis")
 
 
 # ---------------------------------------------------------------------------
-# command handlers (records, exit code)
+# command handlers (records, exit code); enumerate hands over its label
+# stream instead of a list of records
 
 
 def _cmd_height(args):
@@ -301,14 +308,10 @@ def _cmd_enumerate(args):
     if args.n is None or args.hmax_squared is None:
         raise _UsageError("--n and --hmax-squared are required")
     spec = _enum_spec(
-        args, args.n, args.e or 1, args.hmax_squared,
+        args, args.n, _given(args.e, 1), args.hmax_squared,
         shard_count=args.shards, shard_index=args.shard_index,
     )
-    rows = [
-        {"coords": [exact_str(c) for c in coords], "heightSquared": exact_str(h2)}
-        for coords, h2 in enumerate_labels(spec)
-    ]
-    return rows, 0
+    return enumerate_labels(spec), 0
 
 
 def _cmd_construct(args):
@@ -360,7 +363,7 @@ def _cmd_exclusivity(args):
 def _cmd_harness(args):
     if args.hmax_squared is None:
         raise _UsageError("--hmax-squared is required")
-    n = args.n or 3
+    n = _given(args.n, 3)
     if n < 2:
         raise _UsageError("ambient dimension must be at least 2")
     if getattr(args, "instance", None) or args.ell is not None:
@@ -706,8 +709,9 @@ def run_command(
                 if hasattr(err, field):
                     failure[field] = getattr(err, field)
             rows, code = [failure], 1
+        emit = reports.emit_report if isinstance(rows, list) else reports.emit_labels
         try:
-            reports.emit_report(
+            emit(
                 rows,
                 args.format,
                 data_stream,

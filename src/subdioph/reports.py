@@ -11,19 +11,26 @@ Records convert one at a time, each straight into its JSON line or its
 flat CSV row.  Every JSON text, rows, the header and CSV list cells alike,
 comes from one compact encoder built once per process, not one per call,
 with the bytes of json.dumps(value, separators=(",", ":")).  A list of
-strings is its own JSON-safe image and is not copied.  Nothing is written
-before every record has converted, so a record that cannot be serialized
-leaves the stream untouched.
+strings is its own JSON-safe image and is not copied.  emit_report writes
+nothing before every record has converted, so a record that cannot be
+serialized leaves the stream untouched.
+
+Census labels, the (coords, height_squared) pairs of
+enumeration.enumerate_labels, cannot fail to serialize, so emit_labels
+streams them: each label goes straight into its row text as it is drawn,
+with the bytes emit_report writes for the row {"coords": [...],
+"heightSquared": ...} of exact_str values, in constant memory.
 """
 
 from __future__ import annotations
 
 import csv
 import decimal
+import itertools
 import json
 import math
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import IO
@@ -172,6 +179,13 @@ def _converted(records: Sequence[Mapping]):
         yield _convert(record)
 
 
+def _write_header(fmt: str, stream: IO[str], command: str) -> None:
+    if fmt == JSONL:
+        stream.write(_encode(header_line(command)) + "\n")
+    else:
+        stream.write(f"# {command} {header_line(command)['generated']}\n")
+
+
 def emit_report(
     records: Sequence[Mapping],
     fmt: str,
@@ -192,7 +206,7 @@ def emit_report(
     if fmt == JSONL:
         lines = [_encode(record) + "\n" for record in _converted(records)]
         if not no_header:
-            stream.write(_encode(header_line(command)) + "\n")
+            _write_header(fmt, stream, command)
         stream.writelines(lines)
         return
 
@@ -203,8 +217,58 @@ def emit_report(
             if name not in columns:
                 columns[name] = None
     if not no_header:
-        stream.write(f"# {command} {header_line(command)['generated']}\n")
+        _write_header(fmt, stream, command)
     if columns:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows([row.get(name, "") for name in columns] for row in rows)
+
+
+# The text around a label's coordinates and its squared height: the JSONL
+# row {"coords":["1","0"],"heightSquared":"1"} and the CSV row
+# "[""1"",""0""]",1 (the quoted JSON list cell that the csv module writes).
+_LABEL_ROW = {
+    JSONL: ('{"coords":["', '","', '"],"heightSquared":"', '"}\n'),
+    CSV: ('"[""', '"",""', '""]",', "\n"),
+}
+# rows joined per write: few calls into the stream, bounded memory
+_LABEL_CHUNK = 2048
+
+
+def emit_labels(
+    labels: Iterable[tuple[Sequence[int], int]],
+    fmt: str,
+    stream: IO[str],
+    command: str = "",
+    no_header: bool = False,
+) -> None:
+    """Write census labels (coords, height_squared) as they are drawn, one
+    row each, with the bytes emit_report writes for the rows
+    {"coords": [exact_str(c), ...], "heightSquared": exact_str(h2)}.
+
+    The first label is drawn before anything is written, so an error the
+    label stream raises at once leaves the stream untouched.  No labels
+    give the header alone (unless suppressed): no CSV column row.
+    """
+    if fmt not in FORMATS:
+        raise SerializationError(f"unknown format {fmt!r}")
+    labels = iter(labels)
+    first = next(labels, None)
+    if not no_header:
+        _write_header(fmt, stream, command)
+    if first is None:
+        return
+    if fmt == CSV:
+        stream.write("coords,heightSquared\n")
+    start, sep, middle, end = _LABEL_ROW[fmt]
+
+    def row(label) -> str:
+        coords, h2 = label
+        # every |c| <= sqrt(h2): below the bound h2 and all its coordinates
+        # print with plain str, as exact_str would print them
+        text = str if h2.bit_length() < _STR_SAFE_BITS else exact_str
+        return f"{start}{sep.join(map(text, coords))}{middle}{text(h2)}{end}"
+
+    rows = map(row, itertools.chain((first,), labels))
+    while chunk := "".join(itertools.islice(rows, _LABEL_CHUNK)):
+        stream.write(chunk)

@@ -14,7 +14,7 @@ from subdioph import cli
 from subdioph import construction as con
 from subdioph import reports
 from subdioph.cli import run_command
-from subdioph.errors import SerializationError
+from subdioph.errors import ParameterError, SerializationError
 
 DATA = Path(__file__).parent / "data"
 
@@ -588,3 +588,56 @@ class TestRunPlumbing:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"heightSquared": "25"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--n", "3", "--e", "0", "--hmax-squared", "5"],
+            ["records", "--basis", "LINE", "--e", "0", "--hmax-squared", "20"],
+            ["records", "--basis", "LINE", "--j", "0", "--hmax-squared", "20"],
+            ["estimate", "--basis", "LINE", "--e", "0", "--hmax-squared", "20"],
+            ["records", "--ell", "1", "--beta", "3", "--j", "0", "--hmax-squared", "20"],
+            ["records", "--ell", "1", "--beta", "3", "--n", "0", "--hmax-squared", "20"],
+            ["harness", "--n", "0", "--hmax-squared", "100"],
+        ],
+        ids=["enumerate-e", "records-e", "records-j", "estimate-e", "instance-j",
+             "instance-n", "harness-n"],
+    )
+    def test_an_explicit_zero_is_not_a_missing_flag(self, tmp_path, argv):
+        """0 reaches the validators: no default stands in for it."""
+        line = write_json(tmp_path / "line.json",
+                          {"n": 3, "e": 1, "basis": [["1"], ["2/3"], ["5/7"]]})
+        code, out, err = run([line if x == "LINE" else x for x in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_a_label_stream_that_raises_at_once_writes_nothing(self, monkeypatch, fmt):
+        def broken(spec, cursor=None):
+            raise ParameterError("census refused")
+            yield  # a generator: the error comes at the first draw
+
+        monkeypatch.setattr(cli, "enumerate_labels", broken)
+        code, out, err = run(["enumerate", "--n", "3", "--hmax-squared", "5", "--format", fmt])
+        assert (code, out, err) == (2, "", "error: census refused\n")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_enumerate_streams_in_constant_memory(self, fmt):
+        # 155,833 lines; writing them all at once peaked at 126-150 MiB.  The
+        # child reports VmHWM, the peak RSS of its own address space:
+        # ru_maxrss would carry over the forking test process's size at exec.
+        script = (
+            "from subdioph.cli import run_command\n"
+            "code = run_command(['enumerate', '--n', '3', '--e', '1', '--hmax-squared',"
+            f" '2000', '--out', '/dev/null', '--format', '{fmt}'])\n"
+            "with open('/proc/self/status') as status:\n"
+            "    peak = next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
+            "print(code, peak)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.stderr == ""
+        code, peak_kib = map(int, proc.stdout.split())
+        assert code == 0
+        assert peak_kib < 64 * 1024

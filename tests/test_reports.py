@@ -146,3 +146,50 @@ def test_a_bad_last_record_leaves_the_stream_empty(fmt, no_header, bad):
             [*CORPUS, bad], fmt, stream, command="test", no_header=no_header
         )
     assert stream.getvalue() == ""
+
+
+def _label(*coords):
+    return tuple(coords), sum(c * c for c in coords)
+
+
+LABELS = [
+    _label(1, 0),
+    _label(0, 1, -2),
+    _label(3, -4, 5, 0, -7),
+    _label(2**999, 1),  # squared height of 1999 bits: plain str
+    _label(math.isqrt(2**1999) + 1, -5),  # 2000 bits: exact_str
+    _label(2**2000 + 1, -(3**1300), 0),  # coordinates of 2001 bits and more
+    _label(7**6000, -1),  # 16,902 digits, beyond the int -> str digit limit
+]
+
+
+def label_rows(labels):
+    return [
+        {"coords": [reports.exact_str(c) for c in coords],
+         "heightSquared": reports.exact_str(h2)}
+        for coords, h2 in labels
+    ]
+
+
+@pytest.mark.parametrize("fmt", reports.FORMATS)
+@pytest.mark.parametrize("no_header", [False, True])
+@pytest.mark.parametrize("labels", [LABELS, []], ids=["labels", "empty"])
+def test_label_rows_are_the_report_rows(monkeypatch, fmt, no_header, labels):
+    """emit_labels writes the bytes of emit_report over exact_str rows,
+    across chunk boundaries and past every str() bound."""
+    fixed = {"type": "header", "command": "enumerate", "generated": "2000-01-01T00:00:00+00:00"}
+    monkeypatch.setattr(reports, "header_line", lambda command: fixed)
+    monkeypatch.setattr(reports, "_LABEL_CHUNK", 3)
+    expected, got = io.StringIO(), io.StringIO()
+    reports.emit_report(label_rows(labels), fmt, expected, "enumerate", no_header)
+    reports.emit_labels(iter(labels), fmt, got, "enumerate", no_header)
+    assert got.getvalue() == expected.getvalue()
+    if not labels:
+        assert got.getvalue().count("\n") == (0 if no_header else 1)
+
+
+def test_label_writer_rejects_an_unknown_format():
+    stream = io.StringIO()
+    with pytest.raises(SerializationError):
+        reports.emit_labels([_label(1)], "xml", stream)
+    assert stream.getvalue() == ""
