@@ -236,18 +236,16 @@ def _run_scan(args) -> list[est.ApproximationRecord]:
     ctx = _precision_context(args)
     if getattr(args, "instance", None) or args.ell is not None:
         params = _instance_params(args)
-        line_ready = (
-            params.ell == 1
-            and args.strategy is None
-            and args.e in (None, 1)
-            and args.j in (None, 1)
-        )
-        if line_ready:
+        if args.e is not None and args.e != params.ell:
+            raise _UsageError(f"--e must equal the instance's ell = {params.ell}")
+        if params.ell == 1 and args.strategy is None and args.j in (None, 1):
             target = est.line_target_for_instance(params, height_squared_max=hmax)
             n = _given(args.n, 2)
             if n < 2:
                 raise _UsageError("ambient dimension must be at least 2")
             return est.scan_embedded_line_records(target, n, hmax)
+        if args.n is not None and args.n != params.n:
+            raise _UsageError(f"--n must equal the instance's n = {params.n}")
         # the generators get depth at least 1, even where the series starts at 0
         generators = con.build_generators(params, est.series_depth(params, hmax, 1))
         spec = _enum_spec(args, params.n, params.ell, hmax)

@@ -16,9 +16,8 @@ sweep:
   that could beat it, and Fincke-Pohst enumeration lists that slab on a
   Lagrange-Gauss reduced lattice basis in O(1 + points) nodes.  The search
   is complete by construction and takes O(log H) shells; only the records
-  get a bracket and become fractions.  A bound called the zone changes no
-  record; it only defines the scanned count of an irrationality scan.  A
-  line target
+  get a bracket and become fractions, and an irrationality scan counts the
+  rows the walk keyed.  A line target
   embedded on two coordinate axes of R^n has the plane records, embedded
   (the projection lemma): split an off-plane vector as v = (x, z) with x
   in the plane and z != 0.  For x != 0 at distance d <= |x| from the
@@ -84,7 +83,6 @@ from .enumeration import (
     EXACT_LINES,
     EnumSpec,
     enumerate_subspaces,
-    primitive_vectors,
 )
 from .errors import (
     InsufficientRecordsError,
@@ -97,8 +95,6 @@ from .errors import (
 from .reports import sci_str
 
 SOURCE_ENUMERATED = "enumerated"
-
-DEFAULT_ZONE = 10_000
 
 # a slope bracket may move x1 * slope by at most 1/10 over the scan range
 _BRACKET_ALLOWANCE = Fraction(1, 10)
@@ -405,42 +401,6 @@ def _check_bracket_width(engine, hmax2: int) -> None:
         )
 
 
-def _pool_count(target, hmax2: int, zone: int, stop=None) -> int:
-    """Size of the pool the line scan swept before its shell search, which
-    the scanned counts report: the census of primitive plane vectors up to
-    zone (clipped to hmax2), in primitive_vectors order, then the primitive
-    (x1, x2) with x1 >= 1, x2 within 2 of x1 * slope and
-    zone < x1^2 + x2^2 <= hmax2, in (x1, x2) order.  With stop, the position
-    of the vector stop in that pool.
-
-    x1 * slope (the bracket's midpoint) is rounded half to even, as round()
-    does on a Fraction.  The walk stops at the first x1 whose whole window
-    lies above hmax2: the rounded value is monotone in x1 and keeps its
-    sign, so no later window comes back below the bound.
-    """
-    zone = max(1, min(zone, hmax2))
-    count = 0
-    for vec, _h2 in primitive_vectors(2, zone):
-        count += 1
-        if vec == stop:
-            return count
-    engine = _cross_engine(target, hmax2)
-    step, den = engine.p_lo + engine.p_hi, 2 * engine.q
-    for x1 in range(1, isqrt(hmax2) + 1):
-        xhat, rem = divmod(x1 * step, den)
-        if 2 * rem > den or (2 * rem == den and xhat & 1):
-            xhat += 1
-        x1_sq = x1 * x1
-        if x1_sq + max(abs(xhat) - 2, 0) ** 2 > hmax2:
-            break
-        for x2 in range(xhat - 2, xhat + 3):
-            if zone < x1_sq + x2 * x2 <= hmax2 and gcd(x1, x2) == 1:
-                count += 1
-                if (x1, x2) == stop:
-                    return count
-    return count
-
-
 def _gauss_reduced(u: tuple, v: tuple, dd: int, xx: int) -> tuple:
     """Lagrange-Gauss reduction of the lattice basis (u, v) under the form
     F(w) = dd w[0]^2 + xx w[2]^2 on (x1, x2, y) vectors.
@@ -557,21 +517,22 @@ def _meeting(vec: tuple[int, ...], scanned: int) -> IrrationalityViolationError:
     return err
 
 
-def _keyed(engine, vecs: list, meeting) -> list[tuple]:
-    """(h2, vector, key) rows of plane vectors.  A vector that meets the
-    target raises meeting(vector)."""
+def _keyed(engine, vecs: list, keyed: int) -> list[tuple]:
+    """(h2, vector, key) rows of plane vectors, keyed after `keyed` others.
+    A vector that meets the target raises IrrationalityViolationError,
+    which counts the rows keyed up to and including it."""
     rows = []
     for x1, x2 in vecs:
         key = engine.key(x1, x2)
         if key == engine.zero:
-            raise meeting((x1, x2))
+            raise _meeting((x1, x2), keyed + len(rows) + 1)
         rows.append((x1 * x1 + x2 * x2, (x1, x2), key))
     # (h2, vector) is unique per row, so the sort never compares keys
     rows.sort()
     return rows
 
 
-def _scan_lines(target, hmax2: int, zone: int) -> list[ApproximationRecord]:
+def _scan_lines(target, hmax2: int) -> tuple[list[ApproximationRecord], int]:
     """Certified record scan over every primitive plane line against a
     plane line target.
 
@@ -583,10 +544,11 @@ def _scan_lines(target, hmax2: int, zone: int) -> list[ApproximationRecord]:
     the records come at a steady rate, so the walk takes O(log H^2)
     shells.  Only the records are bracketed.
 
-    zone changes no record: it only defines the count of an exact meeting,
-    which is raised as IrrationalityViolationError with the meeting line's
-    position in _pool_count's pool.  Logs its counts at DEBUG on the
-    "subdioph" logger.
+    Returns the records and the number of rows keyed: the two height-1 rows
+    plus the shell rows.  A line that meets the target raises
+    IrrationalityViolationError with the rows keyed up to and including
+    it.  Logs its counts at DEBUG on the "subdioph" logger, a meeting's up
+    to the meeting line.
 
     The same records serve the target embedded on two coordinate axes of
     R^n: no line off the embedded plane sets a record (see the module
@@ -596,30 +558,33 @@ def _scan_lines(target, hmax2: int, zone: int) -> list[ApproximationRecord]:
         raise ParameterError("height bound must be positive")
     engine = _cross_engine(target, hmax2)
     _check_bracket_width(engine, hmax2)
-
-    def meeting(vec):
-        return _meeting(vec, _pool_count(target, hmax2, zone, vec))
-
-    raw = _sweep_pool(_keyed(engine, [(0, 1), (1, 0)], meeting), engine.less)
     counts = dict.fromkeys(("shells", "nodes", "shell_rows"), 0)
-    basis = ((1, 0, engine.p_lo), (0, 1, -engine.q))
-    lo = 1
-    while lo < hmax2:
-        top = min(2 * lo, hmax2)
-        vecs, basis, nodes = _shell_vectors(engine, raw[-1], lo, top, basis)
-        # the running record leads the shell: the sweep goes on from it
-        raw += _sweep_pool([raw[-1], *_keyed(engine, vecs, meeting)], engine.less)[1:]
-        counts["shells"] += 1
-        counts["nodes"] += nodes
-        counts["shell_rows"] += len(vecs)
-        lo = top
-    _debug(
-        "scan_lines: shells=%d nodes=%d shell_rows=%d records=%d",
-        *counts.values(), len(raw),
-    )
+    raw = []
+    try:
+        raw = _sweep_pool(_keyed(engine, [(0, 1), (1, 0)], 0), engine.less)
+        basis = ((1, 0, engine.p_lo), (0, 1, -engine.q))
+        lo = 1
+        while lo < hmax2:
+            top = min(2 * lo, hmax2)
+            vecs, basis, nodes = _shell_vectors(engine, raw[-1], lo, top, basis)
+            counts["shells"] += 1
+            counts["nodes"] += nodes
+            rows = _keyed(engine, vecs, 2 + counts["shell_rows"])
+            counts["shell_rows"] += len(rows)
+            # the running record leads the shell: the sweep goes on from it
+            raw += _sweep_pool([raw[-1], *rows], engine.less)[1:]
+            lo = top
+    except IrrationalityViolationError as err:
+        counts["shell_rows"] = err.scanned - 2
+        raise
+    finally:
+        _debug(
+            "scan_lines: shells=%d nodes=%d shell_rows=%d records=%d",
+            *counts.values(), len(raw),
+        )
     raw = [(h2, vec, *engine.bracket(*vec)) for h2, vec, _key in raw]
     # the engine scale cancels in both ratios
-    return [
+    records = [
         ApproximationRecord(
             _line(vec),
             h2,
@@ -630,42 +595,38 @@ def _scan_lines(target, hmax2: int, zone: int) -> list[ApproximationRecord]:
         )
         for h2, vec, lo2, hi2 in raw
     ]
+    return records, 2 + counts["shell_rows"]
 
 
 _LINE_TARGETS = (RationalLineTarget, QuadraticLineTarget)
 
 
-def _line_scan(target, spec, j_index: int, zone: int) -> list[ApproximationRecord]:
+def _line_scan(target, spec, j_index: int) -> tuple[list[ApproximationRecord], int]:
     """The line-target gate of both scans: plane lines in an EnumSpec window,
-    first sine only.  Returns _scan_lines' records."""
+    first sine only.  Returns _scan_lines' records and keyed count."""
     if not isinstance(spec, EnumSpec):
         raise ParameterError("fast line scans need an EnumSpec window")
     if (spec.n, spec.e) != (2, 1):
         raise StrategyMismatchError("line targets scan lines in the plane")
     if j_index != 1:
         raise ParameterError("a line has a single proximity sine")
-    return _scan_lines(target, spec.height_squared_max, zone)
+    return _scan_lines(target, spec.height_squared_max)
 
 
 def scan_line_records(
-    target, height_squared_max: int, zone: int = DEFAULT_ZONE
+    target, height_squared_max: int, zone: int | None = None
 ) -> list[ApproximationRecord]:
     """Records of every primitive plane line against a line target.
 
     One shell walk from height 1 covers the whole window (_scan_lines).
-    zone does not change the records: it only defines the scanned count
-    that an exact meeting reports.
+    zone is ignored, removed once the benchmark stops passing it (ROADMAP
+    item 8).
     """
-    return _scan_lines(target, height_squared_max, zone)
+    return _scan_lines(target, height_squared_max)[0]
 
 
 def scan_embedded_line_records(
-    target,
-    n: int,
-    height_squared_max: int,
-    axes: tuple[int, int] = (0, 1),
-    zone: int = DEFAULT_ZONE,
-    ambient_zone: int | None = None,
+    target, n: int, height_squared_max: int, axes: tuple[int, int] = (0, 1)
 ) -> list[ApproximationRecord]:
     """Records of every primitive line in n-space against a plane line
     target embedded on the coordinate axes.
@@ -674,8 +635,7 @@ def scan_embedded_line_records(
     of its projection to the plane, whose primitive vector is strictly lower
     (module docstring).  So these are the plane records, embedded on the
     axes, and a plane line that meets the target is reported embedded, with
-    the plane scan's count.  ambient_zone is accepted for compatibility;
-    nothing reads it.
+    the plane scan's count.
     """
     i0, i1 = axes
     if not (0 <= i0 < i1 < n):
@@ -687,7 +647,7 @@ def scan_embedded_line_records(
         return tuple(out)
 
     try:
-        records = _scan_lines(target, height_squared_max, zone)
+        records = _scan_lines(target, height_squared_max)[0]
     except IrrationalityViolationError as err:
         raise _meeting(embed(err.vector), err.scanned) from None
     return [replace(r, subspace=_line(embed(r.subspace.pluecker.coords))) for r in records]
@@ -841,13 +801,11 @@ def scan_records(
     spec,
     j_index: int = 1,
     ctx: PrecisionContext | None = None,
-    zone: int = DEFAULT_ZONE,
 ) -> list[ApproximationRecord]:
     """Record scan of an enumeration stream against a target span.
 
     Line targets paired with a plane window take the certified line scan,
-    which always covers every primitive line up to the bound; zone changes
-    no record (scan_line_records).  Otherwise
+    which always covers every primitive line up to the bound.  Otherwise
     the candidates are labelled and screened (_GenericScan), sorted by
     (h2, coords) and swept by height level: a waiting candidate is
     bracketed only when its label bound cannot meet the running record's
@@ -859,7 +817,7 @@ def scan_records(
     height, so merging scans is an order-independent min-reduction).
     """
     if isinstance(target, _LINE_TARGETS):
-        return _line_scan(target, spec, j_index, zone)
+        return _line_scan(target, spec, j_index)[0]
     scan = _GenericScan(target, j_index, ctx)
 
     def settle(level, record):
@@ -1065,13 +1023,14 @@ def exclusivity_check(
     nmax: int,
     spec: EnumSpec,
     ctx: PrecisionContext | None = None,
-    zone: int = DEFAULT_ZONE,
+    zone: int | None = None,
     band_factor: float = 10.0,
     deviation_tol: float = 0.1,
 ) -> ExclusivityReport:
     """Check that beyond burn-in only convergents set competitive records.
 
-    zone is passed to scan_records, and changes no record of a line scan.
+    zone is ignored, removed once the benchmark stops passing it (ROADMAP
+    item 8).
     """
     if nmax < 1:
         raise ParameterError("need at least one convergent index")
@@ -1093,13 +1052,11 @@ def exclusivity_check(
         target = line_target_for_instance(
             params, height_squared_max=spec.height_squared_max, stream=stream
         )
-        records = scan_records(target, spec, zone=zone)
+        records = scan_records(target, spec)
     else:
         depth = nmax + 2
         gens = build_generators(params, depth, stream)
-        records = scan_records(
-            gens.real_basis(), spec, j_index=params.ell, ctx=ctx, zone=zone
-        )
+        records = scan_records(gens.real_basis(), spec, j_index=params.ell, ctx=ctx)
         records = widen_records(records, _float_up(gens.angle_slack))
 
     by_coords = {
@@ -1195,11 +1152,8 @@ class IrrationalityReport:
 
     scanned counts the candidates examined, up to and including the
     offender when there is one.  For a generic scan that is the enumeration
-    count.  For a line target, whose shell walk examines only a few rows,
-    it is the pool the line scan swept before its shell search, which keeps
-    the count stable (_pool_count): every primitive line up to zone plus
-    the primitive lines above it with x2 within 2 of x1 * slope (rounded
-    half to even).  zone changes this count and nothing else.
+    count; for a line target it is the rows the shell walk keyed, the two
+    height-1 rows plus the shell rows (_scan_lines).
     """
 
     j_index: int
@@ -1229,21 +1183,20 @@ def irrationality_scan(
     spec,
     j_index: int = 1,
     ctx: PrecisionContext | None = None,
-    zone: int = DEFAULT_ZONE,
+    zone: int | None = None,
 ) -> IrrationalityReport:
     """Scan a window for the least certified angle against the target.
 
-    Line targets read it off the last record of the line scan; zone only
-    defines their scanned count (IrrationalityReport).  Other
+    Line targets read it off the last record of the line scan.  Other
     targets take the first strict minimum of the lower endpoints in
     enumeration order, skipping a waiting candidate only when its label
-    bound proves its lower endpoint at least the running minimum.
+    bound proves its lower endpoint at least the running minimum.  zone is
+    ignored, removed once the benchmark stops passing it (ROADMAP item 8).
     """
     line = isinstance(target, _LINE_TARGETS)
     try:
         if line:
-            records = _line_scan(target, spec, j_index, zone)
-            scanned = _pool_count(target, spec.height_squared_max, zone)
+            records, scanned = _line_scan(target, spec, j_index)
             witness = records[-1].subspace
             min_psi = records[-1].psi_lo
             ok = min_psi > 0.0

@@ -27,7 +27,6 @@ from .errors import (
     ShapeError,
 )
 from .estimation import (
-    DEFAULT_ZONE,
     ApproximationRecord,
     ExponentEstimate,
     QuadraticLineTarget,
@@ -236,7 +235,7 @@ def embedding_harness(
     j_index: int = 1,
     e: int = 1,
     ctx: PrecisionContext | None = None,
-    zone: int = DEFAULT_ZONE,
+    zone: int | None = None,
     ambient_zone: int | None = None,
 ) -> HarnessReport:
     """Measure one exponent in two ambients and match the record lists.
@@ -252,9 +251,8 @@ def embedding_harness(
     off the embedded plane has a sine at least that of its projection,
     whose primitive vector is strictly lower, so it sets no record, and the
     ambient records are the intrinsic ones embedded on the axes
-    (scan_embedded_line_records).  zone changes no record
-    (scan_line_records); ambient_zone is accepted for compatibility, and
-    nothing reads it.
+    (scan_embedded_line_records).  zone and ambient_zone are ignored,
+    removed once the benchmark stops passing them (ROADMAP item 8).
     """
     section = section_of(phi, f_subspace)
     k = phi.codomain_dim
@@ -270,11 +268,9 @@ def embedding_harness(
                 "line targets need a coordinate plane embedding; a general"
                 " section cannot be scanned exactly"
             )
-        intrinsic_records = scan_line_records(
-            tilde_target, height_squared_max, zone=zone
-        )
+        intrinsic_records = scan_line_records(tilde_target, height_squared_max)
         ambient_records = scan_embedded_line_records(
-            tilde_target, n, height_squared_max, axes=axes, zone=zone
+            tilde_target, n, height_squared_max, axes=axes
         )
     else:
         tilde_matrix = exact.as_matrix(tilde_target)

@@ -611,6 +611,34 @@ class TestRunPlumbing:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["records", "--ell", "1", "--beta", "3", "--e", "0"],
+            ["records", "--ell", "1", "--beta", "3", "--e", "2"],
+            ["estimate", "--ell", "1", "--beta", "3", "--e", "2"],
+            ["records", "--ell", "2", "--beta", "3", "--n", "1"],
+            ["records", "--ell", "2", "--beta", "3", "--n", "7"],
+            ["estimate", "--ell", "2", "--beta", "3", "--n", "7"],
+        ],
+        ids=["records-e0", "records-e2", "estimate-e2", "records-n1", "records-n7",
+             "estimate-n7"],
+    )
+    def test_instance_scan_rejects_a_shape_flag_it_would_ignore(self, argv):
+        """--e must be the instance's ell, and on the generic path --n its
+        n; neither may fall back silently to the instance's own shape."""
+        code, out, err = run([*argv, "--hmax-squared", "20"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_instance_e_equal_to_ell_keeps_the_line_scan(self):
+        base = ["records", "--ell", "1", "--beta", "3", "--hmax-squared", "10000",
+                "--no-header"]
+        default = run(base)
+        assert default[0] == 0 and default[1]
+        assert run([*base, "--e", "1"]) == default
+        assert run([*base, "--n", "2"]) == default
+
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_a_label_stream_that_raises_at_once_writes_nothing(self, monkeypatch, fmt):
         def broken(spec, cursor=None):

@@ -13,15 +13,16 @@ The oracle walks every primitive vector of R^n, off the embedded plane
 too, so it also checks the projection lemma the embedded scan rests on: no
 off-plane line sets a record.
 
-The engine runs with zones below the height bound, which change no
-record.  It must return exactly the oracle's records (each
-bracket holding the exact sine), or raise IrrationalityViolationError at
-the one vector that meets an exact rational target.
+The engine must return exactly the oracle's records (each bracket holding
+the exact sine), or raise IrrationalityViolationError at the one vector
+that meets an exact rational target.
 
-The pool the engine swept before the shell search (the census plus the
-rounding window above it, built by a per-row builder) stays below as an
-oracle: swept by the engine's own sweep, it gives the same records, and
-its size is the `scanned` count of an irrationality scan.
+The pool the engine swept before the shell search (a census up to a zone
+plus the rounding window above it, built by a per-row builder) stays below
+as an oracle: swept by the engine's own sweep, it gives the same records
+and meets the target at the same vector.  The `scanned` count of a line
+irrationality scan is the rows the walk keyed, checked against the walk's
+DEBUG counts.
 """
 
 import hashlib
@@ -37,7 +38,9 @@ from hypothesis import strategies as st
 
 from subdioph import construction as con
 from subdioph import estimation as est
-from subdioph.enumeration import EnumSpec, primitive_vectors
+from subdioph import exact
+from subdioph import morphisms as mor
+from subdioph.enumeration import EXACT_LINES, EnumSpec, primitive_vectors
 from subdioph.errors import IrrationalityViolationError
 
 SETTINGS = settings(
@@ -148,17 +151,17 @@ def oracle_records(oracle, vectors, axes):
     return records
 
 
-def scan_outcome(target, n, axes, hmax2, zone):
+def scan_outcome(target, n, axes, hmax2):
     try:
-        return est.scan_embedded_line_records(target, n, hmax2, axes=axes, zone=zone)
+        return est.scan_embedded_line_records(target, n, hmax2, axes=axes)
     except IrrationalityViolationError as err:
         return ("meets", err.vector)
 
 
-def check_engine(target, n, axes, hmax2, zone):
+def check_engine(target, n, axes, hmax2):
     oracle = oracle_for(target)
     expected = oracle_records(oracle, brute_vectors(n, hmax2), axes)
-    got = scan_outcome(target, n, axes, hmax2, zone)
+    got = scan_outcome(target, n, axes, hmax2)
     if isinstance(expected, tuple):
         assert got == expected
         return
@@ -201,9 +204,8 @@ TARGETS = {
 def test_engine_matches_brute_force(kind, n, most, data):
     target = data.draw(TARGETS[kind], label="target")
     hmax2 = data.draw(st.integers(10, most), label="hmax2")
-    zone = data.draw(st.integers(max(2, hmax2 // 10), hmax2 - 1), label="zone")
     axes = data.draw(st.sampled_from(list(itertools.combinations(range(n), 2))), label="axes")
-    check_engine(target, n, axes, hmax2, zone)
+    check_engine(target, n, axes, hmax2)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +245,7 @@ def test_line_engine_brackets_only_its_records(bracket_calls, target, n, axes):
     est._cross_engine(target)
     setup = bracket_calls["brackets"]
     bracket_calls["brackets"] = 0
-    records = est.scan_embedded_line_records(target, n, 20_000, axes=axes, zone=2_000)
+    records = est.scan_embedded_line_records(target, n, 20_000, axes=axes)
     assert len(records) >= 5
     # the engine's own set-up brackets, then one per record
     assert bracket_calls["brackets"] - setup <= len(records)
@@ -259,11 +261,11 @@ def test_wide_bracket_in_three_space_keeps_the_plane_records(monkeypatch):
     vector."""
     monkeypatch.setattr(est, "_check_bracket_width", lambda engine, hmax2: None)
     target = est.RationalLineTarget(Fraction(1, 4), Fraction(1, 4))
-    plane = est.scan_line_records(target, 20, zone=20)
+    plane = est.scan_line_records(target, 20)
     assert [(r.height_squared, r.subspace.pluecker.coords) for r in plane] == [
         (1, (1, 0)), (5, (2, 1)), (10, (3, 1)),
     ]
-    embedded = est.scan_embedded_line_records(target, 3, 20, zone=20)
+    embedded = est.scan_embedded_line_records(target, 3, 20)
     assert [(r.height_squared, r.subspace.pluecker.coords) for r in embedded] == [
         (1, (1, 0, 0)), (5, (2, 1, 0)), (10, (3, 1, 0)),
     ]
@@ -324,7 +326,7 @@ def reference_candidates(engine, hmax2, skip_below):
 
 def reference_pool(engine, hmax2, zone, n, axes):
     """The unsorted pool, built with a per-row engine.key, a per-row zero
-    test and a per-row embedding, or ("meets", vector, scanned)."""
+    test and a per-row embedding, or ("meets", vector)."""
     i0, i1 = axes
 
     def embed(x1, x2):
@@ -338,7 +340,7 @@ def reference_pool(engine, hmax2, zone, n, axes):
     for h2, x1, x2 in plane:
         key = engine.key(x1, x2)
         if (key if isinstance(key, int) else key[0]) == 0:
-            return ("meets", embed(x1, x2), len(pool) + 1)
+            return ("meets", embed(x1, x2))
         pool.append((h2, embed(x1, x2), key))
     return pool
 
@@ -354,38 +356,67 @@ POOL_TARGETS = {
 }
 
 
+def counts_of(message):
+    """The counts of a scan_lines: DEBUG line, by name."""
+    return {k: int(v) for k, v in (f.split("=") for f in message.split(": ")[1].split())}
+
+
+class ScanLinesLog(logging.Handler):
+    """The counts of the last scan_lines: DEBUG line on the subdioph logger
+    while the block runs (caplog is not reset between hypothesis examples)."""
+
+    def __enter__(self):
+        self.counts = None
+        self.logger = logging.getLogger("subdioph")
+        self.level = self.logger.level
+        self.logger.addHandler(self)
+        self.logger.setLevel(logging.DEBUG)
+        return self
+
+    def __exit__(self, *exc):
+        self.logger.removeHandler(self)
+        self.logger.setLevel(self.level)
+
+    def emit(self, record):
+        if record.getMessage().startswith("scan_lines:"):
+            self.counts = counts_of(record.getMessage())
+
+
 @pytest.mark.parametrize("kind", list(POOL_TARGETS))
 @pytest.mark.parametrize("n, most", [(2, 3000), (3, 200), (4, 40)])
 @SETTINGS
 @given(data=st.data())
 def test_batch_pool_matches_the_per_row_builder(kind, n, most, data):
-    """An irrationality scan counts the per-row builder's pool as scanned,
-    with the zone below the height bound, and reports the same meeting
-    vector and count.  The embedded scan reports the embedded meeting
-    vector with the same count."""
+    """An irrationality scan meets the target where the per-row builder's
+    pool does, with the zone below the height bound, and so do the plane
+    and embedded record scans, the latter at the embedded vector.  Each
+    counts the rows its walk keyed, up to and including a meeting vector:
+    the two height-1 rows plus the shell rows of the walk's DEBUG line."""
     target = data.draw(POOL_TARGETS[kind], label="target")
     hmax2 = data.draw(st.integers(2, most), label="hmax2")
     zone = data.draw(st.integers(1, hmax2 - 1), label="zone")
     axes = data.draw(st.sampled_from(list(itertools.combinations(range(n), 2))), label="axes")
     engine = est._cross_engine(target, hmax2)
     expected = reference_pool(engine, hmax2, zone, n, axes)
-    report = est.irrationality_scan(target, EnumSpec(2, 1, hmax2), zone=zone)
+    with ScanLinesLog() as log:
+        report = est.irrationality_scan(target, EnumSpec(2, 1, hmax2))
+    assert report.scanned == 2 + log.counts["shell_rows"]
     if isinstance(expected, tuple):
         assert reference_pool(engine, hmax2, zone, 2, (0, 1)) == (
-            "meets", report.offender.pluecker.coords, report.scanned
+            "meets", report.offender.pluecker.coords
         )
         with pytest.raises(IrrationalityViolationError) as plane:
-            est.scan_line_records(target, hmax2, zone=zone)
+            est.scan_line_records(target, hmax2)
         assert (plane.value.vector, plane.value.scanned) == (
             report.offender.pluecker.coords, report.scanned
         )
         with pytest.raises(IrrationalityViolationError) as embedded:
-            est.scan_embedded_line_records(target, n, hmax2, axes=axes, zone=zone)
-        assert expected == ("meets", embedded.value.vector, embedded.value.scanned)
+            est.scan_embedded_line_records(target, n, hmax2, axes=axes)
+        assert expected == ("meets", embedded.value.vector)
+        assert embedded.value.scanned == report.scanned
         assert embedded.value.subspace.pluecker.coords == embedded.value.vector
         return
     assert report.offender is None
-    assert report.scanned == len(expected)
 
 
 MARGIN2 = Fraction(12, 5) ** 2
@@ -410,7 +441,7 @@ def reference_certified(engine, raw, hmax2, zone):
 def reference_records(target, hmax2, zone):
     """The old engine: the per-row builder's pool, swept by the engine's
     sweep and bracketed by its brackets, as (coords, h2, psi_lo hex,
-    psi_hi hex) rows; ("meets", vector, scanned) at a meeting; None where
+    psi_hi hex) rows; ("meets", vector) at a meeting; None where
     its certificate refused the scan."""
     engine = est._cross_engine(target, hmax2)
     pool = reference_pool(engine, hmax2, zone, 2, (0, 1))
@@ -436,16 +467,16 @@ def reference_records(target, hmax2, zone):
 def test_shell_search_matches_the_old_pool(kind, data):
     """Wherever the old engine certified its pool, the shell search returns
     its records: same coords, heights and sine brackets to the last bit,
-    and the same meeting vector and count."""
+    and the same meeting vector."""
     target = data.draw(POOL_TARGETS[kind], label="target")
     hmax2 = data.draw(st.integers(10, 10**6), label="hmax2")
     zone = data.draw(st.integers(1, min(hmax2 - 1, 5_000)), label="zone")
     expected = reference_records(target, hmax2, zone)
     assume(expected is not None)
     try:
-        records = est.scan_line_records(target, hmax2, zone=zone)
+        records = est.scan_line_records(target, hmax2)
     except IrrationalityViolationError as err:
-        assert expected == ("meets", err.vector, err.scanned)
+        assert expected == ("meets", err.vector)
         return
     assert [
         (r.subspace.pluecker.coords, r.height_squared, r.psi_lo.hex(), r.psi_hi.hex())
@@ -468,9 +499,9 @@ def test_primitive_vectors_keep_the_recursive_order(n, hmax2):
 )
 @pytest.mark.parametrize("n", [2, 3])
 def test_no_pool_row_above_a_unit_height_bound(target, n):
-    """With H^2 <= 1 only the coordinate axes qualify: the zone is clipped
-    to the bound, not floored above it."""
-    records = est.scan_embedded_line_records(target, n, 1, zone=100)
+    """With H^2 <= 1 only the coordinate axes qualify, and the line scan
+    keys those two rows alone."""
+    records = est.scan_embedded_line_records(target, n, 1)
     assert records and all(r.height_squared == 1 for r in records)
     report = est.irrationality_scan(target, EnumSpec(2, 1, 1))
     generic = est.irrationality_scan([[1], [5]], EnumSpec(2, 1, 1))
@@ -484,25 +515,55 @@ def test_no_pool_row_above_a_unit_height_bound(target, n):
 
 def line_scan_counts(caplog):
     """The counts of the last line scan's DEBUG line."""
-    message = [
+    return counts_of([
         r.getMessage() for r in caplog.records
         if r.name == "subdioph" and r.getMessage().startswith("scan_lines:")
-    ][-1]
-    return {k: int(v) for k, v in (f.split("=") for f in message.split(": ")[1].split())}
+    ][-1])
 
 
 def test_line_scan_logs_its_pool(caplog):
     caplog.set_level(logging.DEBUG, logger="subdioph")
     target = est.golden_line_target()
-    report = est.irrationality_scan(target, EnumSpec(2, 1, 10**5), zone=500)
+    report = est.irrationality_scan(target, EnumSpec(2, 1, 10**5))
     counts = line_scan_counts(caplog)
     assert list(counts) == ["shells", "nodes", "shell_rows", "records"]
-    # dyadic shells from 1 up to 10^5, whatever the zone
+    # dyadic shells from 1 up to 10^5
     assert counts["shells"] == 17
     assert 0 < counts["shell_rows"] <= counts["nodes"]
-    assert counts["shell_rows"] < report.scanned
-    records = est.scan_embedded_line_records(target, 3, 10**5, zone=50_000)
+    assert report.scanned == 2 + counts["shell_rows"]
+    records = est.scan_embedded_line_records(target, 3, 10**5)
     assert line_scan_counts(caplog) == counts | {"records": len(records)}
+
+
+def test_golden_irrationality_scan_counts_the_rows_it_keyed(caplog):
+    """At H^2 <= 10^12 the golden line's scan keys the two height-1 rows
+    and a few dozen shell rows, and counts just those; a recount of the
+    rounding-window pool gave 1,607,411 here, in seconds."""
+    caplog.set_level(logging.DEBUG, logger="subdioph")
+    report = est.irrationality_scan(est.golden_line_target(), EnumSpec(2, 1, 10**12))
+    assert report.ok
+    assert report.scanned == 2 + line_scan_counts(caplog)["shell_rows"]
+    assert report.scanned < 100
+
+
+def test_ignored_zone_keywords_change_nothing():
+    """The zone keywords that the benchmark still passes are ignored: each
+    call gives the report it gives without them."""
+    target = est.QuadraticLineTarget(Fraction(5, 7), Fraction(2, 9), 13)
+    h2 = 10**5
+    assert est.scan_line_records(target, h2, zone=2_000) == est.scan_line_records(target, h2)
+    spec = EnumSpec(2, 1, h2, EXACT_LINES)
+    assert est.irrationality_scan(target, spec, zone=2_000) == est.irrationality_scan(
+        target, spec
+    )
+    params = con.ConstructionParams.create(1, Fraction(3), seed=0)
+    assert est.exclusivity_check(params, 4, spec, zone=2_000) == est.exclusivity_check(
+        params, 4, spec
+    )
+    f_sub = exact.RationalSubspace.from_basis(((1, 0), (0, 1), (0, 0)))
+    proj = mor.RationalMap.from_rows(((1, 0, 0), (0, 1, 0)))
+    zoned = mor.embedding_harness(target, f_sub, proj, h2, zone=1_000, ambient_zone=100)
+    assert zoned == mor.embedding_harness(target, f_sub, proj, h2)
 
 
 def fibonacci_pairs(hmax2):
@@ -565,8 +626,8 @@ def test_shell_walk_lists_only_primitive_rows(caplog, case):
 
 
 def test_golden_line_keys_few_rows(monkeypatch):
-    """The shell walk keys only rows that could set a record: at the
-    default zone, a census of the plane vectors up to it would key 9,544."""
+    """The shell walk keys only rows that could set a record: a census of
+    the plane vectors up to squared height 10,000 would key 9,544."""
     keyed = []
     real = est._keyed
 

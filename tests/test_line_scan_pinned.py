@@ -2,11 +2,12 @@
 
 The rows in data/line_scan_rows.jsonl were recorded with the Fraction-based
 scanner that preceded the integer kernel.  Every record (coordinates, h^2,
-psi_lo, psi_hi), every candidate count and every exact-meeting vector must
-come out unchanged.  One value was changed on purpose since: the
-meeting-offender row's `scanned` went from 0 to 62 when the fast path began
-counting the lines examined up to and including a meeting line, as the
-generic path does.  Regenerate the file with
+psi_lo, psi_hi), every witness and every exact-meeting vector must come out
+unchanged.  The `scanned` counts were changed on purpose since: they count
+the rows the shell walk keys (the two height-1 rows plus the shell rows, up
+to and including a meeting line), no longer the rounding-window pool the
+scanner once swept; the meeting offender's went from 62 to 6.  Regenerate
+the file with
 
     PYTHONPATH=src python tests/test_line_scan_pinned.py > tests/data/line_scan_rows.jsonl
 
@@ -14,6 +15,7 @@ only when a change to the scan outputs is intended.
 """
 
 import json
+import logging
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -26,9 +28,6 @@ from subdioph.enumeration import EXACT_LINES, EnumSpec
 from subdioph.errors import IrrationalityViolationError
 
 DATA = Path(__file__).parent / "data" / "line_scan_rows.jsonl"
-
-ZONE = 2_000
-EMBEDDED_ZONES = {"zone": 1_000, "ambient_zone": 100}
 
 # non-unit denominators in both parts; the second slope has b < 0
 QUADRATIC_A = est.QuadraticLineTarget(Fraction(5, 7), Fraction(2, 9), 13)
@@ -53,11 +52,11 @@ def _record_rows(records):
     ]
 
 
-def _plane_case(name, target, h2, zone):
-    report = est.irrationality_scan(target, EnumSpec(2, 1, h2, EXACT_LINES), zone=zone)
+def _plane_case(name, target, h2):
+    report = est.irrationality_scan(target, EnumSpec(2, 1, h2, EXACT_LINES))
     return {
         "case": name,
-        "records": _record_rows(est.scan_line_records(target, h2, zone=zone)),
+        "records": _record_rows(est.scan_line_records(target, h2)),
         "scanned": report.scanned,
         "min_psi_lower": repr(report.min_psi_lower),
         "witness": list(report.witness.pluecker.coords),
@@ -65,7 +64,7 @@ def _plane_case(name, target, h2, zone):
 
 
 def _embedded_case(name, target, n, h2, axes):
-    records = est.scan_embedded_line_records(target, n, h2, axes=axes, **EMBEDDED_ZONES)
+    records = est.scan_embedded_line_records(target, n, h2, axes=axes)
     return {"case": name, "records": _record_rows(records)}
 
 
@@ -82,11 +81,11 @@ def line_scan_rows():
     meeting = est.RationalLineTarget(Fraction(3, 5))
     offender = est.irrationality_scan(meeting, EnumSpec(2, 1, 100, EXACT_LINES))
     return [
-        _plane_case("quadratic-a", QUADRATIC_A, 10**6, ZONE),
-        _plane_case("quadratic-neg-b", QUADRATIC_NEG_B, 10**6, ZONE),
-        _plane_case("instance-l1-b3", instance_target(10**7), 10**7, ZONE),
-        _plane_case("rational-exact", RATIONAL_EXACT, 10**6, ZONE),
-        _plane_case("rational-half", RATIONAL_HALF, 10**5, 50),
+        _plane_case("quadratic-a", QUADRATIC_A, 10**6),
+        _plane_case("quadratic-neg-b", QUADRATIC_NEG_B, 10**6),
+        _plane_case("instance-l1-b3", instance_target(10**7), 10**7),
+        _plane_case("rational-exact", RATIONAL_EXACT, 10**6),
+        _plane_case("rational-half", RATIONAL_HALF, 10**5),
         _embedded_case("embedded-r3-01", QUADRATIC_A, 3, 10**5, (0, 1)),
         _embedded_case("embedded-r4-13", QUADRATIC_NEG_B, 4, 10**5, (1, 3)),
         _embedded_case("embedded-r3-02-instance", instance_target(10**6), 3, 10**6, (0, 2)),
@@ -123,14 +122,20 @@ def test_meeting_vectors(rows):
     assert by_case["meeting-offender"]["vector"] == [5, 3]
 
 
-def test_meeting_offender_scanned_count_matches_generic_path():
-    """Both paths count the lines examined up to and including the offender."""
+def test_meeting_offender_counts_the_rows_keyed_up_to_it(caplog):
+    """The line path counts the rows its walk keyed, the two height-1 rows
+    plus the shell rows up to and including the offender, as its DEBUG
+    line reports them; the generic path counts the enumeration up to it.
+    Both name the same offender."""
+    caplog.set_level(logging.DEBUG, logger="subdioph")
     spec = EnumSpec(2, 1, 100, EXACT_LINES)
     fast = est.irrationality_scan(est.RationalLineTarget(Fraction(3, 5)), spec)
+    message = [r.getMessage() for r in caplog.records if r.name == "subdioph"][-1]
+    counts = dict(f.split("=") for f in message.removeprefix("scan_lines: ").split())
     generic = est.irrationality_scan([[5], [3]], spec)
-    for report in (fast, generic):
-        assert report.offender.pluecker.coords == (5, 3)
-        assert report.scanned == 62
+    assert fast.offender.pluecker.coords == generic.offender.pluecker.coords == (5, 3)
+    assert fast.scanned == 2 + int(counts["shell_rows"]) == 6
+    assert generic.scanned == 62
 
 
 if __name__ == "__main__":
