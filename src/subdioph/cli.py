@@ -144,7 +144,7 @@ def _load_pluecker(path: str) -> exact.PlueckerVector:
 
 
 def _parse_beta(text: str):
-    if text.strip().lower() in ("inf", "infinity"):
+    if con.is_infinite_beta(text):
         return None
     try:
         return Fraction(text)
@@ -153,9 +153,9 @@ def _parse_beta(text: str):
 
 
 def _instance_params(args) -> con.ConstructionParams:
-    if getattr(args, "instance", None):
+    if args.instance:
         return con.params_from_descriptor(_load_json(args.instance))
-    if getattr(args, "ell", None) is None or getattr(args, "beta", None) is None:
+    if args.ell is None or args.beta is None:
         raise _UsageError("need --instance FILE or both --ell and --beta")
     beta = _parse_beta(args.beta)
     variant = con.FINITE if beta is not None else con.INFINITE
@@ -165,8 +165,7 @@ def _instance_params(args) -> con.ConstructionParams:
 
 
 def _precision_context(args) -> PrecisionContext | None:
-    bits = getattr(args, "precision_bits", None)
-    rel = getattr(args, "target_rel_err", None)
+    bits, rel = args.precision_bits, args.target_rel_err
     if bits is None and rel is None:
         return None
     kwargs = {}
@@ -229,35 +228,41 @@ def _enum_spec(args, n: int, e: int, hmax: int, **shards) -> EnumSpec:
 
 
 def _run_scan(args) -> list[est.ApproximationRecord]:
-    """Shared target resolution for the records and estimate commands."""
+    """Shared target resolution for the records and estimate commands: the
+    line target of an ell = 1 instance, the generators of any other, or a
+    basis file; then one scan_records call, where the target picks the
+    engine and --strategy the census."""
     hmax = args.hmax_squared
     if hmax is None:
         raise _UsageError("--hmax-squared is required")
     ctx = _precision_context(args)
-    if getattr(args, "instance", None) or args.ell is not None:
+    if args.instance or args.ell is not None:
+        if args.basis:
+            raise _UsageError("give either a target --basis or an instance, not both")
         params = _instance_params(args)
         if args.e is not None and args.e != params.ell:
             raise _UsageError(f"--e must equal the instance's ell = {params.ell}")
-        if params.ell == 1 and args.strategy is None and args.j in (None, 1):
+        if params.ell == 1:
             target = est.line_target_for_instance(params, height_squared_max=hmax)
             n = _given(args.n, 2)
-            if n < 2:
-                raise _UsageError("ambient dimension must be at least 2")
-            return est.scan_embedded_line_records(target, n, hmax)
-        if args.n is not None and args.n != params.n:
-            raise _UsageError(f"--n must equal the instance's n = {params.n}")
-        # the generators get depth at least 1, even where the series starts at 0
-        generators = con.build_generators(params, est.series_depth(params, hmax, 1))
-        spec = _enum_spec(args, params.n, params.ell, hmax)
-        return est.scan_records(
-            generators.real_basis(), spec, j_index=_given(args.j, params.ell), ctx=ctx
-        )
-    if args.basis:
-        matrix = _load_basis(args.basis)
-        n = exact.shape(matrix)[0]
-        spec = _enum_spec(args, n, _given(args.e, 1), hmax)
-        return est.scan_records(matrix, spec, j_index=_given(args.j, 1), ctx=ctx)
-    raise _UsageError("need a target: --instance, --ell/--beta, or --basis")
+        else:
+            if args.n is not None and args.n != params.n:
+                raise _UsageError(f"--n must equal the instance's n = {params.n}")
+            # the generators get depth at least 1, even where the series starts at 0
+            depth = est.series_depth(params, hmax, 1)
+            target = con.build_generators(params, depth).real_basis()
+            n = params.n
+        e = j_default = params.ell
+    elif args.basis:
+        target = _load_basis(args.basis)
+        n = exact.shape(target)[0]
+        if args.n is not None and args.n != n:
+            raise _UsageError(f"--n must equal the basis's n = {n}")
+        e, j_default = _given(args.e, 1), 1
+    else:
+        raise _UsageError("need a target: --instance, --ell/--beta, or --basis")
+    spec = _enum_spec(args, n, e, hmax)
+    return est.scan_records(target, spec, j_index=_given(args.j, j_default), ctx=ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +321,8 @@ def _cmd_construct(args):
     params = _instance_params(args)
     if args.nmax is None:
         raise _UsageError("--nmax is required")
+    if args.depth is not None and not args.certify:
+        raise _UsageError("--depth needs --certify")
     if args.certify:
         cert = con.certify_instance(params, args.nmax, depth=args.depth)
         return list(cert.as_records()), 0
@@ -364,7 +371,7 @@ def _cmd_harness(args):
     n = _given(args.n, 3)
     if n < 2:
         raise _UsageError("ambient dimension must be at least 2")
-    if getattr(args, "instance", None) or args.ell is not None:
+    if args.instance or args.ell is not None:
         params = _instance_params(args)
         target = est.line_target_for_instance(
             params, height_squared_max=args.hmax_squared
@@ -393,6 +400,17 @@ def _random_full_rank(rng, n, e, bound=9):
             return m
 
 
+def _check_row(suite: str, check: str, trials: int, failures: int, witness: str) -> dict:
+    return {
+        "suite": suite,
+        "check": check,
+        "trials": trials,
+        "failures": failures,
+        "ok": failures == 0,
+        "witness": witness,
+    }
+
+
 def _suite_heights(rng) -> list[dict]:
     trials, failures, witness = 120, 0, ""
     for _ in range(trials):
@@ -407,16 +425,7 @@ def _suite_heights(rng) -> list[dict]:
         if not ok:
             failures += 1
             witness = witness or str(m)
-    return [
-        {
-            "suite": "heights",
-            "check": "covolume-gcd-identity",
-            "trials": trials,
-            "failures": failures,
-            "ok": failures == 0,
-            "witness": witness,
-        }
-    ]
+    return [_check_row("heights", "covolume-gcd-identity", trials, failures, witness)]
 
 
 def _suite_pluecker(rng) -> list[dict]:
@@ -428,45 +437,28 @@ def _suite_pluecker(rng) -> list[dict]:
         if exact.pluecker_decode(sub.pluecker) != sub:
             failures += 1
             witness = witness or str(sub.basis)
-    rows = [
-        {
-            "suite": "pluecker",
-            "check": "decode-roundtrip",
-            "trials": trials,
-            "failures": failures,
-            "ok": failures == 0,
-            "witness": witness,
-        }
-    ]
+    rows = [_check_row("pluecker", "decode-roundtrip", trials, failures, witness)]
     rej_trials, rej_failures, rej_witness = 40, 0, ""
     done = 0
     while done < rej_trials:
         coords = [rng.randint(-9, 9) for _ in range(6)]
-        # quadric for (4,2): p01*p23 - p02*p13 + p03*p12
+        # quadric for (4,2): p01*p23 - p02*p13 + p03*p12; nonzero, so the
+        # coordinates are not all zero either
         quad = coords[0] * coords[5] - coords[1] * coords[4] + coords[2] * coords[3]
-        if quad == 0 or all(c == 0 for c in coords):
+        if quad == 0:
             continue
-        g = math.gcd(*(abs(c) for c in coords))
-        coords = [c // g for c in coords]
-        lead = next(c for c in coords if c != 0)
-        if lead < 0:
-            coords = [-c for c in coords]
+        label = exact.label_from_minors(4, 2, coords)
         done += 1
         try:
-            exact.pluecker_decode(exact.PlueckerVector(4, 2, tuple(coords)))
+            exact.pluecker_decode(label)
         except SubdiophError:
             continue
         rej_failures += 1
-        rej_witness = rej_witness or str(coords)
+        rej_witness = rej_witness or str(list(label.coords))
     rows.append(
-        {
-            "suite": "pluecker",
-            "check": "decode-rejects-nondecomposable",
-            "trials": rej_trials,
-            "failures": rej_failures,
-            "ok": rej_failures == 0,
-            "witness": rej_witness,
-        }
+        _check_row(
+            "pluecker", "decode-rejects-nondecomposable", rej_trials, rej_failures, rej_witness
+        )
     )
     return rows
 
@@ -510,14 +502,7 @@ def _suite_angles(rng) -> list[dict]:
             invar_f += 1
             witness = witness or f"invariance {a_rows} {b_rows}"
     return [
-        {
-            "suite": "angles",
-            "check": name,
-            "trials": trials,
-            "failures": count,
-            "ok": count == 0,
-            "witness": witness if count else "",
-        }
+        _check_row("angles", name, trials, count, witness if count else "")
         for name, count in (
             ("ascending-order", order_f),
             ("symmetry", sym_f),
@@ -543,16 +528,7 @@ def _suite_distortion(rng) -> list[dict]:
         if image.height_squared > c * c * sub.height_squared:
             failures += 1
             witness = witness or f"{phi.matrix} {sub.basis}"
-    return [
-        {
-            "suite": "distortion",
-            "check": "height-bound",
-            "trials": trials,
-            "failures": failures,
-            "ok": failures == 0,
-            "witness": witness,
-        }
-    ]
+    return [_check_row("distortion", "height-bound", trials, failures, witness)]
 
 
 _SUITES = {
@@ -603,7 +579,11 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=reports.FORMATS, default=reports.JSONL)
         p.add_argument("--out", default=None, help="write data here instead of stdout")
         p.add_argument("--no-header", action="store_true")
+
+    def seed_flag(p):
         p.add_argument("--seed", type=int, default=0)
+
+    def precision_flags(p):
         p.add_argument("--precision-bits", type=int, default=None)
         p.add_argument("--target-rel-err", default=None)
 
@@ -612,6 +592,7 @@ def build_parser() -> _Parser:
         p.add_argument("--ell", type=int, default=None)
         p.add_argument("--beta", default=None, help="p/q or inf")
         p.add_argument("--theta", type=int, default=None)
+        seed_flag(p)
 
     p = sub.add_parser("height", help="squared height of a basis file")
     p.add_argument("--basis", required=True)
@@ -628,6 +609,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("angles", help="canonical angle sines of two bases")
     p.add_argument("--basis", required=True)
     p.add_argument("--basis-b", required=True)
+    precision_flags(p)
     common(p)
 
     p = sub.add_parser("enumerate", help="rational subspaces by height")
@@ -657,13 +639,16 @@ def build_parser() -> _Parser:
         p.add_argument("--e", type=int, default=None)
         p.add_argument("--j", type=int, default=None)
         p.add_argument("--hmax-squared", type=int, default=None)
-        p.add_argument("--strategy", choices=STRATEGIES, default=None)
+        p.add_argument("--strategy", choices=STRATEGIES, default=None,
+                       help="census order of a generic scan; line targets take the line engine")
+        precision_flags(p)
         common(p)
 
     p = sub.add_parser("exclusivity", help="records beyond burn-in vs convergents")
     instance_flags(p)
     p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--hmax-squared", type=int, default=None)
+    precision_flags(p)
     common(p)
 
     p = sub.add_parser("harness", help="intrinsic vs ambient exponent comparison")
@@ -674,6 +659,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="named deterministic property suites")
     p.add_argument("suite", choices=tuple(_SUITES) + ("all",))
+    seed_flag(p)
     common(p)
 
     return parser

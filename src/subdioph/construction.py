@@ -157,6 +157,12 @@ def theta_is_admissible(theta: int, ell: int) -> bool:
     return theta > theta_lower_bound(ell) and _is_prime(theta)
 
 
+def is_infinite_beta(beta) -> bool:
+    """Whether beta names the infinite variant: the text "inf" or
+    "infinity", in any case and with surrounding blanks."""
+    return isinstance(beta, str) and beta.strip().lower() in ("inf", "infinity")
+
+
 def _check_ell(ell: int) -> None:
     if not isinstance(ell, int) or ell < 1:
         raise ParameterError("block dimension ell must be an integer >= 1")
@@ -213,7 +219,7 @@ class ConstructionParams:
             raise ParameterError("seed must be an integer")
 
         if variant == INFINITE:
-            if isinstance(beta, str) and beta.strip().lower() in ("inf", "infinity"):
+            if is_infinite_beta(beta):
                 beta = None
             if isinstance(beta, float) and math.isinf(beta):
                 beta = None
@@ -874,7 +880,7 @@ def params_from_descriptor(data: Mapping) -> ConstructionParams:
             raise ParameterError(
                 f"bad instance descriptor: {key} must be an integer, got {value!r}"
             )
-    infinite = isinstance(beta, str) and beta.strip().lower() in ("inf", "infinity")
+    infinite = is_infinite_beta(beta)
     if variant is None:
         variant = INFINITE if infinite else FINITE
     if variant == INFINITE and not infinite:

@@ -8,7 +8,7 @@ angle intervals into an empirical approximation exponent.
 One line engine and one label-screened generic scan feed a single record
 sweep:
 
-* the exact line engine, for lines in the plane, clears the target's
+* the exact line engine, for lines in R^n, clears the target's
   denominators once and keys plane vectors by their exact squared cross
   terms, as plain integers (exact signs of m + n sqrt(d) for quadratic
   slopes).  From the height-1 level it walks dyadic height shells: the
@@ -17,14 +17,17 @@ sweep:
   Lagrange-Gauss reduced lattice basis in O(1 + points) nodes.  The search
   is complete by construction and takes O(log H) shells; only the records
   get a bracket and become fractions, and an irrationality scan counts the
-  rows the walk keyed.  A line target
-  embedded on two coordinate axes of R^n has the plane records, embedded
-  (the projection lemma): split an off-plane vector as v = (x, z) with x
-  in the plane and z != 0.  For x != 0 at distance d <= |x| from the
-  target line,
+  rows the walk keyed.  One walk serves every R^n: a line target embedded
+  on two coordinate axes of R^n has the plane records, embedded (the
+  projection lemma, the paper's transfer result for a coordinate plane).
+  Split an off-plane vector as v = (x, z) with x in the plane and z != 0.
+  For x != 0 at distance d <= |x| from the target line,
       psi(v)^2 = (d^2 + |z|^2) / (|x|^2 + |z|^2) >= d^2 / |x|^2 = psi(x)^2,
   and the primitive vector of x is strictly lower; for x = 0, psi(v) = 1,
-  which (1, 0) beats at height 1.  So no off-plane line sets a record;
+  which (1, 0) beats at height 1.  So no off-plane line sets a record.
+  The target picks the engine: a line target takes this one (_line_scan)
+  for any unsharded window of lines, whatever its census strategy, and
+  refuses a sharded window or one of higher-dimensional subspaces;
 * the generic scan walks an enumeration and pairs an exact target's
   label with every candidate's label in integers.  For d + e <= n that
   pairing gives the product P of all the sines (Schmidt's identity), and
@@ -79,11 +82,7 @@ from .construction import (
     xi_truncation,
     _ratio_deviation,
 )
-from .enumeration import (
-    EXACT_LINES,
-    EnumSpec,
-    enumerate_subspaces,
-)
+from .enumeration import EnumSpec, enumerate_subspaces
 from .errors import (
     InsufficientRecordsError,
     IrrationalityViolationError,
@@ -552,7 +551,7 @@ def _scan_lines(target, hmax2: int) -> tuple[list[ApproximationRecord], int]:
 
     The same records serve the target embedded on two coordinate axes of
     R^n: no line off the embedded plane sets a record (see the module
-    docstring), so scan_embedded_line_records embeds these.
+    docstring), so _line_scan embeds these.
     """
     if hmax2 < 1:
         raise ParameterError("height bound must be positive")
@@ -601,16 +600,39 @@ def _scan_lines(target, hmax2: int) -> tuple[list[ApproximationRecord], int]:
 _LINE_TARGETS = (RationalLineTarget, QuadraticLineTarget)
 
 
-def _line_scan(target, spec, j_index: int) -> tuple[list[ApproximationRecord], int]:
-    """The line-target gate of both scans: plane lines in an EnumSpec window,
-    first sine only.  Returns _scan_lines' records and keyed count."""
+def _line_scan(
+    target, spec, j_index: int = 1, axes: tuple[int, int] = (0, 1)
+) -> tuple[list[ApproximationRecord], int]:
+    """The one gate of line targets: every line of an unsharded EnumSpec(n,
+    1, X) window, first sine only, against the target on the given axes.
+
+    One plane walk (_scan_lines) gives the records in every n >= 2: no line
+    off the target's coordinate plane sets a record (module docstring).
+    The records, and a line that meets the target, are put on the axes;
+    for n = 2 they pass through.  Returns the records and the rows keyed.
+    """
     if not isinstance(spec, EnumSpec):
         raise ParameterError("fast line scans need an EnumSpec window")
-    if (spec.n, spec.e) != (2, 1):
-        raise StrategyMismatchError("line targets scan lines in the plane")
+    if spec.e != 1 or spec.shard_count != 1:
+        raise StrategyMismatchError("line targets scan every line of an unsharded window")
     if j_index != 1:
         raise ParameterError("a line has a single proximity sine")
-    return _scan_lines(target, spec.height_squared_max)
+    n, (i0, i1) = spec.n, axes
+    if not (0 <= i0 < i1 < n):
+        raise ParameterError("embedding axes must be increasing and in range")
+    if n == 2:
+        return _scan_lines(target, spec.height_squared_max)
+
+    def embed(vec: tuple[int, int]) -> tuple[int, ...]:
+        out = [0] * n
+        out[i0], out[i1] = vec
+        return tuple(out)
+
+    try:
+        records, keyed = _scan_lines(target, spec.height_squared_max)
+    except IrrationalityViolationError as err:
+        raise _meeting(embed(err.vector), err.scanned) from None
+    return [replace(r, subspace=_line(embed(r.subspace.pluecker.coords))) for r in records], keyed
 
 
 def scan_line_records(
@@ -629,28 +651,9 @@ def scan_embedded_line_records(
     target, n: int, height_squared_max: int, axes: tuple[int, int] = (0, 1)
 ) -> list[ApproximationRecord]:
     """Records of every primitive line in n-space against a plane line
-    target embedded on the coordinate axes.
-
-    No line off the embedded plane sets a record: its sine is at least that
-    of its projection to the plane, whose primitive vector is strictly lower
-    (module docstring).  So these are the plane records, embedded on the
-    axes, and a plane line that meets the target is reported embedded, with
-    the plane scan's count.
-    """
-    i0, i1 = axes
-    if not (0 <= i0 < i1 < n):
-        raise ParameterError("embedding axes must be increasing and in range")
-
-    def embed(vec: tuple[int, int]) -> tuple[int, ...]:
-        out = [0] * n
-        out[i0], out[i1] = vec
-        return tuple(out)
-
-    try:
-        records = _scan_lines(target, height_squared_max)[0]
-    except IrrationalityViolationError as err:
-        raise _meeting(embed(err.vector), err.scanned) from None
-    return [replace(r, subspace=_line(embed(r.subspace.pluecker.coords))) for r in records]
+    target embedded on the coordinate axes: the plane records, embedded
+    (_line_scan)."""
+    return _line_scan(target, EnumSpec(n, 1, height_squared_max), axes=axes)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -804,9 +807,10 @@ def scan_records(
 ) -> list[ApproximationRecord]:
     """Record scan of an enumeration stream against a target span.
 
-    Line targets paired with a plane window take the certified line scan,
-    which always covers every primitive line up to the bound.  Otherwise
-    the candidates are labelled and screened (_GenericScan), sorted by
+    Line targets take the certified line scan (_line_scan) over an
+    unsharded window of lines in any R^n, which covers every primitive
+    line up to the bound whatever the window's strategy.  Otherwise the
+    candidates are labelled and screened (_GenericScan), sorted by
     (h2, coords) and swept by height level: a waiting candidate is
     bracketed only when its label bound cannot meet the running record's
     upper endpoint; a candidate whose bound does could be neither a level
@@ -1048,7 +1052,7 @@ def exclusivity_check(
             burn_in_h2 = devs[n_index - 1][0].height_squared
             break
 
-    if params.ell == 1 and spec.strategy == EXACT_LINES:
+    if params.ell == 1:
         target = line_target_for_instance(
             params, height_squared_max=spec.height_squared_max, stream=stream
         )
@@ -1187,7 +1191,8 @@ def irrationality_scan(
 ) -> IrrationalityReport:
     """Scan a window for the least certified angle against the target.
 
-    Line targets read it off the last record of the line scan.  Other
+    Line targets read it off the last record of the line scan
+    (_line_scan), on the target's axes in R^n.  Other
     targets take the first strict minimum of the lower endpoints in
     enumeration order, skipping a waiting candidate only when its label
     bound proves its lower endpoint at least the running minimum.  zone is

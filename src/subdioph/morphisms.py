@@ -7,13 +7,16 @@ compound gives an exact rational distortion constant.
 
 The embedding harness measures the same approximation exponent twice, once
 inside a coordinate subspace and once in the surrounding space, and matches
-the two record lists through the embedding.
+the two record lists through the embedding.  By the paper's transfer result
+a subspace of a rational F has the same exponent in R^n as in F; for a line
+target on a coordinate plane the records themselves transfer, so the
+harness walks the plane once and carries its records into R^n.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
 from typing import Sequence
@@ -32,7 +35,6 @@ from .estimation import (
     QuadraticLineTarget,
     RationalLineTarget,
     estimate_exponent,
-    scan_embedded_line_records,
     scan_line_records,
     scan_records,
 )
@@ -170,16 +172,10 @@ def _standard_axis_of(column: Sequence[exact.Scalar]) -> int | None:
     return None
 
 
-def _coordinate_axes(section: RationalMap) -> tuple[int, int] | None:
-    """Detect a plane embedding by two increasing standard axes, else None."""
-    cols = exact.transpose(section.matrix)
-    if len(cols) != 2:
-        return None
-    i0 = _standard_axis_of(cols[0])
-    i1 = _standard_axis_of(cols[1])
-    if i0 is None or i1 is None or not i0 < i1:
-        return None
-    return i0, i1
+def _is_coordinate_plane(section: RationalMap) -> bool:
+    """Whether a plane's section lands on two increasing standard axes."""
+    i0, i1 = (_standard_axis_of(col) for col in exact.transpose(section.matrix))
+    return i0 is not None and i1 is not None and i0 < i1
 
 
 @dataclass(frozen=True)
@@ -243,16 +239,17 @@ def embedding_harness(
     tilde_target lives in the small space (the map's codomain); the harness
     pulls it back through the section of phi into the ambient space, scans
     records on both sides over every subspace of the stated shape, and pairs
-    intrinsic records with their ambient images.  Line targets need the
-    section to be a coordinate embedding of a plane (exact fast scans);
-    matrix targets run the generic exact-strategy scans on both sides.
+    intrinsic records with their ambient images.  Matrix targets run the
+    generic exact-strategy scans on both sides.
 
-    For a line target the two record lists agree record by record: a line
-    off the embedded plane has a sine at least that of its projection,
-    whose primitive vector is strictly lower, so it sets no record, and the
-    ambient records are the intrinsic ones embedded on the axes
-    (scan_embedded_line_records).  zone and ambient_zone are ignored,
-    removed once the benchmark stops passing them (ROADMAP item 8).
+    A line target needs the section to be a coordinate embedding of a
+    plane, and is scanned once, in the plane: a line off the embedded plane
+    has a sine at least that of its projection, whose primitive vector is
+    strictly lower, so it sets no record (the transfer result for a
+    coordinate plane, estimation module docstring).  The ambient records
+    are the intrinsic ones carried through the section, record by record.
+    zone and ambient_zone are ignored, removed once the benchmark stops
+    passing them (ROADMAP item 8).
     """
     section = section_of(phi, f_subspace)
     k = phi.codomain_dim
@@ -262,16 +259,16 @@ def embedding_harness(
         if e != 1 or k != 2 or j_index != 1:
             raise ParameterError("line targets compare first-angle line records"
                                  " in the plane")
-        axes = _coordinate_axes(section)
-        if axes is None:
+        if not _is_coordinate_plane(section):
             raise ParameterError(
                 "line targets need a coordinate plane embedding; a general"
                 " section cannot be scanned exactly"
             )
         intrinsic_records = scan_line_records(tilde_target, height_squared_max)
-        ambient_records = scan_embedded_line_records(
-            tilde_target, n, height_squared_max, axes=axes
-        )
+        ambient_records = [
+            replace(rec, subspace=apply_to_subspace(section, rec.subspace))
+            for rec in intrinsic_records
+        ]
     else:
         tilde_matrix = exact.as_matrix(tilde_target)
         d = exact.shape(tilde_matrix)[1]

@@ -620,16 +620,86 @@ class TestRunPlumbing:
             ["records", "--ell", "2", "--beta", "3", "--n", "1"],
             ["records", "--ell", "2", "--beta", "3", "--n", "7"],
             ["estimate", "--ell", "2", "--beta", "3", "--n", "7"],
+            ["records", "--ell", "1", "--beta", "3", "--basis", "LINE"],
+            ["estimate", "--ell", "2", "--beta", "3", "--basis", "LINE"],
+            ["records", "--basis", "LINE", "--n", "7"],
+            ["estimate", "--basis", "LINE", "--n", "2"],
+            ["construct", "--ell", "1", "--beta", "3", "--nmax", "2", "--depth", "4"],
         ],
         ids=["records-e0", "records-e2", "estimate-e2", "records-n1", "records-n7",
-             "estimate-n7"],
+             "estimate-n7", "records-basis-and-instance", "estimate-basis-and-instance",
+             "records-basis-n7", "estimate-basis-n2", "construct-depth-without-certify"],
     )
-    def test_instance_scan_rejects_a_shape_flag_it_would_ignore(self, argv):
+    def test_instance_scan_rejects_a_shape_flag_it_would_ignore(self, tmp_path, argv):
         """--e must be the instance's ell, and on the generic path --n its
-        n; neither may fall back silently to the instance's own shape."""
-        code, out, err = run([*argv, "--hmax-squared", "20"])
+        n; neither may fall back silently to the instance's own shape.  A
+        target basis must be the only target, and fix --n; --depth is read
+        by --certify alone."""
+        line = write_json(tmp_path / "line.json",
+                          {"n": 3, "e": 1, "basis": [["1"], ["2/3"], ["5/7"]]})
+        code, out, err = run([line if x == "LINE" else x for x in argv]
+                             + ["--hmax-squared", "20"] * (argv[0] != "construct"))
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_basis_n_equal_to_its_rows_keeps_the_scan(self, tmp_path):
+        line = write_json(tmp_path / "line.json",
+                          {"n": 3, "e": 1, "basis": [["1"], ["2/3"], ["5/7"]]})
+        base = ["records", "--basis", line, "--hmax-squared", "30", "--no-header"]
+        default = run(base)
+        assert default[0] == 0 and default[1]
+        assert run([*base, "--n", "3"]) == default
+
+    @pytest.mark.parametrize("strategy", ["exact-lines", "exact-echelon"])
+    @pytest.mark.parametrize("verb", ["records", "estimate"])
+    def test_strategy_picks_no_engine_for_a_line_target(self, verb, strategy):
+        """An ell = 1 instance scans with the line engine whatever --strategy
+        says: a census of lines would give other brackets, and take seconds."""
+        base = [verb, "--ell", "1", "--beta", "3", "--hmax-squared", "100000", "--no-header"]
+        default = run(base)
+        assert default[0] == 0 and default[1]
+        assert run([*base, "--strategy", strategy]) == default
+
+    def test_strategy_and_n_scan_lines_in_three_space(self):
+        base = ["records", "--ell", "1", "--beta", "3", "--hmax-squared", "100000",
+                "--no-header"]
+        code, out, err = run([*base, "--n", "3", "--strategy", "exact-lines"])
+        assert (code, err) == (0, "")
+        plane = [json.loads(line) for line in run(base)[1].splitlines()]
+        space = [json.loads(line) for line in out.splitlines()]
+        assert [row["coords"] for row in space] == [row["coords"] + ["0"] for row in plane]
+        assert [row["psiHi"] for row in space] == [row["psiHi"] for row in plane]
+
+    # the flags each verb reads, of the three that once came with every verb
+    READS = {
+        "height": (),
+        "pluecker": (),
+        "decode": (),
+        "angles": ("--precision-bits", "--target-rel-err"),
+        "enumerate": (),
+        "construct": ("--seed",),
+        "records": ("--seed", "--precision-bits", "--target-rel-err"),
+        "estimate": ("--seed", "--precision-bits", "--target-rel-err"),
+        "exclusivity": ("--seed", "--precision-bits", "--target-rel-err"),
+        "harness": ("--seed",),
+        "verify": ("--seed",),
+    }
+
+    @pytest.mark.parametrize("verb", sorted(READS))
+    def test_every_flag_a_verb_accepts_is_one_it_reads(self, tmp_path, verb):
+        required = {
+            "height": ["--basis", "B"],
+            "pluecker": ["--basis", "B"],
+            "decode": ["--pluecker", "B"],
+            "angles": ["--basis", "B", "--basis-b", "B"],
+            "verify": ["heights"],
+        }.get(verb, [])
+        for flag in ("--seed", "--precision-bits", "--target-rel-err"):
+            value = "1/1000" if flag == "--target-rel-err" else "64"
+            code, out, err = run([verb, *required, flag, value])
+            refused = code == 2 and "unrecognized arguments" in err
+            assert refused != (flag in self.READS[verb]), (verb, flag, err)
+            assert not refused or out == ""
 
     def test_instance_e_equal_to_ell_keeps_the_line_scan(self):
         base = ["records", "--ell", "1", "--beta", "3", "--hmax-squared", "10000",

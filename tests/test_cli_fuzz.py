@@ -88,9 +88,9 @@ def _flag(*valid, junk=("x",)):
     )
 
 
-COMMON = {
-    "--format": _flag("jsonl", "csv", junk=("xml",)),
-    "--seed": _flag(0, 1),
+FORMAT = {"--format": _flag("jsonl", "csv", junk=("xml",))}
+SEED = {"--seed": _flag(0, 1)}
+PRECISION = {
     "--precision-bits": _flag(64, 128, junk=("-1", "0", "8", "x")),
     "--target-rel-err": _flag("1e-5", "1/1000", junk=("0", "-1", "x", "1/0")),
 }
@@ -105,23 +105,28 @@ SHAPE = {
     "--hmax-squared": _flag(1, 2, 10, 20, junk=("-1", "0", "x")),
     "--strategy": _flag(*STRATEGIES, junk=("nope",)),
 }
+# per verb: its shape flags, its rarer flags (the output format, and the
+# seed and precision where the verb reads them) and the files it reads
 VERBS = {
-    "height": ({}, ("--basis",)),
-    "pluecker": ({}, ("--basis",)),
-    "decode": ({}, ("--pluecker",)),
-    "angles": ({}, ("--basis", "--basis-b")),
+    "height": ({}, FORMAT, ("--basis",)),
+    "pluecker": ({}, FORMAT, ("--basis",)),
+    "decode": ({}, FORMAT, ("--pluecker",)),
+    "angles": ({}, {**FORMAT, **PRECISION}, ("--basis", "--basis-b")),
     "enumerate": (
         {**SHAPE, "--shards": _flag(1, 3, junk=("-1", "0", "x")),
          "--shard-index": _flag(0, 2, junk=("-1", "x"))},
+        FORMAT,
         (),
     ),
     "construct": (
         {**INSTANCE_FLAGS, "--nmax": _flag(1, 2, junk=("-1", "0", "x")),
          "--depth": _flag(3, 4, junk=("-1", "0", "1", "x"))},
+        {**FORMAT, **SEED},
         ("--instance",),
     ),
     "records": (
         {**INSTANCE_FLAGS, **SHAPE, "--j": _flag(1, 2, junk=("-1", "0", "x"))},
+        {**FORMAT, **SEED, **PRECISION},
         ("--basis", "--instance"),
     ),
 }
@@ -135,10 +140,10 @@ SWITCHES = {"construct": ("--certify",)}
 def cli_cases(draw):
     """(argv without the file flags, [(file flag, payload)])."""
     verb = draw(st.sampled_from(sorted(VERBS)))
-    valued, file_flags = VERBS[verb]
-    flags = {**COMMON, **valued}
+    valued, rare, file_flags = VERBS[verb]
+    flags = {**rare, **valued}
     argv = [verb]
-    # each verb flag two times in three, each common one a time in eight
+    # each shape flag two times in three, each rarer one a time in eight
     for flag in sorted(flags):
         if draw(st.integers(1, 24)) <= (16 if flag in valued else 3):
             argv += [flag, draw(flags[flag])]

@@ -249,6 +249,61 @@ class TestEmbeddedScan:
         assert [r.subspace for r in a] == [r.subspace for r in b]
 
 
+def _hex_rows(records):
+    return [
+        (r.subspace.pluecker.coords, r.height_squared, r.psi_lo.hex(), r.psi_hi.hex())
+        for r in records
+    ]
+
+
+class TestLineGate:
+    """Line targets take the line engine over every unsharded window of
+    lines in R^n, and the records there are the plane records, embedded."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_scan_records_over_lines_in_n_space(self, n):
+        golden = est.golden_line_target()
+        records = est.scan_records(golden, EnumSpec(n, 1, 10**6))
+        assert _hex_rows(records) == _hex_rows(
+            est.scan_embedded_line_records(golden, n, 10**6)
+        )
+
+    def test_irrationality_scan_in_three_space_embeds_the_plane_witness(self):
+        golden = est.golden_line_target()
+        plane = est.irrationality_scan(golden, EnumSpec(2, 1, 10**6))
+        space = est.irrationality_scan(golden, EnumSpec(3, 1, 10**6))
+        x1, x2 = plane.witness.pluecker.coords
+        assert space.witness.pluecker.coords == (x1, x2, 0)
+        assert space.scanned == plane.scanned
+        assert space.min_psi_lower.hex() == plane.min_psi_lower.hex()
+        assert space.ok
+
+    def test_irrationality_scan_in_four_space_embeds_the_offender(self):
+        meeting = est.RationalLineTarget(Fraction(3, 5))
+        plane = est.irrationality_scan(meeting, EnumSpec(2, 1, 100))
+        space = est.irrationality_scan(meeting, EnumSpec(4, 1, 100))
+        assert space.offender.pluecker.coords == (5, 3, 0, 0)
+        assert (space.scanned, space.ok) == (plane.scanned, False)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [EnumSpec(2, 1, 10**4, shard_count=2), EnumSpec(3, 1, 10**4, shard_count=3,
+                                                     shard_index=1),
+         EnumSpec(3, 2, 10**4), EnumSpec(4, 2, 100, EXACT_PLUECKER)],
+        ids=["plane-shard", "space-shard", "hyperplanes", "planes-r4"],
+    )
+    @pytest.mark.parametrize("scan", [est.scan_records, est.irrationality_scan])
+    def test_refuses_a_shard_or_a_window_of_higher_subspaces(self, scan, spec):
+        with pytest.raises(StrategyMismatchError):
+            scan(est.golden_line_target(), spec)
+
+    def test_the_census_strategy_picks_no_engine(self):
+        golden = est.golden_line_target()
+        default = _hex_rows(est.scan_records(golden, EnumSpec(3, 1, 10**4)))
+        echelon = est.scan_records(golden, EnumSpec(3, 1, 10**4, "exact-echelon"))
+        assert _hex_rows(echelon) == default
+
+
 class TestGenericScan:
     def test_iterable_input_and_order_independence(self):
         value = Fraction(424, 1000)

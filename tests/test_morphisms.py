@@ -1,5 +1,6 @@
 """Tests for rational maps, height distortion bounds, and the embedding harness."""
 
+import logging
 import math
 import random
 from fractions import Fraction
@@ -305,6 +306,24 @@ class TestHarness:
         }
         assert 18434 in convergent_heights
         assert report.delta == 0.0
+
+    def test_a_line_target_walks_its_plane_once(self, caplog):
+        """The ambient records are the intrinsic ones carried through the
+        section: one scan_lines walk, and the records of a scan in R^3."""
+        caplog.set_level(logging.DEBUG, logger="subdioph")
+        proj = mor.RationalMap.from_rows([[1, 0, 0], [0, 0, 1]])
+        f = exact.RationalSubspace.from_basis([[1, 0], [0, 0], [0, 1]])
+        target = est.golden_line_target()
+        report = mor.embedding_harness(target, f, proj, 10**5)
+        walks = [r for r in caplog.records
+                 if r.name == "subdioph" and r.getMessage().startswith("scan_lines:")]
+        assert len(walks) == 1
+        expected = est.scan_embedded_line_records(target, 3, 10**5, axes=(0, 2))
+        assert [
+            (r.subspace, r.height_squared, r.psi_lo.hex(), r.psi_hi.hex())
+            for r in report.ambient_records
+        ] == [(r.subspace, r.height_squared, r.psi_lo.hex(), r.psi_hi.hex()) for r in expected]
+        assert report.record_pairs == tuple((i, i) for i in range(len(expected)))
 
     def test_embedding_preserves_record_heights(self):
         proj = mor.RationalMap.from_rows([[1, 0, 0], [0, 1, 0]])
