@@ -152,16 +152,31 @@ def _parse_beta(text: str):
         raise _UsageError(f"bad beta {text!r}: {err}") from None
 
 
+def _inline_instance(args) -> bool:
+    """Whether any of --ell, --beta, --theta and --seed is given."""
+    return any(flag is not None for flag in (args.ell, args.beta, args.theta, args.seed))
+
+
 def _instance_params(args) -> con.ConstructionParams:
     if args.instance:
+        if _inline_instance(args):
+            raise _UsageError("give either --instance or --ell/--beta/--theta/--seed, not both")
         return con.params_from_descriptor(_load_json(args.instance))
     if args.ell is None or args.beta is None:
         raise _UsageError("need --instance FILE or both --ell and --beta")
     beta = _parse_beta(args.beta)
     variant = con.FINITE if beta is not None else con.INFINITE
     return con.ConstructionParams.create(
-        args.ell, beta, theta=args.theta, seed=args.seed, variant=variant
+        args.ell, beta, theta=args.theta, seed=_given(args.seed, 0), variant=variant
     )
+
+
+def _instance_precision(args, params: con.ConstructionParams) -> PrecisionContext | None:
+    """The precision context of an instance scan; the exact line engine of
+    an ell = 1 instance reads none, so it refuses the precision flags."""
+    if params.ell == 1 and (args.precision_bits is not None or args.target_rel_err is not None):
+        raise _UsageError("an ell = 1 instance takes no --precision-bits or --target-rel-err")
+    return _precision_context(args)
 
 
 def _precision_context(args) -> PrecisionContext | None:
@@ -235,11 +250,11 @@ def _run_scan(args) -> list[est.ApproximationRecord]:
     hmax = args.hmax_squared
     if hmax is None:
         raise _UsageError("--hmax-squared is required")
-    ctx = _precision_context(args)
-    if args.instance or args.ell is not None:
+    if args.instance or _inline_instance(args):
         if args.basis:
             raise _UsageError("give either a target --basis or an instance, not both")
         params = _instance_params(args)
+        ctx = _instance_precision(args, params)
         if args.e is not None and args.e != params.ell:
             raise _UsageError(f"--e must equal the instance's ell = {params.ell}")
         if params.ell == 1:
@@ -254,6 +269,7 @@ def _run_scan(args) -> list[est.ApproximationRecord]:
             n = params.n
         e = j_default = params.ell
     elif args.basis:
+        ctx = _precision_context(args)
         target = _load_basis(args.basis)
         n = exact.shape(target)[0]
         if args.n is not None and args.n != n:
@@ -353,15 +369,9 @@ def _cmd_exclusivity(args):
     params = _instance_params(args)
     if args.nmax is None or args.hmax_squared is None:
         raise _UsageError("--nmax and --hmax-squared are required")
-    spec = EnumSpec(
-        n=params.n,
-        e=params.ell,
-        height_squared_max=args.hmax_squared,
-        strategy=exact_strategy(params.n, params.ell),
-    )
-    report = est.exclusivity_check(
-        params, args.nmax, spec, ctx=_precision_context(args)
-    )
+    n, e = params.n, params.ell
+    spec = EnumSpec(n, e, args.hmax_squared, strategy=exact_strategy(n, e))
+    report = est.exclusivity_check(params, args.nmax, spec, ctx=_instance_precision(args, params))
     return [report.as_dict()], 0 if report.ok else 1
 
 
@@ -371,20 +381,16 @@ def _cmd_harness(args):
     n = _given(args.n, 3)
     if n < 2:
         raise _UsageError("ambient dimension must be at least 2")
-    if args.instance or args.ell is not None:
+    if args.instance or _inline_instance(args):  # the golden line reads no instance flag
         params = _instance_params(args)
-        target = est.line_target_for_instance(
-            params, height_squared_max=args.hmax_squared
-        )
+        target = est.line_target_for_instance(params, height_squared_max=args.hmax_squared)
     else:
         target = est.golden_line_target()
-    f_rows = [[1, 0], [0, 1]] + [[0, 0]] * (n - 2)
-    f_subspace = exact.RationalSubspace.from_basis(f_rows)
-    proj = mor.RationalMap.from_rows(
-        [[1 if j == i else 0 for j in range(n)] for i in range(2)]
-    )
+    # the plane of the first two axes, and the projection onto it
+    plane = mor.coordinate_embedding(2, n).matrix
     report = mor.embedding_harness(
-        target, f_subspace, proj, args.hmax_squared
+        target, exact.RationalSubspace.from_basis(plane),
+        mor.RationalMap.from_rows(exact.transpose(plane)), args.hmax_squared,
     )
     return [report.as_dict()], 0
 
@@ -543,7 +549,7 @@ def _cmd_verify(args):
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     rows = []
     for name in names:
-        rows.extend(_SUITES[name](random.Random(args.seed)))
+        rows.extend(_SUITES[name](random.Random(_given(args.seed, 0))))
     code = 0 if all(row["ok"] for row in rows) else 1
     return rows, code
 
@@ -581,7 +587,7 @@ def build_parser() -> _Parser:
         p.add_argument("--no-header", action="store_true")
 
     def seed_flag(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=None, help="default 0")
 
     def precision_flags(p):
         p.add_argument("--precision-bits", type=int, default=None)

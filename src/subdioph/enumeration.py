@@ -20,8 +20,9 @@ enumerate_labels streams these pairs as they are, which is all a census
 written to a file needs.  enumerate_events and enumerate_subspaces map the
 same streams to subspaces: the labels are primitive with a positive lead
 by construction, so they are built with PlueckerVector._normalized,
-without PlueckerVector's checks.  Bases other than a line's are decoded
-only on first access to .basis.
+without PlueckerVector's checks; a line is built from its vector alone,
+label and basis, by RationalSubspace._line.  Bases other than a line's are
+decoded only on first access to .basis.
 """
 
 from __future__ import annotations
@@ -320,11 +321,10 @@ def _label_streams(
 def _subspaces(
     spec: EnumSpec, labels: Iterator[tuple[tuple[int, ...], int]]
 ) -> Iterator[exact.RationalSubspace]:
+    if spec.strategy == EXACT_LINES and spec.e == 1:
+        return (exact.RationalSubspace._line(c) for c, _ in labels)
     n, e = spec.n, spec.e
     normalized, subspace = exact.PlueckerVector._normalized, exact.RationalSubspace
-    if spec.strategy == EXACT_LINES and e == 1:
-        # a line keeps its label, read as a column, as its basis
-        return (subspace(normalized(n, 1, c), tuple(zip(c))) for c, _ in labels)
     return (subspace(normalized(n, e, c)) for c, _ in labels)
 
 

@@ -17,9 +17,12 @@ sweep:
   Lagrange-Gauss reduced lattice basis in O(1 + points) nodes.  The search
   is complete by construction and takes O(log H) shells; only the records
   get a bracket and become fractions, and an irrationality scan counts the
-  rows the walk keyed.  One walk serves every R^n: a line target embedded
-  on two coordinate axes of R^n has the plane records, embedded (the
-  projection lemma, the paper's transfer result for a coordinate plane).
+  rows the walk keyed, each a primitive vector with a positive lead: its
+  line's label.  A record's sine bracket is the root of its exact squared
+  sine, scaled into the double range first where it lies below.  One walk
+  serves every R^n: a line target embedded on two coordinate axes of R^n
+  has the plane records, placed on those axes (the projection lemma, the
+  paper's transfer result for a coordinate plane).
   Split an off-plane vector as v = (x, z) with x in the plane and z != 0.
   For x != 0 at distance d <= |x| from the target line,
       psi(v)^2 = (d^2 + |z|^2) / (|x|^2 + |z|^2) >= d^2 / |x|^2 = psi(x)^2,
@@ -249,10 +252,21 @@ def widen_records(
 
 
 def _sqrt_interval(lo: Fraction, hi: Fraction) -> tuple[float, float]:
-    """Conservative float bracket of [sqrt(lo), sqrt(hi)] for 0 <= lo <= hi."""
-    f_lo = math.sqrt(max(0.0, math.nextafter(float(lo), 0.0)))
-    f_hi = math.sqrt(math.nextafter(float(hi), math.inf))
-    return max(0.0, math.nextafter(f_lo, 0.0)), math.nextafter(f_hi, math.inf)
+    """Conservative float bracket of [sqrt(lo), sqrt(hi)] for 0 <= lo <= hi.
+
+    A nonzero end below the least normal double, 2^-1022, is scaled by 4^k
+    into [1/4, 2) before it becomes a double, and its root by 2^-k after,
+    so a root within the double range survives however small its square.
+    """
+    ends = []
+    for x, toward in ((lo, 0.0), (hi, math.inf)):
+        f, k = float(x), 0
+        if f < sys.float_info.min and x:
+            k = (x.denominator.bit_length() - x.numerator.bit_length()) // 2
+            f = (x.numerator << 2 * k) / x.denominator
+        root = math.sqrt(max(0.0, math.nextafter(f, toward)))
+        ends.append(max(0.0, math.nextafter(math.ldexp(root, -k), toward)))
+    return tuple(ends)
 
 
 def _float_down(x) -> float:
@@ -494,10 +508,6 @@ def _sweep_pool(pool: list, less, settle=None) -> list[tuple]:
     return raw
 
 
-def _line(vec: tuple[int, ...]) -> exact.RationalSubspace:
-    return exact.RationalSubspace.from_basis([[c] for c in vec])
-
-
 def _debug(msg: str, *args) -> None:
     # a process that never imported logging has no handler or level that
     # keeps a DEBUG record, so it does not pay for the import
@@ -506,32 +516,42 @@ def _debug(msg: str, *args) -> None:
         logging.getLogger("subdioph").debug(msg, *args)
 
 
-def _meeting(vec: tuple[int, ...], scanned: int) -> IrrationalityViolationError:
-    err = IrrationalityViolationError(
-        f"enumerated line {vec} meets the target exactly"
-    )
-    err.vector = vec
-    err.subspace = _line(vec)
-    err.scanned = scanned
-    return err
-
-
-def _keyed(engine, vecs: list, keyed: int) -> list[tuple]:
+def _keyed(engine, vecs: list, keyed: int, place) -> list[tuple]:
     """(h2, vector, key) rows of plane vectors, keyed after `keyed` others.
-    A vector that meets the target raises IrrationalityViolationError,
-    which counts the rows keyed up to and including it."""
+    A vector that meets the target raises IrrationalityViolationError with
+    the vector and its line placed in R^n, and the rows keyed up to and
+    including it as .scanned."""
     rows = []
     for x1, x2 in vecs:
         key = engine.key(x1, x2)
         if key == engine.zero:
-            raise _meeting((x1, x2), keyed + len(rows) + 1)
+            vec = place((x1, x2))
+            err = IrrationalityViolationError(f"enumerated line {vec} meets the target exactly")
+            err.vector, err.subspace = vec, exact.RationalSubspace._line(vec)
+            err.scanned = keyed + len(rows) + 1
+            raise err
         rows.append((x1 * x1 + x2 * x2, (x1, x2), key))
     # (h2, vector) is unique per row, so the sort never compares keys
     rows.sort()
     return rows
 
 
-def _scan_lines(target, hmax2: int) -> tuple[list[ApproximationRecord], int]:
+def _placing(n: int, axes: tuple[int, int]):
+    """Puts a plane vector on two increasing axes of R^n, keeping it
+    primitive with a positive lead."""
+    i0, i1 = axes
+    if not (0 <= i0 < i1 < n):
+        raise ParameterError("embedding axes must be increasing and in range")
+
+    def place(vec: tuple[int, int]) -> tuple[int, ...]:
+        out = [0] * n
+        out[i0], out[i1] = vec
+        return tuple(out)
+
+    return place
+
+
+def _scan_lines(target, hmax2: int, place=tuple) -> tuple[list[ApproximationRecord], int]:
     """Certified record scan over every primitive plane line against a
     plane line target.
 
@@ -551,7 +571,8 @@ def _scan_lines(target, hmax2: int) -> tuple[list[ApproximationRecord], int]:
 
     The same records serve the target embedded on two coordinate axes of
     R^n: no line off the embedded plane sets a record (see the module
-    docstring), so _line_scan embeds these.
+    docstring).  place (the identity by default) puts a record's or meeting
+    vector in R^n, where its line is built once (exact.RationalSubspace._line).
     """
     if hmax2 < 1:
         raise ParameterError("height bound must be positive")
@@ -560,7 +581,7 @@ def _scan_lines(target, hmax2: int) -> tuple[list[ApproximationRecord], int]:
     counts = dict.fromkeys(("shells", "nodes", "shell_rows"), 0)
     raw = []
     try:
-        raw = _sweep_pool(_keyed(engine, [(0, 1), (1, 0)], 0), engine.less)
+        raw = _sweep_pool(_keyed(engine, [(0, 1), (1, 0)], 0, place), engine.less)
         basis = ((1, 0, engine.p_lo), (0, 1, -engine.q))
         lo = 1
         while lo < hmax2:
@@ -568,7 +589,7 @@ def _scan_lines(target, hmax2: int) -> tuple[list[ApproximationRecord], int]:
             vecs, basis, nodes = _shell_vectors(engine, raw[-1], lo, top, basis)
             counts["shells"] += 1
             counts["nodes"] += nodes
-            rows = _keyed(engine, vecs, 2 + counts["shell_rows"])
+            rows = _keyed(engine, vecs, 2 + counts["shell_rows"], place)
             counts["shell_rows"] += len(rows)
             # the running record leads the shell: the sweep goes on from it
             raw += _sweep_pool([raw[-1], *rows], engine.less)[1:]
@@ -585,7 +606,7 @@ def _scan_lines(target, hmax2: int) -> tuple[list[ApproximationRecord], int]:
     # the engine scale cancels in both ratios
     records = [
         ApproximationRecord(
-            _line(vec),
+            exact.RationalSubspace._line(place(vec)),
             h2,
             *_sqrt_interval(
                 Fraction(lo2, h2 * engine.u2_hi), Fraction(hi2, h2 * engine.u2_lo)
@@ -608,8 +629,8 @@ def _line_scan(
 
     One plane walk (_scan_lines) gives the records in every n >= 2: no line
     off the target's coordinate plane sets a record (module docstring).
-    The records, and a line that meets the target, are put on the axes;
-    for n = 2 they pass through.  Returns the records and the rows keyed.
+    The walk builds the records, and a line that meets the target, on the
+    axes.  Returns the records and the rows keyed.
     """
     if not isinstance(spec, EnumSpec):
         raise ParameterError("fast line scans need an EnumSpec window")
@@ -617,22 +638,7 @@ def _line_scan(
         raise StrategyMismatchError("line targets scan every line of an unsharded window")
     if j_index != 1:
         raise ParameterError("a line has a single proximity sine")
-    n, (i0, i1) = spec.n, axes
-    if not (0 <= i0 < i1 < n):
-        raise ParameterError("embedding axes must be increasing and in range")
-    if n == 2:
-        return _scan_lines(target, spec.height_squared_max)
-
-    def embed(vec: tuple[int, int]) -> tuple[int, ...]:
-        out = [0] * n
-        out[i0], out[i1] = vec
-        return tuple(out)
-
-    try:
-        records, keyed = _scan_lines(target, spec.height_squared_max)
-    except IrrationalityViolationError as err:
-        raise _meeting(embed(err.vector), err.scanned) from None
-    return [replace(r, subspace=_line(embed(r.subspace.pluecker.coords))) for r in records], keyed
+    return _scan_lines(target, spec.height_squared_max, _placing(spec.n, axes))
 
 
 def scan_line_records(
@@ -842,14 +848,7 @@ def scan_records(
     finally:
         scan.log("scan_records")
     return [
-        ApproximationRecord(
-            subspace=row[4],
-            height_squared=row[0],
-            psi_lo=_float_down(row[3]),
-            psi_hi=_float_up(row[2]),
-            j_index=j_index,
-            source=SOURCE_ENUMERATED,
-        )
+        ApproximationRecord(row[4], row[0], _float_down(row[3]), _float_up(row[2]), j_index)
         for row in raw
     ]
 
@@ -1044,13 +1043,11 @@ def exclusivity_check(
         )
     stream = stream_for(params)
     devs = height_ratio_deviations(params, nmax, stream)
-    burn_in_index = None
-    burn_in_h2 = None
-    for n_index, (_conv, dev) in enumerate(devs, start=1):
-        if dev <= deviation_tol:
-            burn_in_index = n_index
-            burn_in_h2 = devs[n_index - 1][0].height_squared
-            break
+    burn_in_index = next(
+        (n_index for n_index, (_conv, dev) in enumerate(devs, start=1) if dev <= deviation_tol),
+        None,
+    )
+    burn_in_h2 = None if burn_in_index is None else devs[burn_in_index - 1][0].height_squared
 
     if params.ell == 1:
         target = line_target_for_instance(
@@ -1074,10 +1071,9 @@ def exclusivity_check(
     )
     matched_positions = {pos for pos, _n in matched}
 
+    band, interlopers = None, []
     if params.variant == INFINITE:
         products: tuple[float, ...] = ()
-        band = None
-        interlopers = []
         covered = []
         for n_index, (conv, _dev) in enumerate(devs, start=1):
             h2 = conv.height_squared
@@ -1104,8 +1100,6 @@ def exclusivity_check(
         products = tuple(
             rec.psi_hi * rec.height_squared ** (beta_f / 2.0) for rec in records
         )
-        band = None
-        interlopers = []
         if burn_in_h2 is not None:
             anchor = [
                 products[pos]
@@ -1198,9 +1192,8 @@ def irrationality_scan(
     bound proves its lower endpoint at least the running minimum.  zone is
     ignored, removed once the benchmark stops passing it (ROADMAP item 8).
     """
-    line = isinstance(target, _LINE_TARGETS)
     try:
-        if line:
+        if isinstance(target, _LINE_TARGETS):
             records, scanned = _line_scan(target, spec, j_index)
             witness = records[-1].subspace
             min_psi = records[-1].psi_lo

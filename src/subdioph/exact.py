@@ -12,7 +12,10 @@ PlueckerVector(n, e, coords) checks its coordinates (count, nonzero,
 primitive, positive lead) and is the constructor for outside input.
 Labels normalized by construction skip those checks through the private
 PlueckerVector._normalized: label_from_minors, which normalizes the minors
-it is given, and the enumerators (see enumeration).
+it is given, and the enumerators (see enumeration).  Under the same
+contract, RationalSubspace._line builds a line from a primitive vector with
+a positive lead, which is its label and, as a column, its basis: for the
+line census, the line engine's records and the harness's placed records.
 
 Two labels pair in integers: wedge_norm_squared gives |X_A /\\ X_B|^2,
 from which record scans bound proximity sines without any basis.  Reading
@@ -278,8 +281,9 @@ class PlueckerVector:
         """A label whose coords are normalized by construction.
 
         Skips every check of __post_init__.  Only code that builds the
-        normalized form itself may call it: label_from_minors and the
-        enumerators.  Outside input goes through PlueckerVector(n, e, coords).
+        normalized form itself may call it: label_from_minors, the
+        enumerators and RationalSubspace._line.  Outside input goes through
+        PlueckerVector(n, e, coords).
         """
         label = object.__new__(cls)
         fields = label.__dict__
@@ -403,6 +407,12 @@ class RationalSubspace:
     def from_basis(cls, basis: Iterable[Sequence[Scalar]]) -> "RationalSubspace":
         m = _integer_basis(basis)
         return cls(pluecker_coordinates(m), m)
+
+    @classmethod
+    def _line(cls, vec: tuple[int, ...]) -> "RationalSubspace":
+        """The line through a primitive vector with a positive lead, built
+        by code that made the vector so: from_basis of that column, unchecked."""
+        return cls(PlueckerVector._normalized(len(vec), 1, vec), tuple(zip(vec)))
 
     @classmethod
     def from_pluecker(cls, pv: PlueckerVector) -> "RationalSubspace":

@@ -10,7 +10,8 @@ inside a coordinate subspace and once in the surrounding space, and matches
 the two record lists through the embedding.  By the paper's transfer result
 a subspace of a rational F has the same exponent in R^n as in F; for a line
 target on a coordinate plane the records themselves transfer, so the
-harness walks the plane once and carries its records into R^n.
+harness walks the plane once and places its records' vectors on the
+plane's axes of R^n, building each ambient line from its vector.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .estimation import (
     ExponentEstimate,
     QuadraticLineTarget,
     RationalLineTarget,
+    _placing,
     estimate_exponent,
     scan_line_records,
     scan_records,
@@ -71,9 +73,7 @@ class RationalMap:
 
 
 def identity_map(n: int) -> RationalMap:
-    return RationalMap.from_rows(
-        [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    )
+    return RationalMap.from_rows(exact.identity(n))
 
 
 def coordinate_embedding(
@@ -165,17 +165,14 @@ def section_of(phi: RationalMap, f_subspace: exact.RationalSubspace) -> Rational
     return RationalMap.from_rows(section)
 
 
-def _standard_axis_of(column: Sequence[exact.Scalar]) -> int | None:
-    hits = [i for i, v in enumerate(column) if v != 0]
-    if len(hits) == 1 and column[hits[0]] == 1:
-        return hits[0]
-    return None
-
-
-def _is_coordinate_plane(section: RationalMap) -> bool:
-    """Whether a plane's section lands on two increasing standard axes."""
-    i0, i1 = (_standard_axis_of(col) for col in exact.transpose(section.matrix))
-    return i0 is not None and i1 is not None and i0 < i1
+def _coordinate_axes(section: RationalMap) -> tuple[int, ...] | None:
+    """The axes a coordinate section puts its domain axes on, when every
+    column is a standard basis vector and the axes increase; else None."""
+    columns = exact.transpose(section.matrix)
+    if any(col.count(0) != len(col) - 1 or 1 not in col for col in columns):
+        return None
+    axes = tuple(col.index(1) for col in columns)
+    return axes if all(a < b for a, b in zip(axes, axes[1:])) else None
 
 
 @dataclass(frozen=True)
@@ -211,16 +208,13 @@ def _pair_records(
     intrinsic: Sequence[ApproximationRecord],
     ambient: Sequence[ApproximationRecord],
 ) -> tuple[tuple[int, int], ...]:
-    ambient_by_coords = {
-        rec.subspace.pluecker.coords: pos for pos, rec in enumerate(ambient)
-    }
-    pairs = []
-    for pos, rec in enumerate(intrinsic):
-        image = apply_to_subspace(section, rec.subspace)
-        mate = ambient_by_coords.get(image.pluecker.coords)
-        if mate is not None:
-            pairs.append((pos, mate))
-    return tuple(pairs)
+    ambient_by_coords = {rec.subspace.pluecker.coords: pos for pos, rec in enumerate(ambient)}
+    images = (apply_to_subspace(section, rec.subspace).pluecker.coords for rec in intrinsic)
+    return tuple(
+        (pos, ambient_by_coords[coords])
+        for pos, coords in enumerate(images)
+        if coords in ambient_by_coords
+    )
 
 
 def embedding_harness(
@@ -247,9 +241,10 @@ def embedding_harness(
     has a sine at least that of its projection, whose primitive vector is
     strictly lower, so it sets no record (the transfer result for a
     coordinate plane, estimation module docstring).  The ambient records
-    are the intrinsic ones carried through the section, record by record.
-    zone and ambient_zone are ignored, removed once the benchmark stops
-    passing them (ROADMAP item 8).
+    are the intrinsic ones with their vectors placed on the section's axes,
+    each line built from its placed vector, so the i-th intrinsic record
+    pairs with the i-th ambient one.  zone and ambient_zone are ignored,
+    removed once the benchmark stops passing them (ROADMAP item 8).
     """
     section = section_of(phi, f_subspace)
     k = phi.codomain_dim
@@ -259,16 +254,20 @@ def embedding_harness(
         if e != 1 or k != 2 or j_index != 1:
             raise ParameterError("line targets compare first-angle line records"
                                  " in the plane")
-        if not _is_coordinate_plane(section):
+        axes = _coordinate_axes(section)
+        if axes is None:
             raise ParameterError(
                 "line targets need a coordinate plane embedding; a general"
                 " section cannot be scanned exactly"
             )
         intrinsic_records = scan_line_records(tilde_target, height_squared_max)
+        place = _placing(n, axes)
         ambient_records = [
-            replace(rec, subspace=apply_to_subspace(section, rec.subspace))
+            replace(rec, subspace=exact.RationalSubspace._line(
+                place(rec.subspace.pluecker.coords)))
             for rec in intrinsic_records
         ]
+        pairs = tuple((i, i) for i in range(len(intrinsic_records)))
     else:
         tilde_matrix = exact.as_matrix(tilde_target)
         d = exact.shape(tilde_matrix)[1]
@@ -276,31 +275,20 @@ def embedding_harness(
             raise ParameterError(
                 "target dimension plus scan dimension must fit in the codomain"
             )
-        intrinsic_strategy = exact_strategy(k, e)
-        ambient_strategy = exact_strategy(n, e)
         ambient_matrix = exact.mat_mul(section.matrix, tilde_matrix)
-        intrinsic_records = scan_records(
-            tilde_matrix,
-            EnumSpec(
-                n=k, e=e, height_squared_max=height_squared_max,
-                strategy=intrinsic_strategy,
-            ),
-            j_index=j_index,
-            ctx=ctx,
+        intrinsic_records, ambient_records = (
+            scan_records(
+                matrix,
+                EnumSpec(dim, e, height_squared_max, strategy=exact_strategy(dim, e)),
+                j_index=j_index,
+                ctx=ctx,
+            )
+            for matrix, dim in ((tilde_matrix, k), (ambient_matrix, n))
         )
-        ambient_records = scan_records(
-            ambient_matrix,
-            EnumSpec(
-                n=n, e=e, height_squared_max=height_squared_max,
-                strategy=ambient_strategy,
-            ),
-            j_index=j_index,
-            ctx=ctx,
-        )
+        pairs = _pair_records(section, intrinsic_records, ambient_records)
 
     intrinsic_estimate = estimate_exponent(intrinsic_records)
     ambient_estimate = estimate_exponent(ambient_records)
-    pairs = _pair_records(section, intrinsic_records, ambient_records)
     return HarnessReport(
         embedding=section,
         intrinsic=intrinsic_estimate,

@@ -625,22 +625,63 @@ class TestRunPlumbing:
             ["records", "--basis", "LINE", "--n", "7"],
             ["estimate", "--basis", "LINE", "--n", "2"],
             ["construct", "--ell", "1", "--beta", "3", "--nmax", "2", "--depth", "4"],
+            ["records", "--ell", "1", "--beta", "3", "--precision-bits", "64"],
+            ["records", "--ell", "1", "--beta", "3", "--target-rel-err", "1/1000"],
+            ["estimate", "--ell", "1", "--beta", "3", "--precision-bits", "64"],
+            ["estimate", "--ell", "1", "--beta", "3", "--target-rel-err", "1/1000"],
+            ["exclusivity", "--ell", "1", "--beta", "3", "--nmax", "3", "--precision-bits", "64"],
+            ["exclusivity", "--ell", "1", "--beta", "3", "--nmax", "3",
+             "--target-rel-err", "1/1000"],
+            ["harness", "--seed", "5"],
+            ["records", "--basis", "LINE", "--seed", "5"],
+            ["records", "--instance", "INSTANCE", "--seed", "7"],
+            ["harness", "--instance", "INSTANCE", "--theta", "53"],
+            ["construct", "--instance", "INSTANCE", "--ell", "2", "--nmax", "2"],
         ],
         ids=["records-e0", "records-e2", "estimate-e2", "records-n1", "records-n7",
              "estimate-n7", "records-basis-and-instance", "estimate-basis-and-instance",
-             "records-basis-n7", "estimate-basis-n2", "construct-depth-without-certify"],
+             "records-basis-n7", "estimate-basis-n2", "construct-depth-without-certify",
+             "records-l1-bits", "records-l1-rel-err", "estimate-l1-bits",
+             "estimate-l1-rel-err", "exclusivity-l1-bits", "exclusivity-l1-rel-err",
+             "harness-seed-without-instance", "records-basis-and-seed",
+             "records-instance-and-seed", "harness-instance-and-theta",
+             "construct-instance-and-ell"],
     )
     def test_instance_scan_rejects_a_shape_flag_it_would_ignore(self, tmp_path, argv):
         """--e must be the instance's ell, and on the generic path --n its
         n; neither may fall back silently to the instance's own shape.  A
         target basis must be the only target, and fix --n; --depth is read
-        by --certify alone."""
-        line = write_json(tmp_path / "line.json",
-                          {"n": 3, "e": 1, "basis": [["1"], ["2/3"], ["5/7"]]})
-        code, out, err = run([line if x == "LINE" else x for x in argv]
+        by --certify alone.  The exact line engine of an ell = 1 instance
+        reads no precision flag, the golden line of a harness without an
+        instance no --seed, and an instance file no inline instance flag."""
+        files = {
+            "LINE": write_json(tmp_path / "line.json",
+                               {"n": 3, "e": 1, "basis": [["1"], ["2/3"], ["5/7"]]}),
+            "INSTANCE": write_json(tmp_path / "instance.json",
+                                   {"ell": 1, "beta": "3", "seed": 0}),
+        }
+        code, out, err = run([files.get(x, x) for x in argv]
                              + ["--hmax-squared", "20"] * (argv[0] != "construct"))
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["records", "--ell", "2", "--beta", "3", "--hmax-squared", "5"],
+            ["estimate", "--ell", "2", "--beta", "3", "--j", "1", "--seed", "1",
+             "--hmax-squared", "14"],
+            ["records", "--basis", "LINE", "--hmax-squared", "30"],
+        ],
+        ids=["records-l2", "estimate-l2", "records-basis"],
+    )
+    @pytest.mark.parametrize("flag", [["--precision-bits", "96"], ["--target-rel-err", "1/1000"]])
+    def test_a_generic_scan_keeps_the_precision_flags(self, tmp_path, argv, flag):
+        line = write_json(tmp_path / "line.json",
+                          {"n": 3, "e": 1, "basis": [["1"], ["2/3"], ["5/7"]]})
+        code, out, err = run([line if x == "LINE" else x for x in argv] + flag)
+        assert (code, err) == (0, "")
+        assert out
 
     def test_basis_n_equal_to_its_rows_keeps_the_scan(self, tmp_path):
         line = write_json(tmp_path / "line.json",

@@ -28,6 +28,7 @@ DEBUG counts.
 import hashlib
 import itertools
 import logging
+import math
 import random
 from fractions import Fraction
 from math import gcd, isqrt
@@ -40,7 +41,7 @@ from subdioph import construction as con
 from subdioph import estimation as est
 from subdioph import exact
 from subdioph import morphisms as mor
-from subdioph.enumeration import EXACT_LINES, EnumSpec, primitive_vectors
+from subdioph.enumeration import EXACT_LINES, EnumSpec, enumerate_subspaces, primitive_vectors
 from subdioph.errors import IrrationalityViolationError
 
 SETTINGS = settings(
@@ -639,3 +640,98 @@ def test_golden_line_keys_few_rows(monkeypatch):
     records = est.scan_line_records(est.golden_line_target(), 10**6)
     assert [r.subspace.pluecker.coords for r in records] == fibonacci_pairs(10**6)
     assert 0 < sum(keyed) < 500
+
+
+# records built from their vectors: one line constructor, no from_basis
+
+VECTOR_TARGETS = {
+    "golden": (est.golden_line_target, 10**40),
+    "quadratic": (lambda: est.QuadraticLineTarget(Fraction(1, 3), Fraction(2, 5), 7), 10**12),
+    "instance": (
+        lambda: est.line_target_for_instance(
+            con.ConstructionParams.create(1, Fraction(3), seed=0), height_squared_max=10**12
+        ),
+        10**12,
+    ),
+    "rational": (lambda: est.RationalLineTarget(Fraction(1414213, 1000003)), 10**10),
+}
+PLACEMENTS = [(2, (0, 1)), (3, (0, 1)), (3, (0, 2)), (3, (1, 2)), (5, (0, 4)), (5, (1, 3))]
+
+
+def assert_line_of_its_column(sub, vec):
+    """sub is the line through vec, label and basis, as from_basis gives it."""
+    reference = exact.RationalSubspace.from_basis([[c] for c in vec])
+    assert sub.pluecker == reference.pluecker
+    assert sub.pluecker.coords == tuple(vec)
+    assert sub.basis == reference.basis
+
+
+@pytest.mark.parametrize("kind", list(VECTOR_TARGETS))
+@pytest.mark.parametrize("n, axes", PLACEMENTS)
+def test_line_records_are_the_lines_of_their_vectors(kind, n, axes):
+    make, hmax2 = VECTOR_TARGETS[kind]
+    records = est.scan_embedded_line_records(make(), n, hmax2, axes=axes)
+    assert len(records) > 3
+    for rec in records:
+        assert rec.subspace.n == n
+        assert_line_of_its_column(rec.subspace, rec.subspace.pluecker.coords)
+
+
+@pytest.mark.parametrize("n, axes", PLACEMENTS)
+def test_a_meeting_line_is_the_line_of_its_vector(n, axes):
+    with pytest.raises(IrrationalityViolationError) as info:
+        est.scan_embedded_line_records(est.RationalLineTarget(Fraction(3, 5)), n, 100, axes=axes)
+    err = info.value
+    expected = [0] * n
+    expected[axes[0]], expected[axes[1]] = 5, 3
+    assert err.vector == tuple(expected)
+    assert_line_of_its_column(err.subspace, err.vector)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_enumerated_lines_are_the_lines_of_their_vectors(n):
+    lines = list(enumerate_subspaces(EnumSpec(n, 1, 12)))
+    assert lines
+    for sub in lines:
+        assert_line_of_its_column(sub, sub.pluecker.coords)
+
+
+def old_sqrt_interval(lo, hi):
+    """The bracket before sines below the double range were scaled."""
+    f_lo = math.sqrt(max(0.0, math.nextafter(float(lo), 0.0)))
+    f_hi = math.sqrt(math.nextafter(float(hi), math.inf))
+    return max(0.0, math.nextafter(f_lo, 0.0)), math.nextafter(f_hi, math.inf)
+
+
+def test_sqrt_interval_keeps_its_bits_in_the_normal_range():
+    rng = random.Random(20)
+    for _ in range(2000):
+        lo = Fraction(rng.getrandbits(rng.randint(1, 200)) + 1,
+                      rng.getrandbits(rng.randint(1, 1200)) + 1)
+        lo = max(lo, Fraction(1, 1 << 1022))
+        hi = lo * Fraction(rng.randint(1000, 1010), 1000)
+        got = est._sqrt_interval(lo, hi)
+        assert [x.hex() for x in got] == [x.hex() for x in old_sqrt_interval(lo, hi)]
+
+
+@pytest.mark.parametrize("power", [1023, 1500, 2000, 2100])
+def test_sqrt_interval_below_the_double_range_holds_the_root(power):
+    """A squared sine below 2^-1022 keeps a tight, outward bracket."""
+    x = Fraction(3, 1 << power)
+    lo, hi = est._sqrt_interval(x, x)
+    assert 0.0 < lo < hi
+    # lo^2 <= x <= hi^2, exactly
+    assert Fraction(lo) ** 2 <= x <= Fraction(hi) ** 2
+    if power <= 2000:  # a normal root: a few ulps wide
+        assert hi - lo <= 4 * math.ulp(lo)
+
+
+def test_golden_line_sines_hold_through_the_double_range():
+    """At H^2 <= 10^300 the squared sines go far below 2^-1022, yet every
+    record keeps a positive lower end, the list stays a record list, and
+    the per-record exponent stays at the golden line's 2."""
+    records = est.scan_line_records(est.golden_line_target(), 10**300)
+    assert len(records) == 719
+    assert all(rec.psi_lo > 0.0 for rec in records)
+    est.validate_record_list(records)
+    assert est.estimate_exponent(records).per_record[-1] == pytest.approx(2.0, abs=0.01)

@@ -349,6 +349,52 @@ class TestHarness:
         with pytest.raises(ParameterError):
             mor.embedding_harness(est.golden_line_target(), crooked, proj, 100)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[[0, 1, 0], [1, 0, 0]], [[2, 0, 0], [0, 1, 0]]],
+        ids=["swapped-axes", "scaled-axis"],
+    )
+    def test_refuses_a_section_that_is_no_increasing_pair_of_axes(self, rows):
+        """The section of a swap puts the plane's axes in the order (1, 0),
+        and that of a scaling puts 1/2 on an axis: neither places coordinates."""
+        proj = mor.RationalMap.from_rows(rows)
+        f = exact.RationalSubspace.from_basis([[1, 0], [0, 1], [0, 0]])
+        with pytest.raises(ParameterError):
+            mor.embedding_harness(est.golden_line_target(), f, proj, 100)
+
+    @pytest.mark.parametrize("n, axes", [(3, (0, 2)), (4, (1, 3)), (5, (2, 3))])
+    def test_a_line_target_places_its_records_without_mapping_them(
+        self, monkeypatch, n, axes
+    ):
+        """The ambient lines are built from their placed vectors: no record
+        goes through apply_to_subspace, and the pairs are (i, i)."""
+        calls = []
+        mapped = mor.apply_to_subspace
+
+        def counted(phi, sub):
+            calls.append(sub)
+            return mapped(phi, sub)
+
+        monkeypatch.setattr(mor, "apply_to_subspace", counted)
+        proj = mor.RationalMap.from_rows(
+            [[1 if j == a else 0 for j in range(n)] for a in axes]
+        )
+        rows = [[0, 0] for _ in range(n)]
+        rows[axes[0]][0] = rows[axes[1]][1] = 1
+        f = exact.RationalSubspace.from_basis(rows)
+        report = mor.embedding_harness(est.golden_line_target(), f, proj, 10**6)
+        assert calls == []
+        count = len(report.intrinsic_records)
+        assert count > 3
+        assert report.record_pairs == tuple((i, i) for i in range(count))
+        section = mor.section_of(proj, f)
+        for plane, space in zip(report.intrinsic_records, report.ambient_records):
+            image = mapped(section, plane.subspace)
+            assert space.subspace == image
+            assert space.subspace.basis == image.basis
+            assert (space.height_squared, space.psi_lo, space.psi_hi) == (
+                plane.height_squared, plane.psi_lo, plane.psi_hi)
+
     def test_line_target_option_validation(self):
         proj = mor.RationalMap.from_rows([[1, 0, 0], [0, 1, 0]])
         f = exact.RationalSubspace.from_basis([[1, 0], [0, 1], [0, 0]])
