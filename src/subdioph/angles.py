@@ -5,16 +5,17 @@ psi_j = sin(theta_j) of sines of their t = min(d, e) principal angles.  sin
 is the right scale for approximation questions (it is comparable to
 normalized distances).
 
-Pairs of exact rational bases with t <= 2 are evaluated exactly.  The
-squared sines are the eigenvalues of the rational matrix
+Pairs of exact bases with t <= 2 are evaluated exactly.  Float bases are
+exact too: every finite double is a dyadic rational, and from_float keeps
+that value.  The squared sines are the eigenvalues of the rational matrix
 I - G_A^-1 C G_B^-1 C^T (G the Gram matrices, C = A^T B; Bjorck & Golub
 1973), which for t <= 2 is a rational or a quadratic surd built from
 integer Gram and bordered Gram determinants.  It is computed on the sine
 side, never as 1 - cos^2, so tiny angles keep full relative accuracy, and
 every square root is bracketed by integer square roots: lo <= psi <= hi is
-a proof.  Every other pair (float or evaluator bases, or t >= 3) goes
-through an mpmath Gram-Schmidt and SVD repeated at doubled precision until
-two consecutive runs agree to the requested relative error.
+a proof.  Every other pair (evaluator bases, or t >= 3) goes through an
+mpmath Gram-Schmidt and SVD repeated at doubled precision until two
+consecutive runs agree to the requested relative error.
 
 A pair with t = 1 and d + e <= n has the squared sine
 |X_A /\\ X_B|^2 / (|X_A|^2 |X_B|^2) in its labels X (Cauchy-Binet), the same
@@ -89,9 +90,10 @@ class RealBasis:
     """A subspace handed to the angle engine, re-evaluable at any precision.
 
     Exact rational bases re-convert losslessly when precision is raised;
-    float input is frozen at its native 53 bits and tagged as such; an
-    evaluator callback covers targets whose entries are only available
-    through computation (algebraic numbers, series truncations).
+    float input is read as the dyadic rationals its entries hold, so it is
+    an exact basis tagged "float-input"; an evaluator callback covers
+    targets whose entries are only available through computation
+    (algebraic numbers, series truncations).
     """
 
     def __init__(
@@ -137,7 +139,9 @@ class RealBasis:
         return basis
 
     @classmethod
-    def _of_exact(cls, m: exact.Matrix, n: int, d: int) -> "RealBasis":
+    def _of_exact(
+        cls, m: exact.Matrix, n: int, d: int, source: str = "exact-rational"
+    ) -> "RealBasis":
         def evaluate(bits: int) -> "mp.matrix":
             with mp.workprec(bits):
                 out = mp.matrix(n, d)
@@ -150,21 +154,25 @@ class RealBasis:
                             out[i, j] = mp.mpf(x)
                 return out
 
-        return cls(n, d, evaluate, source="exact-rational", exact_matrix=m)
+        return cls(n, d, evaluate, source=source, exact_matrix=m)
 
     @classmethod
     def from_float(cls, rows: Iterable[Sequence[float]]) -> "RealBasis":
+        """Floats are exact dyadic rationals, so the basis is exact.
+
+        Its rank is not checked here: the angle engine raises
+        NumericalRankLossError on an exactly dependent basis when it meets
+        one.
+        """
         data = [list(map(float, row)) for row in rows]
         n = len(data)
         d = len(data[0]) if data else 0
         if d == 0 or any(len(r) != d for r in data):
             raise ShapeError("ragged or empty float basis")
-
-        def evaluate(bits: int) -> "mp.matrix":
-            with mp.workprec(bits):
-                return mp.matrix(data)
-
-        return cls(n, d, evaluate, source="float-input")
+        if not all(math.isfinite(x) for row in data for x in row):
+            raise ShapeError("float basis entries must be finite")
+        m = exact.as_matrix([[Fraction(x) for x in row] for row in data])
+        return cls._of_exact(m, n, d, source="float-input")
 
     @classmethod
     def from_evaluator(
@@ -431,26 +439,33 @@ def _squared_sine_intervals(a: RealBasis, b: RealBasis, prec: int) -> list:
     if a.d > b.d:
         a, b = b, a
     cols_a, cols_b = a.integer_columns(), b.integer_columns()
+    gram_a = [[_dot(u, v) for v in cols_a] for u in cols_a]
     gram_b = [[_dot(u, v) for v in cols_b] for u in cols_b]
     g = exact.determinant(gram_b)
+    if a.d == 1:
+        delta = gram_a[0][0]
+    else:
+        (p, q), (_, s) = gram_a
+        delta = p * s - q * q
+    if g == 0 or delta == 0:
+        # a float basis comes here with its rank unchecked
+        raise NumericalRankLossError("exact basis has dependent columns")
     cross = [[_dot(u, v) for v in cols_b] for u in cols_a]
 
     def residual_product(i: int, j: int) -> int:
         # g times the inner product of the parts of a_i and a_j orthogonal
         # to span(B): the Schur complement of G_B in the bordered Gram matrix
         bordered = [row + [cross[j][r]] for r, row in enumerate(gram_b)]
-        bordered.append(cross[i] + [_dot(cols_a[i], cols_a[j])])
+        bordered.append(cross[i] + [gram_a[i][j]])
         return exact.determinant(bordered)
 
     if a.d == 1:
         num = residual_product(0, 0)
-        return [None if num == 0 else _point(num, g * _dot(cols_a[0], cols_a[0]))]
+        return [None if num == 0 else _point(num, g * delta)]
 
     # t = 2: the eigenvalues of G_A^-1 R / g, with R = g * (residual Gram),
     # are (tr +- sqrt(tr^2 - 4 det)) / (2 dd) in integer form
     r00, r01, r11 = residual_product(0, 0), residual_product(0, 1), residual_product(1, 1)
-    (p, q), (_, s) = [[_dot(u, v) for v in cols_a] for u in cols_a]
-    delta = p * s - q * q
     dd = delta * g
     tr = s * r00 + p * r11 - 2 * q * r01
     det = delta * (r00 * r11 - r01 * r01)

@@ -32,13 +32,14 @@ sweep:
   for any unsharded window of lines, whatever its census strategy, and
   refuses a sharded window or one of higher-dimensional subspaces;
 * the generic scan walks an enumeration and pairs an exact target's
-  label with every candidate's label in integers.  For d + e <= n that
-  pairing gives the product P of all the sines (Schmidt's identity), and
-  psi_j >= P^(1/j) lets the sweep skip any candidate that cannot beat the
-  running record; for a pair with a single angle P is that sine, exactly.
+  label (a float target is exact too) with every candidate's label in
+  integers.  For d + e <= n that pairing gives the product P of all the
+  sines (Schmidt's identity), and psi_j >= P^(1/j) lets the sweep skip
+  any candidate that cannot beat the running record; for a pair with a
+  single angle P is that sine, exactly.
   Only the survivors get a sine bracket: a single-angle pair from its
   labels alone, any other after decoding a basis, through the adaptive
-  angle engine.  Float and evaluator targets screen nothing.
+  angle engine.  Evaluator targets screen nothing.
 
 The sweep's running minima over height levels are the records of either
 source.  An irrationality scan is the second reduction of the same
@@ -89,6 +90,7 @@ from .enumeration import EnumSpec, enumerate_subspaces
 from .errors import (
     InsufficientRecordsError,
     IrrationalityViolationError,
+    NumericalRankLossError,
     ParameterError,
     ShapeError,
     StrategyMismatchError,
@@ -692,13 +694,14 @@ class _GenericScan:
 
     For d + e <= n the sines of the target A and a candidate B multiply to
     P = |X_A /\\ X_B| / (|X_A| |X_B|) (Schmidt 1967), and psi_j >= P^(1/j)
-    because no sine exceeds 1.  An exact target pairs its raw label with
-    each candidate's label once, in integers (wedge2 = |X_A /\\ X_B|^2):
+    because no sine exceeds 1.  An exact target, float targets included,
+    pairs its raw label with each candidate's label once, in integers
+    (wedge2 = |X_A /\\ X_B|^2):
 
     * an exact pair with t <= 2 and wedge2 > 0 waits unbracketed, so a
       scan can skip it once P^(1/j) rules it out; for t = 1, P is the sine
       itself;
-    * every other candidate (float or evaluator targets, t >= 3, wedge2 = 0)
+    * every other candidate (evaluator targets, t >= 3, wedge2 = 0)
       is profiled at once, so an unresolved sine raises at its place in
       the enumeration (a t = 1 pair with wedge2 = 0 raises without a
       profile).  A waiting pair has no zero sine, and the exact engine
@@ -721,6 +724,9 @@ class _GenericScan:
             # the raw minors will do: every ratio below is scale-free
             self.label = exact.raw_minors(exact.transpose(self.basis.integer_columns()))
             self.label2 = sum(x * x for x in self.label)
+            if not self.label2:
+                # a float target comes here with its rank unchecked
+                raise NumericalRankLossError("target basis has dependent columns")
         self.counts = dict.fromkeys(("candidates", "label_only", "profiled", "skipped"), 0)
         self._memo = (None, None)
 

@@ -236,9 +236,8 @@ def _primitive_row(row: Sequence[Scalar]) -> list[int]:
 
 def clear_denominators(v: Sequence[Scalar]) -> tuple[int, ...]:
     """Scale a rational vector by the lcm of denominators to land in Z^n."""
-    denoms = [Fraction(x).denominator for x in v]
-    scale = math.lcm(*denoms) if denoms else 1
-    return tuple(int(Fraction(x) * scale) for x in v)
+    scale = math.lcm(*(x.denominator for x in v))
+    return tuple(int(x * scale) for x in v)
 
 
 # ---------------------------------------------------------------------------

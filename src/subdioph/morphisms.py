@@ -56,7 +56,7 @@ class RationalMap:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[exact.Scalar]]) -> "RationalMap":
         m = exact.as_matrix(rows)
-        k = math.lcm(*(Fraction(x).denominator for row in m for x in row))
+        k = math.lcm(*(x.denominator for row in m for x in row))
         return cls(matrix=m, denominator_clearing=k)
 
     @property
@@ -141,8 +141,8 @@ def height_distortion_constant(phi: RationalMap, e: int) -> Fraction:
     if e > phi.codomain_dim:
         return Fraction(0)
     comp = phi.compound(e)
-    k_e = math.lcm(*(Fraction(x).denominator for row in comp for x in row))
-    frob2 = sum(Fraction(x) ** 2 for row in comp for x in row)
+    k_e = math.lcm(*(x.denominator for row in comp for x in row))
+    frob2 = sum(x * x for row in comp for x in row)
     return k_e * ceil_sqrt(frob2)
 
 
