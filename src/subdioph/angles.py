@@ -63,13 +63,19 @@ def _env_bit_cap() -> int:
         return HARD_BIT_CAP
 
 
+def _check_bits(bits: int) -> None:
+    if bits < 64:
+        raise ShapeError("need at least 64 bits")
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
     """Working-precision policy for angle computations.
 
-    bits is the starting mantissa size; adaptive refinement doubles it until
-    agreement at target_rel_err, giving up at max_bits.  Values at or below
-    2^(-bits/4) are not resolved pointwise, only bracketed by [0, 2^(-bits/4)].
+    bits is the starting mantissa size, at least 64; adaptive refinement
+    doubles it until agreement at target_rel_err, which lies in (0, 1),
+    giving up at max_bits.  Values at or below 2^(-bits/4) are not resolved
+    pointwise, only bracketed by [0, 2^(-bits/4)].
     """
 
     bits: int = DEFAULT_BITS
@@ -77,8 +83,11 @@ class PrecisionContext:
     max_bits: int = HARD_BIT_CAP
 
     def __post_init__(self) -> None:
-        if self.bits < 64:
-            raise ShapeError("need at least 64 bits")
+        _check_bits(self.bits)
+        # no run agrees at a relative error of 0, and one of 1 or more
+        # brackets nothing
+        if not 0 < self.target_rel_err < 1:
+            raise ShapeError("the target relative error must lie in (0, 1)")
         cap = min(self.max_bits, _env_bit_cap())
         object.__setattr__(self, "max_bits", cap)
 
@@ -507,8 +516,10 @@ def principal_angles(a: RealBasis, b: RealBasis, bits: int = DEFAULT_BITS) -> An
 
     Exact pairs with t <= 2 report rel_err_bound 2^-bits.  Other pairs
     report the conservative single-shot claim 2^(-bits/2); use
-    angles_adaptive for a measured bound.
+    angles_adaptive for a measured bound.  bits is at least 64, as in a
+    PrecisionContext.
     """
+    _check_bits(bits)
     if _is_exact_pair(a, b):
         return _exact_profile(a, b, bits, bits)
     t = _pair_dimension(a, b)

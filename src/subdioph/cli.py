@@ -168,14 +168,6 @@ def _instance_params(args) -> con.ConstructionParams:
     )
 
 
-def _instance_precision(args, params: con.ConstructionParams) -> PrecisionContext | None:
-    """The precision context of an instance scan; the exact line engine of
-    an ell = 1 instance reads none, so it refuses the precision flags."""
-    if params.ell == 1 and (args.precision_bits is not None or args.target_rel_err is not None):
-        raise _UsageError("an ell = 1 instance takes no --precision-bits or --target-rel-err")
-    return _precision_context(args)
-
-
 def _precision_context(args) -> PrecisionContext | None:
     bits, rel = args.precision_bits, args.target_rel_err
     if bits is None and rel is None:
@@ -240,10 +232,10 @@ def _enum_spec(args, n: int, e: int, hmax: int, **shards) -> EnumSpec:
 
 
 def _run_scan(args) -> list[est.ApproximationRecord]:
-    """Shared target resolution for the records and estimate commands: the
-    line target of an ell = 1 instance, the generators of any other, or a
-    basis file; then one scan_records call, where the target picks the
-    engine and --strategy the census."""
+    """Target resolution for records and estimate: an instance goes to
+    instance_records (at ell >= 2 its brackets are widened by the truncation
+    slack), a basis file to scan_records; the target picks the engine and
+    --strategy the census."""
     hmax = args.hmax_squared
     if hmax is None:
         raise _UsageError("--hmax-squared is required")
@@ -251,31 +243,16 @@ def _run_scan(args) -> list[est.ApproximationRecord]:
         if args.basis:
             raise _UsageError("give either a target --basis or an instance, not both")
         params = _instance_params(args)
-        ctx = _instance_precision(args, params)
-        if args.e is not None and args.e != params.ell:
-            raise _UsageError(f"--e must equal the instance's ell = {params.ell}")
-        if params.ell == 1:
-            target = est.line_target_for_instance(params, height_squared_max=hmax)
-            n = _given(args.n, 2)
-        else:
-            if args.n is not None and args.n != params.n:
-                raise _UsageError(f"--n must equal the instance's n = {params.n}")
-            # the generators get depth at least 1, even where the series starts at 0
-            depth = est.series_depth(params, hmax, 1)
-            target = con.build_generators(params, depth).real_basis()
-            n = params.n
-        e = j_default = params.ell
-    elif args.basis:
-        ctx = _precision_context(args)
-        target = _load_basis(args.basis)
-        n = exact.shape(target)[0]
-        if args.n is not None and args.n != n:
-            raise _UsageError(f"--n must equal the basis's n = {n}")
-        e, j_default = _given(args.e, 1), 1
-    else:
+        spec = _enum_spec(args, _given(args.n, params.n), _given(args.e, params.ell), hmax)
+        return est.instance_records(params, spec, j_index=args.j, ctx=_precision_context(args))
+    if not args.basis:
         raise _UsageError("need a target: --instance, --ell/--beta, or --basis")
-    spec = _enum_spec(args, n, e, hmax)
-    return est.scan_records(target, spec, j_index=_given(args.j, j_default), ctx=ctx)
+    target = _load_basis(args.basis)
+    n = exact.shape(target)[0]
+    if args.n is not None and args.n != n:
+        raise _UsageError(f"--n must equal the basis's n = {n}")
+    spec = _enum_spec(args, n, _given(args.e, 1), hmax)
+    return est.scan_records(target, spec, j_index=_given(args.j, 1), ctx=_precision_context(args))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +345,7 @@ def _cmd_exclusivity(args):
         raise _UsageError("--nmax and --hmax-squared are required")
     n, e = params.n, params.ell
     spec = EnumSpec(n, e, args.hmax_squared, strategy=exact_strategy(n, e))
-    report = est.exclusivity_check(params, args.nmax, spec, ctx=_instance_precision(args, params))
+    report = est.exclusivity_check(params, args.nmax, spec, ctx=_precision_context(args))
     return [report.as_dict()], 0 if report.ok else 1
 
 

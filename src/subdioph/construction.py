@@ -656,6 +656,16 @@ def _ratio_deviation(ratio_squared: Fraction, limit_squared: Fraction):
     return mp.mpf(abs(q_num - q_den)) / q_den / (mp.sqrt(q) + 1)
 
 
+# The checks certify_instance runs, in report order.  A failed check raises
+# CertificationFailure, so a certificate holds each one as passed;
+# build_convergent raises unless the basis is primitive.
+_CONVERGENT_CHECKS = (
+    "truncation-tail", "f-entry-bound", "primitive-basis", "height-upper",
+    "digit-dominance", "exponent-step", "psi-resolution",
+)
+_INSTANCE_CHECKS = ("height-monotone", "ratio-trend")
+
+
 def _require(ok: bool, check: str, n_index: int, detail: str = "") -> None:
     if not ok:
         raise CertificationFailure(check, n_index, detail)
@@ -706,8 +716,6 @@ def certify_instance(
         m_n = convergent.exponent
         h_sq = convergent.height_squared
 
-        checks: list[tuple[str, bool]] = []
-
         # exact: the deep truncation sits strictly between this convergent's
         # partial sums and those sums plus the tail bound at index N
         tail_n = tail_bound(params, n_index)
@@ -719,7 +727,6 @@ def certify_instance(
                 gap = deep - partial
                 if not (0 < gap < tail_n):
                     tail_ok = False
-        checks.append(("truncation-tail", tail_ok))
         _require(tail_ok, "truncation-tail", n_index)
 
         # exact: entry bound on the scaled partial sums
@@ -733,11 +740,7 @@ def certify_instance(
             for i in range(ell)
             for j in range(ell)
         )
-        checks.append(("f-entry-bound", f_ok))
         _require(f_ok, "f-entry-bound", n_index)
-
-        # build_convergent has already raised unless the basis is primitive
-        checks.append(("primitive-basis", True))
 
         # exact: product bound on the height via column norms
         if params.variant == FINITE:
@@ -747,7 +750,6 @@ def certify_instance(
         else:
             height_cap = (2 * ell) ** ell * theta ** (2 * ell * m_n)
         height_ok = h_sq <= height_cap
-        checks.append(("height-upper", height_ok))
         _require(height_ok, "height-upper", n_index)
 
         # exact: digits at index N keep the digit matrix invertible; in the
@@ -764,7 +766,6 @@ def certify_instance(
                 )
                 if not (convergent.digit_matrix[j][j] >= 2 * ell > off):
                     dominance_ok = False
-        checks.append(("digit-dominance", dominance_ok))
         _require(dominance_ok, "digit-dominance", n_index)
 
         # exact: the exponent schedule steps by at most a factor alpha
@@ -772,7 +773,6 @@ def certify_instance(
             step_ok = exps[n_index + 1] <= params.alpha * (exps[n_index] + 1)
         else:
             step_ok = exps[n_index + 1] > exps[n_index]
-        checks.append(("exponent-step", step_ok))
         _require(step_ok, "exponent-step", n_index)
 
         # interval: largest proximity sine against the true target
@@ -782,7 +782,6 @@ def certify_instance(
         widened = profile.widened(slack)
         bits_used = max(bits_used, profile.bits_used)
         resolved_ok = bool(profile.resolved[-1]) and widened.lo[-1] > 0
-        checks.append(("psi-resolution", resolved_ok))
         _require(
             resolved_ok,
             "psi-resolution",
@@ -823,14 +822,10 @@ def certify_instance(
                 upper_normalized=upper_normalized,
                 lower_normalized=lower_normalized,
                 local_exponent=local_exponent,
-                checks=tuple(checks),
+                checks=tuple((name, True) for name in _CONVERGENT_CHECKS),
             )
         )
 
-    instance_checks = (
-        ("height-monotone", height_monotone),
-        ("ratio-trend", deviation_monotone),
-    )
     _require(height_monotone, "height-monotone", nmax)
     _require(deviation_monotone, "ratio-trend", nmax)
 
@@ -840,7 +835,7 @@ def certify_instance(
         bits_used=bits_used,
         gram_limit_squared=gram_limit_squared,
         records=tuple(records),
-        instance_checks=instance_checks,
+        instance_checks=tuple((name, True) for name in _INSTANCE_CHECKS),
     )
 
 

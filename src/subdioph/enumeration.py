@@ -92,7 +92,7 @@ class EnumSpec:
         if self.n < 2 or not 1 <= self.e <= self.n:
             raise ParameterError(f"invalid dimensions ({self.n},{self.e})")
         if self.height_squared_max < 1:
-            raise ParameterError("height bound must be at least 1")
+            raise ParameterError("height bound must be positive")
         if self.strategy not in STRATEGIES:
             raise ParameterError(f"unknown strategy {self.strategy!r}")
         if self.strategy == EXACT_LINES and self.e not in (1, self.n - 1):

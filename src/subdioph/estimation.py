@@ -189,7 +189,6 @@ def line_target_for_instance(
     params: ConstructionParams,
     height_squared_max: int | None = None,
     depth: int | None = None,
-    stream=None,
 ) -> RationalLineTarget:
     """Truncated-series line target for a one-dimensional instance.
 
@@ -198,12 +197,11 @@ def line_target_for_instance(
     """
     if params.ell != 1:
         raise ParameterError("series instances define a line target only when ell = 1")
-    stream = stream if stream is not None else stream_for(params)
     if depth is None:
         if height_squared_max is None:
             raise ParameterError("need either a depth or a height bound")
         depth = series_depth(params, height_squared_max, series_start(params))
-    trunc = xi_truncation(stream, 1, 1, depth, params)
+    trunc = xi_truncation(stream_for(params), 1, 1, depth, params)
     return RationalLineTarget(value=trunc.value, tail_upper=trunc.tail_upper)
 
 
@@ -859,6 +857,37 @@ def scan_records(
     ]
 
 
+def instance_records(
+    params: ConstructionParams,
+    spec: EnumSpec,
+    j_index: int | None = None,
+    ctx: PrecisionContext | None = None,
+    depth: int | None = None,
+) -> list[ApproximationRecord]:
+    """Certified records of an instance over a window of ell-spaces, in
+    R^(2 ell) when ell >= 2; j_index defaults to ell.
+
+    At ell = 1 the line engine scans the instance's line, whose slope
+    bracket holds the truncation tail; it reads no depth and refuses a ctx.
+    Otherwise the generators truncated at depth (default
+    series_depth(params, H^2, 1)) are scanned with ctx, and each bracket is
+    widened by their angle_slack: the records hold for the true target.
+    """
+    ell, hmax = params.ell, spec.height_squared_max
+    if spec.e != ell or (ell > 1 and spec.n != params.n):
+        raise ParameterError(f"the window must hold {ell}-spaces, in R^{params.n} if ell > 1")
+    j_index = ell if j_index is None else j_index
+    if ell == 1:
+        if ctx is not None:
+            raise ParameterError("an exact ell = 1 line scan takes no precision context")
+        return scan_records(line_target_for_instance(params, hmax), spec, j_index)
+    # the generators get depth at least 1, even where the series starts at 0
+    depth = series_depth(params, hmax, 1) if depth is None else depth
+    gens = build_generators(params, depth)
+    records = scan_records(gens.real_basis(), spec, j_index, ctx)
+    return widen_records(records, _float_up(gens.angle_slack))
+
+
 # ---------------------------------------------------------------------------
 # exponent estimation
 
@@ -1038,8 +1067,9 @@ def exclusivity_check(
 ) -> ExclusivityReport:
     """Check that beyond burn-in only convergents set competitive records.
 
-    zone is ignored, removed once the benchmark stops passing it (ROADMAP
-    item 8).
+    The records are instance_records at depth nmax + 2, so at ell >= 2 they
+    are widened by the truncation slack.  zone is ignored, removed once the
+    benchmark stops passing it (ROADMAP item 8).
     """
     if nmax < 1:
         raise ParameterError("need at least one convergent index")
@@ -1047,24 +1077,13 @@ def exclusivity_check(
         raise ParameterError(
             "enumeration shape must match the instance: (n, e) = (2l, l)"
         )
-    stream = stream_for(params)
-    devs = height_ratio_deviations(params, nmax, stream)
+    records = instance_records(params, spec, ctx=ctx, depth=nmax + 2)
+    devs = height_ratio_deviations(params, nmax)
     burn_in_index = next(
         (n_index for n_index, (_conv, dev) in enumerate(devs, start=1) if dev <= deviation_tol),
         None,
     )
     burn_in_h2 = None if burn_in_index is None else devs[burn_in_index - 1][0].height_squared
-
-    if params.ell == 1:
-        target = line_target_for_instance(
-            params, height_squared_max=spec.height_squared_max, stream=stream
-        )
-        records = scan_records(target, spec)
-    else:
-        depth = nmax + 2
-        gens = build_generators(params, depth, stream)
-        records = scan_records(gens.real_basis(), spec, j_index=params.ell, ctx=ctx)
-        records = widen_records(records, _float_up(gens.angle_slack))
 
     by_coords = {
         conv.subspace.pluecker.coords: n_index

@@ -436,3 +436,25 @@ def test_exact_relative_bits_honours_the_cap():
     assert exact_relative_bits(PrecisionContext(bits=64)) == 128
     with pytest.raises(PrecisionExhaustedError):
         exact_relative_bits(PrecisionContext(bits=256, max_bits=300))
+
+
+@pytest.mark.parametrize("rel", [Fraction(0), Fraction(-1), Fraction(1), Fraction(3, 2)])
+def test_a_target_relative_error_outside_zero_one_is_refused(rel):
+    """No run agrees at a relative error of 0 (the doubling ran to the
+    bit cap), and one of 1 or more brackets nothing."""
+    with pytest.raises(ShapeError):
+        PrecisionContext(target_rel_err=rel)
+
+
+def test_a_target_relative_error_inside_zero_one_is_kept():
+    assert PrecisionContext(target_rel_err=Fraction(1, 2)).target_rel_err == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("bits", [-8, 0, 8, 63])
+def test_principal_angles_needs_64_bits(bits):
+    """The single-shot path keeps the PrecisionContext rule: at -8 bits it
+    reported a resolved sine of 2 between (1, 2, 3) and (1, 2, 4)."""
+    a, b = exact_basis((1, 2, 3)), exact_basis((1, 2, 4))
+    with pytest.raises(ShapeError):
+        principal_angles(a, b, bits=bits)
+    assert principal_angles(a, b, bits=64).hi[0] < 1

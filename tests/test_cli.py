@@ -173,6 +173,30 @@ class TestBasicCommands:
         assert record["bitsUsed"] == 128
         assert abs(record["sin"] - 0.7071067811865476) < 1e-12
 
+    @pytest.mark.parametrize("rel", ["0", "-1", "1", "2"])
+    def test_angles_refuse_a_target_relative_error_outside_zero_one(self, tmp_path, rel):
+        """A relative error of 0 made angles_adaptive double toward the bit
+        cap on a pair with three angles, and never finish."""
+        a = write_json(tmp_path / "a.json",
+                       {"n": 5, "e": 3, "basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                                  [1, 2, 3], [4, 5, 7]]})
+        b = write_json(tmp_path / "b.json",
+                       {"n": 5, "e": 3, "basis": [[1, 0, 2], [0, 1, 1], [3, 0, 1],
+                                                  [1, 1, 1], [0, 2, 5]]})
+        code, out, err = run(["angles", "--basis", a, "--basis-b", b, "--target-rel-err", rel])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("bits", ["-8", "0", "8"])
+    def test_angles_refuse_fewer_than_64_bits(self, tmp_path, bits):
+        """At --precision-bits -8 the lines (1, 2, 3) and (1, 2, 4) got a
+        resolved sine of 2."""
+        a = write_json(tmp_path / "a.json", {"n": 3, "e": 1, "basis": [[1], [2], [3]]})
+        b = write_json(tmp_path / "b.json", {"n": 3, "e": 1, "basis": [[1], [2], [4]]})
+        code, out, err = run(["angles", "--basis", a, "--basis-b", b, "--precision-bits", bits])
+        assert (code, out) == (2, "")
+        assert err == "error: need at least 64 bits\n"
+
     def test_enumerate_lines(self):
         code, out, _ = run(
             ["enumerate", "--n", "2", "--hmax-squared", "10", "--no-header"]

@@ -13,7 +13,14 @@ from mpmath import mp
 from subdioph import construction as con
 from subdioph import estimation as est
 from subdioph import exact
-from subdioph.enumeration import EXACT_LINES, EXACT_PLUECKER, EnumSpec, enumerate_subspaces
+from subdioph.angles import PrecisionContext
+from subdioph.enumeration import (
+    EXACT_LINES,
+    EXACT_PLUECKER,
+    EnumSpec,
+    enumerate_subspaces,
+    exact_strategy,
+)
 from subdioph.errors import (
     InsufficientRecordsError,
     IrrationalityViolationError,
@@ -528,6 +535,44 @@ class TestExclusivity:
         assert {n for _pos, n in rep.matched} == {1, 2}
         assert rep.products == ()
         assert rep.band is None
+
+
+class TestInstanceRecords:
+    def test_a_line_instance_scans_its_line(self, finite_params):
+        spec = EnumSpec(n=3, e=1, height_squared_max=10**6, strategy=EXACT_LINES)
+        target = est.line_target_for_instance(finite_params, height_squared_max=10**6)
+        assert est.instance_records(finite_params, spec) == est.scan_records(target, spec)
+
+    def test_a_line_instance_refuses_a_precision_context(self, finite_params):
+        spec = EnumSpec(n=2, e=1, height_squared_max=100, strategy=EXACT_LINES)
+        with pytest.raises(ParameterError, match="no precision"):
+            est.instance_records(finite_params, spec, ctx=PrecisionContext(bits=64))
+
+    @pytest.mark.parametrize("ell, n, e", [(1, 2, 2), (2, 4, 1), (2, 5, 2), (2, 3, 2)])
+    def test_the_window_must_fit_the_instance(self, ell, n, e):
+        params = con.ConstructionParams.create(ell, Fraction(3), seed=0)
+        spec = EnumSpec(n, e, 5, exact_strategy(n, e))
+        with pytest.raises(ParameterError, match="the window must hold"):
+            est.instance_records(params, spec)
+
+    @pytest.mark.parametrize("depth", [None, 4])
+    def test_plane_records_are_widened_by_the_truncation_slack(self, depth):
+        params = con.ConstructionParams.create(2, Fraction(3), seed=1)
+        spec = EnumSpec(4, 2, 14, EXACT_PLUECKER)
+        gens = con.build_generators(
+            params, est.series_depth(params, 14, 1) if depth is None else depth
+        )
+        truncated = est.scan_records(gens.real_basis(), spec, j_index=1)
+        records = est.instance_records(params, spec, j_index=1, depth=depth)
+        assert records == est.widen_records(truncated, est._float_up(gens.angle_slack))
+        assert all(r.psi_lo < t.psi_lo and r.psi_hi > t.psi_hi
+                   for r, t in zip(records, truncated))
+
+    def test_exclusivity_reads_instance_records_at_depth_nmax_plus_2(self):
+        params = con.ConstructionParams.create(2, Fraction(5, 2), seed=0)
+        spec = EnumSpec(4, 2, 8, EXACT_PLUECKER)
+        report = est.exclusivity_check(params, 2, spec)
+        assert list(report.records) == est.instance_records(params, spec, depth=4)
 
 
 class TestIrrationality:

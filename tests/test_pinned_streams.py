@@ -24,7 +24,7 @@ import pytest
 from subdioph import construction as con
 from subdioph import estimation as est
 from subdioph.cli import run_command
-from subdioph.enumeration import EXACT_LINES, EXACT_PLUECKER, EnumSpec
+from subdioph.enumeration import EXACT_LINES, EXACT_PLUECKER, EnumSpec, exact_strategy
 
 DATA = Path(__file__).parent / "data"
 DIGESTS = DATA / "cli_stream_digests.json"
@@ -143,6 +143,32 @@ def test_cli_case_list_matches(digests):
 @pytest.mark.parametrize("name", list(PINNED_DIGESTS))
 def test_cli_stream_byte_identical(digests, name):
     assert digests[name] == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", [name for name in CLI_CASES if name.startswith("records-l2")])
+def test_instance_rows_hold_for_the_true_target(name):
+    """An ell >= 2 instance row is the scan of the truncated generators
+    widened by their angle_slack: each end lies at least one ulp outside
+    the truncated target's bracket."""
+    argv = CLI_CASES[name]
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    ell, hmax = int(flags["--ell"]), int(flags["--hmax-squared"])
+    infinite = con.is_infinite_beta(flags["--beta"])
+    params = con.ConstructionParams.create(
+        ell, None if infinite else Fraction(flags["--beta"]), seed=int(flags.get("--seed", 0)),
+        variant=con.INFINITE if infinite else con.FINITE,
+    )
+    gens = con.build_generators(params, est.series_depth(params, hmax, 1))
+    spec = EnumSpec(params.n, ell, hmax, exact_strategy(params.n, ell))
+    truncated = est.scan_records(gens.real_basis(), spec, j_index=int(flags.get("--j", ell)))
+    widened = est.widen_records(truncated, est._float_up(gens.angle_slack))
+    rows = [json.loads(line) for line in cli_stream(argv)[1].splitlines()]
+    assert rows and len(rows) == len(truncated)
+    assert [(row["psiLo"], row["psiHi"]) for row in rows] == [
+        (rec.psi_lo, rec.psi_hi) for rec in widened
+    ]
+    assert all(row["psiLo"] < rec.psi_lo and row["psiHi"] > rec.psi_hi
+               for row, rec in zip(rows, truncated))
 
 
 def test_scan_case_list_matches(rows):
