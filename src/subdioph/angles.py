@@ -68,6 +68,16 @@ def _check_bits(bits: int) -> None:
         raise ShapeError("need at least 64 bits")
 
 
+def _float_down(x) -> float:
+    """x as a double one step below round-to-nearest, floored at 0; with
+    _float_up, the outward rounding of a bracket."""
+    return max(0.0, math.nextafter(float(x), 0.0))
+
+
+def _float_up(x) -> float:
+    return math.nextafter(float(x), math.inf)
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
     """Working-precision policy for angle computations.

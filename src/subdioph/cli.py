@@ -31,6 +31,8 @@ from .angles import (
     RealBasis,
     angles_adaptive,
     principal_angles,
+    _float_down,
+    _float_up,
 )
 from .enumeration import STRATEGIES, EnumSpec, enumerate_labels, exact_strategy
 from .errors import (
@@ -288,8 +290,8 @@ def _cmd_angles(args):
             {
                 "jIndex": j + 1,
                 "sin": float(profile.psi[j]),
-                "sinLo": est._float_down(profile.lo[j]),
-                "sinHi": est._float_up(profile.hi[j]),
+                "sinLo": _float_down(profile.lo[j]),
+                "sinHi": _float_up(profile.hi[j]),
                 "resolved": bool(profile.resolved[j]),
                 "bitsUsed": profile.bits_used,
             }

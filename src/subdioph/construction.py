@@ -26,7 +26,7 @@ from typing import Iterator, Mapping, Sequence
 from mpmath import mp
 
 from . import exact
-from .angles import PrecisionContext, RealBasis, angles_adaptive
+from .angles import PrecisionContext, RealBasis, angles_adaptive, _float_down, _float_up
 from .errors import CertificationFailure, ParameterError
 from .reports import exact_str, sci_str
 
@@ -674,7 +674,6 @@ def _require(ok: bool, check: str, n_index: int, detail: str = "") -> None:
 def certify_instance(
     params: ConstructionParams,
     nmax: int,
-    stream=None,
     depth: int | None = None,
     ctx: PrecisionContext | None = None,
 ) -> InstanceCertification:
@@ -691,11 +690,10 @@ def certify_instance(
     depth = depth if depth is not None else nmax + 2
     if depth < nmax + 2:
         raise ParameterError("truncation depth must be at least nmax + 2")
-    stream = stream if stream is not None else stream_for(params)
     ell = params.ell
     theta = params.theta
 
-    generators = build_generators(params, depth, stream=stream)
+    generators = build_generators(params, depth)
     gram_limit_squared = generators.gram_squared()
     target = generators.real_basis()
     slack = generators.angle_slack
@@ -712,7 +710,7 @@ def certify_instance(
     bits_used = 0
 
     for n_index in range(1, nmax + 1):
-        convergent = build_convergent(params, n_index, stream=stream)
+        convergent = build_convergent(params, n_index)
         m_n = convergent.exponent
         h_sq = convergent.height_squared
 
@@ -816,9 +814,8 @@ def certify_instance(
                 height_squared=h_sq,
                 ratio_squared=ratio_squared,
                 ratio_deviation=deviation,
-                # round the bracket outward so the floats stay conservative
-                psi_lo=max(0.0, math.nextafter(float(psi_lo), 0.0)),
-                psi_hi=math.nextafter(float(psi_hi), math.inf),
+                psi_lo=_float_down(psi_lo),
+                psi_hi=_float_up(psi_hi),
                 upper_normalized=upper_normalized,
                 lower_normalized=lower_normalized,
                 local_exponent=local_exponent,

@@ -71,6 +71,8 @@ from .angles import (
     angles_adaptive,
     exact_relative_bits,
     sine_from_squared,
+    _float_down,
+    _float_up,
 )
 from .construction import (
     INFINITE,
@@ -186,21 +188,14 @@ def series_depth(params: ConstructionParams, height_squared_max: int, start: int
 
 
 def line_target_for_instance(
-    params: ConstructionParams,
-    height_squared_max: int | None = None,
-    depth: int | None = None,
+    params: ConstructionParams, height_squared_max: int
 ) -> RationalLineTarget:
-    """Truncated-series line target for a one-dimensional instance.
-
-    When depth is omitted it is chosen so that the slope bracket, widened
-    across the whole scan range, stays far below the bracket allowance.
-    """
+    """Truncated-series line target of a one-dimensional instance for scans
+    up to squared height H^2: truncated at series_depth, its slope bracket,
+    widened across the whole scan range, stays far below the allowance."""
     if params.ell != 1:
         raise ParameterError("series instances define a line target only when ell = 1")
-    if depth is None:
-        if height_squared_max is None:
-            raise ParameterError("need either a depth or a height bound")
-        depth = series_depth(params, height_squared_max, series_start(params))
+    depth = series_depth(params, height_squared_max, series_start(params))
     trunc = xi_truncation(stream_for(params), 1, 1, depth, params)
     return RationalLineTarget(value=trunc.value, tail_upper=trunc.tail_upper)
 
@@ -267,14 +262,6 @@ def _sqrt_interval(lo: Fraction, hi: Fraction) -> tuple[float, float]:
         root = math.sqrt(max(0.0, math.nextafter(f, toward)))
         ends.append(max(0.0, math.nextafter(math.ldexp(root, -k), toward)))
     return tuple(ends)
-
-
-def _float_down(x) -> float:
-    return max(0.0, math.nextafter(float(x), 0.0))
-
-
-def _float_up(x) -> float:
-    return math.nextafter(float(x), math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -862,16 +849,15 @@ def instance_records(
     spec: EnumSpec,
     j_index: int | None = None,
     ctx: PrecisionContext | None = None,
-    depth: int | None = None,
 ) -> list[ApproximationRecord]:
     """Certified records of an instance over a window of ell-spaces, in
     R^(2 ell) when ell >= 2; j_index defaults to ell.
 
-    At ell = 1 the line engine scans the instance's line, whose slope
-    bracket holds the truncation tail; it reads no depth and refuses a ctx.
-    Otherwise the generators truncated at depth (default
-    series_depth(params, H^2, 1)) are scanned with ctx, and each bracket is
-    widened by their angle_slack: the records hold for the true target.
+    At ell = 1 the line engine scans line_target_for_instance, whose slope
+    bracket holds the truncation tail; it refuses a ctx.  Otherwise the
+    generators truncated at series_depth(params, H^2, 1) are scanned with
+    ctx, and each bracket is widened by their angle_slack: the records hold
+    for the true target.  series_depth is the only truncation rule.
     """
     ell, hmax = params.ell, spec.height_squared_max
     if spec.e != ell or (ell > 1 and spec.n != params.n):
@@ -882,8 +868,7 @@ def instance_records(
             raise ParameterError("an exact ell = 1 line scan takes no precision context")
         return scan_records(line_target_for_instance(params, hmax), spec, j_index)
     # the generators get depth at least 1, even where the series starts at 0
-    depth = series_depth(params, hmax, 1) if depth is None else depth
-    gens = build_generators(params, depth)
+    gens = build_generators(params, series_depth(params, hmax, 1))
     records = scan_records(gens.real_basis(), spec, j_index, ctx)
     return widen_records(records, _float_up(gens.angle_slack))
 
@@ -964,14 +949,11 @@ def estimate_exponent(
     )
 
 
-def records_from_certification(
-    cert: InstanceCertification, stream=None
-) -> list[ApproximationRecord]:
+def records_from_certification(cert: InstanceCertification) -> list[ApproximationRecord]:
     """Convert certified convergents into construction-sourced records."""
-    stream = stream if stream is not None else stream_for(cert.params)
     records = []
     for rec in cert.records:
-        conv = build_convergent(cert.params, rec.n_index, stream)
+        conv = build_convergent(cert.params, rec.n_index)
         records.append(
             ApproximationRecord(
                 subspace=conv.subspace,
@@ -988,28 +970,27 @@ def records_from_certification(
 # ---------------------------------------------------------------------------
 # exclusivity of construction convergents among records
 
+# burn-in: the first index whose height ratio is this close to its limit
+_DEVIATION_TOL = 0.1
+
 
 def height_ratio_deviations(
-    params: ConstructionParams,
-    nmax: int,
-    stream=None,
-    depth: int | None = None,
+    params: ConstructionParams, nmax: int
 ) -> tuple[tuple[ConvergentMatrix, mp.mpf], ...]:
     """Per-index deviation of H(B_N) / theta^(l m_N) from its limit value.
 
     The limit is the square root of the exact squared l-volume of the
-    depth-truncated generators.  Each deviation is certify_instance's
-    ratio_deviation: formed from the exact squared ratio, so it keeps full
-    relative accuracy however close the ratio is to its limit, and returned
-    as that mpf, which does not underflow where a double would.
+    generators truncated at depth nmax + 2, as in certify_instance.  Each
+    deviation is certify_instance's ratio_deviation: formed from the exact
+    squared ratio, so it keeps full relative accuracy however close the
+    ratio is to its limit, and returned as that mpf, which does not
+    underflow where a double would.
     """
-    stream = stream if stream is not None else stream_for(params)
-    depth = depth if depth is not None else nmax + 2
-    limit2 = build_generators(params, depth, stream).gram_squared()
+    limit2 = build_generators(params, nmax + 2).gram_squared()
     out = []
     with mp.workprec(SUMMARY_BITS):
         for n_index in range(1, nmax + 1):
-            conv = build_convergent(params, n_index, stream)
+            conv = build_convergent(params, n_index)
             ratio2 = Fraction(conv.height_squared, params.theta ** (2 * params.ell * conv.exponent))
             out.append((conv, _ratio_deviation(ratio2, limit2)))
     return tuple(out)
@@ -1019,13 +1000,14 @@ def height_ratio_deviations(
 class ExclusivityReport:
     """Outcome of matching scan records against construction convergents.
 
-    Burn-in is the first index whose height ratio sits within the stated
-    tolerance of its limit; only records at or beyond that height are judged.
-    A record is an interloper when it is not a convergent yet its quality
-    product psi_hi * H^(alpha/l) stays within the band spanned by the
-    convergents' own products (factor 10 by default).  For the infinite
-    variant the judgment is positional: within a +-25% height window around
-    each in-range convergent, the best record must be that convergent.
+    records are instance_records over the window.  Burn-in is the first
+    index whose height ratio sits within _DEVIATION_TOL of its limit; only
+    records at or beyond that height are judged.  A record is an interloper
+    when it is not a convergent yet its quality product psi_hi * H^(alpha/l)
+    stays within the band spanned by the convergents' own products (factor
+    10 by default).  For the infinite variant the judgment is positional:
+    within a +-25% height window around each convergent inside the window,
+    the best record must be that convergent.
     """
 
     params: ConstructionParams
@@ -1063,13 +1045,12 @@ def exclusivity_check(
     ctx: PrecisionContext | None = None,
     zone: int | None = None,
     band_factor: float = 10.0,
-    deviation_tol: float = 0.1,
 ) -> ExclusivityReport:
     """Check that beyond burn-in only convergents set competitive records.
 
-    The records are instance_records at depth nmax + 2, so at ell >= 2 they
-    are widened by the truncation slack.  zone is ignored, removed once the
-    benchmark stops passing it (ROADMAP item 8).
+    The records are instance_records(params, spec, ctx=ctx), those the
+    `records` verb prints.  zone is ignored, removed once the benchmark
+    stops passing it (ROADMAP item 8).
     """
     if nmax < 1:
         raise ParameterError("need at least one convergent index")
@@ -1077,10 +1058,10 @@ def exclusivity_check(
         raise ParameterError(
             "enumeration shape must match the instance: (n, e) = (2l, l)"
         )
-    records = instance_records(params, spec, ctx=ctx, depth=nmax + 2)
+    records = instance_records(params, spec, ctx=ctx)
     devs = height_ratio_deviations(params, nmax)
     burn_in_index = next(
-        (n_index for n_index, (_conv, dev) in enumerate(devs, start=1) if dev <= deviation_tol),
+        (n_index for n_index, (_conv, dev) in enumerate(devs, start=1) if dev <= _DEVIATION_TOL),
         None,
     )
     burn_in_h2 = None if burn_in_index is None else devs[burn_in_index - 1][0].height_squared

@@ -11,6 +11,7 @@ from mpmath import mp
 
 from subdioph import construction as con
 from subdioph.angles import (
+    HARD_BIT_CAP,
     AngleProfile,
     PrecisionContext,
     RealBasis,
@@ -283,6 +284,33 @@ def test_precision_cap_raises():
     ctx = PrecisionContext(bits=64, max_bits=100)
     with pytest.raises(PrecisionExhaustedError):
         angles_adaptive(exact_basis((1, 0)), exact_basis((1, 1)), ctx)
+
+
+def truncated_line(bits):
+    """The line (1, 1 + 2^-(bits/8)): an entry off by 2^-(bits/8) at each
+    precision, as a series truncated by the working precision would be."""
+    return [[mp.mpf(1)], [1 + mp.mpf(2) ** -(bits // 8)]]
+
+
+def test_a_series_truncated_by_precision_takes_two_doublings():
+    """At 256 bits the sine is off by about 2^-32, far above the default
+    target 2^-48: 256 and 512 bits disagree, 512 and 1024 agree."""
+    b = RealBasis.from_evaluator(2, 1, truncated_line, source="series")
+    ctx = PrecisionContext()
+    p = angles_adaptive(exact_basis((1, 0)), b, ctx)
+    assert p.bits_used >= 4 * ctx.bits
+    with mp.workprec(p.bits_used):
+        assert p.lo[0] <= mp.sqrt(2) / 2 <= p.hi[0]
+    with pytest.raises(PrecisionExhaustedError, match="cap 512"):
+        angles_adaptive(exact_basis((1, 0)), b, PrecisionContext(max_bits=2 * ctx.bits))
+
+
+@pytest.mark.parametrize(
+    "raw, cap", [("4096", 4096), ("10", 64), ("junk", HARD_BIT_CAP)], ids=["set", "floor", "junk"]
+)
+def test_the_bit_cap_reads_subdioph_max_bits(monkeypatch, raw, cap):
+    monkeypatch.setenv("SUBDIOPH_MAX_BITS", raw)
+    assert PrecisionContext().max_bits == cap
 
 
 def test_widened_profile():

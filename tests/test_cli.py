@@ -13,6 +13,9 @@ import pytest
 
 from subdioph import cli
 from subdioph import construction as con
+from subdioph import estimation as est
+from subdioph import exact
+from subdioph import morphisms as mor
 from subdioph import reports
 from subdioph.cli import run_command
 from subdioph.errors import ParameterError, SerializationError
@@ -434,6 +437,36 @@ class TestScanCommands:
         assert set(payload) == {"muIntrinsic", "muAmbient", "delta", "recordPairs"}
         assert payload["delta"] == 0.0
         assert payload["recordPairs"]
+
+    @pytest.mark.parametrize(
+        "beta, n", [("3", 3), ("inf", 3), ("3", 2)], ids=["beta-3", "beta-inf", "n-2"]
+    )
+    def test_harness_on_an_instance(self, beta, n):
+        """An ell = 1 instance's line target, placed in R^n by the
+        coordinate plane of the first two axes and its projection."""
+        x = 100000
+        argv = ["harness", "--ell", "1", "--beta", beta, "--hmax-squared", str(x), "--no-header"]
+        code, out, err = run(argv + (["--n", "2"] if n == 2 else []))
+        assert code == 0, err
+        params = con.params_from_descriptor({"ell": 1, "beta": beta})
+        plane = mor.coordinate_embedding(2, n).matrix
+        report = mor.embedding_harness(
+            est.line_target_for_instance(params, height_squared_max=x),
+            exact.RationalSubspace.from_basis(plane),
+            mor.RationalMap.from_rows(exact.transpose(plane)), x,
+        )
+        row = json.loads(out)
+        assert row == json.loads(json.dumps(report.as_dict()))
+        if beta == "3":
+            assert row["muIntrinsic"] == 2.7594624726622823
+            assert len(row["recordPairs"]) == 10
+
+    def test_harness_refuses_a_plane_instance(self):
+        code, out, err = run(
+            ["harness", "--ell", "2", "--beta", "3", "--hmax-squared", "100", "--no-header"]
+        )
+        assert code == 2 and out == ""
+        assert "only when ell = 1" in err
 
 
 class TestVerifyCommand:

@@ -1,5 +1,6 @@
 """Tests for record scans, exponent estimation, and exclusivity reports."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -111,7 +112,7 @@ class TestTargets:
         p2 = con.ConstructionParams.create(ell=2, beta=Fraction(5, 2), seed=0)
         with pytest.raises(ParameterError):
             est.line_target_for_instance(p2, height_squared_max=100)
-        with pytest.raises(ParameterError):
+        with pytest.raises(TypeError):
             est.line_target_for_instance(
                 con.ConstructionParams.create(ell=1, beta=Fraction(3), seed=0)
             )
@@ -434,6 +435,16 @@ class TestCertificationRecords:
         e = est.estimate_exponent(records)
         assert 2.5 < e.mu_hat < 3.2
 
+    @pytest.mark.parametrize(
+        "ell, beta", [(1, Fraction(3)), (2, Fraction(5, 2))], ids=["l1-b3", "l2-b5_2"]
+    )
+    def test_subspaces_are_the_certified_convergents(self, ell, beta):
+        params = con.ConstructionParams.create(ell, beta, seed=0)
+        records = est.records_from_certification(con.certify_instance(params, 2))
+        assert [r.subspace for r in records] == [
+            con.build_convergent(params, n_index).subspace for n_index in (1, 2)
+        ]
+
 
 class TestDeviations:
     def test_finite_deviations_shrink(self, finite_params):
@@ -536,6 +547,37 @@ class TestExclusivity:
         assert rep.products == ()
         assert rep.band is None
 
+    def test_infinite_convergent_above_the_window_is_not_judged(self):
+        """N = 3 lies above H^2 <= 13000: the report still carries its
+        deviation, and only N = 1 and N = 2 are judged."""
+        ipar = con.ConstructionParams.create(
+            ell=1, beta=None, seed=0, variant=con.INFINITE
+        )
+        spec = EnumSpec(n=2, e=1, height_squared_max=13000, strategy=EXACT_LINES)
+        rep = est.exclusivity_check(ipar, nmax=3, spec=spec)
+        assert rep.as_dict()["matched"] == [[3, 1], [10, 2]]
+        assert rep.as_dict()["deviations"] == ["1.140879e-02", "6.134254e-14", "3.365073e-123"]
+        assert rep.ok and not rep.interlopers
+
+    # sha256 of json.dumps(report.as_dict()) for nmax 3 at H^2 <= 14; the
+    # same bytes as scanning the generators truncated at depth nmax + 2
+    PLANE_REPORT_SHA256 = {
+        ("5/2", 0): "ace2529f3584fe61a60b6b3631ff12c13fb469849398096d9f7a8f483faa50c0",
+        ("5/2", 1): "ac2d926c1b8f7c6f52adb3cb85c7f44a371644cc8fee3a598e43adcc572bc347",
+        ("3", 0): "c6ddccbc4cec0ea1964b39288e31030bbfd0a9bdb00f7eff643ab61758497e52",
+        ("3", 1): "62d34ad5dbf358f7edded53943603308d5d833bd8c1e2240a31e3a39b282133f",
+    }
+
+    @pytest.mark.parametrize(
+        "beta, seed", sorted(PLANE_REPORT_SHA256),
+        ids=lambda v: v.replace("/", "_") if isinstance(v, str) else f"seed{v}",
+    )
+    def test_plane_reports_keep_their_bytes(self, beta, seed):
+        params = con.ConstructionParams.create(2, Fraction(beta), seed=seed)
+        rep = est.exclusivity_check(params, 3, EnumSpec(4, 2, 14, EXACT_PLUECKER))
+        digest = hashlib.sha256(json.dumps(rep.as_dict()).encode()).hexdigest()
+        assert digest == self.PLANE_REPORT_SHA256[beta, seed]
+
 
 class TestInstanceRecords:
     def test_a_line_instance_scans_its_line(self, finite_params):
@@ -555,24 +597,21 @@ class TestInstanceRecords:
         with pytest.raises(ParameterError, match="the window must hold"):
             est.instance_records(params, spec)
 
-    @pytest.mark.parametrize("depth", [None, 4])
-    def test_plane_records_are_widened_by_the_truncation_slack(self, depth):
+    def test_plane_records_are_widened_by_the_truncation_slack(self):
         params = con.ConstructionParams.create(2, Fraction(3), seed=1)
         spec = EnumSpec(4, 2, 14, EXACT_PLUECKER)
-        gens = con.build_generators(
-            params, est.series_depth(params, 14, 1) if depth is None else depth
-        )
+        gens = con.build_generators(params, est.series_depth(params, 14, 1))
         truncated = est.scan_records(gens.real_basis(), spec, j_index=1)
-        records = est.instance_records(params, spec, j_index=1, depth=depth)
+        records = est.instance_records(params, spec, j_index=1)
         assert records == est.widen_records(truncated, est._float_up(gens.angle_slack))
         assert all(r.psi_lo < t.psi_lo and r.psi_hi > t.psi_hi
                    for r, t in zip(records, truncated))
 
-    def test_exclusivity_reads_instance_records_at_depth_nmax_plus_2(self):
+    def test_exclusivity_reads_instance_records_at_the_default_depth(self):
         params = con.ConstructionParams.create(2, Fraction(5, 2), seed=0)
         spec = EnumSpec(4, 2, 8, EXACT_PLUECKER)
         report = est.exclusivity_check(params, 2, spec)
-        assert list(report.records) == est.instance_records(params, spec, depth=4)
+        assert list(report.records) == est.instance_records(params, spec)
 
 
 class TestIrrationality:
