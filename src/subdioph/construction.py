@@ -403,17 +403,45 @@ class TruncatedXi:
     tail_upper: Fraction
 
 
+def _scaled_sum(
+    stream, params: ConstructionParams, i: int, j: int, top: int, exps: Sequence[int]
+) -> tuple[int, int]:
+    """theta^m_top times the series at entry (i, j) summed up to index top,
+    the integer sum of digit * theta^(m_top - m_k), and the digit at top."""
+    total = 0
+    for k in range(series_start(params), top + 1):
+        digit = _read_digit(stream, params, i, j, k)
+        total += digit * params.theta ** (exps[top] - exps[k])
+    return total, digit
+
+
+def _scaled_block(
+    stream, params: ConstructionParams, top: int
+) -> tuple[int, exact.Matrix, exact.Matrix]:
+    """(m_top, full, digits): full is theta^m_top times the identity over
+    the _scaled_sum of every entry, and digits holds the digits at top."""
+    exps = term_exponents(params, top)
+    ell = params.ell
+    sums = [
+        [_scaled_sum(stream, params, i, j, top, exps) for j in range(1, ell + 1)]
+        for i in range(1, ell + 1)
+    ]
+    scale = params.theta ** exps[top]
+    rows = [[scale if c == i else 0 for c in range(ell)] for i in range(ell)]
+    rows += [[f for f, _ in row] for row in sums]
+    return exps[top], exact.as_matrix(rows), exact.as_matrix([[d for _, d in row] for row in sums])
+
+
 def xi_truncation(
     stream, i: int, j: int, depth: int, params: ConstructionParams
 ) -> TruncatedXi:
-    """Exact truncation of the series at entry (i, j) up to index depth."""
+    """Exact truncation of the series at entry (i, j) up to index depth:
+    the integer _scaled_sum over theta^m_depth, one Fraction per entry."""
     if depth < series_start(params):
         raise ParameterError("truncation depth precedes the first series term")
     exps = term_exponents(params, depth)
-    value = Fraction(0)
-    for k in range(series_start(params), depth + 1):
-        digit = _read_digit(stream, params, i, j, k)
-        value += Fraction(digit, params.theta ** exps[k])
+    scaled, _ = _scaled_sum(stream, params, i, j, depth, exps)
+    value = Fraction(scaled, params.theta ** exps[depth])
     return TruncatedXi(
         i=i, j=j, depth=depth, value=value, tail_upper=tail_bound(params, depth)
     )
@@ -428,11 +456,15 @@ class TruncatedGenerators:
     """Rational stand-in for the target span, with a proximity budget.
 
     matrix is the 2l x l block matrix (identity over truncated series
-    entries).  angle_slack bounds the largest proximity sine between this
-    span and the true target: the entrywise truncation error is below
-    tail_upper, so the matrix difference has Frobenius norm at most
-    ell * tail_upper, while both matrices have smallest singular value at
-    least 1 thanks to the identity block; the quotient bounds every sine.
+    entries).  Its entries share the denominator theta^m_depth, so
+    integer_matrix, denominator times matrix, is build_convergent's full
+    matrix at index depth; the Gram determinant and the angle engine's
+    columns are taken from it in integers.  angle_slack bounds the largest
+    proximity sine between this span and the true target: the entrywise
+    truncation error is below tail_upper, so the matrix difference has
+    Frobenius norm at most ell * tail_upper, while both matrices have
+    smallest singular value at least 1 thanks to the identity block; the
+    quotient bounds every sine.
     """
 
     params: ConstructionParams
@@ -440,13 +472,26 @@ class TruncatedGenerators:
     matrix: exact.Matrix
     truncations: tuple[TruncatedXi, ...]
     angle_slack: Fraction
+    integer_matrix: exact.Matrix
+    denominator: int
 
     def real_basis(self) -> RealBasis:
-        return RealBasis.from_exact(self.matrix)
+        """The generators for the angle engine.  The theta^m I block proves
+        the columns independent, so no rank check; each integer column over
+        its content is the Fraction column cleared of denominators."""
+        basis = RealBasis._of_exact(self.matrix, self.params.n, self.params.ell)
+        columns = []
+        for col in zip(*self.integer_matrix):
+            g = math.gcd(*col)
+            columns.append(tuple(x // g for x in col))
+        basis._integer_columns = tuple(columns)
+        return basis
 
     def gram_squared(self) -> Fraction:
-        """Exact squared l-volume of the generator columns."""
-        return Fraction(exact.generalized_determinant_squared(self.matrix))
+        """Exact squared l-volume of the generator columns: the integer
+        det(M^t M) of integer_matrix over denominator^(2 l)."""
+        gram = exact.generalized_determinant_squared(self.integer_matrix)
+        return Fraction(gram, self.denominator ** (2 * self.params.ell))
 
     def entry(self, i: int, j: int) -> TruncatedXi:
         """Truncation of the series at 1-based entry (i, j)."""
@@ -456,23 +501,30 @@ class TruncatedGenerators:
 def build_generators(
     params: ConstructionParams, depth: int, stream=None
 ) -> TruncatedGenerators:
-    """Build the 2l x l generator matrix from depth-truncated series."""
+    """Build the 2l x l generator matrix from depth-truncated series, once
+    as integers, with one Fraction per truncated entry."""
+    if depth < series_start(params):
+        raise ParameterError("truncation depth precedes the first series term")
     stream = stream if stream is not None else stream_for(params)
     ell = params.ell
+    _, full, _ = _scaled_block(stream, params, depth)
+    denominator = full[0][0]
+    tail = tail_bound(params, depth)
     truncs = tuple(
-        xi_truncation(stream, i, j, depth, params)
-        for i in range(1, ell + 1)
-        for j in range(1, ell + 1)
+        TruncatedXi(i=i, j=j, depth=depth, value=Fraction(f, denominator), tail_upper=tail)
+        for i, row in enumerate(full[ell:], 1)
+        for j, f in enumerate(row, 1)
     )
-    rows: list[list[exact.Scalar]] = []
-    for i in range(ell):
-        rows.append([1 if c == i else 0 for c in range(ell)])
-    for i in range(1, ell + 1):
-        rows.append([truncs[(i - 1) * ell + (j - 1)].value for j in range(1, ell + 1)])
-    matrix = exact.as_matrix(rows)
-    slack = ell * tail_bound(params, depth)
+    rows = [[1 if c == i else 0 for c in range(ell)] for i in range(ell)]
+    rows += [[t.value for t in truncs[i * ell:(i + 1) * ell]] for i in range(ell)]
     return TruncatedGenerators(
-        params=params, depth=depth, matrix=matrix, truncations=truncs, angle_slack=slack
+        params=params,
+        depth=depth,
+        matrix=exact.as_matrix(rows),
+        truncations=truncs,
+        angle_slack=ell * tail,
+        integer_matrix=full,
+        denominator=denominator,
     )
 
 
@@ -508,42 +560,19 @@ def build_convergent(
             f"convergent index must be at least {start} for this variant"
         )
     stream = stream if stream is not None else stream_for(params)
-    ell = params.ell
-    exps = term_exponents(params, n_index)
-    m_n = exps[n_index]
-    f_rows = []
-    digit_rows = []
-    for i in range(1, ell + 1):
-        f_row = []
-        digit_row = []
-        for j in range(1, ell + 1):
-            total = 0
-            last = None
-            for k in range(start, n_index + 1):
-                digit = _read_digit(stream, params, i, j, k)
-                total += digit * params.theta ** (m_n - exps[k])
-                last = digit
-            f_row.append(total)
-            digit_row.append(last)
-        f_rows.append(f_row)
-        digit_rows.append(digit_row)
-    rows: list[list[int]] = []
-    for i in range(ell):
-        rows.append([params.theta**m_n if c == i else 0 for c in range(ell)])
-    rows.extend(f_rows)
-    full = exact.as_matrix(rows)
+    m_n, full, digits = _scaled_block(stream, params, n_index)
     # one set of minors proves primitivity and gives the label
     minors = exact.raw_minors(full)
     if math.gcd(*minors) != 1:
         raise CertificationFailure("primitive-basis", n_index)
-    subspace = exact.RationalSubspace(exact.label_from_minors(2 * ell, ell, minors), full)
+    subspace = exact.RationalSubspace(exact.label_from_minors(params.n, params.ell, minors), full)
     return ConvergentMatrix(
         n_index=n_index,
         exponent=m_n,
-        f_matrix=exact.as_matrix(f_rows),
+        f_matrix=full[params.ell:],
         full=full,
         subspace=subspace,
-        digit_matrix=exact.as_matrix(digit_rows),
+        digit_matrix=digits,
     )
 
 
@@ -684,6 +713,10 @@ def certify_instance(
     sines are certified as intervals by adaptive-precision evaluation
     against a depth-truncation of the target, widened by the truncation
     slack.  Raises CertificationFailure naming the first violated check.
+
+    Convergent 1, with its primitive-basis check, is built before the
+    generators: the first failure is the same, but a non-primitive instance
+    stops before any work at the truncation depth.
     """
     if nmax < 1:
         raise ParameterError("nmax must be at least 1")
@@ -693,6 +726,7 @@ def certify_instance(
     ell = params.ell
     theta = params.theta
 
+    first = build_convergent(params, 1)
     generators = build_generators(params, depth)
     gram_limit_squared = generators.gram_squared()
     target = generators.real_basis()
@@ -710,21 +744,22 @@ def certify_instance(
     bits_used = 0
 
     for n_index in range(1, nmax + 1):
-        convergent = build_convergent(params, n_index)
+        convergent = first if n_index == 1 else build_convergent(params, n_index)
         m_n = convergent.exponent
         h_sq = convergent.height_squared
 
         # exact: the deep truncation sits strictly between this convergent's
-        # partial sums and those sums plus the tail bound at index N
+        # partial sums and those sums plus the tail bound at index N; over
+        # the generators' denominator the gap is deep - f * theta^(m_depth - m_N)
         tail_n = tail_bound(params, n_index)
-        tail_ok = True
-        for i in range(1, ell + 1):
-            for j in range(1, ell + 1):
-                deep = generators.entry(i, j).value
-                partial = Fraction(convergent.f_matrix[i - 1][j - 1], theta**m_n)
-                gap = deep - partial
-                if not (0 < gap < tail_n):
-                    tail_ok = False
+        lift = generators.denominator // theta**m_n
+        gap_cap = tail_n.numerator * generators.denominator
+        gaps = [
+            deep - f * lift
+            for deep_row, f_row in zip(generators.integer_matrix[ell:], convergent.f_matrix)
+            for deep, f in zip(deep_row, f_row)
+        ]
+        tail_ok = all(0 < gap and gap * tail_n.denominator < gap_cap for gap in gaps)
         _require(tail_ok, "truncation-tail", n_index)
 
         # exact: entry bound on the scaled partial sums

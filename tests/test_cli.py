@@ -276,6 +276,16 @@ class TestConstructCommand:
         assert code == 0
         assert out == (DATA / pinned).read_text(encoding="utf-8")
 
+    def test_certify_fails_on_a_non_primitive_first_convergent(self):
+        code, out, _ = run(["construct", "--ell", "2", "--beta", "inf", "--seed", "1",
+                            "--nmax", "2", "--certify", "--no-header"])
+        assert code == 1
+        assert out == (
+            '{"type":"failure","error":"CertificationFailure",'
+            '"detail":"check \'primitive-basis\' failed at N=1",'
+            '"check":"primitive-basis","n_index":1}\n'
+        )
+
     def test_heights_beyond_the_int_str_digit_limit(self):
         code, out, err = run(
             ["construct", "--ell", "2", "--beta", "5/2", "--nmax", "4", "--no-header"]

@@ -311,6 +311,42 @@ def test_generators_gram_limit():
     assert gen.gram_squared() == 1 + xi * xi
 
 
+ORACLE_BETAS = {1: 3, 2: Fraction(5, 2), 3: Fraction(9, 4)}
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("variant", [FINITE, INFINITE])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_integer_generators_match_the_fraction_path(ell, variant, seed):
+    """The generators built as integers over theta^m_depth give what the
+    entrywise Fraction path gives: Gram determinant, cleared columns,
+    truncated entries, and build_convergent's matrix at index depth."""
+    beta = ORACLE_BETAS[ell] if variant == FINITE else None
+    params = ConstructionParams.create(ell, beta, seed=seed, variant=variant)
+    stream = stream_for(params)
+    start = construction.series_start(params)
+    for depth in range(start, (3 if ell == 3 else 4) + 1):
+        gen = build_generators(params, depth)
+        assert gen.gram_squared() == Fraction(exact.generalized_determinant_squared(gen.matrix))
+        cleared = tuple(exact.clear_denominators(col) for col in zip(*gen.matrix))
+        assert gen.real_basis().integer_columns() == cleared
+        exps = term_exponents(params, depth)
+        for i in range(1, ell + 1):
+            for j in range(1, ell + 1):
+                expected = sum(
+                    Fraction(stream.digit(i, j, k), params.theta ** exps[k])
+                    for k in range(start, depth + 1)
+                )
+                assert xi_truncation(stream, i, j, depth, params).value == expected
+                assert gen.entry(i, j).value == expected
+        try:
+            convergent = build_convergent(params, depth)
+        except CertificationFailure:
+            continue
+        assert gen.integer_matrix == convergent.full
+        assert gen.denominator == params.theta ** convergent.exponent
+
+
 # ---------------------------------------------------------------------------
 # convergents
 
@@ -459,6 +495,33 @@ def test_certification_failure_carries_location():
     err = CertificationFailure("truncation-tail", 2, "gap too large")
     assert err.check == "truncation-tail" and err.n_index == 2
     assert "truncation-tail" in str(err) and "N=2" in str(err)
+
+
+@pytest.mark.parametrize("nmax", [1, 2])
+def test_non_primitive_first_convergent_fails_before_the_generators(monkeypatch, nmax):
+    """certify_instance fails 'primitive-basis' at N = 1 for exactly the
+    seeds whose first convergent is not primitive, and builds no
+    generators for them."""
+    built = []
+    build = construction.build_generators
+    monkeypatch.setattr(
+        construction, "build_generators", lambda *a, **kw: built.append(a) or build(*a, **kw)
+    )
+    for seed in range(64):
+        params = ConstructionParams.create(2, None, seed=seed, variant=INFINITE)
+        try:
+            build_convergent(params, 1)
+            primitive = True
+        except CertificationFailure:
+            primitive = False
+        del built[:]
+        try:
+            certify_instance(params, nmax)
+            failure = None
+        except CertificationFailure as err:
+            failure = (err.check, err.n_index)
+        assert (failure == ("primitive-basis", 1)) == (not primitive), seed
+        assert bool(built) == primitive, seed
 
 
 # ---------------------------------------------------------------------------
