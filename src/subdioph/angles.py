@@ -5,12 +5,14 @@ psi_j = sin(theta_j) of sines of their t = min(d, e) principal angles.  sin
 is the right scale for approximation questions (it is comparable to
 normalized distances).
 
-Pairs of exact bases with t <= 2 are evaluated exactly.  Float bases are
-exact too: every finite double is a dyadic rational, and from_float keeps
-that value.  The squared sines are the eigenvalues of the rational matrix
-I - G_A^-1 C G_B^-1 C^T (G the Gram matrices, C = A^T B; Bjorck & Golub
-1973), which for t <= 2 is a rational or a quadratic surd built from
-integer Gram and bordered Gram determinants.  It is computed on the sine
+An exact basis is its integer columns: each rational column cleared of
+denominators.  Float bases are exact too: every finite double is a dyadic
+rational, and from_float keeps that value.  Pairs of exact bases with
+t <= 2 are evaluated exactly.  The squared sines are the eigenvalues of
+the rational matrix I - G_A^-1 C G_B^-1 C^T (G the Gram matrices,
+C = A^T B; Bjorck & Golub 1973), which for t <= 2 is a rational or a
+quadratic surd built from the integer Gram and bordered Gram determinants
+of the columns.  It is computed on the sine
 side, never as 1 - cos^2, so tiny angles keep full relative accuracy, and
 every square root is bracketed by integer square roots: lo <= psi <= hi is
 a proof.  Every other pair (evaluator bases, or t >= 3) goes through an
@@ -32,7 +34,10 @@ resolved, however small.  On the mpmath path it happens for any value at or
 below that floor.  PrecisionContext and SUBDIOPH_MAX_BITS govern the
 working precision of the mpmath path; on the exact path they only set the
 reported bits_used (twice the starting bits, as after one doubling, and
-subject to the same cap) and the relative width of the brackets.
+subject to the same cap) and the relative width of the brackets.  A
+request above the cap raises PrecisionExhaustedError before any
+evaluation: more bits than the cap for principal_angles, and twice
+ctx.bits above it for angles_adaptive.
 """
 
 from __future__ import annotations
@@ -108,11 +113,13 @@ class PrecisionContext:
 class RealBasis:
     """A subspace handed to the angle engine, re-evaluable at any precision.
 
-    Exact rational bases re-convert losslessly when precision is raised;
-    float input is read as the dyadic rationals its entries hold, so it is
-    an exact basis tagged "float-input"; an evaluator callback covers
-    targets whose entries are only available through computation
-    (algebraic numbers, series truncations).
+    An exact basis is its integer columns: from_exact clears each rational
+    column of denominators, from_float does the same with the dyadic
+    rationals its doubles hold (tagged "float-input"), and every precision
+    reads those integers losslessly.  exact_matrix shows the columns as
+    rows.  An evaluator callback covers targets whose entries are only
+    available through computation (algebraic numbers, series truncations);
+    such a basis has no columns.
     """
 
     def __init__(
@@ -121,7 +128,7 @@ class RealBasis:
         d: int,
         evaluate: Callable[[int], "mp.matrix"],
         source: str,
-        exact_matrix: exact.Matrix | None = None,
+        columns: tuple[tuple[int, ...], ...] | None = None,
     ) -> None:
         if not 1 <= d <= n:
             raise ShapeError(f"invalid dimensions ({n},{d})")
@@ -129,51 +136,38 @@ class RealBasis:
         self.d = d
         self._evaluate = evaluate
         self.source = source
-        self.exact_matrix = exact_matrix
-        self._integer_columns = None
+        self.columns = columns
 
-    def integer_columns(self) -> tuple[tuple[int, ...], ...]:
-        """Columns of the exact basis, each cleared of denominators."""
-        if self._integer_columns is None:
-            self._integer_columns = tuple(
-                exact.clear_denominators(col) for col in zip(*self.exact_matrix)
-            )
-        return self._integer_columns
+    @property
+    def exact_matrix(self) -> exact.Matrix | None:
+        """The integer columns as an n x d matrix of rows, or None for an
+        evaluator basis."""
+        return None if self.columns is None else tuple(zip(*self.columns))
 
     @classmethod
     def from_exact(cls, rows: Iterable[Sequence[exact.Scalar]]) -> "RealBasis":
         m = exact.as_matrix(rows)
         n, d = exact.shape(m)
-        if exact.rank(m) != d:
+        columns = tuple(exact.clear_denominators(col) for col in zip(*m))
+        if exact.rank(columns) != d:
             raise NumericalRankLossError("exact basis has dependent columns")
-        return cls._of_exact(m, n, d)
+        return cls._of_columns(columns, n, d)
 
     @classmethod
     def from_subspace(cls, sub: exact.RationalSubspace) -> "RealBasis":
         """The subspace's integer basis as it is: its label already proves
-        the columns independent, and they need no denominators cleared."""
-        m = sub.basis
-        basis = cls._of_exact(m, sub.n, sub.e)
-        basis._integer_columns = tuple(zip(*m))
-        return basis
+        the columns independent."""
+        return cls._of_columns(tuple(zip(*sub.basis)), sub.n, sub.e)
 
     @classmethod
-    def _of_exact(
-        cls, m: exact.Matrix, n: int, d: int, source: str = "exact-rational"
-    ) -> "RealBasis":
+    def _of_columns(cls, columns, n: int, d: int, source: str = "exact-rational") -> "RealBasis":
+        """The exact basis of d independent integer columns in Z^n, unchecked."""
+
         def evaluate(bits: int) -> "mp.matrix":
             with mp.workprec(bits):
-                out = mp.matrix(n, d)
-                for i in range(n):
-                    for j in range(d):
-                        x = m[i][j]
-                        if isinstance(x, Fraction):
-                            out[i, j] = mp.mpf(x.numerator) / mp.mpf(x.denominator)
-                        else:
-                            out[i, j] = mp.mpf(x)
-                return out
+                return mp.matrix([[mp.mpf(x) for x in row] for row in zip(*columns)])
 
-        return cls(n, d, evaluate, source=source, exact_matrix=m)
+        return cls(n, d, evaluate, source=source, columns=columns)
 
     @classmethod
     def from_float(cls, rows: Iterable[Sequence[float]]) -> "RealBasis":
@@ -190,8 +184,10 @@ class RealBasis:
             raise ShapeError("ragged or empty float basis")
         if not all(math.isfinite(x) for row in data for x in row):
             raise ShapeError("float basis entries must be finite")
-        m = exact.as_matrix([[Fraction(x) for x in row] for row in data])
-        return cls._of_exact(m, n, d, source="float-input")
+        columns = tuple(
+            exact.clear_denominators([Fraction(x) for x in col]) for col in zip(*data)
+        )
+        return cls._of_columns(columns, n, d, source="float-input")
 
     @classmethod
     def from_evaluator(
@@ -345,11 +341,7 @@ def _pair_dimension(a: RealBasis, b: RealBasis) -> int:
 
 
 def _is_exact_pair(a: RealBasis, b: RealBasis) -> bool:
-    return (
-        a.exact_matrix is not None
-        and b.exact_matrix is not None
-        and min(a.d, b.d) <= 2
-    )
+    return a.columns is not None and b.columns is not None and min(a.d, b.d) <= 2
 
 
 def _exact_profile(a: RealBasis, b: RealBasis, bits_used: int, bits: int) -> AngleProfile:
@@ -369,9 +361,7 @@ def exact_relative_bits(ctx: PrecisionContext | None = None) -> int:
     ctx = ctx or PrecisionContext()
     bits = 2 * ctx.bits
     if bits > ctx.max_bits:
-        raise PrecisionExhaustedError(
-            f"no agreement at {ctx.bits} bits (cap {ctx.max_bits})"
-        )
+        raise PrecisionExhaustedError(f"{ctx.bits} bits doubled exceed the cap {ctx.max_bits}")
     rel = ctx.target_rel_err
     if rel is not None and rel > 0:
         bits = max(bits, (rel.denominator // rel.numerator).bit_length())
@@ -457,7 +447,7 @@ def _squared_sine_intervals(a: RealBasis, b: RealBasis, prec: int) -> list:
     """
     if a.d > b.d:
         a, b = b, a
-    cols_a, cols_b = a.integer_columns(), b.integer_columns()
+    cols_a, cols_b = a.columns, b.columns
     gram_a = [[_dot(u, v) for v in cols_a] for u in cols_a]
     gram_b = [[_dot(u, v) for v in cols_b] for u in cols_b]
     g = exact.determinant(gram_b)
@@ -527,9 +517,13 @@ def principal_angles(a: RealBasis, b: RealBasis, bits: int = DEFAULT_BITS) -> An
     Exact pairs with t <= 2 report rel_err_bound 2^-bits.  Other pairs
     report the conservative single-shot claim 2^(-bits/2); use
     angles_adaptive for a measured bound.  bits is at least 64, as in a
-    PrecisionContext.
+    PrecisionContext, and at most the bit cap (SUBDIOPH_MAX_BITS): above it
+    PrecisionExhaustedError is raised before any evaluation.
     """
     _check_bits(bits)
+    cap = _env_bit_cap()
+    if bits > cap:
+        raise PrecisionExhaustedError(f"{bits} bits exceed the cap {cap}")
     if _is_exact_pair(a, b):
         return _exact_profile(a, b, bits, bits)
     t = _pair_dimension(a, b)
@@ -592,12 +586,16 @@ def angles_adaptive(
     ctx.target_rel_err on every entry above the near-zero floor.  Entries
     not separated from zero stay bracketed as [0, floor].  Raises
     PrecisionExhaustedError at the bit cap (callers may raise the cap via
-    the context or the SUBDIOPH_MAX_BITS environment variable).
+    the context or the SUBDIOPH_MAX_BITS environment variable): before any
+    evaluation when 2 * ctx.bits exceeds it, as exact_relative_bits does,
+    and later when a doubling would.
     """
     ctx = ctx or PrecisionContext()
-    bits = ctx.bits
+    # raises at the cap before any evaluation, on either path
+    rel_bits = exact_relative_bits(ctx)
     if _is_exact_pair(a, b):
-        return _exact_profile(a, b, 2 * bits, exact_relative_bits(ctx))
+        return _exact_profile(a, b, 2 * ctx.bits, rel_bits)
+    bits = ctx.bits
     t = _pair_dimension(a, b)
     target = _mpf_of_fraction(ctx.target_rel_err, 64)
     prev = _sines_at(a, b, bits)

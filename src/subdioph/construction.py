@@ -8,10 +8,11 @@ subspaces that approach the target at a prescribed rate, which makes the
 family a concrete testbed for proximity-versus-height measurements.
 
 This module materializes the family exactly: admissibility thresholds for
-the growth ratio, the prime base, deterministic digit streams, truncations
-with certified tail bounds, the integer convergent matrices, and a
-per-index certification report covering every inequality that is checkable
-at finite index.
+the growth ratio, the prime base, deterministic digit streams, the integer
+convergent matrices, the depth-truncated generators (the convergent at the
+truncation depth, whose span carries a certified tail bound on its
+distance to the target), and a per-index certification report covering
+every inequality that is checkable at finite index.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ __all__ = [
     "term_exponents",
     "series_start",
     "tail_bound",
-    "TruncatedXi",
-    "xi_truncation",
     "TruncatedGenerators",
     "build_generators",
     "ConvergentMatrix",
@@ -388,21 +387,6 @@ def tail_bound(params: ConstructionParams, depth: int) -> Fraction:
     return Fraction(4 * params.ell + 2, params.theta**m_next)
 
 
-@dataclass(frozen=True)
-class TruncatedXi:
-    """Partial sum of one digit series plus a certified bound on its tail.
-
-    value is the exact rational sum of the terms up to index depth; the
-    omitted remainder lies strictly between 0 and tail_upper.
-    """
-
-    i: int
-    j: int
-    depth: int
-    value: Fraction
-    tail_upper: Fraction
-
-
 def _scaled_sum(
     stream, params: ConstructionParams, i: int, j: int, top: int, exps: Sequence[int]
 ) -> tuple[int, int]:
@@ -432,21 +416,6 @@ def _scaled_block(
     return exps[top], exact.as_matrix(rows), exact.as_matrix([[d for _, d in row] for row in sums])
 
 
-def xi_truncation(
-    stream, i: int, j: int, depth: int, params: ConstructionParams
-) -> TruncatedXi:
-    """Exact truncation of the series at entry (i, j) up to index depth:
-    the integer _scaled_sum over theta^m_depth, one Fraction per entry."""
-    if depth < series_start(params):
-        raise ParameterError("truncation depth precedes the first series term")
-    exps = term_exponents(params, depth)
-    scaled, _ = _scaled_sum(stream, params, i, j, depth, exps)
-    value = Fraction(scaled, params.theta ** exps[depth])
-    return TruncatedXi(
-        i=i, j=j, depth=depth, value=value, tail_upper=tail_bound(params, depth)
-    )
-
-
 # ---------------------------------------------------------------------------
 # generator and convergent matrices
 
@@ -455,37 +424,29 @@ def xi_truncation(
 class TruncatedGenerators:
     """Rational stand-in for the target span, with a proximity budget.
 
-    matrix is the 2l x l block matrix (identity over truncated series
-    entries).  Its entries share the denominator theta^m_depth, so
-    integer_matrix, denominator times matrix, is build_convergent's full
-    matrix at index depth; the Gram determinant and the angle engine's
-    columns are taken from it in integers.  angle_slack bounds the largest
-    proximity sine between this span and the true target: the entrywise
-    truncation error is below tail_upper, so the matrix difference has
-    Frobenius norm at most ell * tail_upper, while both matrices have
+    The generators are the 2l x l block matrix of the identity over the
+    series entries truncated at index depth.  Those entries share the
+    denominator theta^m_depth, so the span is held in integers:
+    integer_matrix, denominator times the generators, is build_convergent's
+    full matrix at index depth.  angle_slack bounds the largest proximity
+    sine between this span and the true target: the entrywise truncation
+    error is below tail_bound(params, depth), so the matrix difference has
+    Frobenius norm at most ell times that, while both matrices have
     smallest singular value at least 1 thanks to the identity block; the
     quotient bounds every sine.
     """
 
     params: ConstructionParams
     depth: int
-    matrix: exact.Matrix
-    truncations: tuple[TruncatedXi, ...]
     angle_slack: Fraction
     integer_matrix: exact.Matrix
     denominator: int
 
     def real_basis(self) -> RealBasis:
-        """The generators for the angle engine.  The theta^m I block proves
-        the columns independent, so no rank check; each integer column over
-        its content is the Fraction column cleared of denominators."""
-        basis = RealBasis._of_exact(self.matrix, self.params.n, self.params.ell)
-        columns = []
-        for col in zip(*self.integer_matrix):
-            g = math.gcd(*col)
-            columns.append(tuple(x // g for x in col))
-        basis._integer_columns = tuple(columns)
-        return basis
+        """The integer columns for the angle engine.  The theta^m I block
+        proves them independent, so no rank check."""
+        columns = tuple(zip(*self.integer_matrix))
+        return RealBasis._of_columns(columns, self.params.n, self.params.ell)
 
     def gram_squared(self) -> Fraction:
         """Exact squared l-volume of the generator columns: the integer
@@ -493,38 +454,21 @@ class TruncatedGenerators:
         gram = exact.generalized_determinant_squared(self.integer_matrix)
         return Fraction(gram, self.denominator ** (2 * self.params.ell))
 
-    def entry(self, i: int, j: int) -> TruncatedXi:
-        """Truncation of the series at 1-based entry (i, j)."""
-        return self.truncations[(i - 1) * self.params.ell + (j - 1)]
-
 
 def build_generators(
     params: ConstructionParams, depth: int, stream=None
 ) -> TruncatedGenerators:
-    """Build the 2l x l generator matrix from depth-truncated series, once
-    as integers, with one Fraction per truncated entry."""
+    """The generators truncated at index depth, built as integers."""
     if depth < series_start(params):
         raise ParameterError("truncation depth precedes the first series term")
     stream = stream if stream is not None else stream_for(params)
-    ell = params.ell
     _, full, _ = _scaled_block(stream, params, depth)
-    denominator = full[0][0]
-    tail = tail_bound(params, depth)
-    truncs = tuple(
-        TruncatedXi(i=i, j=j, depth=depth, value=Fraction(f, denominator), tail_upper=tail)
-        for i, row in enumerate(full[ell:], 1)
-        for j, f in enumerate(row, 1)
-    )
-    rows = [[1 if c == i else 0 for c in range(ell)] for i in range(ell)]
-    rows += [[t.value for t in truncs[i * ell:(i + 1) * ell]] for i in range(ell)]
     return TruncatedGenerators(
         params=params,
         depth=depth,
-        matrix=exact.as_matrix(rows),
-        truncations=truncs,
-        angle_slack=ell * tail,
+        angle_slack=params.ell * tail_bound(params, depth),
         integer_matrix=full,
-        denominator=denominator,
+        denominator=full[0][0],
     )
 
 

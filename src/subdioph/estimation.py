@@ -85,8 +85,9 @@ from .construction import (
     series_start,
     stream_for,
     tail_bound,
-    xi_truncation,
+    term_exponents,
     _ratio_deviation,
+    _scaled_sum,
 )
 from .enumeration import EnumSpec, enumerate_subspaces
 from .errors import (
@@ -196,8 +197,10 @@ def line_target_for_instance(
     if params.ell != 1:
         raise ParameterError("series instances define a line target only when ell = 1")
     depth = series_depth(params, height_squared_max, series_start(params))
-    trunc = xi_truncation(stream_for(params), 1, 1, depth, params)
-    return RationalLineTarget(value=trunc.value, tail_upper=trunc.tail_upper)
+    exps = term_exponents(params, depth)
+    scaled, _ = _scaled_sum(stream_for(params), params, 1, 1, depth, exps)
+    value = Fraction(scaled, params.theta ** exps[depth])
+    return RationalLineTarget(value=value, tail_upper=tail_bound(params, depth))
 
 
 # ---------------------------------------------------------------------------
@@ -705,9 +708,9 @@ class _GenericScan:
         self.ctx = ctx or PrecisionContext()
         self.bits = None
         self.label = None
-        if self.basis.exact_matrix is not None:
+        if self.basis.columns is not None:
             # the raw minors will do: every ratio below is scale-free
-            self.label = exact.raw_minors(exact.transpose(self.basis.integer_columns()))
+            self.label = exact.raw_minors(exact.transpose(self.basis.columns))
             self.label2 = sum(x * x for x in self.label)
             if not self.label2:
                 # a float target comes here with its rank unchecked

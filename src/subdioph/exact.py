@@ -126,9 +126,10 @@ def determinant(m: Matrix) -> Scalar:
     work = [list(row) for row in m]
     scale = None
     if _has_fraction(work):
-        scaled = [_integer_row(row) for row in work]
-        work = [row for row, _s in scaled]
-        scale = math.prod(s for _row, s in scaled)
+        # clearing (row, 1) appends the row's scale to the cleared row
+        scaled = [clear_denominators((*row, 1)) for row in work]
+        work = [list(row[:-1]) for row in scaled]
+        scale = math.prod(row[-1] for row in scaled)
     sign = 1
     prev = 1
     for k in range(r - 1):
@@ -220,16 +221,10 @@ def rational_kernel(m: Iterable[Sequence[Scalar]]) -> list[tuple[int, ...]]:
     return basis
 
 
-def _integer_row(row: Sequence[Scalar]) -> tuple[list[int], int]:
-    """A rational row times the lcm of its denominators, and that lcm."""
-    scale = math.lcm(*(Fraction(x).denominator for x in row))
-    return [int(x * scale) for x in row], scale
-
-
 def _primitive_row(row: Sequence[Scalar]) -> list[int]:
     """A row scaled to coprime integers (a zero row stays zero)."""
     if _has_fraction((row,)):
-        row = _integer_row(row)[0]
+        row = clear_denominators(row)
     g = math.gcd(*row)
     return [x // g for x in row] if g > 1 else list(row)
 

@@ -1,5 +1,6 @@
 """Angle-engine oracles: hand values, scipy cross-checks, inequality properties."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 import scipy.linalg
 from mpmath import mp
 
+from subdioph import angles as angles_module
 from subdioph import construction as con
 from subdioph.angles import (
     HARD_BIT_CAP,
@@ -486,3 +488,82 @@ def test_principal_angles_needs_64_bits(bits):
     with pytest.raises(ShapeError):
         principal_angles(a, b, bits=bits)
     assert principal_angles(a, b, bits=64).hi[0] < 1
+
+
+# the t = 3 pair in R^5 of the CI's angles checks
+T3_A = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 3], [4, 5, 7]]
+T3_B = [[1, 0, 2], [0, 1, 1], [3, 0, 1], [1, 1, 1], [0, 2, 5]]
+
+
+def refuse_mpmath(monkeypatch):
+    def refused(*_args):
+        raise AssertionError("mpmath evaluation above the bit cap")
+
+    monkeypatch.setattr(angles_module, "_sines_at", refused)
+
+
+def test_principal_angles_checks_the_cap_before_evaluating(monkeypatch):
+    """At 2,000,000 bits the t = 3 pair ran in mpmath for over a minute
+    before the cap was looked at; an exact pair follows the same rule."""
+    refuse_mpmath(monkeypatch)
+    a, b = RealBasis.from_exact(T3_A), RealBasis.from_exact(T3_B)
+    with pytest.raises(PrecisionExhaustedError, match=f"cap {HARD_BIT_CAP}"):
+        principal_angles(a, b, bits=2_000_000)
+    with pytest.raises(PrecisionExhaustedError):
+        principal_angles(exact_basis((1, 0)), exact_basis((1, 1)), bits=HARD_BIT_CAP + 1)
+    monkeypatch.setenv("SUBDIOPH_MAX_BITS", "4096")
+    with pytest.raises(PrecisionExhaustedError, match="cap 4096"):
+        principal_angles(a, b, bits=4097)
+
+
+def test_angles_adaptive_checks_the_cap_before_evaluating(monkeypatch):
+    """A start at 600,000 bits can only end at the cap: it now ends there
+    before the first mpmath run.  So does an _mpmath_context start above
+    SUBDIOPH_MAX_BITS."""
+    refuse_mpmath(monkeypatch)
+    a, b = RealBasis.from_exact(T3_A), RealBasis.from_exact(T3_B)
+    ctx = PrecisionContext(bits=600_000, target_rel_err=Fraction(1, 10**10))
+    with pytest.raises(PrecisionExhaustedError, match=f"cap {HARD_BIT_CAP}"):
+        angles_adaptive(a, b, ctx)
+    monkeypatch.setenv("SUBDIOPH_MAX_BITS", "4096")
+    params = con.ConstructionParams.create(3, Fraction(9, 4), seed=0)
+    with pytest.raises(PrecisionExhaustedError, match="cap 4096"):
+        angles_adaptive(a, b, con._mpmath_context(params, 3))
+
+
+def random_rational_rows(rng, n, d):
+    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(d)] for _ in range(n)]
+
+
+def random_float_rows(rng, n, d):
+    return [[rng.uniform(-1, 1) * 2.0 ** rng.randint(-30, 30) for _ in range(d)] for _ in range(n)]
+
+
+# sha256 over 100 random t >= 3 pairs in R^6 and R^7, each as a rational
+# pair (angles_adaptive and principal_angles at 128 bits) and as a float
+# pair (angles_adaptive): psi, lo and hi as float hex, bits_used, resolved
+T3_PROFILES_SHA256 = "9bac1d0361f72c9ec3a62cf3955be10fe652bc1581ec66e3b7fe450d52fa6e1c"
+
+
+def test_t3_profiles_keep_their_bytes():
+    rng = random.Random(25)
+    digest = hashlib.sha256()
+    pairs = 0
+    while pairs < 100:
+        n = rng.randint(6, 7)
+        d, e = rng.randint(3, n - 3), rng.randint(3, n - 2)
+        rows_a, rows_b = random_rational_rows(rng, n, d), random_rational_rows(rng, n, e)
+        try:
+            a, b = RealBasis.from_exact(rows_a), RealBasis.from_exact(rows_b)
+        except NumericalRankLossError:
+            continue
+        fa = RealBasis.from_float(random_float_rows(rng, n, d))
+        fb = RealBasis.from_float(random_float_rows(rng, n, e))
+        profiles = (angles_adaptive(a, b), principal_angles(a, b, bits=128), angles_adaptive(fa, fb))
+        for p in profiles:
+            assert p.t >= 3
+            for field in (p.psi, p.lo, p.hi):
+                digest.update(" ".join(float(x).hex() for x in field).encode())
+            digest.update(f"{p.bits_used} {p.resolved}\n".encode())
+        pairs += 1
+    assert digest.hexdigest() == T3_PROFILES_SHA256

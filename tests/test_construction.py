@@ -30,7 +30,6 @@ from subdioph.construction import (
     theta_for,
     theta_is_admissible,
     theta_lower_bound,
-    xi_truncation,
 )
 from subdioph.errors import CertificationFailure, ParameterError
 from subdioph import construction, exact
@@ -248,21 +247,25 @@ def test_stream_index_validation():
 # truncations
 
 
+def truncated(gen, i, j):
+    """The generators' series entry (i, j), 1-based, as a Fraction."""
+    return Fraction(gen.integer_matrix[gen.params.ell + i - 1][j - 1], gen.denominator)
+
+
 def test_xi_truncation_pinned_values():
     params = finite_params()
-    t0 = xi_truncation(PINNED, 1, 1, 0, params)
-    assert t0.value == Fraction(2, 5)
-    t1 = xi_truncation(PINNED, 1, 1, 1, params)
-    assert t1.value == Fraction(2, 5) + Fraction(3, 125)
-    assert t1.tail_upper == Fraction(6, 5**9)
-    t2 = xi_truncation(PINNED, 1, 1, 2, params)
-    assert t2.value == Fraction(828127, 5**9)
+    t0 = build_generators(params, 0, stream=PINNED)
+    assert truncated(t0, 1, 1) == Fraction(2, 5)
+    t1 = build_generators(params, 1, stream=PINNED)
+    assert truncated(t1, 1, 1) == Fraction(2, 5) + Fraction(3, 125)
+    assert t1.angle_slack == Fraction(6, 5**9)
+    t2 = build_generators(params, 2, stream=PINNED)
+    assert truncated(t2, 1, 1) == Fraction(828127, 5**9)
 
 
 def test_xi_truncation_nesting_respects_tail():
     params = finite_params(seed=7)
-    stream = stream_for(params)
-    values = [xi_truncation(stream, 1, 1, k, params).value for k in range(5)]
+    values = [truncated(build_generators(params, k), 1, 1) for k in range(5)]
     for k in range(4):
         gap = values[k + 1] - values[k]
         assert 0 < gap < tail_bound(params, k)
@@ -270,8 +273,7 @@ def test_xi_truncation_nesting_respects_tail():
 
 def test_xi_truncation_nesting_infinite_variant():
     params = ConstructionParams.create(1, None, seed=5, variant=INFINITE)
-    stream = stream_for(params)
-    values = [xi_truncation(stream, 1, 1, k, params).value for k in range(1, 5)]
+    values = [truncated(build_generators(params, k), 1, 1) for k in range(1, 5)]
     for idx, k in enumerate(range(1, 4)):
         gap = values[idx + 1] - values[idx]
         assert 0 < gap < tail_bound(params, k)
@@ -284,22 +286,22 @@ def test_xi_truncation_nesting_infinite_variant():
 def test_generators_single_block():
     params = finite_params()
     gen = build_generators(params, 0, stream=FixedDigitStream((2,)))
-    assert gen.matrix == ((1,), (Fraction(2, 5),))
+    assert gen.integer_matrix == ((5,), (2,)) and gen.denominator == 5
     assert gen.angle_slack == tail_bound(params, 0)
 
 
 def test_generators_shape_and_rank():
     params = ConstructionParams.create(2, Fraction(5, 2), seed=1)
     gen = build_generators(params, 2)
-    assert exact.shape(gen.matrix) == (4, 2)
-    assert gen.matrix[0][0] == 1 and gen.matrix[0][1] == 0
-    assert gen.matrix[1][0] == 0 and gen.matrix[1][1] == 1
-    assert exact.rank(gen.matrix) == 2
+    m = gen.integer_matrix
+    assert exact.shape(m) == (4, 2)
+    assert m[0][0] == m[1][1] == gen.denominator and m[0][1] == m[1][0] == 0
+    assert exact.rank(m) == 2
     assert gen.angle_slack == 2 * tail_bound(params, 2)
     # diagonal series lead with large digits, off-diagonal with small ones
     for i in (1, 2):
         for j in (1, 2):
-            lead = gen.entry(i, j).value * 53
+            lead = truncated(gen, i, j) * 53
             first_digit = lead.numerator // lead.denominator
             assert first_digit in ((4, 5) if i == j else (1, 2))
 
@@ -327,18 +329,25 @@ def test_integer_generators_match_the_fraction_path(ell, variant, seed):
     start = construction.series_start(params)
     for depth in range(start, (3 if ell == 3 else 4) + 1):
         gen = build_generators(params, depth)
-        assert gen.gram_squared() == Fraction(exact.generalized_determinant_squared(gen.matrix))
-        cleared = tuple(exact.clear_denominators(col) for col in zip(*gen.matrix))
-        assert gen.real_basis().integer_columns() == cleared
         exps = term_exponents(params, depth)
-        for i in range(1, ell + 1):
-            for j in range(1, ell + 1):
-                expected = sum(
+        expected = [
+            [
+                sum(
                     Fraction(stream.digit(i, j, k), params.theta ** exps[k])
                     for k in range(start, depth + 1)
                 )
-                assert xi_truncation(stream, i, j, depth, params).value == expected
-                assert gen.entry(i, j).value == expected
+                for j in range(1, ell + 1)
+            ]
+            for i in range(1, ell + 1)
+        ]
+        for i in range(1, ell + 1):
+            for j in range(1, ell + 1):
+                assert truncated(gen, i, j) == expected[i - 1][j - 1]
+        identity = [[int(r == c) for c in range(ell)] for r in range(ell)]
+        fractions = exact.as_matrix(identity + expected)
+        assert gen.gram_squared() == Fraction(exact.generalized_determinant_squared(fractions))
+        cleared = tuple(exact.clear_denominators(col) for col in zip(*fractions))
+        assert gen.real_basis().columns == cleared
         try:
             convergent = build_convergent(params, depth)
         except CertificationFailure:

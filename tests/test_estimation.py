@@ -1,5 +1,6 @@
 """Tests for record scans, exponent estimation, and exclusivity reports."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -558,6 +559,43 @@ class TestExclusivity:
         assert rep.as_dict()["matched"] == [[3, 1], [10, 2]]
         assert rep.as_dict()["deviations"] == ["1.140879e-02", "6.134254e-14", "3.365073e-123"]
         assert rep.ok and not rep.interlopers
+
+    @staticmethod
+    def infinite_report_with(monkeypatch, edit):
+        """The infinite seed-0 report at H^2 <= 13000 (convergents at
+        positions 3 and 10) over the records that edit makes of them."""
+        ipar = con.ConstructionParams.create(ell=1, beta=None, seed=0, variant=con.INFINITE)
+        spec = EnumSpec(n=2, e=1, height_squared_max=13000, strategy=EXACT_LINES)
+        records = edit(est.instance_records(ipar, spec))
+        monkeypatch.setattr(est, "instance_records", lambda *_args, **_kw: records)
+        return est.exclusivity_check(ipar, nmax=2, spec=spec)
+
+    def test_infinite_window_without_a_record_fails(self, monkeypatch):
+        """Convergent 2 (H^2 = 9697) gone: its +-25% window holds no record,
+        which fails the report but names no interloper."""
+        rep = self.infinite_report_with(monkeypatch, lambda recs: recs[:10])
+        assert rep.as_dict()["matched"] == [[3, 1]]
+        assert not rep.ok
+        assert rep.interlopers == ()
+
+    def test_infinite_window_led_by_another_record_names_it(self, monkeypatch):
+        """A record at H^2 = 11642, inside convergent 2's window, with a
+        smaller sine than the convergent is the window's interloper."""
+
+        def add_rival(recs):
+            rival = dataclasses.replace(
+                recs[10],
+                subspace=exact.RationalSubspace.from_basis([[89], [61]]),
+                height_squared=89**2 + 61**2,
+                psi_lo=1e-15,
+                psi_hi=2e-15,
+            )
+            return recs + [rival]
+
+        rep = self.infinite_report_with(monkeypatch, add_rival)
+        assert rep.as_dict()["matched"] == [[3, 1], [10, 2]]
+        assert not rep.ok
+        assert rep.interlopers == (11,)
 
     # sha256 of json.dumps(report.as_dict()) for nmax 3 at H^2 <= 14; the
     # same bytes as scanning the generators truncated at depth nmax + 2
