@@ -21,9 +21,14 @@ consecutive runs agree to the requested relative error.
 
 A pair with t = 1 and d + e <= n has the squared sine
 |X_A /\\ X_B|^2 / (|X_A|^2 |X_B|^2) in its labels X (Cauchy-Binet), the same
-rational that the Gram and bordered determinants give.  sine_from_squared
-brackets it as the exact path does, so record scans take single-angle
-sines from labels without building a basis.  Every bracket's scale
+rational that the Gram and bordered determinants give.  Two 2-planes have
+both squared sines in their labels: the roots of one quadratic built from
+|X_A|^2 |X_B|^2, that wedge and the dot product <X_A, X_B> = det(A^T B),
+whose integers are the ones the Gram route builds; both routes take its
+roots through one helper.  sine_from_squared and plane_sines bracket these
+as the exact path does, and plane_sine_at_least compares a plane-pair sine
+with a rational exactly, so record scans screen and bracket single-angle
+and plane-pair sines from labels without building a basis.  Every bracket's scale
 depends on the value of the squared sine, not on the integers that write
 it, so two bases of one subspace get identical brackets.
 
@@ -347,7 +352,7 @@ def _is_exact_pair(a: RealBasis, b: RealBasis) -> bool:
 def _exact_profile(a: RealBasis, b: RealBasis, bits_used: int, bits: int) -> AngleProfile:
     """Profile of an exact pair with t <= 2, with rel_err_bound 2^-bits."""
     # brackets computed at bits + 4 have relative width below 2^-bits
-    brackets = _exact_brackets(a, b, bits + 4)
+    brackets = _exact_brackets(_squared_sine_intervals(a, b, bits + 4), bits + 4)
     return _profile(_pair_dimension(a, b), brackets, mp.ldexp(1, -bits), bits_used)
 
 
@@ -472,12 +477,16 @@ def _squared_sine_intervals(a: RealBasis, b: RealBasis, prec: int) -> list:
         num = residual_product(0, 0)
         return [None if num == 0 else _point(num, g * delta)]
 
-    # t = 2: the eigenvalues of G_A^-1 R / g, with R = g * (residual Gram),
-    # are (tr +- sqrt(tr^2 - 4 det)) / (2 dd) in integer form
+    # t = 2: the eigenvalues of G_A^-1 R / g, with R = g * (residual Gram)
     r00, r01, r11 = residual_product(0, 0), residual_product(0, 1), residual_product(1, 1)
-    dd = delta * g
     tr = s * r00 + p * r11 - 2 * q * r01
-    det = delta * (r00 * r11 - r01 * r01)
+    return _quadratic_roots(tr, delta * (r00 * r11 - r01 * r01), delta * g, prec)
+
+
+def _quadratic_roots(tr: int, det: int, dd: int, prec: int) -> list:
+    """Ascending roots (tr -+ sqrt(tr^2 - 4 det)) / (2 dd) of two squared
+    sines, for integers with tr^2 >= 4 det >= 0 and dd > 0, as
+    _squared_sine_intervals returns them: None when exactly zero."""
     if det == 0:
         return [None, None if tr == 0 else _point(tr, dd)]
     disc = tr * tr - 4 * det
@@ -498,9 +507,9 @@ def _squared_sine_intervals(a: RealBasis, b: RealBasis, prec: int) -> list:
     return [small, big]
 
 
-def _exact_brackets(a: RealBasis, b: RealBasis, prec: int) -> list:
-    """Ascending exact sine brackets of relative width below 2^(4-prec)."""
-    intervals = _squared_sine_intervals(a, b, prec)
+def _exact_brackets(intervals: list, prec: int) -> list:
+    """Ascending exact sine brackets (lo, mid, hi) of relative width below
+    2^(4-prec), from the squared-sine intervals of _squared_sine_intervals."""
     scales = [None if x is None else _sqrt_scale(x[0], x[1], prec) for x in intervals]
     if len(intervals) == 2 and None not in scales and abs(scales[0] - scales[1]) <= 2:
         # close values share the finer scale, which keeps their midpoints in
@@ -509,6 +518,42 @@ def _exact_brackets(a: RealBasis, b: RealBasis, prec: int) -> list:
     return [
         None if x is None else _sqrt_bracket(x, k) for x, k in zip(intervals, scales)
     ]
+
+
+def plane_sines(label2: int, wedge2: int, dot: int, bits: int) -> list:
+    """Ascending (lo, hi) brackets of both sines of two 2-planes A and B in
+    R^n, None for a zero sine, read off their labels: label2 = |X_A|^2
+    |X_B|^2, wedge2 = |X_A /\\ X_B|^2 and dot = <X_A, X_B>.
+
+    The squared sines are the roots of
+        label2 x^2 - (label2 + wedge2 - dot^2) x + wedge2:
+    their product is wedge2 / label2 (Schmidt; 0 in R^3) and the product of
+    the squared cosines is dot^2 / label2, because <X_A, X_B> = det(A^T B)
+    (Cauchy-Binet).  For labels that are the minors of two bases these are
+    the integers the Gram route builds from the bases, so with bits from
+    exact_relative_bits(ctx) the brackets are those angles_adaptive(a, b,
+    ctx) reports.
+    """
+    prec = bits + 4
+    tr = label2 + wedge2 - dot * dot
+    brackets = _exact_brackets(_quadratic_roots(tr, label2 * wedge2, label2, prec), prec)
+    return [None if b is None else (b[0], b[2]) for b in brackets]
+
+
+def plane_sine_at_least(label2: int, wedge2: int, dot: int, j: int, num: int, den: int) -> bool:
+    """Whether psi_j^2 >= y = num / den (den > 0) for the plane pair of
+    plane_sines, decided in integers: psi_j^2 = (tr -+ sqrt(disc)) /
+    (2 label2), so the sign of 2 label2 y - tr and one squared comparison
+    with disc decide it."""
+    tr = label2 + wedge2 - dot * dot
+    over = 2 * label2 * num - tr * den  # den (2 label2 y - tr)
+    if j == 2 and over <= 0:
+        return True  # tr + sqrt(disc) >= tr >= 2 label2 y
+    if j == 1 and over > 0:
+        return False  # tr - sqrt(disc) <= tr < 2 label2 y
+    disc = (tr * tr - 4 * label2 * wedge2) * den * den
+    # j = 2: sqrt(disc) >= 2 label2 y - tr > 0; j = 1: tr - 2 label2 y >= sqrt(disc)
+    return disc >= over * over if j == 2 else over * over >= disc
 
 
 def principal_angles(a: RealBasis, b: RealBasis, bits: int = DEFAULT_BITS) -> AngleProfile:

@@ -60,7 +60,9 @@ class InsufficientRecordsError(SubdiophError):
 
 
 class IrrationalityViolationError(SubdiophError):
-    """An enumerated subspace meets the target (angle indistinguishable from zero)."""
+    """An enumerated subspace meets the target: a sine of an exact pair is
+    exactly zero, or one from the mpmath engine or an evaluator target is
+    indistinguishable from zero at the precision cap."""
 
 
 class SerializationError(SubdiophError):

@@ -35,11 +35,14 @@ sweep:
   label (a float target is exact too) with every candidate's label in
   integers.  For d + e <= n that pairing gives the product P of all the
   sines (Schmidt's identity), and psi_j >= P^(1/j) lets the sweep skip
-  any candidate that cannot beat the running record; for a pair with a
-  single angle P is that sine, exactly.
-  Only the survivors get a sine bracket: a single-angle pair from its
-  labels alone, any other after decoding a basis, through the adaptive
-  angle engine.  Evaluator targets screen nothing.
+  any candidate that cannot beat the running record or the level's best
+  so far; for a pair with a single angle P is that sine, exactly.  Two
+  2-planes pair their labels by the dot product too, and both squared
+  sines are the roots of one integer quadratic, which screens them
+  exactly.
+  Only the survivors get a sine bracket: a single-angle pair or a plane
+  pair from its labels alone, any other after decoding a basis, through
+  the adaptive angle engine.  Evaluator targets screen nothing.
 
 The sweep's running minima over height levels are the records of either
 source.  An irrationality scan is the second reduction of the same
@@ -59,7 +62,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import groupby
 from math import gcd, isqrt
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterator, Mapping, Sequence
 
 from mpmath import mp
@@ -70,6 +73,8 @@ from .angles import (
     RealBasis,
     angles_adaptive,
     exact_relative_bits,
+    plane_sine_at_least,
+    plane_sines,
     sine_from_squared,
     _float_down,
     _float_up,
@@ -667,11 +672,15 @@ def _coerce_target(target) -> RealBasis:
     return RealBasis.from_exact(rows)
 
 
-def _unresolved(sub: exact.RationalSubspace, scanned: int) -> IrrationalityViolationError:
-    err = IrrationalityViolationError(
-        f"subspace {sub.pluecker.coords} is indistinguishable from the"
-        " target at the precision cap"
+def _unresolved(
+    sub: exact.RationalSubspace, scanned: int, exact_pair: bool
+) -> IrrationalityViolationError:
+    # the exact engine leaves a sine unresolved only when it is 0
+    how = (
+        "meets the target exactly" if exact_pair
+        else "is indistinguishable from the target at the precision cap"
     )
+    err = IrrationalityViolationError(f"subspace {sub.pluecker.coords} {how}")
     err.subspace = sub
     err.scanned = scanned
     return err
@@ -684,22 +693,30 @@ class _GenericScan:
     P = |X_A /\\ X_B| / (|X_A| |X_B|) (Schmidt 1967), and psi_j >= P^(1/j)
     because no sine exceeds 1.  An exact target, float targets included,
     pairs its raw label with each candidate's label once, in integers
-    (wedge2 = |X_A /\\ X_B|^2):
+    (wedge2 = |X_A /\\ X_B|^2).  Two 2-planes also pair their labels by the
+    dot product dot = <X_A, X_B>, and then both squared sines are the roots
+    of L x^2 - (L + wedge2 - dot^2) x + wedge2, L = |X_A|^2 |X_B|^2
+    (angles.plane_sines); in R^3, wedge2 = 0 and psi_1 = 0.
 
-    * an exact pair with t <= 2 and wedge2 > 0 waits unbracketed, so a
-      scan can skip it once P^(1/j) rules it out; for t = 1, P is the sine
-      itself;
-    * every other candidate (evaluator targets, t >= 3, wedge2 = 0)
-      is profiled at once, so an unresolved sine raises at its place in
-      the enumeration (a t = 1 pair with wedge2 = 0 raises without a
-      profile).  A waiting pair has no zero sine, and the exact engine
+    * An exact pair with t = 1 and d + e <= n, or a plane pair, waits
+      unbracketed, so a scan can skip it once its labels rule it out.  Its
+      j-th sine is 0 only when wedge2 = 0 (t = 1 or j = 1) or the plane is
+      the target (j = 2, wedge2 = 0 and dot^2 = L); that row raises at its
+      place in the enumeration instead.
+    * An exact pair with t = 2, d != e and wedge2 > 0 waits as well.
+    * Every other candidate (evaluator targets, t >= 3, other pairs with
+      wedge2 = 0) is profiled at once, so an unresolved sine raises at its
+      place.  A waiting pair has no zero j-th sine, and the exact engine
       resolves every nonzero sine.
 
-    A waiting row that survives its scan's test is bracketed by bracket():
-    a t = 1 pair reads its sine off wedge2, with the bracket that
-    angles_adaptive would report, and decodes no basis; a t = 2 pair is
-    profiled.  rows() yields (h2, coords, hi, lo, sub, scanned, wedge2) in
-    enumeration order, with hi and lo None on a waiting row.
+    rules_out tries P^(1/j) first and, for a plane pair, then decides from
+    the quadratic exactly.  A waiting row that survives its scan's test is
+    bracketed by bracket(): a t = 1 pair reads its sine off wedge2 and a
+    plane pair off its quadratic, with the bracket that angles_adaptive
+    would report, and neither decodes a basis; a t = 2 pair with d != e is
+    profiled.  rows() yields (h2, coords, hi, lo, sub, scanned, wedge2, dot)
+    in enumeration order, with hi and lo None on a waiting row and dot None
+    off plane pairs.
     """
 
     def __init__(self, target, j_index: int, ctx: PrecisionContext | None):
@@ -716,7 +733,7 @@ class _GenericScan:
                 # a float target comes here with its rank unchecked
                 raise NumericalRankLossError("target basis has dependent columns")
         self.counts = dict.fromkeys(("candidates", "label_only", "profiled", "skipped"), 0)
-        self._memo = (None, None)
+        self._memo = (None, None, None)
 
     def rows(self, spec) -> Iterator[tuple]:
         n, d, j_index = self.basis.n, self.basis.d, self.j_index
@@ -733,19 +750,22 @@ class _GenericScan:
                 raise ShapeError("ambient dimensions differ")
             pv = sub.pluecker
             h2 = pv.height_squared
-            wedge2 = None
+            wedge2 = dot = None
             if self.label is not None:
                 wedge2 = exact.wedge_norm_squared(self.label, d, pv.coords, sub.e, n)
-                if limit == 1 and d + sub.e <= n:
+                if d == sub.e == 2:
+                    dot = sum(map(mul, self.label, pv.coords))
+                if dot is not None or (limit == 1 and d + sub.e <= n):
                     # where angles_adaptive would raise PrecisionExhaustedError
                     self._bits()
-                    if not wedge2:
-                        raise _unresolved(sub, scanned)
-            if not wedge2 or limit > 2:
+                    # psi_1 = 0 on a pair that meets, psi_2 = 0 on the target
+                    if not wedge2 and (j_index == 1 or dot * dot == self.label2 * h2):
+                        raise _unresolved(sub, scanned, exact_pair=True)
+            if dot is None and (not wedge2 or limit > 2):
                 lo, hi = self.profile(sub, scanned)
-                yield (h2, pv.coords, hi, lo, sub, scanned, wedge2)
+                yield (h2, pv.coords, hi, lo, sub, scanned, wedge2, None)
             else:
-                yield (h2, pv.coords, None, None, sub, scanned, wedge2)
+                yield (h2, pv.coords, None, None, sub, scanned, wedge2, dot)
 
     def _bits(self) -> int:
         # asked for at the first exact pair, which is where angles_adaptive
@@ -755,13 +775,16 @@ class _GenericScan:
         return self.bits
 
     def bracket(self, row: tuple) -> tuple:
-        """(lo, hi) of a waiting row's j-th sine: from its label when t = 1,
-        with the bracket that angles_adaptive would report, else from the
-        angle engine."""
-        if row[4].e == 1 or self.basis.d == 1:
-            self.counts["label_only"] += 1
-            return sine_from_squared(row[6], self.label2 * row[0], self._bits())
-        return self.profile(row[4], row[5])
+        """(lo, hi) of a waiting row's j-th sine: from its labels for t = 1
+        and plane pairs, with the bracket that angles_adaptive would report,
+        else from the angle engine."""
+        h2, sub, wedge2, dot = row[0], row[4], row[6], row[7]
+        if dot is None and min(sub.e, self.basis.d) == 2:
+            return self.profile(sub, row[5])
+        self.counts["label_only"] += 1
+        if dot is None:
+            return sine_from_squared(wedge2, self.label2 * h2, self._bits())
+        return plane_sines(self.label2 * h2, wedge2, dot, self._bits())[self.j_index - 1]
 
     def profile(self, sub: exact.RationalSubspace, scanned: int) -> tuple:
         """(lo, hi) of the j-th sine from the angle engine."""
@@ -769,15 +792,17 @@ class _GenericScan:
         k = self.j_index - 1
         prof = angles_adaptive(self.basis, RealBasis.from_subspace(sub), self.ctx)
         if not prof.resolved[k]:
-            raise _unresolved(sub, scanned)
+            exact_pair = self.label is not None and min(self.basis.d, sub.e) <= 2
+            raise _unresolved(sub, scanned, exact_pair)
         return prof.lo[k], prof.hi[k]
 
     def rules_out(self, row: tuple, x, slack: bool = False) -> bool:
-        """Whether a waiting row's label proves hi >= x, from
-        P^(1/j) >= x, or with slack lo >= x, from P^(1/j) (1 - 2^-b) >= x:
-        exact brackets have relative width below 2^-b.  A proof counts the
-        row as skipped."""
-        if self._memo[0] is not x:
+        """Whether a waiting row's labels prove hi >= x, from psi_j >= x, or
+        with slack lo >= x, from psi_j (1 - 2^-b) >= x: exact brackets have
+        relative width below 2^-b.  P^(1/j) >= x is tried first, then for a
+        plane pair the quadratic decides exactly.  A proof counts the row as
+        skipped."""
+        if self._memo[0] is not x or self._memo[1] != slack:
             man, exp = x.man_exp
             num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
             if slack:
@@ -785,9 +810,12 @@ class _GenericScan:
                 num, den = num << bits, den * ((1 << bits) - 1)
             # P^(1/j) >= num / den  <=>  wedge2 den^2j >= num^2j label2 h2
             power = 2 * self.j_index
-            self._memo = (x, (num**power * self.label2, den**power))
-        big, small = self._memo[1]
-        if row[6] * small >= big * row[0]:
+            self._memo = (x, slack, (num**power * self.label2, den**power, num * num, den * den))
+        big, small, num2, den2 = self._memo[2]
+        h2, wedge2, dot = row[0], row[6], row[7]
+        if wedge2 * small >= big * h2 or dot is not None and plane_sine_at_least(
+            self.label2 * h2, wedge2, dot, self.j_index, num2, den2
+        ):
             self.counts["skipped"] += 1
             return True
         return False
@@ -812,10 +840,12 @@ def scan_records(
     line up to the bound whatever the window's strategy.  Otherwise the
     candidates are labelled and screened (_GenericScan), sorted by
     (h2, coords) and swept by height level: a waiting candidate is
-    bracketed only when its label bound cannot meet the running record's
-    upper endpoint; a candidate whose bound does could be neither a level
-    minimum that beats the record nor a record.  The running minimum is taken over upper
-    endpoints; an interval stuck at zero raises
+    bracketed only when its labels cannot prove its sine at least the
+    smaller of the running record's upper endpoint and the least upper
+    endpoint met so far in its level; a candidate they prove so could be
+    neither a level minimum that beats the record nor a record.  The
+    running minimum is taken over upper endpoints; an interval stuck at
+    zero raises
     IrrationalityViolationError.  spec may be an EnumSpec or any iterable
     of rational subspaces (shard outputs can be chained; the sweep sorts by
     height, so merging scans is an order-independent min-reduction).
@@ -825,12 +855,17 @@ def scan_records(
     scan = _GenericScan(target, j_index, ctx)
 
     def settle(level, record):
+        # a row ruled out against bar has hi >= psi >= bar: it beats neither
+        # the record nor, under the sweep's strict <, a row yielded before it
+        bar = None if record is None else record[2]
         for row in level:
             if row[2] is None:
-                if record is not None and scan.rules_out(row, record[2]):
+                if bar is not None and scan.rules_out(row, bar):
                     continue
                 lo, hi = scan.bracket(row)
                 row = (row[0], row[1], hi, lo, row[4])
+            if bar is None or row[2] < bar:
+                bar = row[2]
             yield row
 
     try:

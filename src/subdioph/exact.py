@@ -18,7 +18,10 @@ a positive lead, which is its label and, as a column, its basis: for the
 line census, the line engine's records and the harness's placed records.
 
 Two labels pair in integers: wedge_norm_squared gives |X_A /\\ X_B|^2,
-from which record scans bound proximity sines without any basis.  Reading
+from which record scans bound proximity sines without any basis, and two
+labels of one shape have the dot product <X_A, X_B> = det(A^T B)
+(Cauchy-Binet), from which, with the wedge, scans read both sines of two
+2-planes (angles.plane_sines).  Reading
 a basis back from a label (pluecker_decode, which also serves enumerated
 planes and hyperplanes) goes through rational_kernel, a fraction-free
 elimination on integer rows, so a decoded basis never touches Fraction.

@@ -415,6 +415,29 @@ def test_convergent_takes_its_minors_once(monkeypatch):
     assert outcomes == {"built", "rejected"}
 
 
+@pytest.mark.parametrize("ell, n_index", [(2, 1), (2, 2), (3, 1)])
+def test_unbounded_convergent_is_primitive_unless_theta_divides_det_d(ell, n_index):
+    """F = theta^m_N sum_(k<=N) D_k / theta^m_k is D_N mod theta, and one
+    ell-minor of [theta^m I ; F] is theta^(ell m): the basis fails to be
+    primitive exactly when theta divides det(D_N)."""
+    outcomes = set()
+    for seed in range(200):
+        params = ConstructionParams.create(ell, None, variant=INFINITE, seed=seed)
+        stream = stream_for(params)
+        digits = [[stream.digit(i, j, n_index) for j in range(1, ell + 1)]
+                  for i in range(1, ell + 1)]
+        singular = exact.determinant(digits) % params.theta == 0
+        try:
+            build_convergent(params, n_index)
+            failure = None
+        except CertificationFailure as err:
+            failure = err.check
+        assert (failure == "primitive-basis") == singular, seed
+        assert failure in (None, "primitive-basis"), seed
+        outcomes.add(singular)
+    assert outcomes == {True, False}
+
+
 def test_convergent_height_product_bound():
     for params in (finite_params(seed=2), ConstructionParams.create(2, Fraction(5, 2), seed=2)):
         ell = params.ell

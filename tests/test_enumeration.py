@@ -390,9 +390,9 @@ def test_plane_scan_decodes_only_what_it_profiles(decode_calls, engine_calls, ca
     est.scan_records(TARGET_PLANE, spec, j_index=2)
     counts = scan_counts(caplog)
     assert counts["candidates"] == len(list(enumerate_subspaces(spec)))
-    assert decode_calls["decode"] == engine_calls["angles"] == counts["profiled"]
-    assert counts["profiled"] <= counts["candidates"] - counts["skipped"]
-    assert counts["skipped"] > counts["profiled"]
+    # plane pairs read both sines off their labels: nothing is profiled
+    assert decode_calls["decode"] == engine_calls["angles"] == counts["profiled"] == 0
+    assert counts["label_only"] == counts["candidates"] - counts["skipped"]
 
 
 @pytest.mark.parametrize("j_index, most", [(2, 1000), (1, 100)])
@@ -445,14 +445,15 @@ def test_single_sine_scans_bracket_only_survivors(
 
 
 def test_scan_logs_its_counts(caplog):
-    """label_only counts the single-angle pairs that got a bracket, skipped
-    every pair the labels ruled out; each candidate is counted once."""
+    """label_only counts the pairs bracketed from their labels (single
+    angles and plane pairs), skipped every pair the labels ruled out; each
+    candidate is counted once."""
     caplog.set_level(logging.DEBUG, logger="subdioph")
     spec = EnumSpec(n=4, e=2, height_squared_max=8, strategy=EXACT_PLUECKER)
     est.scan_records(TARGET_PLANE, spec, j_index=2)
     counts = scan_counts(caplog)
     assert counts == {
-        "candidates": 314, "label_only": 0, "profiled": 98, "skipped": 216,
+        "candidates": 314, "label_only": 9, "profiled": 0, "skipped": 305,
     }
     assert counts["candidates"] == counts["label_only"] + counts["profiled"] + counts["skipped"]
     est.irrationality_scan(TARGET_LINE, EnumSpec(3, 1, 40, EXACT_LINES))

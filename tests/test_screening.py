@@ -5,7 +5,9 @@ candidate gets an angle profile from angles_adaptive, in enumeration order;
 records come from a sort by (h2, coords) and a sweep of running minima, and
 the irrationality witness is the first strict minimum of lower endpoints.
 The screened scans must report the same records and the same
-IrrationalityReport, psi bounds compared as float hex.
+IrrationalityReport, psi bounds compared as float hex.  Plane pairs take
+both sines from their labels alone (angles.plane_sines); a pair-level
+oracle holds those brackets against angles_adaptive.
 """
 
 import itertools
@@ -13,15 +15,30 @@ import math
 import random
 from fractions import Fraction
 from itertools import groupby
-from operator import itemgetter
+from operator import itemgetter, mul
+
+import pytest
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from subdioph import estimation as est
 from subdioph import exact
-from subdioph.angles import RealBasis, angles_adaptive
-from subdioph.enumeration import EXACT_LINES, EXACT_PLUECKER, EnumSpec, enumerate_subspaces
+from subdioph.angles import (
+    PrecisionContext,
+    RealBasis,
+    angles_adaptive,
+    exact_relative_bits,
+    plane_sine_at_least,
+    plane_sines,
+)
+from subdioph.enumeration import (
+    EXACT_ECHELON,
+    EXACT_LINES,
+    EXACT_PLUECKER,
+    EnumSpec,
+    enumerate_subspaces,
+)
 from subdioph.errors import IrrationalityViolationError
 
 SETTINGS = settings(
@@ -38,7 +55,10 @@ SETTINGS = settings(
 
 def reference_profiles(target, subs, j_index):
     """(sub, lo, hi) of every candidate in enumeration order."""
-    basis = RealBasis.from_exact(target)
+    if any(isinstance(x, float) for row in target for x in row):
+        basis = RealBasis.from_float(target)
+    else:
+        basis = RealBasis.from_exact(target)
     for scanned, sub in enumerate(subs, start=1):
         prof = angles_adaptive(basis, RealBasis.from_subspace(sub))
         if not prof.resolved[j_index - 1]:
@@ -217,3 +237,136 @@ def test_chained_shards_with_a_repeat(target, j_index, data):
         target, chained, j_index
     )
     assert screened_records(target, spec, j_index) == expected
+
+
+# ---------------------------------------------------------------------------
+# plane pairs: both sines from the labels
+
+# a plane census per ambient dimension, each small enough for the reference
+PLANE_SPECS = {
+    3: EnumSpec(3, 2, 14, EXACT_LINES),
+    4: EnumSpec(4, 2, 6, EXACT_PLUECKER),
+    5: EnumSpec(5, 2, 4, EXACT_ECHELON),
+}
+
+
+@SETTINGS
+@given(target=exact_targets(3, 2), j_index=st.sampled_from([1, 2]))
+def test_planes_vs_planes_r3(target, j_index):
+    # two planes in R^3 meet: psi_1 = 0 raises at the first candidate, and
+    # psi_2 is read off the labels
+    spec = PLANE_SPECS[3]
+    assert_same_scans(target, spec, j_index)
+    raised = outcome(screened_records, target, spec, j_index)[0] == "raised"
+    assert raised == (j_index == 1)
+
+
+@SETTINGS
+@given(target=exact_targets(5, 2), j_index=st.sampled_from([1, 2]))
+def test_planes_vs_planes_r5(target, j_index):
+    assert_same_scans(target, PLANE_SPECS[5], j_index)
+
+
+@SETTINGS
+@given(
+    n=st.sampled_from([3, 4, 5]),
+    j_index=st.sampled_from([1, 2]),
+    enumerated=st.booleans(),
+    data=st.data(),
+)
+def test_plane_target_meeting_planes(n, j_index, enumerated, data):
+    # a small integer first column makes the target meet enumerated planes
+    # in a line (wedge2 = 0); a small second column as well makes the
+    # target an enumerated plane, whose psi_2 is 0
+    small = st.lists(st.integers(-1, 1), min_size=n, max_size=n).filter(any)
+    rest = random_target(n, 2, data.draw(st.integers(0, 2**32)))
+    second = data.draw(small) if enumerated else [row[1] for row in rest]
+    target = [[x, y] for x, y in zip(data.draw(small), second)]
+    assume(exact.rank(target) == 2)
+    assert_same_scans(target, PLANE_SPECS[n], j_index)
+
+
+@SETTINGS
+@given(n=st.sampled_from([3, 4, 5]), j_index=st.sampled_from([1, 2]), seed=st.integers(0, 2**32))
+def test_float_plane_targets(n, j_index, seed):
+    rng = random.Random(seed)
+    target = [[rng.uniform(-9.0, 9.0), rng.uniform(-9.0, 9.0)] for _ in range(n)]
+    assert_same_scans(target, PLANE_SPECS[n], j_index)
+
+
+def random_plane(rng, n):
+    """A random plane basis: small integers, or large-height rationals."""
+    while True:
+        if rng.random() < 0.5:
+            rows = [[rng.randint(-6, 6) for _ in range(2)] for _ in range(n)]
+        else:
+            rows = [[random_entry(rng) for _ in range(2)] for _ in range(n)]
+        if exact.rank(rows) == 2:
+            return rows
+
+
+def squared(x):
+    """x^2 as an integer fraction (num, den) for an mpf x."""
+    man, exp = x.man_exp
+    return (man * man << 2 * exp, 1) if exp >= 0 else (man * man, 1 << -2 * exp)
+
+
+def test_plane_sines_match_the_engine():
+    """Both sines of random exact plane pairs in R^3 to R^6, read off the
+    labels as a scan reads them (the target's raw minors, the candidate's
+    normalized label), against angles_adaptive on the bases: the same zero
+    sines, the same brackets as doubles, overlapping brackets as mpf, and
+    the same mpf whenever the candidate's basis minors are its label.  The
+    exact screen puts each sine at or above 0 and its lower end, and below
+    its upper end unless the two ends meet."""
+    rng = random.Random(26)
+    identical = total = 0
+    for ctx in (None, PrecisionContext(bits=64)):
+        bits = exact_relative_bits(ctx)
+        for n in range(3, 7):
+            for _ in range(50):
+                a = RealBasis.from_exact(random_plane(rng, n))
+                sub = exact.RationalSubspace.from_basis(random_plane(rng, n))
+                xa = exact.raw_minors(exact.transpose(a.columns))
+                xb = sub.pluecker.coords
+                labels = (
+                    sum(x * x for x in xa) * sub.height_squared,
+                    exact.wedge_norm_squared(xa, 2, xb, 2, n),
+                    sum(map(mul, xa, xb)),
+                )
+                brackets = plane_sines(*labels, bits)
+                prof = angles_adaptive(a, RealBasis.from_subspace(sub), ctx)
+                minors = exact.raw_minors(sub.basis)
+                label_basis = minors in (xb, tuple(-x for x in xb))
+                for k, bracket in enumerate(brackets):
+                    assert (bracket is not None) == prof.resolved[k]
+                    assert plane_sine_at_least(*labels, k + 1, 0, 1)
+                    if bracket is None:
+                        continue
+                    lo, hi = bracket
+                    assert est._float_down(lo).hex() == est._float_down(prof.lo[k]).hex()
+                    assert est._float_up(hi).hex() == est._float_up(prof.hi[k]).hex()
+                    assert lo <= prof.hi[k] and prof.lo[k] <= hi
+                    same = (lo, hi) == (prof.lo[k], prof.hi[k])
+                    assert same or not label_basis
+                    assert plane_sine_at_least(*labels, k + 1, *squared(lo))
+                    assert plane_sine_at_least(*labels, k + 1, *squared(hi)) == (lo == hi)
+                    identical += same
+                    total += 1
+    assert total > 600 and identical > total // 2
+
+
+def test_exact_meeting_is_not_a_precision_failure():
+    """An exact pair with a zero sine meets the target exactly; an mpmath
+    pair (t >= 3) unresolved at the cap is indistinguishable from it."""
+    line = [[1], [Fraction(1, 3)], [Fraction(2, 7)]]
+    with pytest.raises(IrrationalityViolationError, match="meets the target exactly") as err:
+        est.scan_records(line, EnumSpec(3, 2, 12, EXACT_LINES))
+    assert err.value.subspace.pluecker.coords == (0, 3, 1)
+    plane = [[1, 0], [0, 1], [1, 1], [0, 0]]
+    with pytest.raises(IrrationalityViolationError, match="meets the target exactly"):
+        est.scan_records(plane, PLANE_SPECS[4], j_index=2)
+    space = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    with pytest.raises(IrrationalityViolationError, match="at the precision cap") as err:
+        est.scan_records(space, EnumSpec(6, 3, 1, EXACT_ECHELON), j_index=3)
+    assert err.value.scanned == 1
