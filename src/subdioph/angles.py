@@ -15,9 +15,11 @@ quadratic surd built from the integer Gram and bordered Gram determinants
 of the columns.  It is computed on the sine
 side, never as 1 - cos^2, so tiny angles keep full relative accuracy, and
 every square root is bracketed by integer square roots: lo <= psi <= hi is
-a proof.  Every other pair (evaluator bases, or t >= 3) goes through an
-mpmath Gram-Schmidt and SVD repeated at doubled precision until two
-consecutive runs agree to the requested relative error.
+a proof.  exact_sine_mantissas hands out those brackets as integers over a
+power of two, before any mpf is built.  Every other pair (evaluator bases,
+or t >= 3) goes through an mpmath Gram-Schmidt and SVD repeated at doubled
+precision until two consecutive runs agree to the requested relative
+error.
 
 A pair with t = 1 and d + e <= n has the squared sine
 |X_A /\\ X_B|^2 / (|X_A|^2 |X_B|^2) in its labels X (Cauchy-Binet), the same
@@ -351,9 +353,20 @@ def _is_exact_pair(a: RealBasis, b: RealBasis) -> bool:
 
 def _exact_profile(a: RealBasis, b: RealBasis, bits_used: int, bits: int) -> AngleProfile:
     """Profile of an exact pair with t <= 2, with rel_err_bound 2^-bits."""
-    # brackets computed at bits + 4 have relative width below 2^-bits
-    brackets = _exact_brackets(_squared_sine_intervals(a, b, bits + 4), bits + 4)
+    brackets = [None if m is None else _packed(*m) for m in exact_sine_mantissas(a, b, bits)]
     return _profile(_pair_dimension(a, b), brackets, mp.ldexp(1, -bits), bits_used)
+
+
+def exact_sine_mantissas(a: RealBasis, b: RealBasis, bits: int) -> list:
+    """Ascending sine brackets of an exact pair with t <= 2 in integers:
+    (lo, hi, k) with lo 2^-k <= psi <= hi 2^-k, or None for a zero sine.
+
+    With bits from exact_relative_bits(ctx), these are the brackets that
+    angles_adaptive(a, b, ctx) packs into its profile, before any mpf is
+    built.
+    """
+    # brackets computed at bits + 4 have relative width below 2^-bits
+    return _sine_mantissas(_squared_sine_intervals(a, b, bits + 4), bits + 4)
 
 
 def exact_relative_bits(ctx: PrecisionContext | None = None) -> int:
@@ -384,8 +397,9 @@ def sine_from_squared(num: int, den: int, bits: int) -> tuple | None:
     """
     if num == 0:
         return None
-    lo, _mid, hi = _sqrt_bracket(_point(num, den), _sqrt_scale(num, den, bits + 4))
-    return lo, hi
+    k = _sqrt_scale(num, den, bits + 4)
+    lo, hi = _sqrt_bracket(_point(num, den), k)
+    return mp.ldexp(lo, -k), mp.ldexp(hi, -k)
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -432,11 +446,15 @@ def _sqrt_scale(num: int, den: int, prec: int) -> int:
     return prec - (_log2_floor(num, den) + 3) // 2
 
 
-def _sqrt_bracket(interval: tuple[int, int, int, int], k: int) -> tuple:
-    """Exact mpf (lo, mid, hi) around sqrt(x), for num_lo/den_lo <= x <= num_hi/den_hi."""
+def _sqrt_bracket(interval: tuple[int, int, int, int], k: int) -> tuple[int, int]:
+    """Integers (lo, hi) with lo 2^-k <= sqrt(x) <= hi 2^-k, for
+    num_lo/den_lo <= x <= num_hi/den_hi."""
     num_lo, den_lo, num_hi, den_hi = interval
-    lo = _scaled_isqrt(num_lo, den_lo, k, up=False)
-    hi = _scaled_isqrt(num_hi, den_hi, k, up=True)
+    return _scaled_isqrt(num_lo, den_lo, k, up=False), _scaled_isqrt(num_hi, den_hi, k, up=True)
+
+
+def _packed(lo: int, hi: int, k: int) -> tuple:
+    """Exact mpf (lo, mid, hi) of the integer bracket [lo, hi] / 2^k."""
     return mp.ldexp(lo, -k), mp.ldexp(lo + hi, -k - 1), mp.ldexp(hi, -k)
 
 
@@ -507,16 +525,17 @@ def _quadratic_roots(tr: int, det: int, dd: int, prec: int) -> list:
     return [small, big]
 
 
-def _exact_brackets(intervals: list, prec: int) -> list:
-    """Ascending exact sine brackets (lo, mid, hi) of relative width below
-    2^(4-prec), from the squared-sine intervals of _squared_sine_intervals."""
+def _sine_mantissas(intervals: list, prec: int) -> list:
+    """Ascending exact sine brackets (lo, hi, k), lo 2^-k <= psi <= hi 2^-k,
+    of relative width below 2^(4-prec), from the squared-sine intervals of
+    _squared_sine_intervals; None stays None."""
     scales = [None if x is None else _sqrt_scale(x[0], x[1], prec) for x in intervals]
     if len(intervals) == 2 and None not in scales and abs(scales[0] - scales[1]) <= 2:
         # close values share the finer scale, which keeps their midpoints in
         # order; values further apart have disjoint brackets
         scales = [max(scales)] * 2
     return [
-        None if x is None else _sqrt_bracket(x, k) for x, k in zip(intervals, scales)
+        None if x is None else (*_sqrt_bracket(x, k), k) for x, k in zip(intervals, scales)
     ]
 
 
@@ -536,8 +555,10 @@ def plane_sines(label2: int, wedge2: int, dot: int, bits: int) -> list:
     """
     prec = bits + 4
     tr = label2 + wedge2 - dot * dot
-    brackets = _exact_brackets(_quadratic_roots(tr, label2 * wedge2, label2, prec), prec)
-    return [None if b is None else (b[0], b[2]) for b in brackets]
+    return [
+        None if m is None else (mp.ldexp(m[0], -m[2]), mp.ldexp(m[1], -m[2]))
+        for m in _sine_mantissas(_quadratic_roots(tr, label2 * wedge2, label2, prec), prec)
+    ]
 
 
 def plane_sine_at_least(label2: int, wedge2: int, dot: int, j: int, num: int, den: int) -> bool:

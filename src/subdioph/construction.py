@@ -17,9 +17,11 @@ every inequality that is checkable at finite index.
 
 from __future__ import annotations
 
+import decimal
 import hashlib
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -27,7 +29,15 @@ from typing import Iterator, Mapping, Sequence
 from mpmath import mp
 
 from . import exact
-from .angles import PrecisionContext, RealBasis, angles_adaptive, _float_down, _float_up
+from .angles import (
+    PrecisionContext,
+    RealBasis,
+    angles_adaptive,
+    exact_relative_bits,
+    exact_sine_mantissas,
+    _float_down,
+    _float_up,
+)
 from .errors import CertificationFailure, ParameterError
 from .reports import exact_str, sci_str
 
@@ -380,40 +390,64 @@ def tail_bound(params: ConstructionParams, depth: int) -> Fraction:
     m_(depth+1), so a geometric comparison bounds the tail by
     (4 ell + 2) / theta^m_(depth+1), respectively 3^(1 - m_(depth+1)).
     """
-    exps = term_exponents(params, depth + 1)
-    m_next = exps[depth + 1]
+    return _tail_bound(params, term_exponents(params, depth + 1)[depth + 1])
+
+
+def _tail_bound(params: ConstructionParams, m_next: int) -> Fraction:
+    """tail_bound from the exponent m_(depth+1) of the first omitted term."""
     if params.variant == INFINITE:
         return Fraction(3, INFINITE_BASE**m_next)
     return Fraction(4 * params.ell + 2, params.theta**m_next)
 
 
-def _scaled_sum(
-    stream, params: ConstructionParams, i: int, j: int, top: int, exps: Sequence[int]
-) -> tuple[int, int]:
-    """theta^m_top times the series at entry (i, j) summed up to index top,
-    the integer sum of digit * theta^(m_top - m_k), and the digit at top."""
-    total = 0
-    for k in range(series_start(params), top + 1):
-        digit = _read_digit(stream, params, i, j, k)
-        total += digit * params.theta ** (exps[top] - exps[k])
-    return total, digit
+class _DigitTable:
+    """The digits of one instance, each read from its stream and checked
+    once, with the scaled partial sums of every entry.
+
+    The sums of an entry at index N are theta^m_N times its series summed
+    up to N.  Each index extends them by the Horner step
+    f_N = f_(N-1) theta^(m_N - m_(N-1)) + digit_N, so convergents and
+    generators built from one table share every digit and every sum.
+    exps holds term_exponents up to the largest index the table serves.
+    """
+
+    def __init__(self, params: ConstructionParams, stream, exps: tuple[int, ...]):
+        self.params = params
+        self.stream = stream
+        self.exps = exps
+        self.start = series_start(params)
+        # per entry, row by row: the sums and digits at indices start, start + 1, ...
+        self.sums: list[list[int]] = [[] for _ in range(params.ell**2)]
+        self.digits: list[list[int]] = [[] for _ in range(params.ell**2)]
+
+    def block(self, top: int) -> tuple[int, exact.Matrix, exact.Matrix]:
+        """(m_top, full, digits): full is theta^m_top times the identity over
+        the scaled partial sums at index top, and digits holds the digits at
+        top.  Only digits up to index top are read."""
+        params, ell, exps = self.params, self.params.ell, self.exps
+        for k in range(self.start + len(self.sums[0]), top + 1):
+            step = params.theta ** (exps[k] - exps[k - 1]) if k > self.start else 0
+            for entry, (entry_sums, entry_digits) in enumerate(zip(self.sums, self.digits)):
+                i, j = divmod(entry, ell)
+                digit = _read_digit(self.stream, params, i + 1, j + 1, k)
+                entry_sums.append(entry_sums[-1] * step + digit if entry_sums else digit)
+                entry_digits.append(digit)
+        at = top - self.start
+        scale = params.theta ** exps[top]
+        sums = [entry_sums[at] for entry_sums in self.sums]
+        digits = [entry_digits[at] for entry_digits in self.digits]
+        rows = [tuple(scale if c == r else 0 for c in range(ell)) for r in range(ell)]
+        rows += [tuple(sums[r * ell:(r + 1) * ell]) for r in range(ell)]
+        return exps[top], tuple(rows), tuple(tuple(digits[r * ell:(r + 1) * ell]) for r in range(ell))
 
 
-def _scaled_block(
-    stream, params: ConstructionParams, top: int
-) -> tuple[int, exact.Matrix, exact.Matrix]:
-    """(m_top, full, digits): full is theta^m_top times the identity over
-    the _scaled_sum of every entry, and digits holds the digits at top."""
-    exps = term_exponents(params, top)
-    ell = params.ell
-    sums = [
-        [_scaled_sum(stream, params, i, j, top, exps) for j in range(1, ell + 1)]
-        for i in range(1, ell + 1)
-    ]
-    scale = params.theta ** exps[top]
-    rows = [[scale if c == i else 0 for c in range(ell)] for i in range(ell)]
-    rows += [[f for f, _ in row] for row in sums]
-    return exps[top], exact.as_matrix(rows), exact.as_matrix([[d for _, d in row] for row in sums])
+def _digit_table(params: ConstructionParams, stream, top: int) -> _DigitTable:
+    """stream itself when it is a digit table, else a new table over it (over
+    the instance's default stream when it is None)."""
+    if isinstance(stream, _DigitTable):
+        return stream
+    stream = stream if stream is not None else stream_for(params)
+    return _DigitTable(params, stream, term_exponents(params, top))
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +495,12 @@ def build_generators(
     """The generators truncated at index depth, built as integers."""
     if depth < series_start(params):
         raise ParameterError("truncation depth precedes the first series term")
-    stream = stream if stream is not None else stream_for(params)
-    _, full, _ = _scaled_block(stream, params, depth)
+    table = _digit_table(params, stream, depth + 1)
+    _, full, _ = table.block(depth)
     return TruncatedGenerators(
         params=params,
         depth=depth,
-        angle_slack=params.ell * tail_bound(params, depth),
+        angle_slack=params.ell * _tail_bound(params, table.exps[depth + 1]),
         integer_matrix=full,
         denominator=full[0][0],
     )
@@ -503,8 +537,7 @@ def build_convergent(
         raise ParameterError(
             f"convergent index must be at least {start} for this variant"
         )
-    stream = stream if stream is not None else stream_for(params)
-    m_n, full, digits = _scaled_block(stream, params, n_index)
+    m_n, full, digits = _digit_table(params, stream, n_index).block(n_index)
     # one set of minors proves primitivity and gives the label
     minors = exact.raw_minors(full)
     if math.gcd(*minors) != 1:
@@ -537,13 +570,18 @@ def build_infinite_convergent(
 class ConvergentCertificate:
     """All finitely checkable facts about one convergent, with values.
 
-    psi_lo/psi_hi bracket the largest proximity sine against the true
-    target (truncation slack already folded in).  upper_normalized rescales
-    psi_hi by base^(alpha * m_N) (finite variant; base^m_(N+1) otherwise)
-    and lower_normalized rescales psi_lo by base^m_(N+1): the construction
-    keeps both inside fixed bands, which is the finite-index shadow of the
-    instance's approximation exponent.  local_exponent is the record-style
-    exponent -2 log(psi_hi) / log(H^2).  ratio_deviation is
+    psi_bracket is the certified dyadic bracket ((lo_man, lo_exp),
+    (hi_man, hi_exp)) of the largest proximity sine against the true
+    target, lo_man 2^lo_exp <= psi <= hi_man 2^hi_exp, truncation slack
+    already folded in; psi_lo/psi_hi are its ends as doubles rounded
+    outward, which reach 0.0 once psi falls below the double range.
+    upper_normalized rescales psi_hi by base^(alpha * m_N) (finite
+    variant; base^m_(N+1) otherwise) and lower_normalized rescales psi_lo
+    by base^m_(N+1): the construction keeps both inside fixed bands, which
+    is the finite-index shadow of the instance's approximation exponent.
+    local_exponent is the record-style exponent -2 log(psi_hi) / log(H^2).
+    These three are float-grade values taken from psi_bracket and integers,
+    so none of them underflows.  ratio_deviation is
     |H(B_N) / theta^(l m_N) / limit - 1| as an mpf, which keeps deviations
     far below the double range.
     """
@@ -555,10 +593,20 @@ class ConvergentCertificate:
     ratio_deviation: mp.mpf
     psi_lo: float
     psi_hi: float
+    psi_bracket: tuple[tuple[int, int], tuple[int, int]]
     upper_normalized: float
     lower_normalized: float
     local_exponent: float
     checks: tuple[tuple[str, bool], ...]
+
+
+def _psi_str(value: float, end: tuple[int, int], rounding: str) -> str:
+    """One end of a certified sine bracket: f"{value:.18e}" while the double
+    is normal, else the exact dyadic end in the same shape, rounded outward
+    in the given decimal rounding mode."""
+    if value >= sys.float_info.min:
+        return f"{value:.18e}"
+    return sci_str(mp.ldexp(*end), 18, rounding)
 
 
 @dataclass(frozen=True)
@@ -579,10 +627,12 @@ class InstanceCertification:
     instance_checks: tuple[tuple[str, bool], ...]
 
     def as_records(self) -> Iterator[dict]:
-        """One JSON-ready dict per (N, check) plus quantitative rows."""
+        """One JSON-ready dict per (N, check) plus quantitative rows.  A sine
+        end whose double is 0 or subnormal is printed from psi_bracket."""
         for rec in self.records:
             for name, ok in rec.checks:
                 yield {"n": rec.n_index, "check": name, "ok": ok}
+            lo, hi = rec.psi_bracket
             yield {
                 "n": rec.n_index,
                 "check": "quantities",
@@ -592,8 +642,8 @@ class InstanceCertification:
                 "ratio_squared": f"{exact_str(rec.ratio_squared.numerator)}/"
                 f"{exact_str(rec.ratio_squared.denominator)}",
                 "ratio_deviation": sci_str(rec.ratio_deviation),
-                "psi_lo": f"{rec.psi_lo:.18e}",
-                "psi_hi": f"{rec.psi_hi:.18e}",
+                "psi_lo": _psi_str(rec.psi_lo, lo, decimal.ROUND_FLOOR),
+                "psi_hi": _psi_str(rec.psi_hi, hi, decimal.ROUND_CEILING),
                 "upper_normalized": f"{rec.upper_normalized:.6e}",
                 "lower_normalized": f"{rec.lower_normalized:.6e}",
                 "local_exponent": f"{rec.local_exponent:.6f}",
@@ -602,31 +652,101 @@ class InstanceCertification:
             yield {"n": None, "check": name, "ok": ok}
 
 
-# Working precision of the float-grade summaries (normalizations, exponents,
-# ratio deviations), which are reported with six or seven digits.
-SUMMARY_BITS = 96
-
-
 def _mpmath_context(params: ConstructionParams, depth: int) -> PrecisionContext:
     """Starting precision that over-resolves every angle up to the slack scale.
 
-    Only pairs with more than two angles (ell >= 3) reach the mpmath engine;
-    smaller blocks are evaluated exactly at any magnitude.
+    certify_instance uses it only for ell >= 3, whose pairs have more than
+    two angles and go through the mpmath engine; smaller blocks get exact
+    integer brackets at any magnitude.
     """
     m_next = term_exponents(params, depth + 1)[depth + 1]
     return PrecisionContext(bits=int(4 * m_next * math.log2(params.theta)) + 64)
 
 
+# ---------------------------------------------------------------------------
+# dyadic brackets and float-grade summaries: a dyadic is a pair (man, exp)
+# of integers standing for man 2^exp
+
+
+def _rounded(man: int, exp: int, prec: int, up: bool) -> tuple[int, int]:
+    """The dyadic man 2^exp, man > 0, rounded up or down to a mantissa of
+    prec bits."""
+    shift = man.bit_length() - prec
+    if shift <= 0:
+        return man, exp
+    return (-(-man >> shift) if up else man >> shift), exp + shift
+
+
+def _ceil_dyadic(x: Fraction, prec: int) -> tuple[int, int]:
+    """The least dyadic with a prec-bit mantissa at or above x > 0: the
+    value mpmath's fdiv gives with rounding="c"."""
+    num, den = x.numerator, x.denominator
+    # the quotient num 2^shift / den has at least prec + 1 bits
+    shift = prec + 1 - num.bit_length() + den.bit_length()
+    man = -(-(num << shift) // den) if shift >= 0 else -(-num // (den << -shift))
+    # a ceiling of a ceiling is the ceiling
+    return _rounded(man, -shift, prec, up=True)
+
+
+def _widened(lo: tuple[int, int], hi: tuple[int, int], tau: tuple[int, int], prec: int):
+    """(lo - tau, hi + tau) for dyadics, rounded outward to prec-bit
+    mantissas as AngleProfile.widened rounds at that precision, or None when
+    lo - tau is not positive."""
+    (lo_man, lo_exp), (hi_man, hi_exp), (tau_man, tau_exp) = lo, hi, tau
+    exp = min(lo_exp, tau_exp)
+    diff = (lo_man << (lo_exp - exp)) - (tau_man << (tau_exp - exp))
+    if diff <= 0:
+        return None
+    hi_sum_exp = min(hi_exp, tau_exp)
+    total = (hi_man << (hi_exp - hi_sum_exp)) + (tau_man << (tau_exp - hi_sum_exp))
+    return _rounded(diff, exp, prec, up=False), _rounded(total, hi_sum_exp, prec, up=True)
+
+
+def _dyadic_float(man: int, exp: int) -> float:
+    """The double nearest man 2^exp by a correctly rounded int division
+    (0.0 below the double range)."""
+    return man / (1 << -exp) if exp < 0 else float(man << exp)
+
+
+def _scaled_float(end: tuple[int, int], theta: int, power: Fraction | int) -> float:
+    """end * theta^power as a double, for a dyadic end and a rational power
+    >= 0: the whole part of the power multiplies the mantissa exactly, only
+    its fractional part goes through a float power."""
+    whole, rest = divmod(power, 1)
+    value = _dyadic_float(end[0] * theta**whole, end[1])
+    return value * theta ** float(rest) if rest else value
+
+
+def _log_dyadic(end: tuple[int, int]) -> float:
+    """Natural log of a positive dyadic at any magnitude: the log of its
+    mantissa scaled into [1/2, 1] plus a whole number of log 2, so the two
+    terms do not cancel."""
+    man, exp = end
+    bits = man.bit_length()
+    return math.log(man / (1 << bits)) + (bits + exp) * math.log(2)
+
+
 def _ratio_deviation(ratio_squared: Fraction, limit_squared: Fraction):
-    """|ratio / limit - 1| as |q - 1| / (sqrt(q) + 1), q = ratio^2 / limit^2.
+    """|ratio / limit - 1| as |q - 1| / (sqrt(q) + 1), q = ratio^2 / limit^2,
+    an mpf of 64 significant bits.
 
     q - 1 is formed exactly, so the value keeps full relative accuracy at
-    any closeness of the ratio to its limit.
+    any closeness of the ratio to its limit.  The divisor, times the
+    denominator of q, is q_den + sqrt(q_num q_den), taken from q_num and
+    q_den shifted until the smaller keeps 128 bits; the quotient is an int
+    division.
     """
     q_num = ratio_squared.numerator * limit_squared.denominator
     q_den = ratio_squared.denominator * limit_squared.numerator
-    q = mp.mpf(q_num) / q_den
-    return mp.mpf(abs(q_num - q_den)) / q_den / (mp.sqrt(q) + 1)
+    gap = abs(q_num - q_den)
+    if gap == 0:
+        return mp.mpf(0)
+    lead = max(0, min(q_num.bit_length(), q_den.bit_length()) - 128)
+    top_num, top_den = q_num >> lead, q_den >> lead
+    divisor = top_den + math.isqrt(top_num * top_den)  # times 2^lead
+    shift = 64 + divisor.bit_length() - gap.bit_length()
+    man = (gap << shift) // divisor if shift >= 0 else gap // (divisor << -shift)
+    return mp.ldexp(man, -shift - lead)
 
 
 # The checks certify_instance runs, in report order.  A failed check raises
@@ -653,14 +773,22 @@ def certify_instance(
     """Check every finitely verifiable inequality for N = 1..nmax.
 
     Exact checks (tails, entry bounds, primitivity, height bounds, digit
-    dominance, exponent steps) run on integers and rationals; proximity
-    sines are certified as intervals by adaptive-precision evaluation
-    against a depth-truncation of the target, widened by the truncation
-    slack.  Raises CertificationFailure naming the first violated check.
+    dominance, exponent steps) run on integers and rationals.  The largest
+    proximity sine against a depth-truncation of the target is certified
+    as a dyadic interval, widened by the truncation slack and rounded
+    outward.  For ell <= 2 the interval is the exact integer square-root
+    bracket of exact_sine_mantissas, read at exact_relative_bits(ctx) and
+    widened at bits_used = 2 ctx.bits, with no mpf built; for ell >= 3 it
+    is the mpmath bracket of angles_adaptive (started at _mpmath_context
+    unless ctx is given), widened at its bits_used.  The summaries come from
+    the widened dyadics and integers.  Raises CertificationFailure naming
+    the first violated check, and PrecisionExhaustedError where
+    angles_adaptive would.
 
-    Convergent 1, with its primitive-basis check, is built before the
-    generators: the first failure is the same, but a non-primitive instance
-    stops before any work at the truncation depth.
+    Every digit is read once, into one digit table that the convergents
+    and the generators share.  Convergent 1, with its primitive-basis check,
+    is built first from its own digits: the first failure is the same, but
+    a non-primitive instance stops before any work at the truncation depth.
     """
     if nmax < 1:
         raise ParameterError("nmax must be at least 1")
@@ -670,15 +798,18 @@ def certify_instance(
     ell = params.ell
     theta = params.theta
 
-    first = build_convergent(params, 1)
-    generators = build_generators(params, depth)
+    table = _DigitTable(params, stream_for(params), term_exponents(params, depth + 1))
+    exps = table.exps
+    first = build_convergent(params, 1, stream=table)
+    generators = build_generators(params, depth, stream=table)
     gram_limit_squared = generators.gram_squared()
     target = generators.real_basis()
     slack = generators.angle_slack
+    # the slack rounded up at each precision a bracket is widened at
+    taus: dict[int, tuple[int, int]] = {}
 
-    if ctx is None and ell > 2:
-        ctx = _mpmath_context(params, depth)
-    exps = term_exponents(params, nmax + 1)
+    if ctx is None:
+        ctx = _mpmath_context(params, depth) if ell > 2 else PrecisionContext()
 
     records = []
     prev_height_sq = None
@@ -688,15 +819,16 @@ def certify_instance(
     bits_used = 0
 
     for n_index in range(1, nmax + 1):
-        convergent = first if n_index == 1 else build_convergent(params, n_index)
+        convergent = first if n_index == 1 else build_convergent(params, n_index, stream=table)
         m_n = convergent.exponent
+        m_next = exps[n_index + 1]
         h_sq = convergent.height_squared
 
         # exact: the deep truncation sits strictly between this convergent's
         # partial sums and those sums plus the tail bound at index N; over
         # the generators' denominator the gap is deep - f * theta^(m_depth - m_N)
-        tail_n = tail_bound(params, n_index)
-        lift = generators.denominator // theta**m_n
+        tail_n = _tail_bound(params, m_next)
+        lift = theta ** (exps[depth] - m_n)
         gap_cap = tail_n.numerator * generators.denominator
         gaps = [
             deep - f * lift
@@ -747,37 +879,38 @@ def certify_instance(
 
         # exact: the exponent schedule steps by at most a factor alpha
         if params.variant == FINITE:
-            step_ok = exps[n_index + 1] <= params.alpha * (exps[n_index] + 1)
+            step_ok = m_next <= params.alpha * (m_n + 1)
         else:
-            step_ok = exps[n_index + 1] > exps[n_index]
+            step_ok = m_next > m_n
         _require(step_ok, "exponent-step", n_index)
 
-        # interval: largest proximity sine against the true target
-        profile = angles_adaptive(
-            target, RealBasis.from_subspace(convergent.subspace), ctx
-        )
-        widened = profile.widened(slack)
-        bits_used = max(bits_used, profile.bits_used)
-        resolved_ok = bool(profile.resolved[-1]) and widened.lo[-1] > 0
+        # interval: largest proximity sine against the true target, as
+        # dyadic ends; None when it is not separated from zero
+        basis = RealBasis.from_subspace(convergent.subspace)
+        if ell <= 2:
+            prec = 2 * ctx.bits
+            sine = exact_sine_mantissas(target, basis, exact_relative_bits(ctx))[-1]
+            bracket = None if sine is None else ((sine[0], -sine[2]), (sine[1], -sine[2]))
+        else:
+            profile = angles_adaptive(target, basis, ctx)
+            prec = profile.bits_used
+            bracket = (profile.lo[-1].man_exp, profile.hi[-1].man_exp) if profile.resolved[-1] else None
+        bits_used = max(bits_used, prec)
+        if bracket is not None:
+            if prec not in taus:
+                taus[prec] = _ceil_dyadic(slack, prec)
+            bracket = _widened(*bracket, taus[prec], prec)
         _require(
-            resolved_ok,
+            bracket is not None,
             "psi-resolution",
             n_index,
             "largest sine not separated from zero at this precision",
         )
 
-        psi_lo = widened.lo[-1]
-        psi_hi = widened.hi[-1]
+        psi_lo, psi_hi = bracket
         ratio_squared = Fraction(h_sq, theta ** (2 * ell * m_n))
-        with mp.workprec(SUMMARY_BITS):
-            if params.variant == FINITE:
-                upper_exponent = mp.mpf(params.alpha.numerator) / params.alpha.denominator * m_n
-            else:
-                upper_exponent = exps[n_index + 1]
-            deviation = _ratio_deviation(ratio_squared, gram_limit_squared)
-            upper_normalized = float(psi_hi * mp.mpf(theta) ** upper_exponent)
-            lower_normalized = float(psi_lo * mp.mpf(theta) ** exps[n_index + 1])
-            local_exponent = float(-2 * mp.log(psi_hi) / mp.log(h_sq))
+        deviation = _ratio_deviation(ratio_squared, gram_limit_squared)
+        upper_power = params.alpha * m_n if params.variant == FINITE else m_next
 
         if prev_height_sq is not None and h_sq <= prev_height_sq:
             height_monotone = False
@@ -793,11 +926,12 @@ def certify_instance(
                 height_squared=h_sq,
                 ratio_squared=ratio_squared,
                 ratio_deviation=deviation,
-                psi_lo=_float_down(psi_lo),
-                psi_hi=_float_up(psi_hi),
-                upper_normalized=upper_normalized,
-                lower_normalized=lower_normalized,
-                local_exponent=local_exponent,
+                psi_lo=_float_down(_dyadic_float(*psi_lo)),
+                psi_hi=_float_up(_dyadic_float(*psi_hi)),
+                psi_bracket=bracket,
+                upper_normalized=_scaled_float(psi_hi, theta, upper_power),
+                lower_normalized=_scaled_float(psi_lo, theta, m_next),
+                local_exponent=-2 * _log_dyadic(psi_hi) / math.log(h_sq),
                 checks=tuple((name, True) for name in _CONVERGENT_CHECKS),
             )
         )

@@ -81,18 +81,14 @@ from .angles import (
 )
 from .construction import (
     INFINITE,
-    SUMMARY_BITS,
     ConstructionParams,
     ConvergentMatrix,
     InstanceCertification,
     build_convergent,
     build_generators,
     series_start,
-    stream_for,
     tail_bound,
-    term_exponents,
     _ratio_deviation,
-    _scaled_sum,
 )
 from .enumeration import EnumSpec, enumerate_subspaces
 from .errors import (
@@ -202,9 +198,8 @@ def line_target_for_instance(
     if params.ell != 1:
         raise ParameterError("series instances define a line target only when ell = 1")
     depth = series_depth(params, height_squared_max, series_start(params))
-    exps = term_exponents(params, depth)
-    scaled, _ = _scaled_sum(stream_for(params), params, 1, 1, depth, exps)
-    value = Fraction(scaled, params.theta ** exps[depth])
+    gens = build_generators(params, depth)
+    value = Fraction(gens.integer_matrix[1][0], gens.denominator)
     return RationalLineTarget(value=value, tail_upper=tail_bound(params, depth))
 
 
@@ -1026,11 +1021,10 @@ def height_ratio_deviations(
     """
     limit2 = build_generators(params, nmax + 2).gram_squared()
     out = []
-    with mp.workprec(SUMMARY_BITS):
-        for n_index in range(1, nmax + 1):
-            conv = build_convergent(params, n_index)
-            ratio2 = Fraction(conv.height_squared, params.theta ** (2 * params.ell * conv.exponent))
-            out.append((conv, _ratio_deviation(ratio2, limit2)))
+    for n_index in range(1, nmax + 1):
+        conv = build_convergent(params, n_index)
+        ratio2 = Fraction(conv.height_squared, params.theta ** (2 * params.ell * conv.exponent))
+        out.append((conv, _ratio_deviation(ratio2, limit2)))
     return tuple(out)
 
 

@@ -86,20 +86,33 @@ def exact_str(value: int | Fraction) -> str:
 _EXACT = decimal.Context(prec=decimal.MAX_PREC)
 
 
-def sci_str(value) -> str:
-    """value as f"{float(value):.6e}" prints it when float(value) is a
-    normal double or zero, else in the same d.dddddde+-NNN shape from the
+def sci_str(value, digits: int = 6, rounding: str | None = None) -> str:
+    """value in the shape d.ddd...e+-NNN with the given number of decimals.
+
+    Without a rounding mode, value prints as f"{float(value):.{digits}e}"
+    prints it when float(value) is a normal double or zero, else from the
     exact value of an mpf (mantissa, exponent) pair, rounded half to even:
     a deviation far below the double range prints as itself, not as 0.
+    With a decimal rounding mode (decimal.ROUND_FLOOR, ROUND_CEILING, ...)
+    the exact value of the mpf is always the one printed, rounded in that
+    mode, so an interval end can be printed outward.
     """
-    f = float(value)
-    if f == 0 == value or (math.isfinite(f) and abs(f) >= sys.float_info.min):
-        return f"{f:.6e}"
+    if rounding is None:
+        f = float(value)
+        if f == 0 == value or (math.isfinite(f) and abs(f) >= sys.float_info.min):
+            return f"{f:.{digits}e}"
     man, exp = value.man_exp
     man = -man if value < 0 else man
     if exp >= 0:
-        return f"{decimal.Decimal(man << exp):.6e}"
-    return f"{decimal.Decimal(man * 5**-exp).scaleb(exp, _EXACT):.6e}"
+        exact = decimal.Decimal(man << exp)
+    else:
+        exact = decimal.Decimal(man * 5**-exp).scaleb(exp, _EXACT)
+    # rounded here to digits + 1 significant digits, the format is exact
+    shown = decimal.Context(
+        prec=digits + 1, rounding=rounding or decimal.ROUND_HALF_EVEN,
+        Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
+    ).plus(exact)
+    return f"{shown:.{digits}e}"
 
 
 def _convert_scalar(value):

@@ -5,11 +5,14 @@ import math
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 import sympy
+from mpmath import mp
 
+from subdioph.angles import AngleProfile, PrecisionContext, RealBasis, angles_adaptive
 from subdioph.construction import (
     FINITE,
     INFINITE,
@@ -31,7 +34,7 @@ from subdioph.construction import (
     theta_is_admissible,
     theta_lower_bound,
 )
-from subdioph.errors import CertificationFailure, ParameterError
+from subdioph.errors import CertificationFailure, ParameterError, PrecisionExhaustedError
 from subdioph import construction, exact
 
 
@@ -612,3 +615,236 @@ def test_descriptor_values_are_not_coerced(descriptor, message):
     with pytest.raises(ParameterError, match="bad instance descriptor") as err:
         params_from_descriptor(descriptor)
     assert message in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# certification from integer brackets against the AngleProfile route
+
+
+def _profile_route_certify(params, nmax, ctx=None):
+    """certify_instance as it ran before its brackets stayed integers:
+    angles_adaptive, AngleProfile.widened and 96-bit mpmath summaries, every
+    convergent rebuilt from the stream.  The oracle for the dyadic route."""
+    depth = nmax + 2
+    ell, theta = params.ell, params.theta
+    first = build_convergent(params, 1)
+    generators = build_generators(params, depth)
+    gram_limit_squared = generators.gram_squared()
+    target = generators.real_basis()
+    slack = generators.angle_slack
+    if ctx is None and ell > 2:
+        ctx = construction._mpmath_context(params, depth)
+    exps = term_exponents(params, nmax + 1)
+    records, brackets, bits_used = [], [], 0
+    prev_h, prev_dev, height_monotone, deviation_monotone = None, None, True, True
+    for n_index in range(1, nmax + 1):
+        conv = first if n_index == 1 else build_convergent(params, n_index)
+        m_n, h_sq = conv.exponent, conv.height_squared
+        tail_n = tail_bound(params, n_index)
+        lift = generators.denominator // theta**m_n
+        gaps = [
+            deep - f * lift
+            for deep_row, f_row in zip(generators.integer_matrix[ell:], conv.f_matrix)
+            for deep, f in zip(deep_row, f_row)
+        ]
+        if not all(0 < g and g * tail_n.denominator < tail_n.numerator * generators.denominator
+                   for g in gaps):
+            raise CertificationFailure("truncation-tail", n_index)
+        finite = params.variant == FINITE
+        f_cap = (2 * (2 * ell + 1) if finite else 1) * theta**m_n
+        if not all(0 < f <= f_cap for row in conv.f_matrix for f in row):
+            raise CertificationFailure("f-entry-bound", n_index)
+        height_cap = (2 * ell) ** ell * theta ** (2 * ell * m_n)
+        if finite:
+            height_cap *= (2 * (2 * ell + 1)) ** (2 * ell)
+        if h_sq > height_cap:
+            raise CertificationFailure("height-upper", n_index)
+        digits = conv.digit_matrix
+        det = exact.determinant(digits)
+        ok = det != 0
+        if finite:
+            ok = ok and abs(det) <= math.factorial(ell) * (2 * ell + 1) ** ell < theta
+            for j in range(ell):
+                off = sum(digits[i][j] for i in range(ell) if i != j)
+                ok = ok and digits[j][j] >= 2 * ell > off
+        if not ok:
+            raise CertificationFailure("digit-dominance", n_index)
+        step_ok = (exps[n_index + 1] <= params.alpha * (exps[n_index] + 1) if finite
+                   else exps[n_index + 1] > exps[n_index])
+        if not step_ok:
+            raise CertificationFailure("exponent-step", n_index)
+        profile = angles_adaptive(target, RealBasis.from_subspace(conv.subspace), ctx)
+        widened = profile.widened(slack)
+        bits_used = max(bits_used, profile.bits_used)
+        if not (profile.resolved[-1] and widened.lo[-1] > 0):
+            raise CertificationFailure("psi-resolution", n_index)
+        psi_lo, psi_hi = widened.lo[-1], widened.hi[-1]
+        ratio_squared = Fraction(h_sq, theta ** (2 * ell * m_n))
+        with mp.workprec(96):
+            upper = (mp.mpf(params.alpha.numerator) / params.alpha.denominator * m_n
+                     if finite else exps[n_index + 1])
+            q_num = ratio_squared.numerator * gram_limit_squared.denominator
+            q_den = ratio_squared.denominator * gram_limit_squared.numerator
+            q = mp.mpf(q_num) / q_den
+            deviation = mp.mpf(abs(q_num - q_den)) / q_den / (mp.sqrt(q) + 1)
+            upper_normalized = float(psi_hi * mp.mpf(theta) ** upper)
+            lower_normalized = float(psi_lo * mp.mpf(theta) ** exps[n_index + 1])
+            local_exponent = float(-2 * mp.log(psi_hi) / mp.log(h_sq))
+        height_monotone = height_monotone and (prev_h is None or h_sq > prev_h)
+        deviation_monotone = deviation_monotone and (prev_dev is None or deviation <= prev_dev)
+        prev_h, prev_dev = h_sq, deviation
+        brackets.append((psi_lo, psi_hi))
+        records.append(construction.ConvergentCertificate(
+            n_index=n_index, exponent=m_n, height_squared=h_sq, ratio_squared=ratio_squared,
+            ratio_deviation=deviation, psi_lo=construction._float_down(psi_lo),
+            psi_hi=construction._float_up(psi_hi),
+            psi_bracket=(psi_lo.man_exp, psi_hi.man_exp),
+            upper_normalized=upper_normalized, lower_normalized=lower_normalized,
+            local_exponent=local_exponent,
+            checks=tuple((name, True) for name in construction._CONVERGENT_CHECKS),
+        ))
+    if not height_monotone:
+        raise CertificationFailure("height-monotone", nmax)
+    if not deviation_monotone:
+        raise CertificationFailure("ratio-trend", nmax)
+    cert = construction.InstanceCertification(
+        params=params, depth=depth, bits_used=bits_used, gram_limit_squared=gram_limit_squared,
+        records=tuple(records),
+        instance_checks=tuple((name, True) for name in construction._INSTANCE_CHECKS),
+    )
+    return cert, brackets
+
+
+def _certify_outcome(run):
+    try:
+        return run()
+    except CertificationFailure as err:
+        return ("failure", err.check, err.n_index)
+    except PrecisionExhaustedError:
+        return ("precision-exhausted",)
+
+
+_CTXS = [None, PrecisionContext(bits=128), PrecisionContext(bits=256, max_bits=384)]
+_CTX_IDS = ["default", "bits-128", "over-the-cap"]
+
+
+@pytest.mark.parametrize(
+    "ell, beta, nmax, seeds, ctx",
+    [
+        pytest.param(ell, beta, nmax, 50, ctx, id=f"l{ell}-{beta}-n{nmax}-{name}")
+        for ell, beta, nmax in [(1, 3, 4), (1, Fraction(11, 4), 4), (1, None, 3),
+                                (2, Fraction(5, 2), 2), (2, 3, 2), (2, None, 2)]
+        for ctx, name in zip(_CTXS, _CTX_IDS)
+    ]
+    # the unbounded slack at depth 6 is 3^-823543: 0.17 s per call and route
+    + [pytest.param(1, None, 4, 5, None, id="l1-None-n4-default")]
+    # ell = 3 keeps the mpmath engine; seeds 4 and 11 are primitive
+    + [pytest.param(3, None, 1, 12, None, id="l3-None-n1-default")],
+)
+def test_integer_brackets_match_the_angle_profile_route(ell, beta, nmax, seeds, ctx):
+    """certify_instance agrees with the AngleProfile route seed by seed: the
+    same rows, the same psi doubles, the same bracket values, bits_used and
+    Gram limit, and the same failing check at the same N."""
+    variant = INFINITE if beta is None else FINITE
+    outcomes = set()
+    for seed in range(seeds):
+        params = ConstructionParams.create(ell, beta, seed=seed, variant=variant)
+        new = _certify_outcome(lambda: certify_instance(params, nmax, ctx=ctx))
+        old = _certify_outcome(lambda: _profile_route_certify(params, nmax, ctx))
+        if isinstance(new, tuple):
+            assert new == old, seed
+            outcomes.add(new[0])
+            continue
+        old, brackets = old
+        assert list(new.as_records()) == list(old.as_records()), seed
+        assert [(r.psi_lo.hex(), r.psi_hi.hex()) for r in new.records] == [
+            (r.psi_lo.hex(), r.psi_hi.hex()) for r in old.records
+        ], seed
+        assert [tuple(mp.ldexp(*end) for end in r.psi_bracket) for r in new.records] == brackets
+        assert (new.bits_used, new.gram_limit_squared) == (old.bits_used, old.gram_limit_squared)
+        outcomes.add("certified")
+    # every case reaches the route it is meant to compare
+    assert ("precision-exhausted" in outcomes) == (ctx is not None and ctx.max_bits < 512)
+    assert "certified" in outcomes or ctx is not None
+
+
+def test_digits_are_read_once_per_certification(monkeypatch):
+    """certify_instance reads every digit (i, j, k) at most once, and a
+    non-primitive convergent 1 stops it after convergent 1's own digits."""
+    reads = []
+
+    class Counting:
+        def __init__(self, stream):
+            self.stream = stream
+
+        def digit(self, i, j, k):
+            reads.append((i, j, k))
+            return self.stream.digit(i, j, k)
+
+    monkeypatch.setattr(construction, "stream_for", lambda p: Counting(stream_for(p)))
+    for ell, beta, nmax in [(1, 3, 4), (2, Fraction(5, 2), 2), (1, None, 3)]:
+        del reads[:]
+        variant = INFINITE if beta is None else FINITE
+        params = ConstructionParams.create(ell, beta, seed=0, variant=variant)
+        certify_instance(params, nmax)
+        assert len(reads) == len(set(reads)) and reads, (ell, beta)
+        # the generators at depth nmax + 2 need every digit up to it
+        start = 1 if beta is None else 0
+        assert len(reads) == ell * ell * (nmax + 3 - start)
+    del reads[:]
+    params = ConstructionParams.create(2, None, seed=1, variant=INFINITE)
+    with pytest.raises(CertificationFailure, match="primitive-basis"):
+        certify_instance(params, 2)
+    assert sorted(reads) == [(1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1)]
+
+
+def test_sines_below_the_double_range_print_from_the_exact_bracket():
+    """At l=1 beta=3 N=5 psi is about 5e-510: its double ends read 0 and
+    5e-324, while the row prints the dyadic bracket rounded outward."""
+    cert = certify_instance(finite_params(), 5)
+    rec = cert.records[-1]
+    assert rec.psi_lo == 0.0 and rec.psi_hi == 5e-324
+    row = [r for r in cert.as_records() if r["check"] == "quantities"][-1]
+    lo, hi = Decimal(row["psi_lo"]), Decimal(row["psi_hi"])
+    assert 0 < lo <= hi
+    assert lo <= Fraction(*_dyadic_fraction(rec.psi_bracket[0]))
+    assert hi >= Fraction(*_dyadic_fraction(rec.psi_bracket[1]))
+    exponent = -2 * hi.log10() / Decimal(rec.height_squared).log10()
+    assert row["local_exponent"] == "2.998017"
+    assert abs(float(exponent) - 2.998017) < 1e-6
+    # rows that fit a double keep their bytes
+    assert row["psi_lo"] == "4.787367840780352591e-510"
+    earlier = [r for r in cert.as_records() if r["check"] == "quantities"][-2]
+    assert earlier["psi_lo"] == f"{cert.records[-2].psi_lo:.18e}"
+
+
+def _dyadic_fraction(end):
+    man, exp = end
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+
+
+def test_dyadic_widening_rounds_as_angle_profile_widened():
+    """_widened and _ceil_dyadic give the values AngleProfile.widened gives
+    at the same precision, for ends and slacks near each other and far
+    apart, including a lower end pushed to zero."""
+    rng = random.Random(7)
+    for _ in range(400):
+        prec = rng.choice([64, 96, 512, 1024])
+        k = rng.randrange(1, 3000)
+        lo = rng.getrandbits(prec + 4) | 1 << (prec + 3)
+        hi = lo + rng.randrange(0, 1 << 8)
+        slack = Fraction(rng.randrange(1, 10**6), rng.choice([1, 3, 7, 10**9]) << rng.randrange(
+            max(0, k - prec - 20), k + 3 * prec))
+        profile = AngleProfile(t=1, psi=(mp.ldexp(lo, -k),), lo=(mp.ldexp(lo, -k),),
+                               hi=(mp.ldexp(hi, -k),), resolved=(True,), rel_err_bound=0,
+                               bits_used=prec)
+        widened = profile.widened(slack)
+        tau = construction._ceil_dyadic(slack, prec)
+        assert mp.ldexp(*tau) == mp.fdiv(slack.numerator, slack.denominator, prec=prec,
+                                         rounding="c")
+        got = construction._widened((lo, -k), (hi, -k), tau, prec)
+        if widened.lo[0] == 0:
+            assert got is None
+            continue
+        assert (mp.ldexp(*got[0]), mp.ldexp(*got[1])) == (widened.lo[0], widened.hi[0])
+        assert got[0][0].bit_length() <= prec and got[1][0].bit_length() <= prec + 1
