@@ -17,10 +17,11 @@ is its primitive normal reversed with alternating signs; a plane in R^4 is
 a point of the Pluecker quadric, checked against the Pluecker relation; an
 echelon label is read off the minors of its scaled echelon basis.
 enumerate_labels streams these pairs as they are, which is all a census
-written to a file needs.  enumerate_events and enumerate_subspaces map the
-same streams to subspaces: the labels are primitive with a positive lead
-by construction, so they are built with PlueckerVector._normalized,
-without PlueckerVector's checks; a line is built from its vector alone,
+written to a file needs and all a generic record scan reads.
+enumerate_events and enumerate_subspaces map the same streams to
+subspaces: the labels are primitive with a positive lead by construction,
+so they are built with PlueckerVector._normalized, without
+PlueckerVector's checks; a line is built from its vector alone,
 label and basis, by RationalSubspace._line.  Bases other than a line's are
 decoded only on first access to .basis.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import gcd, isqrt
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import exact
 from .errors import ParameterError, StrategyMismatchError, SubdiophError
@@ -318,14 +319,21 @@ def _label_streams(
         yield lead, labels_at(spec, lead)
 
 
+def _label_subspace(spec: EnumSpec) -> Callable[[tuple[int, ...]], exact.RationalSubspace]:
+    """The map from a label of the run to its subspace, as enumerate_subspaces
+    builds it: a line census keeps each vector as its line's basis."""
+    if spec.strategy == EXACT_LINES and spec.e == 1:
+        return exact.RationalSubspace._line
+    n, e = spec.n, spec.e
+    normalized, subspace = exact.PlueckerVector._normalized, exact.RationalSubspace
+    return lambda coords: subspace(normalized(n, e, coords))
+
+
 def _subspaces(
     spec: EnumSpec, labels: Iterator[tuple[tuple[int, ...], int]]
 ) -> Iterator[exact.RationalSubspace]:
-    if spec.strategy == EXACT_LINES and spec.e == 1:
-        return (exact.RationalSubspace._line(c) for c, _ in labels)
-    n, e = spec.n, spec.e
-    normalized, subspace = exact.PlueckerVector._normalized, exact.RationalSubspace
-    return (subspace(normalized(n, e, c)) for c, _ in labels)
+    make = _label_subspace(spec)
+    return (make(c) for c, _ in labels)
 
 
 def enumerate_labels(

@@ -31,9 +31,11 @@ sweep:
   The target picks the engine: a line target takes this one (_line_scan)
   for any unsharded window of lines, whatever its census strategy, and
   refuses a sharded window or one of higher-dimensional subspaces;
-* the generic scan walks an enumeration and pairs an exact target's
-  label (a float target is exact too) with every candidate's label in
-  integers.  For d + e <= n that pairing gives the product P of all the
+* the generic scan walks the labels of an enumeration (a subspace is
+  built only for a row it profiles or reports) and pairs an exact
+  target's label (a float target is exact too) with every candidate's
+  label in integers, through the target's wedge map, built once per
+  scan.  For d + e <= n that pairing gives the product P of all the
   sines (Schmidt's identity), and psi_j >= P^(1/j) lets the sweep skip
   any candidate that cannot beat the running record or the level's best
   so far; for a pair with a single angle P is that sine, exactly.  Two
@@ -60,7 +62,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, repeat
 from math import gcd, isqrt
 from operator import itemgetter, mul
 from typing import Iterator, Mapping, Sequence
@@ -88,9 +90,10 @@ from .construction import (
     build_generators,
     series_start,
     tail_bound,
+    _digit_table,
     _ratio_deviation,
 )
-from .enumeration import EnumSpec, enumerate_subspaces
+from .enumeration import EnumSpec, _label_subspace, enumerate_labels
 from .errors import (
     InsufficientRecordsError,
     IrrationalityViolationError,
@@ -681,17 +684,60 @@ def _unresolved(
     return err
 
 
+# least positive normal double; the screen decides only between normal values
+_NORMAL_MIN = sys.float_info.min
+# relative gap the double screen needs: far above the 2^-53 rounding of
+# either side, so a decision it takes is the integer test's
+_SCREEN_MARGIN = 2.0**-40
+
+
+def _bar_power(num: int, den: int, power: int) -> tuple:
+    """(top, bottom, low, high) of the bar (num / den)^power: top / bottom
+    exactly, and the double that screens against it widened by the screen
+    margin to either side, (None, None) unless it is a normal double."""
+    top, bottom = num**power, den**power
+    bar = top / bottom  # correctly rounded; a bar is a sine, about 1 at most
+    if bar < _NORMAL_MIN:
+        return top, bottom, None, None
+    return top, bottom, bar * (1 - _SCREEN_MARGIN), bar * (1 + _SCREEN_MARGIN)
+
+
+def _at_least(wedge2: int, scale: int, bar: tuple) -> bool:
+    """Whether wedge2 / scale >= top / bottom for a bar of _bar_power
+    (scale > 0, wedge2 <= scale).  The correctly rounded double of
+    wedge2 / scale decides when it is normal and outside the bar's margin;
+    every other case takes the integer test."""
+    top, bottom, low, high = bar
+    if low is not None:
+        q = wedge2 / scale  # correctly rounded, at most 1
+        if q >= _NORMAL_MIN:
+            if q > high:
+                return True
+            if q < low:
+                return False
+    return wedge2 * bottom >= top * scale
+
+
 class _GenericScan:
     """The candidates of one generic scan, screened by their labels.
 
     For d + e <= n the sines of the target A and a candidate B multiply to
     P = |X_A /\\ X_B| / (|X_A| |X_B|) (Schmidt 1967), and psi_j >= P^(1/j)
     because no sine exceeds 1.  An exact target, float targets included,
-    pairs its raw label with each candidate's label once, in integers
-    (wedge2 = |X_A /\\ X_B|^2).  Two 2-planes also pair their labels by the
-    dot product dot = <X_A, X_B>, and then both squared sines are the roots
-    of L x^2 - (L + wedge2 - dot^2) x + wedge2, L = |X_A|^2 |X_B|^2
+    turns its raw label into the integer wedge map M_A once per scan
+    (exact.wedge_map), and each candidate label X_B pairs with it in
+    integers: wedge2 = |M_A X_B|^2 = |X_A /\\ X_B|^2.  Two 2-planes also
+    pair their labels by the dot product dot = <X_A, X_B>, and then both
+    squared sines are the roots of
+    L x^2 - (L + wedge2 - dot^2) x + wedge2, L = |X_A|^2 |X_B|^2
     (angles.plane_sines); in R^3, wedge2 = 0 and psi_1 = 0.
+
+    The candidates are labels first.  An EnumSpec streams (coords, h2)
+    from enumerate_labels, and its sine-index and ambient checks run once,
+    at its first candidate; an iterable of subspaces gives each one's
+    label and height, and is checked candidate by candidate.  A subspace
+    is built from a census label only where one is needed: to profile a
+    row, to raise on it, and for the records and witness a scan reports.
 
     * An exact pair with t = 1 and d + e <= n, or a plane pair, waits
       unbracketed, so a scan can skip it once its labels rule it out.  Its
@@ -710,8 +756,9 @@ class _GenericScan:
     plane pair off its quadratic, with the bracket that angles_adaptive
     would report, and neither decodes a basis; a t = 2 pair with d != e is
     profiled.  rows() yields (h2, coords, hi, lo, sub, scanned, wedge2, dot)
-    in enumeration order, with hi and lo None on a waiting row and dot None
-    off plane pairs.
+    in enumeration order, with hi and lo None on a waiting row, dot None
+    off plane pairs, and sub None on a census row that was not profiled
+    (subspace() builds it from coords).
     """
 
     def __init__(self, target, j_index: int, ctx: PrecisionContext | None):
@@ -728,39 +775,60 @@ class _GenericScan:
                 # a float target comes here with its rank unchecked
                 raise NumericalRankLossError("target basis has dependent columns")
         self.counts = dict.fromkeys(("candidates", "label_only", "profiled", "skipped"), 0)
+        self.census = None
         self._memo = (None, None, None)
 
     def rows(self, spec) -> Iterator[tuple]:
-        n, d, j_index = self.basis.n, self.basis.d, self.j_index
+        n, d, j_index, label = self.basis.n, self.basis.d, self.j_index, self.label
         counts = self.counts
-        subs = enumerate_subspaces(spec) if isinstance(spec, EnumSpec) else spec
-        for scanned, sub in enumerate(subs, start=1):
+        if isinstance(spec, EnumSpec):
+            self.census, self._make = spec, _label_subspace(spec)
+            items = zip(enumerate_labels(spec), repeat(None))
+        else:
+            items = (((sub.pluecker.coords, sub.height_squared), sub) for sub in spec)
+        e = None
+        for scanned, ((coords, h2), sub) in enumerate(items, start=1):
             counts["candidates"] = scanned
-            limit = min(d, sub.e)
-            if not 1 <= j_index <= limit:
-                raise ParameterError(
-                    f"sine index {j_index} is out of range for {limit} angles"
-                )
-            if sub.n != n:
-                raise ShapeError("ambient dimensions differ")
-            pv = sub.pluecker
-            h2 = pv.height_squared
+            if sub is not None or scanned == 1:
+                sub_n, sub_e = (spec.n, spec.e) if sub is None else (sub.n, sub.e)
+                limit = min(d, sub_e)
+                if not 1 <= j_index <= limit:
+                    raise ParameterError(
+                        f"sine index {j_index} is out of range for {limit} angles"
+                    )
+                if sub_n != n:
+                    raise ShapeError("ambient dimensions differ")
+                if label is not None and sub_e != e:
+                    e = sub_e
+                    wedge = exact.wedge_map(label, d, e, n)
+                    one_row = wedge[0] if len(wedge) == 1 else None
+                    planes = d == e == 2
+                    single = limit == 1 and d + e <= n
             wedge2 = dot = None
-            if self.label is not None:
-                wedge2 = exact.wedge_norm_squared(self.label, d, pv.coords, sub.e, n)
-                if d == sub.e == 2:
-                    dot = sum(map(mul, self.label, pv.coords))
-                if dot is not None or (limit == 1 and d + sub.e <= n):
+            if label is not None:
+                if one_row is not None:  # d + e = n: X_A /\\ X_B is one number
+                    wedge2 = sum(map(mul, one_row, coords)) ** 2
+                else:
+                    wedge2 = sum(sum(map(mul, row, coords)) ** 2 for row in wedge)
+                if planes:
+                    dot = sum(map(mul, label, coords))
+                if planes or single:
                     # where angles_adaptive would raise PrecisionExhaustedError
                     self._bits()
                     # psi_1 = 0 on a pair that meets, psi_2 = 0 on the target
                     if not wedge2 and (j_index == 1 or dot * dot == self.label2 * h2):
-                        raise _unresolved(sub, scanned, exact_pair=True)
+                        raise _unresolved(self.subspace(coords, sub), scanned, exact_pair=True)
             if dot is None and (not wedge2 or limit > 2):
+                sub = self.subspace(coords, sub)
                 lo, hi = self.profile(sub, scanned)
-                yield (h2, pv.coords, hi, lo, sub, scanned, wedge2, None)
+                yield (h2, coords, hi, lo, sub, scanned, wedge2, None)
             else:
-                yield (h2, pv.coords, None, None, sub, scanned, wedge2, dot)
+                yield (h2, coords, None, None, sub, scanned, wedge2, dot)
+
+    def subspace(self, coords: tuple[int, ...], sub) -> exact.RationalSubspace:
+        """sub, or when it is None (a census row) the subspace of the label
+        coords."""
+        return sub if sub is not None else self._make(coords)
 
     def _bits(self) -> int:
         # asked for at the first exact pair, which is where angles_adaptive
@@ -774,8 +842,9 @@ class _GenericScan:
         and plane pairs, with the bracket that angles_adaptive would report,
         else from the angle engine."""
         h2, sub, wedge2, dot = row[0], row[4], row[6], row[7]
-        if dot is None and min(sub.e, self.basis.d) == 2:
-            return self.profile(sub, row[5])
+        e = self.census.e if sub is None else sub.e
+        if dot is None and min(e, self.basis.d) == 2:
+            return self.profile(self.subspace(row[1], sub), row[5])
         self.counts["label_only"] += 1
         if dot is None:
             return sine_from_squared(wedge2, self.label2 * h2, self._bits())
@@ -794,22 +863,26 @@ class _GenericScan:
     def rules_out(self, row: tuple, x, slack: bool = False) -> bool:
         """Whether a waiting row's labels prove hi >= x, from psi_j >= x, or
         with slack lo >= x, from psi_j (1 - 2^-b) >= x: exact brackets have
-        relative width below 2^-b.  P^(1/j) >= x is tried first, then for a
-        plane pair the quadratic decides exactly.  A proof counts the row as
-        skipped."""
+        relative width below 2^-b.  P^(1/j) >= x, that is
+        P^2 = wedge2 / L >= x^(2j), is tried first, then for a plane pair
+        the quadratic decides exactly.  The P test compares the correctly
+        rounded doubles of P^2 and of x^(2j) (memoised per bar) when both
+        are normal and differ by more than 2^-40 relatively, and decides in
+        integers otherwise (_at_least), so every decision is the exact one.
+        A proof counts the row as skipped."""
         if self._memo[0] is not x or self._memo[1] != slack:
             man, exp = x.man_exp
             num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
             if slack:
                 bits = self._bits()
                 num, den = num << bits, den * ((1 << bits) - 1)
-            # P^(1/j) >= num / den  <=>  wedge2 den^2j >= num^2j label2 h2
-            power = 2 * self.j_index
-            self._memo = (x, slack, (num**power * self.label2, den**power, num * num, den * den))
-        big, small, num2, den2 = self._memo[2]
-        h2, wedge2, dot = row[0], row[6], row[7]
-        if wedge2 * small >= big * h2 or dot is not None and plane_sine_at_least(
-            self.label2 * h2, wedge2, dot, self.j_index, num2, den2
+            bar = _bar_power(num, den, 2 * self.j_index)
+            self._memo = (x, slack, (bar, num * num, den * den))
+        bar, num2, den2 = self._memo[2]
+        wedge2, dot = row[6], row[7]
+        scale = self.label2 * row[0]
+        if _at_least(wedge2, scale, bar) or dot is not None and plane_sine_at_least(
+            scale, wedge2, dot, self.j_index, num2, den2
         ):
             self.counts["skipped"] += 1
             return True
@@ -872,7 +945,9 @@ def scan_records(
     finally:
         scan.log("scan_records")
     return [
-        ApproximationRecord(row[4], row[0], _float_down(row[3]), _float_up(row[2]), j_index)
+        ApproximationRecord(
+            scan.subspace(row[1], row[4]), row[0], _float_down(row[3]), _float_up(row[2]), j_index
+        )
         for row in raw
     ]
 
@@ -983,10 +1058,14 @@ def estimate_exponent(
 
 
 def records_from_certification(cert: InstanceCertification) -> list[ApproximationRecord]:
-    """Convert certified convergents into construction-sourced records."""
+    """Convert certified convergents into construction-sourced records,
+    rebuilt from one digit table: each digit is read once."""
+    if not cert.records:
+        return []
+    table = _digit_table(cert.params, None, max(rec.n_index for rec in cert.records))
     records = []
     for rec in cert.records:
-        conv = build_convergent(cert.params, rec.n_index)
+        conv = build_convergent(cert.params, rec.n_index, stream=table)
         records.append(
             ApproximationRecord(
                 subspace=conv.subspace,
@@ -1017,12 +1096,14 @@ def height_ratio_deviations(
     deviation is certify_instance's ratio_deviation: formed from the exact
     squared ratio, so it keeps full relative accuracy however close the
     ratio is to its limit, and returned as that mpf, which does not
-    underflow where a double would.
+    underflow where a double would.  Generators and convergents share one
+    digit table, so each digit is read once.
     """
-    limit2 = build_generators(params, nmax + 2).gram_squared()
+    table = _digit_table(params, None, nmax + 3)
+    limit2 = build_generators(params, nmax + 2, stream=table).gram_squared()
     out = []
     for n_index in range(1, nmax + 1):
-        conv = build_convergent(params, n_index)
+        conv = build_convergent(params, n_index, stream=table)
         ratio2 = Fraction(conv.height_squared, params.theta ** (2 * params.ell * conv.exponent))
         out.append((conv, _ratio_deviation(ratio2, limit2)))
     return tuple(out)
@@ -1247,11 +1328,12 @@ def irrationality_scan(
                             continue
                         lo = scan.bracket(row)[0]
                     if min_lo is None or lo < min_lo:
-                        min_lo, witness = lo, row[4]
+                        min_lo, witness = lo, row
             finally:
                 scan.log("irrationality_scan")
             if min_lo is None:
                 raise InsufficientRecordsError("the enumeration window is empty")
+            witness = scan.subspace(witness[1], witness[4])
             scanned = scan.counts["candidates"]
             min_psi, ok = _float_down(min_lo), min_lo > 0
     except IrrationalityViolationError as err:

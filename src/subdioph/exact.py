@@ -17,11 +17,14 @@ contract, RationalSubspace._line builds a line from a primitive vector with
 a positive lead, which is its label and, as a column, its basis: for the
 line census, the line engine's records and the harness's placed records.
 
-Two labels pair in integers: wedge_norm_squared gives |X_A /\\ X_B|^2,
-from which record scans bound proximity sines without any basis, and two
-labels of one shape have the dot product <X_A, X_B> = det(A^T B)
-(Cauchy-Binet), from which, with the wedge, scans read both sines of two
-2-planes (angles.plane_sines).  Reading
+Two labels pair in integers.  wedge_map turns a label X_A into the integer
+rows M_A with X_A /\\ X_B = M_A X_B, so a record scan builds it once per
+target and reads |X_A /\\ X_B|^2 of each candidate as the squared norm of
+one small matrix-vector product (wedge_norm_squared pairs a single pair of
+labels the same way); from it the scan bounds proximity sines without any
+basis.  Two labels of one shape also have the dot product
+<X_A, X_B> = det(A^T B) (Cauchy-Binet), from which, with the wedge, scans
+read both sines of two 2-planes (angles.plane_sines).  Reading
 a basis back from a label (pluecker_decode, which also serves enumerated
 planes and hyperplanes) goes through rational_kernel, a fraction-free
 elimination on integer rows, so a decoded basis never touches Fraction.
@@ -37,6 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -464,6 +468,25 @@ def _pairing_terms(n: int, d: int, e: int) -> tuple[tuple[tuple[int, int, int], 
     return tuple(terms)
 
 
+def wedge_map(xa: Sequence[int], d: int, e: int, n: int) -> Matrix:
+    """The integer rows M_A with X_A /\\ X_B = M_A X_B for every label X_B
+    of shape (n, e), given a label X_A of shape (n, d).
+
+    One row per (d+e)-row set S, one column per e-row set J: the entry is
+    sign * X_A[S - J] when J lies in S, else 0.  There are no rows when
+    d + e > n.  A scan builds the map once and pairs every candidate
+    label with it.
+    """
+    width = math.comb(n, e)
+    rows = []
+    for split in _pairing_terms(n, d, e):
+        row = [0] * width
+        for sign, i, j in split:
+            row[j] = sign * xa[i]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def wedge_norm_squared(
     xa: Sequence[int], d: int, xb: Sequence[int], e: int, n: int
 ) -> int:
@@ -474,11 +497,7 @@ def wedge_norm_squared(
     d + e <= n, |X_A /\\ X_B| / (|X_A| |X_B|) is the product of the sines of
     all principal angles (Cauchy-Binet on the Gram matrix of [A | B]).
     """
-    total = 0
-    for split in _pairing_terms(n, d, e):
-        s = sum(sign * xa[i] * xb[j] for sign, i, j in split)
-        total += s * s
-    return total
+    return sum(sum(map(mul, row, xb)) ** 2 for row in wedge_map(xa, d, e, n))
 
 
 def pluecker_decode(pv: PlueckerVector) -> RationalSubspace:

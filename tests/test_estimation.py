@@ -447,6 +447,35 @@ class TestCertificationRecords:
         ]
 
 
+def test_each_call_reads_every_digit_once(monkeypatch):
+    """height_ratio_deviations and records_from_certification each build
+    one digit table for all their convergents (and generators), as
+    certify_instance does: at l=1 beta=3, nmax 4, 7 and 5 digit reads."""
+    params = con.ConstructionParams.create(1, Fraction(3), seed=0)
+    cert = con.certify_instance(params, 4)
+    reads = []
+    stream_for = con.stream_for
+
+    class Counting:
+        def __init__(self, stream):
+            self.stream = stream
+
+        def digit(self, i, j, k):
+            reads.append((i, j, k))
+            return self.stream.digit(i, j, k)
+
+    monkeypatch.setattr(con, "stream_for", lambda p: Counting(stream_for(p)))
+    devs = est.height_ratio_deviations(params, 4)
+    assert len(reads) == len(set(reads)) == 7
+    assert [dev for _conv, dev in devs] == [rec.ratio_deviation for rec in cert.records]
+    del reads[:]
+    records = est.records_from_certification(cert)
+    assert len(reads) == len(set(reads)) == 5
+    assert [r.subspace for r in records] == [
+        con.build_convergent(params, n_index).subspace for n_index in range(1, 5)
+    ]
+
+
 class TestDeviations:
     def test_finite_deviations_shrink(self, finite_params):
         devs = est.height_ratio_deviations(finite_params, 3)

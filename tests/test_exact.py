@@ -33,6 +33,8 @@ from subdioph.exact import (
     rational_kernel,
     raw_minors,
     transpose,
+    wedge_map,
+    wedge_norm_squared,
 )
 
 
@@ -294,6 +296,25 @@ def test_determinant_bareiss_matches_cofactor():
             sub = [row[:j] + row[j + 1 :] for row in m[1:]]
             ref += (-1) ** j * m[0][j] * determinant(as_matrix(sub))
         assert determinant(as_matrix(m)) == ref
+
+
+def test_wedge_map_is_the_laplace_expansion():
+    """M_A X_B is X_A /\\ X_B: on raw minors, the (d+e)-minors of [A | B]
+    (Laplace expansion along A's columns), and nothing when d + e > n."""
+    rng = random.Random(28)
+    for n in range(2, 7):
+        for d in range(1, n):
+            for e in range(1, n):
+                a = [[rng.randint(-5, 5) for _ in range(d)] for _ in range(n)]
+                b = [[rng.randint(-5, 5) for _ in range(e)] for _ in range(n)]
+                xa, xb = raw_minors(as_matrix(a)), raw_minors(as_matrix(b))
+                image = tuple(sum(x * y for x, y in zip(row, xb)) for row in wedge_map(xa, d, e, n))
+                if d + e > n:
+                    assert image == ()
+                    continue
+                both = as_matrix([ra + rb for ra, rb in zip(a, b)])
+                assert image == raw_minors(both)
+                assert wedge_norm_squared(xa, d, xb, e, n) == sum(x * x for x in image)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ oracle holds those brackets against angles_adaptive.
 """
 
 import itertools
+import logging
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter, mul
@@ -32,6 +34,7 @@ from subdioph.angles import (
     plane_sine_at_least,
     plane_sines,
 )
+from subdioph.construction import ConstructionParams, build_generators
 from subdioph.enumeration import (
     EXACT_ECHELON,
     EXACT_LINES,
@@ -39,7 +42,7 @@ from subdioph.enumeration import (
     EnumSpec,
     enumerate_subspaces,
 )
-from subdioph.errors import IrrationalityViolationError
+from subdioph.errors import IrrationalityViolationError, SubdiophError
 
 SETTINGS = settings(
     derandomize=True,
@@ -370,3 +373,200 @@ def test_exact_meeting_is_not_a_precision_failure():
     with pytest.raises(IrrationalityViolationError, match="at the precision cap") as err:
         est.scan_records(space, EnumSpec(6, 3, 1, EXACT_ECHELON), j_index=3)
     assert err.value.scanned == 1
+
+
+# ---------------------------------------------------------------------------
+# census labels against subspace streams
+
+# every strategy, lines to 3-spaces in R^3 to R^5; (n, e, height bound, strategy)
+ENTRY_SPECS = [
+    (3, 1, 40, EXACT_LINES),
+    (3, 2, 30, EXACT_LINES),
+    (3, 1, 12, EXACT_ECHELON),
+    (4, 3, 8, EXACT_LINES),
+    (4, 2, 8, EXACT_PLUECKER),
+    (4, 2, 4, EXACT_ECHELON),
+    (5, 2, 4, EXACT_ECHELON),
+    (5, 3, 3, EXACT_ECHELON),
+]
+
+
+def entry_outcome(caplog, scan, target, source, j_index):
+    """What a scan returns or raises, in float hex, with its DEBUG counts."""
+    caplog.clear()
+    try:
+        out = scan(target, source, j_index=j_index)
+    except SubdiophError as err:
+        sub = getattr(err, "subspace", None)
+        result = (type(err).__name__, str(err), getattr(err, "scanned", None),
+                  None if sub is None else sub.pluecker.coords)
+    else:
+        if isinstance(out, list):
+            result = [(r.subspace.pluecker.coords, r.height_squared, r.psi_lo.hex(),
+                       r.psi_hi.hex()) for r in out]
+        else:
+            result = (out.scanned, out.min_psi_lower.hex(), out.ok,
+                      None if out.witness is None else out.witness.pluecker.coords,
+                      None if out.offender is None else out.offender.pluecker.coords)
+    messages = [r.getMessage() for r in caplog.records if r.name == "subdioph"]
+    return result, messages
+
+
+def entry_cases():
+    """(target, spec, j_index): exact and float targets of every dimension
+    against every census of ENTRY_SPECS, a target that meets candidates, a
+    sine index out of range and a census in another ambient space."""
+    rng = random.Random(28)
+    for n, e, hmax2, strategy in ENTRY_SPECS:
+        spec = EnumSpec(n, e, hmax2, strategy)
+        for d in range(1, n):
+            if min(d, e) >= 3:
+                continue  # the mpmath path: covered by the reference oracle above
+            exact_target = random_target(n, d, rng.getrandbits(32))
+            float_target = [[rng.uniform(-9.0, 9.0) for _ in range(d)] for _ in range(n)]
+            for j_index in range(1, min(d, e) + 1):
+                yield exact_target, spec, j_index
+                yield float_target, spec, j_index
+        meeting = [[int(i == k) + (i == n - 1) for k in range(min(e, n - 1))] for i in range(n)]
+        yield meeting, spec, 1
+        yield random_target(n, 1, rng.getrandbits(32)), spec, 2
+        yield random_target(n + 1, 1, rng.getrandbits(32)), spec, 1
+
+
+def test_census_scans_match_subspace_scans(caplog):
+    """scan_records and irrationality_scan on an EnumSpec read labels from
+    enumerate_labels and build subspaces only where needed; on the stream
+    enumerate_subspaces(spec) they take each subspace's label.  Both must
+    give the same records, reports, errors and DEBUG counts."""
+    caplog.set_level(logging.DEBUG, logger="subdioph")
+    cases = outcomes = 0
+    for target, spec, j_index in entry_cases():
+        for scan in (est.scan_records, est.irrationality_scan):
+            census = entry_outcome(caplog, scan, target, spec, j_index)
+            stream = entry_outcome(caplog, scan, target, enumerate_subspaces(spec), j_index)
+            assert census == stream, (target, spec, j_index, scan.__name__)
+            cases += 1
+            outcomes += isinstance(census[0], tuple) and isinstance(census[0][0], str)
+    assert cases > 150 and 0 < outcomes < cases
+
+
+@pytest.fixture
+def built_subspaces(monkeypatch):
+    """Count of RationalSubspace objects built while a test runs."""
+    built = []
+    init = exact.RationalSubspace.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(exact.RationalSubspace, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize(
+    "target, spec, j_index",
+    [
+        ([[1, 0], [0, 1], [3, 5], [7, -2]], EnumSpec(4, 2, 30, EXACT_PLUECKER), 2),
+        ([[1000003], [1414213], [1732051]], EnumSpec(3, 1, 200, EXACT_LINES), 1),
+        ([[1], [Fraction(-47, 53)], [Fraction(29, 71)]], EnumSpec(3, 2, 60, EXACT_LINES), 1),
+        # t = 2 with d != e: the survivors are profiled
+        (random_target(5, 2, 5), EnumSpec(5, 3, 3, EXACT_ECHELON), 2),
+    ],
+    ids=["planes-r4", "lines-r3", "hyperplanes-r3", "3-spaces-r5"],
+)
+def test_census_scans_build_few_subspaces(built_subspaces, caplog, target, spec, j_index):
+    """A scan over an EnumSpec builds a subspace for each row it profiles
+    and each record or witness it reports, not one per candidate.  A
+    profiled row also decodes its basis, which builds one more."""
+    caplog.set_level(logging.DEBUG, logger="subdioph")
+    records = est.scan_records(target, spec, j_index=j_index)
+    counts = scan_counts(caplog)
+    most = len(records) + 2 * counts["profiled"]
+    # one subspace per candidate would break the bound
+    assert len(built_subspaces) <= most < counts["candidates"]
+    del built_subspaces[:]
+    report = est.irrationality_scan(target, spec, j_index=j_index)
+    counts = scan_counts(caplog)
+    assert report.ok and len(built_subspaces) <= 1 + 2 * counts["profiled"]
+
+
+def scan_counts(caplog):
+    """The counts of the last generic scan's DEBUG line."""
+    message = [r.getMessage() for r in caplog.records if r.name == "subdioph"][-1]
+    return {k: int(v) for k, v in (f.split("=") for f in message.split(": ")[1].split())}
+
+
+# ---------------------------------------------------------------------------
+# the double screen of rules_out against the integer test
+
+
+def screen_tier(wedge2, scale, bar):
+    """'double' when _at_least decides from doubles alone, else 'integer'."""
+    try:
+        est._at_least(wedge2, scale, (None, None, *bar[2:]))
+    except TypeError:
+        return "integer"
+    return "double"
+
+
+def screen_draws(rng):
+    """(kind, wedge2, scale, bar) draws for the screen: random, exact ties,
+    within 2^-40 of the bar, and P^2 below 1e-300, over small labels, labels
+    of about 200 bits and the depth-3 generators of an ell = 2 instance,
+    whose squared label (about 2^2864) lies beyond the double range."""
+    gens = build_generators(ConstructionParams.create(2, Fraction(5, 2), seed=0), 3)
+    big_label2 = sum(x * x for x in exact.raw_minors(gens.integer_matrix))
+    assert big_label2.bit_length() > 1100
+    for draw in range(10_000):
+        power = 2 * rng.randint(1, 3)
+        # a bar as rules_out makes it from an mpf: a dyadic below 1, maybe
+        # with the slack factor 2^b / (2^b - 1)
+        bits = rng.choice([53, 256, 516])
+        den = 1 << (bits + rng.randint(0, 40))
+        num = rng.randrange(1, den)
+        if rng.random() < 0.3:
+            num, den = num << bits, den * ((1 << bits) - 1)
+        bar = est._bar_power(num, den, power)
+        top, bottom = bar[:2]
+        label2 = rng.choice([rng.randint(1, 10**6), rng.getrandbits(200) | 1, big_label2])
+        scale = label2 * rng.randint(1, 10**4)
+        kind = ("random", "tie", "near", "tiny")[draw % 4]
+        if kind == "tie":
+            k = rng.randint(1, 10**6)
+            wedge2, scale = top * k, bottom * k
+        elif kind == "near":
+            # |wedge2 / scale - bar| < 2^-41 bar, on a scale far above 2^41
+            scale = rng.choice([rng.getrandbits(200) | 1, big_label2]) * rng.randint(1, 10**4)
+            wedge2 = top * scale * ((1 << 70) + rng.randint(-(1 << 29), 1 << 29)) // (
+                bottom << 70
+            )
+            wedge2 = min(wedge2, scale)
+        elif kind == "tiny":
+            scale = big_label2 * rng.randint(1, 10**4)
+            wedge2 = rng.randrange(0, scale >> rng.randint(1000, 2000))
+        else:
+            wedge2 = rng.randrange(0, scale + 1) >> rng.choice([0, 0, 0, 8, 60])
+        yield kind, wedge2, scale, bar
+
+
+def test_double_screen_decides_as_the_integer_test():
+    """_at_least agrees with wedge2 * bottom >= top * scale on every draw;
+    the doubles decide the clear cases alone, and ties, draws within the
+    margin and P^2 below the normal range go to the integer test."""
+    tiers = {}
+    for kind, wedge2, scale, bar in screen_draws(random.Random(40)):
+        top, bottom = bar[:2]
+        assert est._at_least(wedge2, scale, bar) == (wedge2 * bottom >= top * scale)
+        tier = screen_tier(wedge2, scale, bar)
+        tiers.setdefault(kind, []).append(tier)
+        if kind == "tie":
+            assert wedge2 * bottom == top * scale
+        if kind == "tiny":
+            assert wedge2 / scale < 1e-300
+        if kind in ("tie", "near") or wedge2 / scale < sys.float_info.min:
+            assert tier == "integer", (kind, wedge2, scale)
+    assert all(len(t) == 2500 for t in tiers.values())
+    assert tiers["random"].count("double") > 2000
+    assert tiers["near"].count("integer") == tiers["tie"].count("integer") == 2500
+    assert 0 < tiers["tiny"].count("integer") < 2500
