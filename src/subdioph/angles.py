@@ -8,31 +8,27 @@ normalized distances).
 An exact basis is its integer columns: each rational column cleared of
 denominators.  Float bases are exact too: every finite double is a dyadic
 rational, and from_float keeps that value.  Pairs of exact bases with
-t <= 2 are evaluated exactly.  The squared sines are the eigenvalues of
-the rational matrix I - G_A^-1 C G_B^-1 C^T (G the Gram matrices,
-C = A^T B; Bjorck & Golub 1973), which for t <= 2 is a rational or a
-quadratic surd built from the integer Gram and bordered Gram determinants
-of the columns.  It is computed on the sine
-side, never as 1 - cos^2, so tiny angles keep full relative accuracy, and
-every square root is bracketed by integer square roots: lo <= psi <= hi is
-a proof.  exact_sine_mantissas hands out those brackets as integers over a
-power of two, before any mpf is built.  Every other pair (evaluator bases,
-or t >= 3) goes through an mpmath Gram-Schmidt and SVD repeated at doubled
-precision until two consecutive runs agree to the requested relative
-error.
-
-A pair with t = 1 and d + e <= n has the squared sine
-|X_A /\\ X_B|^2 / (|X_A|^2 |X_B|^2) in its labels X (Cauchy-Binet), the same
-rational that the Gram and bordered determinants give.  Two 2-planes have
-both squared sines in their labels: the roots of one quadratic built from
-|X_A|^2 |X_B|^2, that wedge and the dot product <X_A, X_B> = det(A^T B),
-whose integers are the ones the Gram route builds; both routes take its
-roots through one helper.  sine_from_squared and plane_sines bracket these
-as the exact path does, and plane_sine_at_least compares a plane-pair sine
-with a rational exactly, so record scans screen and bracket single-angle
-and plane-pair sines from labels without building a basis.  Every bracket's scale
-depends on the value of the squared sine, not on the integers that write
-it, so two bases of one subspace get identical brackets.
+t <= 2 are evaluated exactly from their labels X, the raw maximal minors
+of those columns (RealBasis.label), in three integers:
+L = |X_A|^2 |X_B|^2, W = |X_A /\\ X_B|^2 (exact.wedge_norm_squared) and the
+squared contraction C of the smaller label into the larger
+(exact.contraction_norm_squared).
+W / L is the product of the squared sines and C / L that of the squared
+cosines (Schmidt 1967; Cauchy-Binet), so the squared sine of a pair with
+t = 1 is W / L, and the two of a pair with t = 2 are the roots of
+L x^2 - (L + W - C) x + W.  The sines are computed on the sine side, never
+as 1 - cos^2, so tiny angles keep full relative accuracy, and every square
+root is bracketed by integer square roots: lo <= psi <= hi is a proof.
+label_sine_mantissas hands out those brackets as integers over a power of
+two, before any mpf is built, for raw or normalized labels alike; a
+t = 1 bracket depends on the value of its squared sine alone, so two bases
+of one subspace get identical brackets.  sine_from_squared and plane_sines
+bracket the same integers as mpf ends, and plane_sine_at_least compares a
+sine of a pair with t = 2 with a rational exactly, so record scans screen
+and bracket every pair with t <= 2 from labels without building a basis.
+Every other pair (evaluator bases, or t >= 3) goes through an mpmath
+Gram-Schmidt and SVD repeated at doubled precision until two consecutive
+runs agree to the requested relative error.
 
 resolved=False marks a sine that is not separated from zero and carries
 the bracket [0, 2^-(bits_used/4)].  On the exact path that happens only
@@ -150,6 +146,12 @@ class RealBasis:
         """The integer columns as an n x d matrix of rows, or None for an
         evaluator basis."""
         return None if self.columns is None else tuple(zip(*self.columns))
+
+    @property
+    def label(self) -> tuple[int, ...] | None:
+        """The raw maximal minors of the integer columns, in lexicographic
+        row-set order, or None for an evaluator basis."""
+        return None if self.columns is None else exact.raw_minors(self.exact_matrix)
 
     @classmethod
     def from_exact(cls, rows: Iterable[Sequence[exact.Scalar]]) -> "RealBasis":
@@ -353,20 +355,35 @@ def _is_exact_pair(a: RealBasis, b: RealBasis) -> bool:
 
 def _exact_profile(a: RealBasis, b: RealBasis, bits_used: int, bits: int) -> AngleProfile:
     """Profile of an exact pair with t <= 2, with rel_err_bound 2^-bits."""
-    brackets = [None if m is None else _packed(*m) for m in exact_sine_mantissas(a, b, bits)]
-    return _profile(_pair_dimension(a, b), brackets, mp.ldexp(1, -bits), bits_used)
+    t = _pair_dimension(a, b)
+    mantissas = label_sine_mantissas(a.label, a.d, b.label, b.d, a.n, bits)
+    brackets = [None if m is None else _packed(*m) for m in mantissas]
+    return _profile(t, brackets, mp.ldexp(1, -bits), bits_used)
 
 
-def exact_sine_mantissas(a: RealBasis, b: RealBasis, bits: int) -> list:
-    """Ascending sine brackets of an exact pair with t <= 2 in integers:
-    (lo, hi, k) with lo 2^-k <= psi <= hi 2^-k, or None for a zero sine.
+def label_sine_mantissas(
+    xa: Sequence[int] | None, d: int, xb: Sequence[int] | None, e: int, n: int, bits: int
+) -> list:
+    """Ascending sine brackets (lo, hi, k), lo 2^-k <= psi <= hi 2^-k, or
+    None for a zero sine, of the pair with t = min(d, e) <= 2 whose labels
+    (raw minors or normalized) are X_A of shape (n, d) and X_B of shape
+    (n, e).  With bits from exact_relative_bits(ctx) and the labels of two
+    bases, these are the brackets angles_adaptive(a, b, ctx) packs.
 
-    With bits from exact_relative_bits(ctx), these are the brackets that
-    angles_adaptive(a, b, ctx) packs into its profile, before any mpf is
-    built.
+    Raises ShapeError before any arithmetic when a label is None (an
+    evaluator basis has none) or does not fit its shape, or when t > 2;
+    NumericalRankLossError when a label is zero (dependent columns).
     """
-    # brackets computed at bits + 4 have relative width below 2^-bits
-    return _sine_mantissas(_squared_sine_intervals(a, b, bits + 4), bits + 4)
+    if (xa is None or xb is None or not (0 < d <= n and 0 < e <= n and min(d, e) <= 2)
+            or len(xa) != math.comb(n, d) or len(xb) != math.comb(n, e)):
+        raise ShapeError(f"need labels of shapes ({n},{d}) and ({n},{e}), at most two angles")
+    label2 = sum(x * x for x in xa) * sum(x * x for x in xb)
+    if label2 == 0:
+        # a float basis comes here with its rank unchecked
+        raise NumericalRankLossError("exact basis has dependent columns")
+    wedge2 = exact.wedge_norm_squared(xa, d, xb, e, n)
+    cos2 = None if min(d, e) == 1 else exact.contraction_norm_squared(xa, d, xb, e, n)
+    return _sine_mantissas(label2, wedge2, cos2, bits)
 
 
 def exact_relative_bits(ctx: PrecisionContext | None = None) -> int:
@@ -395,15 +412,8 @@ def sine_from_squared(num: int, den: int, bits: int) -> tuple | None:
     squared sine is num / den: it depends on the value alone, however the
     fraction is written.
     """
-    if num == 0:
-        return None
-    k = _sqrt_scale(num, den, bits + 4)
-    lo, hi = _sqrt_bracket(_point(num, den), k)
-    return mp.ldexp(lo, -k), mp.ldexp(hi, -k)
-
-
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(u, v))
+    m = _sine_mantissas(den, num, None, bits)[0]
+    return None if m is None else _packed(*m)[::2]
 
 
 def _scaled_isqrt(num: int, den: int, k: int, up: bool) -> int:
@@ -462,43 +472,17 @@ def _point(num: int, den: int) -> tuple[int, int, int, int]:
     return (num, den, num, den)
 
 
-def _squared_sine_intervals(a: RealBasis, b: RealBasis, prec: int) -> list:
-    """Ascending squared sines of an exact pair with t <= 2.
+def _squared_sine_intervals(label2: int, wedge2: int, cos2: int | None, prec: int) -> list:
+    """Ascending squared sines of a pair with t <= 2 from the label integers
+    L = label2 > 0, W = wedge2 and C = cos2 (None when t = 1): W / L for
+    t = 1, else the roots of L x^2 - (L + W - C) x + W.
 
     Each is None when exactly zero, else a rational interval
     (num_lo, den_lo, num_hi, den_hi) of relative width below 2^-(prec+6).
     """
-    if a.d > b.d:
-        a, b = b, a
-    cols_a, cols_b = a.columns, b.columns
-    gram_a = [[_dot(u, v) for v in cols_a] for u in cols_a]
-    gram_b = [[_dot(u, v) for v in cols_b] for u in cols_b]
-    g = exact.determinant(gram_b)
-    if a.d == 1:
-        delta = gram_a[0][0]
-    else:
-        (p, q), (_, s) = gram_a
-        delta = p * s - q * q
-    if g == 0 or delta == 0:
-        # a float basis comes here with its rank unchecked
-        raise NumericalRankLossError("exact basis has dependent columns")
-    cross = [[_dot(u, v) for v in cols_b] for u in cols_a]
-
-    def residual_product(i: int, j: int) -> int:
-        # g times the inner product of the parts of a_i and a_j orthogonal
-        # to span(B): the Schur complement of G_B in the bordered Gram matrix
-        bordered = [row + [cross[j][r]] for r, row in enumerate(gram_b)]
-        bordered.append(cross[i] + [gram_a[i][j]])
-        return exact.determinant(bordered)
-
-    if a.d == 1:
-        num = residual_product(0, 0)
-        return [None if num == 0 else _point(num, g * delta)]
-
-    # t = 2: the eigenvalues of G_A^-1 R / g, with R = g * (residual Gram)
-    r00, r01, r11 = residual_product(0, 0), residual_product(0, 1), residual_product(1, 1)
-    tr = s * r00 + p * r11 - 2 * q * r01
-    return _quadratic_roots(tr, delta * (r00 * r11 - r01 * r01), delta * g, prec)
+    if cos2 is None:
+        return [None if wedge2 == 0 else _point(wedge2, label2)]
+    return _quadratic_roots(label2 + wedge2 - cos2, label2 * wedge2, label2, prec)
 
 
 def _quadratic_roots(tr: int, det: int, dd: int, prec: int) -> list:
@@ -525,10 +509,13 @@ def _quadratic_roots(tr: int, det: int, dd: int, prec: int) -> list:
     return [small, big]
 
 
-def _sine_mantissas(intervals: list, prec: int) -> list:
+def _sine_mantissas(label2: int, wedge2: int, cos2: int | None, bits: int) -> list:
     """Ascending exact sine brackets (lo, hi, k), lo 2^-k <= psi <= hi 2^-k,
-    of relative width below 2^(4-prec), from the squared-sine intervals of
-    _squared_sine_intervals; None stays None."""
+    of relative width below 2^-bits, of the squared sines of
+    _squared_sine_intervals; a zero sine is None."""
+    # brackets computed at bits + 4 have relative width below 2^-bits
+    prec = bits + 4
+    intervals = _squared_sine_intervals(label2, wedge2, cos2, prec)
     scales = [None if x is None else _sqrt_scale(x[0], x[1], prec) for x in intervals]
     if len(intervals) == 2 and None not in scales and abs(scales[0] - scales[1]) <= 2:
         # close values share the finer scale, which keeps their midpoints in
@@ -539,34 +526,25 @@ def _sine_mantissas(intervals: list, prec: int) -> list:
     ]
 
 
-def plane_sines(label2: int, wedge2: int, dot: int, bits: int) -> list:
-    """Ascending (lo, hi) brackets of both sines of two 2-planes A and B in
-    R^n, None for a zero sine, read off their labels: label2 = |X_A|^2
-    |X_B|^2, wedge2 = |X_A /\\ X_B|^2 and dot = <X_A, X_B>.
-
-    The squared sines are the roots of
-        label2 x^2 - (label2 + wedge2 - dot^2) x + wedge2:
-    their product is wedge2 / label2 (Schmidt; 0 in R^3) and the product of
-    the squared cosines is dot^2 / label2, because <X_A, X_B> = det(A^T B)
-    (Cauchy-Binet).  For labels that are the minors of two bases these are
-    the integers the Gram route builds from the bases, so with bits from
-    exact_relative_bits(ctx) the brackets are those angles_adaptive(a, b,
-    ctx) reports.
+def plane_sines(label2: int, wedge2: int, cos2: int, bits: int) -> list:
+    """Ascending (lo, hi) brackets of both sines of a pair A, B in R^n with
+    t = 2, None for a zero sine, read off their labels: label2 = |X_A|^2
+    |X_B|^2, wedge2 = |X_A /\\ X_B|^2 and cos2 = |N_A X_B|^2, the squared
+    contraction (exact.contraction_map; <X_A, X_B>^2 for two planes).  The
+    squared sines are the roots of label2 x^2 - (label2 + wedge2 - cos2) x
+    + wedge2.  With bits from exact_relative_bits(ctx) these are the
+    brackets of label_sine_mantissas.
     """
-    prec = bits + 4
-    tr = label2 + wedge2 - dot * dot
-    return [
-        None if m is None else (mp.ldexp(m[0], -m[2]), mp.ldexp(m[1], -m[2]))
-        for m in _sine_mantissas(_quadratic_roots(tr, label2 * wedge2, label2, prec), prec)
-    ]
+    mantissas = _sine_mantissas(label2, wedge2, cos2, bits)
+    return [None if m is None else _packed(*m)[::2] for m in mantissas]
 
 
-def plane_sine_at_least(label2: int, wedge2: int, dot: int, j: int, num: int, den: int) -> bool:
-    """Whether psi_j^2 >= y = num / den (den > 0) for the plane pair of
+def plane_sine_at_least(label2: int, wedge2: int, cos2: int, j: int, num: int, den: int) -> bool:
+    """Whether psi_j^2 >= y = num / den (den > 0) for the pair with t = 2 of
     plane_sines, decided in integers: psi_j^2 = (tr -+ sqrt(disc)) /
     (2 label2), so the sign of 2 label2 y - tr and one squared comparison
     with disc decide it."""
-    tr = label2 + wedge2 - dot * dot
+    tr = label2 + wedge2 - cos2
     over = 2 * label2 * num - tr * den  # den (2 label2 y - tr)
     if j == 2 and over <= 0:
         return True  # tr + sqrt(disc) >= tr >= 2 label2 y
@@ -607,23 +585,21 @@ def vector_angle(
 ):
     """sin of the angle between two nonzero vectors.
 
-    Uses the cross-Gram identity sqrt(|x|^2 |y|^2 - (x.y)^2) / (|x| |y|),
-    with the radicand computed exactly when both inputs are rational, so tiny
-    angles keep full relative accuracy.
+    Rational inputs, finite doubles included, are two lines with these
+    labels: the value is the midpoint of their exact bracket of relative
+    width below 2^-bits, so tiny angles keep full relative accuracy.  Other
+    inputs use the cross-Gram identity sqrt(|x|^2 |y|^2 - (x.y)^2) /
+    (|x| |y|) in mpmath.
     """
     if len(x) != len(y):
         raise ShapeError("length mismatch")
     if _all_rational(x) and _all_rational(y):
-        fx = [Fraction(v) for v in x]
-        fy = [Fraction(v) for v in y]
-        xx = sum(v * v for v in fx)
-        yy = sum(v * v for v in fy)
-        if xx == 0 or yy == 0:
+        # the lines' labels are the vectors cleared of denominators
+        xa, xb = (exact.clear_denominators([Fraction(v) for v in u]) for u in (x, y))
+        if not any(xa) or not any(xb):
             raise ShapeError("zero vector")
-        xy = sum(u * v for u, v in zip(fx, fy))
-        num = xx * yy - xy * xy  # Lagrange identity: = |x /\ y|^2, >= 0
-        with mp.workprec(bits):
-            return mp.sqrt(_mpf_of_fraction(num, bits) / _mpf_of_fraction(xx * yy, bits))
+        m = label_sine_mantissas(xa, 1, xb, 1, len(xa), bits)[0]
+        return mp.mpf(0) if m is None else _packed(*m)[1]
     with mp.workprec(bits + 32):
         fx = [mp.mpf(v) for v in x]
         fy = [mp.mpf(v) for v in y]
@@ -637,7 +613,9 @@ def vector_angle(
 
 
 def _all_rational(v: Sequence) -> bool:
-    return all(isinstance(t, (int, Fraction)) for t in v)
+    return all(
+        isinstance(t, (int, Fraction)) or isinstance(t, float) and math.isfinite(t) for t in v
+    )
 
 
 def angles_adaptive(

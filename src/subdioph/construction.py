@@ -34,7 +34,7 @@ from .angles import (
     RealBasis,
     angles_adaptive,
     exact_relative_bits,
-    exact_sine_mantissas,
+    label_sine_mantissas,
     _float_down,
     _float_up,
 )
@@ -777,8 +777,10 @@ def certify_instance(
     proximity sine against a depth-truncation of the target is certified
     as a dyadic interval, widened by the truncation slack and rounded
     outward.  For ell <= 2 the interval is the exact integer square-root
-    bracket of exact_sine_mantissas, read at exact_relative_bits(ctx) and
-    widened at bits_used = 2 ctx.bits, with no mpf built; for ell >= 3 it
+    bracket of label_sine_mantissas, read off the convergent's label and
+    the generators' raw minors (taken once per call) at
+    exact_relative_bits(ctx) and widened at bits_used = 2 ctx.bits, with
+    no basis and no mpf built; for ell >= 3 it
     is the mpmath bracket of angles_adaptive (started at _mpmath_context
     unless ctx is given), widened at its bits_used.  The summaries come from
     the widened dyadics and integers.  Raises CertificationFailure naming
@@ -804,6 +806,7 @@ def certify_instance(
     generators = build_generators(params, depth, stream=table)
     gram_limit_squared = generators.gram_squared()
     target = generators.real_basis()
+    target_label = target.label if ell <= 2 else None
     slack = generators.angle_slack
     # the slack rounded up at each precision a bracket is widened at
     taus: dict[int, tuple[int, int]] = {}
@@ -886,13 +889,13 @@ def certify_instance(
 
         # interval: largest proximity sine against the true target, as
         # dyadic ends; None when it is not separated from zero
-        basis = RealBasis.from_subspace(convergent.subspace)
         if ell <= 2:
             prec = 2 * ctx.bits
-            sine = exact_sine_mantissas(target, basis, exact_relative_bits(ctx))[-1]
+            xb, bits = convergent.subspace.pluecker.coords, exact_relative_bits(ctx)
+            sine = label_sine_mantissas(target_label, ell, xb, ell, params.n, bits)[-1]
             bracket = None if sine is None else ((sine[0], -sine[2]), (sine[1], -sine[2]))
         else:
-            profile = angles_adaptive(target, basis, ctx)
+            profile = angles_adaptive(target, RealBasis.from_subspace(convergent.subspace), ctx)
             prec = profile.bits_used
             bracket = (profile.lo[-1].man_exp, profile.hi[-1].man_exp) if profile.resolved[-1] else None
         bits_used = max(bits_used, prec)

@@ -38,13 +38,13 @@ sweep:
   scan.  For d + e <= n that pairing gives the product P of all the
   sines (Schmidt's identity), and psi_j >= P^(1/j) lets the sweep skip
   any candidate that cannot beat the running record or the level's best
-  so far; for a pair with a single angle P is that sine, exactly.  Two
-  2-planes pair their labels by the dot product too, and both squared
-  sines are the roots of one integer quadratic, which screens them
-  exactly.
-  Only the survivors get a sine bracket: a single-angle pair or a plane
-  pair from its labels alone, any other after decoding a basis, through
-  the adaptive angle engine.  Evaluator targets screen nothing.
+  so far; for a pair with a single angle P is that sine, exactly.  A pair
+  with two angles also pairs its labels through the target's contraction
+  map (a dot product for two planes), and both squared sines are the
+  roots of one integer quadratic, which screens them exactly.
+  Only the survivors get a sine bracket, from their labels alone.  A pair
+  with three or more angles decodes a basis and goes through the
+  adaptive angle engine; evaluator targets screen nothing.
 
 The sweep's running minima over height levels are the records of either
 source.  An irrationality scan is the second reduction of the same
@@ -718,19 +718,30 @@ def _at_least(wedge2: int, scale: int, bar: tuple) -> bool:
     return wedge2 * bottom >= top * scale
 
 
+def _squared_norm(rows: exact.Matrix):
+    """coords -> |rows coords|^2 for a candidate label: one squared dot
+    product when there is one row (a wedge map with d + e = n, a
+    contraction map with d = e)."""
+    if len(rows) == 1:
+        row = rows[0]
+        return lambda coords: sum(map(mul, row, coords)) ** 2
+    return lambda coords: sum(sum(map(mul, r, coords)) ** 2 for r in rows)
+
+
 class _GenericScan:
     """The candidates of one generic scan, screened by their labels.
 
     For d + e <= n the sines of the target A and a candidate B multiply to
     P = |X_A /\\ X_B| / (|X_A| |X_B|) (Schmidt 1967), and psi_j >= P^(1/j)
     because no sine exceeds 1.  An exact target, float targets included,
-    turns its raw label into the integer wedge map M_A once per scan
-    (exact.wedge_map), and each candidate label X_B pairs with it in
-    integers: wedge2 = |M_A X_B|^2 = |X_A /\\ X_B|^2.  Two 2-planes also
-    pair their labels by the dot product dot = <X_A, X_B>, and then both
-    squared sines are the roots of
-    L x^2 - (L + wedge2 - dot^2) x + wedge2, L = |X_A|^2 |X_B|^2
-    (angles.plane_sines); in R^3, wedge2 = 0 and psi_1 = 0.
+    turns its raw label into the integer wedge map and, for
+    t = min(d, e) = 2, the contraction map once per candidate dimension,
+    and each candidate label X_B pairs with them in integers:
+    wedge2 = |X_A /\\ X_B|^2 and cos2, the squared contraction
+    (<X_A, X_B>^2 when d = e).  With L = |X_A|^2 |X_B|^2 they give every
+    sine: wedge2 / L is psi_1^2 for t = 1, and for t = 2 both squared
+    sines are the roots of L x^2 - (L + wedge2 - cos2) x + wedge2
+    (angles.plane_sines); when d + e > n, wedge2 = 0 and psi_1 = 0.
 
     The candidates are labels first.  An EnumSpec streams (coords, h2)
     from enumerate_labels, and its sine-index and ambient checks run once,
@@ -739,26 +750,22 @@ class _GenericScan:
     is built from a census label only where one is needed: to profile a
     row, to raise on it, and for the records and witness a scan reports.
 
-    * An exact pair with t = 1 and d + e <= n, or a plane pair, waits
-      unbracketed, so a scan can skip it once its labels rule it out.  Its
-      j-th sine is 0 only when wedge2 = 0 (t = 1 or j = 1) or the plane is
-      the target (j = 2, wedge2 = 0 and dot^2 = L); that row raises at its
-      place in the enumeration instead.
-    * An exact pair with t = 2, d != e and wedge2 > 0 waits as well.
-    * Every other candidate (evaluator targets, t >= 3, other pairs with
-      wedge2 = 0) is profiled at once, so an unresolved sine raises at its
-      place.  A waiting pair has no zero j-th sine, and the exact engine
-      resolves every nonzero sine.
+    * An exact pair with t <= 2 waits unbracketed, so a scan can skip it
+      once its labels rule it out.  Its j-th sine is 0 only when
+      wedge2 = 0 and, for j = 2, cos2 = L as well (the candidate contains
+      the target or lies in it); that row raises at its place in the
+      enumeration instead.  The exact engine resolves every nonzero sine.
+    * Every other candidate (evaluator targets, t >= 3) is profiled at
+      once through the angle engine, so an unresolved sine raises at its
+      place.
 
-    rules_out tries P^(1/j) first and, for a plane pair, then decides from
-    the quadratic exactly.  A waiting row that survives its scan's test is
-    bracketed by bracket(): a t = 1 pair reads its sine off wedge2 and a
-    plane pair off its quadratic, with the bracket that angles_adaptive
-    would report, and neither decodes a basis; a t = 2 pair with d != e is
-    profiled.  rows() yields (h2, coords, hi, lo, sub, scanned, wedge2, dot)
-    in enumeration order, with hi and lo None on a waiting row, dot None
-    off plane pairs, and sub None on a census row that was not profiled
-    (subspace() builds it from coords).
+    rules_out tries P^(1/j) first and, for a pair with t = 2, then decides
+    from the quadratic exactly.  bracket() brackets a waiting row that
+    survives from its labels, as angles_adaptive would.  rows() yields
+    (h2, coords, hi, lo, sub, scanned, wedge2, cos2) in enumeration order:
+    hi, lo None on a waiting row, wedge2, cos2 None on a profiled one,
+    cos2 None when t = 1, and sub None on a census row that was not
+    profiled (subspace() builds it from coords).
     """
 
     def __init__(self, target, j_index: int, ctx: PrecisionContext | None):
@@ -766,23 +773,21 @@ class _GenericScan:
         self.j_index = j_index
         self.ctx = ctx or PrecisionContext()
         self.bits = None
-        self.label = None
-        if self.basis.columns is not None:
-            # the raw minors will do: every ratio below is scale-free
-            self.label = exact.raw_minors(exact.transpose(self.basis.columns))
+        # the raw minors will do: every ratio below is scale-free
+        self.label = self.basis.label
+        if self.label is not None:
             self.label2 = sum(x * x for x in self.label)
             if not self.label2:
                 # a float target comes here with its rank unchecked
                 raise NumericalRankLossError("target basis has dependent columns")
         self.counts = dict.fromkeys(("candidates", "label_only", "profiled", "skipped"), 0)
-        self.census = None
         self._memo = (None, None, None)
 
     def rows(self, spec) -> Iterator[tuple]:
         n, d, j_index, label = self.basis.n, self.basis.d, self.j_index, self.label
         counts = self.counts
         if isinstance(spec, EnumSpec):
-            self.census, self._make = spec, _label_subspace(spec)
+            self._make = _label_subspace(spec)
             items = zip(enumerate_labels(spec), repeat(None))
         else:
             items = (((sub.pluecker.coords, sub.height_squared), sub) for sub in spec)
@@ -798,32 +803,23 @@ class _GenericScan:
                     )
                 if sub_n != n:
                     raise ShapeError("ambient dimensions differ")
-                if label is not None and sub_e != e:
+                if label is not None and limit <= 2 and sub_e != e:
                     e = sub_e
-                    wedge = exact.wedge_map(label, d, e, n)
-                    one_row = wedge[0] if len(wedge) == 1 else None
-                    planes = d == e == 2
-                    single = limit == 1 and d + e <= n
-            wedge2 = dot = None
-            if label is not None:
-                if one_row is not None:  # d + e = n: X_A /\\ X_B is one number
-                    wedge2 = sum(map(mul, one_row, coords)) ** 2
-                else:
-                    wedge2 = sum(sum(map(mul, row, coords)) ** 2 for row in wedge)
-                if planes:
-                    dot = sum(map(mul, label, coords))
-                if planes or single:
-                    # where angles_adaptive would raise PrecisionExhaustedError
-                    self._bits()
-                    # psi_1 = 0 on a pair that meets, psi_2 = 0 on the target
-                    if not wedge2 and (j_index == 1 or dot * dot == self.label2 * h2):
-                        raise _unresolved(self.subspace(coords, sub), scanned, exact_pair=True)
-            if dot is None and (not wedge2 or limit > 2):
+                    wedge2_of = _squared_norm(exact.wedge_map(label, d, e, n))
+                    cos2_of = limit == 2 and _squared_norm(exact.contraction_map(label, d, e, n))
+            if label is None or limit > 2:
                 sub = self.subspace(coords, sub)
                 lo, hi = self.profile(sub, scanned)
-                yield (h2, coords, hi, lo, sub, scanned, wedge2, None)
-            else:
-                yield (h2, coords, None, None, sub, scanned, wedge2, dot)
+                yield (h2, coords, hi, lo, sub, scanned, None, None)
+                continue
+            wedge2 = wedge2_of(coords)
+            cos2 = cos2_of(coords) if cos2_of else None
+            # where angles_adaptive would raise PrecisionExhaustedError
+            self._bits()
+            # psi_1 = 0 on a pair that meets, psi_2 = 0 when one space holds the other
+            if not wedge2 and (j_index == 1 or cos2 == self.label2 * h2):
+                raise _unresolved(self.subspace(coords, sub), scanned, exact_pair=True)
+            yield (h2, coords, None, None, sub, scanned, wedge2, cos2)
 
     def subspace(self, coords: tuple[int, ...], sub) -> exact.RationalSubspace:
         """sub, or when it is None (a census row) the subspace of the label
@@ -838,38 +834,34 @@ class _GenericScan:
         return self.bits
 
     def bracket(self, row: tuple) -> tuple:
-        """(lo, hi) of a waiting row's j-th sine: from its labels for t = 1
-        and plane pairs, with the bracket that angles_adaptive would report,
-        else from the angle engine."""
-        h2, sub, wedge2, dot = row[0], row[4], row[6], row[7]
-        e = self.census.e if sub is None else sub.e
-        if dot is None and min(e, self.basis.d) == 2:
-            return self.profile(self.subspace(row[1], sub), row[5])
+        """(lo, hi) of a waiting row's j-th sine from its labels, the
+        bracket that angles_adaptive would report."""
+        h2, wedge2, cos2 = row[0], row[6], row[7]
         self.counts["label_only"] += 1
-        if dot is None:
+        if cos2 is None:
             return sine_from_squared(wedge2, self.label2 * h2, self._bits())
-        return plane_sines(self.label2 * h2, wedge2, dot, self._bits())[self.j_index - 1]
+        return plane_sines(self.label2 * h2, wedge2, cos2, self._bits())[self.j_index - 1]
 
     def profile(self, sub: exact.RationalSubspace, scanned: int) -> tuple:
-        """(lo, hi) of the j-th sine from the angle engine."""
+        """(lo, hi) of the j-th sine from the angle engine: a pair with
+        t >= 3 or an evaluator target."""
         self.counts["profiled"] += 1
         k = self.j_index - 1
         prof = angles_adaptive(self.basis, RealBasis.from_subspace(sub), self.ctx)
         if not prof.resolved[k]:
-            exact_pair = self.label is not None and min(self.basis.d, sub.e) <= 2
-            raise _unresolved(sub, scanned, exact_pair)
+            raise _unresolved(sub, scanned, exact_pair=False)
         return prof.lo[k], prof.hi[k]
 
     def rules_out(self, row: tuple, x, slack: bool = False) -> bool:
         """Whether a waiting row's labels prove hi >= x, from psi_j >= x, or
         with slack lo >= x, from psi_j (1 - 2^-b) >= x: exact brackets have
         relative width below 2^-b.  P^(1/j) >= x, that is
-        P^2 = wedge2 / L >= x^(2j), is tried first, then for a plane pair
-        the quadratic decides exactly.  The P test compares the correctly
-        rounded doubles of P^2 and of x^(2j) (memoised per bar) when both
-        are normal and differ by more than 2^-40 relatively, and decides in
-        integers otherwise (_at_least), so every decision is the exact one.
-        A proof counts the row as skipped."""
+        P^2 = wedge2 / L >= x^(2j), is tried first, then for a pair with
+        t = 2 the quadratic decides exactly.  The P test compares the
+        correctly rounded doubles of P^2 and of x^(2j) (memoised per bar)
+        when both are normal and differ by more than 2^-40 relatively, and
+        decides in integers otherwise (_at_least), so every decision is the
+        exact one.  A proof counts the row as skipped."""
         if self._memo[0] is not x or self._memo[1] != slack:
             man, exp = x.man_exp
             num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
@@ -879,10 +871,10 @@ class _GenericScan:
             bar = _bar_power(num, den, 2 * self.j_index)
             self._memo = (x, slack, (bar, num * num, den * den))
         bar, num2, den2 = self._memo[2]
-        wedge2, dot = row[6], row[7]
+        wedge2, cos2 = row[6], row[7]
         scale = self.label2 * row[0]
-        if _at_least(wedge2, scale, bar) or dot is not None and plane_sine_at_least(
-            scale, wedge2, dot, self.j_index, num2, den2
+        if _at_least(wedge2, scale, bar) or cos2 is not None and plane_sine_at_least(
+            scale, wedge2, cos2, self.j_index, num2, den2
         ):
             self.counts["skipped"] += 1
             return True

@@ -22,9 +22,11 @@ rows M_A with X_A /\\ X_B = M_A X_B, so a record scan builds it once per
 target and reads |X_A /\\ X_B|^2 of each candidate as the squared norm of
 one small matrix-vector product (wedge_norm_squared pairs a single pair of
 labels the same way); from it the scan bounds proximity sines without any
-basis.  Two labels of one shape also have the dot product
-<X_A, X_B> = det(A^T B) (Cauchy-Binet), from which, with the wedge, scans
-read both sines of two 2-planes (angles.plane_sines).  Reading
+basis.  contraction_map (and contraction_norm_squared) gives the cosine
+side the same way: the contraction of the smaller label into the larger,
+the adjoint of wedging, which for two labels of one shape is the dot
+product <X_A, X_B> = det(A^T B) (Cauchy-Binet).  Together they give every
+sine of a pair with at most two angles (angles.label_sine_mantissas).  Reading
 a basis back from a label (pluecker_decode, which also serves enumerated
 planes and hyperplanes) goes through rational_kernel, a fraction-free
 elimination on integer rows, so a decoded basis never touches Fraction.
@@ -40,7 +42,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -436,20 +437,6 @@ class RationalSubspace:
 
 
 @functools.cache
-def _wedge_terms(n: int, e: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Per (e+1)-row set, the (column, sign, label index) entries of the
-    matrix of v -> v /\\ Xi for labels of shape (n, e)."""
-    index = {rows: k for k, rows in enumerate(combinations(range(n), e))}
-    return tuple(
-        tuple(
-            (i, (-1) ** pos, index[bigger[:pos] + bigger[pos + 1 :]])
-            for pos, i in enumerate(bigger)
-        )
-        for bigger in combinations(range(n), e + 1)
-    )
-
-
-@functools.cache
 def _pairing_terms(n: int, d: int, e: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """Per (d+e)-row set S, the (sign, d-set index, e-set index) of every split
     of S into row sets I and J, with e_I /\\ e_J = sign * e_S."""
@@ -495,16 +482,55 @@ def wedge_norm_squared(
     The labels may be raw minors or normalized; the value scales with both.
     It is 0 when the subspaces meet, and always when d + e > n.  For
     d + e <= n, |X_A /\\ X_B| / (|X_A| |X_B|) is the product of the sines of
-    all principal angles (Cauchy-Binet on the Gram matrix of [A | B]).
+    all principal angles (Cauchy-Binet on the Gram matrix of [A | B]).  It
+    sums the splits of each (d+e)-row set, with no map built, so it costs
+    C(n, d + e) C(d + e, d) products.
     """
-    return sum(sum(map(mul, row, xb)) ** 2 for row in wedge_map(xa, d, e, n))
+    terms = _pairing_terms(n, d, e)
+    return sum(sum(sign * xa[i] * xb[j] for sign, i, j in split) ** 2 for split in terms)
+
+
+def contraction_map(xa: Sequence[int], d: int, e: int, n: int) -> Matrix:
+    """The integer rows N_A that contract the smaller of X_A, of shape
+    (n, d), and any label X_B of shape (n, e) into the larger:
+    |N_A X_B|^2 is |X_A|^2 |X_B|^2 times the product of the squared cosines
+    of the min(d, e) principal angles.
+
+    For d <= e contraction is the adjoint of wedging, so N_A is the
+    transpose of wedge_map(xa, d, e - d, n): the one row X_A when d = e.
+    For d > e, row K (a (d-e)-row set) and column I (an e-row set) hold
+    sign * X_A[I + K] for e_I /\\ e_K = sign * e_(I+K), or 0.
+    """
+    if d <= e:
+        return transpose(wedge_map(xa, d, e - d, n))
+    rows = [[0] * math.comb(n, e) for _ in range(math.comb(n, d - e))]
+    # _pairing_terms lists the d-row sets in label order
+    for s, split in enumerate(_pairing_terms(n, e, d - e)):
+        for sign, i, k in split:
+            rows[k][i] = sign * xa[s]
+    return tuple(map(tuple, rows))
+
+
+def contraction_norm_squared(
+    xa: Sequence[int], d: int, xb: Sequence[int], e: int, n: int
+) -> int:
+    """|N_A X_B|^2 for N_A = contraction_map(xa, d, e, n), summed over the
+    splits of each row set of the larger label (in label order) with no map
+    built, in C(n, max(d, e)) C(max(d, e), min(d, e)) products."""
+    if d > e:  # the smaller label contracts into the larger either way
+        xa, d, xb, e = xb, e, xa, d
+    parts = [0] * math.comb(n, e - d)
+    for s, split in enumerate(_pairing_terms(n, d, e - d)):
+        for sign, i, j in split:
+            parts[j] += sign * xa[i] * xb[s]
+    return sum(x * x for x in parts)
 
 
 def pluecker_decode(pv: PlueckerVector) -> RationalSubspace:
     """Recover the subspace from a normalized coordinate vector.
 
-    The subspace is the kernel of v -> v /\\ Xi, computed exactly in
-    integers; its basis columns are the primitive kernel vectors of
+    The subspace is the kernel of v -> Xi /\\ v (wedge_map), computed
+    exactly in integers; its basis columns are the primitive kernel vectors of
     rational_kernel.  A vector that does not satisfy the quadratic
     compatibility relations has a kernel of the wrong dimension and is
     rejected.
@@ -514,13 +540,7 @@ def pluecker_decode(pv: PlueckerVector) -> RationalSubspace:
     n, e = pv.n, pv.e
     if e == n:
         return RationalSubspace(pv, identity(n))
-    wedge_rows = []
-    for terms in _wedge_terms(n, e):
-        row = [0] * n
-        for i, sign, k in terms:
-            row[i] = sign * pv.coords[k]
-        wedge_rows.append(row)
-    kernel = rational_kernel(wedge_rows)
+    kernel = rational_kernel(wedge_map(pv.coords, e, 1, n))
     if len(kernel) != e:
         raise NotDecomposableError(
             f"kernel dimension {len(kernel)} != {e}; vector fails the"

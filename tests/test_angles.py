@@ -12,6 +12,7 @@ from mpmath import mp
 
 from subdioph import angles as angles_module
 from subdioph import construction as con
+from subdioph import exact
 from subdioph.angles import (
     HARD_BIT_CAP,
     AngleProfile,
@@ -111,6 +112,10 @@ def test_tiny_angle_exact_inputs_fully_resolved():
     expected = vector_angle([1, xi], [125, 53], bits=300)
     assert abs(p.psi[0] - expected) / expected < 1e-12
     assert p.psi[0] < mp.mpf(4) / 5**9  # bounded by the series remainder scale
+    # doubles are rationals too: sin^2 = 2^-1200 / (1 + 2^-1200) cancelled to
+    # 0 in a 288-bit cross-Gram radicand
+    exact_tiny = vector_angle([1, 0], [1, Fraction(1, 2**600)])
+    assert vector_angle([1.0, 0.0], [1.0, 2.0**-600]) == exact_tiny > 0
 
 
 def test_identical_subspaces_report_unresolved_zero():
@@ -567,3 +572,143 @@ def test_t3_profiles_keep_their_bytes():
             digest.update(f"{p.bits_used} {p.resolved}\n".encode())
         pairs += 1
     assert digest.hexdigest() == T3_PROFILES_SHA256
+
+
+# ---------------------------------------------------------------------------
+# the label route against the bordered Gram determinants
+
+
+def bordered_gram_intervals(a, b, prec):
+    """Squared-sine intervals of an exact pair with t <= 2 from the Gram
+    and bordered Gram determinants of its integer columns (Bjorck & Golub
+    1973): the squared sines are the eigenvalues of I - G_A^-1 C G_B^-1 C^T.
+    The angle engine took this route before it read labels; it stays here
+    as the oracle of the label route."""
+    if a.d > b.d:
+        a, b = b, a
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    gram_a = [[dot(u, v) for v in a.columns] for u in a.columns]
+    gram_b = [[dot(u, v) for v in b.columns] for u in b.columns]
+    cross = [[dot(u, v) for v in b.columns] for u in a.columns]
+    g, delta = exact.determinant(gram_b), exact.determinant(gram_a)
+    if g == 0 or delta == 0:
+        raise NumericalRankLossError("exact basis has dependent columns")
+
+    def residual_product(i, j):
+        # g times the inner product of the parts of a_i and a_j orthogonal
+        # to span(B): the Schur complement of G_B in the bordered Gram matrix
+        bordered = [row + [cross[j][r]] for r, row in enumerate(gram_b)]
+        bordered.append(cross[i] + [gram_a[i][j]])
+        return exact.determinant(bordered)
+
+    if a.d == 1:
+        num = residual_product(0, 0)
+        return [None if num == 0 else (num, g * delta, num, g * delta)]
+    # t = 2: the eigenvalues of G_A^-1 R / g, with R = g * (residual Gram)
+    (p, q), (_, s) = gram_a
+    r00, r01, r11 = residual_product(0, 0), residual_product(0, 1), residual_product(1, 1)
+    tr = s * r00 + p * r11 - 2 * q * r01
+    return angles_module._quadratic_roots(tr, delta * (r00 * r11 - r01 * r01), delta * g, prec)
+
+
+def oracle_basis(rng, n, d, kind, shared=None):
+    """An n x d basis of small, rational, huge (up to 10^40) or float
+    entries; with shared, a multiple of that integer column comes first
+    (an exact basis)."""
+    while True:
+        if kind == "float":
+            rows = random_float_rows(rng, n, d)
+        else:
+            draw = {
+                "small": lambda: rng.randint(-3, 3),
+                "rational": lambda: Fraction(rng.randint(-999, 999), rng.randint(1, 999)),
+                "huge": lambda: rng.randint(-(10**40), 10**40),
+            }[kind]
+            rows = [[draw() for _ in range(d)] for _ in range(n)]
+        if shared is not None:
+            k = rng.choice([1, -2, 3])
+            rows = [[k * x, *row[1:]] for x, row in zip(shared, rows)]
+        if kind == "float":
+            return RealBasis.from_float(rows)
+        try:
+            return RealBasis.from_exact(rows)
+        except NumericalRankLossError:
+            continue
+
+
+# every (n, d, e) with n <= 6 and t = min(d, e) <= 2
+ORACLE_SHAPES = [
+    (n, d, e) for n in range(1, 7) for d in range(1, n + 1) for e in range(1, n + 1)
+    if min(d, e) <= 2
+]
+
+
+def oracle_pairs(rng, count):
+    """count random exact pairs with t <= 2 in R^1 to R^6: every (d, e),
+    d + e > n included, about a fifth sharing a direction."""
+    for _ in range(count):
+        n, d, e = rng.choice(ORACLE_SHAPES)
+        kind = rng.choice(["small", "rational", "huge", "float"])
+        a = oracle_basis(rng, n, d, kind)
+        if rng.random() < 0.2:
+            shared = [row[rng.randrange(d)] for row in a.exact_matrix]
+            yield a, oracle_basis(rng, n, e, rng.choice(["small", "rational", "huge"]), shared)
+        else:
+            yield a, oracle_basis(rng, n, e, rng.choice(["small", "rational", "huge", "float"]))
+
+
+def label_integers(a, b):
+    """(L, W, C) of the raw labels of two bases: |X_A|^2 |X_B|^2, the squared
+    wedge and, when t = 2, the squared contraction."""
+    xa, xb = a.label, b.label
+    label2 = sum(x * x for x in xa) * sum(x * x for x in xb)
+    wedge2 = exact.wedge_norm_squared(xa, a.d, xb, b.d, a.n)
+    if min(a.d, b.d) == 1:
+        return label2, wedge2, None
+    rows = exact.contraction_map(xa, a.d, b.d, a.n)
+    return label2, wedge2, sum(sum(x * y for x, y in zip(row, xb)) ** 2 for row in rows)
+
+
+def test_label_route_matches_the_bordered_gram():
+    """On 2,400 seeded random pairs the label integers give the interval
+    tuples of the bordered Gram determinants, and label_sine_mantissas the
+    sine brackets of those integers."""
+    rng = random.Random(29)
+    shapes, zeros = set(), 0
+    for a, b in oracle_pairs(rng, 2400):
+        bits = rng.choice([128, 512])
+        label = label_integers(a, b)
+        intervals = bordered_gram_intervals(a, b, bits + 4)
+        assert angles_module._squared_sine_intervals(*label, bits + 4) == intervals
+        assert angles_module.label_sine_mantissas(a.label, a.d, b.label, b.d, a.n, bits) == (
+            angles_module._sine_mantissas(*label, bits)
+        )
+        shapes.add((a.n, a.d, b.d))
+        zeros += None in intervals
+    assert shapes == set(ORACLE_SHAPES) and zeros > 300, zeros
+
+
+def test_the_label_entry_point_refuses_pairs_outside_its_contract(monkeypatch):
+    """Labels from different ambient spaces, three angles and an evaluator
+    basis raise ShapeError before any arithmetic.  The basis-level entry
+    point this replaced zipped a line in R^3 with a line in R^2 into a
+    bracket, and raised ValueError and TypeError on the other two."""
+
+    def refused(*_args):
+        raise AssertionError("label arithmetic before the shape check")
+
+    monkeypatch.setattr(angles_module.exact, "wedge_norm_squared", refused)
+    monkeypatch.setattr(angles_module, "_sine_mantissas", refused)
+    line = exact_basis((1, 2, 3))
+    pairs = [
+        (line, exact_basis((1, 2))),
+        (RealBasis.from_exact(T3_A), RealBasis.from_exact(T3_B)),
+        (line, mpmath_twin(line)),
+        (mpmath_twin(line), line),
+    ]
+    for a, b in pairs:
+        with pytest.raises(ShapeError):
+            angles_module.label_sine_mantissas(a.label, a.d, b.label, b.d, a.n, 128)

@@ -19,6 +19,8 @@ from subdioph.exact import (
     as_matrix,
     block_determinant,
     compound_matrix,
+    contraction_map,
+    contraction_norm_squared,
     determinant,
     generalized_determinant_squared,
     height_squared,
@@ -298,9 +300,22 @@ def test_determinant_bareiss_matches_cofactor():
         assert determinant(as_matrix(m)) == ref
 
 
+def projected_gram_det(a, b, xb):
+    """|X_B|^2 det(A^T P_B A), P_B the orthogonal projection onto span(B):
+    |X_A|^2 |X_B|^2 times the product of the squared cosines, for d <= e."""
+    bt = transpose(b)
+    ab = mat_mul(transpose(a), b)
+    return sum(x * x for x in xb) * determinant(
+        mat_mul(mat_mul(ab, inverse(mat_mul(bt, b))), transpose(ab))
+    )
+
+
 def test_wedge_map_is_the_laplace_expansion():
     """M_A X_B is X_A /\\ X_B: on raw minors, the (d+e)-minors of [A | B]
-    (Laplace expansion along A's columns), and nothing when d + e > n."""
+    (Laplace expansion along A's columns), and nothing when d + e > n.  The
+    contraction of the smaller label into the larger has the squared norm
+    |X_B|^2 det(A^T P_B A) (d <= e, and the same with A and B swapped),
+    whether read off contraction_map or summed by contraction_norm_squared."""
     rng = random.Random(28)
     for n in range(2, 7):
         for d in range(1, n):
@@ -308,6 +323,12 @@ def test_wedge_map_is_the_laplace_expansion():
                 a = [[rng.randint(-5, 5) for _ in range(d)] for _ in range(n)]
                 b = [[rng.randint(-5, 5) for _ in range(e)] for _ in range(n)]
                 xa, xb = raw_minors(as_matrix(a)), raw_minors(as_matrix(b))
+                cos2 = contraction_norm_squared(xa, d, xb, e, n)
+                rows = contraction_map(xa, d, e, n)
+                assert cos2 == sum(sum(x * y for x, y in zip(row, xb)) ** 2 for row in rows)
+                if any(xa) and any(xb):
+                    small = projected_gram_det(a, b, xb) if d <= e else projected_gram_det(b, a, xa)
+                    assert cos2 == small
                 image = tuple(sum(x * y for x, y in zip(row, xb)) for row in wedge_map(xa, d, e, n))
                 if d + e > n:
                     assert image == ()

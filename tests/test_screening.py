@@ -5,9 +5,10 @@ candidate gets an angle profile from angles_adaptive, in enumeration order;
 records come from a sort by (h2, coords) and a sweep of running minima, and
 the irrationality witness is the first strict minimum of lower endpoints.
 The screened scans must report the same records and the same
-IrrationalityReport, psi bounds compared as float hex.  Plane pairs take
-both sines from their labels alone (angles.plane_sines); a pair-level
-oracle holds those brackets against angles_adaptive.
+IrrationalityReport, psi bounds compared as float hex.  Pairs with at
+most two angles take their sines from their labels alone
+(angles.sine_from_squared, angles.plane_sines); a pair-level oracle holds
+the plane-pair brackets against angles_adaptive.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from operator import itemgetter, mul
 
 import pytest
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from subdioph import estimation as est
@@ -251,6 +252,11 @@ PLANE_SPECS = {
     4: EnumSpec(4, 2, 6, EXACT_PLUECKER),
     5: EnumSpec(5, 2, 4, EXACT_ECHELON),
 }
+THREE_SPACES_R5 = EnumSpec(5, 3, 3, EXACT_ECHELON)
+# pairs with two angles in R^5, (target dimension, census): two planes, a
+# plane against 3-spaces and a 3-space against planes; the smaller space
+# is a plane each time, and d + e = n off the first
+R5_PAIRS = [(2, PLANE_SPECS[5]), (2, THREE_SPACES_R5), (3, PLANE_SPECS[5])]
 
 
 @SETTINGS
@@ -265,9 +271,14 @@ def test_planes_vs_planes_r3(target, j_index):
 
 
 @SETTINGS
-@given(target=exact_targets(5, 2), j_index=st.sampled_from([1, 2]))
-def test_planes_vs_planes_r5(target, j_index):
-    assert_same_scans(target, PLANE_SPECS[5], j_index)
+@given(pair=st.sampled_from(R5_PAIRS), j_index=st.sampled_from([1, 2]), seed=st.integers(0, 2**32))
+@example(pair=R5_PAIRS[1], j_index=1, seed=51)
+@example(pair=R5_PAIRS[1], j_index=2, seed=52)
+@example(pair=R5_PAIRS[2], j_index=1, seed=53)
+@example(pair=R5_PAIRS[2], j_index=2, seed=54)
+def test_planes_vs_planes_r5(pair, j_index, seed):
+    d, spec = pair
+    assert_same_scans(random_target(5, d, seed), spec, j_index)
 
 
 @SETTINGS
@@ -289,12 +300,20 @@ def test_plane_target_meeting_planes(n, j_index, enumerated, data):
     assert_same_scans(target, PLANE_SPECS[n], j_index)
 
 
+FLOAT_PAIRS = [(3, 2, PLANE_SPECS[3]), (4, 2, PLANE_SPECS[4])] + [(5, *p) for p in R5_PAIRS]
+
+
 @SETTINGS
-@given(n=st.sampled_from([3, 4, 5]), j_index=st.sampled_from([1, 2]), seed=st.integers(0, 2**32))
-def test_float_plane_targets(n, j_index, seed):
+@given(pair=st.sampled_from(FLOAT_PAIRS), j_index=st.sampled_from([1, 2]), seed=st.integers(0, 2**32))
+@example(pair=FLOAT_PAIRS[3], j_index=1, seed=55)
+@example(pair=FLOAT_PAIRS[3], j_index=2, seed=56)
+@example(pair=FLOAT_PAIRS[4], j_index=1, seed=57)
+@example(pair=FLOAT_PAIRS[4], j_index=2, seed=58)
+def test_float_plane_targets(pair, j_index, seed):
+    n, d, spec = pair
     rng = random.Random(seed)
-    target = [[rng.uniform(-9.0, 9.0), rng.uniform(-9.0, 9.0)] for _ in range(n)]
-    assert_same_scans(target, PLANE_SPECS[n], j_index)
+    target = [[rng.uniform(-9.0, 9.0) for _ in range(d)] for _ in range(n)]
+    assert_same_scans(target, spec, j_index)
 
 
 def random_plane(rng, n):
@@ -335,7 +354,7 @@ def test_plane_sines_match_the_engine():
                 labels = (
                     sum(x * x for x in xa) * sub.height_squared,
                     exact.wedge_norm_squared(xa, 2, xb, 2, n),
-                    sum(map(mul, xa, xb)),
+                    sum(map(mul, xa, xb)) ** 2,
                 )
                 brackets = plane_sines(*labels, bits)
                 prof = angles_adaptive(a, RealBasis.from_subspace(sub), ctx)
@@ -465,30 +484,35 @@ def built_subspaces(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "target, spec, j_index",
+    "target, spec, j_index, candidates",
     [
-        ([[1, 0], [0, 1], [3, 5], [7, -2]], EnumSpec(4, 2, 30, EXACT_PLUECKER), 2),
-        ([[1000003], [1414213], [1732051]], EnumSpec(3, 1, 200, EXACT_LINES), 1),
-        ([[1], [Fraction(-47, 53)], [Fraction(29, 71)]], EnumSpec(3, 2, 60, EXACT_LINES), 1),
-        # t = 2 with d != e: the survivors are profiled
-        (random_target(5, 2, 5), EnumSpec(5, 3, 3, EXACT_ECHELON), 2),
+        ([[1, 0], [0, 1], [3, 5], [7, -2]], EnumSpec(4, 2, 30, EXACT_PLUECKER), 2, 5786),
+        ([[1000003], [1414213], [1732051]], EnumSpec(3, 1, 200, EXACT_LINES), 1, 4909),
+        ([[1], [Fraction(-47, 53)], [Fraction(29, 71)]], EnumSpec(3, 2, 60, EXACT_LINES), 1, 793),
+        # t = 2 with d != e: the survivors are bracketed from their labels
+        (random_target(5, 2, 5), EnumSpec(5, 3, 3, EXACT_ECHELON), 2, 190),
+        ([[1, 0], [0, 1], [3, 5], [7, -2], [2, 9]], EnumSpec(5, 3, 8, EXACT_ECHELON), 2, 1890),
     ],
-    ids=["planes-r4", "lines-r3", "hyperplanes-r3", "3-spaces-r5"],
+    ids=["planes-r4", "lines-r3", "hyperplanes-r3", "3-spaces-r5", "3-spaces-r5-h8"],
 )
-def test_census_scans_build_few_subspaces(built_subspaces, caplog, target, spec, j_index):
-    """A scan over an EnumSpec builds a subspace for each row it profiles
-    and each record or witness it reports, not one per candidate.  A
-    profiled row also decodes its basis, which builds one more."""
+def test_census_scans_build_few_subspaces(
+    built_subspaces, caplog, target, spec, j_index, candidates
+):
+    """A scan over an EnumSpec builds a subspace for each record or witness
+    it reports, not one per candidate.  Every pair here has at most two
+    angles, so no row is profiled (which would decode a basis): each
+    candidate is bracketed from its labels or skipped."""
     caplog.set_level(logging.DEBUG, logger="subdioph")
     records = est.scan_records(target, spec, j_index=j_index)
     counts = scan_counts(caplog)
-    most = len(records) + 2 * counts["profiled"]
+    assert counts["candidates"] == candidates and counts["profiled"] == 0
+    assert counts["label_only"] + counts["skipped"] == candidates
     # one subspace per candidate would break the bound
-    assert len(built_subspaces) <= most < counts["candidates"]
+    assert len(built_subspaces) <= len(records) < candidates
     del built_subspaces[:]
     report = est.irrationality_scan(target, spec, j_index=j_index)
     counts = scan_counts(caplog)
-    assert report.ok and len(built_subspaces) <= 1 + 2 * counts["profiled"]
+    assert report.ok and len(built_subspaces) <= 1 and counts["profiled"] == 0
 
 
 def scan_counts(caplog):
