@@ -8,24 +8,26 @@ normalized distances).
 An exact basis is its integer columns: each rational column cleared of
 denominators.  Float bases are exact too: every finite double is a dyadic
 rational, and from_float keeps that value.  Pairs of exact bases with
-t <= 2 are evaluated exactly from their labels X, the raw maximal minors
-of those columns (RealBasis.label), in three integers:
-L = |X_A|^2 |X_B|^2, W = |X_A /\\ X_B|^2 (exact.wedge_norm_squared) and the
-squared contraction C of the smaller label into the larger
-(exact.contraction_norm_squared).
-W / L is the product of the squared sines and C / L that of the squared
-cosines (Schmidt 1967; Cauchy-Binet), so the squared sine of a pair with
-t = 1 is W / L, and the two of a pair with t = 2 are the roots of
-L x^2 - (L + W - C) x + W.  The sines are computed on the sine side, never
-as 1 - cos^2, so tiny angles keep full relative accuracy, and every square
-root is bracketed by integer square roots: lo <= psi <= hi is a proof.
-label_sine_mantissas hands out those brackets as integers over a power of
-two, before any mpf is built, for raw or normalized labels alike; a
-t = 1 bracket depends on the value of its squared sine alone, so two bases
-of one subspace get identical brackets.  sine_from_squared and plane_sines
-bracket the same integers as mpf ends, and plane_sine_at_least compares a
-sine of a pair with t = 2 with a rational exactly, so record scans screen
-and bracket every pair with t <= 2 from labels without building a basis.
+t <= 2 are evaluated exactly in three integers of their labels X, the raw
+maximal minors of those columns (RealBasis.label):
+L = |X_A|^2 |X_B|^2, W = |X_A /\\ X_B|^2 and the squared contraction C of
+the smaller label into the larger.  W / L is the product of the squared
+sines and C / L that of the squared cosines (Schmidt 1967), so the squared
+sine of a pair with t = 1 is W / L, and the two of a pair with t = 2 are
+the roots of L x^2 - (L + W - C) x + W.  A pair of bases takes L, W and C
+from Gram determinants of its columns, which are the same integers by
+Cauchy-Binet and cost a polynomial in n; label_sine_mantissas takes them
+from labels already held (exact.wedge_map, exact.contraction_map).  The
+sines are computed on the sine side, never as 1 - cos^2, so tiny angles
+keep full relative accuracy, and every square root is bracketed by
+integer square roots: lo <= psi <= hi is a proof.  label_sine_mantissas
+hands out those brackets as integers over a power of two, before any mpf
+is built, for raw or normalized labels alike; a t = 1 bracket depends on
+the value of its squared sine alone, so two bases of one subspace get
+identical brackets.  sine_from_squared and plane_sines bracket the same
+integers as mpf ends, and plane_sine_at_least compares a sine of a pair
+with t = 2 with a rational exactly, so record scans screen and bracket
+every pair with t <= 2 from labels without building a basis.
 Every other pair (evaluator bases, or t >= 3) goes through an mpmath
 Gram-Schmidt and SVD repeated at doubled precision until two consecutive
 runs agree to the requested relative error.
@@ -49,6 +51,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from mpmath import mp
@@ -356,9 +359,39 @@ def _is_exact_pair(a: RealBasis, b: RealBasis) -> bool:
 def _exact_profile(a: RealBasis, b: RealBasis, bits_used: int, bits: int) -> AngleProfile:
     """Profile of an exact pair with t <= 2, with rel_err_bound 2^-bits."""
     t = _pair_dimension(a, b)
-    mantissas = label_sine_mantissas(a.label, a.d, b.label, b.d, a.n, bits)
+    mantissas = _sine_mantissas(*_gram_integers(a, b), bits)
     brackets = [None if m is None else _packed(*m) for m in mantissas]
     return _profile(t, brackets, mp.ldexp(1, -bits), bits_used)
+
+
+def _gram_integers(a: RealBasis, b: RealBasis) -> tuple:
+    """(L, W, C) of an exact pair with t <= 2 (C None when t = 1) from Gram
+    determinants of its integer columns, which by Cauchy-Binet are the
+    label integers of their raw minors: L = det(A^T A) det(B^T B),
+    W = det([A | B]^T [A | B]) and, with A the plane and G = B^T B,
+    C = det(A^T B adj(G) B^T A) / det(G).  Polynomial in n, where the
+    labels have C(n, d) entries."""
+    if a.d > b.d:
+        a, b = b, a
+    both = a.columns + b.columns
+    gram = [[sum(map(mul, u, v)) for v in both] for u in both]
+    d, e = a.d, b.d
+    gram_b = [row[d:] for row in gram[d:]]
+    g = exact.determinant(gram_b)
+    label2 = exact.determinant([row[:d] for row in gram[:d]]) * g
+    if label2 == 0:
+        # a float basis comes here with its rank unchecked
+        raise NumericalRankLossError("exact basis has dependent columns")
+    wedge2 = exact.determinant(gram)
+    if d == 1:
+        return label2, wedge2, None
+    cross = [row[d:] for row in gram[:d]]
+    # adj(G) B^T a_i by Cramer's rule (G is symmetric: replace row k)
+    solved = [
+        [exact.determinant(gram_b[:k] + [c] + gram_b[k + 1 :]) for k in range(e)] for c in cross
+    ]
+    (m00, m01), (m10, m11) = [[sum(map(mul, c, y)) for y in solved] for c in cross]
+    return label2, wedge2, (m00 * m11 - m01 * m10) // g
 
 
 def label_sine_mantissas(
@@ -367,8 +400,9 @@ def label_sine_mantissas(
     """Ascending sine brackets (lo, hi, k), lo 2^-k <= psi <= hi 2^-k, or
     None for a zero sine, of the pair with t = min(d, e) <= 2 whose labels
     (raw minors or normalized) are X_A of shape (n, d) and X_B of shape
-    (n, e).  With bits from exact_relative_bits(ctx) and the labels of two
-    bases, these are the brackets angles_adaptive(a, b, ctx) packs.
+    (n, e), through the dense maps of exact.wedge_map and contraction_map.
+    With bits from exact_relative_bits(ctx), the raw minors of two bases
+    get the brackets angles_adaptive(a, b, ctx) packs.
 
     Raises ShapeError before any arithmetic when a label is None (an
     evaluator basis has none) or does not fit its shape, or when t > 2;
@@ -379,10 +413,11 @@ def label_sine_mantissas(
         raise ShapeError(f"need labels of shapes ({n},{d}) and ({n},{e}), at most two angles")
     label2 = sum(x * x for x in xa) * sum(x * x for x in xb)
     if label2 == 0:
-        # a float basis comes here with its rank unchecked
         raise NumericalRankLossError("exact basis has dependent columns")
-    wedge2 = exact.wedge_norm_squared(xa, d, xb, e, n)
-    cos2 = None if min(d, e) == 1 else exact.contraction_norm_squared(xa, d, xb, e, n)
+    wedge2 = exact.squared_image_norm(exact.wedge_map(xa, d, e, n))(xb)
+    cos2 = None
+    if min(d, e) == 2:
+        cos2 = exact.squared_image_norm(exact.contraction_map(xa, d, e, n))(xb)
     return _sine_mantissas(label2, wedge2, cos2, bits)
 
 
@@ -585,21 +620,23 @@ def vector_angle(
 ):
     """sin of the angle between two nonzero vectors.
 
-    Rational inputs, finite doubles included, are two lines with these
-    labels: the value is the midpoint of their exact bracket of relative
-    width below 2^-bits, so tiny angles keep full relative accuracy.  Other
-    inputs use the cross-Gram identity sqrt(|x|^2 |y|^2 - (x.y)^2) /
-    (|x| |y|) in mpmath.
+    Uses the cross-Gram identity sqrt(|x|^2 |y|^2 - (x.y)^2) / (|x| |y|),
+    with the radicand computed exactly when both inputs are rational, so tiny
+    angles keep full relative accuracy.
     """
     if len(x) != len(y):
         raise ShapeError("length mismatch")
     if _all_rational(x) and _all_rational(y):
-        # the lines' labels are the vectors cleared of denominators
-        xa, xb = (exact.clear_denominators([Fraction(v) for v in u]) for u in (x, y))
-        if not any(xa) or not any(xb):
+        fx = [Fraction(v) for v in x]
+        fy = [Fraction(v) for v in y]
+        xx = sum(v * v for v in fx)
+        yy = sum(v * v for v in fy)
+        if xx == 0 or yy == 0:
             raise ShapeError("zero vector")
-        m = label_sine_mantissas(xa, 1, xb, 1, len(xa), bits)[0]
-        return mp.mpf(0) if m is None else _packed(*m)[1]
+        xy = sum(u * v for u, v in zip(fx, fy))
+        num = xx * yy - xy * xy  # Lagrange identity: = |x /\ y|^2, >= 0
+        with mp.workprec(bits):
+            return mp.sqrt(_mpf_of_fraction(num, bits) / _mpf_of_fraction(xx * yy, bits))
     with mp.workprec(bits + 32):
         fx = [mp.mpf(v) for v in x]
         fy = [mp.mpf(v) for v in y]
@@ -613,9 +650,7 @@ def vector_angle(
 
 
 def _all_rational(v: Sequence) -> bool:
-    return all(
-        isinstance(t, (int, Fraction)) or isinstance(t, float) and math.isfinite(t) for t in v
-    )
+    return all(isinstance(t, (int, Fraction)) for t in v)
 
 
 def angles_adaptive(

@@ -780,12 +780,11 @@ def certify_instance(
     bracket of label_sine_mantissas, read off the convergent's label and
     the generators' raw minors (taken once per call) at
     exact_relative_bits(ctx) and widened at bits_used = 2 ctx.bits, with
-    no basis and no mpf built; for ell >= 3 it
-    is the mpmath bracket of angles_adaptive (started at _mpmath_context
-    unless ctx is given), widened at its bits_used.  The summaries come from
-    the widened dyadics and integers.  Raises CertificationFailure naming
-    the first violated check, and PrecisionExhaustedError where
-    angles_adaptive would.
+    no basis and no mpf built; for ell >= 3 it is the mpmath bracket of
+    angles_adaptive (started at _mpmath_context unless ctx is given),
+    widened at its bits_used.  The summaries come from the widened dyadics
+    and integers.  Raises CertificationFailure naming the first violated
+    check, and PrecisionExhaustedError where angles_adaptive would.
 
     Every digit is read once, into one digit table that the convergents
     and the generators share.  Convergent 1, with its primitive-basis check,

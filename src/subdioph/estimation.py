@@ -64,7 +64,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import groupby, repeat
 from math import gcd, isqrt
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 from mpmath import mp
@@ -718,16 +718,6 @@ def _at_least(wedge2: int, scale: int, bar: tuple) -> bool:
     return wedge2 * bottom >= top * scale
 
 
-def _squared_norm(rows: exact.Matrix):
-    """coords -> |rows coords|^2 for a candidate label: one squared dot
-    product when there is one row (a wedge map with d + e = n, a
-    contraction map with d = e)."""
-    if len(rows) == 1:
-        row = rows[0]
-        return lambda coords: sum(map(mul, row, coords)) ** 2
-    return lambda coords: sum(sum(map(mul, r, coords)) ** 2 for r in rows)
-
-
 class _GenericScan:
     """The candidates of one generic scan, screened by their labels.
 
@@ -805,15 +795,17 @@ class _GenericScan:
                     raise ShapeError("ambient dimensions differ")
                 if label is not None and limit <= 2 and sub_e != e:
                     e = sub_e
-                    wedge2_of = _squared_norm(exact.wedge_map(label, d, e, n))
-                    cos2_of = limit == 2 and _squared_norm(exact.contraction_map(label, d, e, n))
+                    wedge2_of = exact.squared_image_norm(exact.wedge_map(label, d, e, n))
+                    cos2_of = None
+                    if limit == 2:
+                        cos2_of = exact.squared_image_norm(exact.contraction_map(label, d, e, n))
             if label is None or limit > 2:
                 sub = self.subspace(coords, sub)
                 lo, hi = self.profile(sub, scanned)
                 yield (h2, coords, hi, lo, sub, scanned, None, None)
                 continue
             wedge2 = wedge2_of(coords)
-            cos2 = cos2_of(coords) if cos2_of else None
+            cos2 = None if cos2_of is None else cos2_of(coords)
             # where angles_adaptive would raise PrecisionExhaustedError
             self._bits()
             # psi_1 = 0 on a pair that meets, psi_2 = 0 when one space holds the other

@@ -20,19 +20,19 @@ line census, the line engine's records and the harness's placed records.
 Two labels pair in integers.  wedge_map turns a label X_A into the integer
 rows M_A with X_A /\\ X_B = M_A X_B, so a record scan builds it once per
 target and reads |X_A /\\ X_B|^2 of each candidate as the squared norm of
-one small matrix-vector product (wedge_norm_squared pairs a single pair of
-labels the same way); from it the scan bounds proximity sines without any
-basis.  contraction_map (and contraction_norm_squared) gives the cosine
-side the same way: the contraction of the smaller label into the larger,
-the adjoint of wedging, which for two labels of one shape is the dot
-product <X_A, X_B> = det(A^T B) (Cauchy-Binet).  Together they give every
-sine of a pair with at most two angles (angles.label_sine_mantissas).  Reading
-a basis back from a label (pluecker_decode, which also serves enumerated
-planes and hyperplanes) goes through rational_kernel, a fraction-free
-elimination on integer rows, so a decoded basis never touches Fraction.
-Rank, inverse and determinants above 3 x 3 run on the same integer rows
-(rational rows are scaled to integers first); Fraction arithmetic remains
-for small closed-form determinants and for clearing column denominators.
+one small matrix-vector product (squared_image_norm); from it the scan
+bounds proximity sines without any basis.  contraction_map gives the
+cosine side the same way: the contraction of the smaller label into the
+larger, the adjoint of wedging, which for two labels of one shape is the
+dot product <X_A, X_B> = det(A^T B) (Cauchy-Binet).  Together they give
+every sine of a pair with at most two angles (angles.label_sine_mantissas).
+Reading a basis back from a label (pluecker_decode, which also serves
+enumerated planes and hyperplanes) goes through rational_kernel, a
+fraction-free elimination on integer rows, so a decoded basis never touches
+Fraction.  Rank, inverse and determinants above 3 x 3 run on the same
+integer rows (rational rows are scaled to integers first); Fraction
+arithmetic remains for small closed-form determinants and for clearing
+column denominators.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -474,22 +475,6 @@ def wedge_map(xa: Sequence[int], d: int, e: int, n: int) -> Matrix:
     return tuple(rows)
 
 
-def wedge_norm_squared(
-    xa: Sequence[int], d: int, xb: Sequence[int], e: int, n: int
-) -> int:
-    """|X_A /\\ X_B|^2 for labels X_A of shape (n, d) and X_B of shape (n, e).
-
-    The labels may be raw minors or normalized; the value scales with both.
-    It is 0 when the subspaces meet, and always when d + e > n.  For
-    d + e <= n, |X_A /\\ X_B| / (|X_A| |X_B|) is the product of the sines of
-    all principal angles (Cauchy-Binet on the Gram matrix of [A | B]).  It
-    sums the splits of each (d+e)-row set, with no map built, so it costs
-    C(n, d + e) C(d + e, d) products.
-    """
-    terms = _pairing_terms(n, d, e)
-    return sum(sum(sign * xa[i] * xb[j] for sign, i, j in split) ** 2 for split in terms)
-
-
 def contraction_map(xa: Sequence[int], d: int, e: int, n: int) -> Matrix:
     """The integer rows N_A that contract the smaller of X_A, of shape
     (n, d), and any label X_B of shape (n, e) into the larger:
@@ -511,19 +496,14 @@ def contraction_map(xa: Sequence[int], d: int, e: int, n: int) -> Matrix:
     return tuple(map(tuple, rows))
 
 
-def contraction_norm_squared(
-    xa: Sequence[int], d: int, xb: Sequence[int], e: int, n: int
-) -> int:
-    """|N_A X_B|^2 for N_A = contraction_map(xa, d, e, n), summed over the
-    splits of each row set of the larger label (in label order) with no map
-    built, in C(n, max(d, e)) C(max(d, e), min(d, e)) products."""
-    if d > e:  # the smaller label contracts into the larger either way
-        xa, d, xb, e = xb, e, xa, d
-    parts = [0] * math.comb(n, e - d)
-    for s, split in enumerate(_pairing_terms(n, d, e - d)):
-        for sign, i, j in split:
-            parts[j] += sign * xa[i] * xb[s]
-    return sum(x * x for x in parts)
+def squared_image_norm(rows: Matrix):
+    """v -> |rows v|^2 for integer vectors v: one squared dot product when
+    there is one row (a wedge map with d + e = n, a contraction map with
+    d = e)."""
+    if len(rows) == 1:
+        row = rows[0]
+        return lambda v: sum(map(mul, row, v)) ** 2
+    return lambda v: sum(sum(map(mul, r, v)) ** 2 for r in rows)
 
 
 def pluecker_decode(pv: PlueckerVector) -> RationalSubspace:

@@ -112,10 +112,6 @@ def test_tiny_angle_exact_inputs_fully_resolved():
     expected = vector_angle([1, xi], [125, 53], bits=300)
     assert abs(p.psi[0] - expected) / expected < 1e-12
     assert p.psi[0] < mp.mpf(4) / 5**9  # bounded by the series remainder scale
-    # doubles are rationals too: sin^2 = 2^-1200 / (1 + 2^-1200) cancelled to
-    # 0 in a 288-bit cross-Gram radicand
-    exact_tiny = vector_angle([1, 0], [1, Fraction(1, 2**600)])
-    assert vector_angle([1.0, 0.0], [1.0, 2.0**-600]) == exact_tiny > 0
 
 
 def test_identical_subspaces_report_unresolved_zero():
@@ -665,22 +661,23 @@ def label_integers(a, b):
     wedge and, when t = 2, the squared contraction."""
     xa, xb = a.label, b.label
     label2 = sum(x * x for x in xa) * sum(x * x for x in xb)
-    wedge2 = exact.wedge_norm_squared(xa, a.d, xb, b.d, a.n)
+    wedge2 = exact.squared_image_norm(exact.wedge_map(xa, a.d, b.d, a.n))(xb)
     if min(a.d, b.d) == 1:
         return label2, wedge2, None
-    rows = exact.contraction_map(xa, a.d, b.d, a.n)
-    return label2, wedge2, sum(sum(x * y for x, y in zip(row, xb)) ** 2 for row in rows)
+    return label2, wedge2, exact.squared_image_norm(exact.contraction_map(xa, a.d, b.d, a.n))(xb)
 
 
 def test_label_route_matches_the_bordered_gram():
-    """On 2,400 seeded random pairs the label integers give the interval
-    tuples of the bordered Gram determinants, and label_sine_mantissas the
-    sine brackets of those integers."""
+    """On 2,400 seeded random pairs the Gram determinants of two bases give
+    the integers of their labels (Cauchy-Binet), those integers give the
+    interval tuples of the bordered Gram determinants, and
+    label_sine_mantissas the sine brackets of those integers."""
     rng = random.Random(29)
     shapes, zeros = set(), 0
     for a, b in oracle_pairs(rng, 2400):
         bits = rng.choice([128, 512])
         label = label_integers(a, b)
+        assert angles_module._gram_integers(a, b) == label
         intervals = bordered_gram_intervals(a, b, bits + 4)
         assert angles_module._squared_sine_intervals(*label, bits + 4) == intervals
         assert angles_module.label_sine_mantissas(a.label, a.d, b.label, b.d, a.n, bits) == (
@@ -700,7 +697,7 @@ def test_the_label_entry_point_refuses_pairs_outside_its_contract(monkeypatch):
     def refused(*_args):
         raise AssertionError("label arithmetic before the shape check")
 
-    monkeypatch.setattr(angles_module.exact, "wedge_norm_squared", refused)
+    monkeypatch.setattr(angles_module.exact, "wedge_map", refused)
     monkeypatch.setattr(angles_module, "_sine_mantissas", refused)
     line = exact_basis((1, 2, 3))
     pairs = [
@@ -712,3 +709,26 @@ def test_the_label_entry_point_refuses_pairs_outside_its_contract(monkeypatch):
     for a, b in pairs:
         with pytest.raises(ShapeError):
             angles_module.label_sine_mantissas(a.label, a.d, b.label, b.d, a.n, 128)
+
+
+def test_basis_pairs_in_larger_spaces_build_no_label(monkeypatch):
+    """A pair of bases takes L, W and C from Gram determinants, polynomial
+    in n: a plane against a 6-space in R^12, and lines and planes against
+    10-spaces in R^20 (labels of C(20, 10) = 184,756 minors), build no
+    label and no pairing table, and bracket as the bordered Gram oracle."""
+    rng = random.Random(1229)
+    shapes = [(12, 2, 6), (12, 6, 2), (20, 1, 10), (20, 2, 10), (20, 10, 2)]
+    pairs = [(oracle_basis(rng, n, d, "small"), oracle_basis(rng, n, e, "rational")) for n, d, e in shapes]
+
+    def refused(*_args):
+        raise AssertionError("a pair of bases built a label")
+
+    monkeypatch.setattr(angles_module.exact, "raw_minors", refused)
+    monkeypatch.setattr(angles_module.exact, "_pairing_terms", refused)
+    bits = exact_relative_bits()
+    for a, b in pairs:
+        prof = angles_adaptive(a, b)
+        assert principal_angles(a, b, bits=128).t == prof.t == min(a.d, b.d)
+        intervals = angles_module._squared_sine_intervals(*angles_module._gram_integers(a, b), bits + 4)
+        assert intervals == bordered_gram_intervals(a, b, bits + 4)
+        assert prof.resolved == tuple(x is not None for x in intervals)

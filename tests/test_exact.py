@@ -20,7 +20,6 @@ from subdioph.exact import (
     block_determinant,
     compound_matrix,
     contraction_map,
-    contraction_norm_squared,
     determinant,
     generalized_determinant_squared,
     height_squared,
@@ -35,9 +34,10 @@ from subdioph.exact import (
     rational_kernel,
     raw_minors,
     transpose,
+    squared_image_norm,
     wedge_map,
-    wedge_norm_squared,
 )
+from subdioph.exact import _pairing_terms
 
 
 def columns(*cols):
@@ -310,12 +310,32 @@ def projected_gram_det(a, b, xb):
     )
 
 
+def wedge_norm_squared(xa, d, xb, e, n):
+    """|X_A /\\ X_B|^2 summed over the splits of each (d+e)-row set, with
+    no map built."""
+    terms = _pairing_terms(n, d, e)
+    return sum(sum(sign * xa[i] * xb[j] for sign, i, j in split) ** 2 for split in terms)
+
+
+def contraction_norm_squared(xa, d, xb, e, n):
+    """The squared contraction of the smaller label into the larger, summed
+    over the splits of each row set of the larger label, with no map built."""
+    if d > e:  # the smaller label contracts into the larger either way
+        xa, d, xb, e = xb, e, xa, d
+    parts = [0] * math.comb(n, e - d)
+    for s, split in enumerate(_pairing_terms(n, d, e - d)):
+        for sign, i, j in split:
+            parts[j] += sign * xa[i] * xb[s]
+    return sum(x * x for x in parts)
+
+
 def test_wedge_map_is_the_laplace_expansion():
     """M_A X_B is X_A /\\ X_B: on raw minors, the (d+e)-minors of [A | B]
     (Laplace expansion along A's columns), and nothing when d + e > n.  The
     contraction of the smaller label into the larger has the squared norm
-    |X_B|^2 det(A^T P_B A) (d <= e, and the same with A and B swapped),
-    whether read off contraction_map or summed by contraction_norm_squared."""
+    |X_B|^2 det(A^T P_B A) (d <= e, and the same with A and B swapped).
+    squared_image_norm of either map gives the split sums of the oracles
+    above."""
     rng = random.Random(28)
     for n in range(2, 7):
         for d in range(1, n):
@@ -324,8 +344,7 @@ def test_wedge_map_is_the_laplace_expansion():
                 b = [[rng.randint(-5, 5) for _ in range(e)] for _ in range(n)]
                 xa, xb = raw_minors(as_matrix(a)), raw_minors(as_matrix(b))
                 cos2 = contraction_norm_squared(xa, d, xb, e, n)
-                rows = contraction_map(xa, d, e, n)
-                assert cos2 == sum(sum(x * y for x, y in zip(row, xb)) ** 2 for row in rows)
+                assert cos2 == squared_image_norm(contraction_map(xa, d, e, n))(xb)
                 if any(xa) and any(xb):
                     small = projected_gram_det(a, b, xb) if d <= e else projected_gram_det(b, a, xa)
                     assert cos2 == small
@@ -336,6 +355,7 @@ def test_wedge_map_is_the_laplace_expansion():
                 both = as_matrix([ra + rb for ra, rb in zip(a, b)])
                 assert image == raw_minors(both)
                 assert wedge_norm_squared(xa, d, xb, e, n) == sum(x * x for x in image)
+                assert squared_image_norm(wedge_map(xa, d, e, n))(xb) == sum(x * x for x in image)
 
 
 # ---------------------------------------------------------------------------

@@ -353,7 +353,7 @@ def test_plane_sines_match_the_engine():
                 xb = sub.pluecker.coords
                 labels = (
                     sum(x * x for x in xa) * sub.height_squared,
-                    exact.wedge_norm_squared(xa, 2, xb, 2, n),
+                    exact.squared_image_norm(exact.wedge_map(xa, 2, 2, n))(xb),
                     sum(map(mul, xa, xb)) ** 2,
                 )
                 brackets = plane_sines(*labels, bits)
