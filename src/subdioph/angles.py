@@ -24,10 +24,13 @@ integer square roots: lo <= psi <= hi is a proof.  label_sine_mantissas
 hands out those brackets as integers over a power of two, before any mpf
 is built, for raw or normalized labels alike; a t = 1 bracket depends on
 the value of its squared sine alone, so two bases of one subspace get
-identical brackets.  sine_from_squared and plane_sines bracket the same
-integers as mpf ends, and plane_sine_at_least compares a sine of a pair
-with t = 2 with a rational exactly, so record scans screen and bracket
-every pair with t <= 2 from labels without building a basis.
+identical brackets.  Record scans and certificates keep each end as a
+dyadic (man, exp), the value man 2^exp: _dyadic_less compares two
+exactly and _dyadic_float rounds one to a double.  plane_sine_at_least
+compares a sine of a pair with t = 2 with a rational exactly, so record
+scans screen and bracket every pair with t <= 2 from labels without
+building a basis or an mpf; only the profiles of angles_adaptive and
+principal_angles turn the brackets into mpf ends.
 Every other pair (evaluator bases, or t >= 3) goes through an mpmath
 Gram-Schmidt and SVD repeated at doubled precision until two consecutive
 runs agree to the requested relative error.
@@ -87,6 +90,20 @@ def _float_down(x) -> float:
 
 def _float_up(x) -> float:
     return math.nextafter(float(x), math.inf)
+
+
+def _dyadic_float(man: int, exp: int) -> float:
+    """The double nearest man 2^exp by a correctly rounded int division
+    (0.0 below the double range)."""
+    return man / (1 << -exp) if exp < 0 else float(man << exp)
+
+
+def _dyadic_less(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Whether a < b for dyadics (man, exp), decided exactly on mantissas
+    shifted to the smaller exponent."""
+    (a_man, a_exp), (b_man, b_exp) = a, b
+    exp = min(a_exp, b_exp)
+    return a_man << (a_exp - exp) < b_man << (b_exp - exp)
 
 
 @dataclass(frozen=True)
@@ -438,19 +455,6 @@ def exact_relative_bits(ctx: PrecisionContext | None = None) -> int:
     return bits
 
 
-def sine_from_squared(num: int, den: int, bits: int) -> tuple | None:
-    """(lo, hi) around sqrt(num / den) for integers num >= 0 and den > 0, or
-    None when num is 0.
-
-    With bits from exact_relative_bits(ctx), this is the bracket that
-    angles_adaptive(a, b, ctx) reports for an exact pair with t = 1 whose
-    squared sine is num / den: it depends on the value alone, however the
-    fraction is written.
-    """
-    m = _sine_mantissas(den, num, None, bits)[0]
-    return None if m is None else _packed(*m)[::2]
-
-
 def _scaled_isqrt(num: int, den: int, k: int, up: bool) -> int:
     """floor (or, with up, ceil) of sqrt(num / den) * 2^k, num >= 0, den > 0."""
     if k >= 0:
@@ -561,24 +565,11 @@ def _sine_mantissas(label2: int, wedge2: int, cos2: int | None, bits: int) -> li
     ]
 
 
-def plane_sines(label2: int, wedge2: int, cos2: int, bits: int) -> list:
-    """Ascending (lo, hi) brackets of both sines of a pair A, B in R^n with
-    t = 2, None for a zero sine, read off their labels: label2 = |X_A|^2
-    |X_B|^2, wedge2 = |X_A /\\ X_B|^2 and cos2 = |N_A X_B|^2, the squared
-    contraction (exact.contraction_map; <X_A, X_B>^2 for two planes).  The
-    squared sines are the roots of label2 x^2 - (label2 + wedge2 - cos2) x
-    + wedge2.  With bits from exact_relative_bits(ctx) these are the
-    brackets of label_sine_mantissas.
-    """
-    mantissas = _sine_mantissas(label2, wedge2, cos2, bits)
-    return [None if m is None else _packed(*m)[::2] for m in mantissas]
-
-
 def plane_sine_at_least(label2: int, wedge2: int, cos2: int, j: int, num: int, den: int) -> bool:
-    """Whether psi_j^2 >= y = num / den (den > 0) for the pair with t = 2 of
-    plane_sines, decided in integers: psi_j^2 = (tr -+ sqrt(disc)) /
-    (2 label2), so the sign of 2 label2 y - tr and one squared comparison
-    with disc decide it."""
+    """Whether psi_j^2 >= y = num / den (den > 0) for a pair with t = 2 of
+    label integers label2 = L, wedge2 = W and cos2 = C, decided in
+    integers: psi_j^2 = (tr -+ sqrt(disc)) / (2 label2), so the sign of
+    2 label2 y - tr and one squared comparison with disc decide it."""
     tr = label2 + wedge2 - cos2
     over = 2 * label2 * num - tr * den  # den (2 label2 y - tr)
     if j == 2 and over <= 0:
@@ -622,11 +613,13 @@ def vector_angle(
 
     Uses the cross-Gram identity sqrt(|x|^2 |y|^2 - (x.y)^2) / (|x| |y|),
     with the radicand computed exactly when both inputs are rational, so tiny
-    angles keep full relative accuracy.
+    angles keep full relative accuracy.  Finite floats are rational (every
+    double is a dyadic rational, as in RealBasis.from_float); a NaN or an
+    infinite float raises ShapeError.
     """
     if len(x) != len(y):
         raise ShapeError("length mismatch")
-    if _all_rational(x) and _all_rational(y):
+    if _all_rational([*x, *y]):
         fx = [Fraction(v) for v in x]
         fy = [Fraction(v) for v in y]
         xx = sum(v * v for v in fx)
@@ -650,7 +643,11 @@ def vector_angle(
 
 
 def _all_rational(v: Sequence) -> bool:
-    return all(isinstance(t, (int, Fraction)) for t in v)
+    """Whether every entry is an int, a Fraction or a float, each an exact
+    rational; a NaN or an infinite float raises ShapeError."""
+    if any(isinstance(t, float) and not math.isfinite(t) for t in v):
+        raise ShapeError("vector entries must be finite")
+    return all(isinstance(t, (int, Fraction, float)) for t in v)
 
 
 def angles_adaptive(

@@ -35,6 +35,7 @@ from .angles import (
     angles_adaptive,
     exact_relative_bits,
     label_sine_mantissas,
+    _dyadic_float,
     _float_down,
     _float_up,
 )
@@ -700,12 +701,6 @@ def _widened(lo: tuple[int, int], hi: tuple[int, int], tau: tuple[int, int], pre
     hi_sum_exp = min(hi_exp, tau_exp)
     total = (hi_man << (hi_exp - hi_sum_exp)) + (tau_man << (tau_exp - hi_sum_exp))
     return _rounded(diff, exp, prec, up=False), _rounded(total, hi_sum_exp, prec, up=True)
-
-
-def _dyadic_float(man: int, exp: int) -> float:
-    """The double nearest man 2^exp by a correctly rounded int division
-    (0.0 below the double range)."""
-    return man / (1 << -exp) if exp < 0 else float(man << exp)
 
 
 def _scaled_float(end: tuple[int, int], theta: int, power: Fraction | int) -> float:

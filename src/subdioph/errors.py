@@ -19,10 +19,6 @@ class NotDecomposableError(SubdiophError):
     """A coordinate vector does not come from any subspace of the requested dimension."""
 
 
-class NonCommutingBlocksError(SubdiophError):
-    """Top blocks of a 2x2 block matrix do not commute, so the product formula is invalid."""
-
-
 class NumericalRankLossError(SubdiophError):
     """A column collapsed during orthonormalization at the working precision."""
 

@@ -42,9 +42,13 @@ sweep:
   with two angles also pairs its labels through the target's contraction
   map (a dot product for two planes), and both squared sines are the
   roots of one integer quadratic, which screens them exactly.
-  Only the survivors get a sine bracket, from their labels alone.  A pair
+  Only the survivors get a sine bracket, from their labels alone, as two
+  dyadics (integer mantissa, exponent) that no mpf ever holds.  A pair
   with three or more angles decodes a basis and goes through the
-  adaptive angle engine; evaluator targets screen nothing.
+  adaptive angle engine, whose mpf ends convert to dyadics exactly;
+  evaluator targets screen nothing.  The sweep compares dyadics exactly
+  and rounds them to doubles only for the records and the witness it
+  reports, as certificates round theirs.
 
 The sweep's running minima over height levels are the records of either
 source.  An irrationality scan is the second reduction of the same
@@ -76,10 +80,11 @@ from .angles import (
     angles_adaptive,
     exact_relative_bits,
     plane_sine_at_least,
-    plane_sines,
-    sine_from_squared,
+    _dyadic_float,
+    _dyadic_less,
     _float_down,
     _float_up,
+    _sine_mantissas,
 )
 from .construction import (
     INFINITE,
@@ -730,8 +735,11 @@ class _GenericScan:
     wedge2 = |X_A /\\ X_B|^2 and cos2, the squared contraction
     (<X_A, X_B>^2 when d = e).  With L = |X_A|^2 |X_B|^2 they give every
     sine: wedge2 / L is psi_1^2 for t = 1, and for t = 2 both squared
-    sines are the roots of L x^2 - (L + wedge2 - cos2) x + wedge2
-    (angles.plane_sines); when d + e > n, wedge2 = 0 and psi_1 = 0.
+    sines are the roots of L x^2 - (L + wedge2 - cos2) x + wedge2; when
+    d + e > n, wedge2 = 0 and psi_1 = 0.  Every bracket is a pair of
+    dyadics (man, exp), as certificates keep theirs: a waiting row's comes
+    from angles._sine_mantissas, a profiled row's from the exact mantissa
+    and exponent of each mpf end.
 
     The candidates are labels first.  An EnumSpec streams (coords, h2)
     from enumerate_labels, and its sine-index and ambient checks run once,
@@ -826,28 +834,27 @@ class _GenericScan:
         return self.bits
 
     def bracket(self, row: tuple) -> tuple:
-        """(lo, hi) of a waiting row's j-th sine from its labels, the
+        """Dyadic (lo, hi) of a waiting row's j-th sine from its labels, the
         bracket that angles_adaptive would report."""
         h2, wedge2, cos2 = row[0], row[6], row[7]
         self.counts["label_only"] += 1
-        if cos2 is None:
-            return sine_from_squared(wedge2, self.label2 * h2, self._bits())
-        return plane_sines(self.label2 * h2, wedge2, cos2, self._bits())[self.j_index - 1]
+        lo, hi, k = _sine_mantissas(self.label2 * h2, wedge2, cos2, self._bits())[self.j_index - 1]
+        return (lo, -k), (hi, -k)
 
     def profile(self, sub: exact.RationalSubspace, scanned: int) -> tuple:
-        """(lo, hi) of the j-th sine from the angle engine: a pair with
-        t >= 3 or an evaluator target."""
+        """Dyadic (lo, hi) of the j-th sine from the angle engine, exactly
+        its mpf ends: a pair with t >= 3 or an evaluator target."""
         self.counts["profiled"] += 1
         k = self.j_index - 1
         prof = angles_adaptive(self.basis, RealBasis.from_subspace(sub), self.ctx)
         if not prof.resolved[k]:
             raise _unresolved(sub, scanned, exact_pair=False)
-        return prof.lo[k], prof.hi[k]
+        return prof.lo[k].man_exp, prof.hi[k].man_exp
 
-    def rules_out(self, row: tuple, x, slack: bool = False) -> bool:
-        """Whether a waiting row's labels prove hi >= x, from psi_j >= x, or
-        with slack lo >= x, from psi_j (1 - 2^-b) >= x: exact brackets have
-        relative width below 2^-b.  P^(1/j) >= x, that is
+    def rules_out(self, row: tuple, x: tuple[int, int], slack: bool = False) -> bool:
+        """Whether a waiting row's labels prove hi >= x for a dyadic x, from
+        psi_j >= x, or with slack lo >= x, from psi_j (1 - 2^-b) >= x: exact
+        brackets have relative width below 2^-b.  P^(1/j) >= x, that is
         P^2 = wedge2 / L >= x^(2j), is tried first, then for a pair with
         t = 2 the quadratic decides exactly.  The P test compares the
         correctly rounded doubles of P^2 and of x^(2j) (memoised per bar)
@@ -855,7 +862,7 @@ class _GenericScan:
         decides in integers otherwise (_at_least), so every decision is the
         exact one.  A proof counts the row as skipped."""
         if self._memo[0] is not x or self._memo[1] != slack:
-            man, exp = x.man_exp
+            man, exp = x
             num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
             if slack:
                 bits = self._bits()
@@ -916,7 +923,7 @@ def scan_records(
                     continue
                 lo, hi = scan.bracket(row)
                 row = (row[0], row[1], hi, lo, row[4])
-            if bar is None or row[2] < bar:
+            if bar is None or _dyadic_less(row[2], bar):
                 bar = row[2]
             yield row
 
@@ -925,12 +932,16 @@ def scan_records(
         # by (h2, coords) alone: subspaces have no order, and a subspace that
         # chained shards repeat keeps its stream order
         pool.sort(key=itemgetter(0, 1))
-        raw = _sweep_pool(pool, lambda a, b: a[2] < b[2], settle)
+        raw = _sweep_pool(pool, lambda a, b: _dyadic_less(a[2], b[2]), settle)
     finally:
         scan.log("scan_records")
     return [
         ApproximationRecord(
-            scan.subspace(row[1], row[4]), row[0], _float_down(row[3]), _float_up(row[2]), j_index
+            scan.subspace(row[1], row[4]),
+            row[0],
+            _float_down(_dyadic_float(*row[3])),
+            _float_up(_dyadic_float(*row[2])),
+            j_index,
         )
         for row in raw
     ]
@@ -1311,7 +1322,7 @@ def irrationality_scan(
                         if min_lo is not None and scan.rules_out(row, min_lo, slack=True):
                             continue
                         lo = scan.bracket(row)[0]
-                    if min_lo is None or lo < min_lo:
+                    if min_lo is None or _dyadic_less(lo, min_lo):
                         min_lo, witness = lo, row
             finally:
                 scan.log("irrationality_scan")
@@ -1319,7 +1330,7 @@ def irrationality_scan(
                 raise InsufficientRecordsError("the enumeration window is empty")
             witness = scan.subspace(witness[1], witness[4])
             scanned = scan.counts["candidates"]
-            min_psi, ok = _float_down(min_lo), min_lo > 0
+            min_psi, ok = _float_down(_dyadic_float(*min_lo)), min_lo[0] > 0
     except IrrationalityViolationError as err:
         return IrrationalityReport(
             j_index=j_index,

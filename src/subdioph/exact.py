@@ -47,7 +47,6 @@ from typing import Iterable, Sequence
 
 from .errors import (
     DegenerateBasisError,
-    NonCommutingBlocksError,
     NotDecomposableError,
     ShapeError,
 )
@@ -106,12 +105,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    if shape(a) != shape(b):
-        raise ShapeError("shape mismatch in subtraction")
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def identity(n: int) -> Matrix:
@@ -558,54 +551,3 @@ def compound_matrix(m: Iterable[Sequence[Scalar]], e: int) -> Matrix:
             out_row.append(determinant(sub))
         out.append(tuple(out_row))
     return tuple(out)
-
-
-def block_determinant(
-    a1: Iterable[Sequence[Scalar]],
-    a2: Iterable[Sequence[Scalar]],
-    a3: Iterable[Sequence[Scalar]],
-    a4: Iterable[Sequence[Scalar]],
-) -> Scalar:
-    """det [[A1, A2], [A3, A4]] for commuting top blocks A1 A2 = A2 A1.
-
-    Computed both directly and as det(A4 A1 - A3 A2); the two exact values
-    must agree, so this doubles as a self-check of the reduction.
-    """
-    b1, b2, b3, b4 = (as_matrix(b) for b in (a1, a2, a3, a4))
-    s = shape(b1)[0]
-    for b in (b1, b2, b3, b4):
-        if shape(b) != (s, s):
-            raise ShapeError("all four blocks must be square of equal size")
-    if mat_mul(b1, b2) != mat_mul(b2, b1):
-        raise NonCommutingBlocksError("top blocks do not commute")
-    assembled = tuple(
-        tuple(b1[i]) + tuple(b2[i]) for i in range(s)
-    ) + tuple(tuple(b3[i]) + tuple(b4[i]) for i in range(s))
-    direct = determinant(assembled)
-    reduced = determinant(mat_sub(mat_mul(b4, b1), mat_mul(b3, b2)))
-    if direct != reduced:
-        raise NonCommutingBlocksError(
-            "block reduction disagrees with the direct determinant"
-        )
-    return direct
-
-
-def padic_valuation(x: Scalar, p: int) -> int:
-    """Exponent of the prime p in x (negative for denominators).
-
-    Raises ValueError for x = 0, where the valuation is not finite.
-    """
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    f = Fraction(x)
-    if f == 0:
-        raise ValueError("valuation of zero is undefined")
-
-    def _count(m: int) -> int:
-        k = 0
-        while m % p == 0:
-            m //= p
-            k += 1
-        return k
-
-    return _count(f.numerator) - _count(f.denominator)

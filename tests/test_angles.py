@@ -23,8 +23,8 @@ from subdioph.angles import (
     orthonormal_basis,
     principal_angles,
     random_orthogonal,
-    sine_from_squared,
     vector_angle,
+    _sine_mantissas,
 )
 from subdioph.errors import NumericalRankLossError, PrecisionExhaustedError, ShapeError
 
@@ -138,6 +138,23 @@ def test_vector_angle_matches_profile():
         va = vector_angle(x, y)
         if p.resolved[0]:
             assert abs(va - p.psi[0]) <= 1e-60 * max(1, va)
+
+
+def test_vector_angle_reads_floats_exactly():
+    """A finite double is a dyadic rational: float input gets the value of
+    the same rationals, with no cancellation in the radicand, and a NaN or
+    an infinity is refused."""
+    tiny = 2.0**-600
+    for x, y in (([1.0, 0.0], [1.0, tiny]), ([0.5, 3.0, -1.25], [1e-300, 3.0, 7.0])):
+        exact_value = vector_angle([Fraction(v) for v in x], [Fraction(v) for v in y])
+        assert vector_angle(x, y) == exact_value
+        assert vector_angle([*x[:-1], Fraction(x[-1])], y) == exact_value
+    assert vector_angle([1.0, 0.0], [1.0, tiny]) > 2e-181
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ShapeError):
+            vector_angle([1.0, 0.0], [bad, 1.0])
+        with pytest.raises(ShapeError):
+            vector_angle([mp.mpf(1), 0], [bad, 1.0])
 
 
 def test_orthogonal_invariance():
@@ -443,7 +460,8 @@ def test_sine_bracket_depends_on_the_subspace_not_its_basis():
 
 
 def test_sine_from_squared_matches_the_engine():
-    # lines against lines: the squared sine is |x /\ y|^2 / (|x|^2 |y|^2)
+    # lines against lines: the squared sine is |x /\ y|^2 / (|x|^2 |y|^2),
+    # and its bracket depends on that value alone
     rng = random.Random(5)
     for ctx in (None, PrecisionContext(bits=64), PrecisionContext(target_rel_err=Fraction(1, 2**900))):
         bits = exact_relative_bits(ctx)
@@ -455,12 +473,13 @@ def test_sine_from_squared_matches_the_engine():
             xx, yy = sum(v * v for v in x), sum(v * v for v in y)
             xy = sum(u * v for u, v in zip(x, y))
             scale = rng.randint(1, 7)
-            bracket = sine_from_squared(scale * (xx * yy - xy * xy), scale * xx * yy, bits)
+            sine = _sine_mantissas(scale * xx * yy, scale * (xx * yy - xy * xy), None, bits)[0]
             p = angles_adaptive(exact_basis(x), exact_basis(y), ctx)
             if p.resolved[0]:
-                assert bracket == (p.lo[0], p.hi[0])
+                lo, hi, k = sine
+                assert (mp.ldexp(lo, -k), mp.ldexp(hi, -k)) == (p.lo[0], p.hi[0])
             else:
-                assert bracket is None
+                assert sine is None
 
 
 def test_exact_relative_bits_honours_the_cap():

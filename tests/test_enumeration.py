@@ -417,15 +417,15 @@ def test_single_sine_scans_skip_decode_and_engine(decode_calls, engine_calls, e,
 
 @pytest.fixture
 def bracket_calls(monkeypatch):
-    """Count of label brackets (sine_from_squared) built by the generic scans."""
+    """Count of label brackets (_sine_mantissas) built by the generic scans."""
     calls = {"brackets": 0}
-    bracket = est.sine_from_squared
+    bracket = est._sine_mantissas
 
-    def counted(num, den, bits):
+    def counted(label2, wedge2, cos2, bits):
         calls["brackets"] += 1
-        return bracket(num, den, bits)
+        return bracket(label2, wedge2, cos2, bits)
 
-    monkeypatch.setattr(est, "sine_from_squared", counted)
+    monkeypatch.setattr(est, "_sine_mantissas", counted)
     return calls
 
 

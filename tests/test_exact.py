@@ -9,7 +9,6 @@ import pytest
 
 from subdioph.errors import (
     DegenerateBasisError,
-    NonCommutingBlocksError,
     NotDecomposableError,
     ShapeError,
 )
@@ -17,7 +16,6 @@ from subdioph.exact import (
     PlueckerVector,
     RationalSubspace,
     as_matrix,
-    block_determinant,
     compound_matrix,
     contraction_map,
     determinant,
@@ -27,7 +25,6 @@ from subdioph.exact import (
     is_primitive_basis,
     label_from_minors,
     mat_mul,
-    padic_valuation,
     pluecker_coordinates,
     pluecker_decode,
     rank,
@@ -246,36 +243,6 @@ def test_compound_multiplicative_random():
 def test_compound_shape_validation():
     with pytest.raises(ShapeError):
         compound_matrix([[1, 2]], 2)
-
-
-def test_block_determinant_agrees_with_direct():
-    rng = random.Random(13)
-    for _ in range(60):
-        s = rng.randint(1, 3)
-        a1 = [[rng.randint(-3, 3) for _ in range(s)] for _ in range(s)]
-        # powers of a1 commute with a1
-        a2 = mat_mul(as_matrix(a1), as_matrix(a1))
-        a3 = [[rng.randint(-3, 3) for _ in range(s)] for _ in range(s)]
-        a4 = [[rng.randint(-3, 3) for _ in range(s)] for _ in range(s)]
-        assembled = tuple(
-            tuple(a1[i]) + tuple(a2[i]) for i in range(s)
-        ) + tuple(tuple(a3[i]) + tuple(a4[i]) for i in range(s))
-        assert block_determinant(a1, a2, a3, a4) == determinant(assembled)
-
-
-def test_block_determinant_rejects_non_commuting():
-    a1 = [[0, 1], [0, 0]]
-    a2 = [[0, 0], [1, 0]]
-    with pytest.raises(NonCommutingBlocksError):
-        block_determinant(a1, a2, [[1, 0], [0, 1]], [[1, 0], [0, 1]])
-
-
-def test_padic_valuation_examples():
-    assert padic_valuation(50, 5) == 2
-    assert padic_valuation(Fraction(3, 25), 5) == -2
-    assert padic_valuation(828127, 5) == 0
-    with pytest.raises(ValueError):
-        padic_valuation(0, 5)
 
 
 def test_rational_kernel_and_rank_small():

@@ -6,9 +6,9 @@ records come from a sort by (h2, coords) and a sweep of running minima, and
 the irrationality witness is the first strict minimum of lower endpoints.
 The screened scans must report the same records and the same
 IrrationalityReport, psi bounds compared as float hex.  Pairs with at
-most two angles take their sines from their labels alone
-(angles.sine_from_squared, angles.plane_sines); a pair-level oracle holds
-the plane-pair brackets against angles_adaptive.
+most two angles take their sines from their labels alone, as dyadic
+brackets (angles._sine_mantissas); a pair-level oracle holds the
+plane-pair brackets against angles_adaptive.
 """
 
 import itertools
@@ -21,10 +21,12 @@ from itertools import groupby
 from operator import itemgetter, mul
 
 import pytest
+from mpmath import mp
 
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from subdioph import angles as angles_module
 from subdioph import estimation as est
 from subdioph import exact
 from subdioph.angles import (
@@ -33,7 +35,7 @@ from subdioph.angles import (
     angles_adaptive,
     exact_relative_bits,
     plane_sine_at_least,
-    plane_sines,
+    _sine_mantissas,
 )
 from subdioph.construction import ConstructionParams, build_generators
 from subdioph.enumeration import (
@@ -356,7 +358,10 @@ def test_plane_sines_match_the_engine():
                     exact.squared_image_norm(exact.wedge_map(xa, 2, 2, n))(xb),
                     sum(map(mul, xa, xb)) ** 2,
                 )
-                brackets = plane_sines(*labels, bits)
+                brackets = [
+                    None if m is None else (mp.ldexp(m[0], -m[2]), mp.ldexp(m[1], -m[2]))
+                    for m in _sine_mantissas(*labels, bits)
+                ]
                 prof = angles_adaptive(a, RealBasis.from_subspace(sub), ctx)
                 minors = exact.raw_minors(sub.basis)
                 label_basis = minors in (xb, tuple(-x for x in xb))
@@ -515,6 +520,41 @@ def test_census_scans_build_few_subspaces(
     assert report.ok and len(built_subspaces) <= 1 and counts["profiled"] == 0
 
 
+class NoMpmath:
+    """Stands in for mpmath's context: reading any of its names raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"an exact scan used mp.{name}")
+
+
+def exact_scan_outcomes():
+    """Records and a report of three scans with at most two angles, psi
+    bounds as float hex: planes in R^4 with j = 2, a plane against the
+    3-spaces of R^5 with j = 2 and a line irrationality scan."""
+    plane = [[1, 0], [0, 1], [3, 5], [7, -2]]
+    scans = [
+        est.scan_records(plane, EnumSpec(4, 2, 60, EXACT_PLUECKER), j_index=2),
+        est.scan_records([*plane, [2, 9]], EnumSpec(5, 3, 8, EXACT_ECHELON), j_index=2),
+    ]
+    out = [
+        [(r.subspace.pluecker.coords, r.height_squared, r.psi_lo.hex(), r.psi_hi.hex()) for r in s]
+        for s in scans
+    ]
+    report = est.irrationality_scan([[1000003], [1414213], [1732051]], EnumSpec(3, 1, 2000))
+    out.append({**report.as_dict(), "minPsiLower": report.min_psi_lower.hex()})
+    return out
+
+
+def test_exact_scans_build_no_mpf(monkeypatch):
+    """A pair with at most two angles keeps its sine bracket in integers
+    from its labels to its record: with the angle module's mpmath context
+    replaced by one that raises, the scans give the same bytes."""
+    want = exact_scan_outcomes()
+    assert len(want[0]) >= 2 and len(want[1]) == 1 and want[2]["scanned"] == 155833
+    monkeypatch.setattr(angles_module, "mp", NoMpmath())
+    assert exact_scan_outcomes() == want
+
+
 def scan_counts(caplog):
     """The counts of the last generic scan's DEBUG line."""
     message = [r.getMessage() for r in caplog.records if r.name == "subdioph"][-1]
@@ -544,8 +584,8 @@ def screen_draws(rng):
     assert big_label2.bit_length() > 1100
     for draw in range(10_000):
         power = 2 * rng.randint(1, 3)
-        # a bar as rules_out makes it from an mpf: a dyadic below 1, maybe
-        # with the slack factor 2^b / (2^b - 1)
+        # a bar as rules_out makes it from a dyadic end below 1, maybe with
+        # the slack factor 2^b / (2^b - 1)
         bits = rng.choice([53, 256, 516])
         den = 1 << (bits + rng.randint(0, 40))
         num = rng.randrange(1, den)
