@@ -21,12 +21,13 @@ from labels already held (exact.wedge_map, exact.contraction_map).  The
 sines are computed on the sine side, never as 1 - cos^2, so tiny angles
 keep full relative accuracy, and every square root is bracketed by
 integer square roots: lo <= psi <= hi is a proof.  label_sine_mantissas
-hands out those brackets as integers over a power of two, before any mpf
-is built, for raw or normalized labels alike; a t = 1 bracket depends on
-the value of its squared sine alone, so two bases of one subspace get
-identical brackets.  Record scans and certificates keep each end as a
-dyadic (man, exp), the value man 2^exp: _dyadic_less compares two
-exactly and _dyadic_float rounds one to a double.  plane_sine_at_least
+hands out those brackets as two dyadics (man, exp), the value man 2^exp,
+before any mpf is built, for raw or normalized labels alike; a t = 1
+bracket depends on the value of its squared sine alone, so two bases of
+one subspace get identical brackets.  Scans and certificates keep the
+dyadics, and every rule on them is here (_dyadic_less, _dyadic_float,
+_widened, _ceil_dyadic, _log_dyadic); _sqrt_interval roots the line
+engine's squared sines to doubles.  plane_sine_at_least
 compares a sine of a pair with t = 2 with a rational exactly, so record
 scans screen and bracket every pair with t <= 2 from labels without
 building a basis or an mpf; only the profiles of angles_adaptive and
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -106,6 +108,49 @@ def _dyadic_less(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a_man << (a_exp - exp) < b_man << (b_exp - exp)
 
 
+def _rounded(man: int, exp: int, prec: int, up: bool) -> tuple[int, int]:
+    """The dyadic man 2^exp, man > 0, rounded up or down to a mantissa of
+    prec bits."""
+    shift = man.bit_length() - prec
+    if shift <= 0:
+        return man, exp
+    return (-(-man >> shift) if up else man >> shift), exp + shift
+
+
+def _ceil_dyadic(x: Fraction, prec: int) -> tuple[int, int]:
+    """The least dyadic with a prec-bit mantissa at or above x > 0: the
+    value mpmath's fdiv gives with rounding="c"."""
+    num, den = x.numerator, x.denominator
+    # the quotient num 2^shift / den has at least prec + 1 bits
+    shift = prec + 1 - num.bit_length() + den.bit_length()
+    man = -(-(num << shift) // den) if shift >= 0 else -(-num // (den << -shift))
+    # a ceiling of a ceiling is the ceiling
+    return _rounded(man, -shift, prec, up=True)
+
+
+def _widened(lo: tuple[int, int], hi: tuple[int, int], tau: tuple[int, int], prec: int):
+    """(lo - tau, hi + tau) for dyadics, rounded outward to prec-bit
+    mantissas as AngleProfile.widened rounds at that precision, or None when
+    lo - tau is not positive."""
+    (lo_man, lo_exp), (hi_man, hi_exp), (tau_man, tau_exp) = lo, hi, tau
+    exp = min(lo_exp, tau_exp)
+    diff = (lo_man << (lo_exp - exp)) - (tau_man << (tau_exp - exp))
+    if diff <= 0:
+        return None
+    hi_sum_exp = min(hi_exp, tau_exp)
+    total = (hi_man << (hi_exp - hi_sum_exp)) + (tau_man << (tau_exp - hi_sum_exp))
+    return _rounded(diff, exp, prec, up=False), _rounded(total, hi_sum_exp, prec, up=True)
+
+
+def _log_dyadic(end: tuple[int, int]) -> float:
+    """Natural log of a positive dyadic at any magnitude: the log of its
+    mantissa scaled into [1/2, 1] plus a whole number of log 2, so the two
+    terms do not cancel."""
+    man, exp = end
+    bits = man.bit_length()
+    return math.log(man / (1 << bits)) + (bits + exp) * math.log(2)
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
     """Working-precision policy for angle computations.
@@ -128,9 +173,6 @@ class PrecisionContext:
             raise ShapeError("the target relative error must lie in (0, 1)")
         cap = min(self.max_bits, _env_bit_cap())
         object.__setattr__(self, "max_bits", cap)
-
-    def floor_at(self, bits: int):
-        return mp.mpf(2) ** (-(bits // 4))
 
 
 class RealBasis:
@@ -414,7 +456,7 @@ def _gram_integers(a: RealBasis, b: RealBasis) -> tuple:
 def label_sine_mantissas(
     xa: Sequence[int] | None, d: int, xb: Sequence[int] | None, e: int, n: int, bits: int
 ) -> list:
-    """Ascending sine brackets (lo, hi, k), lo 2^-k <= psi <= hi 2^-k, or
+    """Ascending sine brackets ((lo, -k), (hi, -k)) of _sine_mantissas, or
     None for a zero sine, of the pair with t = min(d, e) <= 2 whose labels
     (raw minors or normalized) are X_A of shape (n, d) and X_B of shape
     (n, e), through the dense maps of exact.wedge_map and contraction_map.
@@ -495,16 +537,36 @@ def _sqrt_scale(num: int, den: int, prec: int) -> int:
     return prec - (_log2_floor(num, den) + 3) // 2
 
 
-def _sqrt_bracket(interval: tuple[int, int, int, int], k: int) -> tuple[int, int]:
-    """Integers (lo, hi) with lo 2^-k <= sqrt(x) <= hi 2^-k, for
+def _sqrt_bracket(interval: tuple[int, int, int, int], k: int) -> tuple:
+    """Dyadics ((lo, -k), (hi, -k)) with lo 2^-k <= sqrt(x) <= hi 2^-k, for
     num_lo/den_lo <= x <= num_hi/den_hi."""
     num_lo, den_lo, num_hi, den_hi = interval
-    return _scaled_isqrt(num_lo, den_lo, k, up=False), _scaled_isqrt(num_hi, den_hi, k, up=True)
+    lo, hi = _scaled_isqrt(num_lo, den_lo, k, up=False), _scaled_isqrt(num_hi, den_hi, k, up=True)
+    return (lo, -k), (hi, -k)
 
 
-def _packed(lo: int, hi: int, k: int) -> tuple:
-    """Exact mpf (lo, mid, hi) of the integer bracket [lo, hi] / 2^k."""
-    return mp.ldexp(lo, -k), mp.ldexp(lo + hi, -k - 1), mp.ldexp(hi, -k)
+def _sqrt_interval(interval: tuple[int, int, int, int]) -> tuple[float, float]:
+    """Outward double bracket of sqrt(x) for an interval of _sqrt_bracket's
+    shape, 0 <= x: each end num / den is correctly rounded and stepped
+    outward.  A nonzero end below the least normal double, 2^-1022, is
+    scaled by 4^k into [1/4, 2) before it becomes a double, and its root by
+    2^-k after, so a root within the double range survives however small
+    its square; the doubles depend on the value of each end alone."""
+    num_lo, den_lo, num_hi, den_hi = interval
+    ends = []
+    for num, den, toward in ((num_lo, den_lo, 0.0), (num_hi, den_hi, math.inf)):
+        f, k = num / den, 0
+        if f < sys.float_info.min and num:
+            k = (den.bit_length() - num.bit_length()) // 2
+            f = (num << 2 * k) / den
+        root = math.sqrt(max(0.0, math.nextafter(f, toward)))
+        ends.append(max(0.0, math.nextafter(math.ldexp(root, -k), toward)))
+    return tuple(ends)
+
+
+def _packed(lo: tuple[int, int], hi: tuple[int, int]) -> tuple:
+    """Exact mpf (lo, mid, hi) of a bracket of two dyadics of one exponent."""
+    return mp.ldexp(*lo), mp.ldexp(lo[0] + hi[0], lo[1] - 1), mp.ldexp(*hi)
 
 
 def _point(num: int, den: int) -> tuple[int, int, int, int]:
@@ -549,7 +611,7 @@ def _quadratic_roots(tr: int, det: int, dd: int, prec: int) -> list:
 
 
 def _sine_mantissas(label2: int, wedge2: int, cos2: int | None, bits: int) -> list:
-    """Ascending exact sine brackets (lo, hi, k), lo 2^-k <= psi <= hi 2^-k,
+    """Ascending exact sine brackets of _sqrt_bracket, ((lo, -k), (hi, -k)),
     of relative width below 2^-bits, of the squared sines of
     _squared_sine_intervals; a zero sine is None."""
     # brackets computed at bits + 4 have relative width below 2^-bits
@@ -560,9 +622,7 @@ def _sine_mantissas(label2: int, wedge2: int, cos2: int | None, bits: int) -> li
         # close values share the finer scale, which keeps their midpoints in
         # order; values further apart have disjoint brackets
         scales = [max(scales)] * 2
-    return [
-        None if x is None else (*_sqrt_bracket(x, k), k) for x, k in zip(intervals, scales)
-    ]
+    return [None if x is None else _sqrt_bracket(x, k) for x, k in zip(intervals, scales)]
 
 
 def plane_sine_at_least(label2: int, wedge2: int, cos2: int, j: int, num: int, den: int) -> bool:
@@ -683,7 +743,7 @@ def angles_adaptive(
             )
         cur = _sines_at(a, b, next_bits)
         with mp.workprec(next_bits):
-            floor = ctx.floor_at(next_bits)
+            floor = mp.ldexp(1, -(next_bits // 4))
             worst = mp.mpf(0)
             comparable = True
             for p, c in zip(prev, cur):

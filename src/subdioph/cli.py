@@ -319,8 +319,10 @@ def _cmd_construct(args):
         cert = con.certify_instance(params, args.nmax, depth=args.depth)
         return list(cert.as_records()), 0
     rows = [con.params_to_descriptor(params)]
+    # one digit table serves every level, so each digit is read once
+    table = con._digit_table(params, None, max(args.nmax, 0))
     for n_index in range(1, args.nmax + 1):
-        conv = con.build_convergent(params, n_index)
+        conv = con.build_convergent(params, n_index, stream=table)
         rows.append(
             {
                 "nIndex": n_index,

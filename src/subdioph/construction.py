@@ -12,7 +12,9 @@ the growth ratio, the prime base, deterministic digit streams, the integer
 convergent matrices, the depth-truncated generators (the convergent at the
 truncation depth, whose span carries a certified tail bound on its
 distance to the target), and a per-index certification report covering
-every inequality that is checkable at finite index.
+every inequality that is checkable at finite index.  The report keeps each
+sine bracket as the dyadics of angles, which widens them too; this module
+only summarizes them as doubles and prints them exactly (reports.sci_str).
 """
 
 from __future__ import annotations
@@ -35,9 +37,12 @@ from .angles import (
     angles_adaptive,
     exact_relative_bits,
     label_sine_mantissas,
+    _ceil_dyadic,
     _dyadic_float,
     _float_down,
     _float_up,
+    _log_dyadic,
+    _widened,
 )
 from .errors import CertificationFailure, ParameterError
 from .reports import exact_str, sci_str
@@ -607,7 +612,7 @@ def _psi_str(value: float, end: tuple[int, int], rounding: str) -> str:
     in the given decimal rounding mode."""
     if value >= sys.float_info.min:
         return f"{value:.18e}"
-    return sci_str(mp.ldexp(*end), 18, rounding)
+    return sci_str(end, 18, rounding)
 
 
 @dataclass(frozen=True)
@@ -665,42 +670,7 @@ def _mpmath_context(params: ConstructionParams, depth: int) -> PrecisionContext:
 
 
 # ---------------------------------------------------------------------------
-# dyadic brackets and float-grade summaries: a dyadic is a pair (man, exp)
-# of integers standing for man 2^exp
-
-
-def _rounded(man: int, exp: int, prec: int, up: bool) -> tuple[int, int]:
-    """The dyadic man 2^exp, man > 0, rounded up or down to a mantissa of
-    prec bits."""
-    shift = man.bit_length() - prec
-    if shift <= 0:
-        return man, exp
-    return (-(-man >> shift) if up else man >> shift), exp + shift
-
-
-def _ceil_dyadic(x: Fraction, prec: int) -> tuple[int, int]:
-    """The least dyadic with a prec-bit mantissa at or above x > 0: the
-    value mpmath's fdiv gives with rounding="c"."""
-    num, den = x.numerator, x.denominator
-    # the quotient num 2^shift / den has at least prec + 1 bits
-    shift = prec + 1 - num.bit_length() + den.bit_length()
-    man = -(-(num << shift) // den) if shift >= 0 else -(-num // (den << -shift))
-    # a ceiling of a ceiling is the ceiling
-    return _rounded(man, -shift, prec, up=True)
-
-
-def _widened(lo: tuple[int, int], hi: tuple[int, int], tau: tuple[int, int], prec: int):
-    """(lo - tau, hi + tau) for dyadics, rounded outward to prec-bit
-    mantissas as AngleProfile.widened rounds at that precision, or None when
-    lo - tau is not positive."""
-    (lo_man, lo_exp), (hi_man, hi_exp), (tau_man, tau_exp) = lo, hi, tau
-    exp = min(lo_exp, tau_exp)
-    diff = (lo_man << (lo_exp - exp)) - (tau_man << (tau_exp - exp))
-    if diff <= 0:
-        return None
-    hi_sum_exp = min(hi_exp, tau_exp)
-    total = (hi_man << (hi_exp - hi_sum_exp)) + (tau_man << (tau_exp - hi_sum_exp))
-    return _rounded(diff, exp, prec, up=False), _rounded(total, hi_sum_exp, prec, up=True)
+# float-grade summaries and text of dyadic brackets (angles holds their rules)
 
 
 def _scaled_float(end: tuple[int, int], theta: int, power: Fraction | int) -> float:
@@ -710,15 +680,6 @@ def _scaled_float(end: tuple[int, int], theta: int, power: Fraction | int) -> fl
     whole, rest = divmod(power, 1)
     value = _dyadic_float(end[0] * theta**whole, end[1])
     return value * theta ** float(rest) if rest else value
-
-
-def _log_dyadic(end: tuple[int, int]) -> float:
-    """Natural log of a positive dyadic at any magnitude: the log of its
-    mantissa scaled into [1/2, 1] plus a whole number of log 2, so the two
-    terms do not cancel."""
-    man, exp = end
-    bits = man.bit_length()
-    return math.log(man / (1 << bits)) + (bits + exp) * math.log(2)
 
 
 def _ratio_deviation(ratio_squared: Fraction, limit_squared: Fraction):
@@ -886,8 +847,7 @@ def certify_instance(
         if ell <= 2:
             prec = 2 * ctx.bits
             xb, bits = convergent.subspace.pluecker.coords, exact_relative_bits(ctx)
-            sine = label_sine_mantissas(target_label, ell, xb, ell, params.n, bits)[-1]
-            bracket = None if sine is None else ((sine[0], -sine[2]), (sine[1], -sine[2]))
+            bracket = label_sine_mantissas(target_label, ell, xb, ell, params.n, bits)[-1]
         else:
             profile = angles_adaptive(target, RealBasis.from_subspace(convergent.subspace), ctx)
             prec = profile.bits_used

@@ -16,10 +16,10 @@ sweep:
   that could beat it, and Fincke-Pohst enumeration lists that slab on a
   Lagrange-Gauss reduced lattice basis in O(1 + points) nodes.  The search
   is complete by construction and takes O(log H) shells; only the records
-  get a bracket and become fractions, and an irrationality scan counts the
-  rows the walk keyed, each a primitive vector with a positive lead: its
-  line's label.  A record's sine bracket is the root of its exact squared
-  sine, scaled into the double range first where it lies below.  One walk
+  get a bracket, and an irrationality scan counts the rows the walk keyed,
+  each a primitive vector with a positive lead: its line's label.  A
+  record's squared sine is an integer interval, and angles._sqrt_interval
+  roots it to doubles; the scan's verdict reads its exact lower end.  One walk
   serves every R^n: a line target embedded on two coordinate axes of R^n
   has the plane records, placed on those axes (the projection lemma, the
   paper's transfer result for a coordinate plane).
@@ -68,10 +68,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import groupby, repeat
 from math import gcd, isqrt
+from numbers import Real
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
-
-from mpmath import mp
 
 from . import exact
 from .angles import (
@@ -85,6 +84,7 @@ from .angles import (
     _float_down,
     _float_up,
     _sine_mantissas,
+    _sqrt_interval,
 )
 from .construction import (
     INFINITE,
@@ -257,24 +257,6 @@ def widen_records(
     ]
 
 
-def _sqrt_interval(lo: Fraction, hi: Fraction) -> tuple[float, float]:
-    """Conservative float bracket of [sqrt(lo), sqrt(hi)] for 0 <= lo <= hi.
-
-    A nonzero end below the least normal double, 2^-1022, is scaled by 4^k
-    into [1/4, 2) before it becomes a double, and its root by 2^-k after,
-    so a root within the double range survives however small its square.
-    """
-    ends = []
-    for x, toward in ((lo, 0.0), (hi, math.inf)):
-        f, k = float(x), 0
-        if f < sys.float_info.min and x:
-            k = (x.denominator.bit_length() - x.numerator.bit_length()) // 2
-            f = (x.numerator << 2 * k) / x.denominator
-        root = math.sqrt(max(0.0, math.nextafter(f, toward)))
-        ends.append(max(0.0, math.nextafter(math.ldexp(root, -k), toward)))
-    return tuple(ends)
-
-
 # ---------------------------------------------------------------------------
 # exact line scanner
 
@@ -311,10 +293,9 @@ class _RationalCross:
         self.p_lo = s_lo.numerator * (q // s_lo.denominator)
         self.p_hi = s_hi.numerator * (q // s_hi.denominator)
         self.q = q
-        self.scale = q * q
         self.exact_slope = target.tail_upper == 0
         sq_lo, sq_hi = _square_bracket(self.p_lo, self.p_hi)
-        self.u2_lo, self.u2_hi = self.scale + sq_lo, self.scale + sq_hi
+        self.u2_lo, self.u2_hi = q * q + sq_lo, q * q + sq_hi
 
     def key(self, x1: int, x2: int) -> int:
         # the exact square, or the upper end of its bracket
@@ -356,7 +337,6 @@ class _QuadraticCross:
         self.den = den
         self.bits = bits
         self.root = isqrt(self.d << (2 * bits))
-        self.scale = (den * den) << bits
         self.p_lo, self.p_hi = self._bracket(self.a, self.b)
         self.q = den << bits
         self.u2_lo, self.u2_hi = self._bracket(
@@ -549,7 +529,7 @@ def _placing(n: int, axes: tuple[int, int]):
     return place
 
 
-def _scan_lines(target, hmax2: int, place=tuple) -> tuple[list[ApproximationRecord], int]:
+def _scan_lines(target, hmax2: int, place=tuple) -> tuple[list[ApproximationRecord], int, bool]:
     """Certified record scan over every primitive plane line against a
     plane line target.
 
@@ -561,11 +541,12 @@ def _scan_lines(target, hmax2: int, place=tuple) -> tuple[list[ApproximationReco
     the records come at a steady rate, so the walk takes O(log H^2)
     shells.  Only the records are bracketed.
 
-    Returns the records and the number of rows keyed: the two height-1 rows
-    plus the shell rows.  A line that meets the target raises
-    IrrationalityViolationError with the rows keyed up to and including
-    it.  Logs its counts at DEBUG on the "subdioph" logger, a meeting's up
-    to the meeting line.
+    Returns the records, the rows keyed (the two height-1 rows plus the
+    shell rows) and whether the last record's exact lower sine end is
+    positive, which its double need not show.  A line that meets the
+    target raises IrrationalityViolationError with the rows keyed up to
+    and including it.  Logs its counts at DEBUG on the "subdioph" logger,
+    a meeting's up to the meeting line.
 
     The same records serve the target embedded on two coordinate axes of
     R^n: no line off the embedded plane sets a record (see the module
@@ -606,14 +587,12 @@ def _scan_lines(target, hmax2: int, place=tuple) -> tuple[list[ApproximationReco
         ApproximationRecord(
             exact.RationalSubspace._line(place(vec)),
             h2,
-            *_sqrt_interval(
-                Fraction(lo2, h2 * engine.u2_hi), Fraction(hi2, h2 * engine.u2_lo)
-            ),
+            *_sqrt_interval((lo2, h2 * engine.u2_hi, hi2, h2 * engine.u2_lo)),
             j_index=1,
         )
         for h2, vec, lo2, hi2 in raw
     ]
-    return records, 2 + counts["shell_rows"]
+    return records, 2 + counts["shell_rows"], raw[-1][2] > 0
 
 
 _LINE_TARGETS = (RationalLineTarget, QuadraticLineTarget)
@@ -621,14 +600,14 @@ _LINE_TARGETS = (RationalLineTarget, QuadraticLineTarget)
 
 def _line_scan(
     target, spec, j_index: int = 1, axes: tuple[int, int] = (0, 1)
-) -> tuple[list[ApproximationRecord], int]:
+) -> tuple[list[ApproximationRecord], int, bool]:
     """The one gate of line targets: every line of an unsharded EnumSpec(n,
     1, X) window, first sine only, against the target on the given axes.
 
     One plane walk (_scan_lines) gives the records in every n >= 2: no line
     off the target's coordinate plane sets a record (module docstring).
     The walk builds the records, and a line that meets the target, on the
-    axes.  Returns the records and the rows keyed.
+    axes.  Returns what _scan_lines returns.
     """
     if not isinstance(spec, EnumSpec):
         raise ParameterError("fast line scans need an EnumSpec window")
@@ -838,8 +817,7 @@ class _GenericScan:
         bracket that angles_adaptive would report."""
         h2, wedge2, cos2 = row[0], row[6], row[7]
         self.counts["label_only"] += 1
-        lo, hi, k = _sine_mantissas(self.label2 * h2, wedge2, cos2, self._bits())[self.j_index - 1]
-        return (lo, -k), (hi, -k)
+        return _sine_mantissas(self.label2 * h2, wedge2, cos2, self._bits())[self.j_index - 1]
 
     def profile(self, sub: exact.RationalSubspace, scanned: int) -> tuple:
         """Dyadic (lo, hi) of the j-th sine from the angle engine, exactly
@@ -1083,7 +1061,7 @@ _DEVIATION_TOL = 0.1
 
 def height_ratio_deviations(
     params: ConstructionParams, nmax: int
-) -> tuple[tuple[ConvergentMatrix, mp.mpf], ...]:
+) -> tuple[tuple[ConvergentMatrix, Real], ...]:
     """Per-index deviation of H(B_N) / theta^(l m_N) from its limit value.
 
     The limit is the square root of the exact squared l-volume of the
@@ -1121,7 +1099,7 @@ class ExclusivityReport:
     params: ConstructionParams
     nmax: int
     window: tuple[int, int]
-    deviations: tuple[mp.mpf, ...]
+    deviations: tuple[Real, ...]
     burn_in_index: int | None
     burn_in_height_squared: int | None
     records: tuple[ApproximationRecord, ...]
@@ -1256,11 +1234,12 @@ class IrrationalityReport:
     """Finite-height irrationality witness from a record scan.
 
     min_psi_lower is the least certified lower endpoint of the j-th sine over
-    every subspace in the window; a positive value shows the target stays a
-    positive angle away from all of them.  offender is set when some subspace
-    is indistinguishable from the target.  certified_exhaustive is always
-    True: every enumeration strategy is a complete census, and so is the
-    line scan's shell search.
+    every subspace in the window, as a double (0.0 below the double range,
+    ROADMAP item 1); ok says its exact value is positive: the target stays
+    a positive angle away from all of them.  offender is set when some
+    subspace is indistinguishable from the target.  certified_exhaustive is
+    always True: every enumeration strategy is a complete census, and so is
+    the line scan's shell search.
 
     scanned counts the candidates examined, up to and including the
     offender when there is one.  For a generic scan that is the enumeration
@@ -1308,10 +1287,8 @@ def irrationality_scan(
     """
     try:
         if isinstance(target, _LINE_TARGETS):
-            records, scanned = _line_scan(target, spec, j_index)
-            witness = records[-1].subspace
-            min_psi = records[-1].psi_lo
-            ok = min_psi > 0.0
+            records, scanned, ok = _line_scan(target, spec, j_index)
+            witness, min_psi = records[-1].subspace, records[-1].psi_lo
         else:
             scan = _GenericScan(target, j_index, ctx)
             min_lo = None

@@ -87,22 +87,22 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC)
 
 
 def sci_str(value, digits: int = 6, rounding: str | None = None) -> str:
-    """value in the shape d.ddd...e+-NNN with the given number of decimals.
-
-    Without a rounding mode, value prints as f"{float(value):.{digits}e}"
-    prints it when float(value) is a normal double or zero, else from the
-    exact value of an mpf (mantissa, exponent) pair, rounded half to even:
-    a deviation far below the double range prints as itself, not as 0.
-    With a decimal rounding mode (decimal.ROUND_FLOOR, ROUND_CEILING, ...)
-    the exact value of the mpf is always the one printed, rounded in that
-    mode, so an interval end can be printed outward.
+    """value, an mpf or a dyadic (man, exp), as d.ddd...e+-NN with the given
+    number of decimals.  Without a rounding mode, an mpf prints as
+    f"{float(value):.{digits}e}" prints it when float(value) is a normal
+    double or zero; otherwise the exact value man 2^exp (the mpf's man_exp)
+    prints, rounded half to even: a deviation far below the double range
+    prints as itself, not as 0.  With a decimal rounding mode
+    (decimal.ROUND_FLOOR, ROUND_CEILING, ...) the exact value is always the
+    one printed, rounded in that mode, so an interval end prints outward.
     """
-    if rounding is None:
+    pair = type(value) is tuple
+    if rounding is None and not pair:
         f = float(value)
         if f == 0 == value or (math.isfinite(f) and abs(f) >= sys.float_info.min):
             return f"{f:.{digits}e}"
-    man, exp = value.man_exp
-    man = -man if value < 0 else man
+    man, exp = value if pair else value.man_exp
+    man = -man if not pair and value < 0 else man
     if exp >= 0:
         exact = decimal.Decimal(man << exp)
     else:
@@ -112,7 +112,8 @@ def sci_str(value, digits: int = 6, rounding: str | None = None) -> str:
         prec=digits + 1, rounding=rounding or decimal.ROUND_HALF_EVEN,
         Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
     ).plus(exact)
-    return f"{shown:.{digits}e}"
+    mantissa, power = f"{shown:.{digits}e}".split("e")
+    return f"{mantissa}e{int(power):+03d}"
 
 
 def _convert_scalar(value):

@@ -476,8 +476,8 @@ def test_sine_from_squared_matches_the_engine():
             sine = _sine_mantissas(scale * xx * yy, scale * (xx * yy - xy * xy), None, bits)[0]
             p = angles_adaptive(exact_basis(x), exact_basis(y), ctx)
             if p.resolved[0]:
-                lo, hi, k = sine
-                assert (mp.ldexp(lo, -k), mp.ldexp(hi, -k)) == (p.lo[0], p.hi[0])
+                lo, hi = sine
+                assert (mp.ldexp(*lo), mp.ldexp(*hi)) == (p.lo[0], p.hi[0])
             else:
                 assert sine is None
 

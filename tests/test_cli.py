@@ -298,6 +298,22 @@ class TestConstructCommand:
         assert rows[-1]["heightSquared"] == reports.exact_str(expected)
         assert rows[-1]["heightSquared"][-12:] == str(expected % 10**12).zfill(12)
 
+    def test_convergent_listing_reads_each_digit_once(self, monkeypatch):
+        reads = []
+        digit = con.SeededDigitStream.digit
+
+        def counted(stream, i, j, k):
+            reads.append((i, j, k))
+            return digit(stream, i, j, k)
+
+        monkeypatch.setattr(con.SeededDigitStream, "digit", counted)
+        code, _out, err = run(
+            ["construct", "--ell", "2", "--beta", "5/2", "--nmax", "4", "--no-header"]
+        )
+        assert code == 0, err
+        # four entries at the indices 0 to 4 of the finite variant
+        assert sorted(reads) == sorted(set(reads)) and len(reads) == 20
+
     def test_convergent_listing(self):
         code, out, _ = run(
             ["construct", "--ell", "1", "--beta", "3", "--nmax", "1", "--no-header"]

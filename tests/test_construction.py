@@ -35,7 +35,7 @@ from subdioph.construction import (
     theta_lower_bound,
 )
 from subdioph.errors import CertificationFailure, ParameterError, PrecisionExhaustedError
-from subdioph import construction, exact
+from subdioph import angles, construction, exact
 
 
 PINNED = FixedDigitStream((2, 3, 2))
@@ -824,8 +824,8 @@ def _dyadic_fraction(end):
 
 
 def test_dyadic_widening_rounds_as_angle_profile_widened():
-    """_widened and _ceil_dyadic give the values AngleProfile.widened gives
-    at the same precision, for ends and slacks near each other and far
+    """angles._widened and angles._ceil_dyadic give the values
+    AngleProfile.widened gives at the same precision, for ends and slacks near each other and far
     apart, including a lower end pushed to zero."""
     rng = random.Random(7)
     for _ in range(400):
@@ -839,10 +839,10 @@ def test_dyadic_widening_rounds_as_angle_profile_widened():
                                hi=(mp.ldexp(hi, -k),), resolved=(True,), rel_err_bound=0,
                                bits_used=prec)
         widened = profile.widened(slack)
-        tau = construction._ceil_dyadic(slack, prec)
+        tau = angles._ceil_dyadic(slack, prec)
         assert mp.ldexp(*tau) == mp.fdiv(slack.numerator, slack.denominator, prec=prec,
                                          rounding="c")
-        got = construction._widened((lo, -k), (hi, -k), tau, prec)
+        got = angles._widened((lo, -k), (hi, -k), tau, prec)
         if widened.lo[0] == 0:
             assert got is None
             continue

@@ -39,6 +39,7 @@ from hypothesis import strategies as st
 
 from subdioph import construction as con
 from subdioph import estimation as est
+from subdioph.angles import _sqrt_interval
 from subdioph import exact
 from subdioph import morphisms as mor
 from subdioph.enumeration import EXACT_LINES, EnumSpec, enumerate_subspaces, primitive_vectors
@@ -428,12 +429,15 @@ def reference_certified(engine, raw, hmax2, zone):
     outside it, up to the next record's height (the window), has a sine
     of at least 12/5 / (sqrt(window) |u|), which the record must beat.
     Where it failed, the old engine refused the scan."""
+    # the scale of the engine's squared cross terms: q^2, over 2^bits for
+    # a quadratic slope
+    scale = engine.q * engine.q >> getattr(engine, "bits", 0)
     for idx, (h2, vec, _key) in enumerate(raw):
         window = raw[idx + 1][0] if idx + 1 < len(raw) else hmax2
         hi2 = engine.bracket(*vec)[1]
         if window > zone and (
             hi2 * window * engine.u2_hi * MARGIN2.denominator
-            > MARGIN2.numerator * h2 * engine.u2_lo * engine.scale
+            > MARGIN2.numerator * h2 * engine.u2_lo * scale
         ):
             return False
     return True
@@ -455,9 +459,7 @@ def reference_records(target, hmax2, zone):
     out = []
     for h2, vec, _key in raw:
         lo2, hi2 = engine.bracket(*vec)
-        lo, hi = est._sqrt_interval(
-            Fraction(lo2, h2 * engine.u2_hi), Fraction(hi2, h2 * engine.u2_lo)
-        )
+        lo, hi = sqrt_of(Fraction(lo2, h2 * engine.u2_hi), Fraction(hi2, h2 * engine.u2_lo))
         out.append((vec, h2, lo.hex(), hi.hex()))
     return out
 
@@ -696,6 +698,11 @@ def test_enumerated_lines_are_the_lines_of_their_vectors(n):
         assert_line_of_its_column(sub, sub.pluecker.coords)
 
 
+def sqrt_of(lo, hi):
+    """_sqrt_interval of the reduced Fractions lo <= hi."""
+    return _sqrt_interval((lo.numerator, lo.denominator, hi.numerator, hi.denominator))
+
+
 def old_sqrt_interval(lo, hi):
     """The bracket before sines below the double range were scaled."""
     f_lo = math.sqrt(max(0.0, math.nextafter(float(lo), 0.0)))
@@ -710,7 +717,7 @@ def test_sqrt_interval_keeps_its_bits_in_the_normal_range():
                       rng.getrandbits(rng.randint(1, 1200)) + 1)
         lo = max(lo, Fraction(1, 1 << 1022))
         hi = lo * Fraction(rng.randint(1000, 1010), 1000)
-        got = est._sqrt_interval(lo, hi)
+        got = sqrt_of(lo, hi)
         assert [x.hex() for x in got] == [x.hex() for x in old_sqrt_interval(lo, hi)]
 
 
@@ -718,12 +725,38 @@ def test_sqrt_interval_keeps_its_bits_in_the_normal_range():
 def test_sqrt_interval_below_the_double_range_holds_the_root(power):
     """A squared sine below 2^-1022 keeps a tight, outward bracket."""
     x = Fraction(3, 1 << power)
-    lo, hi = est._sqrt_interval(x, x)
+    lo, hi = sqrt_of(x, x)
     assert 0.0 < lo < hi
     # lo^2 <= x <= hi^2, exactly
     assert Fraction(lo) ** 2 <= x <= Fraction(hi) ** 2
     if power <= 2000:  # a normal root: a few ulps wide
         assert hi - lo <= 4 * math.ulp(lo)
+
+
+def test_sqrt_interval_reads_the_value_of_each_end():
+    """An interval and the same interval with each end's numerator and
+    denominator multiplied by a common factor up to 2^64 give the same
+    doubles, in the double range and below 2^-1022."""
+    rng = random.Random(33)
+    tiny = 0
+    for _ in range(2000):
+        lo = Fraction(rng.getrandbits(rng.randint(1, 200)),
+                      rng.getrandbits(rng.randint(1, 3000)) + 1)
+        hi = lo * Fraction(rng.randint(1000, 1010), 1000)
+        g, h = rng.randint(1, 1 << 64), rng.randint(1, 1 << 64)
+        got = _sqrt_interval((lo.numerator * g, lo.denominator * g,
+                              hi.numerator * h, hi.denominator * h))
+        assert [x.hex() for x in got] == [x.hex() for x in sqrt_of(lo, hi)]
+        tiny += 0 < lo < Fraction(1, 1 << 1022)
+    assert tiny > 500
+
+
+def test_golden_line_irrationality_holds_below_the_double_range():
+    """At H^2 <= 10^400 the last record's sine lies below the double range,
+    so its double lower end reads 0.0; the scan takes its verdict from the
+    exact lower end, which is positive."""
+    report = est.irrationality_scan(est.golden_line_target(), EnumSpec(2, 1, 10**400))
+    assert report.ok and report.offender is None and report.witness is not None
 
 
 def test_golden_line_sines_hold_through_the_double_range():

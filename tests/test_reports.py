@@ -6,6 +6,7 @@ must write the same bytes on every value kind a report can hold.
 """
 
 import csv
+import decimal
 import io
 import json
 import math
@@ -15,6 +16,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
 from subdioph import reports
 from subdioph.errors import SerializationError
@@ -193,3 +195,23 @@ def test_label_writer_rejects_an_unknown_format():
     with pytest.raises(SerializationError):
         reports.emit_labels([_label(1)], "xml", stream)
     assert stream.getvalue() == ""
+
+
+@pytest.mark.parametrize("value, text", [
+    (0.25, "2.500000e-01"), (25, "2.500000e+01"), (-0.25, "-2.500000e-01"), (1, "1.000000e+00"),
+])
+def test_sci_str_prints_two_exponent_digits_on_the_exact_path(value, text):
+    """With a rounding mode, or from a dyadic (man, exp), sci_str prints the
+    exact value in the shape of its float path: e+-NN."""
+    x = mp.mpf(value)
+    assert f"{value:.6e}" == reports.sci_str(x) == text
+    assert reports.sci_str(x, 6, decimal.ROUND_FLOOR) == text
+    man, exp = x.man_exp
+    assert reports.sci_str((-man if x < 0 else man, exp), 6, decimal.ROUND_CEILING) == text
+
+
+def test_sci_str_prints_a_dyadic_below_the_double_range_as_its_mpf():
+    for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING):
+        got = reports.sci_str((3, -2000), 18, rounding)
+        assert got == reports.sci_str(mp.ldexp(3, -2000), 18, rounding)
+        assert got.startswith("2.61294294486516500") and got.endswith("e-602")

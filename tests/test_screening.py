@@ -359,7 +359,7 @@ def test_plane_sines_match_the_engine():
                     sum(map(mul, xa, xb)) ** 2,
                 )
                 brackets = [
-                    None if m is None else (mp.ldexp(m[0], -m[2]), mp.ldexp(m[1], -m[2]))
+                    None if m is None else (mp.ldexp(*m[0]), mp.ldexp(*m[1]))
                     for m in _sine_mantissas(*labels, bits)
                 ]
                 prof = angles_adaptive(a, RealBasis.from_subspace(sub), ctx)
