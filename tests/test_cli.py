@@ -312,7 +312,7 @@ class TestConstructCommand:
         )
         assert code == 0, err
         # four entries at the indices 0 to 4 of the finite variant
-        assert sorted(reads) == sorted(set(reads)) and len(reads) == 20
+        assert len(set(reads)) == len(reads) == 20
 
     def test_convergent_listing(self):
         code, out, _ = run(

@@ -39,9 +39,9 @@ from hypothesis import strategies as st
 
 from subdioph import construction as con
 from subdioph import estimation as est
-from subdioph.angles import _sqrt_interval
 from subdioph import exact
 from subdioph import morphisms as mor
+from subdioph.angles import _sqrt_interval
 from subdioph.enumeration import EXACT_LINES, EnumSpec, enumerate_subspaces, primitive_vectors
 from subdioph.errors import IrrationalityViolationError
 
