@@ -175,6 +175,15 @@ class PrecisionContext:
         object.__setattr__(self, "max_bits", cap)
 
 
+def _float_column(col: Sequence[float]) -> tuple[int, ...]:
+    """A column of finite doubles times the least power of two that makes
+    it integral: each double is p / q with q a power of two, so the
+    largest q clears them all, as clear_denominators would."""
+    ratios = [x.as_integer_ratio() for x in col]
+    scale = max(q for _, q in ratios)
+    return tuple(p * (scale // q) for p, q in ratios)
+
+
 class RealBasis:
     """A subspace handed to the angle engine, re-evaluable at any precision.
 
@@ -255,9 +264,7 @@ class RealBasis:
             raise ShapeError("ragged or empty float basis")
         if not all(math.isfinite(x) for row in data for x in row):
             raise ShapeError("float basis entries must be finite")
-        columns = tuple(
-            exact.clear_denominators([Fraction(x) for x in col]) for col in zip(*data)
-        )
+        columns = tuple(map(_float_column, zip(*data)))
         return cls._of_columns(columns, n, d, source="float-input")
 
     @classmethod

@@ -29,8 +29,9 @@ decoded only on first access to .basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, isqrt
+from operator import mul
 from typing import Callable, Iterator
 
 from . import exact
@@ -133,7 +134,8 @@ def _primitive_with_leading(
     """Primitive sign-canonical n-vectors with first coordinate lead.
 
     The middle coordinates come from _boxed; the last one is a range loop
-    per prefix, with primitivity tested against the prefix's gcd.
+    per prefix.  A primitive prefix (gcd 1) takes every last coordinate
+    with no gcd test; any other prefix tests each against its gcd.
     """
     rem = budget - lead * lead
     if rem < 0:
@@ -144,13 +146,20 @@ def _primitive_with_leading(
         return
     for head, head_sq, zero in _boxed(n - 2, rem, lead == 0):
         prefix = (lead,) + head
-        g = gcd(*prefix)
         top = isqrt(rem - head_sq)
         sq = lead * lead + head_sq
-        # an all-zero prefix leaves v = 1 as the only primitive choice
-        for v in range(1 if zero else -top, top + 1):
-            if gcd(g, v) == 1:
+        if zero:  # an all-zero prefix leaves v = 1 as the only primitive choice
+            if top:
+                yield prefix + (1,), sq + 1
+            continue
+        g = gcd(*prefix)
+        if g == 1:
+            for v in range(-top, top + 1):
                 yield prefix + (v,), sq + v * v
+        else:
+            for v in range(-top, top + 1):
+                if gcd(g, v) == 1:
+                    yield prefix + (v,), sq + v * v
 
 
 def primitive_vectors(n: int, max_norm_sq: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -261,11 +270,12 @@ def _echelon_at(spec: EnumSpec, lead: int) -> Iterator[tuple[tuple[int, ...], in
         for values, _, _ in _boxed(len(free), budget, False):
             for (k, i), v in zip(free, values):
                 rows[k][i] = v
-            minors = exact.raw_minors(rows)
-            if any(m % scale for m in minors):
-                continue
-            coords = tuple(m // scale for m in minors)
-            h2 = sum(c * c for c in coords)
+            coords = exact._minors(rows, n, e)
+            if scale != 1:  # lead 1 (and every line) has the minors as its label
+                if any(m % scale for m in coords):
+                    continue
+                coords = tuple(m // scale for m in coords)
+            h2 = sum(map(mul, coords, coords))
             if h2 <= spec.height_squared_max and gcd(*coords) == 1:
                 yield coords, h2
 
@@ -342,8 +352,7 @@ def enumerate_labels(
     """(coords, height_squared) of every subspace of the run: its normalized
     label and the label's squared norm, in enumerate_events order, with no
     subspace object built.  cursor resumes after a checkpoint value."""
-    for _lead, labels in _label_streams(spec, cursor):
-        yield from labels
+    return chain.from_iterable(labels for _lead, labels in _label_streams(spec, cursor))
 
 
 def enumerate_events(

@@ -29,10 +29,21 @@ every sine of a pair with at most two angles (angles.label_sine_mantissas).
 Reading a basis back from a label (pluecker_decode, which also serves
 enumerated planes and hyperplanes) goes through rational_kernel, a
 fraction-free elimination on integer rows, so a decoded basis never touches
-Fraction.  Rank, inverse and determinants above 3 x 3 run on the same
-integer rows (rational rows are scaled to integers first); Fraction
-arithmetic remains for small closed-form determinants and for clearing
-column denominators.
+Fraction.  Inverse and determinants above 3 x 3 run on the same integer
+rows (rational rows are scaled to integers first); Fraction arithmetic
+remains for small closed-form determinants and for clearing column
+denominators.
+
+Small integer matrices, which the echelon census and the verify suites
+build by the thousand, take fast lanes: rank of integer rows is a
+Bareiss elimination, exact division by the previous pivot with no gcd per
+row (rows holding a Fraction still go through rational_kernel);
+raw_minors writes the minors of lines, planes and 3-spaces inline (the
+echelon census reads them through _minors, without raw_minors' checks),
+and compound_matrix its first and second compounds, with no determinant
+call;
+as_matrix screens an all-int input in one pass, and from_basis validates
+and clears its basis once.
 """
 
 from __future__ import annotations
@@ -61,7 +72,10 @@ Matrix = tuple[tuple[Scalar, ...], ...]
 
 def as_matrix(rows: Iterable[Sequence[Scalar]]) -> Matrix:
     """Validate and freeze a rectangular matrix given as rows."""
-    frozen = tuple(tuple(_as_scalar(x) for x in row) for row in rows)
+    frozen = tuple(map(tuple, rows))
+    # all plain ints, the common input, are screened in one pass
+    if not all(type(x) is int for row in frozen for x in row):
+        frozen = tuple(tuple(map(_as_scalar, row)) for row in frozen)
     if not frozen or not frozen[0]:
         raise ShapeError("matrix must have at least one row and one column")
     width = len(frozen[0])
@@ -154,8 +168,33 @@ def determinant(m: Matrix) -> Scalar:
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank: the column count less the kernel dimension."""
-    return len(m[0]) - len(rational_kernel(m))
+    """Exact rank.  Integer rows go through fraction-free (Bareiss)
+    elimination: every entry it forms is a minor of m, so the division by
+    the previous pivot is exact and no row needs its gcd.  Other rows (a
+    Fraction among them) give the column count less the dimension of
+    rational_kernel.
+    """
+    if not all(type(x) is int for row in m for x in row):
+        return len(m[0]) - len(rational_kernel(m))
+    work = [list(row) for row in m]
+    rows = len(work)
+    r, prev = 0, 1
+    for j in range(len(work[0]) if work else 0):
+        pivot_row = next((i for i in range(r, rows) if work[i][j]), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        top = work[r]
+        pivot = top[j]
+        for i in range(r + 1, rows):
+            row = work[i]
+            factor = row[j]
+            work[i] = [(pivot * x - factor * y) // prev for x, y in zip(row, top)]
+        prev = pivot
+        r += 1
+        if r == rows:
+            break
+    return r
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -298,8 +337,23 @@ def raw_minors(basis: Matrix) -> tuple[int, ...]:
         raise ShapeError(f"basis is {n}x{e}; need at least as many rows as columns")
     if _has_fraction(basis):
         raise ShapeError("raw minors are defined for integer bases")
-    if e == 2:  # planes: each minor inline, without a determinant call
+    return _minors(basis, n, e)
+
+
+def _minors(basis: Matrix, n: int, e: int) -> tuple[int, ...]:
+    """raw_minors of an integer n x e basis with e <= n, unchecked: for the
+    echelon census, whose matrices are integer and of that shape by
+    construction."""
+    # lines, planes and 3-spaces: each minor inline, without a determinant call
+    if e == 1:
+        return tuple(row[0] for row in basis)
+    if e == 2:
         return tuple(a[0] * b[1] - a[1] * b[0] for a, b in combinations(basis, 2))
+    if e == 3:
+        return tuple(
+            a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+            for (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) in combinations(basis, 3)
+        )
     return tuple(
         determinant(tuple(basis[i] for i in rows)) for rows in combinations(range(n), e)
     )
@@ -313,9 +367,7 @@ def pluecker_coordinates(basis: Iterable[Sequence[Scalar]]) -> PlueckerVector:
 
     Raises DegenerateBasisError when the columns are linearly dependent.
     """
-    m = _integer_basis(basis)
-    n, e = shape(m)
-    return label_from_minors(n, e, raw_minors(m))
+    return _label_of(_integer_basis(basis))
 
 
 def label_from_minors(n: int, e: int, minors: Sequence[int]) -> PlueckerVector:
@@ -341,6 +393,11 @@ def _integer_basis(basis: Iterable[Sequence[Scalar]]) -> Matrix:
         cols = [clear_denominators(col) for col in transpose(m)]
         m = transpose(as_matrix(cols))
     return m
+
+
+def _label_of(m: Matrix) -> PlueckerVector:
+    """The label of an integer basis that _integer_basis returned."""
+    return label_from_minors(len(m), len(m[0]), raw_minors(m))
 
 
 def height_squared(basis: Iterable[Sequence[Scalar]]) -> int:
@@ -402,7 +459,7 @@ class RationalSubspace:
     @classmethod
     def from_basis(cls, basis: Iterable[Sequence[Scalar]]) -> "RationalSubspace":
         m = _integer_basis(basis)
-        return cls(pluecker_coordinates(m), m)
+        return cls(_label_of(m), m)
 
     @classmethod
     def _line(cls, vec: tuple[int, ...]) -> "RationalSubspace":
@@ -541,6 +598,14 @@ def compound_matrix(m: Iterable[Sequence[Scalar]], e: int) -> Matrix:
     r, c = shape(mm)
     if not 1 <= e <= min(r, c):
         raise ShapeError(f"compound order {e} out of range for {r}x{c}")
+    if e == 1:
+        return mm
+    if e == 2:  # each 2 x 2 minor inline, without a determinant call
+        col_pairs = list(combinations(range(c), 2))
+        return tuple(
+            tuple(a[i] * b[j] - a[j] * b[i] for i, j in col_pairs)
+            for a, b in combinations(mm, 2)
+        )
     row_sets = list(combinations(range(r), e))
     col_sets = list(combinations(range(c), e))
     out = []

@@ -26,6 +26,7 @@ from . import exact
 from .angles import PrecisionContext
 from .enumeration import EnumSpec, exact_strategy
 from .errors import (
+    DegenerateBasisError,
     DimensionCollapseError,
     ParameterError,
     ShapeError,
@@ -105,12 +106,13 @@ def apply_to_subspace(
         raise ShapeError(
             f"map expects dimension {phi.domain_dim}, subspace lives in {sub.n}"
         )
-    image = exact.mat_mul(phi.matrix, sub.basis)
-    if exact.rank(image) < sub.e:
-        raise DimensionCollapseError(
-            f"image of a {sub.e}-dimensional subspace dropped rank"
-        )
-    return exact.RationalSubspace.from_basis(image)
+    # the image keeps its rank exactly when some maximal minor is nonzero
+    if phi.codomain_dim >= sub.e:
+        try:
+            return exact.RationalSubspace.from_basis(exact.mat_mul(phi.matrix, sub.basis))
+        except DegenerateBasisError:
+            pass
+    raise DimensionCollapseError(f"image of a {sub.e}-dimensional subspace dropped rank")
 
 
 def ceil_sqrt(x: Fraction | int) -> Fraction:

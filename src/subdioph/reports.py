@@ -17,9 +17,12 @@ serialized leaves the stream untouched.
 
 Census labels, the (coords, height_squared) pairs of
 enumeration.enumerate_labels, cannot fail to serialize, so emit_labels
-streams them: each label goes straight into its row text as it is drawn,
-with the bytes emit_report writes for the row {"coords": [...],
-"heightSquared": ...} of exact_str values, in constant memory.
+streams them in constant memory, with the bytes emit_report writes for
+the row {"coords": [...], "heightSquared": ...} of exact_str values.  The
+rows of one census share their width, so they come from one %-template
+per call, filled a batch of labels at a time; a batch the template cannot
+take (a label of another width, or an integer past the int -> str digit
+limit) falls back to exact_str row by row.
 """
 
 from __future__ import annotations
@@ -103,6 +106,8 @@ def sci_str(value, digits: int = 6, rounding: str | None = None) -> str:
             return f"{f:.{digits}e}"
     man, exp = value if pair else value.man_exp
     man = -man if not pair and value < 0 else man
+    if man == 0:  # Decimal would print 0.000000e+6: the digits go into its exponent
+        return f"{0.0:.{digits}e}"
     if exp >= 0:
         exact = decimal.Decimal(man << exp)
     else:
@@ -260,6 +265,12 @@ def emit_labels(
     row each, with the bytes emit_report writes for the rows
     {"coords": [exact_str(c), ...], "heightSquared": exact_str(h2)}.
 
+    Each batch of _LABEL_CHUNK labels is one write, formatted with one
+    %-template of the first label's width: str prints what exact_str
+    prints for every int it accepts.  A batch the template refuses
+    (TypeError: a label of another width; ValueError: an int past the
+    int -> str digit limit) is formatted again row by row with exact_str.
+
     The first label is drawn before anything is written, so an error the
     label stream raises at once leaves the stream untouched.  No labels
     give the header alone (unless suppressed): no CSV column row.
@@ -275,14 +286,17 @@ def emit_labels(
     if fmt == CSV:
         stream.write("coords,heightSquared\n")
     start, sep, middle, end = _LABEL_ROW[fmt]
+    # %s, not %d: %d would print 1.5, Fraction(3, 2) and True as 1
+    template = f"{start}{sep.join(['%s'] * len(first[0]))}{middle}%s{end}"
 
-    def row(label) -> str:
+    def exact_row(label) -> str:
         coords, h2 = label
-        # every |c| <= sqrt(h2): below the bound h2 and all its coordinates
-        # print with plain str, as exact_str would print them
-        text = str if h2.bit_length() < _STR_SAFE_BITS else exact_str
-        return f"{start}{sep.join(map(text, coords))}{middle}{text(h2)}{end}"
+        return f"{start}{sep.join(map(exact_str, coords))}{middle}{exact_str(h2)}{end}"
 
-    rows = map(row, itertools.chain((first,), labels))
-    while chunk := "".join(itertools.islice(rows, _LABEL_CHUNK)):
+    labels = itertools.chain((first,), labels)
+    while batch := list(itertools.islice(labels, _LABEL_CHUNK)):
+        try:
+            chunk = "".join([template % (*coords, h2) for coords, h2 in batch])
+        except (TypeError, ValueError):  # another width, or past the digit limit
+            chunk = "".join(map(exact_row, batch))
         stream.write(chunk)

@@ -10,6 +10,7 @@ import decimal
 import io
 import json
 import math
+import sys
 import types
 from collections import OrderedDict
 from collections.abc import Mapping
@@ -188,6 +189,61 @@ def test_label_rows_are_the_report_rows(monkeypatch, fmt, no_header, labels):
     assert got.getvalue() == expected.getvalue()
     if not labels:
         assert got.getvalue().count("\n") == (0 if no_header else 1)
+
+
+def emitted_labels(labels, fmt, no_header=True):
+    """(emit_labels bytes, emit_report bytes of the exact_str rows)."""
+    expected, got = io.StringIO(), io.StringIO()
+    reports.emit_report(label_rows(labels), fmt, expected, "enumerate", no_header)
+    reports.emit_labels(iter(labels), fmt, got, "enumerate", no_header)
+    return got.getvalue(), expected.getvalue()
+
+
+@pytest.mark.parametrize("fmt", reports.FORMATS)
+def test_a_batch_past_the_digit_limit_falls_back_alone(monkeypatch, fmt):
+    """The first batch takes the template; the second holds a coordinate
+    past the int -> str digit limit, and only it goes through exact_str."""
+    monkeypatch.setattr(reports, "_LABEL_CHUNK", 3)
+    first = [_label(1, 0, 2), _label(0, 1, -2), _label(3, -4, 5)]
+    second = [_label(2, 2, 1), _label(7**6000, -1, 0), _label(1, 1, 1)]
+    _, want = emitted_labels([*first, *second], fmt)
+    seen, got = [], io.StringIO()
+    exact_str = reports.exact_str
+    monkeypatch.setattr(reports, "exact_str", lambda v: seen.append(v) or exact_str(v))
+    reports.emit_labels(iter([*first, *second]), fmt, got, no_header=True)
+    assert got.getvalue() == want
+    assert seen and set(seen) <= {v for coords, h2 in second for v in (*coords, h2)}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int -> str limit")
+@pytest.mark.parametrize("fmt", reports.FORMATS)
+def test_labels_under_the_least_digit_limit(fmt):
+    """At the least limit the interpreter allows, 640 digits, a 700-digit
+    coordinate still prints in full."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        big = 10**699 + 7
+        got, want = emitted_labels([_label(1, 2), _label(big, -3), _label(0, 1)], fmt)
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert got == want and str(big)[:600] in got
+
+
+@pytest.mark.parametrize("fmt", reports.FORMATS)
+def test_an_empty_label_stream_writes_no_rows(fmt):
+    assert emitted_labels((), fmt) == ("", "")
+    got, _ = emitted_labels((), fmt, no_header=False)
+    assert got.count("\n") == 1
+
+
+@pytest.mark.parametrize("rounding", [None, decimal.ROUND_FLOOR, decimal.ROUND_CEILING])
+@pytest.mark.parametrize("digits", [3, 6, 18])
+def test_sci_str_prints_zero_with_exponent_zero(rounding, digits):
+    want = f"{0.0:.{digits}e}"
+    assert reports.sci_str(mp.mpf(0), digits, rounding) == want
+    for exp in (0, -40, 7):
+        assert reports.sci_str((0, exp), digits, rounding) == want
 
 
 def test_label_writer_rejects_an_unknown_format():
