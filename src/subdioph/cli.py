@@ -34,7 +34,9 @@ from .angles import (
     _float_down,
     _float_up,
 )
-from .enumeration import STRATEGIES, EnumSpec, enumerate_labels, exact_strategy
+from .enumeration import (
+    EXACT_LINES, STRATEGIES, EnumSpec, enumerate_labels, exact_strategy, line_runs,
+)
 from .errors import (
     CertificationFailure,
     InsufficientRecordsError,
@@ -258,8 +260,8 @@ def _run_scan(args) -> list[est.ApproximationRecord]:
 
 
 # ---------------------------------------------------------------------------
-# command handlers (records, exit code); enumerate hands over its label
-# stream instead of a list of records
+# command handlers (records, exit code); enumerate hands over the writer of
+# its census instead of a list of records
 
 
 def _cmd_height(args):
@@ -306,7 +308,10 @@ def _cmd_enumerate(args):
         args, args.n, _given(args.e, 1), args.hmax_squared,
         shard_count=args.shards, shard_index=args.shard_index,
     )
-    return enumerate_labels(spec), 0
+    # a line census writes its rows per run of shared prefix
+    if spec.strategy == EXACT_LINES and spec.e == 1:
+        return functools.partial(reports.emit_line_runs, line_runs(spec)), 0
+    return functools.partial(reports.emit_labels, enumerate_labels(spec)), 0
 
 
 def _cmd_construct(args):
@@ -697,10 +702,9 @@ def run_command(
                 if hasattr(err, field):
                     failure[field] = getattr(err, field)
             rows, code = [failure], 1
-        emit = reports.emit_report if isinstance(rows, list) else reports.emit_labels
+        emit = functools.partial(reports.emit_report, rows) if isinstance(rows, list) else rows
         try:
             emit(
-                rows,
                 args.format,
                 data_stream,
                 command=args.command,

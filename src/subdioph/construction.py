@@ -354,15 +354,12 @@ def floor_alpha_powers(alpha: Fraction | int, top: int) -> tuple[int, ...]:
         raise ParameterError("exponent ratio must exceed 2")
     if top < 0:
         raise ParameterError("need a nonnegative number of powers")
-    out = []
-    power = Fraction(1)
-    for _ in range(top + 1):
-        out.append(power.numerator // power.denominator)
-        power *= alpha
+    p, q = alpha.numerator, alpha.denominator
+    out = tuple([p**k // q**k for k in range(top + 1)])
     for a, b in zip(out, out[1:]):
         if b <= a:
             raise ParameterError("exponent schedule failed to increase")
-    return tuple(out)
+    return out
 
 
 def series_start(params: ConstructionParams) -> int:
@@ -388,6 +385,14 @@ def term_exponents(params: ConstructionParams, top: int) -> tuple[int, ...]:
     return floor_alpha_powers(params.alpha, top)
 
 
+def _term_exponent(params: ConstructionParams, k: int) -> int:
+    """term_exponents(params, k)[k], without the exponents before it."""
+    if params.variant == INFINITE:
+        return max(1, k**k)
+    alpha = params.alpha
+    return alpha.numerator**k // alpha.denominator**k
+
+
 def tail_bound(params: ConstructionParams, depth: int) -> Fraction:
     """Exact upper bound on the series tail beyond index depth.
 
@@ -396,7 +401,7 @@ def tail_bound(params: ConstructionParams, depth: int) -> Fraction:
     m_(depth+1), so a geometric comparison bounds the tail by
     (4 ell + 2) / theta^m_(depth+1), respectively 3^(1 - m_(depth+1)).
     """
-    return _tail_bound(params, term_exponents(params, depth + 1)[depth + 1])
+    return _tail_bound(params, _term_exponent(params, depth + 1))
 
 
 def _tail_bound(params: ConstructionParams, m_next: int) -> Fraction:
@@ -665,7 +670,7 @@ def _mpmath_context(params: ConstructionParams, depth: int) -> PrecisionContext:
     two angles and go through the mpmath engine; smaller blocks get exact
     integer brackets at any magnitude.
     """
-    m_next = term_exponents(params, depth + 1)[depth + 1]
+    m_next = _term_exponent(params, depth + 1)
     return PrecisionContext(bits=int(4 * m_next * math.log2(params.theta)) + 64)
 
 

@@ -24,6 +24,13 @@ so they are built with PlueckerVector._normalized, without
 PlueckerVector's checks; a line is built from its vector alone,
 label and basis, by RationalSubspace._line.  Bases other than a line's are
 decoded only on first access to .basis.
+
+EXACT_LINES walks its census in runs: one (prefix, squared norm, last
+coordinates) per prefix of the primitive vectors (see
+_primitive_with_leading).  Lines expand a run to its vectors, and
+hyperplanes sign and reverse its prefix once for all its labels;
+line_runs hands the runs of a line census to a writer, and the
+enumerate verb writes its rows per run (reports.emit_line_runs).
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from dataclasses import dataclass, replace
 from itertools import chain, combinations
 from math import gcd, isqrt
 from operator import mul
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from . import exact
 from .errors import ParameterError, StrategyMismatchError, SubdiophError
@@ -68,6 +75,7 @@ __all__ = [
     "enumerate_events",
     "enumerate_subspaces",
     "enumerate_lines",
+    "line_runs",
     "shard_partition",
     "leading_range",
 ]
@@ -123,26 +131,40 @@ def _boxed(k: int, budget: int, zero_so_far: bool) -> Iterator[tuple[tuple[int, 
         return
     top = isqrt(budget)
     start = 0 if zero_so_far else -top
+    if k == 1:  # the last coordinate, without a generator per value
+        for v in range(start, top + 1):
+            yield (v,), v * v, zero_so_far and v == 0
+        return
     for v in range(start, top + 1):
         for tail, tail_sq, tail_zero in _boxed(k - 1, budget - v * v, zero_so_far and v == 0):
             yield (v,) + tail, v * v + tail_sq, tail_zero
 
 
+# (prefix, squared norm of the prefix, last coordinates): see _primitive_with_leading
+_Run = tuple[tuple[int, ...], int, Sequence[int]]
+# values per run: bounds the memory of a run's expansion at any height bound
+_RUN_LEN = 1024
+
+
 def _primitive_with_leading(
     n: int, budget: int, lead: int
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Primitive sign-canonical n-vectors with first coordinate lead.
+) -> Iterator[_Run]:
+    """Primitive sign-canonical n-vectors with first coordinate lead, in runs.
 
-    The middle coordinates come from _boxed; the last one is a range loop
-    per prefix.  A primitive prefix (gcd 1) takes every last coordinate
-    with no gcd test; any other prefix tests each against its gcd.
+    A run is (prefix, sq, values): the vectors prefix + (v,) for v in
+    values, ascending, where prefix holds the first n - 1 coordinates (from
+    _boxed) and sq is its squared norm.  A primitive prefix (gcd 1) takes
+    the range of every last coordinate that fits; any other prefix the
+    tuple of those coprime to its gcd; the all-zero prefix v = 1 alone.
+    Runs are never empty and hold at most _RUN_LEN values, so a prefix whose
+    range is longer is cut into runs at fixed offsets from its start.
     """
     rem = budget - lead * lead
     if rem < 0:
         return
     if n == 1:
         if lead == 1:
-            yield (1,), 1
+            yield (), 0, (1,)
         return
     for head, head_sq, zero in _boxed(n - 2, rem, lead == 0):
         prefix = (lead,) + head
@@ -150,16 +172,21 @@ def _primitive_with_leading(
         sq = lead * lead + head_sq
         if zero:  # an all-zero prefix leaves v = 1 as the only primitive choice
             if top:
-                yield prefix + (1,), sq + 1
+                yield prefix, sq, (1,)
             continue
         g = gcd(*prefix)
-        if g == 1:
-            for v in range(-top, top + 1):
-                yield prefix + (v,), sq + v * v
-        else:
-            for v in range(-top, top + 1):
-                if gcd(g, v) == 1:
-                    yield prefix + (v,), sq + v * v
+        for lo in range(-top, top + 1, _RUN_LEN):
+            values = range(lo, min(lo + _RUN_LEN, top + 1))
+            if g != 1:
+                values = tuple([v for v in values if gcd(g, v) == 1])
+            if values:
+                yield prefix, sq, values
+
+
+def _vectors(run: _Run) -> list[tuple[tuple[int, ...], int]]:
+    """The (vector, squared norm) pairs of one run, in order."""
+    prefix, sq, values = run
+    return [(prefix + (v,), sq + v * v) for v in values]
 
 
 def primitive_vectors(n: int, max_norm_sq: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -171,7 +198,8 @@ def primitive_vectors(n: int, max_norm_sq: int) -> Iterator[tuple[tuple[int, ...
     if n < 1 or max_norm_sq < 1:
         raise ParameterError("need n >= 1 and a positive norm bound")
     for lead in range(0, isqrt(max_norm_sq) + 1):
-        yield from _primitive_with_leading(n, max_norm_sq, lead)
+        runs = _primitive_with_leading(n, max_norm_sq, lead)
+        yield from chain.from_iterable(map(_vectors, runs))
 
 
 # ---------------------------------------------------------------------------
@@ -180,26 +208,36 @@ def primitive_vectors(n: int, max_norm_sq: int) -> Iterator[tuple[tuple[int, ...
 
 def _lines_at(spec: EnumSpec, lead: int) -> Iterator[tuple[tuple[int, ...], int]]:
     # a primitive sign-canonical vector is its own normalized label
-    return _primitive_with_leading(spec.n, spec.height_squared_max, lead)
+    runs = _primitive_with_leading(spec.n, spec.height_squared_max, lead)
+    return chain.from_iterable(map(_vectors, runs))
 
 
 def _hyperplanes_at(spec: EnumSpec, lead: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    for normal, h2 in _primitive_with_leading(spec.n, spec.height_squared_max, lead):
-        yield _hyperplane_label(normal), h2
+    runs = _primitive_with_leading(spec.n, spec.height_squared_max, lead)
+    return chain.from_iterable(map(_hyperplanes, runs))
 
 
-def _hyperplane_label(normal: tuple[int, ...]) -> tuple[int, ...]:
-    """Label coords of the hyperplane orthogonal to a primitive normal.
+def _hyperplanes(run: _Run) -> list[tuple[tuple[int, ...], int]]:
+    """Labels of the hyperplanes orthogonal to the primitive normals of one
+    run, with their squared heights.
 
     The minor that omits row i of a basis is +-(-1)^i normal[i], and the
     lexicographic row sets omit the rows in reverse order: the label is the
-    normal reversed, with alternating signs, so its squared norm is the
-    normal's.
+    normal reversed, with alternating signs, made to lead with a positive
+    entry; its squared norm is the normal's.  The normal prefix + (v,)
+    reverses to (v,) + tail, so the run signs and reverses its prefix once:
+    v > 0 gives (v,) + tail, v < 0 gives (-v,) + (-tail), and v = 0 (only
+    after a nonzero prefix) whichever of tail and -tail leads positive.
     """
-    coords = [-x if i & 1 else x for i, x in enumerate(reversed(normal))]
-    if next(c for c in coords if c != 0) < 0:
-        coords = [-c for c in coords]
-    return tuple(coords)
+    prefix, sq, values = run
+    n = len(prefix) + 1
+    tail = tuple([-x if (n - 1 - i) & 1 else x for i, x in enumerate(prefix)][::-1])
+    neg = tuple([-x for x in tail])
+    # tail > neg exactly when the first nonzero entry of tail is positive
+    zero = (0,) + max(tail, neg)
+    return [
+        ((v,) + tail if v > 0 else (-v,) + neg if v else zero, sq + v * v) for v in values
+    ]
 
 
 def _planes4_at(spec: EnumSpec, lead: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -314,6 +352,14 @@ def shard_partition(spec: EnumSpec, shard_count: int) -> list[EnumSpec]:
     ]
 
 
+def _leads(spec: EnumSpec, cursor: int | None) -> range:
+    """The leading values of the run after cursor."""
+    lo, hi = _shard_range(spec)
+    if cursor is not None:
+        lo = max(lo, cursor + 1)
+    return range(lo, hi + 1)
+
+
 def _label_streams(
     spec: EnumSpec, cursor: int | None
 ) -> Iterator[tuple[int, Iterator[tuple[tuple[int, ...], int]]]]:
@@ -322,11 +368,24 @@ def _label_streams(
         labels_at = _lines_at if spec.e == 1 else _hyperplanes_at
     else:
         labels_at = _planes4_at if spec.strategy == EXACT_PLUECKER else _echelon_at
-    lo, hi = _shard_range(spec)
-    if cursor is not None:
-        lo = max(lo, cursor + 1)
-    for lead in range(lo, hi + 1):
+    for lead in _leads(spec, cursor):
         yield lead, labels_at(spec, lead)
+
+
+def line_runs(
+    spec: EnumSpec, cursor: int | None = None
+) -> Iterator[_Run]:
+    """The labels of a line census in runs (prefix, sq, values): the
+    labels of enumerate_labels(spec, cursor) are prefix + (v,), of squared
+    height sq + v^2, for v in values, run after run.  A run is one prefix
+    of _primitive_with_leading, so its vectors share their text up to the
+    last coordinate."""
+    if spec.strategy != EXACT_LINES or spec.e != 1:
+        raise StrategyMismatchError("line runs need an exact-lines census of lines")
+    n, bound = spec.n, spec.height_squared_max
+    return chain.from_iterable(
+        _primitive_with_leading(n, bound, lead) for lead in _leads(spec, cursor)
+    )
 
 
 def _label_subspace(spec: EnumSpec) -> Callable[[tuple[int, ...]], exact.RationalSubspace]:

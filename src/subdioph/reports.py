@@ -22,7 +22,9 @@ the row {"coords": [...], "heightSquared": ...} of exact_str values.  The
 rows of one census share their width, so they come from one %-template
 per call, filled a batch of labels at a time; a batch the template cannot
 take (a label of another width, or an integer past the int -> str digit
-limit) falls back to exact_str row by row.
+limit) falls back to exact_str row by row.  A line census handed over in
+runs (enumeration.line_runs) is written by emit_line_runs with the same
+bytes, from one head string per run and one tail string per value.
 """
 
 from __future__ import annotations
@@ -254,6 +256,21 @@ _LABEL_ROW = {
 _LABEL_CHUNK = 2048
 
 
+def _census_start(items: Iterable, fmt: str, stream: IO[str], command: str, no_header: bool):
+    """(first item, the rest) of a census stream, the first drawn before
+    anything is written: the header (unless suppressed), then the CSV
+    column row when there is a first item."""
+    if fmt not in FORMATS:
+        raise SerializationError(f"unknown format {fmt!r}")
+    items = iter(items)
+    first = next(items, None)
+    if not no_header:
+        _write_header(fmt, stream, command)
+    if first is not None and fmt == CSV:
+        stream.write("coords,heightSquared\n")
+    return first, items
+
+
 def emit_labels(
     labels: Iterable[tuple[Sequence[int], int]],
     fmt: str,
@@ -275,16 +292,9 @@ def emit_labels(
     label stream raises at once leaves the stream untouched.  No labels
     give the header alone (unless suppressed): no CSV column row.
     """
-    if fmt not in FORMATS:
-        raise SerializationError(f"unknown format {fmt!r}")
-    labels = iter(labels)
-    first = next(labels, None)
-    if not no_header:
-        _write_header(fmt, stream, command)
+    first, labels = _census_start(labels, fmt, stream, command, no_header)
     if first is None:
         return
-    if fmt == CSV:
-        stream.write("coords,heightSquared\n")
     start, sep, middle, end = _LABEL_ROW[fmt]
     # %s, not %d: %d would print 1.5, Fraction(3, 2) and True as 1
     template = f"{start}{sep.join(['%s'] * len(first[0]))}{middle}%s{end}"
@@ -300,3 +310,62 @@ def emit_labels(
         except (TypeError, ValueError):  # another width, or past the digit limit
             chunk = "".join(map(exact_row, batch))
         stream.write(chunk)
+
+
+# tail strings a line-run writer keeps for reuse before it starts afresh
+_TAIL_CACHE = 1 << 16
+
+
+def emit_line_runs(
+    runs: Iterable[tuple[Sequence[int], int, Sequence[int]]],
+    fmt: str,
+    stream: IO[str],
+    command: str = "",
+    no_header: bool = False,
+) -> None:
+    """Write a line census given in runs, enumeration.line_runs, with the
+    bytes emit_labels writes for its labels (prefix + (v,), sq + v^2).
+
+    The rows of a run share their text up to the last coordinate: one head
+    per run, prefix and separators, and one tail per value, the last
+    coordinate and the squared height.  A tail depends only on (sq, v), so
+    the tails of a run are kept under (sq, values) and serve every later
+    run with that key, up to _TAIL_CACHE kept tails.  Runs are written
+    together once they hold _LABEL_CHUNK rows.  An integer past the
+    int -> str digit limit makes its run go through exact_str.
+
+    The first run is drawn before anything is written, so an error the run
+    stream raises at once leaves the stream untouched.  No runs give the
+    header alone (unless suppressed): no CSV column row.
+    """
+    first, runs = _census_start(runs, fmt, stream, command, no_header)
+    if first is None:
+        return
+    start, sep, middle, end = _LABEL_ROW[fmt]
+    tails: dict[tuple[int, Sequence[int]], list[str]] = {}
+    kept = 0
+    parts: list[str] = []
+    rows = 0
+    for prefix, sq, values in itertools.chain((first,), runs):
+        try:
+            head = f"{start}{sep.join(map(str, prefix))}{sep}"
+            key = (sq, values)
+            run_tails = tails.get(key)
+            if run_tails is None:
+                run_tails = [f"{v}{middle}{sq + v * v}{end}" for v in values]
+                if kept >= _TAIL_CACHE:
+                    tails.clear()
+                    kept = 0
+                tails[key] = run_tails
+                kept += len(run_tails)
+        except ValueError:  # past the int -> str digit limit
+            head = f"{start}{sep.join(map(exact_str, prefix))}{sep}"
+            run_tails = [f"{exact_str(v)}{middle}{exact_str(sq + v * v)}{end}" for v in values]
+        parts.append(head)
+        parts.append(head.join(run_tails))
+        rows += len(run_tails)
+        if rows >= _LABEL_CHUNK:
+            stream.write("".join(parts))
+            parts, rows = [], 0
+    if parts:
+        stream.write("".join(parts))

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,6 +24,9 @@ from subdioph.errors import ParameterError, SerializationError
 DATA = Path(__file__).parent / "data"
 VERIFY_SEEDS_0_TO_19_SHA256 = "21071f747a6cf29f6aec52e4ae7defb5e31f868e6bc32fb260b28b1989f62c8f"
 VERIFY_SEEDS_0_TO_9_ROWS_SHA256 = "521bff577baeaff97d4292b81623fc049076e2e46a791019e31529a1dddd734b"
+# every draw of every verify suite for seeds 0-9, the matrices drawn from
+# them and each generator's final state (see test_suites_draw_what_they_drew)
+VERIFY_DRAWS_SEEDS_0_TO_9_SHA256 = "d7645cd64db6d7f1dc1559d91f395a34741bb4772d5daaf32e00a0370d6781bc"
 
 
 def run(argv):
@@ -537,6 +541,44 @@ class TestVerifyCommand:
             digest.update(rows.encode())
         assert digest.hexdigest() == VERIFY_SEEDS_0_TO_9_ROWS_SHA256
 
+    def test_suites_draw_what_they_drew(self, monkeypatch):
+        """The rows of a passing seed are the same bytes for every seed, so
+        they cannot show which matrices a suite judged.  Each suite gets a
+        generator that records its draws, and the matrices that
+        _random_full_rank and _rotation return are recorded too, for seeds
+        0-9: a faster suite must draw and judge the same matrices."""
+        log = []
+
+        class RecordingRandom(random.Random):
+            def randint(self, a, b):
+                value = super().randint(a, b)
+                log.append(("randint", a, b, value))
+                return value
+
+            def gauss(self, mu=0.0, sigma=1.0):
+                value = super().gauss(mu, sigma)
+                log.append(("gauss", mu, sigma, value.hex()))
+                return value
+
+        def recorded(name, func):
+            def draw(*args, **kwargs):
+                out = func(*args, **kwargs)
+                log.append((name, repr(out)))
+                return out
+            return draw
+
+        monkeypatch.setattr(cli, "_random_full_rank", recorded("full-rank", cli._random_full_rank))
+        monkeypatch.setattr(cli, "_rotation", recorded("rotation", cli._rotation))
+        digest = hashlib.sha256()
+        for seed in range(10):
+            for name, suite in cli._SUITES.items():
+                log.clear()
+                rng = RecordingRandom(seed)
+                log.append(("rows", repr(suite(rng))))
+                log.append(("state", hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()))
+                digest.update(repr((seed, name, log)).encode())
+        assert digest.hexdigest() == VERIFY_DRAWS_SEEDS_0_TO_9_SHA256
+
 
 class TestRunPlumbing:
     def test_usage_errors_exit_two_and_keep_data_stream_clean(self):
@@ -868,9 +910,13 @@ class TestRunPlumbing:
             raise ParameterError("census refused")
             yield  # a generator: the error comes at the first draw
 
+        # a line census is written from its runs, any other from its labels
         monkeypatch.setattr(cli, "enumerate_labels", broken)
-        code, out, err = run(["enumerate", "--n", "3", "--hmax-squared", "5", "--format", fmt])
-        assert (code, out, err) == (2, "", "error: census refused\n")
+        monkeypatch.setattr(cli, "line_runs", broken)
+        for e in ("1", "2"):
+            code, out, err = run(["enumerate", "--n", "3", "--e", e, "--hmax-squared", "5",
+                                  "--format", fmt])
+            assert (code, out, err) == (2, "", "error: census refused\n")
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])

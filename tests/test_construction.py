@@ -164,6 +164,35 @@ def test_term_exponents_infinite_schedule():
     assert term_exponents(params, 4)[1:] == (1, 4, 27, 256)
 
 
+def fraction_floors(alpha, top):
+    """floor(alpha^k) for k = 0..top from one Fraction power per step."""
+    out, power = [], Fraction(1)
+    for _ in range(top + 1):
+        out.append(power.numerator // power.denominator)
+        power *= alpha
+    return tuple(out)
+
+
+@pytest.mark.parametrize("ell, beta", [
+    (1, 3), (1, Fraction(11, 4)), (2, Fraction(5, 2)), (2, 3), (3, Fraction(9, 4)), (1, None), (2, None),
+])
+def test_floors_and_single_exponents_are_the_fraction_loop(ell, beta):
+    """Every (ell, beta) the tests build: the integer floors p^k // q^k are
+    the Fraction loop's, and one exponent or tail bound read alone is the
+    schedule's entry."""
+    variant = FINITE if beta is not None else INFINITE
+    params = ConstructionParams.create(ell, beta, variant=variant)
+    top = 12 if beta is not None else 8
+    exps = term_exponents(params, top)
+    if beta is not None:
+        assert exps == floor_alpha_powers(params.alpha, top) == fraction_floors(params.alpha, top)
+    assert [construction._term_exponent(params, k) for k in range(top + 1)] == list(exps)
+    # theta^m_4 has at most about 150k bits here
+    assert [tail_bound(params, d) for d in range(4)] == [
+        construction._tail_bound(params, exps[d + 1]) for d in range(4)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # parameter validation
 

@@ -109,6 +109,19 @@ class TestTargets:
             assert depth >= start and con.tail_bound(params, depth) <= bound
             assert depth == start or con.tail_bound(params, depth - 1) > bound
 
+    @pytest.mark.parametrize("beta", [Fraction(3), Fraction(11, 4), None])
+    def test_instance_target_builds_one_exponent_schedule(self, monkeypatch, beta):
+        """series_depth and the tail bound read single exponents; only the
+        generators' digit table builds a schedule."""
+        variant = con.FINITE if beta is not None else con.INFINITE
+        params = con.ConstructionParams.create(1, beta, seed=0, variant=variant)
+        want = est.line_target_for_instance(params, 10**12)
+        calls = []
+        term_exponents = con.term_exponents
+        monkeypatch.setattr(con, "term_exponents", lambda *a: calls.append(a) or term_exponents(*a))
+        assert est.line_target_for_instance(params, 10**12) == want
+        assert len(calls) == 1
+
     def test_instance_target_requires_line(self):
         p2 = con.ConstructionParams.create(ell=2, beta=Fraction(5, 2), seed=0)
         with pytest.raises(ParameterError):
