@@ -35,7 +35,7 @@ from .angles import (
     _float_up,
 )
 from .enumeration import (
-    EXACT_LINES, STRATEGIES, EnumSpec, enumerate_labels, exact_strategy, line_runs,
+    STRATEGIES, EnumSpec, census_runs, enumerate_labels, exact_strategy,
 )
 from .errors import (
     CertificationFailure,
@@ -308,9 +308,10 @@ def _cmd_enumerate(args):
         args, args.n, _given(args.e, 1), args.hmax_squared,
         shard_count=args.shards, shard_index=args.shard_index,
     )
-    # a line census writes its rows per run of shared prefix
-    if spec.strategy == EXACT_LINES and spec.e == 1:
-        return functools.partial(reports.emit_line_runs, line_runs(spec)), 0
+    # a census walked in runs writes its rows per run of shared prefix
+    runs = census_runs(spec)
+    if runs is not None:
+        return functools.partial(reports.emit_line_runs, runs), 0
     return functools.partial(reports.emit_labels, enumerate_labels(spec)), 0
 
 

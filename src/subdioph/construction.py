@@ -387,6 +387,8 @@ def term_exponents(params: ConstructionParams, top: int) -> tuple[int, ...]:
 
 def _term_exponent(params: ConstructionParams, k: int) -> int:
     """term_exponents(params, k)[k], without the exponents before it."""
+    if k < 0:
+        raise ParameterError("need a nonnegative exponent index")
     if params.variant == INFINITE:
         return max(1, k**k)
     alpha = params.alpha

@@ -29,7 +29,7 @@ EXACT_LINES walks its census in runs: one (prefix, squared norm, last
 coordinates) per prefix of the primitive vectors (see
 _primitive_with_leading).  Lines expand a run to its vectors, and
 hyperplanes sign and reverse its prefix once for all its labels;
-line_runs hands the runs of a line census to a writer, and the
+census_runs hands the runs of a line census to a writer, and the
 enumerate verb writes its rows per run (reports.emit_line_runs).
 """
 
@@ -75,7 +75,7 @@ __all__ = [
     "enumerate_events",
     "enumerate_subspaces",
     "enumerate_lines",
-    "line_runs",
+    "census_runs",
     "shard_partition",
     "leading_range",
 ]
@@ -352,14 +352,6 @@ def shard_partition(spec: EnumSpec, shard_count: int) -> list[EnumSpec]:
     ]
 
 
-def _leads(spec: EnumSpec, cursor: int | None) -> range:
-    """The leading values of the run after cursor."""
-    lo, hi = _shard_range(spec)
-    if cursor is not None:
-        lo = max(lo, cursor + 1)
-    return range(lo, hi + 1)
-
-
 def _label_streams(
     spec: EnumSpec, cursor: int | None
 ) -> Iterator[tuple[int, Iterator[tuple[tuple[int, ...], int]]]]:
@@ -368,23 +360,26 @@ def _label_streams(
         labels_at = _lines_at if spec.e == 1 else _hyperplanes_at
     else:
         labels_at = _planes4_at if spec.strategy == EXACT_PLUECKER else _echelon_at
-    for lead in _leads(spec, cursor):
+    lo, hi = _shard_range(spec)
+    if cursor is not None:
+        lo = max(lo, cursor + 1)
+    for lead in range(lo, hi + 1):
         yield lead, labels_at(spec, lead)
 
 
-def line_runs(
-    spec: EnumSpec, cursor: int | None = None
-) -> Iterator[_Run]:
-    """The labels of a line census in runs (prefix, sq, values): the
-    labels of enumerate_labels(spec, cursor) are prefix + (v,), of squared
-    height sq + v^2, for v in values, run after run.  A run is one prefix
-    of _primitive_with_leading, so its vectors share their text up to the
-    last coordinate."""
+def census_runs(spec: EnumSpec) -> Iterator[_Run] | None:
+    """The labels of the run in runs (prefix, sq, values), or None for a
+    census that is not walked in runs: anything but an exact-lines census
+    of lines.  The labels of enumerate_labels(spec) are prefix + (v,), of
+    squared height sq + v^2, for v in values, run after run.  A run is one
+    prefix of _primitive_with_leading, so its vectors share their text up
+    to the last coordinate."""
     if spec.strategy != EXACT_LINES or spec.e != 1:
-        raise StrategyMismatchError("line runs need an exact-lines census of lines")
+        return None
     n, bound = spec.n, spec.height_squared_max
+    lo, hi = _shard_range(spec)
     return chain.from_iterable(
-        _primitive_with_leading(n, bound, lead) for lead in _leads(spec, cursor)
+        _primitive_with_leading(n, bound, lead) for lead in range(lo, hi + 1)
     )
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from subdioph import cli
 from subdioph import construction as con
+from subdioph import enumeration
 from subdioph import estimation as est
 from subdioph import exact
 from subdioph import morphisms as mor
@@ -906,15 +907,16 @@ class TestRunPlumbing:
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_a_label_stream_that_raises_at_once_writes_nothing(self, monkeypatch, fmt):
-        def broken(spec, cursor=None):
+        def broken(*args):
             raise ParameterError("census refused")
             yield  # a generator: the error comes at the first draw
 
-        # a line census is written from its runs, any other from its labels
+        # a line window is written from the runs of this census, any other
+        # window from its labels
+        monkeypatch.setattr(enumeration, "_primitive_with_leading", broken)
         monkeypatch.setattr(cli, "enumerate_labels", broken)
-        monkeypatch.setattr(cli, "line_runs", broken)
-        for e in ("1", "2"):
-            code, out, err = run(["enumerate", "--n", "3", "--e", e, "--hmax-squared", "5",
+        for n, e in (("3", "1"), ("3", "2"), ("4", "2")):
+            code, out, err = run(["enumerate", "--n", n, "--e", e, "--hmax-squared", "5",
                                   "--format", fmt])
             assert (code, out, err) == (2, "", "error: census refused\n")
 

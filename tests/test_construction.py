@@ -191,6 +191,10 @@ def test_floors_and_single_exponents_are_the_fraction_loop(ell, beta):
     assert [tail_bound(params, d) for d in range(4)] == [
         construction._tail_bound(params, exps[d + 1]) for d in range(4)
     ]
+    # depth -1 reads m_0; a depth before it names no exponent
+    assert tail_bound(params, -1) == construction._tail_bound(params, exps[0])
+    with pytest.raises(ParameterError):
+        tail_bound(params, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,16 @@ from subdioph import enumeration, reports
 from subdioph.cli import run_command
 from subdioph.enumeration import (
     CHECKPOINT,
+    EXACT_ECHELON,
     SUBSPACE,
     EnumSpec,
+    census_runs,
     enumerate_events,
     enumerate_labels,
     leading_range,
-    line_runs,
     primitive_vectors,
 )
-from subdioph.errors import ParameterError, SerializationError, StrategyMismatchError
+from subdioph.errors import ParameterError, SerializationError
 
 
 def reference_with_leading(n, budget, lead):
@@ -119,11 +120,13 @@ def test_census_streams_are_the_per_label_streams(spec, run_size):
         events = [(kind, item.pluecker.coords if kind == SUBSPACE else item)
                   for kind, item in enumerate_events(spec, cursor)]
         assert events == reference_events(spec, cursor)
-        if spec.e == 1:
-            runs = list(line_runs(spec, cursor))
-            assert all(0 < len(values) <= enumeration._RUN_LEN for _, _, values in runs)
-            assert [(prefix + (v,), sq + v * v) for prefix, sq, values in runs
-                    for v in values] == want
+    runs = census_runs(spec)
+    assert (runs is None) == (spec.e != 1)
+    if runs is not None:
+        runs = list(runs)
+        assert all(0 < len(values) <= enumeration._RUN_LEN for _, _, values in runs)
+        assert [(prefix + (v,), sq + v * v) for prefix, sq, values in runs
+                for v in values] == reference_labels(spec)
 
 
 @pytest.mark.parametrize("n, bound", [(1, 9), (2, 300), (3, 120), (4, 40), (6, 9)])
@@ -133,9 +136,9 @@ def test_primitive_vectors_are_the_per_label_walk(n, bound, run_size):
     assert list(primitive_vectors(n, bound)) == want
 
 
-def test_runs_need_a_line_census():
-    with pytest.raises(StrategyMismatchError):
-        line_runs(EnumSpec(3, 2, 10))
+def test_only_a_line_census_has_runs():
+    assert census_runs(EnumSpec(3, 2, 10)) is None
+    assert census_runs(EnumSpec(4, 1, 10, EXACT_ECHELON)) is None
     with pytest.raises(ParameterError):
         next(primitive_vectors(0, 10))
 
@@ -146,9 +149,9 @@ def test_runs_need_a_line_census():
 
 FIXED_HEADER = {"type": "header", "command": "enumerate", "generated": "2000-01-01T00:00:00+00:00"}
 LINE_WINDOWS = [spec for spec in WINDOWS if spec.e == 1]
-# a shard with no leading value, and a cursor past the last one
-EMPTY_WINDOWS = [(EnumSpec(2, 1, 1, shard_count=3, shard_index=0), None),
-                 (EnumSpec(3, 1, 50), 7)]
+# shards with no leading value
+EMPTY_WINDOWS = [EnumSpec(2, 1, 1, shard_count=3, shard_index=0),
+                 EnumSpec(4, 1, 3, shard_count=5, shard_index=3)]
 
 
 def written(emit, rows, fmt, no_header):
@@ -162,20 +165,19 @@ def written(emit, rows, fmt, no_header):
 @pytest.mark.parametrize("limits", [None, (5, 7)], ids=["default", "chunk-5-cache-7"])
 def test_run_rows_are_the_label_rows(monkeypatch, run_size, fmt, no_header, limits):
     """Across chunk boundaries, cache resets and runs cut short, the run
-    writer writes emit_labels' bytes for every line window, with and
-    without a cursor, and the header alone for an empty window."""
+    writer writes emit_labels' bytes for every line window, and the header
+    alone for an empty window."""
     monkeypatch.setattr(reports, "header_line", lambda command: FIXED_HEADER)
     if limits is not None:
         monkeypatch.setattr(reports, "_LABEL_CHUNK", limits[0])
         monkeypatch.setattr(reports, "_TAIL_CACHE", limits[1])
-    windows = [(spec, cursor) for spec in LINE_WINDOWS
-               for cursor in (None, sum(leading_range(spec)) // 2)]
-    for spec, cursor in windows + EMPTY_WINDOWS:
-        got = written(reports.emit_line_runs, line_runs(spec, cursor), fmt, no_header)
-        want = written(reports.emit_labels, enumerate_labels(spec, cursor), fmt, no_header)
-        assert got == want, (spec, cursor)
-    for spec, cursor in EMPTY_WINDOWS:
-        got = written(reports.emit_line_runs, line_runs(spec, cursor), fmt, no_header)
+    for spec in LINE_WINDOWS + EMPTY_WINDOWS:
+        got = written(reports.emit_line_runs, census_runs(spec), fmt, no_header)
+        want = written(reports.emit_labels, enumerate_labels(spec), fmt, no_header)
+        assert got == want, spec
+    for spec in EMPTY_WINDOWS:
+        assert not list(enumerate_labels(spec))
+        got = written(reports.emit_line_runs, census_runs(spec), fmt, no_header)
         assert got.count("\n") == (0 if no_header else 1)
 
 
@@ -215,7 +217,7 @@ def test_runs_past_the_digit_limit_print_in_full(monkeypatch, fmt):
 def test_run_writer_rejects_an_unknown_format_and_a_failing_stream():
     stream = io.StringIO()
     with pytest.raises(SerializationError):
-        reports.emit_line_runs(line_runs(EnumSpec(2, 1, 5)), "xml", stream)
+        reports.emit_line_runs(census_runs(EnumSpec(2, 1, 5)), "xml", stream)
 
     def broken():
         raise ParameterError("census refused")
@@ -250,7 +252,7 @@ def test_a_huge_census_writes_its_first_rows_at_once(spec):
     stream = FirstWrite()
     start = time.perf_counter()
     with pytest.raises(_Stop):
-        reports.emit_line_runs(line_runs(spec), "jsonl", stream, no_header=True)
+        reports.emit_line_runs(census_runs(spec), "jsonl", stream, no_header=True)
     assert time.perf_counter() - start < 5
     rows = stream.text.count("\n")
     assert 0 < rows <= reports._LABEL_CHUNK + enumeration._RUN_LEN
