@@ -436,7 +436,9 @@ def _gram_integers(a: RealBasis, b: RealBasis) -> tuple:
     label integers of their raw minors: L = det(A^T A) det(B^T B),
     W = det([A | B]^T [A | B]) and, with A the plane and G = B^T B,
     C = det(A^T B adj(G) B^T A) / det(G).  Polynomial in n, where the
-    labels have C(n, d) entries."""
+    labels have C(n, d) entries.  exact._eliminate reduces [G | B^T A] to
+    [det(G) I | adj(G) B^T A]: G is positive definite, so no row is
+    swapped and the last pivot is det(G)."""
     if a.d > b.d:
         a, b = b, a
     both = a.columns + b.columns
@@ -452,10 +454,9 @@ def _gram_integers(a: RealBasis, b: RealBasis) -> tuple:
     if d == 1:
         return label2, wedge2, None
     cross = [row[d:] for row in gram[:d]]
-    # adj(G) B^T a_i by Cramer's rule (G is symmetric: replace row k)
-    solved = [
-        [exact.determinant(gram_b[:k] + [c] + gram_b[k + 1 :]) for k in range(e)] for c in cross
-    ]
+    # the rows of B in the Gram matrix, read as [G | B^T A]
+    work = exact._eliminate([row[d:] + row[:d] for row in gram[d:]], reduce=True)[0]
+    solved = tuple(zip(*work))[e:]  # adj(G) B^T a_i for each column a_i of A
     (m00, m01), (m10, m11) = [[sum(map(mul, c, y)) for y in solved] for c in cross]
     return label2, wedge2, (m00 * m11 - m01 * m10) // g
 

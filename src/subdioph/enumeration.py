@@ -74,7 +74,6 @@ __all__ = [
     "enumerate_labels",
     "enumerate_events",
     "enumerate_subspaces",
-    "enumerate_lines",
     "census_runs",
     "shard_partition",
     "leading_range",
@@ -431,9 +430,3 @@ def enumerate_subspaces(
     """The subspaces of enumerate_events, without its checkpoints."""
     for _lead, labels in _label_streams(spec, cursor):
         yield from _subspaces(spec, labels)
-
-
-def enumerate_lines(n: int, height_squared_max: int) -> Iterator[exact.RationalSubspace]:
-    """All lines in R^n with squared height at most the bound."""
-    spec = EnumSpec(n=n, e=1, height_squared_max=height_squared_max)
-    return enumerate_subspaces(spec)

@@ -26,24 +26,25 @@ cosine side the same way: the contraction of the smaller label into the
 larger, the adjoint of wedging, which for two labels of one shape is the
 dot product <X_A, X_B> = det(A^T B) (Cauchy-Binet).  Together they give
 every sine of a pair with at most two angles (angles.label_sine_mantissas).
-Reading a basis back from a label (pluecker_decode, which also serves
-enumerated planes and hyperplanes) goes through rational_kernel, a
-fraction-free elimination on integer rows, so a decoded basis never touches
-Fraction.  Inverse and determinants above 3 x 3 run on the same integer
-rows (rational rows are scaled to integers first); Fraction arithmetic
-remains for small closed-form determinants and for clearing column
-denominators.
+All exact linear algebra runs one fraction-free (Bareiss) elimination on
+integer rows, _eliminate: each update divides exactly by the previous
+pivot, so no row needs its gcd.  _integer_rows stands in front of it: it
+screens the entries (int or Fraction) and scales each row holding a
+Fraction to integers.  rank reads the pivot count of the forward
+elimination, and determinant above 3 x 3 the swap sign times the last
+pivot.  The reduced form (Gauss-Jordan, every pivot equal to the last one,
+D) gives rational_kernel, and through it the decoding of a label back to a
+basis (pluecker_decode, which also serves enumerated planes and
+hyperplanes), so a decoded basis never touches Fraction.  It also gives
+inverse, from [M | I], and the Gram solve of angles._gram_integers.
 
 Small integer matrices, which the echelon census and the verify suites
-build by the thousand, take fast lanes: rank of integer rows is a
-Bareiss elimination, exact division by the previous pivot with no gcd per
-row (rows holding a Fraction still go through rational_kernel);
-raw_minors writes the minors of lines, planes and 3-spaces inline (the
-echelon census reads them through _minors, without raw_minors' checks),
-and compound_matrix its first and second compounds, with no determinant
-call;
-as_matrix screens an all-int input in one pass, and from_basis validates
-and clears its basis once.
+build by the thousand, take fast lanes: raw_minors writes the minors of
+lines, planes and 3-spaces inline (the echelon census reads them through
+_minors, without raw_minors' checks), and compound_matrix its first and
+second compounds, with no determinant call, and its higher ones through
+_minors, one column set at a time; as_matrix screens an all-int input in
+one pass, and from_basis validates and clears its basis once.
 """
 
 from __future__ import annotations
@@ -126,148 +127,146 @@ def identity(n: int) -> Matrix:
 
 
 def determinant(m: Matrix) -> Scalar:
-    """Exact determinant of a square matrix."""
+    """Exact determinant of a square matrix: a Fraction when an entry is one.
+
+    Up to 3 x 3 it is the closed form; above, the swap sign times the last
+    pivot of _eliminate.  Raises ShapeError for an entry that is neither an
+    int nor a Fraction.
+    """
     r, c = shape(m)
     if r != c:
         raise ShapeError("determinant needs a square matrix")
+    rows, scale = _integer_rows(m)
     if r == 1:
-        return m[0][0]
-    if r == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if r == 3:
-        (a, b, cc), (d, e, f), (g, h, i) = m
-        return a * (e * i - f * h) - b * (d * i - f * g) + cc * (d * h - e * g)
-    # fraction-free Gaussian elimination (Bareiss) on integer rows; rational
-    # rows are scaled to integers and the scales divided out at the end
-    work = [list(row) for row in m]
-    scale = None
-    if _has_fraction(work):
-        # clearing (row, 1) appends the row's scale to the cleared row
-        scaled = [clear_denominators((*row, 1)) for row in work]
-        work = [list(row[:-1]) for row in scaled]
-        scale = math.prod(row[-1] for row in scaled)
-    sign = 1
-    prev = 1
-    for k in range(r - 1):
-        if work[k][k] == 0:
-            for s in range(k + 1, r):
-                if work[s][k] != 0:
-                    work[k], work[s] = work[s], work[k]
-                    sign = -sign
-                    break
-            else:
-                sign = 0  # singular
-                break
-        for i in range(k + 1, r):
-            for j in range(k + 1, r):
-                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
-            work[i][k] = 0
-        prev = work[k][k]
-    det = sign * work[-1][-1]
+        det = rows[0][0]
+    elif r == 2:
+        (a, b), (cc, d) = rows
+        det = a * d - b * cc
+    elif r == 3:
+        (a, b, cc), (d, e, f), (g, h, i) = rows
+        det = a * (e * i - f * h) - b * (d * i - f * g) + cc * (d * h - e * g)
+    else:
+        work, pivots, sign = _eliminate(rows)
+        det = sign * work[-1][-1] if len(pivots) == r else 0
     return det if scale is None else Fraction(det, scale)
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank.  Integer rows go through fraction-free (Bareiss)
-    elimination: every entry it forms is a minor of m, so the division by
-    the previous pivot is exact and no row needs its gcd.  Other rows (a
-    Fraction among them) give the column count less the dimension of
-    rational_kernel.
-    """
-    if not all(type(x) is int for row in m for x in row):
-        return len(m[0]) - len(rational_kernel(m))
-    work = [list(row) for row in m]
-    rows = len(work)
-    r, prev = 0, 1
-    for j in range(len(work[0]) if work else 0):
-        pivot_row = next((i for i in range(r, rows) if work[i][j]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        top = work[r]
-        pivot = top[j]
-        for i in range(r + 1, rows):
-            row = work[i]
-            factor = row[j]
-            work[i] = [(pivot * x - factor * y) // prev for x, y in zip(row, top)]
-        prev = pivot
-        r += 1
-        if r == rows:
-            break
-    return r
+    """Exact rank: the pivot count of _eliminate."""
+    return len(_eliminate(_integer_rows(m)[0])[1])
 
 
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse of a square rational matrix.
 
-    The kernel of [M | -I] holds the pairs (x, Mx); its vector at identity
-    column j is a multiple of (column j of the inverse, e_j).
+    _eliminate reduces [M | I] to [D I | D M^-1] when M is invertible; a
+    singular M leaves a pivot in the identity block.
     """
     n, c = shape(m)
     if n != c:
         raise ShapeError("only square matrices invert")
-    kernel = rational_kernel(
-        [list(row) + [-int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    )
-    for j, v in enumerate(kernel):
-        if v[n + j] == 0 or any(v[n + k] for k in range(n) if k != j):
-            raise DegenerateBasisError("matrix is singular")
-    return as_matrix(
-        [[Fraction(v[i], v[n + j]) for j, v in enumerate(kernel)] for i in range(n)]
-    )
+    rows, _ = _integer_rows([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m))
+    work, pivots, _ = _eliminate(rows, reduce=True)
+    if pivots[-1] >= n:
+        raise DegenerateBasisError("matrix is singular")
+    d = work[-1][n - 1]
+    return as_matrix([[Fraction(x, d) for x in row[n:]] for row in work])
 
 
 def rational_kernel(m: Iterable[Sequence[Scalar]]) -> list[tuple[int, ...]]:
-    """Basis of the right kernel over Q, by fraction-free Gauss-Jordan.
+    """Basis of the right kernel over Q, from the reduced rows of _eliminate.
 
-    Rows are scaled to integers and every updated row is divided by its
-    content, so no Fraction is built and entries stay small.  Returns
-    one vector per free column: the primitive integer vector that is
-    positive at that column and zero at the other free columns, which is
-    the reduced-row-echelon kernel vector cleared of denominators.  Callers
-    always pass at least one row.
+    Returns one vector per free column: the primitive integer vector that
+    is positive at that column and zero at the other free columns, which is
+    the reduced-row-echelon kernel vector cleared of denominators.  With
+    every pivot equal to D, it is D at the free column less that column's
+    entries at the pivot columns, divided by its gcd.  Callers always pass
+    at least one row.
     """
-    work = [_primitive_row(row) for row in m]
-    rows, cols = len(work), len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for j in range(cols):
-        pivot_row = next((i for i in range(r, rows) if work[i][j] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        top = work[r]
-        pivot = top[j]
-        for i in range(rows):
-            factor = work[i][j]
-            if i != r and factor != 0:
-                work[i] = _primitive_row(
-                    [pivot * x - factor * y for x, y in zip(work[i], top)]
-                )
-        pivots.append(j)
-        r += 1
-        if r == rows:
-            break
-    scale = math.lcm(*(work[i][pj] for i, pj in enumerate(pivots))) if pivots else 1
+    work, pivots, _ = _eliminate(_integer_rows(m)[0], reduce=True)
+    d = work[len(pivots) - 1][pivots[-1]] if pivots else 1
+    cols = len(work[0])
     basis = []
     for j in range(cols):
         if j in pivots:
             continue
         v = [0] * cols
-        v[j] = scale
+        v[j] = d
         for i, pj in enumerate(pivots):
-            v[pj] = -work[i][j] * scale // work[i][pj]
-        g = math.gcd(*v)
+            v[pj] = -work[i][j]
+        g = math.gcd(*v) if d > 0 else -math.gcd(*v)
         basis.append(tuple(x // g for x in v))
     return basis
 
 
-def _primitive_row(row: Sequence[Scalar]) -> list[int]:
-    """A row scaled to coprime integers (a zero row stays zero)."""
-    if _has_fraction((row,)):
-        row = clear_denominators(row)
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else list(row)
+def _integer_rows(m: Iterable[Sequence[Scalar]]) -> tuple[list, int | None]:
+    """The rows of m in integers, each row holding a Fraction scaled by the
+    lcm of its denominators, and the product of those scales (None when
+    every entry is an int).  Scaling rows keeps rank and kernel, and divides
+    out of the determinant.
+
+    Raises ShapeError for an entry that is neither an int nor a Fraction
+    (a bool or a float), as as_matrix does.
+    """
+    rows = list(m)
+    if all(type(x) is int for row in rows for x in row):
+        return rows, None
+    scale = 1
+    for i, row in enumerate(rows):
+        # clearing (row, 1) appends the row's scale to the cleared row
+        *rows[i], k = clear_denominators([*map(_as_scalar, row), 1])
+        scale *= k
+    return rows, scale
+
+
+def _eliminate(
+    m: Sequence[Sequence[int]], reduce: bool = False
+) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss) elimination of integer rows.
+
+    Column by column, the first row at or below the next pivot row with a
+    nonzero entry there is swapped up, and every row below it becomes
+    (pivot * row - entry * top) / prev, prev the pivot before.  Every entry
+    so formed is a minor of the input, so the division is exact and no row
+    needs its gcd.  With reduce, the rows above the pivot are updated too
+    (Gauss-Jordan), and every pivot ends equal to the last one, D.
+
+    Returns the eliminated rows, the pivot columns and the sign of the row
+    swaps.
+    """
+    work = [list(row) for row in m]
+    rows = len(work)
+    cols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for j in range(cols):
+        r = p = len(pivots)
+        while p < rows and not work[p][j]:
+            p += 1
+        if p == rows:
+            continue
+        if p != r:
+            work[r], work[p] = work[p], work[r]
+            sign = -sign
+        top = work[r]
+        pivot = top[j]
+        for i in range(0 if reduce else r + 1, rows):
+            row = work[i]
+            factor = row[j]
+            if i == r or not factor and pivot == prev:
+                continue
+            # columns before j are zero in the top row and in the rows below
+            for c in range(j + 1, cols):
+                row[c] = (pivot * row[c] - factor * top[c]) // prev
+            row[j] = 0
+            if i < r:
+                for c in range(j):
+                    row[c] = pivot * row[c] // prev
+        pivots.append(j)
+        prev = pivot
+        if r + 1 == rows:
+            break
+    return work, pivots, sign
 
 
 def clear_denominators(v: Sequence[Scalar]) -> tuple[int, ...]:
@@ -341,9 +340,10 @@ def raw_minors(basis: Matrix) -> tuple[int, ...]:
 
 
 def _minors(basis: Matrix, n: int, e: int) -> tuple[int, ...]:
-    """raw_minors of an integer n x e basis with e <= n, unchecked: for the
-    echelon census, whose matrices are integer and of that shape by
-    construction."""
+    """raw_minors of an n x e basis with e <= n, unchecked: for the echelon
+    census, whose matrices are integer and of that shape by construction,
+    and for compound_matrix, which passes one column set at a time (its
+    rational entries give the Fraction minors determinant gives)."""
     # lines, planes and 3-spaces: each minor inline, without a determinant call
     if e == 1:
         return tuple(row[0] for row in basis)
@@ -606,13 +606,8 @@ def compound_matrix(m: Iterable[Sequence[Scalar]], e: int) -> Matrix:
             tuple(a[i] * b[j] - a[j] * b[i] for i, j in col_pairs)
             for a, b in combinations(mm, 2)
         )
-    row_sets = list(combinations(range(r), e))
-    col_sets = list(combinations(range(c), e))
-    out = []
-    for rs in row_sets:
-        out_row = []
-        for cs in col_sets:
-            sub = tuple(tuple(mm[i][j] for j in cs) for i in rs)
-            out_row.append(determinant(sub))
-        out.append(tuple(out_row))
-    return tuple(out)
+    # column set by column set: the e x e minors of those columns
+    return transpose(tuple(
+        _minors(tuple(tuple(row[j] for j in cs) for row in mm), r, e)
+        for cs in combinations(range(c), e)
+    ))

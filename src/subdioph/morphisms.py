@@ -73,10 +73,6 @@ class RationalMap:
         return exact.compound_matrix(self.matrix, e)
 
 
-def identity_map(n: int) -> RationalMap:
-    return RationalMap.from_rows(exact.identity(n))
-
-
 def coordinate_embedding(
     domain_dim: int, ambient_dim: int, axes: Sequence[int] | None = None
 ) -> RationalMap:
@@ -161,10 +157,11 @@ def section_of(phi: RationalMap, f_subspace: exact.RationalSubspace) -> Rational
             "the subspace dimension must match the map's codomain"
         )
     restricted = exact.mat_mul(phi.matrix, f_subspace.basis)
-    if exact.rank(restricted) < f_subspace.e:
-        raise DimensionCollapseError("map does not restrict invertibly")
-    section = exact.mat_mul(f_subspace.basis, exact.inverse(restricted))
-    return RationalMap.from_rows(section)
+    try:
+        inverse = exact.inverse(restricted)
+    except DegenerateBasisError:
+        raise DimensionCollapseError("map does not restrict invertibly") from None
+    return RationalMap.from_rows(exact.mat_mul(f_subspace.basis, inverse))
 
 
 def _coordinate_axes(section: RationalMap) -> tuple[int, ...] | None:

@@ -157,6 +157,36 @@ def test_vector_angle_reads_floats_exactly():
             vector_angle([mp.mpf(1), 0], [bad, 1.0])
 
 
+def test_vector_angle_multiprecision_entries():
+    """Entries that are not int, Fraction or float (mpf here) take the
+    mpmath branch.  On mpf values that hold exact rationals it agrees with
+    the rational branch to within 2^-(bits - 8), relatively, at sines of at
+    least 1/16 (that branch's radicand cancels for tiny angles); a zero mpf
+    vector is refused."""
+    rng = random.Random(17)
+    bits = 160
+    checked = 0
+    while checked < 25:
+        n = rng.randint(2, 5)
+        x = [Fraction(rng.randint(-40, 40), 2 ** rng.randint(0, 6)) for _ in range(n)]
+        y = [Fraction(rng.randint(-40, 40), 2 ** rng.randint(0, 6)) for _ in range(n)]
+        if not any(x) or not any(y):
+            continue
+        want = vector_angle(x, y, bits)
+        if want < mp.mpf(1) / 16:
+            continue
+        # dyadic entries with small numerators are exact at any precision
+        got = vector_angle([mp.mpf(v.numerator) / v.denominator for v in x],
+                           [mp.mpf(v.numerator) / v.denominator for v in y], bits)
+        with mp.workprec(bits):
+            assert abs(got - want) <= want * mp.ldexp(1, -(bits - 8)), (x, y)
+        checked += 1
+    with pytest.raises(ShapeError):
+        vector_angle([mp.mpf(0), mp.mpf(0), mp.mpf(0)], [1, 2, 3])
+    with pytest.raises(ShapeError):
+        vector_angle([mp.mpf(1), mp.mpf(2)], [mp.mpf(0), mp.mpf(0)])
+
+
 def test_orthogonal_invariance():
     rng = random.Random(4)
     for trial in range(15):

@@ -24,7 +24,6 @@ from subdioph.enumeration import (
     EnumSpec,
     enumerate_events,
     enumerate_labels,
-    enumerate_lines,
     enumerate_subspaces,
     exact_strategy,
     leading_range,
@@ -126,22 +125,22 @@ def test_exact_strategy_covers_every_shape():
 
 
 def test_lines_tiny_cases():
-    assert sorted(keys(enumerate_lines(2, 1))) == [(0, 1), (1, 0)]
-    got = sorted(keys(enumerate_lines(2, 2)))
+    assert sorted(keys(enumerate_subspaces(EnumSpec(2, 1, 1)))) == [(0, 1), (1, 0)]
+    got = sorted(keys(enumerate_subspaces(EnumSpec(2, 1, 2))))
     assert got == [(0, 1), (1, -1), (1, 0), (1, 1)]
-    assert sorted(keys(enumerate_lines(3, 1))) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert sorted(keys(enumerate_subspaces(EnumSpec(3, 1, 1)))) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def test_lines_match_reference_census():
     for n, hmax2 in ((2, 100), (3, 20), (4, 9)):
-        ours = list(enumerate_lines(n, hmax2))
+        ours = list(enumerate_subspaces(EnumSpec(n, 1, hmax2)))
         ref = reference_lines(n, hmax2)
         assert len(ours) == len(set(keys(ours))), "duplicate lines emitted"
         assert set(keys(ours)) == set(ref)
 
 
 def test_line_heights_recompute_exactly():
-    for sub in enumerate_lines(3, 12):
+    for sub in enumerate_subspaces(EnumSpec(3, 1, 12)):
         pv = exact.pluecker_coordinates(sub.basis)
         assert pv.height_squared == sub.pluecker.height_squared
         assert sum(x * x for x in pv.coords) == pv.height_squared

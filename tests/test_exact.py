@@ -426,3 +426,17 @@ def test_elimination_matches_fraction_references():
                 inverse(frozen)
         else:
             assert repr(inverse(frozen)) == repr(want_inv), square
+
+
+def test_elimination_screens_its_entries():
+    """Every routine on the shared elimination takes int and Fraction
+    entries only, as as_matrix does.  This float matrix has determinant 5;
+    floor division by float pivots once gave 0.0, and rank and the kernel
+    failed inside math.gcd."""
+    floats = [[1.5, 2, 0, 1], [0, 1, 0.5, 0], [1, 0, 1, 0], [0, 0, 0, 2.0]]
+    assert determinant([[Fraction(x) for x in row] for row in floats]) == 5
+    bools = [[True, False], [False, True]]
+    for m in (floats, bools, [[True] + [0] * 3] + [[0] * i + [1] + [0] * (3 - i) for i in (1, 2, 3)]):
+        for fn in (determinant, rank, rational_kernel, inverse):
+            with pytest.raises(ShapeError):
+                fn(m)

@@ -63,7 +63,7 @@ class TestRationalMap:
         assert phi.domain_dim == 2
 
     def test_compound_of_identity(self):
-        comp = mor.identity_map(4).compound(2)
+        comp = mor.RationalMap.from_rows(exact.identity(4)).compound(2)
         expected = tuple(
             tuple(1 if i == j else 0 for j in range(6)) for i in range(6)
         )
@@ -81,9 +81,9 @@ class TestRationalMap:
 class TestApplyToSubspace:
     def test_identity_fixes_subspaces(self):
         line = exact.RationalSubspace.from_basis([[3], [4]])
-        assert mor.apply_to_subspace(mor.identity_map(2), line) == line
+        assert mor.apply_to_subspace(mor.RationalMap.from_rows(exact.identity(2)), line) == line
         plane = exact.RationalSubspace.from_basis([[1, 0], [2, 1], [0, 3]])
-        assert mor.apply_to_subspace(mor.identity_map(3), plane) == plane
+        assert mor.apply_to_subspace(mor.RationalMap.from_rows(exact.identity(3)), plane) == plane
 
     def test_coordinate_embedding_pads_with_zero(self):
         line = exact.RationalSubspace.from_basis([[3], [4]])
@@ -101,7 +101,7 @@ class TestApplyToSubspace:
     def test_shape_mismatch(self):
         line3 = exact.RationalSubspace.from_basis([[1], [1], [1]])
         with pytest.raises(ShapeError):
-            mor.apply_to_subspace(mor.identity_map(2), line3)
+            mor.apply_to_subspace(mor.RationalMap.from_rows(exact.identity(2)), line3)
 
     def test_rank_collapse(self):
         crush = mor.RationalMap.from_rows([[1, 0], [0, 0]])
@@ -137,7 +137,7 @@ class TestDistortionConstant:
     def test_identity_at_least_one(self):
         for n in (2, 3, 4):
             for e in range(1, n + 1):
-                assert mor.height_distortion_constant(mor.identity_map(n), e) >= 1
+                assert mor.height_distortion_constant(mor.RationalMap.from_rows(exact.identity(n)), e) >= 1
 
     def test_coordinate_embedding_preserves_height(self):
         rng = random.Random(7)
@@ -187,7 +187,7 @@ class TestDistortionConstant:
             assert image.height_squared <= c * c * line.height_squared
 
     def test_order_validation(self):
-        phi = mor.identity_map(3)
+        phi = mor.RationalMap.from_rows(exact.identity(3))
         with pytest.raises(ParameterError):
             mor.height_distortion_constant(phi, 0)
         with pytest.raises(ParameterError):
@@ -264,7 +264,7 @@ class TestCompoundTransport:
 
 class TestHarness:
     def test_identity_plane_is_degenerate_pairing(self):
-        phi = mor.identity_map(2)
+        phi = mor.RationalMap.from_rows(exact.identity(2))
         f = exact.RationalSubspace.from_basis([[1, 0], [0, 1]])
         report = mor.embedding_harness(est.golden_line_target(), f, phi, 10**4)
         assert report.delta == 0.0
@@ -404,7 +404,7 @@ class TestHarness:
             mor.embedding_harness(est.golden_line_target(), f, proj, 100, e=2)
 
     def test_matrix_target_identity_ambient(self):
-        phi = mor.identity_map(3)
+        phi = mor.RationalMap.from_rows(exact.identity(3))
         f = exact.RationalSubspace.from_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         report = mor.embedding_harness([[29], [37], [41]], f, phi, 50)
         assert report.delta == 0.0
@@ -428,7 +428,7 @@ class TestHarness:
         assert set(payload) == {"muIntrinsic", "muAmbient", "delta", "recordPairs"}
 
     def test_matrix_target_dimension_budget(self):
-        phi = mor.identity_map(2)
+        phi = mor.RationalMap.from_rows(exact.identity(2))
         f = exact.RationalSubspace.from_basis([[1, 0], [0, 1]])
         with pytest.raises(ParameterError):
             mor.embedding_harness([[1, 0], [0, 1]], f, phi, 50)
