@@ -16,25 +16,27 @@ sines and C / L that of the squared cosines (Schmidt 1967), so the squared
 sine of a pair with t = 1 is W / L, and the two of a pair with t = 2 are
 the roots of L x^2 - (L + W - C) x + W.  A pair of bases takes L, W and C
 from Gram determinants of its columns, which are the same integers by
-Cauchy-Binet and cost a polynomial in n; label_sine_mantissas takes them
-from labels already held (exact.wedge_map, exact.contraction_map).  The
-sines are computed on the sine side, never as 1 - cos^2, so tiny angles
-keep full relative accuracy, and every square root is bracketed by
-integer square roots: lo <= psi <= hi is a proof.  label_sine_mantissas
-hands out those brackets as two dyadics (man, exp), the value man 2^exp,
-before any mpf is built, for raw or normalized labels alike; a t = 1
-bracket depends on the value of its squared sine alone, so two bases of
-one subspace get identical brackets.  Scans and certificates keep the
-dyadics, and every rule on them is here (_dyadic_less, _dyadic_float,
-_widened, _ceil_dyadic, _log_dyadic); _sqrt_interval roots the line
-engine's squared sines to doubles.  plane_sine_at_least
-compares a sine of a pair with t = 2 with a rational exactly, so record
-scans screen and bracket every pair with t <= 2 from labels without
-building a basis or an mpf; only the profiles of angles_adaptive and
-principal_angles turn the brackets into mpf ends.
-Every other pair (evaluator bases, or t >= 3) goes through an mpmath
-Gram-Schmidt and SVD repeated at doubled precision until two consecutive
-runs agree to the requested relative error.
+Cauchy-Binet and cost a polynomial in n; record scans and certificates
+take them from labels already held (exact.wedge_map,
+exact.contraction_map).  The sines are computed on the sine side, never
+as 1 - cos^2, so tiny angles keep full relative accuracy, and every
+square root is bracketed by integer square roots: lo <= psi <= hi is a
+proof.  _sine_mantissas hands out those brackets as two dyadics
+(man, exp), the value man 2^exp, before any mpf is built, for raw or
+normalized labels alike; a t = 1 bracket depends on the value of its
+squared sine alone, so two bases of one subspace get identical brackets.
+Scans and certificates keep the dyadics, and every rule on them is here
+(_dyadic_less, _dyadic_float, _widened, _ceil_dyadic, _log_dyadic);
+_sqrt_interval roots the line engine's squared sines to doubles.
+plane_sine_at_least compares a sine of a pair with t = 2 with a rational
+exactly, so record scans screen and bracket every pair with t <= 2 from
+labels without building a basis or an mpf; only the profiles of
+angles_adaptive and principal_angles turn the brackets into mpf ends.
+Certificates with t >= 3 prove their largest sine on the integer Gram
+pencil (_largest_sine_mantissas).  Every other pair (evaluator bases, or
+profiles with t >= 3) goes through an mpmath Gram-Schmidt and SVD
+repeated at doubled precision until two consecutive runs agree to the
+requested relative error.
 
 resolved=False marks a sine that is not separated from zero and carries
 the bracket [0, 2^-(bits_used/4)].  On the exact path that happens only
@@ -436,16 +438,12 @@ def _gram_integers(a: RealBasis, b: RealBasis) -> tuple:
     label integers of their raw minors: L = det(A^T A) det(B^T B),
     W = det([A | B]^T [A | B]) and, with A the plane and G = B^T B,
     C = det(A^T B adj(G) B^T A) / det(G).  Polynomial in n, where the
-    labels have C(n, d) entries.  exact._eliminate reduces [G | B^T A] to
-    [det(G) I | adj(G) B^T A]: G is positive definite, so no row is
-    swapped and the last pivot is det(G)."""
+    labels have C(n, d) entries."""
     if a.d > b.d:
         a, b = b, a
-    both = a.columns + b.columns
+    both, d = a.columns + b.columns, a.d
     gram = [[sum(map(mul, u, v)) for v in both] for u in both]
-    d, e = a.d, b.d
-    gram_b = [row[d:] for row in gram[d:]]
-    g = exact.determinant(gram_b)
+    g = exact.determinant([row[d:] for row in gram[d:]])
     label2 = exact.determinant([row[:d] for row in gram[:d]]) * g
     if label2 == 0:
         # a float basis comes here with its rank unchecked
@@ -453,39 +451,54 @@ def _gram_integers(a: RealBasis, b: RealBasis) -> tuple:
     wedge2 = exact.determinant(gram)
     if d == 1:
         return label2, wedge2, None
-    cross = [row[d:] for row in gram[:d]]
-    # the rows of B in the Gram matrix, read as [G | B^T A]
-    work = exact._eliminate([row[d:] + row[:d] for row in gram[d:]], reduce=True)[0]
-    solved = tuple(zip(*work))[e:]  # adj(G) B^T a_i for each column a_i of A
-    (m00, m01), (m10, m11) = [[sum(map(mul, c, y)) for y in solved] for c in cross]
+    (m00, m01), (m10, m11) = _projected_gram(gram, d)
     return label2, wedge2, (m00 * m11 - m01 * m10) // g
 
 
-def label_sine_mantissas(
-    xa: Sequence[int] | None, d: int, xb: Sequence[int] | None, e: int, n: int, bits: int
-) -> list:
-    """Ascending sine brackets ((lo, -k), (hi, -k)) of _sine_mantissas, or
-    None for a zero sine, of the pair with t = min(d, e) <= 2 whose labels
-    (raw minors or normalized) are X_A of shape (n, d) and X_B of shape
-    (n, e), through the dense maps of exact.wedge_map and contraction_map.
-    With bits from exact_relative_bits(ctx), the raw minors of two bases
-    get the brackets angles_adaptive(a, b, ctx) packs.
+def _projected_gram(gram: list, d: int) -> list:
+    """A^T B adj(G) B^T A, G = B^T B, from the Gram matrix of [A | B] whose
+    first d columns are A's.  exact._eliminate reduces [G | B^T A] to
+    [det(G) I | adj(G) B^T A]: G is positive definite, so no row is
+    swapped and the last pivot is det(G)."""
+    e = len(gram) - d
+    # the rows of B in the Gram matrix, read as [G | B^T A]
+    work = exact._eliminate([row[d:] + row[:d] for row in gram[d:]], reduce=True)[0]
+    solved = tuple(zip(*work))[e:]  # adj(G) B^T a_i for each column a_i of A
+    return [[sum(map(mul, row[d:], y)) for y in solved] for row in gram[:d]]
 
-    Raises ShapeError before any arithmetic when a label is None (an
-    evaluator basis has none) or does not fit its shape, or when t > 2;
-    NumericalRankLossError when a label is zero (dependent columns).
-    """
-    if (xa is None or xb is None or not (0 < d <= n and 0 < e <= n and min(d, e) <= 2)
-            or len(xa) != math.comb(n, d) or len(xb) != math.comb(n, e)):
-        raise ShapeError(f"need labels of shapes ({n},{d}) and ({n},{e}), at most two angles")
-    label2 = sum(x * x for x in xa) * sum(x * x for x in xb)
-    if label2 == 0:
-        raise NumericalRankLossError("exact basis has dependent columns")
-    wedge2 = exact.squared_image_norm(exact.wedge_map(xa, d, e, n))(xb)
-    cos2 = None
-    if min(d, e) == 2:
-        cos2 = exact.squared_image_norm(exact.contraction_map(xa, d, e, n))(xb)
-    return _sine_mantissas(label2, wedge2, cos2, bits)
+
+def _largest_sine_mantissas(a: RealBasis, b: RealBasis, bits: int):
+    """The _sqrt_bracket, of relative width below 2^-bits, of the largest
+    sine of two exact bases, A of dimension at most that of B; None when
+    that sine is zero or its proof fails.  The squared sines are the
+    eigenvalues of the integer pencil S = g A^T A, R = S - A^T B adj(G) B^T A
+    (G = B^T B, g = det(G)).  mpmath only proposes v, the top eigenvector,
+    at bits + 64: v^T R v / v^T S v = q / s <= psi^2 (Rayleigh), and
+    x = (q / s)(1 + 2^-(bits+6)) > psi^2 once x S - R passes Sylvester's
+    test on exact leading minors.  No root is isolated, so clustered or
+    repeated roots need no care, and a poor proposal gives None."""
+    both, d = a.columns + b.columns, a.d
+    gram = [[sum(map(mul, u, v)) for v in both] for u in both]
+    g = exact.determinant([row[d:] for row in gram[d:]])
+    s_mat = [[g * x for x in row[:d]] for row in gram[:d]]
+    r_mat = [[x - y for x, y in zip(*rows)] for rows in zip(s_mat, _projected_gram(gram, d))]
+    with mp.workprec(bits + 64):
+        inv = mp.inverse(mp.cholesky(mp.matrix(s_mat)))
+        top = mp.eigsy(inv * mp.matrix(r_mat) * inv.T)[1][:, d - 1]
+        proposal = inv.T * top
+        # bits + 64 leading bits of the proposal as integers
+        shift = bits + 64 - max(mp.frexp(x)[1] for x in proposal)
+        v = [int(mp.ldexp(x, shift)) for x in proposal]
+    q, s = (sum(x * sum(map(mul, row, v)) for x, row in zip(v, m)) for m in (r_mat, s_mat))
+    if q == 0:
+        return None
+    k = bits + 6
+    up = (1 << k) + 1  # x = (q / s) up / 2^k
+    # s 2^k (x S - R) in integers
+    pencil = [[q * up * y - (s << k) * x for x, y in zip(*rows)] for rows in zip(r_mat, s_mat)]
+    if not all(exact.determinant([row[:j] for row in pencil[:j]]) > 0 for j in range(1, d + 1)):
+        return None
+    return _sqrt_bracket((q, s, q * up, s << k), _sqrt_scale(q, s, bits + 4))
 
 
 def exact_relative_bits(ctx: PrecisionContext | None = None) -> int:

@@ -45,20 +45,6 @@ from .errors import (
     SubdiophError,
 )
 
-COMMANDS = (
-    "height",
-    "pluecker",
-    "decode",
-    "angles",
-    "enumerate",
-    "construct",
-    "records",
-    "estimate",
-    "exclusivity",
-    "harness",
-    "verify",
-)
-
 _CHECK_FAILURES = (
     CertificationFailure,
     IrrationalityViolationError,

@@ -34,14 +34,15 @@ from . import exact
 from .angles import (
     PrecisionContext,
     RealBasis,
-    angles_adaptive,
+    angles_adaptive,  # no certificate calls it; perfbench's tracer rebinds it here
     exact_relative_bits,
-    label_sine_mantissas,
     _ceil_dyadic,
     _dyadic_float,
     _float_down,
     _float_up,
+    _largest_sine_mantissas,
     _log_dyadic,
+    _sine_mantissas,
     _widened,
 )
 from .errors import CertificationFailure, ParameterError
@@ -665,17 +666,6 @@ class InstanceCertification:
             yield {"n": None, "check": name, "ok": ok}
 
 
-def _mpmath_context(params: ConstructionParams, depth: int) -> PrecisionContext:
-    """Starting precision that over-resolves every angle up to the slack scale.
-
-    certify_instance uses it only for ell >= 3, whose pairs have more than
-    two angles and go through the mpmath engine; smaller blocks get exact
-    integer brackets at any magnitude.
-    """
-    m_next = _term_exponent(params, depth + 1)
-    return PrecisionContext(bits=int(4 * m_next * math.log2(params.theta)) + 64)
-
-
 # ---------------------------------------------------------------------------
 # float-grade summaries and text of dyadic brackets (angles holds their rules)
 
@@ -739,15 +729,13 @@ def certify_instance(
     dominance, exponent steps) run on integers and rationals.  The largest
     proximity sine against a depth-truncation of the target is certified
     as a dyadic interval, widened by the truncation slack and rounded
-    outward.  For ell <= 2 the interval is the exact integer square-root
-    bracket of label_sine_mantissas, read off the convergent's label and
-    the generators' raw minors (taken once per call) at
-    exact_relative_bits(ctx) and widened at bits_used = 2 ctx.bits, with
-    no basis and no mpf built; for ell >= 3 it is the mpmath bracket of
-    angles_adaptive (started at _mpmath_context unless ctx is given),
-    widened at its bits_used.  The summaries come from the widened dyadics
-    and integers.  Raises CertificationFailure naming the first violated
-    check, and PrecisionExhaustedError where angles_adaptive would.
+    outward.  The interval is proved in integers at exact_relative_bits(ctx)
+    and widened at bits_used = 2 ctx.bits: for ell <= 2 from the labels
+    (angles._sine_mantissas), for ell >= 3 on the Gram pencil of the two
+    bases (angles._largest_sine_mantissas).  The summaries come from the
+    widened dyadics and integers.  Raises CertificationFailure naming the
+    first violated check, and PrecisionExhaustedError where
+    angles_adaptive would, at the first sine.
 
     Every digit is read once, into one digit table that the convergents
     and the generators share.  Convergent 1, with its primitive-basis check,
@@ -768,20 +756,23 @@ def certify_instance(
     generators = build_generators(params, depth, stream=table)
     gram_limit_squared = generators.gram_squared()
     target = generators.real_basis()
-    target_label = target.label if ell <= 2 else None
-    slack = generators.angle_slack
-    # the slack rounded up at each precision a bracket is widened at
-    taus: dict[int, tuple[int, int]] = {}
-
-    if ctx is None:
-        ctx = _mpmath_context(params, depth) if ell > 2 else PrecisionContext()
+    ctx = ctx or PrecisionContext()
+    # every bracket is widened at 2 ctx.bits, by the slack rounded up there
+    prec = 2 * ctx.bits
+    tau = _ceil_dyadic(generators.angle_slack, prec)
+    if ell <= 2:
+        # the target's label pairs with each convergent's through maps built once
+        xa = target.label
+        target_squared = sum(x * x for x in xa)
+        wedge2_of = exact.squared_image_norm(exact.wedge_map(xa, ell, ell, params.n))
+        if ell == 2:
+            cos2_of = exact.squared_image_norm(exact.contraction_map(xa, ell, ell, params.n))
 
     records = []
     prev_height_sq = None
     prev_deviation = None
     height_monotone = True
     deviation_monotone = True
-    bits_used = 0
 
     for n_index in range(1, nmax + 1):
         convergent = first if n_index == 1 else build_convergent(params, n_index, stream=table)
@@ -849,21 +840,18 @@ def certify_instance(
             step_ok = m_next > m_n
         _require(step_ok, "exponent-step", n_index)
 
-        # interval: largest proximity sine against the true target, as
-        # dyadic ends; None when it is not separated from zero
+        # proved interval: largest proximity sine against the true target,
+        # as dyadic ends; None when it is zero or its proof failed
+        bits = exact_relative_bits(ctx)
         if ell <= 2:
-            prec = 2 * ctx.bits
-            xb, bits = convergent.subspace.pluecker.coords, exact_relative_bits(ctx)
-            bracket = label_sine_mantissas(target_label, ell, xb, ell, params.n, bits)[-1]
+            xb = convergent.subspace.pluecker.coords
+            cos2 = cos2_of(xb) if ell == 2 else None
+            bracket = _sine_mantissas(target_squared * h_sq, wedge2_of(xb), cos2, bits)[-1]
         else:
-            profile = angles_adaptive(target, RealBasis.from_subspace(convergent.subspace), ctx)
-            prec = profile.bits_used
-            bracket = (profile.lo[-1].man_exp, profile.hi[-1].man_exp) if profile.resolved[-1] else None
-        bits_used = max(bits_used, prec)
+            basis = RealBasis.from_subspace(convergent.subspace)
+            bracket = _largest_sine_mantissas(target, basis, bits)
         if bracket is not None:
-            if prec not in taus:
-                taus[prec] = _ceil_dyadic(slack, prec)
-            bracket = _widened(*bracket, taus[prec], prec)
+            bracket = _widened(*bracket, tau, prec)
         _require(
             bracket is not None,
             "psi-resolution",
@@ -906,7 +894,7 @@ def certify_instance(
     return InstanceCertification(
         params=params,
         depth=depth,
-        bits_used=bits_used,
+        bits_used=prec,
         gram_limit_squared=gram_limit_squared,
         records=tuple(records),
         instance_checks=tuple((name, True) for name in _INSTANCE_CHECKS),

@@ -25,18 +25,18 @@ bounds proximity sines without any basis.  contraction_map gives the
 cosine side the same way: the contraction of the smaller label into the
 larger, the adjoint of wedging, which for two labels of one shape is the
 dot product <X_A, X_B> = det(A^T B) (Cauchy-Binet).  Together they give
-every sine of a pair with at most two angles (angles.label_sine_mantissas).
+every sine of a pair with at most two angles (angles._sine_mantissas).
 All exact linear algebra runs one fraction-free (Bareiss) elimination on
 integer rows, _eliminate: each update divides exactly by the previous
 pivot, so no row needs its gcd.  _integer_rows stands in front of it: it
-screens the entries (int or Fraction) and scales each row holding a
-Fraction to integers.  rank reads the pivot count of the forward
-elimination, and determinant above 3 x 3 the swap sign times the last
-pivot.  The reduced form (Gauss-Jordan, every pivot equal to the last one,
-D) gives rational_kernel, and through it the decoding of a label back to a
-basis (pluecker_decode, which also serves enumerated planes and
+screens the row widths and the entries (int or Fraction) and scales each
+row holding a Fraction to integers.  rank reads the pivot count of the
+forward elimination, and determinant above 3 x 3 the swap sign times the
+last pivot.  The reduced form (Gauss-Jordan, every pivot equal to the last
+one, D) gives rational_kernel, and through it the decoding of a label back
+to a basis (pluecker_decode, which also serves enumerated planes and
 hyperplanes), so a decoded basis never touches Fraction.  It also gives
-inverse, from [M | I], and the Gram solve of angles._gram_integers.
+inverse, from [M | I], and the Gram solve of angles._projected_gram.
 
 Small integer matrices, which the echelon census and the verify suites
 build by the thousand, take fast lanes: raw_minors writes the minors of
@@ -205,10 +205,12 @@ def _integer_rows(m: Iterable[Sequence[Scalar]]) -> tuple[list, int | None]:
     every entry is an int).  Scaling rows keeps rank and kernel, and divides
     out of the determinant.
 
-    Raises ShapeError for an entry that is neither an int nor a Fraction
-    (a bool or a float), as as_matrix does.
+    Raises ShapeError for ragged rows, and for an entry that is neither an
+    int nor a Fraction (a bool or a float), as as_matrix does.
     """
     rows = list(m)
+    if len(set(map(len, rows))) > 1:
+        raise ShapeError("rows of different lengths")
     if all(type(x) is int for row in rows for x in row):
         return rows, None
     scale = 1

@@ -568,17 +568,17 @@ def test_principal_angles_checks_the_cap_before_evaluating(monkeypatch):
 
 def test_angles_adaptive_checks_the_cap_before_evaluating(monkeypatch):
     """A start at 600,000 bits can only end at the cap: it now ends there
-    before the first mpmath run.  So does an _mpmath_context start above
-    SUBDIOPH_MAX_BITS."""
+    before the first mpmath run.  So does a start above SUBDIOPH_MAX_BITS,
+    at the 91,451 bits an ell = 3, beta = 9/4 certificate at depth 3 once
+    started from."""
     refuse_mpmath(monkeypatch)
     a, b = RealBasis.from_exact(T3_A), RealBasis.from_exact(T3_B)
     ctx = PrecisionContext(bits=600_000, target_rel_err=Fraction(1, 10**10))
     with pytest.raises(PrecisionExhaustedError, match=f"cap {HARD_BIT_CAP}"):
         angles_adaptive(a, b, ctx)
     monkeypatch.setenv("SUBDIOPH_MAX_BITS", "4096")
-    params = con.ConstructionParams.create(3, Fraction(9, 4), seed=0)
     with pytest.raises(PrecisionExhaustedError, match="cap 4096"):
-        angles_adaptive(a, b, con._mpmath_context(params, 3))
+        angles_adaptive(a, b, PrecisionContext(bits=91_451))
 
 
 def random_rational_rows(rng, n, d):
@@ -719,8 +719,7 @@ def label_integers(a, b):
 def test_label_route_matches_the_bordered_gram():
     """On 2,400 seeded random pairs the Gram determinants of two bases give
     the integers of their labels (Cauchy-Binet), those integers give the
-    interval tuples of the bordered Gram determinants, and
-    label_sine_mantissas the sine brackets of those integers."""
+    interval tuples of the bordered Gram determinants."""
     rng = random.Random(29)
     shapes, zeros = set(), 0
     for a, b in oracle_pairs(rng, 2400):
@@ -729,35 +728,9 @@ def test_label_route_matches_the_bordered_gram():
         assert angles_module._gram_integers(a, b) == label
         intervals = bordered_gram_intervals(a, b, bits + 4)
         assert angles_module._squared_sine_intervals(*label, bits + 4) == intervals
-        assert angles_module.label_sine_mantissas(a.label, a.d, b.label, b.d, a.n, bits) == (
-            angles_module._sine_mantissas(*label, bits)
-        )
         shapes.add((a.n, a.d, b.d))
         zeros += None in intervals
     assert shapes == set(ORACLE_SHAPES) and zeros > 300, zeros
-
-
-def test_the_label_entry_point_refuses_pairs_outside_its_contract(monkeypatch):
-    """Labels from different ambient spaces, three angles and an evaluator
-    basis raise ShapeError before any arithmetic.  The basis-level entry
-    point this replaced zipped a line in R^3 with a line in R^2 into a
-    bracket, and raised ValueError and TypeError on the other two."""
-
-    def refused(*_args):
-        raise AssertionError("label arithmetic before the shape check")
-
-    monkeypatch.setattr(angles_module.exact, "wedge_map", refused)
-    monkeypatch.setattr(angles_module, "_sine_mantissas", refused)
-    line = exact_basis((1, 2, 3))
-    pairs = [
-        (line, exact_basis((1, 2))),
-        (RealBasis.from_exact(T3_A), RealBasis.from_exact(T3_B)),
-        (line, mpmath_twin(line)),
-        (mpmath_twin(line), line),
-    ]
-    for a, b in pairs:
-        with pytest.raises(ShapeError):
-            angles_module.label_sine_mantissas(a.label, a.d, b.label, b.d, a.n, 128)
 
 
 def test_basis_pairs_in_larger_spaces_build_no_label(monkeypatch):
@@ -781,3 +754,58 @@ def test_basis_pairs_in_larger_spaces_build_no_label(monkeypatch):
         intervals = angles_module._squared_sine_intervals(*angles_module._gram_integers(a, b), bits + 4)
         assert intervals == bordered_gram_intervals(a, b, bits + 4)
         assert prof.resolved == tuple(x is not None for x in intervals)
+
+
+def pencil_pair(rng, d, kind):
+    """Two exact d-spaces of R^(2d): small entries, huge ones (up to 2^200),
+    or near, B = 10^k A + E for k up to 80 and small E, whose sines lie
+    near 10^-k."""
+    n = 2 * d
+    while True:
+        if kind == "near":
+            a = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(n)]
+            scale = 10 ** rng.randint(1, 80)
+            b = [[scale * x + rng.randint(-3, 3) for x in row] for row in a]
+        else:
+            bound = 9 if kind == "small" else 2**200
+            a, b = ([[rng.randint(-bound, bound) for _ in range(d)] for _ in range(n)] for _ in "ab")
+        try:
+            return RealBasis.from_exact(a), RealBasis.from_exact(b)
+        except NumericalRankLossError:
+            continue
+
+
+def test_largest_sine_proof_holds_an_svd_reference():
+    """On 200 seeded pairs of 3-spaces in R^6 and 4-spaces in R^8, of small
+    or huge entries or near each other, the Rayleigh-Sylvester bracket holds
+    the largest sine of an mpmath SVD at 4 bits + 600 and is narrower than
+    2^-bits relatively."""
+    rng = random.Random(39)
+    kinds = set()
+    for _ in range(200):
+        d, kind, bits = rng.choice([3, 4]), rng.choice(["small", "huge", "near"]), rng.choice([128, 512])
+        a, b = pencil_pair(rng, d, kind)
+        (lo, exp), (hi, hi_exp) = angles_module._largest_sine_mantissas(a, b, bits)
+        ref = principal_angles(a, b, bits=4 * bits + 600).psi[-1]
+        assert exp == hi_exp and mp.ldexp(lo, exp) <= ref <= mp.ldexp(hi, exp), (d, kind, bits)
+        assert (hi - lo) << bits < lo
+        kinds.add((d, kind, bits))
+    assert len(kinds) == 12
+
+
+def test_largest_sine_proof_refuses_what_it_cannot_prove(monkeypatch):
+    """Two bases of one subspace have largest sine 0, and give None.  So
+    does a proposal that is not the top eigenvector: its Rayleigh quotient
+    is a true lower end, but Sylvester's test on the upper end fails, so
+    no wrong bracket comes out."""
+    rng = random.Random(3)
+    for d in (3, 4):
+        a, b = pencil_pair(rng, d, "small")
+        # a unimodular change of basis keeps the span
+        mix = [[int(i == j or j == i + 1) for j in range(d)] for i in range(d)]
+        same = RealBasis.from_exact(exact.mat_mul(a.exact_matrix, mix))
+        assert angles_module._largest_sine_mantissas(a, same, 128) is None
+        assert angles_module._largest_sine_mantissas(a, b, 128) is not None
+        monkeypatch.setattr(angles_module.mp, "eigsy", lambda m: (None, mp.eye(m.rows)))
+        assert angles_module._largest_sine_mantissas(a, b, 128) is None
+        monkeypatch.undo()

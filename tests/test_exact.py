@@ -440,3 +440,14 @@ def test_elimination_screens_its_entries():
         for fn in (determinant, rank, rational_kernel, inverse):
             with pytest.raises(ShapeError):
                 fn(m)
+
+
+def test_elimination_refuses_ragged_rows():
+    """Rows of different lengths raise ShapeError in every routine on the
+    shared elimination.  A short row last once raised IndexError in rank,
+    rational_kernel and inverse and ValueError in determinant; a short row
+    first gave rank 1 and an empty kernel."""
+    for fn, m in [(rank, [[1, 2], [3]]), (rational_kernel, [[1, 2], [3]]), (inverse, [[1, 2], [3]]),
+                  (determinant, [[1, 2], [3]]), (rank, [[1], [2, 3]]), (rational_kernel, [[1], [2, 3]])]:
+        with pytest.raises(ShapeError, match="different lengths"):
+            fn(m)
