@@ -29,11 +29,13 @@ Scans and certificates keep the dyadics, and every rule on them is here
 (_dyadic_less, _dyadic_float, _widened, _ceil_dyadic, _log_dyadic);
 _sqrt_interval roots the line engine's squared sines to doubles.
 plane_sine_at_least compares a sine of a pair with t = 2 with a rational
-exactly, so record scans screen and bracket every pair with t <= 2 from
-labels without building a basis or an mpf; only the profiles of
-angles_adaptive and principal_angles turn the brackets into mpf ends.
-Certificates with t >= 3 prove their largest sine on the integer Gram
-pencil (_largest_sine_mantissas).  Every other pair (evaluator bases, or
+exactly, and _plane_sine_decision does so for a box of label integers,
+so record scans screen and bracket every pair with t <= 2 from labels
+without building a basis or an mpf; only the profiles of angles_adaptive
+and principal_angles turn the brackets into mpf ends.  Certificates with
+t >= 3 prove their largest sine on the integer Gram pencil
+(_largest_sine_mantissas), whose Sylvester test runs on truncated
+integers first (_positive_definite).  Every other pair (evaluator bases, or
 profiles with t >= 3) goes through an mpmath Gram-Schmidt and SVD
 repeated at doubled precision until two consecutive runs agree to the
 requested relative error.
@@ -474,9 +476,13 @@ def _largest_sine_mantissas(a: RealBasis, b: RealBasis, bits: int):
     eigenvalues of the integer pencil S = g A^T A, R = S - A^T B adj(G) B^T A
     (G = B^T B, g = det(G)).  mpmath only proposes v, the top eigenvector,
     at bits + 64: v^T R v / v^T S v = q / s <= psi^2 (Rayleigh), and
-    x = (q / s)(1 + 2^-(bits+6)) > psi^2 once x S - R passes Sylvester's
-    test on exact leading minors.  No root is isolated, so clustered or
-    repeated roots need no care, and a poor proposal gives None."""
+    x = (q / s)(1 + 2^-(bits+6)) > psi^2 once x S - R is positive definite.
+    Sylvester's test proves that on exact leading minors of the pencil cut
+    to its leading bits + 128 bits, with a proved margin, and on more bits
+    only where that cannot decide (_positive_definite); it accepts or
+    refuses the bracket that q, s and x fix, and never changes it.  No
+    root is isolated, so clustered or repeated roots need no care, and a
+    poor proposal gives None."""
     both, d = a.columns + b.columns, a.d
     gram = [[sum(map(mul, u, v)) for v in both] for u in both]
     g = exact.determinant([row[d:] for row in gram[d:]])
@@ -496,9 +502,31 @@ def _largest_sine_mantissas(a: RealBasis, b: RealBasis, bits: int):
     up = (1 << k) + 1  # x = (q / s) up / 2^k
     # s 2^k (x S - R) in integers
     pencil = [[q * up * y - (s << k) * x for x, y in zip(*rows)] for rows in zip(r_mat, s_mat)]
-    if not all(exact.determinant([row[:j] for row in pencil[:j]]) > 0 for j in range(1, d + 1)):
+    if not _positive_definite(pencil, bits + 128):
         return None
     return _sqrt_bracket((q, s, q * up, s << k), _sqrt_scale(q, s, bits + 4))
+
+
+def _positive_definite(m: list, width: int) -> bool:
+    """Whether the symmetric integer matrix m is positive definite, by
+    Sylvester's test on truncations first: m = 2^shift (m' + E) with
+    m' = m >> shift entrywise and E symmetric with entries in [0, 1), so
+    |E|_2 <= |E|_F < d, and m' - d I positive definite proves m so (Weyl).
+    The first m' keeps width leading bits of the largest entry; each
+    failure halves shift, down to 0, the test on m itself."""
+    d = len(m)
+    shift = max(0, max(abs(x).bit_length() for row in m for x in row) - width)
+    while True:
+        trial = m
+        if shift:
+            trial = [[x >> shift for x in row] for row in m]
+            for i in range(d):
+                trial[i][i] -= d
+        if all(exact.determinant([row[:j] for row in trial[:j]]) > 0 for j in range(1, d + 1)):
+            return True
+        if not shift:
+            return False
+        shift //= 2
 
 
 def exact_relative_bits(ctx: PrecisionContext | None = None) -> int:
@@ -518,16 +546,19 @@ def exact_relative_bits(ctx: PrecisionContext | None = None) -> int:
     return bits
 
 
-def _scaled_isqrt(num: int, den: int, k: int, up: bool) -> int:
-    """floor (or, with up, ceil) of sqrt(num / den) * 2^k, num >= 0, den > 0."""
+def _scaled_isqrt(num: int, den: int, k: int) -> tuple[int, int]:
+    """floor and ceil of sqrt(num / den) * 2^k, num >= 0, den > 0; a power
+    of two den divides by a shift."""
     if k >= 0:
-        q, r = divmod(num << (2 * k), den)
+        num <<= 2 * k
     else:
-        q, r = divmod(num, den << (-2 * k))
+        den <<= -2 * k
+    if den & (den - 1):
+        q, r = divmod(num, den)
+    else:
+        q, r = num >> den.bit_length() - 1, num & den - 1
     root = math.isqrt(q)
-    if up and (r or root * root != q):
-        root += 1
-    return root
+    return root, (root + 1 if r or root * root != q else root)
 
 
 def _leading(x: int, length: int, width: int) -> int:
@@ -562,7 +593,9 @@ def _sqrt_bracket(interval: tuple[int, int, int, int], k: int) -> tuple:
     """Dyadics ((lo, -k), (hi, -k)) with lo 2^-k <= sqrt(x) <= hi 2^-k, for
     num_lo/den_lo <= x <= num_hi/den_hi."""
     num_lo, den_lo, num_hi, den_hi = interval
-    lo, hi = _scaled_isqrt(num_lo, den_lo, k, up=False), _scaled_isqrt(num_hi, den_hi, k, up=True)
+    lo, hi = _scaled_isqrt(num_lo, den_lo, k)
+    if num_hi is not num_lo or den_hi is not den_lo:
+        hi = _scaled_isqrt(num_hi, den_hi, k)[1]
     return (lo, -k), (hi, -k)
 
 
@@ -607,6 +640,10 @@ def _squared_sine_intervals(label2: int, wedge2: int, cos2: int | None, prec: in
     return _quadratic_roots(label2 + wedge2 - cos2, label2 * wedge2, label2, prec)
 
 
+_SQUARES_MOD_64 = frozenset(x * x % 64 for x in range(64))
+_SQUARES_MOD_63 = frozenset(x * x % 63 for x in range(63))
+
+
 def _quadratic_roots(tr: int, det: int, dd: int, prec: int) -> list:
     """Ascending roots (tr -+ sqrt(tr^2 - 4 det)) / (2 dd) of two squared
     sines, for integers with tr^2 >= 4 det >= 0 and dd > 0, as
@@ -614,13 +651,14 @@ def _quadratic_roots(tr: int, det: int, dd: int, prec: int) -> list:
     if det == 0:
         return [None, None if tr == 0 else _point(tr, dd)]
     disc = tr * tr - 4 * det
-    root = math.isqrt(disc)
-    if root * root == disc:
-        return [_point(2 * det, dd * (tr + root)), _point(tr + root, 2 * dd)]
+    # residues mod 64 and 63 rule out most non-squares before an isqrt
+    if disc & 63 in _SQUARES_MOD_64 and disc % 63 in _SQUARES_MOD_63:
+        root = math.isqrt(disc)
+        if root * root == disc:
+            return [_point(2 * det, dd * (tr + root)), _point(tr + root, 2 * dd)]
     # sqrt(disc) in [root_lo, root_hi] / 2^j with 2^-j <= tr * 2^-(prec+7)
     j = prec + 8 - tr.bit_length()
-    root_lo = _scaled_isqrt(disc, 1, j, up=False)
-    root_hi = _scaled_isqrt(disc, 1, j, up=True)
+    root_lo, root_hi = _scaled_isqrt(disc, 1, j)
     scale = 1 << max(j, 0)
     if j < 0:
         root_lo, root_hi = root_lo << -j, root_hi << -j
@@ -635,6 +673,21 @@ def _sine_mantissas(label2: int, wedge2: int, cos2: int | None, bits: int) -> li
     """Ascending exact sine brackets of _sqrt_bracket, ((lo, -k), (hi, -k)),
     of relative width below 2^-bits, of the squared sines of
     _squared_sine_intervals; a zero sine is None."""
+    intervals, scales = _sine_scales(label2, wedge2, cos2, bits)
+    return [None if x is None else _sqrt_bracket(x, k) for x, k in zip(intervals, scales)]
+
+
+def _sine_mantissa(label2: int, wedge2: int, cos2: int | None, bits: int, index: int):
+    """_sine_mantissas(label2, wedge2, cos2, bits)[index], without rooting
+    the other sine."""
+    intervals, scales = _sine_scales(label2, wedge2, cos2, bits)
+    x = intervals[index]
+    return None if x is None else _sqrt_bracket(x, scales[index])
+
+
+def _sine_scales(label2: int, wedge2: int, cos2: int | None, bits: int) -> tuple:
+    """The squared sine intervals of _sine_mantissas and the scale of each
+    one's bracket."""
     # brackets computed at bits + 4 have relative width below 2^-bits
     prec = bits + 4
     intervals = _squared_sine_intervals(label2, wedge2, cos2, prec)
@@ -643,14 +696,15 @@ def _sine_mantissas(label2: int, wedge2: int, cos2: int | None, bits: int) -> li
         # close values share the finer scale, which keeps their midpoints in
         # order; values further apart have disjoint brackets
         scales = [max(scales)] * 2
-    return [None if x is None else _sqrt_bracket(x, k) for x, k in zip(intervals, scales)]
+    return intervals, scales
 
 
 def plane_sine_at_least(label2: int, wedge2: int, cos2: int, j: int, num: int, den: int) -> bool:
     """Whether psi_j^2 >= y = num / den (den > 0) for a pair with t = 2 of
     label integers label2 = L, wedge2 = W and cos2 = C, decided in
     integers: psi_j^2 = (tr -+ sqrt(disc)) / (2 label2), so the sign of
-    2 label2 y - tr and one squared comparison with disc decide it."""
+    2 label2 y - tr and one squared comparison with disc decide it.
+    _plane_sine_decision decides the same on a box of the three."""
     tr = label2 + wedge2 - cos2
     over = 2 * label2 * num - tr * den  # den (2 label2 y - tr)
     if j == 2 and over <= 0:
@@ -660,6 +714,50 @@ def plane_sine_at_least(label2: int, wedge2: int, cos2: int, j: int, num: int, d
     disc = (tr * tr - 4 * label2 * wedge2) * den * den
     # j = 2: sqrt(disc) >= 2 label2 y - tr > 0; j = 1: tr - 2 label2 y >= sqrt(disc)
     return disc >= over * over if j == 2 else over * over >= disc
+
+
+def _plane_forms(num: int, den: int) -> tuple:
+    """The coefficients on (L, W, C) of the two integer forms that place
+    y = num / den among the squared sines of a pair with t = 2, the roots
+    of p(x) = L x^2 - tr x + W, tr = L + W - C:
+    over = den (2 L y - tr), whose sign puts y against the vertex, and
+    q = den^2 p(y), whose sign puts y inside or outside the roots."""
+    return (2 * num - den, -den, den), (num * (num - den), den * (den - num), num * den)
+
+
+def _form_range(coeffs: tuple, box: tuple) -> tuple[int, int]:
+    """(lo, hi) of sum c_i v_i over a box ((lo_1, hi_1), ...) of the v_i."""
+    lo = hi = 0
+    for c, (v_lo, v_hi) in zip(coeffs, box):
+        if c < 0:
+            v_lo, v_hi = v_hi, v_lo
+        lo += c * v_lo
+        hi += c * v_hi
+    return lo, hi
+
+
+def _plane_sine_decision(box: tuple, j: int, forms: tuple) -> bool | None:
+    """Whether psi_j^2 >= y for the forms of _plane_forms(y) and every
+    (L, W, C) of a box ((L_lo, L_hi), (W_lo, W_hi), (C_lo, C_hi)), L_lo > 0;
+    None when the box does not decide.  psi_2^2 >= y exactly when y is at
+    most the vertex or between the roots (over <= 0 or q <= 0), and
+    psi_1^2 >= y exactly when y is at most the vertex and outside the open
+    interval between them (over <= 0 and q >= 0).  Both forms are linear,
+    so their ranges over the box decide wherever their signs are fixed; a
+    box of exact integers always decides."""
+    over_lo, over_hi = _form_range(forms[0], box)
+    q_lo, q_hi = _form_range(forms[1], box)
+    if j == 2:
+        if over_hi <= 0 or q_hi <= 0:
+            return True
+        if over_lo > 0 and q_lo > 0:
+            return False
+    else:
+        if over_lo > 0 or q_hi < 0:
+            return False
+        if over_hi <= 0 and q_lo >= 0:
+            return True
+    return None
 
 
 def principal_angles(a: RealBasis, b: RealBasis, bits: int = DEFAULT_BITS) -> AngleProfile:

@@ -20,6 +20,7 @@ only summarizes them as doubles and prints them exactly (reports.sci_str).
 from __future__ import annotations
 
 import decimal
+import functools
 import hashlib
 import math
 import struct
@@ -42,7 +43,8 @@ from .angles import (
     _float_up,
     _largest_sine_mantissas,
     _log_dyadic,
-    _sine_mantissas,
+    _rounded,
+    _sine_mantissa,
     _widened,
 )
 from .errors import CertificationFailure, ParameterError
@@ -409,9 +411,39 @@ def tail_bound(params: ConstructionParams, depth: int) -> Fraction:
 
 def _tail_bound(params: ConstructionParams, m_next: int) -> Fraction:
     """tail_bound from the exponent m_(depth+1) of the first omitted term."""
+    num, base = _tail_terms(params)
+    return Fraction(num, base**m_next)
+
+
+def _tail_terms(params: ConstructionParams) -> tuple[int, int]:
+    """(num, base) with tail bound num / base^m_(depth+1)."""
     if params.variant == INFINITE:
-        return Fraction(3, INFINITE_BASE**m_next)
-    return Fraction(4 * params.ell + 2, params.theta**m_next)
+        return 3, INFINITE_BASE
+    return 4 * params.ell + 2, params.theta
+
+
+def _ceil_slack(params: ConstructionParams, m_next: int, prec: int) -> tuple[int, int]:
+    """_ceil_dyadic(ell * _tail_bound(params, m_next), prec) without
+    base^m_next in full: square-and-multiply brackets the power between two
+    dyadics, each step rounded outward, and the slack's ceiling is the
+    ceiling at either end when the two agree.  Only a disagreement, at odds
+    near 2^-64, forms the exact power."""
+    num, base = _tail_terms(params)
+    num *= params.ell
+    width = prec + m_next.bit_length() + 64
+    ends = set()
+    for up in (False, True):
+        man, exp = 1, 0
+        for bit in bin(m_next)[2:]:
+            man, exp = _rounded(man * man, 2 * exp, width, up)
+            if bit == "1":
+                man, exp = _rounded(man * base, exp, width, up)
+        # below (above) base^m_next, so num over it is above (below) the slack
+        ceil_man, ceil_exp = _ceil_dyadic(Fraction(num, man), prec)
+        ends.add((ceil_man, ceil_exp - exp))
+    if len(ends) == 1:
+        return ends.pop()
+    return _ceil_dyadic(params.ell * _tail_bound(params, m_next), prec)
 
 
 class _DigitTable:
@@ -486,9 +518,13 @@ class TruncatedGenerators:
 
     params: ConstructionParams
     depth: int
-    angle_slack: Fraction
     integer_matrix: exact.Matrix
     denominator: int
+
+    @functools.cached_property
+    def angle_slack(self) -> Fraction:
+        """ell tail_bound(params, depth), formed when first read."""
+        return self.params.ell * tail_bound(self.params, self.depth)
 
     def real_basis(self) -> RealBasis:
         """The integer columns for the angle engine.  The theta^m I block
@@ -514,7 +550,6 @@ def build_generators(
     return TruncatedGenerators(
         params=params,
         depth=depth,
-        angle_slack=params.ell * _tail_bound(params, table.exps[depth + 1]),
         integer_matrix=full,
         denominator=full[0][0],
     )
@@ -759,7 +794,7 @@ def certify_instance(
     ctx = ctx or PrecisionContext()
     # every bracket is widened at 2 ctx.bits, by the slack rounded up there
     prec = 2 * ctx.bits
-    tau = _ceil_dyadic(generators.angle_slack, prec)
+    tau = _ceil_slack(params, exps[depth + 1], prec)
     if ell <= 2:
         # the target's label pairs with each convergent's through maps built once
         xa = target.label
@@ -846,7 +881,7 @@ def certify_instance(
         if ell <= 2:
             xb = convergent.subspace.pluecker.coords
             cos2 = cos2_of(xb) if ell == 2 else None
-            bracket = _sine_mantissas(target_squared * h_sq, wedge2_of(xb), cos2, bits)[-1]
+            bracket = _sine_mantissa(target_squared * h_sq, wedge2_of(xb), cos2, bits, -1)
         else:
             basis = RealBasis.from_subspace(convergent.subspace)
             bracket = _largest_sine_mantissas(target, basis, bits)

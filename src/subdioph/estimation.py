@@ -41,7 +41,12 @@ sweep:
   so far; for a pair with a single angle P is that sine, exactly.  A pair
   with two angles also pairs its labels through the target's contraction
   map (a dot product for two planes), and both squared sines are the
-  roots of one integer quadratic, which screens them exactly.
+  roots of one integer quadratic, which screens them exactly.  A target
+  label wider than the screen needs (a construction's generators truncated
+  deep carry thousands of bits) pairs and screens on its leading bits:
+  the error of those bits is a proved bound, so each pairing is a box of
+  integers and each screen decides on the box, or on the exact integers
+  where the box cannot decide, and every decision is the exact one.
   Only the survivors get a sine bracket, from their labels alone, as two
   dyadics (integer mantissa, exponent) that no mpf ever holds.  A pair
   with three or more angles decodes a basis and goes through the
@@ -69,7 +74,7 @@ from fractions import Fraction
 from itertools import groupby, repeat
 from math import gcd, isqrt
 from numbers import Real
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterator, Mapping, Sequence
 
 from . import exact
@@ -83,7 +88,9 @@ from .angles import (
     _dyadic_less,
     _float_down,
     _float_up,
-    _sine_mantissas,
+    _plane_forms,
+    _plane_sine_decision,
+    _sine_mantissa,
     _sqrt_interval,
 )
 from .construction import (
@@ -668,38 +675,82 @@ def _unresolved(
     return err
 
 
-# least positive normal double; the screen decides only between normal values
+# least positive normal double: a bar below it is screened in integers
 _NORMAL_MIN = sys.float_info.min
-# relative gap the double screen needs: far above the 2^-53 rounding of
-# either side, so a decision it takes is the integer test's
-_SCREEN_MARGIN = 2.0**-40
+# leading bits of a wide target label that pairing and screening read
+_KEPT_BITS = 128
 
 
 def _bar_power(num: int, den: int, power: int) -> tuple:
     """(top, bottom, low, high) of the bar (num / den)^power: top / bottom
-    exactly, and the double that screens against it widened by the screen
-    margin to either side, (None, None) unless it is a normal double."""
+    exactly, and the doubles one step below and above its correctly rounded
+    double, which bracket it, (None, None) unless that double is normal."""
     top, bottom = num**power, den**power
     bar = top / bottom  # correctly rounded; a bar is a sine, about 1 at most
     if bar < _NORMAL_MIN:
         return top, bottom, None, None
-    return top, bottom, bar * (1 - _SCREEN_MARGIN), bar * (1 + _SCREEN_MARGIN)
+    return top, bottom, math.nextafter(bar, 0.0), math.nextafter(bar, math.inf)
 
 
-def _at_least(wedge2: int, scale: int, bar: tuple) -> bool:
-    """Whether wedge2 / scale >= top / bottom for a bar of _bar_power
-    (scale > 0, wedge2 <= scale).  The correctly rounded double of
-    wedge2 / scale decides when it is normal and outside the bar's margin;
-    every other case takes the integer test."""
+def _at_least(w_lo: int, w_hi: int, l_lo: int, l_hi: int, bar: tuple) -> bool | None:
+    """Whether W / L >= top / bottom for a bar of _bar_power and every
+    w_lo <= W <= w_hi and 0 < l_lo <= L <= l_hi; None when these bounds do
+    not decide, which exact W and L never leave.  A correctly rounded
+    double q of w_lo / l_hi (of w_hi / l_lo) lies within half a step of it,
+    so q above the bar's upper double proves at least, and q below its
+    lower double proves less; every other case takes the integer test on
+    the bounds."""
     top, bottom, low, high = bar
     if low is not None:
-        q = wedge2 / scale  # correctly rounded, at most 1
-        if q >= _NORMAL_MIN:
-            if q > high:
-                return True
-            if q < low:
-                return False
-    return wedge2 * bottom >= top * scale
+        q = w_lo / l_hi
+        if q > high:
+            return True
+        if w_hi is not w_lo or l_hi is not l_lo:
+            q = w_hi / l_lo
+        if q < low:
+            return False
+    if w_lo * bottom >= top * l_hi:
+        return True
+    if w_hi * bottom < top * l_lo:
+        return False
+    return None
+
+
+def _kept_bar(num: int, den: int) -> tuple:
+    """Dyadics (num, den) at and below y = num / den >= 0, the leading
+    _KEPT_BITS bits of y rounded up and down."""
+    shift = max(0, _KEPT_BITS - num.bit_length() + den.bit_length())
+    low, rest = divmod(num << shift, den)
+    return (low + (rest > 0), 1 << shift), (low, 1 << shift)
+
+
+def _norm_box(rows: exact.Matrix):
+    """(v, err) -> (lo, hi) around |M v|^2 / 4^shift for a wedge or
+    contraction map M of the target label, given rows, the same map of the
+    kept label (each entry x >> shift), and err, the 1-norm of v.  Every
+    entry of M is 0 or a signed label entry, so it differs from 2^shift
+    times its kept entry by less than 2^shift, and a row holds at most one
+    entry per coordinate of v: each coordinate of M v / 2^shift lies
+    within err of that of rows v."""
+    if len(rows) == 1:
+        (row,) = rows
+
+        def box(v, err):
+            x = abs(sum(map(mul, row, v)))
+            return (x - err) ** 2 if x > err else 0, (x + err) ** 2
+
+        return box
+
+    def box(v, err):
+        lo = hi = 0
+        for row in rows:
+            x = abs(sum(map(mul, row, v)))
+            hi += (x + err) ** 2
+            if x > err:
+                lo += (x - err) ** 2
+        return lo, hi
+
+    return box
 
 
 class _GenericScan:
@@ -717,7 +768,7 @@ class _GenericScan:
     sines are the roots of L x^2 - (L + wedge2 - cos2) x + wedge2; when
     d + e > n, wedge2 = 0 and psi_1 = 0.  Every bracket is a pair of
     dyadics (man, exp), as certificates keep theirs: a waiting row's comes
-    from angles._sine_mantissas, a profiled row's from the exact mantissa
+    from angles._sine_mantissa, a profiled row's from the exact mantissa
     and exponent of each mpf end.
 
     The candidates are labels first.  An EnumSpec streams (coords, h2)
@@ -736,13 +787,26 @@ class _GenericScan:
       once through the angle engine, so an unresolved sine raises at its
       place.
 
+    A target label wider than _KEPT_BITS bits pairs and screens on its
+    leading bits: the label x >> shift keeps _KEPT_BITS bits of its
+    largest entry, its maps pair with X_B in small integers, and _norm_box
+    bounds their error, so a waiting row carries a box of L, wedge2 and
+    cos2 over 4^shift instead of the integers.  The exact integers are
+    formed only where the box cannot decide a screen, where the box of
+    wedge2 holds 0 (the meeting check), and for a row's bracket.  A label
+    of at most _KEPT_BITS bits keeps every bit, and its rows carry the
+    exact integers from the start.
+
     rules_out tries P^(1/j) first and, for a pair with t = 2, then decides
     from the quadratic exactly.  bracket() brackets a waiting row that
     survives from its labels, as angles_adaptive would.  rows() yields
-    (h2, coords, hi, lo, sub, scanned, wedge2, cos2) in enumeration order:
-    hi, lo None on a waiting row, wedge2, cos2 None on a profiled one,
-    cos2 None when t = 1, and sub None on a census row that was not
-    profiled (subspace() builds it from coords).
+    (h2, coords, hi, lo, sub, scanned, wedge2, cos2, box) in enumeration
+    order: hi, lo None on a waiting row; wedge2, cos2 None on a profiled
+    or boxed row, cos2 None when t = 1; box None unless the row carries
+    one, ((L_lo, L_hi), (wedge2_lo, wedge2_hi), (cos2_lo, cos2_hi) or
+    None, pair) with pair: coords -> (wedge2, cos2) the exact pairing; sub
+    None on a census row that was not profiled (subspace() builds it from
+    coords).
     """
 
     def __init__(self, target, j_index: int, ctx: PrecisionContext | None):
@@ -758,7 +822,10 @@ class _GenericScan:
                 # a float target comes here with its rank unchecked
                 raise NumericalRankLossError("target basis has dependent columns")
         self.counts = dict.fromkeys(("candidates", "label_only", "profiled", "skipped"), 0)
-        self._memo = (None, None, None)
+        # the bar of rules_out: its key (x, slack), _bar_power, y = x^2 as
+        # (num, den), and _plane_forms of the ends of _kept_bar(y) once a
+        # box needs them
+        self._bar_key, self._bar, self._y, self._forms = (None, None), None, None, None
 
     def rows(self, spec) -> Iterator[tuple]:
         n, d, j_index, label = self.basis.n, self.basis.d, self.j_index, self.label
@@ -782,23 +849,56 @@ class _GenericScan:
                     raise ShapeError("ambient dimensions differ")
                 if label is not None and limit <= 2 and sub_e != e:
                     e = sub_e
-                    wedge2_of = exact.squared_image_norm(exact.wedge_map(label, d, e, n))
-                    cos2_of = None
-                    if limit == 2:
-                        cos2_of = exact.squared_image_norm(exact.contraction_map(label, d, e, n))
+                    wedge2_of, cos2_of, box_of = self._pairing(e, limit)
             if label is None or limit > 2:
                 sub = self.subspace(coords, sub)
                 lo, hi = self.profile(sub, scanned)
-                yield (h2, coords, hi, lo, sub, scanned, None, None)
+                yield (h2, coords, hi, lo, sub, scanned, None, None, None)
                 continue
-            wedge2 = wedge2_of(coords)
-            cos2 = None if cos2_of is None else cos2_of(coords)
             # where angles_adaptive would raise PrecisionExhaustedError
             self._bits()
+            if box_of is not None:
+                box = box_of(coords, h2)
+                # wedge2 > 0: the pair does not meet
+                if box[1][0]:
+                    yield (h2, coords, None, None, sub, scanned, None, None, box)
+                    continue
+            wedge2 = wedge2_of(coords)
+            cos2 = None if cos2_of is None else cos2_of(coords)
             # psi_1 = 0 on a pair that meets, psi_2 = 0 when one space holds the other
             if not wedge2 and (j_index == 1 or cos2 == self.label2 * h2):
                 raise _unresolved(self.subspace(coords, sub), scanned, exact_pair=True)
-            yield (h2, coords, None, None, sub, scanned, wedge2, cos2)
+            yield (h2, coords, None, None, sub, scanned, wedge2, cos2, None)
+
+    def _pairing(self, e: int, limit: int) -> tuple:
+        """(wedge2_of, cos2_of, box_of) for candidates of dimension e:
+        wedge2_of and cos2_of (None when t = 1) pair a label with the whole
+        target label, and box_of maps a label and its height to the box of
+        rows() from the kept label, with the exact pairing as its last
+        entry; box_of is None when the label is kept whole."""
+        n, d, label, label2 = self.basis.n, self.basis.d, self.label, self.label2
+
+        def maps(xa, through):
+            cos = through(exact.contraction_map(xa, d, e, n)) if limit == 2 else None
+            return through(exact.wedge_map(xa, d, e, n)), cos
+
+        wedge2_of, cos2_of = maps(label, exact.squared_image_norm)
+        shift = max(x.bit_length() for x in map(abs, label)) - _KEPT_BITS
+        if shift <= 0:
+            return wedge2_of, cos2_of, None
+        wedge_box, cos_box = maps([x >> shift for x in label], _norm_box)
+        # L = label2 h2, whose label2 / 4^shift lies between these
+        low, high = label2 >> 2 * shift, -(-label2 >> 2 * shift)
+
+        def pair(coords):
+            return wedge2_of(coords), None if cos2_of is None else cos2_of(coords)
+
+        def box_of(coords, h2):
+            err = sum(map(abs, coords))
+            cos = None if cos_box is None else cos_box(coords, err)
+            return (low * h2, high * h2), wedge_box(coords, err), cos, pair
+
+        return wedge2_of, cos2_of, box_of
 
     def subspace(self, coords: tuple[int, ...], sub) -> exact.RationalSubspace:
         """sub, or when it is None (a census row) the subspace of the label
@@ -815,9 +915,10 @@ class _GenericScan:
     def bracket(self, row: tuple) -> tuple:
         """Dyadic (lo, hi) of a waiting row's j-th sine from its labels, the
         bracket that angles_adaptive would report."""
-        h2, wedge2, cos2 = row[0], row[6], row[7]
+        wedge2, cos2 = (row[6], row[7]) if row[8] is None else row[8][3](row[1])
         self.counts["label_only"] += 1
-        return _sine_mantissas(self.label2 * h2, wedge2, cos2, self._bits())[self.j_index - 1]
+        bits = self._bits()
+        return _sine_mantissa(self.label2 * row[0], wedge2, cos2, bits, self.j_index - 1)
 
     def profile(self, sub: exact.RationalSubspace, scanned: int) -> tuple:
         """Dyadic (lo, hi) of the j-th sine from the angle engine, exactly
@@ -833,29 +934,53 @@ class _GenericScan:
         """Whether a waiting row's labels prove hi >= x for a dyadic x, from
         psi_j >= x, or with slack lo >= x, from psi_j (1 - 2^-b) >= x: exact
         brackets have relative width below 2^-b.  P^(1/j) >= x, that is
-        P^2 = wedge2 / L >= x^(2j), is tried first, then for a pair with
-        t = 2 the quadratic decides exactly.  The P test compares the
-        correctly rounded doubles of P^2 and of x^(2j) (memoised per bar)
-        when both are normal and differ by more than 2^-40 relatively, and
-        decides in integers otherwise (_at_least), so every decision is the
-        exact one.  A proof counts the row as skipped."""
-        if self._memo[0] is not x or self._memo[1] != slack:
+        P^2 = wedge2 / L >= x^(2j), is tried first (_at_least, with the bar
+        memoised), then for a pair with t = 2 the quadratic decides
+        (angles.plane_sine_at_least).  A row with a box is screened on the
+        box first (_box_screen), and on the exact integers only where the
+        box cannot decide, so every decision is the exact one.  A proof
+        counts the row as skipped."""
+        key = self._bar_key
+        if key[0] is not x or key[1] != slack:
             man, exp = x
             num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
             if slack:
                 bits = self._bits()
                 num, den = num << bits, den * ((1 << bits) - 1)
-            bar = _bar_power(num, den, 2 * self.j_index)
-            self._memo = (x, slack, (bar, num * num, den * den))
-        bar, num2, den2 = self._memo[2]
-        wedge2, cos2 = row[6], row[7]
-        scale = self.label2 * row[0]
-        if _at_least(wedge2, scale, bar) or cos2 is not None and plane_sine_at_least(
-            scale, wedge2, cos2, self.j_index, num2, den2
+            self._bar_key, self._bar = (x, slack), _bar_power(num, den, 2 * self.j_index)
+            self._y, self._forms = (num * num, den * den), None
+        box = row[8]
+        if box is None:
+            wedge2, cos2 = row[6], row[7]
+        else:
+            skip = self._box_screen(box)
+            if skip is not None:
+                self.counts["skipped"] += skip
+                return skip
+            wedge2, cos2 = box[3](row[1])
+        scale, (num2, den2) = self.label2 * row[0], self._y
+        if _at_least(wedge2, wedge2, scale, scale, self._bar) or (
+            cos2 is not None and plane_sine_at_least(scale, wedge2, cos2, self.j_index, num2, den2)
         ):
             self.counts["skipped"] += 1
             return True
         return False
+
+    def _box_screen(self, box: tuple) -> bool | None:
+        """rules_out's decision on a box, None when the box cannot decide."""
+        (l_lo, l_hi), (w_lo, w_hi), cos, _ = box
+        skip = _at_least(w_lo, w_hi, l_lo, l_hi, self._bar)
+        if skip or cos is None:
+            return skip
+        if self._forms is None:
+            self._forms = [_plane_forms(*end) for end in _kept_bar(*self._y)]
+        # psi_j^2 >= y holds for every y below a y where it holds
+        forms_hi, forms_lo = self._forms
+        if _plane_sine_decision(box[:3], self.j_index, forms_hi):
+            return True
+        if _plane_sine_decision(box[:3], self.j_index, forms_lo) is False:
+            return False
+        return None
 
     def log(self, name: str) -> None:
         _debug(

@@ -8,6 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from subdioph import angles as angles_module
@@ -809,3 +811,53 @@ def test_largest_sine_proof_refuses_what_it_cannot_prove(monkeypatch):
         monkeypatch.setattr(angles_module.mp, "eigsy", lambda m: (None, mp.eye(m.rows)))
         assert angles_module._largest_sine_mantissas(a, b, 128) is None
         monkeypatch.undo()
+
+
+def sylvester(m):
+    """Sylvester's test on m itself: every leading minor positive."""
+    return all(exact.determinant([row[:j] for row in m[:j]]) > 0 for j in range(1, len(m) + 1))
+
+
+def congruent_matrix(seed, d, a, sign):
+    """m = B^T D B for an invertible integer B of order d with entries up
+    to 2^40 and D = diag(2^a, ..., 2^a, sign): by Sylvester's law of
+    inertia m is positive definite exactly when sign = 1, however far its
+    least eigenvalue lies below its entries (about 2^-a of them)."""
+    rng = random.Random(seed)
+    while True:
+        b = [[rng.randint(-(1 << 40), 1 << 40) for _ in range(d)] for _ in range(d)]
+        if exact.determinant(b):
+            break
+    diag = [1 << a] * (d - 1) + [sign]
+    return [[sum(b[k][i] * diag[k] * b[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 2**32),
+    d=st.integers(2, 5),
+    a=st.integers(0, 700),
+    sign=st.sampled_from([1, -1, 0]),
+)
+@example(seed=1, d=3, a=400, sign=1)
+@example(seed=2, d=4, a=400, sign=-1)
+def test_truncated_sylvester_test_decides_as_the_full_one(seed, d, a, sign):
+    """On symmetric integer matrices near singular, definite or not, the
+    test on truncations (_positive_definite) answers as Sylvester's test on
+    the matrix itself, at every starting width."""
+    m = congruent_matrix(seed, d, a, sign)
+    assert sylvester(m) == (sign == 1)
+    for width in (16, 64, 640):
+        assert angles_module._positive_definite(m, width) == (sign == 1), width
+
+
+def test_truncated_sylvester_test_retries_at_a_smaller_shift():
+    """A definite matrix whose least eigenvalue lies 2^-400 below its
+    entries fails the test at its first truncation to 64 bits, and a
+    smaller shift proves it."""
+    d = 3
+    m = congruent_matrix(1, d, 400, 1)
+    shift = max(abs(x).bit_length() for row in m for x in row) - 64
+    first = [[(x >> shift) - d * (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+    assert not sylvester(first)
+    assert angles_module._positive_definite(m, 64)

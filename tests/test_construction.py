@@ -328,6 +328,33 @@ def test_generators_single_block():
     assert gen.angle_slack == tail_bound(params, 0)
 
 
+def test_slack_ceiling_matches_the_exact_slack():
+    """certify_instance widens by the angle slack rounded up at 2 ctx.bits,
+    taken from two dyadic bounds on theta^m: it equals the ceiling of the
+    exact Fraction for both variants, ell = 1 to 4 and every depth whose
+    power fits in a test, and the unbounded ell = 1 certificate to N = 4,
+    whose slack holds 3^823543, keeps its bytes."""
+    cases = 0
+    for ell in (1, 2, 3, 4):
+        for beta, variant in ((Fraction(3), FINITE), (Fraction(7, 2), FINITE), (None, INFINITE)):
+            params = ConstructionParams.create(ell, beta, seed=1, variant=variant)
+            for depth in range(construction.series_start(params), 7):
+                m_next = construction._term_exponent(params, depth + 1)
+                if m_next > 3 * 10**5:
+                    continue
+                slack = build_generators(params, depth).angle_slack
+                for prec in (128, 512, 1024):
+                    want = angles._ceil_dyadic(slack, prec)
+                    assert construction._ceil_slack(params, m_next, prec) == want
+                    cases += 1
+    assert cases > 150
+    out = io.StringIO()
+    argv = ["construct", "--ell", "1", "--beta", "inf", "--nmax", "4", "--certify", "--no-header"]
+    assert cli.run_command(argv, stdout=out) == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == "ee0de7453a414fede532bd8c5b0b3e40b02295eab6c7660e9be8d16b787ff4d9"
+
+
 def test_generators_shape_and_rank():
     params = ConstructionParams.create(2, Fraction(5, 2), seed=1)
     gen = build_generators(params, 2)

@@ -416,15 +416,15 @@ def test_single_sine_scans_skip_decode_and_engine(decode_calls, engine_calls, e,
 
 @pytest.fixture
 def bracket_calls(monkeypatch):
-    """Count of label brackets (_sine_mantissas) built by the generic scans."""
+    """Count of label brackets (_sine_mantissa) built by the generic scans."""
     calls = {"brackets": 0}
-    bracket = est._sine_mantissas
+    bracket = est._sine_mantissa
 
-    def counted(label2, wedge2, cos2, bits):
+    def counted(label2, wedge2, cos2, bits, index):
         calls["brackets"] += 1
-        return bracket(label2, wedge2, cos2, bits)
+        return bracket(label2, wedge2, cos2, bits, index)
 
-    monkeypatch.setattr(est, "_sine_mantissas", counted)
+    monkeypatch.setattr(est, "_sine_mantissa", counted)
     return calls
 
 
