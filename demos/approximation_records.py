@@ -16,8 +16,8 @@ from subdioph import estimation as est
 
 def main():
     target = est.golden_line_target()
-    # dyadic height shells hold a few lattice points each, so the window
-    # can be this large
+    # the walk follows the slope's continued fraction, a few keyed rows
+    # per partial quotient, so the window can be this large
     records = est.scan_line_records(target, 10**12)
     print("golden-line records up to height^2 = 10^12:")
     for rec in records[:8]:

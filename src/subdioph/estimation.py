@@ -11,18 +11,19 @@ sweep:
 * the exact line engine, for lines in R^n, clears the target's
   denominators once and keys plane vectors by their exact squared cross
   terms, as plain integers (exact signs of m + n sqrt(d) for quadratic
-  slopes).  From the height-1 level it walks dyadic height shells: the
-  running record bounds |x1 p - x2 q| <= D for every vector of the shell
-  that could beat it, and Fincke-Pohst enumeration lists that slab on a
-  Lagrange-Gauss reduced lattice basis in O(1 + points) nodes.  The search
-  is complete by construction and takes O(log H) shells; only the records
-  get a bracket, and an irrationality scan counts the rows the walk keyed,
-  each a primitive vector with a positive lead: its line's label.  A
-  record's squared sine is an integer interval, and angles._sqrt_interval
-  roots it to doubles; the scan's verdict reads its exact lower end.  One walk
-  serves every R^n: a line target embedded on two coordinate axes of R^n
-  has the plane records, placed on those axes (the projection lemma, the
-  paper's transfer result for a coordinate plane).
+  slopes).  From the height-1 level it walks the Stern-Brocot tree toward
+  the slope's integer bracket: every record is a node whose interval meets
+  the bracket, a convergent or a semiconvergent of the slope, and the run
+  of one partial quotient costs a few keyed rows, placed by one division
+  and a bisection, however long it is.  The search is complete by
+  construction; only the records get a bracket, and an irrationality scan
+  counts the rows the walk keyed, each a primitive vector with a positive
+  lead: its line's label.  A record's squared sine is an integer interval,
+  and angles._sqrt_interval roots it to doubles; the scan's verdict reads
+  its exact lower end.  One walk serves every R^n: a line target embedded
+  on two coordinate axes of R^n has the plane records, placed on those
+  axes (the projection lemma, the paper's transfer result for a coordinate
+  plane).
   Split an off-plane vector as v = (x, z) with x in the plane and z != 0.
   For x != 0 at distance d <= |x| from the target line,
       psi(v)^2 = (d^2 + |z|^2) / (|x|^2 + |z|^2) >= d^2 / |x|^2 = psi(x)^2,
@@ -72,7 +73,7 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import groupby, repeat
-from math import gcd, isqrt
+from math import isqrt
 from numbers import Real
 from operator import itemgetter, mul
 from typing import Iterator, Mapping, Sequence
@@ -273,11 +274,10 @@ def widen_records(
 # x2) is the exact comparison object for the squared cross term: an int
 # (rational slopes) or an (m, n) pair for m + n sqrt(d).  engine.zero is
 # the key of a vector on the target.  engine.less(row_a, row_b) compares
-# key / h2 of two rows exactly.  engine.radius(record, top) is an integer D
-# with |x1 p_lo - x2 q| <= D for every x with |x|^2 <= top whose row beats
-# the record row under less: the slab the shell search walks.  Only the
-# rows the sweep returns get engine.bracket, an integer (lo2, hi2) of the
-# same quantity over the scale.
+# key / h2 of two rows exactly.  The walk places a vector against the slope
+# bracket by its integer cross terms x1 p_lo - x2 q and x1 p_hi - x2 q.
+# Only the rows the sweep returns get engine.bracket, an integer (lo2, hi2)
+# of the same quantity over the scale.
 
 
 def _square_bracket(lo: int, hi: int) -> tuple[int, int]:
@@ -319,11 +319,6 @@ class _RationalCross:
     @staticmethod
     def less(row_a, row_b) -> bool:
         return row_a[2] * row_b[0] < row_b[2] * row_a[0]
-
-    @staticmethod
-    def radius(record, top: int) -> int:
-        # (x1 p_lo - x2 q)^2 <= key(x) < key_r |x|^2 / h2_r <= key_r top / h2_r
-        return isqrt(record[2] * top // record[0])
 
 
 class _QuadraticCross:
@@ -369,23 +364,14 @@ class _QuadraticCross:
         (m_b, n_b), h2_b = row_b[2], row_b[0]
         return _surd_sign(m_a * h2_b - m_b * h2_a, n_a * h2_b - n_b * h2_a, self.d) < 0
 
-    def radius(self, record, top: int) -> int:
-        # hi_r / 2^bits, the upper end of _bracket(m, n), bounds the
-        # record's key from above.  2^bits den (x1 slope - x2) squares to
-        # key(x) 2^(2 bits) < 2^bits hi_r top / h2_r, and x1 p_lo - x2 q
-        # differs from it by x1 b (root - 2^bits sqrt(d)) or
-        # x1 b (root + 1 - 2^bits sqrt(d)), less than isqrt(top) |b| in size
-        h2, _vec, (m, n) = record
-        hi = (m << self.bits) + n * self.root + max(n, 0)
-        return isqrt((hi * top << self.bits) // h2) + 1 + isqrt(top) * abs(self.b)
-
 
 def _cross_engine(target, hmax2: int = 1) -> "_RationalCross | _QuadraticCross":
     if isinstance(target, RationalLineTarget):
         return _RationalCross(target)
     if isinstance(target, QuadraticLineTarget):
-        # 2^bits >= 2^64 H^4 keeps the enclosure error in radius() far below
-        # the record slab at every height, and the record brackets tight
+        # 2^bits >= 2^64 H^4 keeps the slope's enclosure far narrower than
+        # its 1/H^2-scale distance to a fraction of height H, so the walk
+        # rarely finds a node inside it, and the record brackets tight
         return _QuadraticCross(target, max(_ROOT_BITS, 64 + 2 * hmax2.bit_length()))
     raise ParameterError("fast scans need a rational or quadratic line target")
 
@@ -397,75 +383,6 @@ def _check_bracket_width(engine, hmax2: int) -> None:
         raise ParameterError(
             "slope bracket too wide for the scan range; deepen the truncation"
         )
-
-
-def _gauss_reduced(u: tuple, v: tuple, dd: int, xx: int) -> tuple:
-    """Lagrange-Gauss reduction of the lattice basis (u, v) under the form
-    F(w) = dd w[0]^2 + xx w[2]^2 on (x1, x2, y) vectors.
-
-    Returns (u, v, F(u), B(u, v), F(v)) with F(u) <= F(v) and
-    |2 B(u, v)| <= F(u), B being the form's inner product.
-    """
-
-    def inner(a, b):
-        return dd * a[0] * b[0] + xx * a[2] * b[2]
-
-    g11, g22 = inner(u, u), inner(v, v)
-    while True:
-        if g22 < g11:
-            u, v, g11, g22 = v, u, g22, g11
-        g12 = inner(u, v)
-        mu = (2 * g12 + g11) // (2 * g11)
-        if not mu:
-            return u, v, g11, g12, g22
-        v = (v[0] - mu * u[0], v[1] - mu * u[1], v[2] - mu * u[2])
-        g22 = inner(v, v)
-
-
-def _shell_vectors(engine, record, lo: int, top: int, basis: tuple) -> tuple[list, tuple, int]:
-    """Primitive plane vectors (x1, x2), x1 >= 1 and lo < x1^2 + x2^2 <= top,
-    among them every one whose row beats the record row (Fincke-Pohst).
-
-    Such a vector has x1 <= X = isqrt(top) and |y| <= D for
-    y = x1 p_lo - x2 q and D = engine.radius(record, top), so its point
-    (x1, x2, y) of the lattice Z (1, 0, p_lo) + Z (0, 1, -q) lies in the
-    ellipse D^2 x1^2 + X^2 y^2 <= 2 D^2 X^2.  The walk lists that ellipse on
-    a basis reduced under this form, which keeps it at O(1 + points) nodes
-    (a node is one c2 level or one point), and covers each pair +-w once.
-    basis is a basis of that lattice, and the reduced one is returned for
-    the next shell, whose form differs little.  Returns the vectors, the
-    basis and the node count.
-    """
-    radius, width = engine.radius(record, top), isqrt(top)
-    u, v, g11, g12, g22 = _gauss_reduced(*basis, radius * radius, width * width)
-    (u1, u2, uy), (v1, v2, vy) = u, v
-    det = g11 * g22 - g12 * g12
-    # g11 F(c1 u + c2 v) = (g11 c1 + g12 c2)^2 + det c2^2 <= g11 2 D^2 X^2
-    bound = 2 * radius * radius * width * width * g11
-    vecs = []
-    nodes = 0
-    for c2 in range(isqrt(bound // det) + 1):
-        reach = isqrt(bound - det * c2 * c2)
-        centre = -g12 * c2
-        first = -((reach - centre) // g11) if c2 else 1
-        last = (centre + reach) // g11
-        if not c2:
-            # c1 u is primitive only for c1 = 1: c1 = 0 is the origin,
-            # c1 < 0 the negatives and c1 >= 2 the multiples of u
-            last = min(last, 1)
-        nodes += 1 + max(0, last - first + 1)
-        for c1 in range(first, last + 1):
-            x1, x2 = c1 * u1 + c2 * v1, c1 * u2 + c2 * v2
-            if x1 < 0:
-                x1, x2 = -x1, -x2
-            if (
-                x1
-                and abs(c1 * uy + c2 * vy) <= radius
-                and lo < x1 * x1 + x2 * x2 <= top
-                and gcd(x1, x2) == 1
-            ):
-                vecs.append((x1, x2))
-    return vecs, (u, v), nodes
 
 
 def _sweep_pool(pool: list, less, settle=None) -> list[tuple]:
@@ -501,24 +418,21 @@ def _debug(msg: str, *args) -> None:
         logging.getLogger("subdioph").debug(msg, *args)
 
 
-def _keyed(engine, vecs: list, keyed: int, place) -> list[tuple]:
-    """(h2, vector, key) rows of plane vectors, keyed after `keyed` others.
-    A vector that meets the target raises IrrationalityViolationError with
+def _keyed(engine, x1: int, x2: int, pool: list, place) -> tuple:
+    """The (h2, vector, key) row of a plane vector, appended to pool.  A
+    vector that meets the target raises IrrationalityViolationError with
     the vector and its line placed in R^n, and the rows keyed up to and
-    including it as .scanned."""
-    rows = []
-    for x1, x2 in vecs:
-        key = engine.key(x1, x2)
-        if key == engine.zero:
-            vec = place((x1, x2))
-            err = IrrationalityViolationError(f"enumerated line {vec} meets the target exactly")
-            err.vector, err.subspace = vec, exact.RationalSubspace._line(vec)
-            err.scanned = keyed + len(rows) + 1
-            raise err
-        rows.append((x1 * x1 + x2 * x2, (x1, x2), key))
-    # (h2, vector) is unique per row, so the sort never compares keys
-    rows.sort()
-    return rows
+    including it, all of pool, as .scanned."""
+    key = engine.key(x1, x2)
+    row = (x1 * x1 + x2 * x2, (x1, x2), key)
+    pool.append(row)
+    if key == engine.zero:
+        vec = place((x1, x2))
+        err = IrrationalityViolationError(f"enumerated line {vec} meets the target exactly")
+        err.vector, err.subspace = vec, exact.RationalSubspace._line(vec)
+        err.scanned = len(pool)
+        raise err
+    return row
 
 
 def _placing(n: int, axes: tuple[int, int]):
@@ -536,22 +450,139 @@ def _placing(n: int, axes: tuple[int, int]):
     return place
 
 
+def _walk(engine, hmax2: int, bar: tuple, pool: list, place, counts: dict) -> None:
+    """Keys the Stern-Brocot candidates of _scan_lines into pool, one
+    partial quotient's run at a time; bar is the running record of the
+    height-1 rows.
+
+    A vector travels with its cross terms (x1, x2, x1 p_lo - x2 q,
+    x1 p_hi - x2 q).  The mediant m of the parents (l, r) lies below the
+    bracket when its first cross term is positive, above it when its second
+    is negative, and inside it otherwise.  A mediant below starts the run
+    m + k s with s = r (above, s = l), whose members stay below for the
+    k < K = -(c_lo(m) // c_lo(s)) that one division gives; the walk goes on
+    from the parents of the member K, m + (K - 1) s and s.  The members near
+    the bracket monotonically, so their key over h2 falls with k, and a
+    member that beats no lower row is no record.  bar is the best row on
+    the path from the root, all of them lower than the run.  If m beats
+    bar, every member up to the height bound does and is keyed.  If not,
+    the last member is keyed: when it fails too the run is skipped, and
+    else a bisection finds the first member that beats bar, and the members
+    from there on are keyed.  A node inside the bracket is keyed and both
+    of its subtrees walked, each with the bar of its own path.  counts gets
+    the runs and the probes: the rows keyed only to decide a run, a last
+    member that fails and the bisection steps that fail.
+    """
+    less = engine.less
+    p_lo, p_hi, q = engine.p_lo, engine.p_hi, engine.q
+    stack = []
+    if p_lo < 0:
+        stack.append(((0, -1, q, q), (1, 0, p_lo, p_hi), bar))
+    if p_hi > 0:
+        stack.append(((1, 0, p_lo, p_hi), (0, 1, -q, -q), bar))
+    while stack:
+        left, right, bar = stack.pop()
+        while True:
+            l1, l2, l_lo, l_hi = left
+            r1, r2, r_lo, r_hi = right
+            m1, m2 = l1 + r1, l2 + r2
+            h2 = m1 * m1 + m2 * m2
+            if h2 > hmax2:
+                break
+            m_lo, m_hi = l_lo + r_lo, l_hi + r_hi
+            if m_lo <= 0 <= m_hi:
+                row = _keyed(engine, m1, m2, pool, place)
+                if less(row, bar):
+                    bar = row
+                node = (m1, m2, m_lo, m_hi)
+                if m_lo < 0 < m_hi:
+                    stack.append((node, right, bar))
+                # m_lo = m_hi = 0 met the target in _keyed
+                if m_lo < 0:
+                    right = node
+                else:
+                    left = node
+                continue
+            counts["runs"] += 1
+            below = m_lo > 0
+            s1, s2, s_lo, s_hi = right if below else left
+            last = -(m_lo // s_lo if below else m_hi // s_hi) - 1
+            e1, e2 = m1 + last * s1, m2 + last * s2
+            bounded = e1 * e1 + e2 * e2 > hmax2
+            if bounded:
+                # the last member under the bound: the root of
+                # |m + k s|^2 = hmax2, one below it at worst
+                a, b = s1 * s1 + s2 * s2, m1 * s1 + m2 * s2
+                end = (isqrt(b * b - a * (h2 - hmax2)) - b) // a
+                e1, e2 = m1 + (end + 1) * s1, m2 + (end + 1) * s2
+                end += e1 * e1 + e2 * e2 <= hmax2
+            else:
+                end = last
+            row = _keyed(engine, m1, m2, pool, place)
+            if less(row, bar):
+                # every member beats bar and the one before it
+                for k in range(1, end + 1):
+                    row = _keyed(engine, m1 + k * s1, m2 + k * s2, pool, place)
+                bar = row
+            elif end:
+                best = _keyed(engine, m1 + end * s1, m2 + end * s2, pool, place)
+                if less(best, bar):
+                    # member fails does not beat bar, member first does
+                    fails, first, probed = 0, end, {end}
+                    while first - fails > 1:
+                        k = (fails + first) // 2
+                        if less(_keyed(engine, m1 + k * s1, m2 + k * s2, pool, place), bar):
+                            first = k
+                            probed.add(k)
+                        else:
+                            fails = k
+                            counts["probes"] += 1
+                    for k in range(first, end):
+                        if k not in probed:
+                            _keyed(engine, m1 + k * s1, m2 + k * s2, pool, place)
+                    bar = best
+                else:
+                    counts["probes"] += 1
+            if bounded:
+                break
+            node = (m1 + last * s1, m2 + last * s2, m_lo + last * s_lo, m_hi + last * s_hi)
+            if below:
+                left = node
+            else:
+                right = node
+
+
 def _scan_lines(target, hmax2: int, place=tuple) -> tuple[list[ApproximationRecord], int, bool]:
     """Certified record scan over every primitive plane line against a
     plane line target.
 
-    The sweep starts from the height-1 level, (0, 1) and (1, 0), and walks
-    dyadic shells (h, min(2h, hmax2)] from h = 1: _shell_vectors lists
-    every vector of the shell that can beat the running record, and those
-    rows are keyed, sorted and swept on from the record.  The search is
-    complete by construction, and it stays at O(1) nodes per shell while
-    the records come at a steady rate, so the walk takes O(log H^2)
-    shells.  Only the records are bracketed.
+    The candidates are the height-1 rows (0, 1) and (1, 0) and, up to the
+    height bound, the nodes of the Stern-Brocot tree whose open interval
+    meets the slope bracket [p_lo, p_hi] / q: the path of the slope's
+    continued fraction, branching at a node inside the bracket.  _walk keys
+    them a partial quotient's run at a time, skipping the members that beat
+    no lower row; the keyed rows are sorted by (h2, coords) and swept once.
+    Only the records are bracketed.
 
-    Returns the records, the rows keyed (the two height-1 rows plus the
-    shell rows) and whether the last record's exact lower sine end is
-    positive, which its double need not show.  A line that meets the
-    target raises IrrationalityViolationError with the rows keyed up to
+    Lemma: every record x with x1 >= 1 is a candidate.  Let its slope
+    r = x2 / x1 be the mediant of its Farey parents L < r < R, where
+    (0, -1), (1, 0) and (0, 1) stand for -inf, 0 and inf.  As vectors
+    x = L + R with L . R >= 0, so |L| and |R| are both less than |x|.  If
+    (L, R) misses the bracket, one parent lies on the short arc of the
+    projective line between r and the bracket, an arc that passes through
+    inf = the line (0, 1) when it wraps.  That parent is lower than x and
+    has a strictly smaller sine to every slope in the bracket, so a
+    smaller key over h2: the exact key, and the bracketed key
+    max(lo^2, hi^2) too, which falls monotonically toward the bracket.  So
+    x is not a record.  Mediant heights increase down the tree (L . R >= 0
+    below the two roots (-inf, 0) and (0, inf)), so a node above the bound
+    ends its subtree.  An exact rational slope ends at its own node, the
+    line that meets it.
+
+    Returns the records, the rows keyed (the two height-1 rows, the walk's
+    nodes and its probes) and whether the last record's exact lower sine
+    end is positive, which its double need not show.  A line that meets
+    the target raises IrrationalityViolationError with the rows keyed up to
     and including it.  Logs its counts at DEBUG on the "subdioph" logger,
     a meeting's up to the meeting line.
 
@@ -564,30 +595,24 @@ def _scan_lines(target, hmax2: int, place=tuple) -> tuple[list[ApproximationReco
         raise ParameterError("height bound must be positive")
     engine = _cross_engine(target, hmax2)
     _check_bracket_width(engine, hmax2)
-    counts = dict.fromkeys(("shells", "nodes", "shell_rows"), 0)
-    raw = []
+    counts = {"runs": 0, "probes": 0}
+    pool, raw = [], []
     try:
-        raw = _sweep_pool(_keyed(engine, [(0, 1), (1, 0)], 0, place), engine.less)
-        basis = ((1, 0, engine.p_lo), (0, 1, -engine.q))
-        lo = 1
-        while lo < hmax2:
-            top = min(2 * lo, hmax2)
-            vecs, basis, nodes = _shell_vectors(engine, raw[-1], lo, top, basis)
-            counts["shells"] += 1
-            counts["nodes"] += nodes
-            rows = _keyed(engine, vecs, 2 + counts["shell_rows"], place)
-            counts["shell_rows"] += len(rows)
-            # the running record leads the shell: the sweep goes on from it
-            raw += _sweep_pool([raw[-1], *rows], engine.less)[1:]
-            lo = top
-    except IrrationalityViolationError as err:
-        counts["shell_rows"] = err.scanned - 2
-        raise
+        _keyed(engine, 0, 1, pool, place)
+        _keyed(engine, 1, 0, pool, place)
+        _walk(engine, hmax2, _sweep_pool(pool, engine.less)[0], pool, place, counts)
+        # (h2, vector) is unique per row, so the sort never compares keys
+        pool.sort()
+        raw = _sweep_pool(pool, engine.less)
     finally:
         _debug(
-            "scan_lines: shells=%d nodes=%d shell_rows=%d records=%d",
-            *counts.values(), len(raw),
+            "scan_lines: runs=%d nodes=%d probes=%d records=%d",
+            counts["runs"], len(pool) - 2 - counts["probes"], counts["probes"], len(raw),
         )
+    # a run past half its partial quotient keys every member: drop the
+    # rows before the brackets are built
+    keyed = len(pool)
+    del pool
     raw = [(h2, vec, *engine.bracket(*vec)) for h2, vec, _key in raw]
     # the engine scale cancels in both ratios
     records = [
@@ -599,7 +624,7 @@ def _scan_lines(target, hmax2: int, place=tuple) -> tuple[list[ApproximationReco
         )
         for h2, vec, lo2, hi2 in raw
     ]
-    return records, 2 + counts["shell_rows"], raw[-1][2] > 0
+    return records, keyed, raw[-1][2] > 0
 
 
 _LINE_TARGETS = (RationalLineTarget, QuadraticLineTarget)
@@ -630,7 +655,8 @@ def scan_line_records(
 ) -> list[ApproximationRecord]:
     """Records of every primitive plane line against a line target.
 
-    One shell walk from height 1 covers the whole window (_scan_lines).
+    One Stern-Brocot walk from height 1 covers the whole window
+    (_scan_lines).
     zone is ignored, removed once the benchmark stops passing it (ROADMAP
     item 8).
     """
@@ -1364,12 +1390,12 @@ class IrrationalityReport:
     a positive angle away from all of them.  offender is set when some
     subspace is indistinguishable from the target.  certified_exhaustive is
     always True: every enumeration strategy is a complete census, and so is
-    the line scan's shell search.
+    the line scan's Stern-Brocot walk.
 
     scanned counts the candidates examined, up to and including the
     offender when there is one.  For a generic scan that is the enumeration
-    count; for a line target it is the rows the shell walk keyed, the two
-    height-1 rows plus the shell rows (_scan_lines).
+    count; for a line target it is the rows the line walk keyed, the two
+    height-1 rows plus the walk's nodes and probes (_scan_lines).
     """
 
     j_index: int

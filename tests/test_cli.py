@@ -355,9 +355,9 @@ class TestScanCommands:
         assert all(row["psiLo"] <= row["psiHi"] for row in rows)
 
     def test_records_over_a_large_window(self):
-        """H^2 <= 10^12: the shell search walks O(log H) dyadic shells from
-        height 1 and finds the 43 records that the rounding-window pool
-        gave, row for row."""
+        """H^2 <= 10^12: the line walk follows the slope's continued
+        fraction from height 1 and finds the 43 records that the
+        rounding-window pool gave, row for row."""
         code, out, err = run(
             ["records", "--ell", "1", "--beta", "3", "--hmax-squared", "1000000000000",
              "--no-header"]

@@ -20,9 +20,11 @@ that meets an exact rational target.
 The pool the engine swept before the shell search (a census up to a zone
 plus the rounding window above it, built by a per-row builder) stays below
 as an oracle: swept by the engine's own sweep, it gives the same records
-and meets the target at the same vector.  The `scanned` count of a line
-irrationality scan is the rows the walk keyed, checked against the walk's
-DEBUG counts.
+and meets the target at the same vector.  So does the shell walk the
+Stern-Brocot walk replaced (Fincke-Pohst over dyadic height shells), which
+must agree with it bit for bit, meeting vectors and refused brackets
+included.  The `scanned` count of a line irrationality scan is the rows the
+walk keyed, checked against the walk's DEBUG counts.
 """
 
 import hashlib
@@ -43,7 +45,7 @@ from subdioph import exact
 from subdioph import morphisms as mor
 from subdioph.angles import _sqrt_interval
 from subdioph.enumeration import EXACT_LINES, EnumSpec, enumerate_subspaces, primitive_vectors
-from subdioph.errors import IrrationalityViolationError
+from subdioph.errors import IrrationalityViolationError, ParameterError
 
 SETTINGS = settings(
     derandomize=True,
@@ -393,7 +395,8 @@ def test_batch_pool_matches_the_per_row_builder(kind, n, most, data):
     pool does, with the zone below the height bound, and so do the plane
     and embedded record scans, the latter at the embedded vector.  Each
     counts the rows its walk keyed, up to and including a meeting vector:
-    the two height-1 rows plus the shell rows of the walk's DEBUG line."""
+    the two height-1 rows plus the nodes and probes of the walk's DEBUG
+    line."""
     target = data.draw(POOL_TARGETS[kind], label="target")
     hmax2 = data.draw(st.integers(2, most), label="hmax2")
     zone = data.draw(st.integers(1, hmax2 - 1), label="zone")
@@ -402,7 +405,7 @@ def test_batch_pool_matches_the_per_row_builder(kind, n, most, data):
     expected = reference_pool(engine, hmax2, zone, n, axes)
     with ScanLinesLog() as log:
         report = est.irrationality_scan(target, EnumSpec(2, 1, hmax2))
-    assert report.scanned == 2 + log.counts["shell_rows"]
+    assert report.scanned == 2 + log.counts["nodes"] + log.counts["probes"]
     if isinstance(expected, tuple):
         assert reference_pool(engine, hmax2, zone, 2, (0, 1)) == (
             "meets", report.offender.pluecker.coords
@@ -468,7 +471,7 @@ def reference_records(target, hmax2, zone):
 @SETTINGS
 @given(data=st.data())
 def test_shell_search_matches_the_old_pool(kind, data):
-    """Wherever the old engine certified its pool, the shell search returns
+    """Wherever the old engine certified its pool, the line walk returns
     its records: same coords, heights and sine brackets to the last bit,
     and the same meeting vector."""
     target = data.draw(POOL_TARGETS[kind], label="target")
@@ -485,6 +488,207 @@ def test_shell_search_matches_the_old_pool(kind, data):
         (r.subspace.pluecker.coords, r.height_squared, r.psi_lo.hex(), r.psi_hi.hex())
         for r in records
     ] == expected
+
+
+# ---------------------------------------------------------------------------
+# the shell walk that the Stern-Brocot walk replaced, as an oracle
+
+
+def shell_radius(engine, record, top):
+    """An integer D with |x1 p_lo - x2 q| <= D for every x with |x|^2 <= top
+    whose row beats the record row under engine.less: the slab a shell
+    lists."""
+    h2, _vec, key = record
+    if isinstance(engine, est._RationalCross):
+        # (x1 p_lo - x2 q)^2 <= key(x) < key_r |x|^2 / h2_r <= key_r top / h2_r
+        return isqrt(key * top // h2)
+    # hi_r / 2^bits, the upper end of _bracket(m, n), bounds the record's
+    # key from above.  2^bits den (x1 slope - x2) squares to
+    # key(x) 2^(2 bits) < 2^bits hi_r top / h2_r, and x1 p_lo - x2 q
+    # differs from it by x1 b (root - 2^bits sqrt(d)) or
+    # x1 b (root + 1 - 2^bits sqrt(d)), less than isqrt(top) |b| in size
+    m, n = key
+    hi = (m << engine.bits) + n * engine.root + max(n, 0)
+    return isqrt((hi * top << engine.bits) // h2) + 1 + isqrt(top) * abs(engine.b)
+
+
+def gauss_reduced(u, v, dd, xx):
+    """Lagrange-Gauss reduction of the lattice basis (u, v) under the form
+    F(w) = dd w[0]^2 + xx w[2]^2 on (x1, x2, y) vectors.
+
+    Returns (u, v, F(u), B(u, v), F(v)) with F(u) <= F(v) and
+    |2 B(u, v)| <= F(u), B being the form's inner product.
+    """
+
+    def inner(a, b):
+        return dd * a[0] * b[0] + xx * a[2] * b[2]
+
+    g11, g22 = inner(u, u), inner(v, v)
+    while True:
+        if g22 < g11:
+            u, v, g11, g22 = v, u, g22, g11
+        g12 = inner(u, v)
+        mu = (2 * g12 + g11) // (2 * g11)
+        if not mu:
+            return u, v, g11, g12, g22
+        v = (v[0] - mu * u[0], v[1] - mu * u[1], v[2] - mu * u[2])
+        g22 = inner(v, v)
+
+
+def shell_vectors(engine, record, lo, top, basis):
+    """Primitive plane vectors (x1, x2), x1 >= 1 and lo < x1^2 + x2^2 <= top,
+    among them every one whose row beats the record row (Fincke-Pohst).
+
+    Such a vector has x1 <= X = isqrt(top) and |y| <= D for
+    y = x1 p_lo - x2 q and D = shell_radius(engine, record, top), so its
+    point (x1, x2, y) of the lattice Z (1, 0, p_lo) + Z (0, 1, -q) lies in
+    the ellipse D^2 x1^2 + X^2 y^2 <= 2 D^2 X^2.  The walk lists that
+    ellipse on a basis reduced under this form and covers each pair +-w
+    once.  Returns the vectors and the reduced basis, for the next shell.
+    """
+    radius, width = shell_radius(engine, record, top), isqrt(top)
+    u, v, g11, g12, g22 = gauss_reduced(*basis, radius * radius, width * width)
+    (u1, u2, uy), (v1, v2, vy) = u, v
+    det = g11 * g22 - g12 * g12
+    # g11 F(c1 u + c2 v) = (g11 c1 + g12 c2)^2 + det c2^2 <= g11 2 D^2 X^2
+    bound = 2 * radius * radius * width * width * g11
+    vecs = []
+    for c2 in range(isqrt(bound // det) + 1):
+        reach = isqrt(bound - det * c2 * c2)
+        centre = -g12 * c2
+        first = -((reach - centre) // g11) if c2 else 1
+        last = (centre + reach) // g11
+        if not c2:
+            # c1 u is primitive only for c1 = 1
+            last = min(last, 1)
+        for c1 in range(first, last + 1):
+            x1, x2 = c1 * u1 + c2 * v1, c1 * u2 + c2 * v2
+            if x1 < 0:
+                x1, x2 = -x1, -x2
+            if (
+                x1
+                and abs(c1 * uy + c2 * vy) <= radius
+                and lo < x1 * x1 + x2 * x2 <= top
+                and gcd(x1, x2) == 1
+            ):
+                vecs.append((x1, x2))
+    return vecs, (u, v)
+
+
+def shell_rows(engine, vecs):
+    """The sorted (h2, vector, key) rows of vecs, or the vector that meets."""
+    rows = []
+    for x1, x2 in vecs:
+        key = engine.key(x1, x2)
+        if key == engine.zero:
+            return (x1, x2)
+        rows.append((x1 * x1 + x2 * x2, (x1, x2), key))
+    return sorted(rows)
+
+
+def shell_scan(target, n, axes, hmax2):
+    """The shell walk: from the height-1 rows, every dyadic shell
+    (h, min(2h, hmax2)] lists the vectors that can beat the running record,
+    and the sweep goes on from it.  Returns the records as (coords, h2,
+    psi_lo hex, psi_hi hex) rows, ("meets", vector) or
+    ("ParameterError", message)."""
+    place = est._placing(n, axes)
+    try:
+        engine = est._cross_engine(target, hmax2)
+        est._check_bracket_width(engine, hmax2)
+    except ParameterError as err:
+        return ("ParameterError", str(err))
+    rows = shell_rows(engine, [(0, 1), (1, 0)])
+    if isinstance(rows, tuple):
+        return ("meets", place(rows))
+    raw = est._sweep_pool(rows, engine.less)
+    basis = ((1, 0, engine.p_lo), (0, 1, -engine.q))
+    lo = 1
+    while lo < hmax2:
+        top = min(2 * lo, hmax2)
+        vecs, basis = shell_vectors(engine, raw[-1], lo, top, basis)
+        rows = shell_rows(engine, vecs)
+        if isinstance(rows, tuple):
+            return ("meets", place(rows))
+        raw += est._sweep_pool([raw[-1], *rows], engine.less)[1:]
+        lo = top
+    out = []
+    for h2, vec, _key in raw:
+        lo2, hi2 = engine.bracket(*vec)
+        psi_lo, psi_hi = _sqrt_interval((lo2, h2 * engine.u2_hi, hi2, h2 * engine.u2_lo))
+        out.append((place(vec), h2, psi_lo.hex(), psi_hi.hex()))
+    return out
+
+
+def walk_scan(target, n, axes, hmax2):
+    """The engine's outcome in the shape of shell_scan's."""
+    try:
+        got = scan_outcome(target, n, axes, hmax2)
+    except ParameterError as err:
+        return ("ParameterError", str(err))
+    if isinstance(got, tuple):
+        return got
+    return [
+        (r.subspace.pluecker.coords, r.height_squared, r.psi_lo.hex(), r.psi_hi.hex())
+        for r in got
+    ]
+
+
+def steep_quadratic(draw):
+    """(a + b sqrt(d)), b of either sign, a up to 200 in size: steep slopes."""
+    return est.QuadraticLineTarget(
+        Fraction(draw(st.integers(-200, 200)), draw(st.integers(1, 9))),
+        Fraction(draw(st.integers(1, 9) | st.integers(-9, -1)), draw(st.integers(1, 9))),
+        draw(st.sampled_from([d for d in range(2, 102) if isqrt(d) ** 2 != d])),
+    )
+
+
+def meeting_rational(draw, hmax2):
+    """An exact slope x2 / x1 with x1^2 + x2^2 <= hmax2: steep, negative or
+    flat, it meets a line of the window."""
+    r = isqrt(hmax2)
+    x1 = draw(st.integers(1, r))
+    x2 = draw(st.integers(-isqrt(hmax2 - x1 * x1), isqrt(hmax2 - x1 * x1)))
+    return est.RationalLineTarget(Fraction(x2, x1))
+
+
+def bracketed(draw, hmax2):
+    """A slope bracket up to the width allowance 1 / (10 X),
+    X = isqrt(hmax2) + 1, or just past it; often it holds a fraction of
+    height <= H."""
+    width = Fraction(
+        draw(st.integers(1, 1000) | st.integers(990, 1010)), 10_000 * (isqrt(hmax2) + 1)
+    )
+    if draw(st.booleans()):
+        r = isqrt(hmax2)
+        x1 = draw(st.integers(1, r))
+        x2 = draw(st.integers(-isqrt(hmax2 - x1 * x1), isqrt(hmax2 - x1 * x1)))
+        low = Fraction(x2, x1) - width * Fraction(draw(st.integers(0, 100)), 100)
+    else:
+        low = random_fraction(draw(st.integers(0, 2**32)))
+    return est.RationalLineTarget(low, width)
+
+
+WALK_FAMILIES = {
+    "steep-quadratic": (lambda draw, hmax2: steep_quadratic(draw), 10**9),
+    "meeting-rational": (meeting_rational, 10**6),
+    "bracketed": (bracketed, 10**6),
+}
+
+
+@pytest.mark.parametrize("family", list(WALK_FAMILIES))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_stern_brocot_walk_matches_the_shell_walk(family, n, data):
+    """The walk of _scan_lines gives the shell walk's records, bit for bit,
+    its meeting vector and its refusal of a bracket too wide, in the plane
+    and on two coordinate axes of R^3 to R^5."""
+    make, most = WALK_FAMILIES[family]
+    hmax2 = data.draw(st.integers(1, most), label="hmax2")
+    target = make(data.draw, hmax2)
+    axes = data.draw(st.sampled_from(list(itertools.combinations(range(n), 2))), label="axes")
+    assert walk_scan(target, n, axes, hmax2) == shell_scan(target, n, axes, hmax2)
 
 
 @pytest.mark.parametrize("n, hmax2", [(1, 9), (2, 1), (2, 2), (2, 500), (3, 60), (4, 20), (5, 9)])
@@ -529,23 +733,25 @@ def test_line_scan_logs_its_pool(caplog):
     target = est.golden_line_target()
     report = est.irrationality_scan(target, EnumSpec(2, 1, 10**5))
     counts = line_scan_counts(caplog)
-    assert list(counts) == ["shells", "nodes", "shell_rows", "records"]
-    # dyadic shells from 1 up to 10^5
-    assert counts["shells"] == 17
-    assert 0 < counts["shell_rows"] <= counts["nodes"]
-    assert report.scanned == 2 + counts["shell_rows"]
+    assert list(counts) == ["runs", "nodes", "probes", "records"]
+    # every partial quotient of the golden ratio is 1: each run is one
+    # node, and each node a record after the height-1 record (0, 1)
+    assert counts["runs"] == counts["nodes"] == counts["records"] - 1 == 12
+    assert counts["probes"] == 0
+    assert report.scanned == 2 + counts["nodes"] + counts["probes"]
     records = est.scan_embedded_line_records(target, 3, 10**5)
     assert line_scan_counts(caplog) == counts | {"records": len(records)}
 
 
 def test_golden_irrationality_scan_counts_the_rows_it_keyed(caplog):
     """At H^2 <= 10^12 the golden line's scan keys the two height-1 rows
-    and a few dozen shell rows, and counts just those; a recount of the
+    and a few dozen nodes, and counts just those; a recount of the
     rounding-window pool gave 1,607,411 here, in seconds."""
     caplog.set_level(logging.DEBUG, logger="subdioph")
     report = est.irrationality_scan(est.golden_line_target(), EnumSpec(2, 1, 10**12))
     assert report.ok
-    assert report.scanned == 2 + line_scan_counts(caplog)["shell_rows"]
+    counts = line_scan_counts(caplog)
+    assert report.scanned == 2 + counts["nodes"] + counts["probes"]
     assert report.scanned < 100
 
 
@@ -577,20 +783,19 @@ def fibonacci_pairs(hmax2):
     return out
 
 
-@pytest.mark.parametrize(
-    "hmax2, most_nodes", [(10**12, 2_000), (10**40, 4_000)], ids=["1e12", "1e40"]
-)
-def test_golden_line_walk_stays_logarithmic(caplog, hmax2, most_nodes):
+@pytest.mark.parametrize("hmax2", [10**12, 10**40], ids=["1e12", "1e40"])
+def test_golden_line_walk_stays_logarithmic(caplog, hmax2):
     """The golden line's records are consecutive Fibonacci pairs (its
-    convergents), and the shell search finds them in a bounded number of
-    nodes per dyadic shell: counts, not wall time."""
+    convergents), and the walk keys those alone, one node per partial
+    quotient and no probe: counts, not wall time."""
     caplog.set_level(logging.DEBUG, logger="subdioph")
     records = est.scan_line_records(est.golden_line_target(), hmax2)
     assert [r.subspace.pluecker.coords for r in records] == fibonacci_pairs(hmax2)
     assert len(records) == {10**12: 30, 10**40: 97}[hmax2]
     assert all(r.psi_lo > 0 for r in records)
     assert all(a.psi_hi > b.psi_hi for a, b in zip(records, records[1:]))
-    assert line_scan_counts(caplog)["nodes"] < most_nodes
+    counts = line_scan_counts(caplog)
+    assert (counts["nodes"], counts["probes"]) == (len(records) - 1, 0)
 
 
 def record_digest(records):
@@ -603,8 +808,8 @@ def record_digest(records):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# digests of the records as the walk gave them when it still listed the
-# whole c2 = 0 row of each shell
+# digests of the records as the shell walk gave them when it still listed
+# the whole c2 = 0 row of each shell
 ROW_CLIP_RECORDS = {
     "instance-1e24": (45, "a0afafad62dadea99f2b747acd8b52b96c79e41e5e59d2f29534b2b2eceb9801"),
     "golden-1e12": (30, "fadd5989b19fe32538819507dc4800dba90570e49bf0e5806b362a5b468dae4a"),
@@ -613,35 +818,72 @@ ROW_CLIP_RECORDS = {
 
 @pytest.mark.parametrize("case", list(ROW_CLIP_RECORDS))
 def test_shell_walk_lists_only_primitive_rows(caplog, case):
-    """On the c2 = 0 row of a shell only c1 = 1 gives a primitive vector.
-    The l=1 beta=3 seed-0 instance line has a huge partial quotient, so
-    that row holds the multiples of its last convergent: listing them took
-    1,914,875 nodes at H^2 <= 10^24.  The records stay the same."""
+    """The l=1 beta=3 seed-0 instance line has a huge partial quotient, so
+    the c2 = 0 row of a shell held the multiples of its last convergent:
+    listing them took the shell walk 1,914,875 nodes at H^2 <= 10^24, and
+    under 200,000 once it kept c1 = 1 alone.  The Stern-Brocot walk keys
+    a primitive vector per node and crosses that run with a few probes.
+    The records stay the same."""
     caplog.set_level(logging.DEBUG, logger="subdioph")
     if case == "instance-1e24":
         params = con.ConstructionParams.create(1, Fraction(3), seed=0)
         target = est.line_target_for_instance(params, height_squared_max=10**24)
         records = est.scan_line_records(target, 10**24)
-        assert line_scan_counts(caplog)["nodes"] < 200_000
+        counts = line_scan_counts(caplog)
+        assert 2 + counts["nodes"] + counts["probes"] < 100
     else:
         records = est.scan_line_records(est.golden_line_target(), 10**12)
     assert (len(records), record_digest(records)) == ROW_CLIP_RECORDS[case]
 
 
 def test_golden_line_keys_few_rows(monkeypatch):
-    """The shell walk keys only rows that could set a record: a census of
-    the plane vectors up to squared height 10,000 would key 9,544."""
+    """The walk keys only the two height-1 rows and the golden line's
+    convergents, each a record: a census of the plane vectors up to
+    squared height 10,000 would key 9,544."""
     keyed = []
     real = est._keyed
 
-    def counted(engine, vecs, *rest):
-        keyed.append(len(vecs))
-        return real(engine, vecs, *rest)
+    def counted(engine, x1, x2, *rest):
+        keyed.append((x1, x2))
+        return real(engine, x1, x2, *rest)
 
     monkeypatch.setattr(est, "_keyed", counted)
     records = est.scan_line_records(est.golden_line_target(), 10**6)
     assert [r.subspace.pluecker.coords for r in records] == fibonacci_pairs(10**6)
-    assert 0 < sum(keyed) < 500
+    assert sorted(keyed) == sorted([(1, 0), *fibonacci_pairs(10**6)])
+
+
+# A run of one partial quotient costs a few keyed rows, however long: a
+# walk that keyed each member would key about 10^8 rows on the first line
+# (a 10-digit partial quotient follows its convergent (81, 56)) and about
+# 3 * 10^5 on the second, whose run (t, 1) cannot beat (1, 0) below
+# t ~ 5 * 10^5.
+LONG_QUOTIENTS = {
+    "unbounded-1e20": (
+        lambda: est.line_target_for_instance(
+            con.ConstructionParams.create(1, None, seed=0, variant=con.INFINITE),
+            height_squared_max=10**20,
+        ),
+        10**20,
+        100,
+    ),
+    "flat-1e11": (
+        lambda: est.RationalLineTarget(Fraction(1, 10**6) + Fraction(1, 10**40)), 10**11, 20
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LONG_QUOTIENTS))
+def test_long_partial_quotients_key_few_rows(case):
+    make, hmax2, most = LONG_QUOTIENTS[case]
+    records, keyed, ok = est._scan_lines(make(), hmax2)
+    assert ok and keyed < most
+    if case == "unbounded-1e20":
+        assert (len(records), record_digest(records)) == (
+            11, "17902406c3a1bd997859c003fbd96f5e8f4a2c899cb0a92ff2efb927017933bd"
+        )
+    else:
+        assert [r.subspace.pluecker.coords for r in records] == [(1, 0)]
 
 
 # records built from their vectors: one line constructor, no from_basis
@@ -764,7 +1006,9 @@ def test_golden_line_sines_hold_through_the_double_range():
     record keeps a positive lower end, the list stays a record list, and
     the per-record exponent stays at the golden line's 2."""
     records = est.scan_line_records(est.golden_line_target(), 10**300)
-    assert len(records) == 719
+    assert (len(records), record_digest(records)) == (
+        719, "a03aeee372e5b72d3de6ebebba033f901acaa36052b738e5c17f6f2cc22f1826"
+    )
     assert all(rec.psi_lo > 0.0 for rec in records)
     est.validate_record_list(records)
     assert est.estimate_exponent(records).per_record[-1] == pytest.approx(2.0, abs=0.01)

@@ -4,10 +4,13 @@ The rows in data/line_scan_rows.jsonl were recorded with the Fraction-based
 scanner that preceded the integer kernel.  Every record (coordinates, h^2,
 psi_lo, psi_hi), every witness and every exact-meeting vector must come out
 unchanged.  The `scanned` counts were changed on purpose since: they count
-the rows the shell walk keys (the two height-1 rows plus the shell rows, up
-to and including a meeting line), no longer the rounding-window pool the
-scanner once swept; the meeting offender's went from 62 to 6.  Regenerate
-the file with
+the rows the line walk keys (the two height-1 rows plus the walk's nodes
+and probes, up to and including a meeting line), no longer the
+rounding-window pool the scanner once swept; the meeting offender's went
+from 62 to 6.  When the Stern-Brocot walk replaced the shell walk they
+moved again, quadratic-a 20 -> 23, quadratic-neg-b 14 -> 20,
+instance-l1-b3 13 -> 16, rational-exact 19 -> 22 and rational-half 4 -> 8,
+and the meeting offender's stayed at 6.  Regenerate the file with
 
     PYTHONPATH=src python tests/test_line_scan_pinned.py > tests/data/line_scan_rows.jsonl
 
@@ -124,7 +127,7 @@ def test_meeting_vectors(rows):
 
 def test_meeting_offender_counts_the_rows_keyed_up_to_it(caplog):
     """The line path counts the rows its walk keyed, the two height-1 rows
-    plus the shell rows up to and including the offender, as its DEBUG
+    plus the nodes (1, 1), (2, 1), (3, 2) and the offender, as its DEBUG
     line reports them; the generic path counts the enumeration up to it.
     Both name the same offender."""
     caplog.set_level(logging.DEBUG, logger="subdioph")
@@ -134,7 +137,7 @@ def test_meeting_offender_counts_the_rows_keyed_up_to_it(caplog):
     counts = dict(f.split("=") for f in message.removeprefix("scan_lines: ").split())
     generic = est.irrationality_scan([[5], [3]], spec)
     assert fast.offender.pluecker.coords == generic.offender.pluecker.coords == (5, 3)
-    assert fast.scanned == 2 + int(counts["shell_rows"]) == 6
+    assert fast.scanned == 2 + int(counts["nodes"]) + int(counts["probes"]) == 6
     assert generic.scanned == 62
 
 
