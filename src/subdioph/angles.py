@@ -27,7 +27,8 @@ normalized labels alike; a t = 1 bracket depends on the value of its
 squared sine alone, so two bases of one subspace get identical brackets.
 Scans and certificates keep the dyadics, and every rule on them is here
 (_dyadic_less, _dyadic_float, _widened, _ceil_dyadic, _log_dyadic);
-_sqrt_interval roots the line engine's squared sines to doubles.
+_sqrt_interval roots the line engine's squared sines to doubles, taking
+the plain double root wherever the squares are normal doubles.
 plane_sine_at_least compares a sine of a pair with t = 2 with a rational
 exactly, and _plane_sine_decision does so for a box of label integers,
 so record scans screen and bracket every pair with t <= 2 from labels
@@ -605,8 +606,14 @@ def _sqrt_interval(interval: tuple[int, int, int, int]) -> tuple[float, float]:
     outward.  A nonzero end below the least normal double, 2^-1022, is
     scaled by 4^k into [1/4, 2) before it becomes a double, and its root by
     2^-k after, so a root within the double range survives however small
-    its square; the doubles depend on the value of each end alone."""
+    its square; the doubles depend on the value of each end alone.  Where
+    both ends are normal, k = 0 and no step can reach 0.0, so they take the
+    root at once."""
     num_lo, den_lo, num_hi, den_hi = interval
+    lo, hi = num_lo / den_lo, num_hi / den_hi
+    if lo >= sys.float_info.min and hi >= sys.float_info.min:
+        return (math.nextafter(math.sqrt(math.nextafter(lo, 0.0)), 0.0),
+                math.nextafter(math.sqrt(math.nextafter(hi, math.inf)), math.inf))
     ends = []
     for num, den, toward in ((num_lo, den_lo, 0.0), (num_hi, den_hi, math.inf)):
         f, k = num / den, 0

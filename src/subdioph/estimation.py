@@ -16,11 +16,12 @@ sweep:
   the bracket, a convergent or a semiconvergent of the slope, and the run
   of one partial quotient costs a few keyed rows, placed by one division
   and a bisection, however long it is.  The search is complete by
-  construction; only the records get a bracket, and an irrationality scan
-  counts the rows the walk keyed, each a primitive vector with a positive
-  lead: its line's label.  A record's squared sine is an integer interval,
-  and angles._sqrt_interval roots it to doubles; the scan's verdict reads
-  its exact lower end.  One walk serves every R^n: a line target embedded
+  construction.  A record's squared sine is an integer interval, which
+  angles._sqrt_interval roots to doubles; only the records are bracketed,
+  and an irrationality scan brackets and builds only its witness, the
+  last record, whose exact lower end gives the verdict.  That scan counts
+  the rows the walk keyed, each a primitive vector with a positive lead:
+  its line's label.  One walk serves every R^n: a line target embedded
   on two coordinate axes of R^n has the plane records, placed on those
   axes (the projection lemma, the paper's transfer result for a coordinate
   plane).
@@ -105,6 +106,8 @@ from .construction import (
     tail_bound,
     _digit_table,
     _ratio_deviation,
+    _tail_terms,
+    _term_exponent,
 )
 from .enumeration import EnumSpec, _label_subspace, enumerate_labels
 from .errors import (
@@ -198,9 +201,11 @@ def series_depth(params: ConstructionParams, height_squared_max: int, start: int
     to squared height H^2."""
     if height_squared_max < 1:
         raise ParameterError("height bound must be positive")
-    bound = Fraction(1, (isqrt(height_squared_max) + 1) << 64)
+    # tail_bound = num / base^m_(depth+1) > 2^-64 / (isqrt(H^2) + 1), in integers
+    num, base = _tail_terms(params)
+    scaled = num * ((isqrt(height_squared_max) + 1) << 64)
     depth = start
-    while tail_bound(params, depth) > bound:
+    while scaled > base ** _term_exponent(params, depth + 1):
         depth += 1
     return depth
 
@@ -238,6 +243,14 @@ class ApproximationRecord:
     psi_hi: float
     j_index: int
     source: str = SOURCE_ENUMERATED
+
+    @classmethod
+    def _line(cls, subspace, height_squared: int, psi_lo: float, psi_hi: float):
+        """A line's enumerated first-sine record, set past the frozen guard."""
+        rec = object.__new__(cls)
+        rec.__dict__.update(subspace=subspace, height_squared=height_squared, psi_lo=psi_lo,
+                            psi_hi=psi_hi, j_index=1, source=SOURCE_ENUMERATED)
+        return rec
 
 
 def validate_record_list(records: Sequence[ApproximationRecord]) -> None:
@@ -293,6 +306,8 @@ class _RationalCross:
     """Cross terms against a slope bracket, over the scale q^2."""
 
     zero = 0
+    # a key is the square at the bracket end farther from the vector
+    far_end = True
 
     def __init__(self, target: RationalLineTarget):
         s_lo, s_hi = target.slope_bracket()
@@ -330,6 +345,7 @@ class _QuadraticCross:
 
     # m = e_rat^2 + e_irr^2 d is zero only when e_rat = e_irr = 0, so n is too
     zero = (0, 0)
+    far_end = False
 
     def __init__(self, target: QuadraticLineTarget, bits: int):
         self.d = target.d
@@ -472,16 +488,30 @@ def _walk(engine, hmax2: int, bar: tuple, pool: list, place, counts: dict) -> No
     of its subtrees walked, each with the bar of its own path.  counts gets
     the runs and the probes: the rows keyed only to decide a run, a last
     member that fails and the bisection steps that fail.
+
+    Where engine.far_end holds, a run toward a node N inside the bracket
+    from the side of N's nearer end (of either end, if equally near) is
+    skipped unkeyed.  N keys the square at its far end, of slope t, so its
+    key / h2 is q^2 (1 + t^2) times its squared sine to t, and a member's
+    is at least q^2 (1 + t^2) times the member's.  A member lies outside
+    the bracket on the near side, between N and the run's other parent P,
+    where P . N >= 0 (the lemma of _scan_lines): its angle to t exceeds
+    N's, below 3 degrees as the bracket spans at most 1/20 in slope, by
+    less than 90 degrees, so its sine to t is the larger.  No member beats
+    N, which is lower, or bar, which holds or beats N.  A run from the far
+    side may, and a quadratic key reads the exact slope, whose side of N
+    the walk does not know: those runs are walked.
     """
-    less = engine.less
+    less, far_end = engine.less, engine.far_end
     p_lo, p_hi, q = engine.p_lo, engine.p_hi, engine.q
     stack = []
     if p_lo < 0:
-        stack.append(((0, -1, q, q), (1, 0, p_lo, p_hi), bar))
+        stack.append(((0, -1, q, q), (1, 0, p_lo, p_hi), bar, None))
     if p_hi > 0:
-        stack.append(((1, 0, p_lo, p_hi), (0, 1, -q, -q), bar))
+        stack.append(((1, 0, p_lo, p_hi), (0, 1, -q, -q), bar, None))
     while stack:
-        left, right, bar = stack.pop()
+        # futile: the inside node that runs toward it cannot beat, or None
+        left, right, bar, futile = stack.pop()
         while True:
             l1, l2, l_lo, l_hi = left
             r1, r2, r_lo, r_hi = right
@@ -496,7 +526,9 @@ def _walk(engine, hmax2: int, bar: tuple, pool: list, place, counts: dict) -> No
                     bar = row
                 node = (m1, m2, m_lo, m_hi)
                 if m_lo < 0 < m_hi:
-                    stack.append((node, right, bar))
+                    # runs come down to N above it and up to it below
+                    stack.append((node, right, bar, node if far_end and m_lo + m_hi <= 0 else None))
+                    futile = node if far_end and m_lo + m_hi >= 0 else None
                 # m_lo = m_hi = 0 met the target in _keyed
                 if m_lo < 0:
                     right = node
@@ -505,7 +537,7 @@ def _walk(engine, hmax2: int, bar: tuple, pool: list, place, counts: dict) -> No
                 continue
             counts["runs"] += 1
             below = m_lo > 0
-            s1, s2, s_lo, s_hi = right if below else left
+            s1, s2, s_lo, s_hi = step = right if below else left
             last = -(m_lo // s_lo if below else m_hi // s_hi) - 1
             e1, e2 = m1 + last * s1, m2 + last * s2
             bounded = e1 * e1 + e2 * e2 > hmax2
@@ -518,8 +550,9 @@ def _walk(engine, hmax2: int, bar: tuple, pool: list, place, counts: dict) -> No
                 end += e1 * e1 + e2 * e2 <= hmax2
             else:
                 end = last
-            row = _keyed(engine, m1, m2, pool, place)
-            if less(row, bar):
+            if step is futile:
+                pass  # no member beats the inside node step (see above)
+            elif less(row := _keyed(engine, m1, m2, pool, place), bar):
                 # every member beats bar and the one before it
                 for k in range(1, end + 1):
                     row = _keyed(engine, m1 + k * s1, m2 + k * s2, pool, place)
@@ -552,9 +585,9 @@ def _walk(engine, hmax2: int, bar: tuple, pool: list, place, counts: dict) -> No
                 right = node
 
 
-def _scan_lines(target, hmax2: int, place=tuple) -> tuple[list[ApproximationRecord], int, bool]:
+def _scan_lines(target, hmax2: int, place=tuple) -> tuple[object, list[tuple], int]:
     """Certified record scan over every primitive plane line against a
-    plane line target.
+    plane line target, up to the records' rows.
 
     The candidates are the height-1 rows (0, 1) and (1, 0) and, up to the
     height bound, the nodes of the Stern-Brocot tree whose open interval
@@ -562,7 +595,8 @@ def _scan_lines(target, hmax2: int, place=tuple) -> tuple[list[ApproximationReco
     continued fraction, branching at a node inside the bracket.  _walk keys
     them a partial quotient's run at a time, skipping the members that beat
     no lower row; the keyed rows are sorted by (h2, coords) and swept once.
-    Only the records are bracketed.
+    Only the records' rows are kept, and only the rows a caller reads are
+    bracketed (_line_records).
 
     Lemma: every record x with x1 >= 1 is a candidate.  Let its slope
     r = x2 / x1 be the mediant of its Farey parents L < r < R, where
@@ -579,17 +613,17 @@ def _scan_lines(target, hmax2: int, place=tuple) -> tuple[list[ApproximationReco
     ends its subtree.  An exact rational slope ends at its own node, the
     line that meets it.
 
-    Returns the records, the rows keyed (the two height-1 rows, the walk's
-    nodes and its probes) and whether the last record's exact lower sine
-    end is positive, which its double need not show.  A line that meets
-    the target raises IrrationalityViolationError with the rows keyed up to
-    and including it.  Logs its counts at DEBUG on the "subdioph" logger,
-    a meeting's up to the meeting line.
+    Returns the engine, the records' (h2, vector, key) rows in height
+    order, and the rows keyed (the two height-1 rows, the walk's nodes and
+    its probes).  A line that meets the target raises
+    IrrationalityViolationError with the rows keyed up to and including
+    it.  Logs its counts at DEBUG on the "subdioph" logger, a meeting's up
+    to the meeting line.
 
     The same records serve the target embedded on two coordinate axes of
     R^n: no line off the embedded plane sets a record (see the module
-    docstring).  place (the identity by default) puts a record's or meeting
-    vector in R^n, where its line is built once (exact.RationalSubspace._line).
+    docstring).  place (the identity by default) puts a meeting vector in
+    R^n, as _line_records does a record's.
     """
     if hmax2 < 1:
         raise ParameterError("height bound must be positive")
@@ -609,22 +643,22 @@ def _scan_lines(target, hmax2: int, place=tuple) -> tuple[list[ApproximationReco
             "scan_lines: runs=%d nodes=%d probes=%d records=%d",
             counts["runs"], len(pool) - 2 - counts["probes"], counts["probes"], len(raw),
         )
-    # a run past half its partial quotient keys every member: drop the
-    # rows before the brackets are built
-    keyed = len(pool)
-    del pool
-    raw = [(h2, vec, *engine.bracket(*vec)) for h2, vec, _key in raw]
-    # the engine scale cancels in both ratios
-    records = [
-        ApproximationRecord(
-            exact.RationalSubspace._line(place(vec)),
-            h2,
-            *_sqrt_interval((lo2, h2 * engine.u2_hi, hi2, h2 * engine.u2_lo)),
-            j_index=1,
-        )
-        for h2, vec, lo2, hi2 in raw
-    ]
-    return records, keyed, raw[-1][2] > 0
+    return engine, raw, len(pool)
+
+
+def _line_records(engine, raw: list[tuple], place=tuple) -> list[ApproximationRecord]:
+    """The records of rows of _scan_lines: each row's integer bracket,
+    rooted to doubles (angles._sqrt_interval), and its line, built once on
+    the vector place puts in R^n (exact.RationalSubspace._line)."""
+    bracket, u2_lo, u2_hi = engine.bracket, engine.u2_lo, engine.u2_hi
+    line = exact.RationalSubspace._line
+    records = []
+    for h2, vec, _key in raw:
+        lo2, hi2 = bracket(*vec)
+        # the engine scale cancels in both ratios
+        psi_lo, psi_hi = _sqrt_interval((lo2, h2 * u2_hi, hi2, h2 * u2_lo))
+        records.append(ApproximationRecord._line(line(place(vec)), h2, psi_lo, psi_hi))
+    return records
 
 
 _LINE_TARGETS = (RationalLineTarget, QuadraticLineTarget)
@@ -632,14 +666,14 @@ _LINE_TARGETS = (RationalLineTarget, QuadraticLineTarget)
 
 def _line_scan(
     target, spec, j_index: int = 1, axes: tuple[int, int] = (0, 1)
-) -> tuple[list[ApproximationRecord], int, bool]:
+) -> tuple[object, list[tuple], int, object]:
     """The one gate of line targets: every line of an unsharded EnumSpec(n,
     1, X) window, first sine only, against the target on the given axes.
 
     One plane walk (_scan_lines) gives the records in every n >= 2: no line
     off the target's coordinate plane sets a record (module docstring).
-    The walk builds the records, and a line that meets the target, on the
-    axes.  Returns what _scan_lines returns.
+    Returns what _scan_lines returns and the placing on the axes, which
+    puts a meeting line there and, through _line_records, the records.
     """
     if not isinstance(spec, EnumSpec):
         raise ParameterError("fast line scans need an EnumSpec window")
@@ -647,7 +681,8 @@ def _line_scan(
         raise StrategyMismatchError("line targets scan every line of an unsharded window")
     if j_index != 1:
         raise ParameterError("a line has a single proximity sine")
-    return _scan_lines(target, spec.height_squared_max, _placing(spec.n, axes))
+    place = _placing(spec.n, axes)
+    return (*_scan_lines(target, spec.height_squared_max, place), place)
 
 
 def scan_line_records(
@@ -660,7 +695,8 @@ def scan_line_records(
     zone is ignored, removed once the benchmark stops passing it (ROADMAP
     item 8).
     """
-    return _scan_lines(target, height_squared_max)[0]
+    engine, raw, _keyed_rows = _scan_lines(target, height_squared_max)
+    return _line_records(engine, raw)
 
 
 def scan_embedded_line_records(
@@ -669,7 +705,9 @@ def scan_embedded_line_records(
     """Records of every primitive line in n-space against a plane line
     target embedded on the coordinate axes: the plane records, embedded
     (_line_scan)."""
-    return _line_scan(target, EnumSpec(n, 1, height_squared_max), axes=axes)[0]
+    spec = EnumSpec(n, 1, height_squared_max)
+    engine, raw, _keyed_rows, place = _line_scan(target, spec, axes=axes)
+    return _line_records(engine, raw, place)
 
 
 # ---------------------------------------------------------------------------
@@ -1039,7 +1077,8 @@ def scan_records(
     height, so merging scans is an order-independent min-reduction).
     """
     if isinstance(target, _LINE_TARGETS):
-        return _line_scan(target, spec, j_index)[0]
+        engine, raw, _keyed_rows, place = _line_scan(target, spec, j_index)
+        return _line_records(engine, raw, place)
     scan = _GenericScan(target, j_index, ctx)
 
     def settle(level, record):
@@ -1150,16 +1189,14 @@ def estimate_exponent(
             )
             err.subspace = r.subspace
             raise err
-    betas = tuple(
-        -2.0 * math.log(r.psi_hi) / math.log(r.height_squared) for r in usable
-    )
+    log_psi = [math.log(r.psi_hi) for r in usable]
+    log_h2 = [math.log(r.height_squared) for r in usable]
+    betas = tuple(-2.0 * lp / lh for lp, lh in zip(log_psi, log_h2))
     tail = (len(betas) + 1) // 2
     mu_hat = max(betas[-tail:])
     secants = tuple(
-        -2.0
-        * (math.log(b.psi_hi) - math.log(a.psi_hi))
-        / (math.log(b.height_squared) - math.log(a.height_squared))
-        for a, b in zip(usable, usable[1:])
+        -2.0 * (lp_b - lp_a) / (lh_b - lh_a)
+        for lp_a, lp_b, lh_a, lh_b in zip(log_psi, log_psi[1:], log_h2, log_h2[1:])
     )
     diagnostics = {
         "count": len(records),
@@ -1390,7 +1427,8 @@ class IrrationalityReport:
     a positive angle away from all of them.  offender is set when some
     subspace is indistinguishable from the target.  certified_exhaustive is
     always True: every enumeration strategy is a complete census, and so is
-    the line scan's Stern-Brocot walk.
+    the line scan's Stern-Brocot walk.  A line target's witness is its last
+    record, the only one the scan builds.
 
     scanned counts the candidates examined, up to and including the
     offender when there is one.  For a generic scan that is the enumeration
@@ -1430,7 +1468,8 @@ def irrationality_scan(
     """Scan a window for the least certified angle against the target.
 
     Line targets read it off the last record of the line scan
-    (_line_scan), on the target's axes in R^n.  Other
+    (_line_scan), on the target's axes in R^n: that record alone is
+    built, and its exact lower end gives ok.  Other
     targets take the first strict minimum of the lower endpoints in
     enumeration order, skipping a waiting candidate only when its label
     bound proves its lower endpoint at least the running minimum.  zone is
@@ -1438,8 +1477,10 @@ def irrationality_scan(
     """
     try:
         if isinstance(target, _LINE_TARGETS):
-            records, scanned, ok = _line_scan(target, spec, j_index)
-            witness, min_psi = records[-1].subspace, records[-1].psi_lo
+            engine, raw, scanned, place = _line_scan(target, spec, j_index)
+            (last,) = _line_records(engine, raw[-1:], place)
+            witness, min_psi = last.subspace, last.psi_lo
+            ok = engine.bracket(*raw[-1][1])[0] > 0
         else:
             scan = _GenericScan(target, j_index, ctx)
             min_lo = None

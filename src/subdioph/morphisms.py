@@ -17,7 +17,7 @@ plane's axes of R^n, building each ambient line from its vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Sequence
@@ -260,10 +260,10 @@ def embedding_harness(
                 " section cannot be scanned exactly"
             )
         intrinsic_records = scan_line_records(tilde_target, height_squared_max)
-        place = _placing(n, axes)
+        place, line = _placing(n, axes), exact.RationalSubspace._line
         ambient_records = [
-            replace(rec, subspace=exact.RationalSubspace._line(
-                place(rec.subspace.pluecker.coords)))
+            ApproximationRecord._line(line(place(rec.subspace.pluecker.coords)),
+                                      rec.height_squared, rec.psi_lo, rec.psi_hi)
             for rec in intrinsic_records
         ]
         pairs = tuple((i, i) for i in range(len(intrinsic_records)))

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -108,6 +109,25 @@ class TestTargets:
             depth = est.series_depth(params, h2, start)
             assert depth >= start and con.tail_bound(params, depth) <= bound
             assert depth == start or con.tail_bound(params, depth - 1) > bound
+
+    @pytest.mark.parametrize("ell, beta", [
+        (ell, beta)
+        for ell in (1, 2, 3)
+        for beta in (Fraction(3), Fraction(5, 2), Fraction(11, 4), None)
+        if (ell, beta) != (1, Fraction(5, 2))  # below the l = 1 threshold 2.618...
+    ])
+    def test_series_depth_equals_the_fraction_loop(self, ell, beta):
+        """series_depth compares integers; the loop it replaced compared
+        the Fraction tail_bound with a Fraction bound, depth by depth."""
+        variant = con.FINITE if beta is not None else con.INFINITE
+        params = con.ConstructionParams.create(ell, beta, seed=0, variant=variant)
+        for start in sorted({con.series_start(params), 1}):
+            for h2 in (1, 2, 10**6, 10**40, 10**300):
+                bound = Fraction(1, (isqrt(h2) + 1) << 64)
+                depth = start
+                while con.tail_bound(params, depth) > bound:
+                    depth += 1
+                assert est.series_depth(params, h2, start) == depth
 
     @pytest.mark.parametrize("beta", [Fraction(3), Fraction(11, 4), None])
     def test_instance_target_builds_one_exponent_schedule(self, monkeypatch, beta):
@@ -425,6 +445,28 @@ class TestEstimator:
         ]
         with pytest.raises(IrrationalityViolationError):
             est.estimate_exponent(records)
+
+    @pytest.mark.parametrize("case", ["golden-1e300", "l1-b3-1e12"])
+    def test_log_once_keeps_the_two_log_floats(self, case):
+        """mu_hat, per_record and the secant slopes take each log once, and
+        keep the doubles of the formulas that took four logs per secant."""
+        if case == "golden-1e300":
+            records = est.scan_line_records(est.golden_line_target(), 10**300)
+        else:
+            params = con.ConstructionParams.create(1, Fraction(3), seed=0)
+            records = est.instance_records(params, EnumSpec(2, 1, 10**12))
+        usable = [r for r in records if r.height_squared > 1]
+        betas = [-2.0 * math.log(r.psi_hi) / math.log(r.height_squared) for r in usable]
+        secants = [
+            -2.0 * (math.log(b.psi_hi) - math.log(a.psi_hi))
+            / (math.log(b.height_squared) - math.log(a.height_squared))
+            for a, b in zip(usable, usable[1:])
+        ]
+        e = est.estimate_exponent(records)
+        tail = (len(betas) + 1) // 2
+        assert e.mu_hat.hex() == max(betas[-tail:]).hex()
+        assert [x.hex() for x in e.per_record] == [x.hex() for x in betas]
+        assert [x.hex() for x in e.diagnostics["secant_slopes"]] == [x.hex() for x in secants]
 
     def test_summary_keys(self):
         records = [

@@ -32,6 +32,7 @@ import itertools
 import logging
 import math
 import random
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -691,6 +692,26 @@ def test_stern_brocot_walk_matches_the_shell_walk(family, n, data):
     assert walk_scan(target, n, axes, hmax2) == shell_scan(target, n, axes, hmax2)
 
 
+# Brackets whose ends sit just past two close fractions of height <= 100:
+# a node inside the bracket near its lower end, and a line just outside it
+# on the side of its upper end.  A run toward the node from that far side
+# holds a row that beats the node here, so only the runs from the side of
+# its nearer end may be skipped.
+FAR_SIDE_BRACKETS = [
+    (Fraction(1939999999, 14550000000), Fraction(9999781, 14550000000)),
+    (Fraction(11389999871, 12730000000), Fraction(9998619, 12730000000)),
+    (Fraction(-2665999933, 1271000000), Fraction(9999399, 12710000000)),
+    (Fraction(612499997, 385000000), Fraction(2499281, 2695000000)),
+    (Fraction(-266142847, 161000000), Fraction(5000127, 5635000000)),
+]
+
+
+@pytest.mark.parametrize("low, width", FAR_SIDE_BRACKETS)
+def test_runs_toward_an_inside_node_from_its_far_side_are_walked(low, width):
+    target = est.RationalLineTarget(low, width)
+    assert walk_scan(target, 2, (0, 1), 10**4) == shell_scan(target, 2, (0, 1), 10**4)
+
+
 @pytest.mark.parametrize("n, hmax2", [(1, 9), (2, 1), (2, 2), (2, 500), (3, 60), (4, 20), (5, 9)])
 def test_primitive_vectors_keep_the_recursive_order(n, hmax2):
     assert list(primitive_vectors(n, hmax2)) == list(reference_primitive_vectors(n, hmax2))
@@ -876,8 +897,10 @@ LONG_QUOTIENTS = {
 @pytest.mark.parametrize("case", list(LONG_QUOTIENTS))
 def test_long_partial_quotients_key_few_rows(case):
     make, hmax2, most = LONG_QUOTIENTS[case]
-    records, keyed, ok = est._scan_lines(make(), hmax2)
-    assert ok and keyed < most
+    engine, raw, keyed = est._scan_lines(make(), hmax2)
+    records = est._line_records(engine, raw)
+    # the last record's exact lower sine end is positive
+    assert engine.bracket(*raw[-1][1])[0] > 0 and keyed < most
     if case == "unbounded-1e20":
         assert (len(records), record_digest(records)) == (
             11, "17902406c3a1bd997859c003fbd96f5e8f4a2c899cb0a92ff2efb927017933bd"
@@ -991,6 +1014,82 @@ def test_sqrt_interval_reads_the_value_of_each_end():
         assert [x.hex() for x in got] == [x.hex() for x in sqrt_of(lo, hi)]
         tiny += 0 < lo < Fraction(1, 1 << 1022)
     assert tiny > 500
+
+
+def scaled_sqrt_interval(interval):
+    """The bracket of _sqrt_interval as it was before normal ends took the
+    plain root: every end runs through the 4^k scaling, k = 0 for a normal
+    end."""
+    num_lo, den_lo, num_hi, den_hi = interval
+    ends = []
+    for num, den, toward in ((num_lo, den_lo, 0.0), (num_hi, den_hi, math.inf)):
+        f, k = num / den, 0
+        if f < sys.float_info.min and num:
+            k = (den.bit_length() - num.bit_length()) // 2
+            f = (num << 2 * k) / den
+        root = math.sqrt(max(0.0, math.nextafter(f, toward)))
+        ends.append(max(0.0, math.nextafter(math.ldexp(root, -k), toward)))
+    return tuple(ends)
+
+
+def per_row_records(target, n, axes, hmax2):
+    """The records of a line scan built row by row from the walk's rows:
+    engine.bracket, the scaled root, and the line of the placed vector.
+    Returns them as (coords, n, h2, psi_lo hex, psi_hi hex, j_index,
+    source) and the number of rows with an end below 2^-1022."""
+    engine, raw, _keyed, place = est._line_scan(target, EnumSpec(n, 1, hmax2), axes=axes)
+    out, tiny = [], 0
+    for h2, vec, _key in raw:
+        lo2, hi2 = engine.bracket(*vec)
+        ends = (lo2, h2 * engine.u2_hi, hi2, h2 * engine.u2_lo)
+        psi_lo, psi_hi = scaled_sqrt_interval(ends)
+        sub = exact.RationalSubspace._line(place(vec))
+        out.append((sub.pluecker.coords, sub.n, h2, psi_lo.hex(), psi_hi.hex(), 1, "enumerated"))
+        tiny += 0 < lo2 and lo2 / ends[1] < sys.float_info.min
+    return out, tiny
+
+
+def built_rows(records):
+    return [
+        (r.subspace.pluecker.coords, r.subspace.n, r.height_squared, r.psi_lo.hex(),
+         r.psi_hi.hex(), r.j_index, r.source)
+        for r in records
+    ]
+
+
+BUILDER_CASES = {
+    **{f"{kind}-r{n}-{axes[0]}{axes[1]}": (make, n, axes, hmax2)
+       for kind, (make, hmax2) in VECTOR_TARGETS.items()
+       for n, axes in [*PLACEMENTS[1:], (4, (0, 3)), (4, (1, 2))]},
+    "rational-half": (
+        lambda: est.RationalLineTarget(Fraction(1, 2) - Fraction(1, 10**12), Fraction(2, 10**12)),
+        2, (0, 1), 10**5,
+    ),
+    "golden-1e300": (est.golden_line_target, 2, (0, 1), 10**300),
+    "golden-1e400": (est.golden_line_target, 2, (0, 1), 10**400),
+}
+
+
+@pytest.mark.parametrize("case", list(BUILDER_CASES))
+def test_record_builder_matches_the_per_row_path(case):
+    """The one-loop record builder gives, record for record, what the rows
+    give one at a time through the scaled root, which every end took
+    before normal ends took the plain root: same line, height and sine
+    doubles.  On the golden line the squared sines of 351 records fall
+    below 2^-1022 by 10^300 and of 590 by 10^400, where 185 roots lie
+    below the double range too: those take the scaled root."""
+    make, n, axes, hmax2 = BUILDER_CASES[case]
+    expected, tiny = per_row_records(make(), n, axes, hmax2)
+    assert built_rows(est.scan_embedded_line_records(make(), n, hmax2, axes=axes)) == expected
+    if axes == (0, 1):
+        assert built_rows(est.scan_records(make(), EnumSpec(n, 1, hmax2))) == expected
+    if n == 2:
+        assert built_rows(est.scan_line_records(make(), hmax2)) == expected
+    # rational-half's last record has a true 0.0 lower end
+    zero_lo = sum(row[3] == "0x0.0p+0" for row in expected)
+    assert (tiny, zero_lo) == {
+        "golden-1e300": (351, 0), "golden-1e400": (590, 185), "rational-half": (0, 1)
+    }.get(case, (0, 0))
 
 
 def test_golden_line_irrationality_holds_below_the_double_range():

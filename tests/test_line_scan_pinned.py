@@ -10,7 +10,10 @@ rounding-window pool the scanner once swept; the meeting offender's went
 from 62 to 6.  When the Stern-Brocot walk replaced the shell walk they
 moved again, quadratic-a 20 -> 23, quadratic-neg-b 14 -> 20,
 instance-l1-b3 13 -> 16, rational-exact 19 -> 22 and rational-half 4 -> 8,
-and the meeting offender's stayed at 6.  Regenerate the file with
+and the meeting offender's stayed at 6.  Since the walk skips the runs
+toward a node inside the bracket that come from its nearer end,
+rational-half keys 4 again: (0, 1), (1, 0), (1, 1) and its node (2, 1).
+Regenerate the file with
 
     PYTHONPATH=src python tests/test_line_scan_pinned.py > tests/data/line_scan_rows.jsonl
 
@@ -139,6 +142,63 @@ def test_meeting_offender_counts_the_rows_keyed_up_to_it(caplog):
     assert fast.offender.pluecker.coords == generic.offender.pluecker.coords == (5, 3)
     assert fast.scanned == 2 + int(counts["nodes"]) + int(counts["probes"]) == 6
     assert generic.scanned == 62
+
+
+def full_list_report(target, n, h2):
+    """The irrationality report read off the whole record list: the last
+    record's line and double lower end, its exact lower end's sign from
+    the slope bracket itself, and the rows the walk keyed; for a line that
+    meets the target, the meeting line and the rows keyed up to it."""
+    spec = EnumSpec(n, 1, h2)
+    try:
+        engine, raw, keyed, place = est._line_scan(target, spec)
+    except IrrationalityViolationError as err:
+        return None, "0x0.0p+0", False, err.scanned, err.vector
+    last = est._line_records(engine, raw, place)[-1]
+    x1, x2 = last.subspace.pluecker.coords[:2]
+    if isinstance(target, est.QuadraticLineTarget):
+        ok = True  # an irrational slope meets no line
+    else:
+        s_lo, s_hi = target.slope_bracket()
+        ok = not (x1 and s_lo <= Fraction(x2, x1) <= s_hi)
+    return last.subspace.pluecker.coords, last.psi_lo.hex(), ok, keyed, None
+
+
+WITNESS_CASES = {
+    "quadratic-a": (lambda: QUADRATIC_A, 10**6),
+    "quadratic-neg-b": (lambda: QUADRATIC_NEG_B, 10**6),
+    "instance-l1-b3": (lambda: instance_target(10**7), 10**7),
+    "rational-exact": (lambda: RATIONAL_EXACT, 10**6),
+    "rational-half": (lambda: RATIONAL_HALF, 10**5),
+    "meeting-offender": (lambda: est.RationalLineTarget(Fraction(3, 5)), 100),
+    "golden-1e40": (est.golden_line_target, 10**40),
+    "golden-1e400": (est.golden_line_target, 10**400),
+    "instance-seed0-1e7": (
+        lambda: est.line_target_for_instance(con.ConstructionParams.create(1, 3, seed=0), 10**7),
+        10**7,
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("case", list(WITNESS_CASES))
+def test_witness_scan_matches_the_full_record_list(case, n):
+    """A line irrationality scan builds its witness alone, and reports what
+    the full record list's last record gives: the golden line at 10^400
+    is ok with a 0.0 lower double, and the meeting keeps its offender."""
+    make, h2 = WITNESS_CASES[case]
+    report = est.irrationality_scan(make(), EnumSpec(n, 1, h2))
+    got = (
+        None if report.witness is None else report.witness.pluecker.coords,
+        report.min_psi_lower.hex(), report.ok, report.scanned,
+        None if report.offender is None else report.offender.pluecker.coords,
+    )
+    assert got == full_list_report(make(), n, h2)
+    pinned = {p["case"]: p for p in PINNED}.get(case)
+    if pinned is not None and n == 2:
+        assert report.scanned == pinned["scanned"]
+    if case == "golden-1e400":
+        assert report.ok and report.min_psi_lower == 0.0
 
 
 if __name__ == "__main__":
