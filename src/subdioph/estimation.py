@@ -106,8 +106,6 @@ from .construction import (
     tail_bound,
     _digit_table,
     _ratio_deviation,
-    _tail_terms,
-    _term_exponent,
 )
 from .enumeration import EnumSpec, _label_subspace, enumerate_labels
 from .errors import (
@@ -201,11 +199,9 @@ def series_depth(params: ConstructionParams, height_squared_max: int, start: int
     to squared height H^2."""
     if height_squared_max < 1:
         raise ParameterError("height bound must be positive")
-    # tail_bound = num / base^m_(depth+1) > 2^-64 / (isqrt(H^2) + 1), in integers
-    num, base = _tail_terms(params)
-    scaled = num * ((isqrt(height_squared_max) + 1) << 64)
+    bound = Fraction(1, (isqrt(height_squared_max) + 1) << 64)
     depth = start
-    while scaled > base ** _term_exponent(params, depth + 1):
+    while tail_bound(params, depth) > bound:
         depth += 1
     return depth
 
@@ -243,14 +239,6 @@ class ApproximationRecord:
     psi_hi: float
     j_index: int
     source: str = SOURCE_ENUMERATED
-
-    @classmethod
-    def _line(cls, subspace, height_squared: int, psi_lo: float, psi_hi: float):
-        """A line's enumerated first-sine record, set past the frozen guard."""
-        rec = object.__new__(cls)
-        rec.__dict__.update(subspace=subspace, height_squared=height_squared, psi_lo=psi_lo,
-                            psi_hi=psi_hi, j_index=1, source=SOURCE_ENUMERATED)
-        return rec
 
 
 def validate_record_list(records: Sequence[ApproximationRecord]) -> None:
@@ -306,8 +294,6 @@ class _RationalCross:
     """Cross terms against a slope bracket, over the scale q^2."""
 
     zero = 0
-    # a key is the square at the bracket end farther from the vector
-    far_end = True
 
     def __init__(self, target: RationalLineTarget):
         s_lo, s_hi = target.slope_bracket()
@@ -345,7 +331,6 @@ class _QuadraticCross:
 
     # m = e_rat^2 + e_irr^2 d is zero only when e_rat = e_irr = 0, so n is too
     zero = (0, 0)
-    far_end = False
 
     def __init__(self, target: QuadraticLineTarget, bits: int):
         self.d = target.d
@@ -488,30 +473,16 @@ def _walk(engine, hmax2: int, bar: tuple, pool: list, place, counts: dict) -> No
     of its subtrees walked, each with the bar of its own path.  counts gets
     the runs and the probes: the rows keyed only to decide a run, a last
     member that fails and the bisection steps that fail.
-
-    Where engine.far_end holds, a run toward a node N inside the bracket
-    from the side of N's nearer end (of either end, if equally near) is
-    skipped unkeyed.  N keys the square at its far end, of slope t, so its
-    key / h2 is q^2 (1 + t^2) times its squared sine to t, and a member's
-    is at least q^2 (1 + t^2) times the member's.  A member lies outside
-    the bracket on the near side, between N and the run's other parent P,
-    where P . N >= 0 (the lemma of _scan_lines): its angle to t exceeds
-    N's, below 3 degrees as the bracket spans at most 1/20 in slope, by
-    less than 90 degrees, so its sine to t is the larger.  No member beats
-    N, which is lower, or bar, which holds or beats N.  A run from the far
-    side may, and a quadratic key reads the exact slope, whose side of N
-    the walk does not know: those runs are walked.
     """
-    less, far_end = engine.less, engine.far_end
+    less = engine.less
     p_lo, p_hi, q = engine.p_lo, engine.p_hi, engine.q
     stack = []
     if p_lo < 0:
-        stack.append(((0, -1, q, q), (1, 0, p_lo, p_hi), bar, None))
+        stack.append(((0, -1, q, q), (1, 0, p_lo, p_hi), bar))
     if p_hi > 0:
-        stack.append(((1, 0, p_lo, p_hi), (0, 1, -q, -q), bar, None))
+        stack.append(((1, 0, p_lo, p_hi), (0, 1, -q, -q), bar))
     while stack:
-        # futile: the inside node that runs toward it cannot beat, or None
-        left, right, bar, futile = stack.pop()
+        left, right, bar = stack.pop()
         while True:
             l1, l2, l_lo, l_hi = left
             r1, r2, r_lo, r_hi = right
@@ -526,9 +497,7 @@ def _walk(engine, hmax2: int, bar: tuple, pool: list, place, counts: dict) -> No
                     bar = row
                 node = (m1, m2, m_lo, m_hi)
                 if m_lo < 0 < m_hi:
-                    # runs come down to N above it and up to it below
-                    stack.append((node, right, bar, node if far_end and m_lo + m_hi <= 0 else None))
-                    futile = node if far_end and m_lo + m_hi >= 0 else None
+                    stack.append((node, right, bar))
                 # m_lo = m_hi = 0 met the target in _keyed
                 if m_lo < 0:
                     right = node
@@ -537,7 +506,7 @@ def _walk(engine, hmax2: int, bar: tuple, pool: list, place, counts: dict) -> No
                 continue
             counts["runs"] += 1
             below = m_lo > 0
-            s1, s2, s_lo, s_hi = step = right if below else left
+            s1, s2, s_lo, s_hi = right if below else left
             last = -(m_lo // s_lo if below else m_hi // s_hi) - 1
             e1, e2 = m1 + last * s1, m2 + last * s2
             bounded = e1 * e1 + e2 * e2 > hmax2
@@ -550,9 +519,8 @@ def _walk(engine, hmax2: int, bar: tuple, pool: list, place, counts: dict) -> No
                 end += e1 * e1 + e2 * e2 <= hmax2
             else:
                 end = last
-            if step is futile:
-                pass  # no member beats the inside node step (see above)
-            elif less(row := _keyed(engine, m1, m2, pool, place), bar):
+            row = _keyed(engine, m1, m2, pool, place)
+            if less(row, bar):
                 # every member beats bar and the one before it
                 for k in range(1, end + 1):
                     row = _keyed(engine, m1 + k * s1, m2 + k * s2, pool, place)
@@ -657,7 +625,7 @@ def _line_records(engine, raw: list[tuple], place=tuple) -> list[ApproximationRe
         lo2, hi2 = bracket(*vec)
         # the engine scale cancels in both ratios
         psi_lo, psi_hi = _sqrt_interval((lo2, h2 * u2_hi, hi2, h2 * u2_lo))
-        records.append(ApproximationRecord._line(line(place(vec)), h2, psi_lo, psi_hi))
+        records.append(ApproximationRecord(line(place(vec)), h2, psi_lo, psi_hi, 1))
     return records
 
 

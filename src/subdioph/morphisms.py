@@ -262,8 +262,8 @@ def embedding_harness(
         intrinsic_records = scan_line_records(tilde_target, height_squared_max)
         place, line = _placing(n, axes), exact.RationalSubspace._line
         ambient_records = [
-            ApproximationRecord._line(line(place(rec.subspace.pluecker.coords)),
-                                      rec.height_squared, rec.psi_lo, rec.psi_hi)
+            ApproximationRecord(line(place(rec.subspace.pluecker.coords)),
+                                rec.height_squared, rec.psi_lo, rec.psi_hi, 1)
             for rec in intrinsic_records
         ]
         pairs = tuple((i, i) for i in range(len(intrinsic_records)))

@@ -110,25 +110,6 @@ class TestTargets:
             assert depth >= start and con.tail_bound(params, depth) <= bound
             assert depth == start or con.tail_bound(params, depth - 1) > bound
 
-    @pytest.mark.parametrize("ell, beta", [
-        (ell, beta)
-        for ell in (1, 2, 3)
-        for beta in (Fraction(3), Fraction(5, 2), Fraction(11, 4), None)
-        if (ell, beta) != (1, Fraction(5, 2))  # below the l = 1 threshold 2.618...
-    ])
-    def test_series_depth_equals_the_fraction_loop(self, ell, beta):
-        """series_depth compares integers; the loop it replaced compared
-        the Fraction tail_bound with a Fraction bound, depth by depth."""
-        variant = con.FINITE if beta is not None else con.INFINITE
-        params = con.ConstructionParams.create(ell, beta, seed=0, variant=variant)
-        for start in sorted({con.series_start(params), 1}):
-            for h2 in (1, 2, 10**6, 10**40, 10**300):
-                bound = Fraction(1, (isqrt(h2) + 1) << 64)
-                depth = start
-                while con.tail_bound(params, depth) > bound:
-                    depth += 1
-                assert est.series_depth(params, h2, start) == depth
-
     @pytest.mark.parametrize("beta", [Fraction(3), Fraction(11, 4), None])
     def test_instance_target_builds_one_exponent_schedule(self, monkeypatch, beta):
         """series_depth and the tail bound read single exponents; only the

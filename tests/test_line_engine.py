@@ -692,26 +692,6 @@ def test_stern_brocot_walk_matches_the_shell_walk(family, n, data):
     assert walk_scan(target, n, axes, hmax2) == shell_scan(target, n, axes, hmax2)
 
 
-# Brackets whose ends sit just past two close fractions of height <= 100:
-# a node inside the bracket near its lower end, and a line just outside it
-# on the side of its upper end.  A run toward the node from that far side
-# holds a row that beats the node here, so only the runs from the side of
-# its nearer end may be skipped.
-FAR_SIDE_BRACKETS = [
-    (Fraction(1939999999, 14550000000), Fraction(9999781, 14550000000)),
-    (Fraction(11389999871, 12730000000), Fraction(9998619, 12730000000)),
-    (Fraction(-2665999933, 1271000000), Fraction(9999399, 12710000000)),
-    (Fraction(612499997, 385000000), Fraction(2499281, 2695000000)),
-    (Fraction(-266142847, 161000000), Fraction(5000127, 5635000000)),
-]
-
-
-@pytest.mark.parametrize("low, width", FAR_SIDE_BRACKETS)
-def test_runs_toward_an_inside_node_from_its_far_side_are_walked(low, width):
-    target = est.RationalLineTarget(low, width)
-    assert walk_scan(target, 2, (0, 1), 10**4) == shell_scan(target, 2, (0, 1), 10**4)
-
-
 @pytest.mark.parametrize("n, hmax2", [(1, 9), (2, 1), (2, 2), (2, 500), (3, 60), (4, 20), (5, 9)])
 def test_primitive_vectors_keep_the_recursive_order(n, hmax2):
     assert list(primitive_vectors(n, hmax2)) == list(reference_primitive_vectors(n, hmax2))

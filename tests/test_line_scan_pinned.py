@@ -10,10 +10,7 @@ rounding-window pool the scanner once swept; the meeting offender's went
 from 62 to 6.  When the Stern-Brocot walk replaced the shell walk they
 moved again, quadratic-a 20 -> 23, quadratic-neg-b 14 -> 20,
 instance-l1-b3 13 -> 16, rational-exact 19 -> 22 and rational-half 4 -> 8,
-and the meeting offender's stayed at 6.  Since the walk skips the runs
-toward a node inside the bracket that come from its nearer end,
-rational-half keys 4 again: (0, 1), (1, 0), (1, 1) and its node (2, 1).
-Regenerate the file with
+and the meeting offender's stayed at 6.  Regenerate the file with
 
     PYTHONPATH=src python tests/test_line_scan_pinned.py > tests/data/line_scan_rows.jsonl
 
