@@ -33,21 +33,29 @@ plane_sine_at_least compares a sine of a pair with t = 2 with a rational
 exactly, and _plane_sine_decision does so for a box of label integers,
 so record scans screen and bracket every pair with t <= 2 from labels
 without building a basis or an mpf; only the profiles of angles_adaptive
-and principal_angles turn the brackets into mpf ends.  Certificates with
-t >= 3 prove their largest sine on the integer Gram pencil
-(_largest_sine_mantissas), whose Sylvester test runs on truncated
-integers first (_positive_definite).  Every other pair (evaluator bases, or
-profiles with t >= 3) goes through an mpmath Gram-Schmidt and SVD
-repeated at doubled precision until two consecutive runs agree to the
-requested relative error.
+and principal_angles turn the brackets into mpf ends.
+
+Pairs with t >= 3 are proved on the integer Gram pencil (_pencil): with A
+the smaller basis, S = g A^T A and R = S - A^T B adj(G) B^T A for
+G = B^T B and g = det(G); the eigenvalues of S^-1 R are the squared
+sines.  d - rank(R) of them are exactly 0; mpmath proposes the others, and
+Sylvester's law of inertia proves each one in integers, by counting the
+sign changes of the leading minors of R - x S at both ends of its bracket
+(_pencil_sine_mantissas).  Certificates prove only their largest sine,
+with a Rayleigh quotient (_largest_sine_mantissas); both run Sylvester's
+test on truncated integers first (_inertia).  An evaluator basis is read
+once, rounded to integers and proved as an exact basis, and each bracket
+widened by a proved bound on the reading error (_rounded_basis,
+_proved_profile).  mpmath never decides a bracket: no result rests on
+two runs agreeing.
 
 resolved=False marks a sine that is not separated from zero and carries
-the bracket [0, 2^-(bits_used/4)].  On the exact path that happens only
+the bracket [0, 2^-(bits_used/4)].  For an exact pair that happens only
 for an exactly-zero sine (a shared direction); every nonzero sine is
-resolved, however small.  On the mpmath path it happens for any value at or
-below that floor.  PrecisionContext and SUBDIOPH_MAX_BITS govern the
-working precision of the mpmath path; on the exact path they only set the
-reported bits_used (twice the starting bits, as after one doubling, and
+resolved, however small.  For a pair with an evaluator basis it happens
+when the widened upper end is at most that floor.  PrecisionContext and
+SUBDIOPH_MAX_BITS set the precision an evaluator basis is read at; for an
+exact pair they only set the reported bits_used (twice the starting bits,
 subject to the same cap) and the relative width of the brackets.  A
 request above the cap raises PrecisionExhaustedError before any
 evaluation: more bits than the cap for principal_angles, and twice
@@ -133,18 +141,22 @@ def _ceil_dyadic(x: Fraction, prec: int) -> tuple[int, int]:
     return _rounded(man, -shift, prec, up=True)
 
 
+def _offset(x: tuple[int, int], tau: tuple[int, int], prec: int, up: bool):
+    """x + tau (up) or x - tau for dyadics, rounded the same way to a
+    prec-bit mantissa; None when not positive."""
+    (x_man, x_exp), (tau_man, tau_exp) = x, tau
+    exp = min(x_exp, tau_exp)
+    tau_man <<= tau_exp - exp
+    total = (x_man << (x_exp - exp)) + (tau_man if up else -tau_man)
+    return _rounded(total, exp, prec, up) if total > 0 else None
+
+
 def _widened(lo: tuple[int, int], hi: tuple[int, int], tau: tuple[int, int], prec: int):
     """(lo - tau, hi + tau) for dyadics, rounded outward to prec-bit
     mantissas as AngleProfile.widened rounds at that precision, or None when
     lo - tau is not positive."""
-    (lo_man, lo_exp), (hi_man, hi_exp), (tau_man, tau_exp) = lo, hi, tau
-    exp = min(lo_exp, tau_exp)
-    diff = (lo_man << (lo_exp - exp)) - (tau_man << (tau_exp - exp))
-    if diff <= 0:
-        return None
-    hi_sum_exp = min(hi_exp, tau_exp)
-    total = (hi_man << (hi_exp - hi_sum_exp)) + (tau_man << (tau_exp - hi_sum_exp))
-    return _rounded(diff, exp, prec, up=False), _rounded(total, hi_sum_exp, prec, up=True)
+    lo = _offset(lo, tau, prec, up=False)
+    return None if lo is None else (lo, _offset(hi, tau, prec, up=True))
 
 
 def _log_dyadic(end: tuple[int, int]) -> float:
@@ -160,10 +172,12 @@ def _log_dyadic(end: tuple[int, int]) -> float:
 class PrecisionContext:
     """Working-precision policy for angle computations.
 
-    bits is the starting mantissa size, at least 64; adaptive refinement
-    doubles it until agreement at target_rel_err, which lies in (0, 1),
-    giving up at max_bits.  Values at or below 2^(-bits/4) are not resolved
-    pointwise, only bracketed by [0, 2^(-bits/4)].
+    bits is the starting mantissa size, at least 64.  angles_adaptive
+    reads an evaluator basis at twice bits and doubles that while a proved
+    bracket is wider than target_rel_err relatively, which lies in (0, 1),
+    giving up at max_bits.  A sine of such a pair whose bracket ends at or
+    below 2^(-bits_used/4) is not resolved pointwise, only bracketed by
+    [0, 2^(-bits_used/4)].
     """
 
     bits: int = DEFAULT_BITS
@@ -172,8 +186,8 @@ class PrecisionContext:
 
     def __post_init__(self) -> None:
         _check_bits(self.bits)
-        # no run agrees at a relative error of 0, and one of 1 or more
-        # brackets nothing
+        # no bracket of positive width reaches a relative error of 0, and one
+        # of 1 or more brackets nothing
         if not 0 < self.target_rel_err < 1:
             raise ShapeError("the target relative error must lie in (0, 1)")
         cap = min(self.max_bits, _env_bit_cap())
@@ -276,6 +290,15 @@ class RealBasis:
     def from_evaluator(
         cls, n: int, d: int, fn: Callable[[int], Sequence[Sequence[object]]], source: str
     ) -> "RealBasis":
+        """A basis given by fn(bits), its n x d matrix at bits bits.
+
+        Accuracy contract: every entry of fn(bits), read as an mpf at bits
+        bits, lies within 2^-(bits - 8) times the largest absolute entry of
+        its column of the true entry.  The angle engine widens its brackets
+        by the perturbation bound this gives (_rounded_basis); an evaluator
+        less accurate than that gets brackets that need not hold.
+        """
+
         def evaluate(bits: int) -> "mp.matrix":
             with mp.workprec(bits):
                 return mp.matrix([list(row) for row in fn(bits)])
@@ -293,9 +316,12 @@ class RealBasis:
 class AngleProfile:
     """Ascending sines of principal angles with certification metadata.
 
-    lo/hi bracket each value; entries with resolved=False were at or below
-    the near-zero floor and carry only the bracket [0, floor].
-    rel_err_bound is the achieved agreement bound for resolved entries.
+    lo/hi bracket each value, and every bracket is proved; entries with
+    resolved=False were at or below the near-zero floor and carry only the
+    bracket [0, floor].  rel_err_bound bounds the relative half-width
+    (hi - lo) / (hi + lo) of the resolved brackets: 2^-bits for an exact
+    pair proved at bits, the widest such half-width, rounded up, for a
+    pair with an evaluator basis.
     """
 
     t: int
@@ -337,55 +363,6 @@ def _mpf_of_fraction(x: Fraction, bits: int):
         return mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
 
-def orthonormal_basis(basis: RealBasis, bits: int) -> "mp.matrix":
-    """Orthonormal basis via twice-iterated modified Gram-Schmidt.
-
-    Raises NumericalRankLossError when a column norm collapses below
-    2^(-bits/2) at the working precision.
-    """
-    with mp.workprec(bits + 32):
-        m = basis.at(bits + 32)
-        n, d = m.rows, m.cols
-        cutoff = mp.mpf(2) ** (-(bits // 2))
-        cols = [[m[i, j] for i in range(n)] for j in range(d)]
-        out: list[list] = []
-        for j, col in enumerate(cols):
-            v = list(col)
-            for _pass in range(2):
-                for q in out:
-                    dot = mp.fsum(a * b for a, b in zip(q, v))
-                    v = [a - dot * b for a, b in zip(v, q)]
-            norm = mp.sqrt(mp.fsum(a * a for a in v))
-            original = mp.sqrt(mp.fsum(a * a for a in col))
-            if original == 0 or norm / original < cutoff:
-                raise NumericalRankLossError(
-                    f"column {j} collapsed during orthonormalization"
-                )
-            out.append([a / norm for a in v])
-        q = mp.matrix(n, d)
-        for j, col in enumerate(out):
-            for i in range(n):
-                q[i, j] = col[i]
-        return q
-
-
-def _cross_gram_sines(qa: "mp.matrix", qb: "mp.matrix") -> list:
-    """Ascending sines from singular values of Qa^T Qb (clamped to [0,1])."""
-    g = qa.T * qb
-    if min(g.rows, g.cols) == 1:
-        # 1 x k cross-Gram: singular value is the row norm
-        s = [mp.sqrt(mp.fsum(g[i, j] ** 2 for i in range(g.rows) for j in range(g.cols)))]
-    else:
-        s = list(mp.svd_r(g, compute_uv=False))
-    one = mp.mpf(1)
-    out = []
-    for sigma in s:
-        sigma = min(max(sigma, mp.mpf(0)), one)
-        out.append(mp.sqrt((one - sigma) * (one + sigma)))
-    out.sort()
-    return out
-
-
 def _profile(t: int, brackets: list, rel, bits_used: int) -> AngleProfile:
     """Pack ascending (lo, psi, hi) brackets into a profile.
 
@@ -412,50 +389,113 @@ def _profile(t: int, brackets: list, rel, bits_used: int) -> AngleProfile:
     )
 
 
-def _relative_brackets(sines: list, floor, rel) -> list:
-    """Brackets s * (1 -/+ rel) of mpmath sines; values at or below floor are None."""
-    return [None if s <= floor else (s * (1 - rel), s, s * (1 + rel)) for s in sines]
-
-
 def _pair_dimension(a: RealBasis, b: RealBasis) -> int:
     if a.n != b.n:
         raise ShapeError("ambient dimensions differ")
     return min(a.d, b.d)
 
 
-def _is_exact_pair(a: RealBasis, b: RealBasis) -> bool:
-    return a.columns is not None and b.columns is not None and min(a.d, b.d) <= 2
+# An evaluator basis read at p bits is within 2^-(p - _READ_SLACK) of the
+# largest entry of each column, entry by entry (RealBasis.from_evaluator)
+_READ_SLACK = 8
 
 
-def _exact_profile(a: RealBasis, b: RealBasis, bits_used: int, bits: int) -> AngleProfile:
-    """Profile of an exact pair with t <= 2, with rel_err_bound 2^-bits."""
+def _rounded_basis(basis: RealBasis, bits: int) -> tuple:
+    """An exact basis X and a bound eps on sin theta_max between the basis
+    and X; an exact basis is X, with eps = 0.  An evaluator basis is read
+    at bits, each column scaled by 2^(bits - m), its largest entry in
+    [2^(m-1), 2^m), and cut to integers.  In those units the true columns
+    are X + E, |E_ij| < 2^_READ_SLACK + 1, so |E| < e = (2^_READ_SLACK + 1)
+    sqrt(n d); a unit vector (X + E) c / |(X + E) c| of the true span lies
+    within |E| / (sigma_min(X) - |E|) of span(X), and sigma_min(X)^2 >=
+    det(X^T X) / tr(X^T X)^(d-1).  Raises NumericalRankLossError when
+    that bound on sigma_min(X) is not above e."""
+    if basis.columns is not None:
+        return basis, 0
+    columns = []
+    for col in zip(*basis.at(bits).tolist()):
+        top = max(map(abs, col))
+        if not top:
+            raise NumericalRankLossError("evaluator basis has a zero column")
+        shift = bits - mp.frexp(top)[1]
+        columns.append(tuple(int(mp.ldexp(x, shift)) for x in col))
+    gram = [[sum(map(mul, u, v)) for v in columns] for u in columns]
+    d = basis.d
+    sigma = _scaled_isqrt(exact.determinant(gram), sum(gram[i][i] for i in range(d)) ** (d - 1), 0)[0]
+    err = ((1 << _READ_SLACK) + 1) * _scaled_isqrt(basis.n * d, 1, 0)[1]
+    if sigma <= err:
+        raise NumericalRankLossError(f"evaluator basis is numerically dependent at {bits} bits")
+    return RealBasis._of_columns(tuple(columns), basis.n, d, basis.source), Fraction(err, sigma - err)
+
+
+def _proved_profile(a: RealBasis, b: RealBasis, bits_used: int, bits: int, cap: int) -> tuple:
+    """The profile of a pair proved at bits, and the largest relative
+    half-width (hi - lo) / (hi + lo) of its resolved brackets.  An exact
+    pair reports rel_err_bound 2^-bits.  A pair with an evaluator basis,
+    read at bits_used (_rounded_basis), widens each bracket by
+    eps_A + eps_B, and reports that half-width rounded up: the sines are
+    the singular values of (I - P_B) P_A and |P_A - P_X| = sin theta_max,
+    so by Weyl's inequality none moves further.  A widened upper end at
+    most 2^-(bits_used/4) leaves its sine unresolved."""
     t = _pair_dimension(a, b)
-    mantissas = _sine_mantissas(*_gram_integers(a, b), bits)
-    brackets = [None if m is None else _packed(*m) for m in mantissas]
-    return _profile(t, brackets, mp.ldexp(1, -bits), bits_used)
+    (xa, eps_a), (xb, eps_b) = _rounded_basis(a, bits_used), _rounded_basis(b, bits_used)
+    if min(a.d, b.d) <= 2:
+        mantissas = _sine_mantissas(*_gram_integers(xa, xb), bits)
+    else:
+        mantissas = _pencil_sine_mantissas(xa, xb, bits, cap)
+    if not eps_a + eps_b:
+        brackets = [None if m is None else _packed(*m) for m in mantissas]
+        return _profile(t, brackets, mp.ldexp(1, -bits), bits_used), 0
+    tau = _ceil_dyadic(eps_a + eps_b, bits_used)
+    floor = (1, -(bits_used // 4))
+    brackets, width = [], 0
+    for m in mantissas:
+        hi = _offset(m[1] if m else (0, 0), tau, bits_used, up=True)
+        if not _dyadic_less(floor, hi):
+            brackets.append(None)
+            continue
+        lo = (m and _offset(m[0], tau, bits_used, up=False)) or (0, 0)
+        exp = min(lo[1], hi[1])
+        lo_man, hi_man = lo[0] << (lo[1] - exp), hi[0] << (hi[1] - exp)
+        width = max(width, Fraction(hi_man - lo_man, hi_man + lo_man))
+        brackets.append(_packed(lo, hi))
+    rel = mp.fdiv(width.numerator, width.denominator, prec=64, rounding="c")
+    return _profile(t, brackets, rel, bits_used), width
 
 
-def _gram_integers(a: RealBasis, b: RealBasis) -> tuple:
-    """(L, W, C) of an exact pair with t <= 2 (C None when t = 1) from Gram
-    determinants of its integer columns, which by Cauchy-Binet are the
-    label integers of their raw minors: L = det(A^T A) det(B^T B),
-    W = det([A | B]^T [A | B]) and, with A the plane and G = B^T B,
-    C = det(A^T B adj(G) B^T A) / det(G).  Polynomial in n, where the
-    labels have C(n, d) entries."""
-    if a.d > b.d:
-        a, b = b, a
+def _pencil(a: RealBasis, b: RealBasis) -> tuple[int, list, list]:
+    """g and the integer Gram pencil of two exact bases, A of dimension d
+    at most that of B: S = g A^T A and R = S - A^T B adj(G) B^T A, where
+    G = B^T B and g = det(G).  R = g A^T (I - P_B) A, so the squared sines
+    are the eigenvalues of S^-1 R."""
     both, d = a.columns + b.columns, a.d
     gram = [[sum(map(mul, u, v)) for v in both] for u in both]
     g = exact.determinant([row[d:] for row in gram[d:]])
-    label2 = exact.determinant([row[:d] for row in gram[:d]]) * g
+    s_mat = [[g * x for x in row[:d]] for row in gram[:d]]
+    r_mat = [[x - y for x, y in zip(*rows)] for rows in zip(s_mat, _projected_gram(gram, d))]
+    return g, s_mat, r_mat
+
+
+def _gram_integers(a: RealBasis, b: RealBasis) -> tuple:
+    """(L, W, C) of an exact pair with t <= 2 (C None when t = 1) from its
+    pencil (_pencil), which by Cauchy-Binet are the label integers of
+    their raw minors: L = det(A^T A) det(G) = det(S) / g^(d-1),
+    W = det([A | B]^T [A | B]) = det(R) / g^(d-1) and, with A the plane,
+    C = det(A^T B adj(G) B^T A) / g = det(S - R) / g.  Polynomial in n,
+    where the labels have C(n, d) entries."""
+    if a.d > b.d:
+        a, b = b, a
+    g, s_mat, r_mat = _pencil(a, b)
+    label2 = exact.determinant(s_mat)
     if label2 == 0:
         # a float basis comes here with its rank unchecked
         raise NumericalRankLossError("exact basis has dependent columns")
-    wedge2 = exact.determinant(gram)
-    if d == 1:
-        return label2, wedge2, None
-    (m00, m01), (m10, m11) = _projected_gram(gram, d)
-    return label2, wedge2, (m00 * m11 - m01 * m10) // g
+    if a.d == 1:
+        return label2, r_mat[0][0], None
+    (s00, s01), (s10, s11) = s_mat
+    (r00, r01), (r10, r11) = r_mat
+    cos2 = (s00 - r00) * (s11 - r11) - (s01 - r01) * (s10 - r10)
+    return label2 // g, exact.determinant(r_mat) // g, cos2 // g
 
 
 def _projected_gram(gram: list, d: int) -> list:
@@ -470,32 +510,31 @@ def _projected_gram(gram: list, d: int) -> list:
     return [[sum(map(mul, row[d:], y)) for y in solved] for row in gram[:d]]
 
 
+def _eigen_proposals(s_mat: list, r_mat: list, prec: int) -> tuple:
+    """mpmath's ascending eigenvalues of S^-1 R at prec bits and their
+    eigenvectors: with S = L L^T, those of L^-1 R L^-T, mapped by L^-T."""
+    with mp.workprec(prec):
+        inv = mp.inverse(mp.cholesky(mp.matrix(s_mat)))
+        values, vectors = mp.eigsy(inv * mp.matrix(r_mat) * inv.T)
+        return values, inv.T * vectors
+
+
 def _largest_sine_mantissas(a: RealBasis, b: RealBasis, bits: int):
     """The _sqrt_bracket, of relative width below 2^-bits, of the largest
     sine of two exact bases, A of dimension at most that of B; None when
-    that sine is zero or its proof fails.  The squared sines are the
-    eigenvalues of the integer pencil S = g A^T A, R = S - A^T B adj(G) B^T A
-    (G = B^T B, g = det(G)).  mpmath only proposes v, the top eigenvector,
-    at bits + 64: v^T R v / v^T S v = q / s <= psi^2 (Rayleigh), and
-    x = (q / s)(1 + 2^-(bits+6)) > psi^2 once x S - R is positive definite.
-    Sylvester's test proves that on exact leading minors of the pencil cut
-    to its leading bits + 128 bits, with a proved margin, and on more bits
-    only where that cannot decide (_positive_definite); it accepts or
-    refuses the bracket that q, s and x fix, and never changes it.  No
-    root is isolated, so clustered or repeated roots need no care, and a
-    poor proposal gives None."""
-    both, d = a.columns + b.columns, a.d
-    gram = [[sum(map(mul, u, v)) for v in both] for u in both]
-    g = exact.determinant([row[d:] for row in gram[d:]])
-    s_mat = [[g * x for x in row[:d]] for row in gram[:d]]
-    r_mat = [[x - y for x, y in zip(*rows)] for rows in zip(s_mat, _projected_gram(gram, d))]
-    with mp.workprec(bits + 64):
-        inv = mp.inverse(mp.cholesky(mp.matrix(s_mat)))
-        top = mp.eigsy(inv * mp.matrix(r_mat) * inv.T)[1][:, d - 1]
-        proposal = inv.T * top
-        # bits + 64 leading bits of the proposal as integers
-        shift = bits + 64 - max(mp.frexp(x)[1] for x in proposal)
-        v = [int(mp.ldexp(x, shift)) for x in proposal]
+    that sine is zero or its proof fails.  mpmath only proposes v, the top
+    eigenvector of the pencil (_pencil), at bits + 64:
+    v^T R v / v^T S v = q / s <= psi^2 (Rayleigh), and
+    x = (q / s)(1 + 2^-(bits+6)) > psi^2 once x S - R is positive definite,
+    which _inertia proves on the pencil cut to its leading bits + 128 bits
+    first.  It accepts or refuses the bracket that q, s and x fix, and
+    never changes it.  No root is isolated, so clustered or repeated roots
+    need no care, and a poor proposal gives None."""
+    _, s_mat, r_mat = _pencil(a, b)
+    proposal = _eigen_proposals(s_mat, r_mat, bits + 64)[1][:, a.d - 1]
+    # bits + 64 leading bits of the proposal as integers
+    shift = bits + 64 - max(mp.frexp(x)[1] for x in proposal)
+    v = [int(mp.ldexp(x, shift)) for x in proposal]
     q, s = (sum(x * sum(map(mul, row, v)) for x, row in zip(v, m)) for m in (r_mat, s_mat))
     if q == 0:
         return None
@@ -503,18 +542,76 @@ def _largest_sine_mantissas(a: RealBasis, b: RealBasis, bits: int):
     up = (1 << k) + 1  # x = (q / s) up / 2^k
     # s 2^k (x S - R) in integers
     pencil = [[q * up * y - (s << k) * x for x, y in zip(*rows)] for rows in zip(r_mat, s_mat)]
-    if not _positive_definite(pencil, bits + 128):
+    if not _inertia(pencil, bits + 128, 0, at_least=False):
         return None
     return _sqrt_bracket((q, s, q * up, s << k), _sqrt_scale(q, s, bits + 4))
 
 
-def _positive_definite(m: list, width: int) -> bool:
-    """Whether the symmetric integer matrix m is positive definite, by
-    Sylvester's test on truncations first: m = 2^shift (m' + E) with
-    m' = m >> shift entrywise and E symmetric with entries in [0, 1), so
-    |E|_2 <= |E|_F < d, and m' - d I positive definite proves m so (Weyl).
-    The first m' keeps width leading bits of the largest entry; each
-    failure halves shift, down to 0, the test on m itself."""
+def _pencil_sine_mantissas(a: RealBasis, b: RealBasis, bits: int, cap: int) -> list:
+    """Ascending _sqrt_bracket sine brackets, of relative width below
+    2^-bits, of two exact bases; a zero sine is None.  R is positive
+    semidefinite of nullity dim(A /\\ B), so the least d - rank(R) squared
+    sines are exactly 0.  mpmath proposes each other one as m at
+    bits + extra, and x_lo, x_hi = m (1 -/+ 2^-(bits+6)) bracket mu_j once
+    R - x_lo S has at most j - 1 negative eigenvalues and R - x_hi S at
+    least j (Sylvester's law of inertia: R - x S is congruent to
+    S^-1/2 R S^-1/2 - x I).  Each check is one-sided, so repeated and
+    clustered roots need no care.  A failed proof is retried with bits and
+    extra doubled, up to the bit cap cap.  All brackets share the finest
+    scale, which keeps their midpoints in order."""
+    if a.d > b.d:
+        a, b = b, a
+    _, s_mat, r_mat = _pencil(a, b)
+    if exact.determinant(s_mat) == 0:
+        # a float basis comes here with its rank unchecked
+        raise NumericalRankLossError("exact basis has dependent columns")
+    zeros, extra = a.d - exact.rank(r_mat), 64
+    while (squares := _pencil_squares(s_mat, r_mat, zeros, bits, extra)) is None:
+        if 2 * bits > cap:
+            raise PrecisionExhaustedError(f"no proof of the squared sines at {bits} bits (cap {cap})")
+        bits, extra = 2 * bits, 2 * extra
+    k = max((_sqrt_scale(x[0], x[1], bits + 4) for x in squares), default=0)
+    return [None] * zeros + [_sqrt_bracket(x, k) for x in squares]
+
+
+def _pencil_squares(s_mat: list, r_mat: list, zeros: int, bits: int, extra: int):
+    """The intervals (num_lo, den, num_hi, den) of _pencil_sine_mantissas,
+    or None when a proof fails, S numerically singular at bits + extra
+    included."""
+    try:
+        values = _eigen_proposals(s_mat, r_mat, bits + extra)[0]
+    except (ValueError, ZeroDivisionError):
+        # mp.cholesky and mp.inverse refuse a matrix singular at their precision
+        return None
+    k, squares = bits + 6, []
+    for j in range(zeros, len(s_mat)):
+        if values[j] <= 0:
+            return None
+        man, exp = values[j].man_exp
+        # x = man (2^k -/+ 1) 2^(exp - k) as num / den
+        den = 1 << max(0, k - exp)
+        num_lo, num_hi = (man * ((1 << k) + sign) << max(0, exp - k) for sign in (-1, 1))
+        # den (R - x S) at both ends
+        at_lo, at_hi = ([[den * r - num * s for r, s in zip(*rows)] for rows in zip(r_mat, s_mat)]
+                        for num in (num_lo, num_hi))
+        if not (_inertia(at_lo, bits + 128, j, at_least=False)
+                and _inertia(at_hi, bits + 128, j + 1, at_least=True)):
+            return None
+        squares.append((num_lo, den, num_hi, den))
+    return squares
+
+
+def _inertia(m: list, width: int, k: int, at_least: bool) -> bool:
+    """Whether the symmetric integer matrix m has at least k negative
+    eigenvalues (at_least), or else at most k that are not positive.  With
+    no leading minor 0, the number of negative eigenvalues is the number of
+    sign changes along 1, D_1, ..., D_d (Jacobi).  Truncations run first:
+    m = 2^shift (m' + E) with m' = m >> shift entrywise and E symmetric
+    with entries in [0, 1), so |E|_2 <= |E|_F < d, and by Weyl m' + d I
+    with k negative eigenvalues proves k for m, and m' - d I with at most
+    k that are not positive proves that for m.  The first m' keeps width
+    leading bits of the largest entry; each failure halves shift, down to
+    0, the test on m itself."""
     d = len(m)
     shift = max(0, max(abs(x).bit_length() for row in m for x in row) - width)
     while True:
@@ -522,9 +619,12 @@ def _positive_definite(m: list, width: int) -> bool:
         if shift:
             trial = [[x >> shift for x in row] for row in m]
             for i in range(d):
-                trial[i][i] -= d
-        if all(exact.determinant([row[:j] for row in trial[:j]]) > 0 for j in range(1, d + 1)):
-            return True
+                trial[i][i] += d if at_least else -d
+        minors = [1] + [exact.determinant([row[:j] for row in trial[:j]]) for j in range(1, d + 1)]
+        if 0 not in minors:
+            negative = sum((x < 0) != (y < 0) for x, y in zip(minors, minors[1:]))
+            if negative >= k if at_least else negative <= k:
+                return True
         if not shift:
             return False
         shift //= 2
@@ -532,8 +632,8 @@ def _positive_definite(m: list, width: int) -> bool:
 
 def exact_relative_bits(ctx: PrecisionContext | None = None) -> int:
     """b such that angles_adaptive brackets every sine psi of an exact pair
-    with t <= 2 inside (psi (1 - 2^-b), psi (1 + 2^-b)): twice ctx.bits, or
-    more when ctx.target_rel_err asks for it.
+    inside (psi (1 - 2^-b), psi (1 + 2^-b)): twice ctx.bits, or more when
+    ctx.target_rel_err asks for it.
 
     Raises PrecisionExhaustedError where angles_adaptive would.
     """
@@ -626,8 +726,10 @@ def _sqrt_interval(interval: tuple[int, int, int, int]) -> tuple[float, float]:
 
 
 def _packed(lo: tuple[int, int], hi: tuple[int, int]) -> tuple:
-    """Exact mpf (lo, mid, hi) of a bracket of two dyadics of one exponent."""
-    return mp.ldexp(*lo), mp.ldexp(lo[0] + hi[0], lo[1] - 1), mp.ldexp(*hi)
+    """Exact mpf (lo, mid, hi) of a bracket of two dyadics."""
+    exp = min(lo[1], hi[1])
+    mid = (lo[0] << (lo[1] - exp)) + (hi[0] << (hi[1] - exp))
+    return mp.ldexp(*lo), mp.ldexp(mid, exp - 1), mp.ldexp(*hi)
 
 
 def _point(num: int, den: int) -> tuple[int, int, int, int]:
@@ -770,24 +872,18 @@ def _plane_sine_decision(box: tuple, j: int, forms: tuple) -> bool | None:
 def principal_angles(a: RealBasis, b: RealBasis, bits: int = DEFAULT_BITS) -> AngleProfile:
     """Single-shot proximity profile at a fixed working precision.
 
-    Exact pairs with t <= 2 report rel_err_bound 2^-bits.  Other pairs
-    report the conservative single-shot claim 2^(-bits/2); use
-    angles_adaptive for a measured bound.  bits is at least 64, as in a
-    PrecisionContext, and at most the bit cap (SUBDIOPH_MAX_BITS): above it
-    PrecisionExhaustedError is raised before any evaluation.
+    Exact pairs are proved at bits and report rel_err_bound 2^-bits.  A
+    pair with an evaluator basis is read once at bits and proved as
+    angles_adaptive proves it, with no doubling: its rel_err_bound is the
+    relative half-width its widened brackets reach.  bits is at least 64,
+    as in a PrecisionContext, and at most the bit cap (SUBDIOPH_MAX_BITS):
+    above it PrecisionExhaustedError is raised before any evaluation.
     """
     _check_bits(bits)
     cap = _env_bit_cap()
     if bits > cap:
         raise PrecisionExhaustedError(f"{bits} bits exceed the cap {cap}")
-    if _is_exact_pair(a, b):
-        return _exact_profile(a, b, bits, bits)
-    t = _pair_dimension(a, b)
-    with mp.workprec(bits + 32):
-        sines = _sines_at(a, b, bits)
-        rel = mp.mpf(2) ** (-(bits // 2))
-        brackets = _relative_brackets(sines, mp.ldexp(1, -(bits // 4)), rel)
-    return _profile(t, brackets, rel, bits)
+    return _proved_profile(a, b, bits, bits, cap)[0]
 
 
 def vector_angle(
@@ -841,12 +937,14 @@ def angles_adaptive(
 ) -> AngleProfile:
     """Proximity profile of a pair, certified.
 
-    Exact pairs with t <= 2 are evaluated in closed form with proved
-    brackets of relative width at most min(2^-bits_used, target_rel_err),
-    reported at bits_used = 2 * ctx.bits.  Other pairs are recomputed at
-    doubled precision until consecutive profiles agree to
-    ctx.target_rel_err on every entry above the near-zero floor.  Entries
-    not separated from zero stay bracketed as [0, floor].  Raises
+    Exact pairs are proved in integers with brackets of relative width at
+    most min(2^-bits_used, target_rel_err), reported at
+    bits_used = 2 * ctx.bits.  A pair with an evaluator basis is read at
+    bits_used = 2 * ctx.bits, rounded to an exact pair, proved, and each
+    bracket widened by a proved bound on the reading error; bits_used
+    doubles, and the pair is read and proved again, only while a resolved
+    bracket is wider than ctx.target_rel_err relatively.  Entries not
+    separated from zero are bracketed as [0, floor].  Raises
     PrecisionExhaustedError at the bit cap (callers may raise the cap via
     the context or the SUBDIOPH_MAX_BITS environment variable): before any
     evaluation when 2 * ctx.bits exceeds it, as exact_relative_bits does,
@@ -855,43 +953,18 @@ def angles_adaptive(
     ctx = ctx or PrecisionContext()
     # raises at the cap before any evaluation, on either path
     rel_bits = exact_relative_bits(ctx)
-    if _is_exact_pair(a, b):
-        return _exact_profile(a, b, 2 * ctx.bits, rel_bits)
-    bits = ctx.bits
-    t = _pair_dimension(a, b)
-    target = _mpf_of_fraction(ctx.target_rel_err, 64)
-    prev = _sines_at(a, b, bits)
+    bits = 2 * ctx.bits
+    if a.columns is not None and b.columns is not None:
+        return _proved_profile(a, b, bits, rel_bits, ctx.max_bits)[0]
     while True:
-        next_bits = bits * 2
-        if next_bits > ctx.max_bits:
+        profile, width = _proved_profile(a, b, bits, bits, ctx.max_bits)
+        if width <= ctx.target_rel_err:
+            return profile
+        if 2 * bits > ctx.max_bits:
             raise PrecisionExhaustedError(
-                f"no agreement at {bits} bits (cap {ctx.max_bits})"
+                f"brackets wider than the target at {bits} bits (cap {ctx.max_bits})"
             )
-        cur = _sines_at(a, b, next_bits)
-        with mp.workprec(next_bits):
-            floor = mp.ldexp(1, -(next_bits // 4))
-            worst = mp.mpf(0)
-            comparable = True
-            for p, c in zip(prev, cur):
-                if c <= floor:
-                    continue
-                diff = abs(p - c) / c
-                worst = max(worst, diff)
-                if diff > target:
-                    comparable = False
-            if comparable:
-                measured = max(worst, mp.mpf(2) ** (8 - next_bits))
-                bound = 4 * measured
-                return _profile(t, _relative_brackets(cur, floor, bound), bound, next_bits)
-        prev = cur
-        bits = next_bits
-
-
-def _sines_at(a: RealBasis, b: RealBasis, bits: int) -> list:
-    with mp.workprec(bits + 32):
-        qa = orthonormal_basis(a, bits)
-        qb = orthonormal_basis(b, bits)
-        return _cross_gram_sines(qa, qb)
+        bits *= 2
 
 
 def random_orthogonal(n: int, rng, bits: int = DEFAULT_BITS) -> "mp.matrix":

@@ -206,9 +206,10 @@ class ConstructionParams:
     def n(self) -> int:
         return 2 * self.ell
 
-    @property
+    @functools.cached_property
     def alpha(self) -> Fraction:
-        """Exponent-schedule ratio ell * beta (finite variant only)."""
+        """Exponent-schedule ratio ell * beta (finite variant only), formed
+        when first read."""
         if self.variant != FINITE or self.beta is None:
             raise ParameterError("the infinite variant has no finite ratio")
         return self.ell * self.beta

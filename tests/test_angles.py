@@ -22,13 +22,13 @@ from subdioph.angles import (
     RealBasis,
     angles_adaptive,
     exact_relative_bits,
-    orthonormal_basis,
     principal_angles,
     random_orthogonal,
     vector_angle,
     _sine_mantissas,
 )
 from subdioph.errors import NumericalRankLossError, PrecisionExhaustedError, ShapeError
+from svd_reference import svd_sines
 
 
 def exact_basis(*cols):
@@ -325,11 +325,20 @@ def test_linear_map_distortion_bound():
 
 
 def test_rank_loss_detection():
+    """An exactly dependent basis is refused.  So is the reference's
+    Gram-Schmidt at 64 bits on columns 2^-60 apart, and an evaluator basis
+    whose columns, 2^-600 apart, read at 512 bits as one: its smallest
+    singular value is not above the bound on the reading error."""
     with pytest.raises(NumericalRankLossError):
         RealBasis.from_exact([[1, 2], [2, 4]])
     lossy = RealBasis.from_float([[1.0, 1.0], [1.0, 1.0 + 2.0**-60]])
     with pytest.raises(NumericalRankLossError):
-        orthonormal_basis(lossy, bits=64)
+        svd_sines(lossy, exact_basis((1, 0)), bits=64)
+    close = RealBasis.from_evaluator(
+        3, 2, lambda bits: [[1, 1], [1, 1 + mp.ldexp(1, -600)], [0, 0]], source="close"
+    )
+    with pytest.raises(NumericalRankLossError):
+        angles_adaptive(close, exact_basis((1, 2, 3)))
 
 
 def test_precision_cap_raises():
@@ -339,22 +348,32 @@ def test_precision_cap_raises():
 
 
 def truncated_line(bits):
-    """The line (1, 1 + 2^-(bits/8)): an entry off by 2^-(bits/8) at each
-    precision, as a series truncated by the working precision would be."""
-    return [[mp.mpf(1)], [1 + mp.mpf(2) ** -(bits // 8)]]
+    """The line (1, s) for s = sum 2^-(k^2), k >= 1, truncated by the
+    working precision: the terms kept are those above 2^-bits, so each
+    entry is within 2^-bits of its value, as RealBasis.from_evaluator
+    asks."""
+    with mp.workprec(bits):
+        return [[mp.mpf(1)], [mp.fsum(mp.ldexp(1, -k * k) for k in range(1, math.isqrt(bits) + 1))]]
 
 
 def test_a_series_truncated_by_precision_takes_two_doublings():
-    """At 256 bits the sine is off by about 2^-32, far above the default
-    target 2^-48: 256 and 512 bits disagree, 512 and 1024 agree."""
+    """Read at 512 bits, the line's sine is bracketed to about 2^-500
+    relatively, wider than a target of 2^-600: one more doubling, to 1024
+    bits, meets it.  Every bracket holds the sine of the series summed to
+    4096 bits, and with the cap at 512 bits the doubling is refused."""
     b = RealBasis.from_evaluator(2, 1, truncated_line, source="series")
-    ctx = PrecisionContext()
+    ctx = PrecisionContext(target_rel_err=Fraction(1, 2**600))
     p = angles_adaptive(exact_basis((1, 0)), b, ctx)
-    assert p.bits_used >= 4 * ctx.bits
-    with mp.workprec(p.bits_used):
-        assert p.lo[0] <= mp.sqrt(2) / 2 <= p.hi[0]
+    target = mp.ldexp(1, -600)
+    assert p.bits_used == 4 * ctx.bits and p.rel_err_bound <= target
+    first = principal_angles(exact_basis((1, 0)), b, bits=2 * ctx.bits)
+    assert first.rel_err_bound > target
+    ref = svd_sines(exact_basis((1, 0)), b, 4096)[0]
+    for prof in (p, first):
+        assert prof.lo[0] <= ref <= prof.hi[0]
     with pytest.raises(PrecisionExhaustedError, match="cap 512"):
-        angles_adaptive(exact_basis((1, 0)), b, PrecisionContext(max_bits=2 * ctx.bits))
+        angles_adaptive(exact_basis((1, 0)), b, PrecisionContext(max_bits=2 * ctx.bits,
+                                                                  target_rel_err=ctx.target_rel_err))
 
 
 @pytest.mark.parametrize(
@@ -387,19 +406,13 @@ def test_widened_rounds_outward():
     assert (exact_value(w.hi[0]) - tau) ** 2 >= Fraction(1, 2)
 
 
-def mpmath_twin(basis):
-    """The same matrix, evaluated only through the mpmath engine."""
-    return RealBasis.from_evaluator(
-        basis.n, basis.d, lambda bits: basis.at(bits).tolist(), source="oracle"
-    )
-
-
 def assert_exact_brackets_contain_mpmath(a, b):
     p = angles_adaptive(a, b)
-    ref = angles_adaptive(mpmath_twin(a), mpmath_twin(b), PrecisionContext(bits=4096))
-    assert p.bits_used == 512 and ref.bits_used >= 8192
-    for lo, x, hi, ok, r, r_ok in zip(p.lo, p.psi, p.hi, p.resolved, ref.psi, ref.resolved):
-        assert ok == r_ok
+    bits = 8192
+    ref = svd_sines(a, b, bits)
+    assert p.bits_used == 512
+    for lo, x, hi, ok, r in zip(p.lo, p.psi, p.hi, p.resolved, ref):
+        assert ok == (r > mp.ldexp(1, -(bits // 4)))
         if ok:
             assert lo <= r <= hi
             assert lo <= x <= hi
@@ -548,10 +561,14 @@ T3_B = [[1, 0, 2], [0, 1, 1], [3, 0, 1], [1, 1, 1], [0, 2, 5]]
 
 
 def refuse_mpmath(monkeypatch):
+    """Make every evaluation of the engine raise: an eigenvalue proposal of
+    the Gram pencil, and the reading of a basis."""
+
     def refused(*_args):
         raise AssertionError("mpmath evaluation above the bit cap")
 
-    monkeypatch.setattr(angles_module, "_sines_at", refused)
+    monkeypatch.setattr(angles_module.mp, "eigsy", refused)
+    monkeypatch.setattr(RealBasis, "at", refused)
 
 
 def test_principal_angles_checks_the_cap_before_evaluating(monkeypatch):
@@ -758,16 +775,23 @@ def test_basis_pairs_in_larger_spaces_build_no_label(monkeypatch):
         assert prof.resolved == tuple(x is not None for x in intervals)
 
 
+PENCIL_KINDS = ["small", "huge", "near", "spread"]
+
+
 def pencil_pair(rng, d, kind):
     """Two exact d-spaces of R^(2d): small entries, huge ones (up to 2^200),
-    or near, B = 10^k A + E for k up to 80 and small E, whose sines lie
-    near 10^-k."""
+    near, B = 10^k A + E for k up to 80 and small E, whose sines lie near
+    10^-k, or spread, column j of B 10^(k_j) times that of A plus a small
+    error, for distinct k_j up to 40, whose sines lie far apart."""
     n = 2 * d
     while True:
-        if kind == "near":
+        if kind in ("near", "spread"):
             a = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(n)]
-            scale = 10 ** rng.randint(1, 80)
-            b = [[scale * x + rng.randint(-3, 3) for x in row] for row in a]
+            if kind == "near":
+                scales = [10 ** rng.randint(1, 80)] * d
+            else:
+                scales = [10**k for k in rng.sample(range(1, 41), d)]
+            b = [[s * x + rng.randint(-3, 3) for s, x in zip(scales, row)] for row in a]
         else:
             bound = 9 if kind == "small" else 2**200
             a, b = ([[rng.randint(-bound, bound) for _ in range(d)] for _ in range(n)] for _ in "ab")
@@ -778,21 +802,101 @@ def pencil_pair(rng, d, kind):
 
 
 def test_largest_sine_proof_holds_an_svd_reference():
-    """On 200 seeded pairs of 3-spaces in R^6 and 4-spaces in R^8, of small
-    or huge entries or near each other, the Rayleigh-Sylvester bracket holds
-    the largest sine of an mpmath SVD at 4 bits + 600 and is narrower than
-    2^-bits relatively."""
+    """On 200 seeded pairs of 3-spaces in R^6 and 4-spaces in R^8 of each
+    pencil_pair kind, every sine's bracket from the pencil, and the
+    Rayleigh-Sylvester bracket of the largest, hold the sines of an mpmath
+    SVD at 4 bits + 600 plus the bits the smallest sine needs, and each is
+    narrower than 2^-bits relatively."""
     rng = random.Random(39)
     kinds = set()
     for _ in range(200):
-        d, kind, bits = rng.choice([3, 4]), rng.choice(["small", "huge", "near"]), rng.choice([128, 512])
+        d, kind, bits = rng.choice([3, 4]), rng.choice(PENCIL_KINDS), rng.choice([128, 512])
         a, b = pencil_pair(rng, d, kind)
-        (lo, exp), (hi, hi_exp) = angles_module._largest_sine_mantissas(a, b, bits)
-        ref = principal_angles(a, b, bits=4 * bits + 600).psi[-1]
-        assert exp == hi_exp and mp.ldexp(lo, exp) <= ref <= mp.ldexp(hi, exp), (d, kind, bits)
-        assert (hi - lo) << bits < lo
+        brackets = angles_module._pencil_sine_mantissas(a, b, bits, HARD_BIT_CAP)
+        (lo, exp), _ = brackets[0]
+        ref = svd_sines(a, b, 4 * bits + 600 + 4 * (-exp - lo.bit_length()))
+        brackets.append(angles_module._largest_sine_mantissas(a, b, bits))
+        for ((lo, exp), (hi, hi_exp)), r in zip(brackets, ref + ref[-1:]):
+            assert exp == hi_exp and mp.ldexp(lo, exp) <= r <= mp.ldexp(hi, exp), (d, kind, bits)
+            assert (hi - lo) << bits < lo
         kinds.add((d, kind, bits))
-    assert len(kinds) == 12
+    assert len(kinds) == 16
+
+
+def rotated_basis(base, seed):
+    """An evaluator basis of U X for the integer columns X of base and a
+    random orthogonal U drawn at each precision, as criterion 03 rotates."""
+
+    def fn(bits):
+        return (random_orthogonal(base.n, random.Random(seed), bits) * base.at(bits)).tolist()
+
+    return RealBasis.from_evaluator(base.n, base.d, fn, source="rotated")
+
+
+def reference_bits(p):
+    """Bits at which svd_sines resolves the brackets of p: sqrt(1 - sigma^2)
+    at P bits has relative error near 2^-P / psi^2, so P is 600 plus twice
+    the bits of the narrowest relative width and of the least squared sine."""
+    need = [mp.log(hi / (hi - lo), 2) + 2 * mp.log(1 / lo, 2)
+            for lo, hi, ok in zip(p.lo, p.hi, p.resolved) if ok and 0 < lo < hi]
+    return 600 + 2 * int(max(need, default=p.bits_used))
+
+
+def test_evaluator_brackets_hold_an_svd_reference():
+    """Rotated exact pairs, with t <= 2 (a right angle among them) and
+    with t >= 3 of each pencil_pair kind, and the golden line against exact
+    lines: every
+    bracket that angles_adaptive and principal_angles (192 bits) give the
+    evaluator pair holds the sine of an mpmath SVD of the evaluators, and
+    every bracket of the exact pair it rotates one of that pair."""
+    rng = random.Random(23)
+    pairs = []
+    for trial in range(24):
+        if trial % 4 == 0:
+            n = rng.randint(2, 5)
+            a, b = (random_exact_basis(rng, n, rng.randint(1, min(2, n))) for _ in "ab")
+        else:
+            a, b = pencil_pair(rng, rng.choice([3, 4]), PENCIL_KINDS[trial % 4])
+        pairs.append((rotated_basis(a, 500 + trial), rotated_basis(b, 500 + trial), (a, b)))
+    # a right angle: a bracket around 1 whose ends round to different exponents
+    a, b = exact_basis((1, -1, 2)), exact_basis((2, 0, -1))
+    pairs.append((rotated_basis(a, 7), rotated_basis(b, 7), (a, b)))
+    golden = RealBasis.from_evaluator(
+        2, 1, lambda bits: [[mp.mpf(1)], [(1 + mp.sqrt(5)) / 2]], source="algebraic"
+    )
+    pairs += [(golden, exact_basis((x, y)), None) for x, y in ((1, 1), (1, 2), (89, 144), (-3, 7))]
+    checked = 0
+    for a, b, twin in pairs:
+        adaptive = angles_adaptive(a, b)
+        assert adaptive.rel_err_bound <= 2.0**-48
+        cases = [(adaptive, (a, b)), (principal_angles(a, b, bits=192), (a, b))]
+        if twin:
+            cases.append((angles_adaptive(*twin), twin))
+        for p, pair in cases:
+            ref = svd_sines(*pair, reference_bits(p))
+            for lo, x, hi, ok, r in zip(p.lo, p.psi, p.hi, p.resolved, ref):
+                assert lo <= x <= hi and lo <= r <= hi
+                assert ok or hi <= mp.ldexp(1, -(p.bits_used // 4))
+                checked += 1
+    assert checked == sum((2 + (twin is not None)) * min(a.d, b.d) for a, b, twin in pairs)
+
+
+def test_an_ill_conditioned_exact_pair_is_proved():
+    """Columns 10^-300 apart make S singular at the first proposal's
+    precision: mp.inverse refuses it, and the retries at doubled bits prove
+    the pair.  The reference's Gram-Schmidt at 256 bits, the engine these
+    pairs took before, reads the basis as dependent."""
+    e = Fraction(1, 10**300)
+    a = RealBasis.from_exact([[1, 1, 0], [1, 1 + e, 0], [0, 0, 1], [1, 1, 3], [4, 4, 7]])
+    b = RealBasis.from_exact(T3_B)
+    with pytest.raises(NumericalRankLossError):
+        svd_sines(a, b, 256)
+    p = angles_adaptive(a, b)
+    assert p.resolved == (False, True, True)
+    # Gram-Schmidt loses about 2000 bits on these columns
+    ref = svd_sines(a, b, reference_bits(p) + 2000)
+    for lo, hi, r in zip(p.lo[1:], p.hi[1:], ref[1:]):
+        assert lo <= r <= hi and hi - lo < hi * mp.ldexp(1, -512)
 
 
 def test_largest_sine_proof_refuses_what_it_cannot_prove(monkeypatch):
@@ -843,12 +947,16 @@ def congruent_matrix(seed, d, a, sign):
 @example(seed=2, d=4, a=400, sign=-1)
 def test_truncated_sylvester_test_decides_as_the_full_one(seed, d, a, sign):
     """On symmetric integer matrices near singular, definite or not, the
-    test on truncations (_positive_definite) answers as Sylvester's test on
-    the matrix itself, at every starting width."""
+    test on truncations (_inertia) answers as Sylvester's test on the
+    matrix itself, at every starting width: positive definite exactly when
+    sign = 1, with a negative eigenvalue exactly when sign = -1, and never
+    with two."""
     m = congruent_matrix(seed, d, a, sign)
     assert sylvester(m) == (sign == 1)
+    expected = {(0, False): sign == 1, (1, True): sign == -1, (2, True): False}
     for width in (16, 64, 640):
-        assert angles_module._positive_definite(m, width) == (sign == 1), width
+        for (k, at_least), want in expected.items():
+            assert angles_module._inertia(m, width, k, at_least) == want, (width, k, at_least)
 
 
 def test_truncated_sylvester_test_retries_at_a_smaller_shift():
@@ -860,4 +968,4 @@ def test_truncated_sylvester_test_retries_at_a_smaller_shift():
     shift = max(abs(x).bit_length() for row in m for x in row) - 64
     first = [[(x >> shift) - d * (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
     assert not sylvester(first)
-    assert angles_module._positive_definite(m, 64)
+    assert angles_module._inertia(m, 64, 0, at_least=False)

@@ -38,6 +38,7 @@ from subdioph.construction import (
 )
 from subdioph.errors import CertificationFailure, ParameterError, PrecisionExhaustedError
 from subdioph import angles, cli, construction, exact
+from svd_reference import svd_sines
 
 
 PINNED = FixedDigitStream((2, 3, 2))
@@ -943,7 +944,7 @@ def test_certificates_at_ell_3_and_4_hold_an_svd_reference(ell, beta, nmax):
     for rec in cert.records:
         basis = RealBasis.from_subspace(build_convergent(params, rec.n_index).subspace)
         (lo, exp), (hi, _) = angles._largest_sine_mantissas(target, basis, 512)
-        ref = angles.principal_angles(target, basis, bits=4 * (-exp - lo.bit_length()) + 600).psi[-1]
+        ref = svd_sines(target, basis, 4 * (-exp - lo.bit_length()) + 600)[-1]
         assert mp.ldexp(lo, exp) <= ref <= mp.ldexp(hi, exp)
         assert mp.ldexp(*rec.psi_bracket[0]) <= ref <= mp.ldexp(*rec.psi_bracket[1])
     gaps = [abs(rec.local_exponent - beta) for rec in cert.records]

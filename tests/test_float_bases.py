@@ -3,7 +3,7 @@
 RealBasis.from_float keeps the exact value of every double, so a float
 pair with t <= 2 takes the closed-form angle path and a float target is
 label-screened like a rational one.  The multiprecision path that float
-pairs used to take (_sines_at) stays here as the oracle.
+pairs used to take stays in the tests as the oracle (svd_sines).
 """
 
 import hashlib
@@ -16,9 +16,10 @@ from mpmath import mp
 
 from subdioph import angles
 from subdioph import estimation as est
-from subdioph.angles import RealBasis, angles_adaptive, orthonormal_basis, principal_angles
+from subdioph.angles import RealBasis, angles_adaptive, principal_angles
 from subdioph.enumeration import EXACT_PLUECKER, EnumSpec
 from subdioph.errors import NumericalRankLossError, ShapeError
+from svd_reference import svd_sines
 
 ORACLE_BITS = 512
 
@@ -67,7 +68,7 @@ def test_exact_brackets_lie_inside_the_multiprecision_brackets():
     for rows_a, rows_b in float_pairs():
         a, b = RealBasis.from_float(rows_a), RealBasis.from_float(rows_b)
         prof = angles_adaptive(a, b)
-        sines = angles._sines_at(a, b, ORACLE_BITS)
+        sines = svd_sines(a, b, ORACLE_BITS)
         assert len(sines) == prof.t
         with mp.workprec(2 * ORACLE_BITS):
             for s, lo, hi, resolved in zip(sines, prof.lo, prof.hi, prof.resolved):
@@ -79,10 +80,15 @@ def test_exact_brackets_lie_inside_the_multiprecision_brackets():
 
 
 def test_float_pairs_never_take_the_multiprecision_path(monkeypatch):
-    def refuse(*_args):
-        raise AssertionError("a float pair with t <= 2 reached _sines_at")
+    """A float pair with t <= 2 is proved on its label integers: it is not
+    read through mpmath, and no eigenvalue or SVD is computed."""
 
-    monkeypatch.setattr(angles, "_sines_at", refuse)
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a float pair with t <= 2 reached mpmath")
+
+    for name in ("eigsy", "svd_r"):
+        monkeypatch.setattr(angles.mp, name, refuse)
+    monkeypatch.setattr(RealBasis, "at", refuse)
     for rows_a, rows_b in float_pairs()[::7]:
         a, b = RealBasis.from_float(rows_a), RealBasis.from_float(rows_b)
         principal_angles(a, b)
@@ -110,9 +116,9 @@ def test_nearly_dependent_float_basis_is_certified():
     xy-plane.  The multiprecision Gram-Schmidt at 64 bits reads them as
     dependent, and float pairs used to go through it."""
     nearly = RealBasis.from_float([[1.0, 1.0], [1.0, 1.0 + 2.0**-40], [0.0, 0.0]])
-    with pytest.raises(NumericalRankLossError):
-        orthonormal_basis(nearly, bits=64)
     line = RealBasis.from_float([[1.0], [2.0], [3.0]])
+    with pytest.raises(NumericalRankLossError):
+        svd_sines(nearly, line, 64)
     for prof in (principal_angles(nearly, line, bits=64), angles_adaptive(nearly, line)):
         assert prof.resolved == (True,)
         with mp.workprec(2 * prof.bits_used):
