@@ -40,14 +40,13 @@ the smaller basis, S = g A^T A and R = S - A^T B adj(G) B^T A for
 G = B^T B and g = det(G); the eigenvalues of S^-1 R are the squared
 sines.  d - rank(R) of them are exactly 0; mpmath proposes the others, and
 Sylvester's law of inertia proves each one in integers, by counting the
-sign changes of the leading minors of R - x S at both ends of its bracket
-(_pencil_sine_mantissas).  Certificates prove only their largest sine,
-with a Rayleigh quotient (_largest_sine_mantissas); both run Sylvester's
-test on truncated integers first (_inertia).  An evaluator basis is read
-once, rounded to integers and proved as an exact basis, and each bracket
-widened by a proved bound on the reading error (_rounded_basis,
-_proved_profile).  mpmath never decides a bracket: no result rests on
-two runs agreeing.
+sign changes of the leading minors of R - x S at both ends of its bracket,
+on truncated integers first (_pencil_squares, _inertia).  Profiles prove
+every sine (_pencil_sine_mantissas); certificates run the same test on
+their largest sine alone.  An evaluator basis is read once, rounded to
+integers and proved as an exact basis, and each bracket widened by a
+proved bound on the reading error (_rounded_basis, _proved_profile).
+mpmath never decides a bracket: no result rests on two runs agreeing.
 
 resolved=False marks a sine that is not separated from zero and carries
 the bracket [0, 2^-(bits_used/4)].  For an exact pair that happens only
@@ -510,41 +509,12 @@ def _projected_gram(gram: list, d: int) -> list:
     return [[sum(map(mul, row[d:], y)) for y in solved] for row in gram[:d]]
 
 
-def _eigen_proposals(s_mat: list, r_mat: list, prec: int) -> tuple:
-    """mpmath's ascending eigenvalues of S^-1 R at prec bits and their
-    eigenvectors: with S = L L^T, those of L^-1 R L^-T, mapped by L^-T."""
+def _eigen_proposals(s_mat: list, r_mat: list, prec: int) -> "mp.matrix":
+    """mpmath's ascending eigenvalues of S^-1 R at prec bits: with
+    S = L L^T, those of L^-1 R L^-T."""
     with mp.workprec(prec):
         inv = mp.inverse(mp.cholesky(mp.matrix(s_mat)))
-        values, vectors = mp.eigsy(inv * mp.matrix(r_mat) * inv.T)
-        return values, inv.T * vectors
-
-
-def _largest_sine_mantissas(a: RealBasis, b: RealBasis, bits: int):
-    """The _sqrt_bracket, of relative width below 2^-bits, of the largest
-    sine of two exact bases, A of dimension at most that of B; None when
-    that sine is zero or its proof fails.  mpmath only proposes v, the top
-    eigenvector of the pencil (_pencil), at bits + 64:
-    v^T R v / v^T S v = q / s <= psi^2 (Rayleigh), and
-    x = (q / s)(1 + 2^-(bits+6)) > psi^2 once x S - R is positive definite,
-    which _inertia proves on the pencil cut to its leading bits + 128 bits
-    first.  It accepts or refuses the bracket that q, s and x fix, and
-    never changes it.  No root is isolated, so clustered or repeated roots
-    need no care, and a poor proposal gives None."""
-    _, s_mat, r_mat = _pencil(a, b)
-    proposal = _eigen_proposals(s_mat, r_mat, bits + 64)[1][:, a.d - 1]
-    # bits + 64 leading bits of the proposal as integers
-    shift = bits + 64 - max(mp.frexp(x)[1] for x in proposal)
-    v = [int(mp.ldexp(x, shift)) for x in proposal]
-    q, s = (sum(x * sum(map(mul, row, v)) for x, row in zip(v, m)) for m in (r_mat, s_mat))
-    if q == 0:
-        return None
-    k = bits + 6
-    up = (1 << k) + 1  # x = (q / s) up / 2^k
-    # s 2^k (x S - R) in integers
-    pencil = [[q * up * y - (s << k) * x for x, y in zip(*rows)] for rows in zip(r_mat, s_mat)]
-    if not _inertia(pencil, bits + 128, 0, at_least=False):
-        return None
-    return _sqrt_bracket((q, s, q * up, s << k), _sqrt_scale(q, s, bits + 4))
+        return mp.eigsy(inv * mp.matrix(r_mat) * inv.T, eigvals_only=True)
 
 
 def _pencil_sine_mantissas(a: RealBasis, b: RealBasis, bits: int, cap: int) -> list:
@@ -556,9 +526,10 @@ def _pencil_sine_mantissas(a: RealBasis, b: RealBasis, bits: int, cap: int) -> l
     R - x_lo S has at most j - 1 negative eigenvalues and R - x_hi S at
     least j (Sylvester's law of inertia: R - x S is congruent to
     S^-1/2 R S^-1/2 - x I).  Each check is one-sided, so repeated and
-    clustered roots need no care.  A failed proof is retried with bits and
-    extra doubled, up to the bit cap cap.  All brackets share the finest
-    scale, which keeps their midpoints in order."""
+    clustered roots need no care.  A failed proof is retried with extra
+    doubled, up to bits + extra = cap, so the brackets keep their width.
+    All brackets share the finest scale, which keeps their midpoints in
+    order."""
     if a.d > b.d:
         a, b = b, a
     _, s_mat, r_mat = _pencil(a, b)
@@ -567,19 +538,19 @@ def _pencil_sine_mantissas(a: RealBasis, b: RealBasis, bits: int, cap: int) -> l
         raise NumericalRankLossError("exact basis has dependent columns")
     zeros, extra = a.d - exact.rank(r_mat), 64
     while (squares := _pencil_squares(s_mat, r_mat, zeros, bits, extra)) is None:
-        if 2 * bits > cap:
-            raise PrecisionExhaustedError(f"no proof of the squared sines at {bits} bits (cap {cap})")
-        bits, extra = 2 * bits, 2 * extra
+        if bits + 2 * extra > cap:
+            raise PrecisionExhaustedError(f"no proof of the squared sines at {bits + extra} bits (cap {cap})")
+        extra *= 2
     k = max((_sqrt_scale(x[0], x[1], bits + 4) for x in squares), default=0)
     return [None] * zeros + [_sqrt_bracket(x, k) for x in squares]
 
 
 def _pencil_squares(s_mat: list, r_mat: list, zeros: int, bits: int, extra: int):
-    """The intervals (num_lo, den, num_hi, den) of _pencil_sine_mantissas,
-    or None when a proof fails, S numerically singular at bits + extra
-    included."""
+    """The intervals (num_lo, den, num_hi, den) of _pencil_sine_mantissas
+    for the squared sines from index zeros up, or None when a proof fails,
+    S numerically singular at bits + extra included."""
     try:
-        values = _eigen_proposals(s_mat, r_mat, bits + extra)[0]
+        values = _eigen_proposals(s_mat, r_mat, bits + extra)
     except (ValueError, ZeroDivisionError):
         # mp.cholesky and mp.inverse refuse a matrix singular at their precision
         return None

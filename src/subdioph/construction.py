@@ -41,10 +41,13 @@ from .angles import (
     _dyadic_float,
     _float_down,
     _float_up,
-    _largest_sine_mantissas,
     _log_dyadic,
+    _pencil,
+    _pencil_squares,
     _rounded,
     _sine_mantissa,
+    _sqrt_bracket,
+    _sqrt_scale,
     _widened,
 )
 from .errors import CertificationFailure, ParameterError
@@ -767,11 +770,13 @@ def certify_instance(
     as a dyadic interval, widened by the truncation slack and rounded
     outward.  The interval is proved in integers at exact_relative_bits(ctx)
     and widened at bits_used = 2 ctx.bits: for ell <= 2 from the labels
-    (angles._sine_mantissas), for ell >= 3 on the Gram pencil of the two
-    bases (angles._largest_sine_mantissas).  The summaries come from the
-    widened dyadics and integers.  Raises CertificationFailure naming the
-    first violated check, and PrecisionExhaustedError where
-    angles_adaptive would, at the first sine.
+    (angles._sine_mantissas), for ell >= 3 by the inertia test on the Gram
+    pencil of the two bases, run on the largest squared sine alone
+    (angles._pencil_squares).  A failed proof is not retried: it ends in
+    psi-resolution.  The summaries come from the widened dyadics and
+    integers.  Raises CertificationFailure naming the first violated check,
+    and PrecisionExhaustedError where angles_adaptive would, at the first
+    sine.
 
     Every digit is read once, into one digit table that the convergents
     and the generators share.  Convergent 1, with its primitive-basis check,
@@ -884,8 +889,9 @@ def certify_instance(
             cos2 = cos2_of(xb) if ell == 2 else None
             bracket = _sine_mantissa(target_squared * h_sq, wedge2_of(xb), cos2, bits, -1)
         else:
-            basis = RealBasis.from_subspace(convergent.subspace)
-            bracket = _largest_sine_mantissas(target, basis, bits)
+            _, s_mat, r_mat = _pencil(target, RealBasis.from_subspace(convergent.subspace))
+            squares = _pencil_squares(s_mat, r_mat, ell - 1, bits, 64)
+            bracket = squares and _sqrt_bracket(squares[0], _sqrt_scale(*squares[0][:2], bits + 4))
         if bracket is not None:
             bracket = _widened(*bracket, tau, prec)
         _require(

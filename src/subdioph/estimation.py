@@ -959,7 +959,7 @@ class _GenericScan:
         k = self.j_index - 1
         prof = angles_adaptive(self.basis, RealBasis.from_subspace(sub), self.ctx)
         if not prof.resolved[k]:
-            raise _unresolved(sub, scanned, exact_pair=False)
+            raise _unresolved(sub, scanned, exact_pair=self.basis.columns is not None)
         return prof.lo[k].man_exp, prof.hi[k].man_exp
 
     def rules_out(self, row: tuple, x: tuple[int, int], slack: bool = False) -> bool:

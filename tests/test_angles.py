@@ -801,10 +801,22 @@ def pencil_pair(rng, d, kind):
             continue
 
 
+def largest_sine(a, b, bits):
+    """The bracket certify_instance proves for the largest sine of two
+    exact bases of one dimension: the inertia test on the last squared sine
+    alone, rooted at bits + 4; None when that proof fails."""
+    _, s_mat, r_mat = angles_module._pencil(a, b)
+    squares = angles_module._pencil_squares(s_mat, r_mat, a.d - 1, bits, 64)
+    if squares is None:
+        return None
+    (square,) = squares
+    return angles_module._sqrt_bracket(square, angles_module._sqrt_scale(square[0], square[1], bits + 4))
+
+
 def test_largest_sine_proof_holds_an_svd_reference():
     """On 200 seeded pairs of 3-spaces in R^6 and 4-spaces in R^8 of each
     pencil_pair kind, every sine's bracket from the pencil, and the
-    Rayleigh-Sylvester bracket of the largest, hold the sines of an mpmath
+    certificate's bracket of the largest alone, hold the sines of an mpmath
     SVD at 4 bits + 600 plus the bits the smallest sine needs, and each is
     narrower than 2^-bits relatively."""
     rng = random.Random(39)
@@ -815,7 +827,7 @@ def test_largest_sine_proof_holds_an_svd_reference():
         brackets = angles_module._pencil_sine_mantissas(a, b, bits, HARD_BIT_CAP)
         (lo, exp), _ = brackets[0]
         ref = svd_sines(a, b, 4 * bits + 600 + 4 * (-exp - lo.bit_length()))
-        brackets.append(angles_module._largest_sine_mantissas(a, b, bits))
+        brackets.append(largest_sine(a, b, bits))
         for ((lo, exp), (hi, hi_exp)), r in zip(brackets, ref + ref[-1:]):
             assert exp == hi_exp and mp.ldexp(lo, exp) <= r <= mp.ldexp(hi, exp), (d, kind, bits)
             assert (hi - lo) << bits < lo
@@ -883,9 +895,10 @@ def test_evaluator_brackets_hold_an_svd_reference():
 
 def test_an_ill_conditioned_exact_pair_is_proved():
     """Columns 10^-300 apart make S singular at the first proposal's
-    precision: mp.inverse refuses it, and the retries at doubled bits prove
-    the pair.  The reference's Gram-Schmidt at 256 bits, the engine these
-    pairs took before, reads the basis as dependent."""
+    precision: mp.inverse refuses it, and the retries with the proposal's
+    extra bits doubled prove the pair, the brackets still about 2^-bits
+    wide.  The reference's Gram-Schmidt at 256 bits, the engine these pairs
+    took before, reads the basis as dependent."""
     e = Fraction(1, 10**300)
     a = RealBasis.from_exact([[1, 1, 0], [1, 1 + e, 0], [0, 0, 1], [1, 1, 3], [4, 4, 7]])
     b = RealBasis.from_exact(T3_B)
@@ -895,25 +908,28 @@ def test_an_ill_conditioned_exact_pair_is_proved():
     assert p.resolved == (False, True, True)
     # Gram-Schmidt loses about 2000 bits on these columns
     ref = svd_sines(a, b, reference_bits(p) + 2000)
+    bits = exact_relative_bits()
     for lo, hi, r in zip(p.lo[1:], p.hi[1:], ref[1:]):
-        assert lo <= r <= hi and hi - lo < hi * mp.ldexp(1, -512)
+        assert lo <= r <= hi and hi * mp.ldexp(1, -bits - 16) < hi - lo < hi * mp.ldexp(1, -bits)
 
 
 def test_largest_sine_proof_refuses_what_it_cannot_prove(monkeypatch):
     """Two bases of one subspace have largest sine 0, and give None.  So
-    does a proposal that is not the top eigenvector: its Rayleigh quotient
-    is a true lower end, but Sylvester's test on the upper end fails, so
-    no wrong bracket comes out."""
+    does a proposal twice or half the true eigenvalue: one end of its
+    bracket is true, but Sylvester's test on the other end fails, so no
+    wrong bracket comes out."""
     rng = random.Random(3)
+    eigsy = mp.eigsy
     for d in (3, 4):
         a, b = pencil_pair(rng, d, "small")
         # a unimodular change of basis keeps the span
         mix = [[int(i == j or j == i + 1) for j in range(d)] for i in range(d)]
         same = RealBasis.from_exact(exact.mat_mul(a.exact_matrix, mix))
-        assert angles_module._largest_sine_mantissas(a, same, 128) is None
-        assert angles_module._largest_sine_mantissas(a, b, 128) is not None
-        monkeypatch.setattr(angles_module.mp, "eigsy", lambda m: (None, mp.eye(m.rows)))
-        assert angles_module._largest_sine_mantissas(a, b, 128) is None
+        assert largest_sine(a, same, 128) is None
+        assert largest_sine(a, b, 128) is not None
+        for factor in (2, 0.5):
+            monkeypatch.setattr(angles_module.mp, "eigsy", lambda m, **kw: eigsy(m, **kw) * factor)
+            assert largest_sine(a, b, 128) is None
         monkeypatch.undo()
 
 

@@ -927,23 +927,30 @@ def test_dyadic_widening_rounds_as_angle_profile_widened():
 
 
 # ---------------------------------------------------------------------------
-# ell >= 3: the Rayleigh-Sylvester proof on the Gram pencil
+# ell >= 3: the inertia proof on the Gram pencil
 
 
 @pytest.mark.parametrize("ell, beta, nmax", [(3, Fraction(9, 4), 2), (4, Fraction(5, 2), 1)])
-def test_certificates_at_ell_3_and_4_hold_an_svd_reference(ell, beta, nmax):
+def test_certificates_at_ell_3_and_4_hold_an_svd_reference(ell, beta, nmax, monkeypatch):
     """ell = 3 up to N = 2 (psi_3 near 2.5e-1017) and ell = 4 at N = 1
     (psi_4 near 2.4e-519) certify.  Each proved bracket, before and after
     the slack widens it, holds the largest sine of an mpmath SVD of the
     same pair at 4 log2(1/psi) + 600 bits, and the local exponent moves
     toward beta with N."""
+    proved = []
+    widened = construction._widened
+
+    def widen(lo, hi, tau, prec):
+        proved.append((lo, hi))
+        return widened(lo, hi, tau, prec)
+
+    monkeypatch.setattr(construction, "_widened", widen)
     params = ConstructionParams.create(ell, beta, seed=0)
     cert = certify_instance(params, nmax)
-    assert cert.bits_used == 512
+    assert cert.bits_used == 512 and len(proved) == nmax
     target = build_generators(params, nmax + 2).real_basis()
-    for rec in cert.records:
+    for rec, ((lo, exp), (hi, _)) in zip(cert.records, proved):
         basis = RealBasis.from_subspace(build_convergent(params, rec.n_index).subspace)
-        (lo, exp), (hi, _) = angles._largest_sine_mantissas(target, basis, 512)
         ref = svd_sines(target, basis, 4 * (-exp - lo.bit_length()) + 600)[-1]
         assert mp.ldexp(lo, exp) <= ref <= mp.ldexp(hi, exp)
         assert mp.ldexp(*rec.psi_bracket[0]) <= ref <= mp.ldexp(*rec.psi_bracket[1])
@@ -953,19 +960,26 @@ def test_certificates_at_ell_3_and_4_hold_an_svd_reference(ell, beta, nmax):
 
 def test_ell_3_certificate_keeps_the_bytes_of_the_mpmath_ladder():
     """construct --ell 3 --beta 9/4 --nmax 1 --certify prints the bytes it
-    printed when two mpmath runs at up to 182,902 bits gave its bracket."""
-    out = io.StringIO()
-    argv = ["construct", "--ell", "3", "--beta", "9/4", "--nmax", "1", "--certify", "--no-header"]
-    assert cli.run_command(argv, stdout=out) == 0
-    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    assert digest == "d39123dca67de0bf9a41f7a1b7c33fa8855221bb734b842c4685c3c3188a2400"
+    printed when two mpmath runs at up to 182,902 bits gave its bracket,
+    and --nmax 2 those it printed when a Rayleigh quotient was the lower
+    end of its largest sine."""
+    pins = {
+        "1": "d39123dca67de0bf9a41f7a1b7c33fa8855221bb734b842c4685c3c3188a2400",
+        "2": "299add7d583d727e06b48651af7e59760cc547666bae1305c2f976e0d4d6f47a",
+    }
+    for nmax, want in pins.items():
+        out = io.StringIO()
+        argv = ["construct", "--ell", "3", "--beta", "9/4", "--nmax", nmax, "--certify", "--no-header"]
+        assert cli.run_command(argv, stdout=out) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want, nmax
 
 
 def test_a_wrong_proposal_fails_psi_resolution(monkeypatch):
-    """An eigenvector proposal that is not the top one fails Sylvester's
-    test, and the certificate stops at psi-resolution instead of printing a
+    """An eigenvalue proposal twice the true one fails Sylvester's test,
+    and the certificate stops at psi-resolution instead of printing a
     bracket."""
-    monkeypatch.setattr(angles.mp, "eigsy", lambda m: (None, mp.eye(m.rows)))
+    eigsy = mp.eigsy
+    monkeypatch.setattr(angles.mp, "eigsy", lambda m, **kw: eigsy(m, **kw) * 2)
     params = ConstructionParams.create(3, Fraction(9, 4), seed=0)
     with pytest.raises(CertificationFailure, match="psi-resolution") as err:
         certify_instance(params, 1)

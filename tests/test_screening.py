@@ -384,8 +384,8 @@ def test_plane_sines_match_the_engine():
 
 
 def test_exact_meeting_is_not_a_precision_failure():
-    """An exact pair with a zero sine meets the target exactly; an mpmath
-    pair (t >= 3) unresolved at the cap is indistinguishable from it."""
+    """An exact pair with a zero sine meets the target exactly, whether
+    its labels prove it (t <= 2) or the Gram pencil does (t = 3)."""
     line = [[1], [Fraction(1, 3)], [Fraction(2, 7)]]
     with pytest.raises(IrrationalityViolationError, match="meets the target exactly") as err:
         est.scan_records(line, EnumSpec(3, 2, 12, EXACT_LINES))
@@ -394,7 +394,7 @@ def test_exact_meeting_is_not_a_precision_failure():
     with pytest.raises(IrrationalityViolationError, match="meets the target exactly"):
         est.scan_records(plane, PLANE_SPECS[4], j_index=2)
     space = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0]]
-    with pytest.raises(IrrationalityViolationError, match="at the precision cap") as err:
+    with pytest.raises(IrrationalityViolationError, match="meets the target exactly") as err:
         est.scan_records(space, EnumSpec(6, 3, 1, EXACT_ECHELON), j_index=3)
     assert err.value.scanned == 1
 
