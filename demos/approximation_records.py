@@ -33,7 +33,7 @@ def main():
     # records for a constructed instance, scanned exactly
     params = con.ConstructionParams.create(1, Fraction(3), seed=0)
     inst_target = est.line_target_for_instance(params, height_squared_max=10**6)
-    inst_records = est.scan_embedded_line_records(inst_target, 2, 10**6)
+    inst_records = est.scan_records(inst_target, enu.EnumSpec(2, 1, 10**6))
     print("constructed-instance records:")
     for rec in inst_records:
         print(

@@ -32,8 +32,9 @@ the plain double root wherever the squares are normal doubles.
 plane_sine_at_least compares a sine of a pair with t = 2 with a rational
 exactly, and _plane_sine_decision does so for a box of label integers,
 so record scans screen and bracket every pair with t <= 2 from labels
-without building a basis or an mpf; only the profiles of angles_adaptive
-and principal_angles turn the brackets into mpf ends.
+without building a basis or an mpf.  Scans at every t keep the dyadics
+(_adaptive_brackets); only the profiles of angles_adaptive and
+principal_angles turn brackets into mpf ends (_profile).
 
 Pairs with t >= 3 are proved on the integer Gram pencil (_pencil): with A
 the smaller basis, S = g A^T A and R = S - A^T B adj(G) B^T A for
@@ -41,11 +42,11 @@ G = B^T B and g = det(G); the eigenvalues of S^-1 R are the squared
 sines.  d - rank(R) of them are exactly 0; mpmath proposes the others, and
 Sylvester's law of inertia proves each one in integers, by counting the
 sign changes of the leading minors of R - x S at both ends of its bracket,
-on truncated integers first (_pencil_squares, _inertia).  Profiles prove
-every sine (_pencil_sine_mantissas); certificates run the same test on
-their largest sine alone.  An evaluator basis is read once, rounded to
+on truncated integers first (_pencil_squares, _inertia).  Profiles and
+scans prove every sine (_pencil_sine_mantissas); certificates run the
+same test on their largest sine alone.  An evaluator basis is read once, rounded to
 integers and proved as an exact basis, and each bracket widened by a
-proved bound on the reading error (_rounded_basis, _proved_profile).
+proved bound on the reading error (_rounded_basis, _proved_brackets).
 mpmath never decides a bracket: no result rests on two runs agreeing.
 
 resolved=False marks a sine that is not separated from zero and carries
@@ -362,8 +363,9 @@ def _mpf_of_fraction(x: Fraction, bits: int):
         return mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
 
-def _profile(t: int, brackets: list, rel, bits_used: int) -> AngleProfile:
-    """Pack ascending (lo, psi, hi) brackets into a profile.
+def _profile(brackets: list, width, bits_used: int) -> AngleProfile:
+    """Pack ascending dyadic brackets (lo, hi) into a profile whose
+    rel_err_bound is width rounded up to a 64-bit mpf.
 
     None marks a sine not separated from zero; it is reported unresolved
     with the bracket [0, 2^-(bits_used/4)] and that floor as its value.
@@ -371,27 +373,20 @@ def _profile(t: int, brackets: list, rel, bits_used: int) -> AngleProfile:
     floor = mp.ldexp(1, -(bits_used // 4))
     entries, cap = [], floor
     for b in reversed(brackets):
-        if b is None:
-            # an exact zero below a resolved sine under the floor stays in order
-            b = (mp.mpf(0), cap, cap)
+        # an exact zero below a resolved sine under the floor stays in order
+        b = (mp.mpf(0), cap, cap) if b is None else _packed(*b)
         cap = min(cap, b[1])
         entries.append(b)
     lo, psi, hi = zip(*reversed(entries))
     return AngleProfile(
-        t=t,
+        t=len(brackets),
         psi=psi,
         lo=lo,
         hi=hi,
         resolved=tuple(b is not None for b in brackets),
-        rel_err_bound=rel,
+        rel_err_bound=mp.fdiv(width.numerator, width.denominator, prec=64, rounding="c"),
         bits_used=bits_used,
     )
-
-
-def _pair_dimension(a: RealBasis, b: RealBasis) -> int:
-    if a.n != b.n:
-        raise ShapeError("ambient dimensions differ")
-    return min(a.d, b.d)
 
 
 # An evaluator basis read at p bits is within 2^-(p - _READ_SLACK) of the
@@ -427,27 +422,28 @@ def _rounded_basis(basis: RealBasis, bits: int) -> tuple:
     return RealBasis._of_columns(tuple(columns), basis.n, d, basis.source), Fraction(err, sigma - err)
 
 
-def _proved_profile(a: RealBasis, b: RealBasis, bits_used: int, bits: int, cap: int) -> tuple:
-    """The profile of a pair proved at bits, and the largest relative
-    half-width (hi - lo) / (hi + lo) of its resolved brackets.  An exact
-    pair reports rel_err_bound 2^-bits.  A pair with an evaluator basis,
-    read at bits_used (_rounded_basis), widens each bracket by
-    eps_A + eps_B, and reports that half-width rounded up: the sines are
-    the singular values of (I - P_B) P_A and |P_A - P_X| = sin theta_max,
-    so by Weyl's inequality none moves further.  A widened upper end at
-    most 2^-(bits_used/4) leaves its sine unresolved."""
-    t = _pair_dimension(a, b)
+def _proved_brackets(a: RealBasis, b: RealBasis, bits_used: int, bits: int, cap: int) -> tuple:
+    """The ascending sine brackets of a pair proved at bits, each
+    ((lo_man, lo_exp), (hi_man, hi_exp)) or None where unresolved, and a
+    bound on their relative half-widths (hi - lo) / (hi + lo): 2^-bits for
+    an exact pair.  A pair with an evaluator basis, read at bits_used
+    (_rounded_basis), widens each bracket by eps_A + eps_B, and reports
+    the widest half-width: the sines are the singular values of
+    (I - P_B) P_A and |P_A - P_X| = sin theta_max, so by Weyl's inequality
+    none moves further.  A widened upper end at most 2^-(bits_used/4)
+    leaves its sine unresolved."""
+    if a.n != b.n:
+        raise ShapeError("ambient dimensions differ")
     (xa, eps_a), (xb, eps_b) = _rounded_basis(a, bits_used), _rounded_basis(b, bits_used)
     if min(a.d, b.d) <= 2:
         mantissas = _sine_mantissas(*_gram_integers(xa, xb), bits)
     else:
         mantissas = _pencil_sine_mantissas(xa, xb, bits, cap)
     if not eps_a + eps_b:
-        brackets = [None if m is None else _packed(*m) for m in mantissas]
-        return _profile(t, brackets, mp.ldexp(1, -bits), bits_used), 0
+        return mantissas, Fraction(1, 1 << bits)
     tau = _ceil_dyadic(eps_a + eps_b, bits_used)
     floor = (1, -(bits_used // 4))
-    brackets, width = [], 0
+    brackets, width = [], Fraction(0)
     for m in mantissas:
         hi = _offset(m[1] if m else (0, 0), tau, bits_used, up=True)
         if not _dyadic_less(floor, hi):
@@ -457,9 +453,26 @@ def _proved_profile(a: RealBasis, b: RealBasis, bits_used: int, bits: int, cap: 
         exp = min(lo[1], hi[1])
         lo_man, hi_man = lo[0] << (lo[1] - exp), hi[0] << (hi[1] - exp)
         width = max(width, Fraction(hi_man - lo_man, hi_man + lo_man))
-        brackets.append(_packed(lo, hi))
-    rel = mp.fdiv(width.numerator, width.denominator, prec=64, rounding="c")
-    return _profile(t, brackets, rel, bits_used), width
+        brackets.append((lo, hi))
+    return brackets, width
+
+
+def _adaptive_brackets(a: RealBasis, b: RealBasis, ctx: PrecisionContext) -> tuple:
+    """The brackets and bound of _proved_brackets under angles_adaptive's
+    policy, and the bits_used they were reached at."""
+    # raises at the cap before any evaluation, on either path
+    rel_bits, bits = exact_relative_bits(ctx), 2 * ctx.bits
+    exact_pair = a.columns is not None and b.columns is not None
+    while True:
+        brackets, width = _proved_brackets(a, b, bits, rel_bits if exact_pair else bits, ctx.max_bits)
+        # an exact pair's 2^-rel_bits is below the target at once
+        if width <= ctx.target_rel_err:
+            return brackets, width, bits
+        if 2 * bits > ctx.max_bits:
+            raise PrecisionExhaustedError(
+                f"brackets wider than the target at {bits} bits (cap {ctx.max_bits})"
+            )
+        bits *= 2
 
 
 def _pencil(a: RealBasis, b: RealBasis) -> tuple[int, list, list]:
@@ -519,7 +532,8 @@ def _eigen_proposals(s_mat: list, r_mat: list, prec: int) -> "mp.matrix":
 
 def _pencil_sine_mantissas(a: RealBasis, b: RealBasis, bits: int, cap: int) -> list:
     """Ascending _sqrt_bracket sine brackets, of relative width below
-    2^-bits, of two exact bases; a zero sine is None.  R is positive
+    2^-bits, of two exact bases; a zero sine is None.  The pencil is that
+    of the smaller basis size-reduced (_size_reduced).  R is positive
     semidefinite of nullity dim(A /\\ B), so the least d - rank(R) squared
     sines are exactly 0.  mpmath proposes each other one as m at
     bits + extra, and x_lo, x_hi = m (1 -/+ 2^-(bits+6)) bracket mu_j once
@@ -532,6 +546,7 @@ def _pencil_sine_mantissas(a: RealBasis, b: RealBasis, bits: int, cap: int) -> l
     order."""
     if a.d > b.d:
         a, b = b, a
+    a = RealBasis._of_columns(_size_reduced(a.columns), a.n, a.d)
     _, s_mat, r_mat = _pencil(a, b)
     if exact.determinant(s_mat) == 0:
         # a float basis comes here with its rank unchecked
@@ -543,6 +558,40 @@ def _pencil_sine_mantissas(a: RealBasis, b: RealBasis, bits: int, cap: int) -> l
         extra *= 2
     k = max((_sqrt_scale(x[0], x[1], bits + 4) for x in squares), default=0)
     return [None] * zeros + [_sqrt_bracket(x, k) for x in squares]
+
+
+def _size_reduced(columns: tuple) -> tuple:
+    """Integer columns size-reduced: each less the whole multiples of those
+    before it that bring its Gram-Schmidt coefficients mu into [-1/2, 1/2].
+    The change is unimodular, so the pencil's eigenvalues stay, and
+    columns cleared at very different scales no longer leave S nearly
+    singular for the proposals.  Integral Gram-Schmidt (Cohen, Algorithm
+    2.6.7): dets[j] is the Gram determinant of the first j columns and
+    lam[k][j] = dets[j + 1] mu_kj, all integers.  Raises
+    NumericalRankLossError on dependent columns."""
+    cols, dets, lam = [list(col) for col in columns], [1], []
+    for k, col in enumerate(cols):
+        lam.append([])
+        for j in range(k + 1):
+            u = sum(map(mul, col, cols[j]))
+            for i in range(j):
+                u = (dets[i + 1] * u - lam[k][i] * lam[j][i]) // dets[i]
+            if j < k:
+                lam[k].append(u)
+            else:
+                dets.append(u)
+        if not dets[-1]:
+            # a float basis comes here with its rank unchecked
+            raise NumericalRankLossError("exact basis has dependent columns")
+    for k in range(1, len(cols)):
+        for j in reversed(range(k)):
+            q = (2 * lam[k][j] + dets[j + 1]) // (2 * dets[j + 1])  # the nearest integer to mu_kj
+            if q:
+                cols[k] = [x - q * y for x, y in zip(cols[k], cols[j])]
+                lam[k][j] -= q * dets[j + 1]
+                for i in range(j):
+                    lam[k][i] -= q * lam[j][i]
+    return tuple(map(tuple, cols))
 
 
 def _pencil_squares(s_mat: list, r_mat: list, zeros: int, bits: int, extra: int):
@@ -612,10 +661,8 @@ def exact_relative_bits(ctx: PrecisionContext | None = None) -> int:
     bits = 2 * ctx.bits
     if bits > ctx.max_bits:
         raise PrecisionExhaustedError(f"{ctx.bits} bits doubled exceed the cap {ctx.max_bits}")
-    rel = ctx.target_rel_err
-    if rel is not None and rel > 0:
-        bits = max(bits, (rel.denominator // rel.numerator).bit_length())
-    return bits
+    rel = ctx.target_rel_err  # in (0, 1), as PrecisionContext checks
+    return max(bits, (rel.denominator // rel.numerator).bit_length())
 
 
 def _scaled_isqrt(num: int, den: int, k: int) -> tuple[int, int]:
@@ -854,7 +901,7 @@ def principal_angles(a: RealBasis, b: RealBasis, bits: int = DEFAULT_BITS) -> An
     cap = _env_bit_cap()
     if bits > cap:
         raise PrecisionExhaustedError(f"{bits} bits exceed the cap {cap}")
-    return _proved_profile(a, b, bits, bits, cap)[0]
+    return _profile(*_proved_brackets(a, b, bits, bits, cap), bits)
 
 
 def vector_angle(
@@ -921,21 +968,7 @@ def angles_adaptive(
     evaluation when 2 * ctx.bits exceeds it, as exact_relative_bits does,
     and later when a doubling would.
     """
-    ctx = ctx or PrecisionContext()
-    # raises at the cap before any evaluation, on either path
-    rel_bits = exact_relative_bits(ctx)
-    bits = 2 * ctx.bits
-    if a.columns is not None and b.columns is not None:
-        return _proved_profile(a, b, bits, rel_bits, ctx.max_bits)[0]
-    while True:
-        profile, width = _proved_profile(a, b, bits, bits, ctx.max_bits)
-        if width <= ctx.target_rel_err:
-            return profile
-        if 2 * bits > ctx.max_bits:
-            raise PrecisionExhaustedError(
-                f"brackets wider than the target at {bits} bits (cap {ctx.max_bits})"
-            )
-        bits *= 2
+    return _profile(*_adaptive_brackets(a, b, ctx or PrecisionContext()))
 
 
 def random_orthogonal(n: int, rng, bits: int = DEFAULT_BITS) -> "mp.matrix":

@@ -474,6 +474,8 @@ class _DigitTable:
         """(m_top, full, digits): full is theta^m_top times the identity over
         the scaled partial sums at index top, and digits holds the digits at
         top.  Only digits up to index top are read."""
+        if top >= len(self.exps):
+            self.exps = term_exponents(self.params, top)
         params, ell, exps = self.params, self.params.ell, self.exps
         for k in range(self.start + len(self.sums[0]), top + 1):
             step = params.theta ** (exps[k] - exps[k - 1]) if k > self.start else 0

@@ -188,19 +188,6 @@ def _vectors(run: _Run) -> list[tuple[tuple[int, ...], int]]:
     return [(prefix + (v,), sq + v * v) for v in values]
 
 
-def primitive_vectors(n: int, max_norm_sq: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """All primitive sign-canonical n-vectors with squared norm <= bound.
-
-    Yields (vector, squared norm) with the leading coordinate ascending;
-    each line through the origin contributes exactly one vector.
-    """
-    if n < 1 or max_norm_sq < 1:
-        raise ParameterError("need n >= 1 and a positive norm bound")
-    for lead in range(0, isqrt(max_norm_sq) + 1):
-        runs = _primitive_with_leading(n, max_norm_sq, lead)
-        yield from chain.from_iterable(map(_vectors, runs))
-
-
 # ---------------------------------------------------------------------------
 # strategies: (label coords, squared height) of each subspace with one lead
 

@@ -51,8 +51,8 @@ sweep:
   where the box cannot decide, and every decision is the exact one.
   Only the survivors get a sine bracket, from their labels alone, as two
   dyadics (integer mantissa, exponent) that no mpf ever holds.  A pair
-  with three or more angles decodes a basis and goes through the
-  adaptive angle engine, whose mpf ends convert to dyadics exactly;
+  with three or more angles decodes a basis and takes the dyadic bracket
+  the angle engine proves on its Gram pencil, again with no mpf end;
   evaluator targets screen nothing.  The sweep compares dyadics exactly
   and rounds them to doubles only for the records and the witness it
   reports, as certificates round theirs.
@@ -83,13 +83,16 @@ from . import exact
 from .angles import (
     PrecisionContext,
     RealBasis,
-    angles_adaptive,
+    angles_adaptive,  # no scan calls it; perfbench's tracer rebinds it here
     exact_relative_bits,
     plane_sine_at_least,
+    _adaptive_brackets,
     _dyadic_float,
     _dyadic_less,
     _float_down,
     _float_up,
+    _log_dyadic,
+    _offset,
     _plane_forms,
     _plane_sine_decision,
     _sine_mantissa,
@@ -207,15 +210,16 @@ def series_depth(params: ConstructionParams, height_squared_max: int, start: int
 
 
 def line_target_for_instance(
-    params: ConstructionParams, height_squared_max: int
+    params: ConstructionParams, height_squared_max: int, stream=None
 ) -> RationalLineTarget:
     """Truncated-series line target of a one-dimensional instance for scans
     up to squared height H^2: truncated at series_depth, its slope bracket,
-    widened across the whole scan range, stays far below the allowance."""
+    widened across the whole scan range, stays far below the allowance.
+    stream is build_generators' digit source."""
     if params.ell != 1:
         raise ParameterError("series instances define a line target only when ell = 1")
     depth = series_depth(params, height_squared_max, series_start(params))
-    gens = build_generators(params, depth)
+    gens = build_generators(params, depth, stream=stream)
     value = Fraction(gens.integer_matrix[1][0], gens.denominator)
     return RationalLineTarget(value=value, tail_upper=tail_bound(params, depth))
 
@@ -230,7 +234,9 @@ class ApproximationRecord:
     sine among all enumerated subspaces of height up to its own.
 
     psi_lo and psi_hi bracket the sine conservatively (outward-rounded
-    floats); source is "enumerated" or "constructed:N".
+    floats); source is "enumerated" or "constructed:N".  A certificate's
+    record keeps its dyadic bracket as psi_bracket, which holds the sine
+    where the doubles underflow, and exponents read their logs from it.
     """
 
     subspace: exact.RationalSubspace
@@ -239,6 +245,7 @@ class ApproximationRecord:
     psi_hi: float
     j_index: int
     source: str = SOURCE_ENUMERATED
+    psi_bracket: tuple[tuple[int, int], tuple[int, int]] | None = None
 
 
 def validate_record_list(records: Sequence[ApproximationRecord]) -> None:
@@ -256,12 +263,17 @@ def validate_record_list(records: Sequence[ApproximationRecord]) -> None:
 def widen_records(
     records: Sequence[ApproximationRecord], tau: float
 ) -> list[ApproximationRecord]:
-    """Widen every sine interval by an additive slack (target substitution)."""
+    """Widen every sine interval by an additive slack (target substitution),
+    a dyadic psi_bracket too, rounded outward to 64-bit mantissas."""
     if tau < 0:
         raise ParameterError("slack must be nonnegative")
+    num, den = float(tau).as_integer_ratio()
+    slack = (num, 1 - den.bit_length())  # den is a power of two
     # float sums round to nearest: step each end outward past the rounding
     return [
-        replace(r, psi_lo=_float_down(r.psi_lo - tau), psi_hi=_float_up(r.psi_hi + tau))
+        replace(r, psi_lo=_float_down(r.psi_lo - tau), psi_hi=_float_up(r.psi_hi + tau),
+                psi_bracket=r.psi_bracket and (_offset(r.psi_bracket[0], slack, 64, up=False) or (0, 0),
+                                               _offset(r.psi_bracket[1], slack, 64, up=True)))
         for r in records
     ]
 
@@ -667,17 +679,6 @@ def scan_line_records(
     return _line_records(engine, raw)
 
 
-def scan_embedded_line_records(
-    target, n: int, height_squared_max: int, axes: tuple[int, int] = (0, 1)
-) -> list[ApproximationRecord]:
-    """Records of every primitive line in n-space against a plane line
-    target embedded on the coordinate axes: the plane records, embedded
-    (_line_scan)."""
-    spec = EnumSpec(n, 1, height_squared_max)
-    engine, raw, _keyed_rows, place = _line_scan(target, spec, axes=axes)
-    return _line_records(engine, raw, place)
-
-
 # ---------------------------------------------------------------------------
 # generic scans: label screening, profiles on demand
 
@@ -800,8 +801,8 @@ class _GenericScan:
     sines are the roots of L x^2 - (L + wedge2 - cos2) x + wedge2; when
     d + e > n, wedge2 = 0 and psi_1 = 0.  Every bracket is a pair of
     dyadics (man, exp), as certificates keep theirs: a waiting row's comes
-    from angles._sine_mantissa, a profiled row's from the exact mantissa
-    and exponent of each mpf end.
+    from angles._sine_mantissa, a profiled row's from
+    angles._adaptive_brackets, which no mpf end holds.
 
     The candidates are labels first.  An EnumSpec streams (coords, h2)
     from enumerate_labels, and its sine-index and ambient checks run once,
@@ -883,8 +884,13 @@ class _GenericScan:
                     e = sub_e
                     wedge2_of, cos2_of, box_of = self._pairing(e, limit)
             if label is None or limit > 2:
+                # the bracket the angle engine proves for angles_adaptive
                 sub = self.subspace(coords, sub)
-                lo, hi = self.profile(sub, scanned)
+                counts["profiled"] += 1
+                brackets = _adaptive_brackets(self.basis, RealBasis.from_subspace(sub), self.ctx)[0]
+                if brackets[j_index - 1] is None:
+                    raise _unresolved(sub, scanned, exact_pair=label is not None)
+                lo, hi = brackets[j_index - 1]
                 yield (h2, coords, hi, lo, sub, scanned, None, None, None)
                 continue
             # where angles_adaptive would raise PrecisionExhaustedError
@@ -951,16 +957,6 @@ class _GenericScan:
         self.counts["label_only"] += 1
         bits = self._bits()
         return _sine_mantissa(self.label2 * row[0], wedge2, cos2, bits, self.j_index - 1)
-
-    def profile(self, sub: exact.RationalSubspace, scanned: int) -> tuple:
-        """Dyadic (lo, hi) of the j-th sine from the angle engine, exactly
-        its mpf ends: a pair with t >= 3 or an evaluator target."""
-        self.counts["profiled"] += 1
-        k = self.j_index - 1
-        prof = angles_adaptive(self.basis, RealBasis.from_subspace(sub), self.ctx)
-        if not prof.resolved[k]:
-            raise _unresolved(sub, scanned, exact_pair=self.basis.columns is not None)
-        return prof.lo[k].man_exp, prof.hi[k].man_exp
 
     def rules_out(self, row: tuple, x: tuple[int, int], slack: bool = False) -> bool:
         """Whether a waiting row's labels prove hi >= x for a dyadic x, from
@@ -1088,9 +1084,11 @@ def instance_records(
     spec: EnumSpec,
     j_index: int | None = None,
     ctx: PrecisionContext | None = None,
+    stream=None,
 ) -> list[ApproximationRecord]:
     """Certified records of an instance over a window of ell-spaces, in
-    R^(2 ell) when ell >= 2; j_index defaults to ell.
+    R^(2 ell) when ell >= 2; j_index defaults to ell, and stream is
+    build_generators' digit source.
 
     At ell = 1 the line engine scans line_target_for_instance, whose slope
     bracket holds the truncation tail; it refuses a ctx.  Otherwise the
@@ -1105,9 +1103,9 @@ def instance_records(
     if ell == 1:
         if ctx is not None:
             raise ParameterError("an exact ell = 1 line scan takes no precision context")
-        return scan_records(line_target_for_instance(params, hmax), spec, j_index)
+        return scan_records(line_target_for_instance(params, hmax, stream), spec, j_index)
     # the generators get depth at least 1, even where the series starts at 0
-    gens = build_generators(params, series_depth(params, hmax, 1))
+    gens = build_generators(params, series_depth(params, hmax, 1), stream=stream)
     records = scan_records(gens.real_basis(), spec, j_index, ctx)
     return widen_records(records, _float_up(gens.angle_slack))
 
@@ -1157,7 +1155,8 @@ def estimate_exponent(
             )
             err.subspace = r.subspace
             raise err
-    log_psi = [math.log(r.psi_hi) for r in usable]
+    # a certificate's dyadic keeps the log where its double underflows
+    log_psi = [_log_dyadic(r.psi_bracket[1]) if r.psi_bracket else math.log(r.psi_hi) for r in usable]
     log_h2 = [math.log(r.height_squared) for r in usable]
     betas = tuple(-2.0 * lp / lh for lp, lh in zip(log_psi, log_h2))
     tail = (len(betas) + 1) // 2
@@ -1188,7 +1187,8 @@ def estimate_exponent(
 
 def records_from_certification(cert: InstanceCertification) -> list[ApproximationRecord]:
     """Convert certified convergents into construction-sourced records,
-    rebuilt from one digit table: each digit is read once."""
+    rebuilt from one digit table: each digit is read once.  Each record
+    keeps its certificate's dyadic psi_bracket."""
     if not cert.records:
         return []
     table = _digit_table(cert.params, None, max(rec.n_index for rec in cert.records))
@@ -1203,6 +1203,7 @@ def records_from_certification(cert: InstanceCertification) -> list[Approximatio
                 psi_hi=rec.psi_hi,
                 j_index=cert.params.ell,
                 source=constructed_source(rec.n_index),
+                psi_bracket=rec.psi_bracket,
             )
         )
     return records
@@ -1216,7 +1217,7 @@ _DEVIATION_TOL = 0.1
 
 
 def height_ratio_deviations(
-    params: ConstructionParams, nmax: int
+    params: ConstructionParams, nmax: int, stream=None
 ) -> tuple[tuple[ConvergentMatrix, Real], ...]:
     """Per-index deviation of H(B_N) / theta^(l m_N) from its limit value.
 
@@ -1226,9 +1227,9 @@ def height_ratio_deviations(
     squared ratio, so it keeps full relative accuracy however close the
     ratio is to its limit, and returned as that mpf, which does not
     underflow where a double would.  Generators and convergents share one
-    digit table, so each digit is read once.
+    digit table, so each digit is read once; stream may be that table.
     """
-    table = _digit_table(params, None, nmax + 3)
+    table = _digit_table(params, stream, nmax + 3)
     limit2 = build_generators(params, nmax + 2, stream=table).gram_squared()
     out = []
     for n_index in range(1, nmax + 1):
@@ -1291,8 +1292,9 @@ def exclusivity_check(
     """Check that beyond burn-in only convergents set competitive records.
 
     The records are instance_records(params, spec, ctx=ctx), those the
-    `records` verb prints.  zone is ignored, removed once the benchmark
-    stops passing it (ROADMAP item 8).
+    `records` verb prints.  They and the height ratio deviations read one
+    digit table.  zone is ignored, removed once the benchmark stops
+    passing it (ROADMAP item 8).
     """
     if nmax < 1:
         raise ParameterError("need at least one convergent index")
@@ -1300,8 +1302,9 @@ def exclusivity_check(
         raise ParameterError(
             "enumeration shape must match the instance: (n, e) = (2l, l)"
         )
-    records = instance_records(params, spec, ctx=ctx)
-    devs = height_ratio_deviations(params, nmax)
+    table = _digit_table(params, None, nmax + 3)
+    records = instance_records(params, spec, ctx=ctx, stream=table)
+    devs = height_ratio_deviations(params, nmax, stream=table)
     burn_in_index = next(
         (n_index for n_index, (_conv, dev) in enumerate(devs, start=1) if dev <= _DEVIATION_TOL),
         None,

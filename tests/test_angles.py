@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -911,6 +912,53 @@ def test_an_ill_conditioned_exact_pair_is_proved():
     bits = exact_relative_bits()
     for lo, hi, r in zip(p.lo[1:], p.hi[1:], ref[1:]):
         assert lo <= r <= hi and hi * mp.ldexp(1, -bits - 16) < hi - lo < hi * mp.ldexp(1, -bits)
+
+
+def test_an_ill_conditioned_exact_pair_takes_one_proposal(monkeypatch):
+    """The smaller basis is size-reduced before its pencil is formed: the
+    column cleared by 10^300 becomes (0, 1, 0, 0, 0), and the first
+    eigenvalue proposal proves the pair, where six were needed before."""
+    proposals = []
+    propose = angles_module._eigen_proposals
+
+    def counted(s_mat, r_mat, prec):
+        proposals.append(prec)
+        return propose(s_mat, r_mat, prec)
+
+    monkeypatch.setattr(angles_module, "_eigen_proposals", counted)
+    e = Fraction(1, 10**300)
+    a = RealBasis.from_exact([[1, 1, 0], [1, 1 + e, 0], [0, 0, 1], [1, 1, 3], [4, 4, 7]])
+    assert angles_adaptive(a, RealBasis.from_exact(T3_B)).resolved == (False, True, True)
+    assert proposals == [exact_relative_bits() + 64]
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(st.integers(0, 2**32), st.integers(1, 6), st.sampled_from([1, 10**6, 10**60]))
+def test_size_reduction_is_a_unimodular_change_of_basis(seed, d, scale):
+    """_size_reduced keeps the raw minors up to sign, so the change of
+    basis is unimodular and the span the same, and leaves every
+    Gram-Schmidt coefficient in [-1/2, 1/2]; columns cleared at very
+    different scales are its reason to exist."""
+    rng = random.Random(seed)
+    n = d + rng.randint(0, 2)
+    while True:
+        cols = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(d)]
+        for j in range(1, d):
+            cols[j] = [scale * x + y for x, y in zip(cols[j - 1], cols[j])]
+        if exact.rank(cols) == d:
+            break
+    reduced = angles_module._size_reduced(tuple(map(tuple, cols)))
+    before, after = (exact.raw_minors(tuple(zip(*c))) for c in (cols, reduced))
+    assert after in (before, tuple(-x for x in before))
+    ortho = []
+    for col in map(list, reduced):
+        for prev in ortho:
+            mu = sum(map(mul, col, prev)) / sum(x * x for x in prev)
+            assert abs(mu) <= Fraction(1, 2)
+            col = [x - mu * y for x, y in zip(col, prev)]
+        ortho.append(col)
+    with pytest.raises(NumericalRankLossError):
+        angles_module._size_reduced(((1, 2, 3), (2, 4, 6)))
 
 
 def test_largest_sine_proof_refuses_what_it_cannot_prove(monkeypatch):

@@ -27,7 +27,6 @@ from subdioph.enumeration import (
     enumerate_subspaces,
     exact_strategy,
     leading_range,
-    primitive_vectors,
     _plane_label,
     shard_partition,
 )
@@ -365,15 +364,16 @@ TARGET_LINE = [[1], [Fraction(-47, 53)], [Fraction(29, 71)]]
 
 @pytest.fixture
 def engine_calls(monkeypatch):
-    """Count of angle-engine calls made by the record scans."""
+    """Count of angle-engine calls made by the record scans: a profiled
+    row takes its brackets from angles._adaptive_brackets."""
     calls = {"angles": 0}
-    engine = est.angles_adaptive
+    engine = est._adaptive_brackets
 
-    def counted(a, b, ctx=None):
+    def counted(a, b, ctx):
         calls["angles"] += 1
         return engine(a, b, ctx)
 
-    monkeypatch.setattr(est, "angles_adaptive", counted)
+    monkeypatch.setattr(est, "_adaptive_brackets", counted)
     return calls
 
 
@@ -468,7 +468,7 @@ def test_hyperplane_labels_match_kernel_bases(n, hmax2):
     """The label read off the normal is the label of the normal's kernel."""
     spec = EnumSpec(n=n, e=n - 1, height_squared_max=hmax2)
     subs = list(enumerate_subspaces(spec))
-    normals = [vec for vec, _ in primitive_vectors(n, hmax2)]
+    normals = [vec for vec, _ in enumerate_labels(EnumSpec(n, 1, hmax2, EXACT_LINES))]
     assert len(subs) == len(normals)
     for sub, normal in zip(subs, normals):
         kernel = exact.RationalSubspace.from_basis(

@@ -31,6 +31,7 @@ from subdioph.errors import (
     StrategyMismatchError,
     SubdiophError,
 )
+from embedded_lines import embedded_line_records
 
 
 def fibonacci_lines(hmax2):
@@ -237,7 +238,7 @@ class TestEmbeddedScan:
     def test_images_match_plane_records(self):
         golden = est.golden_line_target()
         plane = est.scan_line_records(golden, 2 * 10**4)
-        amb = est.scan_embedded_line_records(golden, 3, 2 * 10**4)
+        amb = est.scan_records(golden, EnumSpec(3, 1, 2 * 10**4))
         assert [r.height_squared for r in plane] == [r.height_squared for r in amb]
         for p, a in zip(plane, amb):
             x1, x2 = p.subspace.pluecker.coords
@@ -247,13 +248,13 @@ class TestEmbeddedScan:
         golden = est.golden_line_target()
         mu2 = est.estimate_exponent(est.scan_line_records(golden, 10**5)).mu_hat
         mu3 = est.estimate_exponent(
-            est.scan_embedded_line_records(golden, 3, 10**5)
+            est.scan_records(golden, EnumSpec(3, 1, 10**5))
         ).mu_hat
         assert abs(mu3 - mu2) < 1e-9
 
     def test_axes_variant(self):
         golden = est.golden_line_target()
-        amb = est.scan_embedded_line_records(golden, 3, 10**4, axes=(0, 2))
+        amb = embedded_line_records(golden, 3, 10**4, axes=(0, 2))
         for rec in amb:
             coords = rec.subspace.pluecker.coords
             assert coords[1] == 0
@@ -261,14 +262,14 @@ class TestEmbeddedScan:
     def test_parameter_validation(self):
         golden = est.golden_line_target()
         with pytest.raises(ParameterError):
-            est.scan_embedded_line_records(golden, 3, 10**4, axes=(1, 0))
+            embedded_line_records(golden, 3, 10**4, axes=(1, 0))
         with pytest.raises(ParameterError):
-            est.scan_embedded_line_records(golden, 3, 10**4, axes=(0, 3))
+            embedded_line_records(golden, 3, 10**4, axes=(0, 3))
 
     def test_plane_passthrough(self):
         golden = est.golden_line_target()
         a = est.scan_line_records(golden, 10**4)
-        b = est.scan_embedded_line_records(golden, 2, 10**4)
+        b = est.scan_records(golden, EnumSpec(2, 1, 10**4))
         assert [r.subspace for r in a] == [r.subspace for r in b]
 
 
@@ -288,7 +289,7 @@ class TestLineGate:
         golden = est.golden_line_target()
         records = est.scan_records(golden, EnumSpec(n, 1, 10**6))
         assert _hex_rows(records) == _hex_rows(
-            est.scan_embedded_line_records(golden, n, 10**6)
+            embedded_line_records(golden, n, 10**6)
         )
 
     def test_irrationality_scan_in_three_space_embeds_the_plane_witness(self):
@@ -481,6 +482,64 @@ class TestCertificationRecords:
         assert [r.subspace for r in records] == [
             con.build_convergent(params, n_index).subspace for n_index in (1, 2)
         ]
+
+
+@pytest.mark.parametrize(
+    "ell, beta, nmax", [(1, Fraction(3), 5), (3, Fraction(9, 4), 2)], ids=["l1-b3-n5", "l3-b9_4-n2"]
+)
+def test_certificate_records_keep_their_exponents(ell, beta, nmax):
+    """Each record keeps its certificate's dyadic bracket, and the exponent
+    reads its log: at l=1 N=5 (psi near 4.8e-510) and at l=3 N=2 (psi_3
+    near 2.5e-1017) the doubles are [0.0, 5e-324], whose log gave 1.903
+    and 0.723 where the certificates read 2.998 and 2.272."""
+    cert = con.certify_instance(con.ConstructionParams.create(ell, beta, seed=0), nmax)
+    records = est.records_from_certification(cert)
+    assert [r.psi_bracket for r in records] == [rec.psi_bracket for rec in cert.records]
+    assert records[-1].psi_hi < 1e-300
+    betas = est.estimate_exponent(records).per_record
+    want = [rec.local_exponent for rec in cert.records if rec.height_squared > 1]
+    assert len(betas) == len(want) == nmax
+    assert all(abs(b - w) <= 1e-12 for b, w in zip(betas, want)), (betas, want)
+
+
+def test_widened_records_widen_their_dyadic_bracket():
+    """widen_records moves a dyadic bracket's ends outward by at least tau,
+    as it moves the doubles, and floors a lower end at 0: the last record
+    here has psi far below tau."""
+    cert = con.certify_instance(con.ConstructionParams.create(1, Fraction(3), seed=0), 5)
+    records = est.records_from_certification(cert)
+    tau = 2.0**-30
+
+    def value(end):
+        return end[0] * Fraction(2) ** end[1]
+
+    widened = est.widen_records(records, tau)
+    for rec, wide in zip(records, widened):
+        (lo, hi), (w_lo, w_hi) = rec.psi_bracket, wide.psi_bracket
+        assert value(w_hi) >= value(hi) + Fraction(tau)
+        assert value(w_lo) <= max(0, value(lo) - Fraction(tau))
+        assert (wide.psi_lo, wide.psi_hi) == (max(0.0, math.nextafter(rec.psi_lo - tau, 0.0)),
+                                               math.nextafter(rec.psi_hi + tau, math.inf))
+    assert widened[0].psi_bracket[0][0] > 0 and widened[-1].psi_bracket[0] == (0, 0)
+
+
+def test_exclusivity_reads_one_digit_table(monkeypatch):
+    """The records and the height ratio deviations of one check share a
+    digit table: at l = 1 the line target's generators and the convergents
+    read it, at l = 2 the scanned generators and the convergents."""
+    tables = []
+    init = con._DigitTable.__init__
+
+    def counted(self, *args):
+        tables.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(con._DigitTable, "__init__", counted)
+    for ell, beta, spec in ((1, Fraction(3), EnumSpec(2, 1, 10**6, EXACT_LINES)),
+                            (2, Fraction(5, 2), EnumSpec(4, 2, 8, EXACT_PLUECKER))):
+        del tables[:]
+        report = est.exclusivity_check(con.ConstructionParams.create(ell, beta, seed=0), 3, spec)
+        assert len(report.records) >= 1 and len(tables) == 1
 
 
 def test_each_call_reads_every_digit_once(monkeypatch):

@@ -45,8 +45,9 @@ from subdioph import estimation as est
 from subdioph import exact
 from subdioph import morphisms as mor
 from subdioph.angles import _sqrt_interval
-from subdioph.enumeration import EXACT_LINES, EnumSpec, enumerate_subspaces, primitive_vectors
+from subdioph.enumeration import EXACT_LINES, EnumSpec, enumerate_labels, enumerate_subspaces
 from subdioph.errors import IrrationalityViolationError, ParameterError
+from embedded_lines import embedded_line_records
 
 SETTINGS = settings(
     derandomize=True,
@@ -158,7 +159,7 @@ def oracle_records(oracle, vectors, axes):
 
 def scan_outcome(target, n, axes, hmax2):
     try:
-        return est.scan_embedded_line_records(target, n, hmax2, axes=axes)
+        return embedded_line_records(target, n, hmax2, axes=axes)
     except IrrationalityViolationError as err:
         return ("meets", err.vector)
 
@@ -250,7 +251,7 @@ def test_line_engine_brackets_only_its_records(bracket_calls, target, n, axes):
     est._cross_engine(target)
     setup = bracket_calls["brackets"]
     bracket_calls["brackets"] = 0
-    records = est.scan_embedded_line_records(target, n, 20_000, axes=axes)
+    records = embedded_line_records(target, n, 20_000, axes=axes)
     assert len(records) >= 5
     # the engine's own set-up brackets, then one per record
     assert bracket_calls["brackets"] - setup <= len(records)
@@ -270,7 +271,7 @@ def test_wide_bracket_in_three_space_keeps_the_plane_records(monkeypatch):
     assert [(r.height_squared, r.subspace.pluecker.coords) for r in plane] == [
         (1, (1, 0)), (5, (2, 1)), (10, (3, 1)),
     ]
-    embedded = est.scan_embedded_line_records(target, 3, 20)
+    embedded = est.scan_records(target, EnumSpec(3, 1, 20))
     assert [(r.height_squared, r.subspace.pluecker.coords) for r in embedded] == [
         (1, (1, 0, 0)), (5, (2, 1, 0)), (10, (3, 1, 0)),
     ]
@@ -296,8 +297,8 @@ def test_exact_tie_goes_to_the_first_coords():
 
 
 def reference_primitive_vectors(n, max_norm_sq):
-    """The recursive walk of enumeration.primitive_vectors before its last
-    coordinate became a range loop: one generator frame per coordinate."""
+    """The recursive walk of the line census before its last coordinate
+    became a range loop: one generator frame per coordinate."""
 
     def boxed(k, budget, zero_so_far):
         if k == 0:
@@ -417,7 +418,7 @@ def test_batch_pool_matches_the_per_row_builder(kind, n, most, data):
             report.offender.pluecker.coords, report.scanned
         )
         with pytest.raises(IrrationalityViolationError) as embedded:
-            est.scan_embedded_line_records(target, n, hmax2, axes=axes)
+            embedded_line_records(target, n, hmax2, axes=axes)
         assert expected == ("meets", embedded.value.vector)
         assert embedded.value.scanned == report.scanned
         assert embedded.value.subspace.pluecker.coords == embedded.value.vector
@@ -692,9 +693,11 @@ def test_stern_brocot_walk_matches_the_shell_walk(family, n, data):
     assert walk_scan(target, n, axes, hmax2) == shell_scan(target, n, axes, hmax2)
 
 
-@pytest.mark.parametrize("n, hmax2", [(1, 9), (2, 1), (2, 2), (2, 500), (3, 60), (4, 20), (5, 9)])
+@pytest.mark.parametrize("n, hmax2", [(2, 1), (2, 2), (2, 500), (3, 60), (4, 20), (5, 9)])
 def test_primitive_vectors_keep_the_recursive_order(n, hmax2):
-    assert list(primitive_vectors(n, hmax2)) == list(reference_primitive_vectors(n, hmax2))
+    """The line census lists the primitive vectors in the recursive order."""
+    census = enumerate_labels(EnumSpec(n, 1, hmax2, EXACT_LINES))
+    assert list(census) == list(reference_primitive_vectors(n, hmax2))
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +712,7 @@ def test_primitive_vectors_keep_the_recursive_order(n, hmax2):
 def test_no_pool_row_above_a_unit_height_bound(target, n):
     """With H^2 <= 1 only the coordinate axes qualify, and the line scan
     keys those two rows alone."""
-    records = est.scan_embedded_line_records(target, n, 1)
+    records = est.scan_records(target, EnumSpec(n, 1, 1))
     assert records and all(r.height_squared == 1 for r in records)
     report = est.irrationality_scan(target, EnumSpec(2, 1, 1))
     generic = est.irrationality_scan([[1], [5]], EnumSpec(2, 1, 1))
@@ -740,7 +743,7 @@ def test_line_scan_logs_its_pool(caplog):
     assert counts["runs"] == counts["nodes"] == counts["records"] - 1 == 12
     assert counts["probes"] == 0
     assert report.scanned == 2 + counts["nodes"] + counts["probes"]
-    records = est.scan_embedded_line_records(target, 3, 10**5)
+    records = est.scan_records(target, EnumSpec(3, 1, 10**5))
     assert line_scan_counts(caplog) == counts | {"records": len(records)}
 
 
@@ -917,7 +920,7 @@ def assert_line_of_its_column(sub, vec):
 @pytest.mark.parametrize("n, axes", PLACEMENTS)
 def test_line_records_are_the_lines_of_their_vectors(kind, n, axes):
     make, hmax2 = VECTOR_TARGETS[kind]
-    records = est.scan_embedded_line_records(make(), n, hmax2, axes=axes)
+    records = embedded_line_records(make(), n, hmax2, axes=axes)
     assert len(records) > 3
     for rec in records:
         assert rec.subspace.n == n
@@ -927,7 +930,7 @@ def test_line_records_are_the_lines_of_their_vectors(kind, n, axes):
 @pytest.mark.parametrize("n, axes", PLACEMENTS)
 def test_a_meeting_line_is_the_line_of_its_vector(n, axes):
     with pytest.raises(IrrationalityViolationError) as info:
-        est.scan_embedded_line_records(est.RationalLineTarget(Fraction(3, 5)), n, 100, axes=axes)
+        embedded_line_records(est.RationalLineTarget(Fraction(3, 5)), n, 100, axes=axes)
     err = info.value
     expected = [0] * n
     expected[axes[0]], expected[axes[1]] = 5, 3
@@ -1060,7 +1063,7 @@ def test_record_builder_matches_the_per_row_path(case):
     below the double range too: those take the scaled root."""
     make, n, axes, hmax2 = BUILDER_CASES[case]
     expected, tiny = per_row_records(make(), n, axes, hmax2)
-    assert built_rows(est.scan_embedded_line_records(make(), n, hmax2, axes=axes)) == expected
+    assert built_rows(embedded_line_records(make(), n, hmax2, axes=axes)) == expected
     if axes == (0, 1):
         assert built_rows(est.scan_records(make(), EnumSpec(n, 1, hmax2))) == expected
     if n == 2:

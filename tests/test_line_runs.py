@@ -13,13 +13,13 @@ from subdioph.cli import run_command
 from subdioph.enumeration import (
     CHECKPOINT,
     EXACT_ECHELON,
+    EXACT_LINES,
     SUBSPACE,
     EnumSpec,
     census_runs,
     enumerate_events,
     enumerate_labels,
     leading_range,
-    primitive_vectors,
 )
 from subdioph.errors import ParameterError, SerializationError
 
@@ -129,18 +129,16 @@ def test_census_streams_are_the_per_label_streams(spec, run_size):
                 for v in values] == reference_labels(spec)
 
 
-@pytest.mark.parametrize("n, bound", [(1, 9), (2, 300), (3, 120), (4, 40), (6, 9)])
+@pytest.mark.parametrize("n, bound", [(2, 300), (3, 120), (4, 40), (6, 9)])
 def test_primitive_vectors_are_the_per_label_walk(n, bound, run_size):
     want = [pair for lead in range(isqrt(bound) + 1)
             for pair in reference_with_leading(n, bound, lead)]
-    assert list(primitive_vectors(n, bound)) == want
+    assert list(enumerate_labels(EnumSpec(n, 1, bound, EXACT_LINES))) == want
 
 
 def test_only_a_line_census_has_runs():
     assert census_runs(EnumSpec(3, 2, 10)) is None
     assert census_runs(EnumSpec(4, 1, 10, EXACT_ECHELON)) is None
-    with pytest.raises(ParameterError):
-        next(primitive_vectors(0, 10))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from subdioph import construction as con
 from subdioph import estimation as est
 from subdioph.enumeration import EXACT_LINES, EnumSpec
 from subdioph.errors import IrrationalityViolationError
+from embedded_lines import embedded_line_records
 
 DATA = Path(__file__).parent / "data" / "line_scan_rows.jsonl"
 
@@ -67,7 +68,7 @@ def _plane_case(name, target, h2):
 
 
 def _embedded_case(name, target, n, h2, axes):
-    records = est.scan_embedded_line_records(target, n, h2, axes=axes)
+    records = embedded_line_records(target, n, h2, axes=axes)
     return {"case": name, "records": _record_rows(records)}
 
 
@@ -95,7 +96,7 @@ def line_scan_rows():
         _meeting_case("meeting-plane",
                       lambda: est.scan_line_records(meeting, 100)),
         _meeting_case("meeting-r4-13",
-                      lambda: est.scan_embedded_line_records(meeting, 4, 100, axes=(1, 3))),
+                      lambda: embedded_line_records(meeting, 4, 100, axes=(1, 3))),
         {"case": "meeting-offender", "vector": list(offender.offender.pluecker.coords),
          "scanned": offender.scanned, "ok": offender.ok},
     ]

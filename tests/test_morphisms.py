@@ -12,11 +12,13 @@ from subdioph import estimation as est
 from subdioph import exact
 from subdioph import morphisms as mor
 from subdioph.angles import RealBasis, principal_angles
+from subdioph.enumeration import EnumSpec
 from subdioph.errors import (
     DimensionCollapseError,
     ParameterError,
     ShapeError,
 )
+from embedded_lines import embedded_line_records
 
 
 def random_integer_map(rng, rows, cols, bound=9):
@@ -318,7 +320,7 @@ class TestHarness:
         walks = [r for r in caplog.records
                  if r.name == "subdioph" and r.getMessage().startswith("scan_lines:")]
         assert len(walks) == 1
-        expected = est.scan_embedded_line_records(target, 3, 10**5, axes=(0, 2))
+        expected = embedded_line_records(target, 3, 10**5, axes=(0, 2))
         assert [
             (r.subspace, r.height_squared, r.psi_lo.hex(), r.psi_hi.hex())
             for r in report.ambient_records
@@ -330,7 +332,7 @@ class TestHarness:
         f = exact.RationalSubspace.from_basis([[1, 0], [0, 1], [0, 0]])
         target = est.golden_line_target()
         plane_records = est.scan_line_records(target, 10**4)
-        space_records = est.scan_embedded_line_records(target, 3, 10**4)
+        space_records = est.scan_records(target, EnumSpec(3, 1, 10**4))
         section = mor.section_of(proj, f)
         c2 = mor.height_distortion_constant(section, 1) ** 2
         by_label = {

@@ -61,7 +61,9 @@ SETTINGS = settings(
 
 def reference_profiles(target, subs, j_index):
     """(sub, lo, hi) of every candidate in enumeration order."""
-    if any(isinstance(x, float) for row in target for x in row):
+    if isinstance(target, RealBasis):
+        basis = target
+    elif any(isinstance(x, float) for row in target for x in row):
         basis = RealBasis.from_float(target)
     else:
         basis = RealBasis.from_exact(target)
@@ -553,6 +555,53 @@ def test_exact_scans_build_no_mpf(monkeypatch):
     assert len(want[0]) >= 2 and len(want[1]) == 1 and want[2]["scanned"] == 155833
     monkeypatch.setattr(angles_module, "mp", NoMpmath())
     assert exact_scan_outcomes() == want
+
+
+# a rational 3-space of R^6 whose first sine is 0 against some 3-spaces
+# of the census (they share a direction), so j = 3 scans over proved zeros
+T3_TARGET = [[3, 0, 1], [0, 2, 1], [1, 1, 3], [2, 1, 0], [1, 3, 1], [0, 1, 2]]
+
+
+def t3_scan_outcomes():
+    """Records and report of the 200 3-spaces of R^6 at H^2 <= 2 against
+    T3_TARGET with j = 3, psi bounds as float hex: every pair has three
+    angles, so each is proved on its Gram pencil."""
+    spec = EnumSpec(6, 3, 2, EXACT_ECHELON)
+    records = est.scan_records(T3_TARGET, spec, j_index=3)
+    report = est.irrationality_scan(T3_TARGET, spec, j_index=3)
+    rows = [(r.subspace.pluecker.coords, r.height_squared, r.psi_lo.hex(), r.psi_hi.hex())
+            for r in records]
+    return rows, {**report.as_dict(), "minPsiLower": report.min_psi_lower.hex()}
+
+
+def test_t3_scans_pack_no_profile(monkeypatch):
+    """A pair with three angles takes its dyadic bracket from the angle
+    engine before any profile is packed: with angles._profile and
+    angles._packed replaced by functions that raise, the scans give the
+    same bytes."""
+    want = t3_scan_outcomes()
+    assert len(want[0]) == 2 and want[1]["scanned"] == 200 and want[1]["ok"]
+
+    def refuse(*args):
+        raise AssertionError("a scan packed an angle profile")
+
+    monkeypatch.setattr(angles_module, "_profile", refuse)
+    monkeypatch.setattr(angles_module, "_packed", refuse)
+    assert t3_scan_outcomes() == want
+
+
+def algebraic_plane(bits):
+    """A plane of R^4 with irrational entries, read at bits."""
+    return [[1, 0], [0, 1], [mp.sqrt(2), mp.sqrt(3)], [mp.sqrt(5), -mp.sqrt(7)]]
+
+
+@pytest.mark.parametrize("j_index", [1, 2])
+def test_evaluator_target_scans_match_the_reference(j_index):
+    """An evaluator target screens nothing: each candidate takes the
+    brackets angles_adaptive proves, read once and widened by the reading
+    error, and the scans agree with the unscreened reference."""
+    target = RealBasis.from_evaluator(4, 2, algebraic_plane, source="algebraic")
+    assert_same_scans(target, EnumSpec(4, 2, 6, EXACT_PLUECKER), j_index)
 
 
 def scan_counts(caplog):
