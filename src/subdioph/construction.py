@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from mpmath import mp
-
 from . import exact
 from .angles import (
     PrecisionContext,
@@ -637,15 +635,16 @@ class ConvergentCertificate:
     local_exponent is the record-style exponent -2 log(psi_hi) / log(H^2).
     These three are float-grade values taken from psi_bracket and integers,
     so none of them underflows.  ratio_deviation is
-    |H(B_N) / theta^(l m_N) / limit - 1| as an mpf, which keeps deviations
-    far below the double range.
+    |H(B_N) / theta^(l m_N) / limit - 1| as a dyadic Fraction, exact at
+    any magnitude.  subspace is the convergent's span.
     """
 
     n_index: int
     exponent: int
+    subspace: exact.RationalSubspace
     height_squared: int
     ratio_squared: Fraction
-    ratio_deviation: mp.mpf
+    ratio_deviation: Fraction
     psi_lo: float
     psi_hi: float
     psi_bracket: tuple[tuple[int, int], tuple[int, int]]
@@ -722,7 +721,7 @@ def _scaled_float(end: tuple[int, int], theta: int, power: Fraction | int) -> fl
 
 def _ratio_deviation(ratio_squared: Fraction, limit_squared: Fraction):
     """|ratio / limit - 1| as |q - 1| / (sqrt(q) + 1), q = ratio^2 / limit^2,
-    an mpf of 64 significant bits.
+    a dyadic Fraction of 64 significant bits.
 
     q - 1 is formed exactly, so the value keeps full relative accuracy at
     any closeness of the ratio to its limit.  The divisor, times the
@@ -733,14 +732,12 @@ def _ratio_deviation(ratio_squared: Fraction, limit_squared: Fraction):
     q_num = ratio_squared.numerator * limit_squared.denominator
     q_den = ratio_squared.denominator * limit_squared.numerator
     gap = abs(q_num - q_den)
-    if gap == 0:
-        return mp.mpf(0)
     lead = max(0, min(q_num.bit_length(), q_den.bit_length()) - 128)
     top_num, top_den = q_num >> lead, q_den >> lead
     divisor = top_den + math.isqrt(top_num * top_den)  # times 2^lead
     shift = 64 + divisor.bit_length() - gap.bit_length()
     man = (gap << shift) // divisor if shift >= 0 else gap // (divisor << -shift)
-    return mp.ldexp(man, -shift - lead)
+    return man * Fraction(2) ** (-shift - lead)
 
 
 # The checks certify_instance runs, in report order.  A failed check raises
@@ -797,7 +794,6 @@ def certify_instance(
     exps = table.exps
     first = build_convergent(params, 1, stream=table)
     generators = build_generators(params, depth, stream=table)
-    gram_limit_squared = generators.gram_squared()
     target = generators.real_basis()
     ctx = ctx or PrecisionContext()
     # every bracket is widened at 2 ctx.bits, by the slack rounded up there
@@ -807,9 +803,13 @@ def certify_instance(
         # the target's label pairs with each convergent's through maps built once
         xa = target.label
         target_squared = sum(x * x for x in xa)
+        # Cauchy-Binet: the label's squared norm is the integer det(M^t M)
+        gram_limit_squared = Fraction(target_squared, generators.denominator ** (2 * ell))
         wedge2_of = exact.squared_image_norm(exact.wedge_map(xa, ell, ell, params.n))
         if ell == 2:
             cos2_of = exact.squared_image_norm(exact.contraction_map(xa, ell, ell, params.n))
+    else:
+        gram_limit_squared = generators.gram_squared()
 
     records = []
     prev_height_sq = None
@@ -919,6 +919,7 @@ def certify_instance(
             ConvergentCertificate(
                 n_index=n_index,
                 exponent=m_n,
+                subspace=convergent.subspace,
                 height_squared=h_sq,
                 ratio_squared=ratio_squared,
                 ratio_deviation=deviation,

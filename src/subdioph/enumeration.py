@@ -148,7 +148,8 @@ _RUN_LEN = 1024
 def _primitive_with_leading(
     n: int, budget: int, lead: int
 ) -> Iterator[_Run]:
-    """Primitive sign-canonical n-vectors with first coordinate lead, in runs.
+    """Primitive sign-canonical n-vectors, n >= 2 (EnumSpec's least n),
+    with first coordinate lead, in runs.
 
     A run is (prefix, sq, values): the vectors prefix + (v,) for v in
     values, ascending, where prefix holds the first n - 1 coordinates (from
@@ -160,10 +161,6 @@ def _primitive_with_leading(
     """
     rem = budget - lead * lead
     if rem < 0:
-        return
-    if n == 1:
-        if lead == 1:
-            yield (), 0, (1,)
         return
     for head, head_sq, zero in _boxed(n - 2, rem, lead == 0):
         prefix = (lead,) + head

@@ -17,9 +17,12 @@ sweep:
   of one partial quotient costs a few keyed rows, placed by one division
   and a bisection, however long it is.  The search is complete by
   construction.  A record's squared sine is an integer interval, which
-  angles._sqrt_interval roots to doubles; only the records are bracketed,
-  and an irrationality scan brackets and builds only its witness, the
-  last record, whose exact lower end gives the verdict.  That scan counts
+  angles._sqrt_interval roots to doubles, and, for a record whose lower
+  double falls below the double range, angles._sqrt_bracket also to
+  64-bit dyadics, which keep the sines of such records strictly apart;
+  only the records are bracketed, and an irrationality scan brackets and
+  builds only its witness, the last record, whose exact lower end gives
+  the verdict.  That scan counts
   the rows the walk keyed, each a primitive vector with a positive lead:
   its line's label.  One walk serves every R^n: a line target embedded
   on two coordinate axes of R^n has the plane records, placed on those
@@ -75,7 +78,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import groupby, repeat
 from math import isqrt
-from numbers import Real
 from operator import itemgetter, mul
 from typing import Iterator, Mapping, Sequence
 
@@ -96,7 +98,9 @@ from .angles import (
     _plane_forms,
     _plane_sine_decision,
     _sine_mantissa,
+    _sqrt_bracket,
     _sqrt_interval,
+    _sqrt_scale,
 )
 from .construction import (
     INFINITE,
@@ -235,8 +239,10 @@ class ApproximationRecord:
 
     psi_lo and psi_hi bracket the sine conservatively (outward-rounded
     floats); source is "enumerated" or "constructed:N".  A certificate's
-    record keeps its dyadic bracket as psi_bracket, which holds the sine
-    where the doubles underflow, and exponents read their logs from it.
+    record keeps its dyadic bracket as psi_bracket, and so does a line
+    record whose lower double falls below the double range: the dyadics
+    hold the sine where the doubles underflow, and exponents and
+    validate_record_list read them.
     """
 
     subspace: exact.RationalSubspace
@@ -248,15 +254,24 @@ class ApproximationRecord:
     psi_bracket: tuple[tuple[int, int], tuple[int, int]] | None = None
 
 
+def _float_dyadic(x: float) -> tuple[int, int]:
+    """The exact value of a finite double as a dyadic (man, exp)."""
+    num, den = x.as_integer_ratio()
+    return num, 1 - den.bit_length()  # den is a power of two
+
+
 def validate_record_list(records: Sequence[ApproximationRecord]) -> None:
-    """Check the record-list shape: heights strictly up, sines strictly down."""
+    """Check the record-list shape: heights strictly up, sines strictly
+    down.  The upper ends are compared exactly: psi_bracket's where a record
+    keeps one, else the double's value."""
     for rec in records:
         if not (0.0 <= rec.psi_lo <= rec.psi_hi):
             raise SubdiophError(f"malformed sine interval on record {rec}")
-    for prev, cur in zip(records, records[1:]):
+    uppers = [r.psi_bracket[1] if r.psi_bracket else _float_dyadic(r.psi_hi) for r in records]
+    for prev, cur, prev_hi, cur_hi in zip(records, records[1:], uppers, uppers[1:]):
         if cur.height_squared <= prev.height_squared:
             raise SubdiophError("record heights must increase strictly")
-        if cur.psi_hi >= prev.psi_hi:
+        if not _dyadic_less(cur_hi, prev_hi):
             raise SubdiophError("record sine bounds must decrease strictly")
 
 
@@ -267,8 +282,7 @@ def widen_records(
     a dyadic psi_bracket too, rounded outward to 64-bit mantissas."""
     if tau < 0:
         raise ParameterError("slack must be nonnegative")
-    num, den = float(tau).as_integer_ratio()
-    slack = (num, 1 - den.bit_length())  # den is a power of two
+    slack = _float_dyadic(float(tau))
     # float sums round to nearest: step each end outward past the rounding
     return [
         replace(r, psi_lo=_float_down(r.psi_lo - tau), psi_hi=_float_up(r.psi_hi + tau),
@@ -629,15 +643,23 @@ def _scan_lines(target, hmax2: int, place=tuple) -> tuple[object, list[tuple], i
 def _line_records(engine, raw: list[tuple], place=tuple) -> list[ApproximationRecord]:
     """The records of rows of _scan_lines: each row's integer bracket,
     rooted to doubles (angles._sqrt_interval), and its line, built once on
-    the vector place puts in R^n (exact.RationalSubspace._line)."""
+    the vector place puts in R^n (exact.RationalSubspace._line).  Where the
+    lower double falls below the least normal double, 2^-1022, and the
+    integer lower end is positive, the record also keeps the same bracket
+    rooted to 64-bit dyadics (angles._sqrt_bracket) as psi_bracket: a
+    subnormal or zero double has too few bits to tell the records apart."""
     bracket, u2_lo, u2_hi = engine.bracket, engine.u2_lo, engine.u2_hi
     line = exact.RationalSubspace._line
     records = []
     for h2, vec, _key in raw:
         lo2, hi2 = bracket(*vec)
         # the engine scale cancels in both ratios
-        psi_lo, psi_hi = _sqrt_interval((lo2, h2 * u2_hi, hi2, h2 * u2_lo))
-        records.append(ApproximationRecord(line(place(vec)), h2, psi_lo, psi_hi, 1))
+        interval = (lo2, h2 * u2_hi, hi2, h2 * u2_lo)
+        psi_lo, psi_hi = _sqrt_interval(interval)
+        dyadic = (_sqrt_bracket(interval, _sqrt_scale(lo2, h2 * u2_hi, 64))
+                  if psi_lo < sys.float_info.min and lo2 > 0 else None)
+        records.append(ApproximationRecord(line(place(vec)), h2, psi_lo, psi_hi, 1,
+                                           psi_bracket=dyadic))
     return records
 
 
@@ -1186,27 +1208,21 @@ def estimate_exponent(
 
 
 def records_from_certification(cert: InstanceCertification) -> list[ApproximationRecord]:
-    """Convert certified convergents into construction-sourced records,
-    rebuilt from one digit table: each digit is read once.  Each record
-    keeps its certificate's dyadic psi_bracket."""
-    if not cert.records:
-        return []
-    table = _digit_table(cert.params, None, max(rec.n_index for rec in cert.records))
-    records = []
-    for rec in cert.records:
-        conv = build_convergent(cert.params, rec.n_index, stream=table)
-        records.append(
-            ApproximationRecord(
-                subspace=conv.subspace,
-                height_squared=rec.height_squared,
-                psi_lo=rec.psi_lo,
-                psi_hi=rec.psi_hi,
-                j_index=cert.params.ell,
-                source=constructed_source(rec.n_index),
-                psi_bracket=rec.psi_bracket,
-            )
+    """Convert certified convergents into construction-sourced records, each
+    on its certificate's subspace with its dyadic psi_bracket: no digit is
+    read and no convergent rebuilt."""
+    return [
+        ApproximationRecord(
+            subspace=rec.subspace,
+            height_squared=rec.height_squared,
+            psi_lo=rec.psi_lo,
+            psi_hi=rec.psi_hi,
+            j_index=cert.params.ell,
+            source=constructed_source(rec.n_index),
+            psi_bracket=rec.psi_bracket,
         )
-    return records
+        for rec in cert.records
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1218,15 +1234,15 @@ _DEVIATION_TOL = 0.1
 
 def height_ratio_deviations(
     params: ConstructionParams, nmax: int, stream=None
-) -> tuple[tuple[ConvergentMatrix, Real], ...]:
+) -> tuple[tuple[ConvergentMatrix, Fraction], ...]:
     """Per-index deviation of H(B_N) / theta^(l m_N) from its limit value.
 
     The limit is the square root of the exact squared l-volume of the
     generators truncated at depth nmax + 2, as in certify_instance.  Each
     deviation is certify_instance's ratio_deviation: formed from the exact
     squared ratio, so it keeps full relative accuracy however close the
-    ratio is to its limit, and returned as that mpf, which does not
-    underflow where a double would.  Generators and convergents share one
+    ratio is to its limit, and returned as that dyadic Fraction, which does
+    not underflow where a double would.  Generators and convergents share one
     digit table, so each digit is read once; stream may be that table.
     """
     table = _digit_table(params, stream, nmax + 3)
@@ -1256,7 +1272,7 @@ class ExclusivityReport:
     params: ConstructionParams
     nmax: int
     window: tuple[int, int]
-    deviations: tuple[Real, ...]
+    deviations: tuple[Fraction, ...]
     burn_in_index: int | None
     burn_in_height_squared: int | None
     records: tuple[ApproximationRecord, ...]

@@ -261,9 +261,11 @@ def embedding_harness(
             )
         intrinsic_records = scan_line_records(tilde_target, height_squared_max)
         place, line = _placing(n, axes), exact.RationalSubspace._line
+        # built directly: dataclasses.replace costs about 2 us a record, a
+        # seventh of a whole harness at H^2 <= 10^6
         ambient_records = [
-            ApproximationRecord(line(place(rec.subspace.pluecker.coords)),
-                                rec.height_squared, rec.psi_lo, rec.psi_hi, 1)
+            ApproximationRecord(line(place(rec.subspace.pluecker.coords)), rec.height_squared,
+                                rec.psi_lo, rec.psi_hi, 1, psi_bracket=rec.psi_bracket)
             for rec in intrinsic_records
         ]
         pairs = tuple((i, i) for i in range(len(intrinsic_records)))

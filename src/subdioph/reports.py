@@ -92,20 +92,26 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC)
 
 
 def sci_str(value, digits: int = 6, rounding: str | None = None) -> str:
-    """value, an mpf or a dyadic (man, exp), as d.ddd...e+-NN with the given
-    number of decimals.  Without a rounding mode, an mpf prints as
+    """value, an mpf, a dyadic Fraction (a power-of-two denominator) or a
+    dyadic (man, exp), as d.ddd...e+-NN with the given number of decimals.
+    Without a rounding mode, an mpf or a Fraction prints as
     f"{float(value):.{digits}e}" prints it when float(value) is a normal
-    double or zero; otherwise the exact value man 2^exp (the mpf's man_exp)
-    prints, rounded half to even: a deviation far below the double range
-    prints as itself, not as 0.  With a decimal rounding mode
-    (decimal.ROUND_FLOOR, ROUND_CEILING, ...) the exact value is always the
-    one printed, rounded in that mode, so an interval end prints outward.
+    double or zero; otherwise the exact value man 2^exp prints, rounded half
+    to even: a deviation far below the double range prints as itself, not
+    as 0.  With a decimal rounding mode (decimal.ROUND_FLOOR, ROUND_CEILING,
+    ...) the exact value is always the one printed, rounded in that mode,
+    so an interval end prints outward.
     """
-    pair = type(value) is tuple
-    if rounding is None and not pair:
+    if rounding is None and type(value) is not tuple:
         f = float(value)
         if f == 0 == value or (math.isfinite(f) and abs(f) >= sys.float_info.min):
             return f"{f:.{digits}e}"
+    if type(value) is Fraction:
+        den = value.denominator
+        if den & (den - 1):
+            raise ValueError(f"{value} is not a dyadic fraction")
+        value = (value.numerator, 1 - den.bit_length())
+    pair = type(value) is tuple
     man, exp = value if pair else value.man_exp
     man = -man if not pair and value < 0 else man
     if man == 0:  # Decimal would print 0.000000e+6: the digits go into its exponent

@@ -761,9 +761,9 @@ def _profile_route_certify(params, nmax, ctx=None):
         prev_h, prev_dev = h_sq, deviation
         brackets.append((psi_lo, psi_hi))
         records.append(construction.ConvergentCertificate(
-            n_index=n_index, exponent=m_n, height_squared=h_sq, ratio_squared=ratio_squared,
-            ratio_deviation=deviation, psi_lo=construction._float_down(psi_lo),
-            psi_hi=construction._float_up(psi_hi),
+            n_index=n_index, exponent=m_n, subspace=conv.subspace, height_squared=h_sq,
+            ratio_squared=ratio_squared, ratio_deviation=deviation,
+            psi_lo=construction._float_down(psi_lo), psi_hi=construction._float_up(psi_hi),
             psi_bracket=(psi_lo.man_exp, psi_hi.man_exp),
             upper_normalized=upper_normalized, lower_normalized=lower_normalized,
             local_exponent=local_exponent,
@@ -842,6 +842,41 @@ def test_integer_brackets_match_the_angle_profile_route(ell, beta, nmax, seeds, 
     # every case reaches the route it is meant to compare
     assert ("precision-exhausted" in outcomes) == (ctx is not None and ctx.max_bits < 512)
     assert "certified" in outcomes or ctx is not None
+
+
+@pytest.mark.parametrize(
+    "ell, beta, seed", [(1, Fraction(3), 0), (1, None, 0), (2, Fraction(5, 2), 0), (2, None, 4)],
+    ids=["l1-b3", "l1-inf", "l2-b5_2", "l2-inf"],
+)
+def test_low_block_certificates_form_no_gram_determinant(ell, beta, seed, monkeypatch):
+    """At ell <= 2 the limit's squared volume is the squared norm of the
+    generators' label over denominator^(2 ell) (Cauchy-Binet), a sum the
+    sine maps form anyway: no generalized determinant is taken, and the
+    limit is the generators' own gram_squared (the unbounded l = 2
+    instance first certifies at seed 4)."""
+    params = ConstructionParams.create(ell, beta, seed=seed, variant=FINITE if beta else INFINITE)
+    nmax = 2
+    want = build_generators(params, nmax + 2).gram_squared()
+
+    def refuse(_matrix):
+        raise AssertionError("a Gram determinant was formed")
+
+    monkeypatch.setattr(exact, "generalized_determinant_squared", refuse)
+    assert certify_instance(params, nmax).gram_limit_squared == want
+
+
+def test_certificates_keep_their_convergents_and_exact_deviations():
+    """Each certificate keeps its convergent's subspace and its ratio
+    deviation as a dyadic Fraction; construction binds no mpmath."""
+    assert not hasattr(construction, "mp")
+    cases = [(ConstructionParams.create(1, 3, seed=0), 5),
+             (ConstructionParams.create(2, Fraction(5, 2), seed=0), 2),
+             (ConstructionParams.create(1, None, variant=INFINITE), 3)]
+    for params, nmax in cases:
+        for rec in certify_instance(params, nmax).records:
+            dev = rec.ratio_deviation
+            assert type(dev) is Fraction and dev.denominator & (dev.denominator - 1) == 0
+            assert rec.subspace == build_convergent(params, rec.n_index).subspace
 
 
 def test_digits_are_read_once_per_certification(monkeypatch):

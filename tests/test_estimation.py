@@ -7,6 +7,7 @@ import json
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -484,6 +485,20 @@ class TestCertificationRecords:
         ]
 
 
+    def test_records_build_no_convergent(self, monkeypatch):
+        """The records take the certificates' subspaces: with
+        build_convergent refusing, the same records come back."""
+        cert = con.certify_instance(con.ConstructionParams.create(2, Fraction(5, 2), seed=0), 2)
+        want = est.records_from_certification(cert)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a convergent was rebuilt")
+
+        monkeypatch.setattr(con, "build_convergent", refuse)
+        monkeypatch.setattr(est, "build_convergent", refuse)
+        assert est.records_from_certification(cert) == want
+
+
 @pytest.mark.parametrize(
     "ell, beta, nmax", [(1, Fraction(3), 5), (3, Fraction(9, 4), 2)], ids=["l1-b3-n5", "l3-b9_4-n2"]
 )
@@ -523,6 +538,62 @@ def test_widened_records_widen_their_dyadic_bracket():
     assert widened[0].psi_bracket[0][0] > 0 and widened[-1].psi_bracket[0] == (0, 0)
 
 
+def _exact_ends(rec) -> list[Fraction]:
+    """A record's sine bracket as exact values: its dyadic where it keeps
+    one, else its doubles."""
+    if rec.psi_bracket is None:
+        return [Fraction(rec.psi_lo), Fraction(rec.psi_hi)]
+    return [man * Fraction(2) ** exp for man, exp in rec.psi_bracket]
+
+
+class TestLinesBelowTheDoubleRange:
+    """Above H^2 ~ 10^307 the golden line's sines leave the double range:
+    at H^2 <= 10^400, 185 of its 958 records read psi_lo 0.0, and their
+    subnormal upper doubles no longer decrease strictly."""
+
+    @pytest.fixture(scope="class")
+    def deep_records(self):
+        return est.scan_line_records(est.golden_line_target(), 10**400)
+
+    def test_deep_records_keep_dyadic_brackets(self, deep_records):
+        """A record whose lower double is below 2^-1022 keeps a dyadic
+        bracket with a positive lower end; the list validates on it, and
+        the last per-record exponent reads about 2 (psi H^2 tends to
+        1/sqrt 5), where its doubles gave 1.617."""
+        assert len(deep_records) == 958
+        assert sum(rec.psi_lo == 0.0 for rec in deep_records) == 185
+        for rec in deep_records:
+            assert (rec.psi_bracket is None) == (rec.psi_lo >= sys.float_info.min)
+            assert _exact_ends(rec)[0] > 0
+        est.validate_record_list(deep_records)
+        assert abs(est.estimate_exponent(deep_records).per_record[-1] - 2) < 0.01
+
+    def test_dyadic_brackets_hold_their_doubles(self, deep_records):
+        """The dyadic bracket roots the same integer interval as the
+        doubles, which are rounded outward: it lies inside them."""
+        for rec in deep_records:
+            if rec.psi_bracket is not None:
+                lo, hi = _exact_ends(rec)
+                assert Fraction(rec.psi_lo) <= lo <= hi <= Fraction(rec.psi_hi)
+
+    def test_golden_records_approach_the_hurwitz_constant(self):
+        """Hurwitz (Math. Ann. 39, 1891): the golden ratio's convergents
+        p/q have q |q phi - p| -> 1/sqrt 5, so its line records have
+        psi H^2 -> 1/sqrt 5.  At H^2 <= 10^1000 (2,393 records), every
+        record above 10^20 has psi H^2 within 10^-12 of 1/sqrt 5 at both
+        ends of its exact bracket, deep below the double range too."""
+        records = est.scan_line_records(est.golden_line_target(), 10**1000)
+        assert len(records) == 2393
+        bits = 128
+        root_lo = Fraction(isqrt((1 << 2 * bits) // 5), 1 << bits)  # 1/sqrt 5, floored
+        band = (root_lo - Fraction(1, 10**12), root_lo + Fraction(1, 1 << bits) + Fraction(1, 10**12))
+        deep = [rec for rec in records if rec.height_squared > 10**20]
+        assert sum(rec.psi_bracket is not None for rec in deep) > 1000
+        for rec in deep:
+            lo, hi = (end * rec.height_squared for end in _exact_ends(rec))
+            assert band[0] <= lo <= hi <= band[1], rec.height_squared
+
+
 def test_exclusivity_reads_one_digit_table(monkeypatch):
     """The records and the height ratio deviations of one check share a
     digit table: at l = 1 the line target's generators and the convergents
@@ -543,9 +614,10 @@ def test_exclusivity_reads_one_digit_table(monkeypatch):
 
 
 def test_each_call_reads_every_digit_once(monkeypatch):
-    """height_ratio_deviations and records_from_certification each build
-    one digit table for all their convergents (and generators), as
-    certify_instance does: at l=1 beta=3, nmax 4, 7 and 5 digit reads."""
+    """height_ratio_deviations builds one digit table for all its
+    convergents and generators, as certify_instance does: at l=1 beta=3,
+    nmax 4, 7 digit reads.  records_from_certification reads none: the
+    certificates keep their subspaces."""
     params = con.ConstructionParams.create(1, Fraction(3), seed=0)
     cert = con.certify_instance(params, 4)
     reads = []
@@ -565,7 +637,7 @@ def test_each_call_reads_every_digit_once(monkeypatch):
     assert [dev for _conv, dev in devs] == [rec.ratio_deviation for rec in cert.records]
     del reads[:]
     records = est.records_from_certification(cert)
-    assert len(reads) == len(set(reads)) == 5
+    assert reads == []
     assert [r.subspace for r in records] == [
         con.build_convergent(params, n_index).subspace for n_index in range(1, 5)
     ]

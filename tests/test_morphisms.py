@@ -288,6 +288,18 @@ class TestHarness:
         assert set(payload) == {"muIntrinsic", "muAmbient", "delta", "recordPairs"}
         assert payload["recordPairs"] == [list(p) for p in report.record_pairs]
 
+    def test_placed_records_keep_their_dyadic_brackets(self):
+        """Above H^2 ~ 10^307 the golden line's records keep dyadic sine
+        brackets; the ambient records, the same records placed on the
+        section's axes, keep them too, so both exponents read them."""
+        proj = mor.RationalMap.from_rows([[1, 0, 0], [0, 1, 0]])
+        f = exact.RationalSubspace.from_basis([[1, 0], [0, 1], [0, 0]])
+        report = mor.embedding_harness(est.golden_line_target(), f, proj, 10**400)
+        kept = [rec.psi_bracket for rec in report.intrinsic_records]
+        assert sum(bracket is not None for bracket in kept) > 100
+        assert [rec.psi_bracket for rec in report.ambient_records] == kept
+        assert report.delta == 0.0 and abs(report.mu_ambient - 2) < 0.01
+
     def test_construction_line_into_four_dimensions(self):
         params = con.ConstructionParams.create(ell=1, beta=Fraction(3), seed=0)
         target = est.line_target_for_instance(params, height_squared_max=10**5)

@@ -17,6 +17,8 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from subdioph import reports
@@ -264,6 +266,30 @@ def test_sci_str_prints_two_exponent_digits_on_the_exact_path(value, text):
     assert reports.sci_str(x, 6, decimal.ROUND_FLOOR) == text
     man, exp = x.man_exp
     assert reports.sci_str((-man if x < 0 else man, exp), 6, decimal.ROUND_CEILING) == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    man=st.integers(-(2**80), 2**80),
+    exp=st.integers(-4000, 900),
+    digits=st.sampled_from([6, 18]),
+    rounding=st.sampled_from([None, decimal.ROUND_FLOOR, decimal.ROUND_CEILING]),
+)
+@example(man=3, exp=-2000, digits=6, rounding=None)
+@example(man=2**64 + 1, exp=-1090, digits=18, rounding=None)
+def test_sci_str_prints_a_dyadic_fraction_as_its_mpf(man, exp, digits, rounding):
+    """A Fraction with a power-of-two denominator prints as the equal mpf:
+    the float path while the double is normal, the exact one elsewhere."""
+    value = Fraction(man) * Fraction(2) ** exp
+    assert reports.sci_str(value, digits, rounding) == reports.sci_str(mp.ldexp(man, exp), digits, rounding)
+
+
+def test_sci_str_prints_no_fraction_that_is_not_dyadic_exactly():
+    """A Fraction whose double is normal prints from it; the exact path
+    takes dyadic ones only."""
+    assert reports.sci_str(Fraction(1, 3)) == f"{1 / 3:.6e}"
+    with pytest.raises(ValueError):
+        reports.sci_str(Fraction(1, 3), 6, decimal.ROUND_FLOOR)
 
 
 def test_sci_str_prints_a_dyadic_below_the_double_range_as_its_mpf():
