@@ -86,7 +86,8 @@ def _load_json(path: str):
             return json.load(handle)
     except OSError as err:
         raise _UsageError(f"cannot read {path}: {err}") from None
-    except json.JSONDecodeError as err:
+    except ValueError as err:
+        # a JSONDecodeError, or an integer past the int/str digit limit
         raise _UsageError(f"{path} is not valid JSON: {err}") from None
 
 

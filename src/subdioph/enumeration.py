@@ -160,8 +160,6 @@ def _primitive_with_leading(
     range is longer is cut into runs at fixed offsets from its start.
     """
     rem = budget - lead * lead
-    if rem < 0:
-        return
     for head, head_sq, zero in _boxed(n - 2, rem, lead == 0):
         prefix = (lead,) + head
         top = isqrt(rem - head_sq)
@@ -232,8 +230,6 @@ def _planes4_at(spec: EnumSpec, lead: int) -> Iterator[tuple[tuple[int, ...], in
     """
     bound = spec.height_squared_max
     rem = bound - lead * lead
-    if rem < 0:
-        return
     for (x13, x14, x23, x24), used, still_zero in _boxed(4, rem, lead == 0):
         cross = x13 * x24 - x14 * x23
         left = rem - used

@@ -556,7 +556,7 @@ def test_principal_angles_needs_64_bits(bits):
     assert principal_angles(a, b, bits=64).hi[0] < 1
 
 
-# the t = 3 pair in R^5 of the CI's angles checks
+# the t = 3 pair in R^5 of the angles verb's checks in tests/test_cli.py
 T3_A = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 3], [4, 5, 7]]
 T3_B = [[1, 0, 2], [0, 1, 1], [3, 0, 1], [1, 1, 1], [0, 2, 5]]
 
@@ -599,6 +599,50 @@ def test_angles_adaptive_checks_the_cap_before_evaluating(monkeypatch):
     monkeypatch.setenv("SUBDIOPH_MAX_BITS", "4096")
     with pytest.raises(PrecisionExhaustedError, match="cap 4096"):
         angles_adaptive(a, b, PrecisionContext(bits=91_451))
+
+
+def test_a_refused_proposal_is_retried(monkeypatch):
+    """mpmath refusing S once (mp.cholesky and mp.inverse raise ValueError
+    on a matrix singular at their precision) costs one retry at more
+    bits, which proves the same profile."""
+    a, b = RealBasis.from_exact(T3_A), RealBasis.from_exact(T3_B)
+    want = angles_adaptive(a, b)
+    proposals = angles_module._eigen_proposals
+    calls = []
+
+    def refused_once(s_mat, r_mat, prec):
+        calls.append(prec)
+        if len(calls) == 1:
+            raise ValueError("matrix is numerically singular")
+        return proposals(s_mat, r_mat, prec)
+
+    monkeypatch.setattr(angles_module, "_eigen_proposals", refused_once)
+    assert angles_adaptive(a, b) == want
+    assert len(calls) == 2 and calls[1] > calls[0]
+
+
+def test_proposals_that_never_prove_end_at_the_cap(monkeypatch):
+    """Proposals a relative 2^-20 off fail the inertia test at every
+    precision: the proof escalates and stops at the cap."""
+    proposals = angles_module._eigen_proposals
+    monkeypatch.setattr(angles_module, "_eigen_proposals",
+                        lambda s_mat, r_mat, prec: proposals(s_mat, r_mat, prec) * (1 + mp.mpf(2) ** -20))
+    a, b = RealBasis.from_exact(T3_A), RealBasis.from_exact(T3_B)
+    with pytest.raises(PrecisionExhaustedError,
+                       match=r"no proof of the squared sines at 2560 bits \(cap 4096\)"):
+        angles_adaptive(a, b, PrecisionContext(bits=256, max_bits=4096))
+
+
+def test_a_dependent_float_basis_has_no_pencil():
+    """A float basis comes to the pencil with its rank unchecked: a
+    3-space of R^6 with a dependent column, against an exact 3-space,
+    makes S = det(B^T B) A^T A zero, and the pencil proof refuses it."""
+    a = RealBasis.from_exact([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 3], [4, 5, 7], [1, 1, 1]])
+    b = RealBasis.from_float([[1.0, 2.0, 3.0], [0.5, 1.0, 1.5], [0.0, 0.0, 1.0],
+                              [1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [2.0, 4.0, 1.0]])
+    with pytest.raises(NumericalRankLossError, match="dependent columns") as err:
+        angles_adaptive(a, b)
+    assert err.traceback[-1].name == "_pencil_sine_mantissas"
 
 
 def random_rational_rows(rng, n, d):

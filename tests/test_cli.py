@@ -7,11 +7,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
+from subdioph import angles
 from subdioph import cli
 from subdioph import construction as con
 from subdioph import enumeration
@@ -46,6 +49,28 @@ def line_basis(tmp_path):
     return write_json(
         tmp_path / "basis.json", {"n": 2, "e": 1, "basis": [["3"], ["4"]]}
     )
+
+
+@pytest.fixture
+def t3_pair(tmp_path):
+    """Two 3-spaces of R^5 with three principal angles; they share a
+    direction, so their first sine is an exact 0."""
+    a = write_json(tmp_path / "t3a.json",
+                   {"n": 5, "e": 3, "basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                              [1, 2, 3], [4, 5, 7]]})
+    b = write_json(tmp_path / "t3b.json",
+                   {"n": 5, "e": 3, "basis": [[1, 0, 2], [0, 1, 1], [3, 0, 1],
+                                              [1, 1, 1], [0, 2, 5]]})
+    return a, b
+
+
+def refuse_svd(monkeypatch):
+    """No SVD on the data path: mpmath's svd_r raises."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVD on the data path")
+
+    monkeypatch.setattr(mp, "svd_r", refuse)
 
 
 class TestEmitReport:
@@ -138,6 +163,18 @@ class TestBasicCommands:
         basis_path = write_json(tmp_path / "b2.json", decoded)
         code, out, _ = run(["height", "--basis", basis_path, "--no-header"])
         assert json.loads(out) == {"heightSquared": "25"}
+        # a plane: its label, the basis decoded from it and that basis's
+        # label again, byte for byte
+        plane = write_json(tmp_path / "plane.json",
+                           {"n": 4, "e": 2, "basis": [[1, 0], [0, 1], [3, 5], [7, -2]]})
+        label = '{"n":4,"e":2,"coords":["1","5","-2","-3","-7","-41"],"heightSquared":"1769"}\n'
+        basis = '{"n":4,"e":2,"basis":[["2","5"],["7","-3"],["41","0"],["0","41"]]}\n'
+        label_path, basis_path = tmp_path / "label.json", tmp_path / "decoded.json"
+        assert run(["pluecker", "--basis", plane, "--no-header"]) == (0, label, "")
+        label_path.write_text(label, encoding="utf-8")
+        assert run(["decode", "--pluecker", str(label_path), "--no-header"]) == (0, basis, "")
+        basis_path.write_text(basis, encoding="utf-8")
+        assert run(["pluecker", "--basis", str(basis_path), "--no-header"]) == (0, label, "")
 
     def test_rational_entries(self, tmp_path):
         path = write_json(
@@ -183,18 +220,38 @@ class TestBasicCommands:
         assert abs(record["sin"] - 0.7071067811865476) < 1e-12
 
     @pytest.mark.parametrize("rel", ["0", "-1", "1", "2"])
-    def test_angles_refuse_a_target_relative_error_outside_zero_one(self, tmp_path, rel):
+    def test_angles_refuse_a_target_relative_error_outside_zero_one(self, t3_pair, rel):
         """A relative error of 0 made angles_adaptive double toward the bit
         cap on a pair with three angles, and never finish."""
-        a = write_json(tmp_path / "a.json",
-                       {"n": 5, "e": 3, "basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1],
-                                                  [1, 2, 3], [4, 5, 7]]})
-        b = write_json(tmp_path / "b.json",
-                       {"n": 5, "e": 3, "basis": [[1, 0, 2], [0, 1, 1], [3, 0, 1],
-                                                  [1, 1, 1], [0, 2, 5]]})
+        a, b = t3_pair
         code, out, err = run(["angles", "--basis", a, "--basis-b", b, "--target-rel-err", rel])
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags, seconds",
+        [([], 60), (["--precision-bits", "2000000"], 10),
+         (["--precision-bits", "600000", "--target-rel-err", "1e-10"], 10)],
+        ids=["default", "bits-2000000", "bits-600000-rel-1e-10"],
+    )
+    def test_angles_of_a_pair_with_three_angles(self, t3_pair, monkeypatch, flags, seconds):
+        """The pair is proved with no SVD: its first sine, an exact 0, prints
+        unresolved, the other two resolved, at 512 bits.  A precision above
+        the bit cap fails before any mpmath run, with one failure row: both
+        of these ran past 60 s before the cap was first looked at."""
+        refuse_svd(monkeypatch)
+        a, b = t3_pair
+        start = time.perf_counter()
+        code, out, err = run(["angles", "--basis", a, "--basis-b", b, "--no-header", *flags])
+        assert time.perf_counter() - start < seconds
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert err == ""
+        if flags:
+            assert code == 1 and [row["error"] for row in rows] == ["PrecisionExhaustedError"]
+            return
+        assert code == 0 and [row["resolved"] for row in rows] == [False, True, True]
+        assert all(row["sinLo"] <= row["sin"] <= row["sinHi"] and row["bitsUsed"] == 512
+                   for row in rows)
 
     @pytest.mark.parametrize("bits", ["-8", "0", "8"])
     def test_angles_refuse_fewer_than_64_bits(self, tmp_path, bits):
@@ -276,9 +333,20 @@ class TestConstructCommand:
             (["--ell", "2", "--beta", "5/2", "--nmax", "1"], "construct_certify_l2_b5_2_n1.jsonl"),
         ],
     )
-    def test_certify_rows_match_pinned_output(self, argv, pinned):
-        # rows recorded from the mpmath precision-doubling engine
+    def test_certify_rows_match_pinned_output(self, argv, pinned, monkeypatch):
+        # rows recorded from the mpmath precision-doubling engine, now
+        # proved from integer brackets: the angle engine and
+        # AngleProfile.widened raise
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ell <= 2 certificate called the angle engine or widened a profile")
+
+        monkeypatch.setattr(angles, "angles_adaptive", refuse)
+        # construction imports no angle engine: one it imported would raise too
+        monkeypatch.setattr(con, "angles_adaptive", refuse, raising=False)
+        monkeypatch.setattr(angles.AngleProfile, "widened", refuse)
+        start = time.perf_counter()
         code, out, _ = run(["construct", *argv, "--certify", "--no-header"])
+        assert time.perf_counter() - start < 60
         assert code == 0
         assert out == (DATA / pinned).read_text(encoding="utf-8")
 
@@ -354,19 +422,31 @@ class TestScanCommands:
         assert rows[-1]["coords"] == ["125", "53"]
         assert all(row["psiLo"] <= row["psiHi"] for row in rows)
 
+    # rows and sha256 of records --ell 1 --beta 3 --seed 0 by height bound
+    LARGE_WINDOWS = {
+        10**12: (43, "68ea03098f0572e68df64341a1bc66e4c00d8d62777399595ff065edbaf5f4f1"),
+        10**24: (45, "9122cd381ef51f02c28eee74a1fd40618fd893f4be91b5e2ce0252c84cb0f866"),
+    }
+
     def test_records_over_a_large_window(self):
         """H^2 <= 10^12: the line walk follows the slope's continued
         fraction from height 1 and finds the 43 records that the
-        rounding-window pool gave, row for row."""
-        code, out, err = run(
-            ["records", "--ell", "1", "--beta", "3", "--hmax-squared", "1000000000000",
-             "--no-header"]
-        )
-        assert (code, err) == (0, "")
-        rows = [json.loads(line) for line in out.splitlines()]
-        assert len(rows) == 43
-        heights = [int(row["heightSquared"]) for row in rows]
-        assert heights == sorted(set(heights)) and heights[-1] <= 10**12
+        rounding-window pool gave, row for row.  Below H^2 = 10^24 the line
+        has a huge partial quotient; the walk crosses it with a few keyed
+        rows, within 20 s, and the records keep their bytes."""
+        for hmax, (count, digest) in self.LARGE_WINDOWS.items():
+            start = time.perf_counter()
+            code, out, err = run(
+                ["records", "--ell", "1", "--beta", "3", "--seed", "0",
+                 "--hmax-squared", str(hmax), "--no-header"]
+            )
+            assert time.perf_counter() - start < 20
+            assert (code, err) == (0, "")
+            rows = [json.loads(line) for line in out.splitlines()]
+            assert len(rows) == count
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+            heights = [int(row["heightSquared"]) for row in rows]
+            assert heights == sorted(set(heights)) and heights[-1] <= hmax
 
     def test_records_stay_within_a_unit_height_bound(self):
         code, out, err = run(
@@ -450,6 +530,16 @@ class TestScanCommands:
         failure = json.loads(out.splitlines()[-1])
         assert failure["error"] == "InsufficientRecordsError"
 
+    # exit code and sha256 of exclusivity at ell = 2, which fails at these
+    # census heights; the second needs the Gram determinant of generators
+    # truncated at depth 6, whose entries have about 30k digits
+    PLANE_EXCLUSIVITY = {
+        ("--beta", "3", "--seed", "1", "--nmax", "3", "--hmax-squared", "14"):
+            (1, "d224f164f299249737e32ac01c7198ee8ae66339886eec73b537d34963c91a8b"),
+        ("--beta", "5/2", "--seed", "0", "--nmax", "4", "--hmax-squared", "8"):
+            (1, "8b208f68f47d528cf185a1a3fddfa8e772eb359b181b61c7e319957cf60751c7"),
+    }
+
     def test_exclusivity_report(self):
         code, out, _ = run(
             ["exclusivity", "--ell", "1", "--beta", "3", "--nmax", "1",
@@ -459,6 +549,13 @@ class TestScanCommands:
         report = json.loads(out.splitlines()[-1])
         assert report["ok"] is True
         assert report["interlopers"] == []
+        # ell = 2 scans at the depth records uses: a deeper scan took
+        # about 20 s, so each run has 10 s
+        for argv, (want_code, digest) in self.PLANE_EXCLUSIVITY.items():
+            start = time.perf_counter()
+            code, out, _ = run(["exclusivity", "--ell", "2", *argv, "--no-header"])
+            assert time.perf_counter() - start < 10
+            assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want_code, digest)
 
     def test_harness_golden_default(self):
         code, out, _ = run(
@@ -516,17 +613,20 @@ class TestVerifyCommand:
         suites = {json.loads(line)["suite"] for line in out.splitlines()}
         assert suites == {"heights", "pluecker", "angles", "distortion"}
 
-    def test_all_passes_on_seeds_0_to_19(self):
-        """Every suite passes on twenty seeds, and the rows are those that
-        the multiprecision invariance check gave (digest of the twenty
-        streams, seed 0 first)."""
+    def test_all_passes_on_seeds_0_to_19(self, monkeypatch):
+        """Every suite passes on twenty seeds, with no SVD on the data path,
+        and the rows are those that the multiprecision invariance check
+        gave (digest of the twenty streams, seed 0 first)."""
+        refuse_svd(monkeypatch)
         digest = hashlib.sha256()
+        start = time.perf_counter()
         for seed in range(20):
             code, out, _ = run(["verify", "all", "--seed", str(seed), "--no-header"])
             rows = [json.loads(line) for line in out.splitlines()]
             assert code == 0, seed
             assert len(rows) == 7 and all(row["ok"] for row in rows), seed
             digest.update(out.encode())
+        assert time.perf_counter() - start < 60
         assert digest.hexdigest() == VERIFY_SEEDS_0_TO_19_SHA256
 
 
@@ -597,6 +697,8 @@ class TestRunPlumbing:
             ("height", "--basis", {"n": "x", "e": 1, "basis": [["3"], ["4"]]}),
             ("height", "--basis", {"n": 2, "e": [1], "basis": [["3"], ["4"]]}),
             ("decode", "--pluecker", {"n": 2, "e": 1, "coords": ["7/2", "1"]}),
+            # x12 x34 - x13 x24 + x14 x23 = 4: no plane has this label
+            ("decode", "--pluecker", {"n": 4, "e": 2, "coords": [1, 2, 3, 4, 5, 2]}),
         ],
     )
     def test_malformed_headers_are_usage_errors(self, tmp_path, command, flag, payload):
@@ -606,18 +708,47 @@ class TestRunPlumbing:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (["height", "--basis"], {"n": 1, "e": 1, "basis": [["BIG"]]}),
+            (["decode", "--pluecker"], {"n": 2, "e": 1, "coords": ["BIG", 1]}),
+            (["construct", "--nmax", "1", "--instance"], {"ell": 1, "beta": "3", "seed": "BIG"}),
+        ],
+        ids=["height", "decode", "construct-instance"],
+    )
+    def test_an_integer_past_the_digit_limit_is_a_usage_error(self, tmp_path, argv, payload):
+        """json.load refuses an unquoted integer of more than 4,300 digits
+        with a ValueError that is no JSONDecodeError: the CLI exits 2 with
+        one error line naming the file, and writes no data."""
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(payload).replace('"BIG"', "1" + "0" * 5000), encoding="utf-8")
+        code, out, err = run([*argv, str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
+
     def test_negative_label_shape_is_usage_error(self, tmp_path):
         path = write_json(tmp_path / "label.json", {"n": -1, "e": 1, "coords": []})
         code, out, err = run(["decode", "--pluecker", path])
         assert (code, out) == (2, "")
         assert err == "error: negative shape (-1,1)\n"
 
-    def test_planes_in_five_space_are_a_census(self):
-        code, out, err = run(["enumerate", "--n", "5", "--e", "2", "--hmax-squared", "8"])
+    @pytest.mark.parametrize(
+        "argv, count",
+        [(["--n", "5", "--e", "2"], 1890),
+         (["--n", "6", "--e", "3", "--strategy", "exact-echelon"], 12800)],
+        ids=["planes-r5", "3-spaces-r6"],
+    )
+    def test_censuses_in_five_and_six_space(self, argv, count):
+        """At H^2 <= 8, within 20 s: the 3-spaces of R^6 walk 70,288
+        echelon matrices, each with 20 inline 3 x 3 minors."""
+        start = time.perf_counter()
+        code, out, err = run(["enumerate", *argv, "--hmax-squared", "8"])
+        assert time.perf_counter() - start < 20
         assert (code, err) == (0, "")
         header, *rows = out.splitlines()
         assert list(json.loads(header)) == ["type", "command", "generated"]
-        assert len(rows) == len({tuple(json.loads(row)["coords"]) for row in rows}) == 1890
+        assert len(rows) == len({tuple(json.loads(row)["coords"]) for row in rows}) == count
 
     @pytest.mark.parametrize(
         "extra, retired_message",
@@ -850,11 +981,15 @@ class TestRunPlumbing:
     @pytest.mark.parametrize("verb", ["records", "estimate"])
     def test_strategy_picks_no_engine_for_a_line_target(self, verb, strategy):
         """An ell = 1 instance scans with the line engine whatever --strategy
-        says: a census of lines would give other brackets, and take seconds."""
-        base = [verb, "--ell", "1", "--beta", "3", "--hmax-squared", "100000", "--no-header"]
-        default = run(base)
-        assert default[0] == 0 and default[1]
-        assert run([*base, "--strategy", strategy]) == default
+        says: a census of lines would give other brackets, and take seconds
+        (at H^2 <= 10^12, far more than the 30 s it is given)."""
+        for hmax in ("100000", "1000000000000"):
+            base = [verb, "--ell", "1", "--beta", "3", "--hmax-squared", hmax, "--no-header"]
+            default = run(base)
+            assert default[0] == 0 and default[1]
+            start = time.perf_counter()
+            assert run([*base, "--strategy", strategy]) == default
+            assert time.perf_counter() - start < 30
 
     def test_strategy_and_n_scan_lines_in_three_space(self):
         base = ["records", "--ell", "1", "--beta", "3", "--hmax-squared", "100000",

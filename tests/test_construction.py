@@ -7,6 +7,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -909,10 +910,26 @@ def test_digits_are_read_once_per_certification(monkeypatch):
     assert sorted(reads) == [(1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1)]
 
 
-def test_sines_below_the_double_range_print_from_the_exact_bracket():
+def refuse_the_angle_engine(monkeypatch):
+    """Certificates are proved from integer brackets: the angle engine and
+    AngleProfile.widened raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certificate called the angle engine or widened a profile")
+
+    monkeypatch.setattr(angles, "angles_adaptive", refuse)
+    # construction imports no angle engine: one it imported would raise too
+    monkeypatch.setattr(construction, "angles_adaptive", refuse, raising=False)
+    monkeypatch.setattr(AngleProfile, "widened", refuse)
+
+
+def test_sines_below_the_double_range_print_from_the_exact_bracket(monkeypatch):
     """At l=1 beta=3 N=5 psi is about 5e-510: its double ends read 0 and
     5e-324, while the row prints the dyadic bracket rounded outward."""
+    refuse_the_angle_engine(monkeypatch)
+    start = time.perf_counter()
     cert = certify_instance(finite_params(), 5)
+    assert time.perf_counter() - start < 60
     rec = cert.records[-1]
     assert rec.psi_lo == 0.0 and rec.psi_hi == 5e-324
     row = [r for r in cert.as_records() if r["check"] == "quantities"][-1]
@@ -993,20 +1010,32 @@ def test_certificates_at_ell_3_and_4_hold_an_svd_reference(ell, beta, nmax, monk
     assert gaps == sorted(gaps, reverse=True) and gaps[-1] < 0.03, gaps
 
 
-def test_ell_3_certificate_keeps_the_bytes_of_the_mpmath_ladder():
-    """construct --ell 3 --beta 9/4 --nmax 1 --certify prints the bytes it
-    printed when two mpmath runs at up to 182,902 bits gave its bracket,
-    and --nmax 2 those it printed when a Rayleigh quotient was the lower
-    end of its largest sine."""
-    pins = {
-        "1": "d39123dca67de0bf9a41f7a1b7c33fa8855221bb734b842c4685c3c3188a2400",
-        "2": "299add7d583d727e06b48651af7e59760cc547666bae1305c2f976e0d4d6f47a",
-    }
-    for nmax, want in pins.items():
+@pytest.mark.parametrize(
+    "ell, seconds, pins",
+    [
+        ("3", 10, {("9/4", "1"): "d39123dca67de0bf9a41f7a1b7c33fa8855221bb734b842c4685c3c3188a2400",
+                   ("9/4", "2"): "299add7d583d727e06b48651af7e59760cc547666bae1305c2f976e0d4d6f47a"}),
+        ("4", 30, {("5/2", "1"): "beb2afacfedd669838664f19ea288b5cc52db54d419c68ce2c5817191dfd33a3"}),
+        ("5", 30, {("5/2", "1"): "74f1848f380cee0abf2e3f83aa533d764264a2fb807ebed23d9f807c4c1e5cb9"}),
+    ],
+    ids=["l3", "l4", "l5"],
+)
+def test_certificates_above_ell_2_keep_their_bytes(monkeypatch, ell, seconds, pins):
+    """construct --certify at seed 0 keeps its bytes with the angle engine
+    and AngleProfile.widened refused, and the pins of one ell take less
+    than seconds.  ell = 3 at N = 1 prints the bytes it printed when two
+    mpmath runs at up to 182,902 bits gave its bracket, and at N = 2 those
+    it printed when a Rayleigh quotient was the lower end of its largest
+    sine; ell = 4 and 5 at N = 1 those they printed when Sylvester's test
+    ran on the whole pencil (ell = 5 took about 10 s then)."""
+    refuse_the_angle_engine(monkeypatch)
+    start = time.perf_counter()
+    for (beta, nmax), want in pins.items():
         out = io.StringIO()
-        argv = ["construct", "--ell", "3", "--beta", "9/4", "--nmax", nmax, "--certify", "--no-header"]
+        argv = ["construct", "--ell", ell, "--beta", beta, "--nmax", nmax, "--certify", "--no-header"]
         assert cli.run_command(argv, stdout=out) == 0
-        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want, nmax
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want, (beta, nmax)
+    assert time.perf_counter() - start < seconds
 
 
 def test_a_wrong_proposal_fails_psi_resolution(monkeypatch):

@@ -181,10 +181,12 @@ def test_run_rows_are_the_label_rows(monkeypatch, run_size, fmt, no_header, limi
 
 @pytest.mark.parametrize("fmt", reports.FORMATS)
 def test_cli_lines_are_the_label_rows(fmt):
-    """The enumerate verb writes line windows from their runs, with the
-    bytes of emit_labels over enumerate_labels."""
-    for spec in LINE_WINDOWS:
-        argv = ["enumerate", "--n", str(spec.n), "--e", "1",
+    """The enumerate verb writes line windows from their runs, and
+    hyperplane windows label by label: both with the bytes of emit_labels
+    over enumerate_labels, a shard of the lines of R^3 at H^2 <= 500
+    included."""
+    for spec in WINDOWS + [EnumSpec(3, 1, 500, shard_count=3, shard_index=1)]:
+        argv = ["enumerate", "--n", str(spec.n), "--e", str(spec.e),
                 "--hmax-squared", str(spec.height_squared_max),
                 "--shards", str(spec.shard_count), "--shard-index", str(spec.shard_index),
                 "--format", fmt, "--no-header"]

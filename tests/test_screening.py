@@ -11,10 +11,12 @@ brackets (angles._sine_mantissas); a pair-level oracle holds the
 plane-pair brackets against angles_adaptive.
 """
 
+import io
 import itertools
 import logging
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter, mul
@@ -27,6 +29,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from subdioph import angles as angles_module
+from subdioph import cli, enumeration
 from subdioph import estimation as est
 from subdioph import exact
 from subdioph.angles import (
@@ -530,31 +533,53 @@ class NoMpmath:
 
 
 def exact_scan_outcomes():
-    """Records and a report of three scans with at most two angles, psi
-    bounds as float hex: planes in R^4 with j = 2, a plane against the
-    3-spaces of R^5 with j = 2 and a line irrationality scan."""
+    """Scans with at most two angles, psi bounds as float hex: the records
+    and report of planes in R^4 with j = 2 and of a plane against the
+    3-spaces of R^5 with j = 2, the report of a line irrationality scan,
+    and the exit code and rows of the records verb on an ell = 2
+    instance."""
     plane = [[1, 0], [0, 1], [3, 5], [7, -2]]
-    scans = [
-        est.scan_records(plane, EnumSpec(4, 2, 60, EXACT_PLUECKER), j_index=2),
-        est.scan_records([*plane, [2, 9]], EnumSpec(5, 3, 8, EXACT_ECHELON), j_index=2),
-    ]
-    out = [
-        [(r.subspace.pluecker.coords, r.height_squared, r.psi_lo.hex(), r.psi_hi.hex()) for r in s]
-        for s in scans
-    ]
+    out = []
+    for target, spec in ((plane, EnumSpec(4, 2, 60, EXACT_PLUECKER)),
+                         ([*plane, [2, 9]], EnumSpec(5, 3, 8, EXACT_ECHELON))):
+        records = est.scan_records(target, spec, j_index=2)
+        out.append([(r.subspace.pluecker.coords, r.height_squared, r.psi_lo.hex(), r.psi_hi.hex())
+                    for r in records])
+        report = est.irrationality_scan(target, spec, j_index=2)
+        out.append({**report.as_dict(), "minPsiLower": report.min_psi_lower.hex()})
     report = est.irrationality_scan([[1000003], [1414213], [1732051]], EnumSpec(3, 1, 2000))
     out.append({**report.as_dict(), "minPsiLower": report.min_psi_lower.hex()})
+    rows = io.StringIO()
+    argv = ["records", "--ell", "2", "--beta", "5/2", "--hmax-squared", "60", "--no-header"]
+    out.append((cli.run_command(argv, stdout=rows), rows.getvalue().splitlines()))
     return out
 
 
 def test_exact_scans_build_no_mpf(monkeypatch):
     """A pair with at most two angles keeps its sine bracket in integers
-    from its labels to its record: with the angle module's mpmath context
-    replaced by one that raises, the scans give the same bytes."""
+    from its labels to its record, and a scan over a census reads its
+    labels: with the angle module's mpmath context, the label decoder, the
+    angle engine and the subspace census replaced by ones that raise, the
+    scans give the same bytes, within 60 s."""
     want = exact_scan_outcomes()
-    assert len(want[0]) >= 2 and len(want[1]) == 1 and want[2]["scanned"] == 155833
+    r4, r4_report, r5, r5_report, line_report, (code, rows) = want
+    assert len(r4) >= 2 and code == 0 and len(rows) >= 2
+    assert [(lo, hi) for *_, lo, hi in r5] == [("0x1.10ba8493671f0p-3", "0x1.10ba8493671f2p-3")]
+    assert (r5_report["scanned"], r5_report["minPsiLower"]) == (1890, "0x1.10ba8493671f0p-3")
+    assert (line_report["scanned"], line_report["minPsiLower"]) == (155833, "0x1.2e561d0a21782p-8")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scan decoded a basis, called the angle engine or built a subspace census")
+
     monkeypatch.setattr(angles_module, "mp", NoMpmath())
+    monkeypatch.setattr(exact, "pluecker_decode", refuse)
+    monkeypatch.setattr(est, "_adaptive_brackets", refuse)
+    monkeypatch.setattr(enumeration, "enumerate_subspaces", refuse)
+    # estimation imports no subspace census: one it imported would raise too
+    monkeypatch.setattr(est, "enumerate_subspaces", refuse, raising=False)
+    start = time.perf_counter()
     assert exact_scan_outcomes() == want
+    assert time.perf_counter() - start < 60
 
 
 # a rational 3-space of R^6 whose first sine is 0 against some 3-spaces
@@ -588,6 +613,26 @@ def test_t3_scans_pack_no_profile(monkeypatch):
     monkeypatch.setattr(angles_module, "_profile", refuse)
     monkeypatch.setattr(angles_module, "_packed", refuse)
     assert t3_scan_outcomes() == want
+
+
+def test_bars_below_the_double_range_take_the_integer_test():
+    """A bar below 2^-1022 has no normal double to bracket it, so
+    _at_least decides it by the integer test alone.  With _NORMAL_MIN
+    raised to 2.0 every bar takes that branch, and the scans with at most
+    two angles and those with three give the same outcomes."""
+    want = exact_scan_outcomes(), t3_scan_outcomes()
+    bars = []
+    bar_power = est._bar_power
+
+    def logged(num, den, power):
+        bar = bar_power(num, den, power)
+        bars.append(bar[2:])
+        return bar
+
+    with mock.patch.object(est, "_NORMAL_MIN", 2.0), mock.patch.object(est, "_bar_power", logged):
+        got = exact_scan_outcomes(), t3_scan_outcomes()
+    assert got == want
+    assert bars and set(bars) == {(None, None)}
 
 
 def algebraic_plane(bits):
